@@ -31,9 +31,7 @@ from .quadrature import (
     BoundaryGrid,
     RadialRule,
     angular_rule,
-    ball_integrate,
     boundary_grid,
-    disk_integrate,
     product_grid,
     radial_rule,
     volume_integrate,

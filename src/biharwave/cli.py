@@ -17,14 +17,10 @@ import numpy as np
 
 from . import __version__, fields, spectral
 from .quadrature import boundary_grid
-from .sources import source_from_config
+from .sources import _SOURCE_KEYS, source_from_config
 from .spectral import InconsistencyError, VerdictConfig
 
-_SCENARIO_KEYS = {
-    "dimension", "R", "kappa", "root_index", "kind", "parameters",
-    "truncation", "tolerance", "resolution", "directions",
-}
-_SOURCE_KEYS = {"dimension", "R", "kappa", "root_index", "kind", "parameters"}
+_SCENARIO_KEYS = _SOURCE_KEYS | {"truncation", "tolerance", "resolution", "directions"}
 
 
 class ConfigError(ValueError):
@@ -69,17 +65,18 @@ def _meta(cfg: dict) -> dict:
     return {"biharwave_version": __version__, "config_sha256": _config_hash(cfg)}
 
 
+def _write_out(path: str | None, write) -> None:
+    """Call write(fh) on the file at path, or on stdout when path is None."""
+    if path is None:
+        write(sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write(fh)
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _open_out(path: str | None):
-    return sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
+    _write_out(path, lambda fh: fh.write(text))
 
 
 def _write_rows(fh, meta: dict, header: list[str], rows) -> None:
@@ -88,6 +85,13 @@ def _write_rows(fh, meta: dict, header: list[str], rows) -> None:
     fh.write(",".join(header) + "\n")
     for row in rows:
         fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row) + "\n")
+
+
+def _angle_columns(ctx, params) -> tuple[list[str], list[list[float]]]:
+    """Header and per-direction values of the direction angles (azimuth, then polar in 3D)."""
+    if ctx.dimension == 2:
+        return ["dir_angle"], [[float(a)] for a in params]
+    return ["dir_angle", "dir_polar"], [[float(p[1]), float(p[0])] for p in params]
 
 
 def _verdict_config(cfg: dict) -> VerdictConfig:
@@ -123,12 +127,7 @@ def cmd_trace(args) -> int:
     ctx, src = _build(cfg)
     grid = boundary_grid(ctx, cfg.get("resolution"))
     trace = fields.boundary_trace(ctx, src, grid, truncation=cfg.get("truncation"))
-    fh = _open_out(args.out)
-    try:
-        fields.write_trace_csv(trace, fh, _meta(cfg))
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write_out(args.out, lambda fh: fields.write_trace_csv(trace, fh, _meta(cfg)))
     return 0
 
 
@@ -145,7 +144,7 @@ def cmd_spectral(args) -> int:
     uhat = spectral.u_hat_from_trace(ctx, trace, dirs)
     vcheck = spectral.v_check_from_trace(ctx, trace, dirs)
 
-    header = ["dir_angle"] + (["dir_polar"] if ctx.dimension == 3 else [])
+    header, angles = _angle_columns(ctx, params)
     header += [
         "fhat_re", "fhat_im", "fcheck_re", "fcheck_im",
         "uhat_re", "uhat_im", "vcheck_re", "vcheck_im",
@@ -153,21 +152,12 @@ def cmd_spectral(args) -> int:
     ]
     rows = []
     for i in range(dirs.shape[0]):
-        if ctx.dimension == 2:
-            angles = [float(params[i])]
-        else:
-            angles = [float(params[i, 1]), float(params[i, 0])]  # azimuth, polar
-        rows.append(angles + [
+        rows.append(angles[i] + [
             fhat[i].real, fhat[i].imag, fcheck[i].real, fcheck[i].imag,
             uhat[i].real, uhat[i].imag, vcheck[i].real, vcheck[i].imag,
             abs(fhat[i] - uhat[i]),
         ])
-    fh = _open_out(args.out)
-    try:
-        _write_rows(fh, _meta(cfg), header, rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write_out(args.out, lambda fh: _write_rows(fh, _meta(cfg), header, rows))
     return 0
 
 
@@ -212,26 +202,17 @@ def cmd_field(args) -> int:
     factors = [float(v) for v in args.radii.split(",")] if args.radii else [1.05, 1.5, 3.0]
     count = int(cfg.get("directions") or 16)
     dirs, params = spectral.direction_grid(ctx, count)
-    header = ["radius", "dir_angle"] + (["dir_polar"] if ctx.dimension == 3 else [])
-    header += ["u_re", "u_im", "fh_re", "fh_im", "fm_re", "fm_im"]
+    angle_header, angles = _angle_columns(ctx, params)
+    header = ["radius"] + angle_header + ["u_re", "u_im", "fh_re", "fh_im", "fm_re", "fm_im"]
     rows = []
     for factor in factors:
         pts = factor * ctx.radius * dirs
         u, f_h, f_m = fields.eval_field_batch(ctx, src, pts, method="quadrature")
         for i in range(dirs.shape[0]):
-            if ctx.dimension == 2:
-                angles = [float(params[i])]
-            else:
-                angles = [float(params[i, 1]), float(params[i, 0])]
-            rows.append([factor * ctx.radius] + angles + [
+            rows.append([factor * ctx.radius] + angles[i] + [
                 u[i].real, u[i].imag, f_h[i].real, f_h[i].imag, f_m[i].real, f_m[i].imag,
             ])
-    fh = _open_out(args.out)
-    try:
-        _write_rows(fh, _meta(cfg), header, rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write_out(args.out, lambda fh: _write_rows(fh, _meta(cfg), header, rows))
     return 0
 
 

@@ -33,14 +33,9 @@ from scipy import special as _sp
 
 from . import specfun
 from .context import WaveContext
-from .quadrature import BoundaryGrid, product_grid
-from .sources import (
-    ModalCoefficients,
-    SourceField,
-    SupportViolationError,
-    default_mode_truncation,
-    modal_coefficients,
-)
+from .kernels import phi_h_of_r, phi_m_of_r
+from .quadrature import BoundaryGrid, product_grid, split_params
+from .sources import SourceField, SupportViolationError, resolve_coefficients
 
 # Points per chunk in the direct-quadrature evaluator (memory control).
 _EVAL_CHUNK = 32
@@ -83,99 +78,77 @@ class FarFieldSample:
 def _eval_quadrature(ctx, src, pts, radial_order, angular_count):
     grid = product_grid(ctx, radial_order, angular_count)
     fw = src.values_on(grid) * grid.weights
-    k = ctx.kappa
     f_h = np.zeros(pts.shape[0], dtype=complex)
     f_m = np.zeros(pts.shape[0], dtype=complex)
     for start in range(0, pts.shape[0], _EVAL_CHUNK):
         chunk = pts[start : start + _EVAL_CHUNK]
-        diff = chunk[:, None, :] - grid.points[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        if ctx.dimension == 2:
-            phi_h = 0.25j * _sp.hankel1(0, k * dist)
-            phi_m = _sp.kv(0, k * dist) / (2.0 * np.pi)
-        else:
-            phi_h = np.exp(1j * k * dist) / (4.0 * np.pi * dist)
-            phi_m = np.exp(-k * dist) / (4.0 * np.pi * dist)
-        f_h[start : start + _EVAL_CHUNK] = -phi_h @ fw
-        f_m[start : start + _EVAL_CHUNK] = -phi_m @ fw
+        dist = np.linalg.norm(chunk[:, None, :] - grid.points[None, :, :], axis=-1)
+        f_h[start : start + _EVAL_CHUNK] = -phi_h_of_r(ctx, dist) @ fw
+        f_m[start : start + _EVAL_CHUNK] = -phi_m_of_r(ctx, dist) @ fw
     return f_h, f_m
+
+
+def _check_directions(ctx, directions) -> np.ndarray:
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if dirs.shape[1] != ctx.dimension:
+        raise ValueError(f"directions must have {ctx.dimension} components")
+    if not np.allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12):
+        raise ValueError("directions must be unit vectors")
+    return dirs
+
+
+def _volume_transform(ctx, src, directions, scale, radial_order, angular_count):
+    """sum over the ball grid of exp(scale * dir . y) f(y) w(y), one value per unit direction."""
+    dirs = _check_directions(ctx, directions)
+    grid = product_grid(ctx, src.resolve_radial_order(radial_order), angular_count)
+    fw = src.values_on(grid) * grid.weights
+    return np.exp(scale * dirs @ grid.points.T) @ fw
 
 
 # ---------------------------------------------------------------------------
 # Modal series route
 # ---------------------------------------------------------------------------
-def _coeff_for(ctx, src, truncation, radial_order, angular_count) -> ModalCoefficients:
-    if truncation is None:
-        truncation = default_mode_truncation(ctx)
-    return modal_coefficients(ctx, src, truncation, radial_order, angular_count)
-
-
-def _modal_series_2d(ctx, coeffs, r, theta, want_derivative=False):
-    """f_h, f_m (and radial derivatives) from the order series at (r, theta)."""
+def _radial_tables(ctx, truncation, t, derivative):
+    """Prefactors and per-degree radial factors of the f_h and f_m series at
+    t = kappa r (shape (M, 1)): the outgoing family and the exp(t)-scaled
+    decaying family, or their r-derivatives."""
     k = ctx.kappa
-    N = coeffs.truncation
-    t = k * r
-    orders = np.arange(-N, N + 1)
-    phases = np.exp(1j * np.outer(theta, orders))  # (M, 2N+1)
+    if ctx.dimension == 2:
+        n = np.arange(-truncation, truncation + 1)
+        if derivative:
+            c = -0.5j * np.pi * k
+            return c, c, _sp.h1vp(n, t), specfun.hankel1_imag_scaled_dt(n, t)
+        c = -0.5j * np.pi
+        return c, c, _sp.hankel1(n, t), specfun.hankel1_imag_scaled(n, t)
+    n = np.arange(truncation + 1)
+    if derivative:
+        h = k * (_sp.spherical_jn(n, t, derivative=True) + 1j * _sp.spherical_yn(n, t, derivative=True))
+        return -1j * k, k, h, k * specfun.sph_hankel1_imag_scaled_dt(n, t)
+    h = _sp.spherical_jn(n, t) + 1j * _sp.spherical_yn(n, t)
+    return -1j * k, k, h, specfun.sph_hankel1_imag_scaled(n, t)
 
-    h = np.empty((r.size, 2 * N + 1), dtype=complex)
-    s = np.empty_like(h)
-    for n in range(-N, N + 1):
-        h[:, n + N] = _sp.hankel1(n, t)
-        s[:, n + N] = specfun.hankel1_imag_scaled(n, t)
+
+def _per_mode(ctx, table):
+    """Per-degree columns repeated over the 2n+1 orders of each degree (3D)."""
+    if ctx.dimension == 2:
+        return table
+    n = np.arange(table.shape[1])
+    return np.repeat(table, 2 * n + 1, axis=1)
+
+
+def _modal_series(ctx, coeffs, r, basis, derivative=False):
+    """f_h and f_m (or their radial derivatives) at radii r from the exterior
+    mode series; basis holds the modes' angular factors at the same points."""
+    t = ctx.kappa * r
     damp = np.exp(-t)
-    f_h = -0.5j * np.pi * (phases * h) @ coeffs.alpha
-    f_m = -0.5j * np.pi * damp * ((phases * s) @ coeffs.beta)
-    if not want_derivative:
-        return f_h, f_m, None, None
-
-    dh = np.empty_like(h)
-    ds = np.empty_like(h)
-    for n in range(-N, N + 1):
-        dh[:, n + N] = _sp.h1vp(n, t)
-        ds[:, n + N] = specfun.hankel1_imag_scaled_dt(n, t)
-    df_h = -0.5j * np.pi * k * (phases * dh) @ coeffs.alpha
-    df_m = -0.5j * np.pi * k * damp * ((phases * ds) @ coeffs.beta)
-    return f_h, f_m, df_h, df_m
-
-
-def _modal_series_3d(ctx, coeffs, r, theta, phi, want_derivative=False):
-    """g_h, g_m (and radial derivatives) from the degree/order series."""
-    k = ctx.kappa
-    N = coeffs.truncation
-    t = k * r
-
-    harm = specfun.sph_harmonic_block(N, theta, phi)
-
-    h = np.empty_like(harm)
-    s = np.empty_like(harm)
-    col = 0
-    for n in range(N + 1):
-        hn = _sp.spherical_jn(n, t) + 1j * _sp.spherical_yn(n, t)
-        sn = specfun.sph_hankel1_imag_scaled(n, t)
-        for m in range(-n, n + 1):
-            h[:, col] = hn
-            s[:, col] = sn
-            col += 1
-    damp = np.exp(-t)
-    f_h = -1j * k * (harm * h) @ coeffs.alpha
-    f_m = k * damp * ((harm * s) @ coeffs.beta)
-    if not want_derivative:
-        return f_h, f_m, None, None
-
-    dh = np.empty_like(harm)
-    ds = np.empty_like(harm)
-    col = 0
-    for n in range(N + 1):
-        dhn = k * (_sp.spherical_jn(n, t, derivative=True) + 1j * _sp.spherical_yn(n, t, derivative=True))
-        dsn = k * specfun.sph_hankel1_imag_scaled_dt(n, t)
-        for m in range(-n, n + 1):
-            dh[:, col] = dhn
-            ds[:, col] = dsn
-            col += 1
-    df_h = -1j * k * (harm * dh) @ coeffs.alpha
-    df_m = k * damp * ((harm * ds) @ coeffs.beta)
-    return f_h, f_m, df_h, df_m
+    c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, t[:, None], derivative)
+    # Named tables: numpy may overwrite an unnamed temporary right operand in
+    # place, which changes how a complex product rounds under FMA.
+    H = _per_mode(ctx, h)
+    S = _per_mode(ctx, s)
+    f_h = c_h * (basis * H) @ coeffs.alpha
+    f_m = c_m * damp * ((basis * S) @ coeffs.beta)
+    return f_h, f_m
 
 
 def _spherical_params(pts):
@@ -190,13 +163,10 @@ def _spherical_params(pts):
 
 
 def _eval_modal(ctx, src, pts, truncation, radial_order, angular_count):
-    coeffs = _coeff_for(ctx, src, truncation, radial_order, angular_count)
+    coeffs = resolve_coefficients(ctx, src, truncation, radial_order, angular_count)
     r, theta, phi = _spherical_params(pts)
-    if ctx.dimension == 2:
-        f_h, f_m, _, _ = _modal_series_2d(ctx, coeffs, r, theta)
-    else:
-        f_h, f_m, _, _ = _modal_series_3d(ctx, coeffs, r, theta, phi)
-    return f_h, f_m
+    basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, theta, phi)
+    return _modal_series(ctx, coeffs, r, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +242,11 @@ def boundary_trace(
         raise SupportViolationError(
             f"source support {src.support_radius} exceeds the context ball R = {ctx.radius}"
         )
-    coeffs = _coeff_for(ctx, src, truncation, src.resolve_radial_order(radial_order), angular_count)
+    coeffs = resolve_coefficients(ctx, src, truncation, src.resolve_radial_order(radial_order), angular_count)
     r = np.full(grid.count, ctx.radius)
-    if ctx.dimension == 2:
-        theta = grid.params if grid.params.ndim == 1 else grid.params[:, 0]
-        f_h, f_m, df_h, df_m = _modal_series_2d(ctx, coeffs, r, theta, want_derivative=True)
-    else:
-        theta, phi = grid.params[:, 0], grid.params[:, 1]
-        f_h, f_m, df_h, df_m = _modal_series_3d(ctx, coeffs, r, theta, phi, want_derivative=True)
+    basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(grid.params))
+    f_h, f_m = _modal_series(ctx, coeffs, r, basis)
+    df_h, df_m = _modal_series(ctx, coeffs, r, basis, derivative=True)
     scale = 1.0 / (2.0 * ctx.kappa**2)
     return BoundaryTrace(
         grid=grid,
@@ -303,14 +270,7 @@ def far_field(
     The large-radius field obeys
     u(x) ~ -(mu_d / (8 kappa^2)) exp(i kappa |x|) / (pi |x|)^((d-1)/2) * u_inf(xhat).
     """
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    norms = np.linalg.norm(dirs, axis=-1)
-    if not np.allclose(norms, 1.0, atol=1e-12):
-        raise ValueError("directions must be unit vectors")
-    grid = product_grid(ctx, src.resolve_radial_order(radial_order), angular_count)
-    fw = src.values_on(grid) * grid.weights
-    phases = np.exp(-1j * ctx.kappa * dirs @ grid.points.T)
-    return phases @ fw
+    return _volume_transform(ctx, src, directions, -1j * ctx.kappa, radial_order, angular_count)
 
 
 def far_field_sample(ctx: WaveContext, src: SourceField, direction, **kwargs) -> FarFieldSample:

@@ -67,9 +67,7 @@ def phi_helmholtz(ctx: WaveContext, x, y):
     """
     r = _pair_distance(x, y)
     _check_separated(r)
-    if ctx.dimension == 2:
-        return 0.25j * _sp.hankel1(0, ctx.kappa * r)
-    return np.exp(1j * ctx.kappa * r) / (4.0 * np.pi * r)
+    return phi_h_of_r(ctx, r)
 
 
 def phi_modified(ctx: WaveContext, x, y):
@@ -80,6 +78,18 @@ def phi_modified(ctx: WaveContext, x, y):
     """
     r = _pair_distance(x, y)
     _check_separated(r)
+    return phi_m_of_r(ctx, r)
+
+
+def phi_h_of_r(ctx: WaveContext, r):
+    """phi_helmholtz as a function of the distance r = |x - y| > 0."""
+    if ctx.dimension == 2:
+        return 0.25j * _sp.hankel1(0, ctx.kappa * r)
+    return np.exp(1j * ctx.kappa * r) / (4.0 * np.pi * r)
+
+
+def phi_m_of_r(ctx: WaveContext, r):
+    """phi_modified as a function of the distance r = |x - y| > 0."""
     if ctx.dimension == 2:
         return _sp.kv(0, ctx.kappa * r) / (2.0 * np.pi)
     return np.exp(-ctx.kappa * r) / (4.0 * np.pi * r)
@@ -123,9 +133,8 @@ def green_biharmonic(ctx: WaveContext, x, y):
     near = r < NEAR_COINCIDENCE_FRACTION * ctx.radius
     r_safe = np.where(near, 1.0, r)
     if ctx.dimension == 2:
-        z = ctx.kappa * r_safe
-        diff = 0.25j * _sp.hankel1(0, z) - _sp.kv(0, z) / (2.0 * np.pi)
-    else:
+        diff = phi_h_of_r(ctx, r_safe) - phi_m_of_r(ctx, r_safe)
+    else:  # one quotient of the difference, not a difference of quotients
         diff = (np.exp(1j * ctx.kappa * r_safe) - np.exp(-ctx.kappa * r_safe)) / (
             4.0 * np.pi * r_safe
         )
@@ -145,10 +154,8 @@ def green_star(ctx: WaveContext, x, y):
         raise ValueError("green_star is defined for 2D contexts only")
     r = _pair_distance(x, y)
     _check_separated(r)
-    z = ctx.kappa * r
-    phi_h_star = -0.25j * _sp.hankel2(0, z)
-    phi_m = _sp.kv(0, z) / (2.0 * np.pi)
-    return -(phi_h_star - phi_m) / (2.0 * ctx.kappa**2)
+    phi_h_star = -0.25j * _sp.hankel2(0, ctx.kappa * r)
+    return -(phi_h_star - phi_m_of_r(ctx, r)) / (2.0 * ctx.kappa**2)
 
 
 def psi_kernel(ctx: WaveContext, x, y):

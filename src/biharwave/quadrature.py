@@ -123,6 +123,11 @@ def angular_rule(ctx: WaveContext, count: int | None = None) -> AngularRule:
     return AngularRule(3, dirs, ww, np.column_stack([tt, pp]), n_pol, n_az)
 
 
+def split_params(params: np.ndarray):
+    """(theta, phi) from AngularRule-style params; phi is None in 2D."""
+    return (params, None) if params.ndim == 1 else (params[:, 0], params[:, 1])
+
+
 def boundary_grid(ctx: WaveContext, resolution: int | None = None) -> BoundaryGrid:
     """Grid on the boundary sphere |x| = R with outward unit normals.
 
@@ -178,43 +183,15 @@ def product_grid(
     )
 
 
-def _volume_integrate(ctx, g, radial_order, angular_count):
-    grid = product_grid(ctx, radial_order, angular_count)
-    vals = np.asarray(g(grid.points))
-    if vals.shape != (grid.points.shape[0],):
-        raise ValueError("integrand must return one value per evaluation point")
-    return complex(np.sum(vals * grid.weights))
-
-
-def disk_integrate(
-    ctx: WaveContext,
-    g,
-    radial_order: int = DEFAULT_RADIAL_ORDER,
-    angular_count: int | None = None,
-) -> complex:
-    """Integrate g over the disk B_R (2D).  g maps (M, 2) points to M values."""
-    if ctx.dimension != 2:
-        raise ValueError("disk_integrate requires a 2D context; use ball_integrate in 3D")
-    return _volume_integrate(ctx, g, radial_order, angular_count)
-
-
-def ball_integrate(
-    ctx: WaveContext,
-    g,
-    radial_order: int = DEFAULT_RADIAL_ORDER,
-    angular_count: int | None = None,
-) -> complex:
-    """Integrate g over the ball B_R (3D)."""
-    if ctx.dimension != 3:
-        raise ValueError("ball_integrate requires a 3D context; use disk_integrate in 2D")
-    return _volume_integrate(ctx, g, radial_order, angular_count)
-
-
 def volume_integrate(
     ctx: WaveContext,
     g,
     radial_order: int = DEFAULT_RADIAL_ORDER,
     angular_count: int | None = None,
 ) -> complex:
-    """Dimension-dispatching form of disk_integrate / ball_integrate."""
-    return _volume_integrate(ctx, g, radial_order, angular_count)
+    """Integrate g over the ball B_R (the disk in 2D).  g maps (M, d) points to M values."""
+    grid = product_grid(ctx, radial_order, angular_count)
+    vals = np.asarray(g(grid.points))
+    if vals.shape != (grid.points.shape[0],):
+        raise ValueError("integrand must return one value per evaluation point")
+    return complex(np.sum(vals * grid.weights))

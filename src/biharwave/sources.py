@@ -35,6 +35,7 @@ from .quadrature import (
     product_grid,
     radial_rule,
 )
+from .specfun import _ipow
 
 # Denominator magnitudes below this are treated as degenerate normalizations.
 DEGENERATE_DENOMINATOR = 1e-12
@@ -56,13 +57,17 @@ class DegenerateSourceError(ValueError):
     """A normalizing integral of a constructor is numerically zero."""
 
 
-def _ipow(k: int) -> complex:
-    return (1.0, 1j, -1.0, -1j)[k % 4]
-
-
 def mode_count(dimension: int, truncation: int) -> int:
     """Number of stored angular modes up to the truncation."""
     return 2 * truncation + 1 if dimension == 2 else (truncation + 1) ** 2
+
+
+def mode_degrees(dimension: int, truncation: int) -> np.ndarray:
+    """Order (2D) or degree (3D) of every stored mode, in storage order."""
+    if dimension == 2:
+        return np.arange(-truncation, truncation + 1)
+    n = np.arange(truncation + 1)
+    return np.repeat(n, 2 * n + 1)
 
 
 def mode_index(dimension: int, n: int, m: int | None = None) -> int:
@@ -141,10 +146,14 @@ class SourceField:
 
     Construct through the classmethods; instances are immutable in use and
     safe to share.  evaluate() returns 0 outside the support radius.
+    potential_profile (the radial potential whose image a Bessel constructor
+    is) and bump_value (the mollifier behind a bump source) are None unless
+    a constructor attaches them.
     """
 
     def __init__(self, ctx, kind, support_radius, func=None, modal=None,
-                 grid=None, grid_values=None, radial_profile=None, radial_hint=None):
+                 grid=None, grid_values=None, radial_profile=None, radial_hint=None,
+                 potential_profile=None, bump_value=None):
         if support_radius <= 0 or support_radius > ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
@@ -158,26 +167,30 @@ class SourceField:
         self._grid_values = grid_values
         self.radial_profile = radial_profile
         self.radial_hint = radial_hint
-        self._norm_cache: float | None = None
+        self.potential_profile = potential_profile
+        self.bump_value = bump_value
+        self._norm_cache: dict = {}
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def from_callable(cls, ctx, func, support_radius=None, radial_profile=None, radial_hint=None):
+    def from_callable(cls, ctx, func, support_radius=None, radial_profile=None, radial_hint=None,
+                      potential_profile=None, bump_value=None):
         """Source from a pointwise evaluator mapping (M, d) points to M values."""
         if support_radius is None:
             support_radius = ctx.radius
-        return cls(ctx, "callable", support_radius, func=func,
-                   radial_profile=radial_profile, radial_hint=radial_hint)
+        return cls(ctx, "callable", support_radius, func=func, radial_profile=radial_profile,
+                   radial_hint=radial_hint, potential_profile=potential_profile, bump_value=bump_value)
 
     @classmethod
-    def from_radial(cls, ctx, profile, support_radius=None):
+    def from_radial(cls, ctx, profile, support_radius=None, potential_profile=None):
         """Radially symmetric source from a profile r -> value."""
 
         def func(points):
             r = np.linalg.norm(np.atleast_2d(points), axis=-1)
             return np.asarray(profile(r), dtype=complex)
 
-        return cls.from_callable(ctx, func, support_radius, radial_profile=profile)
+        return cls.from_callable(ctx, func, support_radius, radial_profile=profile,
+                                 potential_profile=potential_profile)
 
     @classmethod
     def from_modes(cls, ctx, modes, support_radius=None, radial_order=DEFAULT_RADIAL_ORDER):
@@ -237,17 +250,14 @@ class SourceField:
             if profs.ndim == 1:
                 profs = profs[:, None]
             if self.ctx.dimension == 2:
-                theta = np.arctan2(pts[sl, 1], pts[sl, 0])
-                orders = np.arange(-modal.truncation, modal.truncation + 1)
-                phases = np.exp(1j * np.outer(theta, orders))
-                out[sl] = np.sum(profs * phases, axis=1)
+                theta, phi = np.arctan2(pts[sl, 1], pts[sl, 0]), None
             else:
                 rr = r[sl]
                 ct = np.divide(pts[sl, 2], rr, out=np.ones_like(rr), where=rr > 0)
                 theta = np.arccos(np.clip(ct, -1, 1))
                 phi = np.mod(np.arctan2(pts[sl, 1], pts[sl, 0]), 2 * np.pi)
-                harm = specfun.sph_harmonic_block(modal.truncation, theta, phi)
-                out[sl] = np.sum(profs * harm, axis=1)
+            basis = specfun.angular_basis(self.ctx.dimension, modal.truncation, theta, phi)
+            out[sl] = np.sum(profs * basis, axis=1)
         return out
 
     def values_on(self, grid: ProductGrid) -> np.ndarray:
@@ -262,25 +272,19 @@ class SourceField:
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, factor: complex) -> "SourceField":
-        if self.kind == "modal":
-            modal = ModalProfiles(
-                self.modal.dimension, self.modal.truncation, self.modal.rule,
-                self.modal.values * factor,
-            )
-            return SourceField(self.ctx, "modal", self.support_radius, modal=modal,
-                               radial_hint=self.radial_hint)
-        if self.kind == "grid":
-            return SourceField(
-                self.ctx, "grid", self.support_radius,
-                grid=self._grid, grid_values=self._grid_values * factor,
-            )
-        inner = self._func
-        prof = self.radial_profile
+        """factor times the source; every attached profile is scaled with it."""
+
+        def times(fn):
+            return None if fn is None else (lambda q: factor * np.asarray(fn(q), dtype=complex))
+
+        modal = None if self.modal is None else ModalProfiles(
+            self.modal.dimension, self.modal.truncation, self.modal.rule, self.modal.values * factor
+        )
         return SourceField(
-            self.ctx, "callable", self.support_radius,
-            func=lambda pts: factor * np.asarray(inner(pts), dtype=complex),
-            radial_profile=None if prof is None else (lambda r: factor * np.asarray(prof(r), dtype=complex)),
-            radial_hint=self.radial_hint,
+            self.ctx, self.kind, self.support_radius, func=times(self._func), modal=modal,
+            grid=self._grid, grid_values=None if self._grid is None else self._grid_values * factor,
+            radial_profile=times(self.radial_profile), radial_hint=self.radial_hint,
+            potential_profile=times(self.potential_profile), bump_value=times(self.bump_value),
         )
 
     def __add__(self, other: "SourceField") -> "SourceField":
@@ -312,26 +316,25 @@ class SourceField:
 
     # -- norms ---------------------------------------------------------------
     def l2_norm(self, radial_order=None, angular_count=None) -> float:
-        """Quadrature L2 norm over the ball (cached).
+        """Quadrature L2 norm over the ball, cached per resolved (radial order,
+        angular count).
 
         Modal sources integrate mode-by-mode (angular orthonormality turns
         the ball integral into a weighted sum of radial profile norms).
         """
-        if self._norm_cache is None:
+        key = (self.resolve_radial_order(radial_order), angular_count)
+        if key not in self._norm_cache:
             if self.kind == "modal":
                 rule = self.modal.rule
                 meas = rule.weights * rule.nodes ** (self.ctx.dimension - 1)
                 sq = float(np.sum(np.abs(self.modal.values) ** 2 @ meas))
                 factor = 2.0 * np.pi if self.ctx.dimension == 2 else 1.0
-                self._norm_cache = float(np.sqrt(factor * sq))
+                self._norm_cache[key] = float(np.sqrt(factor * sq))
             else:
-                if self.kind == "grid":
-                    grid = self._grid
-                else:
-                    grid = product_grid(self.ctx, self.resolve_radial_order(radial_order), angular_count)
+                grid = self._grid if self.kind == "grid" else product_grid(self.ctx, *key)
                 vals = self.values_on(grid)
-                self._norm_cache = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
-        return self._norm_cache
+                self._norm_cache[key] = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
+        return self._norm_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +378,7 @@ def project_modes(
                 f"angular count {m} cannot resolve orders up to {truncation}; need > 2N"
             )
         spectrum = np.fft.fft(vals, axis=1) / m  # (1/2pi) * trapezoid in theta
-        values = np.zeros((2 * truncation + 1, rule.order), dtype=complex)
-        for n in range(-truncation, truncation + 1):
-            values[n + truncation] = spectrum[:, n % m]
+        values = spectrum[:, mode_degrees(2, truncation) % m].T.copy()
     else:
         # Gauss-in-cos(theta) with n_pol nodes resolves harmonic products of
         # degree up to n_pol - 1 exactly; beyond that the projection aliases.
@@ -388,31 +389,28 @@ def project_modes(
         theta, phi = ang.params[:, 0], ang.params[:, 1]
         harm = specfun.sph_harmonic_block(truncation, theta, phi)
         values = (vals @ (np.conj(harm) * ang.weights[:, None])).T
+    return _modal_source(src, truncation, rule, values)
 
-    modal = ModalProfiles(ctx.dimension, truncation, rule, values)
-    out = SourceField(ctx, "modal", src.support_radius, modal=modal,
+
+def _modal_source(src: SourceField, truncation: int, rule: RadialRule, values) -> SourceField:
+    """Modal source with the given profiles that keeps src's support, hints and norm cache."""
+    modal = ModalProfiles(src.ctx.dimension, truncation, rule, values)
+    out = SourceField(src.ctx, "modal", src.support_radius, modal=modal,
                       radial_profile=src.radial_profile, radial_hint=src.radial_hint)
-    out._norm_cache = src._norm_cache
+    out._norm_cache = dict(src._norm_cache)
     return out
 
 
 def _retruncate_modal(src: SourceField, truncation: int) -> SourceField:
     old = src.modal
     values = np.zeros((mode_count(src.ctx.dimension, truncation), old.rule.order), dtype=complex)
+    keep = min(truncation, old.truncation)
     if src.ctx.dimension == 2:
-        keep = min(truncation, old.truncation)
-        for n in range(-keep, keep + 1):
-            values[n + truncation] = old.values[n + old.truncation]
+        new_rows = slice(truncation - keep, truncation + keep + 1)
+        values[new_rows] = old.values[old.truncation - keep : old.truncation + keep + 1]
     else:
-        keep = min(truncation, old.truncation)
-        for n in range(keep + 1):
-            for m in range(-n, n + 1):
-                values[mode_index(3, n, m)] = old.values[mode_index(3, n, m)]
-    modal = ModalProfiles(src.ctx.dimension, truncation, old.rule, values)
-    out = SourceField(src.ctx, "modal", src.support_radius, modal=modal,
-                      radial_profile=src.radial_profile, radial_hint=src.radial_hint)
-    out._norm_cache = src._norm_cache
-    return out
+        values[: (keep + 1) ** 2] = old.values[: (keep + 1) ** 2]
+    return _modal_source(src, truncation, old.rule, values)
 
 
 def modal_coefficients(
@@ -435,28 +433,29 @@ def modal_coefficients(
         src = project_modes(src, truncation, radial_order, angular_count)
     elif src.modal.truncation > truncation:
         src = _retruncate_modal(src, truncation)
-    modal = src.modal
-    rule = modal.rule
-    r = rule.nodes
-    k = ctx.kappa
-    measure = rule.weights * r ** (ctx.dimension - 1)
-
-    nmodes = mode_count(ctx.dimension, truncation)
-    alpha = np.zeros(nmodes, dtype=complex)
-    beta = np.zeros(nmodes, dtype=complex)
+    values = src.modal.values
+    rule = src.modal.rule
+    kr = ctx.kappa * rule.nodes
+    measure = rule.weights * rule.nodes ** (ctx.dimension - 1)
     if ctx.dimension == 2:
-        for n in range(-truncation, truncation + 1):
-            prof = modal.values[n + truncation]
-            alpha[n + truncation] = np.sum(prof * _sp.jv(n, k * r) * measure)
-            beta[n + truncation] = _ipow(n) * np.sum(prof * _sp.iv(abs(n), k * r) * measure)
+        n = mode_degrees(2, truncation)[:, None]
+        alpha = np.sum(values * _sp.jv(n, kr) * measure, axis=1)
+        beta = _ipow(n[:, 0]) * np.sum(values * _sp.iv(np.abs(n), kr) * measure, axis=1)
     else:
-        for n in range(truncation + 1):
-            jn = _sp.spherical_jn(n, k * r)
-            in_mod = _sp.spherical_in(n, k * r)
-            lo, hi = n * n, n * n + 2 * n + 1
-            block = modal.values[lo:hi]
-            alpha[lo:hi] = block @ (jn * measure)
-            beta[lo:hi] = _ipow(n) * (block @ (in_mod * measure))
+        n = np.arange(truncation + 1)[:, None]
+        j_weighted = _sp.spherical_jn(n, kr) * measure
+        i_weighted = _sp.spherical_in(n, kr) * measure
+        alpha = np.empty(len(values), dtype=complex)
+        beta = np.empty_like(alpha)
+        for deg in range(truncation + 1):  # per degree: one stacked product would round differently
+            lo, hi = deg * deg, (deg + 1) ** 2
+            alpha[lo:hi] = values[lo:hi] @ j_weighted[deg]
+            beta[lo:hi] = _ipow(deg) * (values[lo:hi] @ i_weighted[deg])
+    if not np.all(np.isfinite(beta)):
+        raise OverflowError(
+            f"beta coefficients are not finite at kappa*R = {ctx.kappa * ctx.radius:.6g}: the "
+            f"imaginary-argument family leaves the double range (truncation {truncation})"
+        )
     return ModalCoefficients(
         dimension=ctx.dimension,
         truncation=truncation,
@@ -469,6 +468,16 @@ def modal_coefficients(
 def default_mode_truncation(ctx: WaveContext) -> int:
     """Band-limit heuristic for source projections plus guard modes."""
     return 2 * int(np.ceil(ctx.kappa * ctx.radius)) + 16
+
+
+def resolve_coefficients(ctx, src, truncation=None, radial_order=None, angular_count=None):
+    """src itself when it already is a ModalCoefficients, else the source's
+    coefficients at the truncation (default_mode_truncation when None)."""
+    if isinstance(src, ModalCoefficients):
+        return src
+    if truncation is None:
+        truncation = default_mode_truncation(ctx)
+    return modal_coefficients(ctx, src, truncation, radial_order, angular_count)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +521,7 @@ def make_2d_bessel_nonradiating(ctx: WaveContext, radial_order: int | None = Non
         z0 = _sp.jv(0, k * np.asarray(r, dtype=float))
         return (z0**3 / c_quartic - z0**2 / c_cubic).astype(complex)
 
-    src = SourceField.from_radial(ctx, profile, support_radius=R)
-    src.potential_profile = potential
-    return src
+    return SourceField.from_radial(ctx, profile, support_radius=R, potential_profile=potential)
 
 
 def make_3d_bessel_nonradiating(
@@ -563,9 +570,7 @@ def make_3d_bessel_nonradiating(
         z0 = _sp.spherical_jn(0, k * np.asarray(r, dtype=float))
         return (z0**m1 / denom[m1] - z0**m2 / denom[m2]).astype(complex)
 
-    src = SourceField.from_radial(ctx, profile, support_radius=R)
-    src.potential_profile = potential
-    return src
+    return SourceField.from_radial(ctx, profile, support_radius=R, potential_profile=potential)
 
 
 def make_bump_nonradiating(
@@ -630,11 +635,9 @@ def make_bump_nonradiating(
         g, bilap = _mollifier_pair(s, rho, amplitude, d)
         return (-(bilap - k4 * g)).astype(complex)
 
-    src = SourceField.from_callable(
-        ctx, func, support_radius=reach, radial_hint=_BUMP_RADIAL_ORDER
+    return SourceField.from_callable(
+        ctx, func, support_radius=reach, radial_hint=_BUMP_RADIAL_ORDER, bump_value=bump_value
     )
-    src.bump_value = bump_value
-    return src
 
 
 def _mollifier_pair(s, rho, amplitude, d):

@@ -27,9 +27,17 @@ from scipy import special as _sp
 IV_OVERFLOW_ARG = 713.0
 
 
-def _ipow(k: int) -> complex:
-    """i**k for integer k, exact (unit modulus, no rounding)."""
-    return (1.0, 1j, -1.0, -1j)[k % 4]
+_IPOW = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _ipow(k):
+    """i**k for an integer k or an integer array, exact (unit modulus, no rounding)."""
+    return _IPOW[np.mod(k, 4)]
+
+
+def _check_spherical_order(n) -> None:
+    if np.any(np.asarray(n) < 0):
+        raise ValueError(f"spherical order must be >= 0, got {n}")
 
 
 def _as_finite(z, name: str = "z") -> np.ndarray:
@@ -144,38 +152,33 @@ def hankel1_imag_scaled_dt(n: int, t):
 # ---------------------------------------------------------------------------
 def sph_bessel_j(n: int, z):
     """Spherical Bessel function j_n(z), z >= 0 (j_0(0) = 1 by the series limit)."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     return _sp.spherical_jn(n, _as_nonnegative(z))
 
 
 def sph_hankel1(n: int, z):
     """Spherical Hankel function h^(1)_n(z) = j_n(z) + i y_n(z), z > 0."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     z = _as_positive(z)
     return _sp.spherical_jn(n, z) + 1j * _sp.spherical_yn(n, z)
 
 
 def sph_bessel_j_dz(n: int, z):
     """d/dz j_n(z)."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     return _sp.spherical_jn(n, _as_nonnegative(z), derivative=True)
 
 
 def sph_hankel1_dz(n: int, z):
     """d/dz h^(1)_n(z)."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     z = _as_positive(z)
     return _sp.spherical_jn(n, z, derivative=True) + 1j * _sp.spherical_yn(n, z, derivative=True)
 
 
 def sph_bessel_j_imag(n: int, t):
     """j_n on the positive imaginary axis: j_n(i t) = i**n i_n(t) (modified family)."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     t = _as_nonnegative(t, "t")
     inu = _sp.spherical_in(n, t)
     if not np.all(np.isfinite(inu)):
@@ -185,32 +188,28 @@ def sph_bessel_j_imag(n: int, t):
 
 def sph_hankel1_imag(n: int, t):
     """h^(1)_n on the positive imaginary axis: h^(1)_n(i t) = -(2/pi) i**-n k_n(t)."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     t = _as_positive(t, "t")
     return -(2.0 / np.pi) * _ipow(-n) * _sp.spherical_kn(n, t)
 
 
 def sph_bessel_j_imag_dt(n: int, t):
     """d/dt j_n(i t) = i**n i_n'(t)."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     t = _as_nonnegative(t, "t")
     return _ipow(n) * _sp.spherical_in(n, t, derivative=True)
 
 
 def sph_hankel1_imag_dt(n: int, t):
     """d/dt h^(1)_n(i t) = -(2/pi) i**-n k_n'(t)."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     t = _as_positive(t, "t")
     return -(2.0 / np.pi) * _ipow(-n) * _sp.spherical_kn(n, t, derivative=True)
 
 
 def sph_hankel1_imag_scaled(n: int, t):
     """exp(t) * h^(1)_n(i t), via the scaled half-order K family."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     t = _as_positive(t, "t")
     kn = np.sqrt(np.pi / (2.0 * t)) * _sp.kve(n + 0.5, t)
     return -(2.0 / np.pi) * _ipow(-n) * kn
@@ -218,8 +217,7 @@ def sph_hankel1_imag_scaled(n: int, t):
 
 def sph_hankel1_imag_scaled_dt(n: int, t):
     """exp(t) * d/dt h^(1)_n(i t)."""
-    if n < 0:
-        raise ValueError(f"spherical order must be >= 0, got {n}")
+    _check_spherical_order(n)
     t = _as_positive(t, "t")
     pref = np.sqrt(np.pi / (2.0 * t))
     # k_n(t) = pref * K_(n+1/2)(t); product rule plus K' = -(K_(v-1)+K_(v+1))/2
@@ -248,6 +246,18 @@ def sph_harmonic_block(truncation: int, theta, phi) -> np.ndarray:
         ms = np.arange(-n, n + 1)
         out[:, n * n + n + ms] = allv[n, ms].T
     return out
+
+
+def angular_basis(dimension: int, truncation: int, theta, phi=None) -> np.ndarray:
+    """Angular factor of every stored mode at the given angles, shape (M, modes).
+
+    2D: exp(i n theta) for n = -N..N; 3D: sph_harmonic_block at polar angle
+    theta and azimuth phi.  Columns follow the mode layout of the modal
+    profiles and coefficients.
+    """
+    if dimension == 2:
+        return np.exp(1j * np.outer(theta, np.arange(-truncation, truncation + 1)))
+    return sph_harmonic_block(truncation, theta, phi)
 
 
 def sph_harmonic(n: int, m: int, theta, phi):

@@ -26,14 +26,18 @@ from scipy import special as _sp
 
 from . import fields, specfun
 from .context import WaveContext
+from .fields import _check_directions
 from .kernels import green_biharmonic
-from .quadrature import angular_rule, product_grid
+from .quadrature import angular_rule, split_params
 from .sources import (
     ModalCoefficients,
     SourceField,
     default_mode_truncation,
+    mode_degrees,
     modal_coefficients,
+    resolve_coefficients,
 )
+from .specfun import _ipow
 
 __all__ = [
     "InconsistencyError",
@@ -57,6 +61,13 @@ __all__ = [
 
 # exp(kappa * R) weights overflow doubles beyond this.
 _EXP_WEIGHT_LIMIT = 700.0
+
+
+def _check_exp_weight(ctx: WaveContext) -> None:
+    if ctx.kappa * ctx.radius > _EXP_WEIGHT_LIMIT:
+        raise OverflowError(
+            f"exponential weights exp(kappa R) overflow for kappa*R = {ctx.kappa * ctx.radius:.3g}"
+        )
 
 
 class InconsistencyError(RuntimeError):
@@ -155,27 +166,6 @@ def direction_grid(ctx: WaveContext, count: int):
     return rule.directions, rule.params
 
 
-def _as_coefficients(ctx, src, truncation, radial_order, angular_count) -> ModalCoefficients:
-    if isinstance(src, ModalCoefficients):
-        return src
-    if truncation is None:
-        truncation = default_mode_truncation(ctx)
-    return modal_coefficients(ctx, src, truncation, radial_order, angular_count)
-
-
-def _check_directions(ctx, directions) -> np.ndarray:
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[1] != ctx.dimension:
-        raise ValueError(f"directions must have {ctx.dimension} components")
-    if not np.allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12):
-        raise ValueError("directions must be unit vectors")
-    return dirs
-
-
-def _harmonic_matrix(truncation, theta, phi) -> np.ndarray:
-    return specfun.sph_harmonic_block(truncation, theta, phi)
-
-
 def _direction_params(ctx, dirs):
     if ctx.dimension == 2:
         return np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi), None
@@ -187,6 +177,22 @@ def _direction_params(ctx, dirs):
 # ---------------------------------------------------------------------------
 # Restricted transforms (modal synthesis)
 # ---------------------------------------------------------------------------
+def _synthesis(ctx, basis, weights) -> np.ndarray:
+    """|S^(d-1)| times the mode sum of weights against the angular basis."""
+    return (2.0 * np.pi if ctx.dimension == 2 else 4.0 * np.pi) * basis @ weights
+
+
+def _on_circle(ctx, src, directions, sign, truncation, radial_order, angular_count):
+    """Mode synthesis of sign**n-weighted coefficients at the directions:
+    sign -1 pairs (-i)^n with alpha, sign +1 pairs i^n with beta."""
+    dirs = _check_directions(ctx, directions)
+    coeffs = resolve_coefficients(ctx, src, truncation, radial_order, angular_count)
+    N = coeffs.truncation
+    basis = specfun.angular_basis(ctx.dimension, N, *_direction_params(ctx, dirs))
+    modes = coeffs.alpha if sign < 0 else coeffs.beta
+    return _synthesis(ctx, basis, _ipow(sign * mode_degrees(ctx.dimension, N)) * modes)
+
+
 def fourier_on_circle(
     ctx: WaveContext,
     src,
@@ -201,18 +207,7 @@ def fourier_on_circle(
     2D: 2 pi sum_n (-i)^n alpha_n exp(i n arg(dir));
     3D: 4 pi sum_(n, m) (-i)^n alpha_n^m Y_n^m(dir).
     """
-    dirs = _check_directions(ctx, directions)
-    coeffs = _as_coefficients(ctx, src, truncation, radial_order, angular_count)
-    theta, phi = _direction_params(ctx, dirs)
-    N = coeffs.truncation
-    if ctx.dimension == 2:
-        orders = np.arange(-N, N + 1)
-        phases = np.exp(1j * np.outer(theta, orders))
-        signs = np.array([(-1j) ** (n % 4) for n in orders])
-        return 2.0 * np.pi * phases @ (signs * coeffs.alpha)
-    harm = _harmonic_matrix(N, theta, phi)
-    signs = np.concatenate([np.full(2 * n + 1, (-1j) ** (n % 4)) for n in range(N + 1)])
-    return 4.0 * np.pi * harm @ (signs * coeffs.alpha)
+    return _on_circle(ctx, src, directions, -1, truncation, radial_order, angular_count)
 
 
 def laplace_on_circle(
@@ -229,22 +224,8 @@ def laplace_on_circle(
     2D: 2 pi sum_n i^n beta_n exp(i n arg(dir));
     3D: 4 pi sum_(n, m) i^n beta_n^m Y_n^m(dir).
     """
-    if ctx.kappa * ctx.radius > _EXP_WEIGHT_LIMIT:
-        raise OverflowError(
-            f"exponential weights exp(kappa R) overflow for kappa*R = {ctx.kappa * ctx.radius:.3g}"
-        )
-    dirs = _check_directions(ctx, directions)
-    coeffs = _as_coefficients(ctx, src, truncation, radial_order, angular_count)
-    theta, phi = _direction_params(ctx, dirs)
-    N = coeffs.truncation
-    if ctx.dimension == 2:
-        orders = np.arange(-N, N + 1)
-        phases = np.exp(1j * np.outer(theta, orders))
-        signs = np.array([1j ** (n % 4) for n in orders])
-        return 2.0 * np.pi * phases @ (signs * coeffs.beta)
-    harm = _harmonic_matrix(N, theta, phi)
-    signs = np.concatenate([np.full(2 * n + 1, 1j ** (n % 4)) for n in range(N + 1)])
-    return 4.0 * np.pi * harm @ (signs * coeffs.beta)
+    _check_exp_weight(ctx)
+    return _on_circle(ctx, src, directions, 1, truncation, radial_order, angular_count)
 
 
 def fourier_transform_quadrature(
@@ -256,10 +237,7 @@ def fourier_transform_quadrature(
 ) -> np.ndarray:
     """Fourier data at kappa * direction by direct volume quadrature (the
     independent route against which the modal synthesis is checked)."""
-    dirs = _check_directions(ctx, directions)
-    grid = product_grid(ctx, src.resolve_radial_order(radial_order), angular_count)
-    fw = src.values_on(grid) * grid.weights
-    return np.exp(-1j * ctx.kappa * dirs @ grid.points.T) @ fw
+    return fields._volume_transform(ctx, src, directions, -1j * ctx.kappa, radial_order, angular_count)
 
 
 def laplace_transform_quadrature(
@@ -270,14 +248,8 @@ def laplace_transform_quadrature(
     angular_count: int | None = None,
 ) -> np.ndarray:
     """Exponential-weight transform at kappa * direction by direct quadrature."""
-    if ctx.kappa * ctx.radius > _EXP_WEIGHT_LIMIT:
-        raise OverflowError(
-            f"exponential weights exp(kappa R) overflow for kappa*R = {ctx.kappa * ctx.radius:.3g}"
-        )
-    dirs = _check_directions(ctx, directions)
-    grid = product_grid(ctx, src.resolve_radial_order(radial_order), angular_count)
-    fw = src.values_on(grid) * grid.weights
-    return np.exp(-ctx.kappa * dirs @ grid.points.T) @ fw
+    _check_exp_weight(ctx)
+    return fields._volume_transform(ctx, src, directions, -ctx.kappa, radial_order, angular_count)
 
 
 def sample_spectrum(ctx, src, directions, **kwargs) -> list[SpectralSample]:
@@ -327,10 +299,7 @@ def u_hat_from_trace(ctx: WaveContext, trace: fields.BoundaryTrace, directions) 
 def v_check_from_trace(ctx: WaveContext, trace: fields.BoundaryTrace, directions) -> np.ndarray:
     """Exponential-weight transform on the kappa sphere recovered from the
     boundary channels alone; equals the source's transform there."""
-    if ctx.kappa * ctx.radius > _EXP_WEIGHT_LIMIT:
-        raise OverflowError(
-            f"exponential weights exp(kappa R) overflow for kappa*R = {ctx.kappa * ctx.radius:.3g}"
-        )
+    _check_exp_weight(ctx)
     dirs = _check_directions(ctx, directions)
     g = trace.grid
     k2 = ctx.kappa**2
@@ -367,31 +336,15 @@ def nullspace_residual(
     radii = np.atleast_1d(np.asarray(probe_radii, dtype=float))
     if np.any(radii <= ctx.radius):
         raise ValueError(f"probe radii must exceed R = {ctx.radius}")
-    coeffs = _as_coefficients(ctx, src, truncation, radial_order, angular_count)
-    dirs, params = direction_grid(ctx, direction_count)
-    N = coeffs.truncation
+    coeffs = resolve_coefficients(ctx, src, truncation, radial_order, angular_count)
+    _, params = direction_grid(ctx, direction_count)
+    basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(params))
+    degrees = mode_degrees(ctx.dimension, coeffs.truncation)
+    regular = _sp.jv if ctx.dimension == 2 else _sp.spherical_jn
     worst = 0.0
     for r in radii:
-        t = ctx.kappa * r
-        if ctx.dimension == 2:
-            theta = params
-            orders = np.arange(-N, N + 1)
-            phases = np.exp(1j * np.outer(theta, orders))
-            jn = np.array([_sp.jv(n, t) for n in orders])
-            reg = 2.0 * np.pi * phases @ (jn * coeffs.alpha)
-            _, f_m, _, _ = fields._modal_series_2d(
-                ctx, coeffs, np.full(theta.size, r), theta
-            )
-        else:
-            theta, phi = params[:, 0], params[:, 1]
-            harm = _harmonic_matrix(N, theta, phi)
-            jn = np.concatenate(
-                [np.full(2 * n + 1, _sp.spherical_jn(n, t)) for n in range(N + 1)]
-            )
-            reg = 4.0 * np.pi * harm @ (jn * coeffs.alpha)
-            _, f_m, _, _ = fields._modal_series_3d(
-                ctx, coeffs, np.full(theta.size, r), theta, phi
-            )
+        reg = _synthesis(ctx, basis, regular(degrees, ctx.kappa * r) * coeffs.alpha)
+        _, f_m = fields._modal_series(ctx, coeffs, np.full(len(params), r), basis)
         # the decaying-kernel integral is minus the modified radiation part
         worst = max(worst, float(np.max(np.abs(reg) + np.abs(f_m))))
     return worst

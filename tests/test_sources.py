@@ -134,6 +134,25 @@ class TestModalCoefficients:
             if n != 0:
                 assert abs(a) < 1e-14 and abs(b) < 1e-14
 
+    def test_overflowing_beta_raises_naming_kappa_r(self):
+        # I_n(800 r) overflows; a NaN residual would compare as "radiating"
+        ctx = WaveContext(dimension=2, kappa=800.0, radius=1.0)
+        with np.errstate(all="ignore"), pytest.raises(OverflowError, match=r"kappa\*R = 800"):
+            modal_coefficients(ctx, gaussian_source(ctx), 4)
+
+    def test_2d_broadcast_matches_per_mode_loop(self):
+        # reference: one scalar-order sum per mode; the broadcast sums must agree bit for bit
+        src = project_modes(gaussian_source(CTX2, center=[0.2, -0.1], sigma=0.2), 7)
+        co = modal_coefficients(CTX2, src, 7)
+        rule = src.modal.rule
+        kr = CTX2.kappa * rule.nodes
+        meas = rule.weights * rule.nodes
+        for n in range(-7, 8):
+            prof = src.modal.profile(n)
+            alpha = np.sum(prof * sp.jv(n, kr) * meas)
+            beta = 1j ** (n % 4) * np.sum(prof * sp.iv(abs(n), kr) * meas)
+            assert (co.alpha[n + 7], co.beta[n + 7]) == (alpha, beta)
+
     def test_norm_positive(self):
         src = gaussian_source(CTX2, sigma=0.2)
         co = modal_coefficients(CTX2, src, 4)
@@ -288,6 +307,24 @@ class TestAlgebra:
     def test_zero_source(self):
         z = SourceField.zero(CTX2)
         assert z.l2_norm() == 0.0
+
+    def test_norm_cache_keyed_by_grid(self):
+        src = gaussian_source(CTX2)
+        coarse = src.l2_norm(8, 8)
+        fine = src.l2_norm(128, 512)
+        assert fine == gaussian_source(CTX2).l2_norm(128, 512)
+        assert abs(fine - coarse) > 1e-4 * fine
+        assert src.l2_norm(8, 8) == coarse
+
+    def test_attached_profiles_are_declared_and_scaled(self):
+        plain = gaussian_source(CTX2)
+        assert plain.potential_profile is None and plain.bump_value is None
+        r = np.array([0.2, 0.5])
+        bessel = make_2d_bessel_nonradiating(CTX2)
+        assert np.allclose(bessel.scaled(2.0).potential_profile(r), 2.0 * bessel.potential_profile(r))
+        pts = np.array([[0.1, 0.2], [0.0, 0.3]])
+        bump = make_bump_nonradiating(CTX2)
+        assert np.allclose(bump.scaled(-3.0).bump_value(pts), -3.0 * bump.bump_value(pts))
 
 
 class TestConfigParsing:

@@ -157,6 +157,12 @@ class TestImaginaryArgumentRouting:
                 dplain = specfun.hankel1_imag_dt(n, t)
                 dscaled = specfun.hankel1_imag_scaled_dt(n, t) * np.exp(-t)
                 assert dscaled == pytest.approx(dplain, rel=1e-13)
+        # an order array gives the scalar-order values bit for bit
+        orders = np.arange(-5, 6)
+        t = np.array([[0.5], [3.0], [12.0]])
+        for fn in (specfun.hankel1_imag_scaled, specfun.hankel1_imag_scaled_dt):
+            loop = np.column_stack([fn(int(n), t[:, 0]) for n in orders])
+            assert fn(orders, t).tobytes() == loop.astype(complex).tobytes()
 
 
 class TestSphericalFamily:
@@ -206,6 +212,11 @@ class TestSphericalFamily:
                 dplain = specfun.sph_hankel1_imag_dt(n, t)
                 dscaled = specfun.sph_hankel1_imag_scaled_dt(n, t) * np.exp(-t)
                 assert dscaled == pytest.approx(dplain, rel=1e-12)
+        orders = np.arange(0, 9)
+        t = np.array([[0.8], [5.0]])
+        for fn in (specfun.sph_hankel1_imag_scaled, specfun.sph_hankel1_imag_scaled_dt):
+            loop = np.column_stack([fn(int(n), t[:, 0]) for n in orders])
+            assert fn(orders, t).tobytes() == loop.astype(complex).tobytes()
 
 
 class TestSphericalHarmonics:
