@@ -6,20 +6,16 @@ __version__ = "0.1.0"
 from .context import WaveContext
 from .fields import (
     BoundaryTrace,
-    FarFieldSample,
     FieldSample,
     boundary_trace,
     eval_field,
     eval_field_batch,
     far_field,
-    far_field_sample,
 )
 from .kernels import (
     FarFieldConvention,
-    KernelValue,
     green_biharmonic,
     green_star,
-    kernel_value,
     phi_h_series,
     phi_helmholtz,
     phi_m_series,
@@ -53,8 +49,6 @@ from .sources import (
 from .spectral import (
     InconsistencyError,
     NonradiatingVerdict,
-    SpectralConfig,
-    SpectralSample,
     VerdictConfig,
     direction_grid,
     fourier_on_circle,
@@ -62,7 +56,6 @@ from .spectral import (
     laplace_on_circle,
     laplace_transform_quadrature,
     nullspace_residual,
-    sample_spectrum,
     u_hat_from_trace,
     v_check_from_trace,
     verdict,

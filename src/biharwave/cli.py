@@ -53,12 +53,7 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _build(cfg: dict):
-    src_cfg = {k: v for k, v in cfg.items() if k in _SOURCE_KEYS}
-    try:
-        ctx, src = source_from_config(src_cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ctx, src
+    return source_from_config({k: v for k, v in cfg.items() if k in _SOURCE_KEYS})
 
 
 def _meta(cfg: dict) -> dict:
@@ -277,7 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, and every rejected flag or config value
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except InconsistencyError as exc:

@@ -58,10 +58,3 @@ class WaveContext:
         if self.dimension == 2:
             return float(np.pi * self.radius**2)
         return float(4.0 / 3.0 * np.pi * self.radius**3)
-
-    @property
-    def sphere_measure(self) -> float:
-        """Surface measure of the boundary sphere (2D: circumference)."""
-        if self.dimension == 2:
-            return float(2.0 * np.pi * self.radius)
-        return float(4.0 * np.pi * self.radius**2)

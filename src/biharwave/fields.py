@@ -34,7 +34,7 @@ from scipy import special as _sp
 from . import specfun
 from .context import WaveContext
 from .kernels import phi_h_of_r, phi_m_of_r
-from .quadrature import BoundaryGrid, product_grid, split_params
+from .quadrature import BoundaryGrid, product_grid, spherical_params, split_params
 from .sources import SourceField, SupportViolationError, resolve_coefficients
 
 # Points per chunk in the direct-quadrature evaluator (memory control).
@@ -64,12 +64,6 @@ class BoundaryTrace:
     def stacked(self) -> np.ndarray:
         """All four channels as a (4, M) array (fixed channel order)."""
         return np.vstack([self.u, self.du_dnu, self.lap_u, self.dlap_u_dnu])
-
-
-@dataclass(frozen=True)
-class FarFieldSample:
-    direction: np.ndarray
-    u_inf: complex
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +145,9 @@ def _modal_series(ctx, coeffs, r, basis, derivative=False):
     return f_h, f_m
 
 
-def _spherical_params(pts):
-    r = np.linalg.norm(pts, axis=-1)
-    if pts.shape[1] == 2:
-        theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
-        return r, theta, None
-    ct = np.divide(pts[:, 2], r, out=np.zeros_like(r), where=r > 0)
-    theta = np.arccos(np.clip(ct, -1.0, 1.0))
-    phi = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
-    return r, theta, phi
-
-
 def _eval_modal(ctx, src, pts, truncation, radial_order, angular_count):
     coeffs = resolve_coefficients(ctx, src, truncation, radial_order, angular_count)
-    r, theta, phi = _spherical_params(pts)
+    r, theta, phi = spherical_params(pts)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, theta, phi)
     return _modal_series(ctx, coeffs, r, basis)
 
@@ -271,11 +254,6 @@ def far_field(
     u(x) ~ -(mu_d / (8 kappa^2)) exp(i kappa |x|) / (pi |x|)^((d-1)/2) * u_inf(xhat).
     """
     return _volume_transform(ctx, src, directions, -1j * ctx.kappa, radial_order, angular_count)
-
-
-def far_field_sample(ctx: WaveContext, src: SourceField, direction, **kwargs) -> FarFieldSample:
-    d = np.asarray(direction, dtype=float)
-    return FarFieldSample(direction=d, u_inf=complex(far_field(ctx, src, d[None, :], **kwargs)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,6 @@ NEAR_COINCIDENCE_FRACTION = 1e-8
 
 
 @dataclass(frozen=True)
-class KernelValue:
-    """The three kernels at one point pair."""
-
-    phi_h: complex
-    phi_m: complex
-    green: complex
-
-
-@dataclass(frozen=True)
 class FarFieldConvention:
     """Dimension-dependent far-field normalization factor mu_d."""
 
@@ -167,15 +158,6 @@ def psi_kernel(ctx: WaveContext, x, y):
         raise ValueError("psi_kernel is defined for 2D contexts only")
     r = _pair_distance(x, y)
     return -0.25j / ctx.kappa**2 * _sp.jv(0, ctx.kappa * r)
-
-
-def kernel_value(ctx: WaveContext, x, y) -> KernelValue:
-    """All three kernels at a single point pair."""
-    return KernelValue(
-        phi_h=complex(phi_helmholtz(ctx, x, y)),
-        phi_m=complex(phi_modified(ctx, x, y)),
-        green=complex(green_biharmonic(ctx, x, y)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,6 @@ class RadialRule:
     weights: np.ndarray
     order: int
 
-    def integrate(self, values: np.ndarray, power: int = 0) -> complex:
-        """Sum values * r**power against the rule (power=1 gives the r dr measure)."""
-        if power:
-            return complex(np.sum(values * self.weights * self.nodes**power))
-        return complex(np.sum(values * self.weights))
-
 
 @dataclass(frozen=True)
 class AngularRule:
@@ -126,6 +120,22 @@ def angular_rule(ctx: WaveContext, count: int | None = None) -> AngularRule:
 def split_params(params: np.ndarray):
     """(theta, phi) from AngularRule-style params; phi is None in 2D."""
     return (params, None) if params.ndim == 1 else (params[:, 0], params[:, 1])
+
+
+def spherical_params(pts: np.ndarray):
+    """(r, theta, phi) of points of shape (M, d).
+
+    2D: theta is the angle in [0, 2 pi) and phi is None.  3D: theta is the
+    polar angle in [0, pi] (pi/2 at the origin), phi the azimuth in [0, 2 pi).
+    """
+    r = np.linalg.norm(pts, axis=-1)
+    if pts.shape[1] == 2:
+        theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
+        return r, theta, None
+    ct = np.divide(pts[:, 2], r, out=np.zeros_like(r), where=r > 0)
+    theta = np.arccos(np.clip(ct, -1.0, 1.0))
+    phi = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
+    return r, theta, phi
 
 
 def boundary_grid(ctx: WaveContext, resolution: int | None = None) -> BoundaryGrid:

@@ -1,13 +1,11 @@
 """Compactly supported sources: representations, angular-mode projection,
 modal coefficients, and the explicit nonradiating constructors.
 
-A source is one of three kinds:
+A source is one of two kinds:
 
 * ``callable`` -- a pointwise evaluator on the ball, masked to its support;
 * ``modal``    -- per-angular-mode radial profiles tabulated on a radial rule
-  (2D Fourier orders, 3D spherical-harmonic degree/order pairs);
-* ``grid``     -- raw values on a quadrature product grid, consumed only by
-  integration; no off-grid interpolation is offered.
+  (2D Fourier orders, 3D spherical-harmonic degree/order pairs).
 
 The nonradiating constructors apply their radial differential operators
 analytically (chain rule on powers of the order-zero radial waves), never by
@@ -34,6 +32,7 @@ from .quadrature import (
     RadialRule,
     product_grid,
     radial_rule,
+    spherical_params,
 )
 from .specfun import _ipow
 
@@ -104,8 +103,12 @@ class ModalProfiles:
         return self.values[mode_index(3, n, m)]
 
     def interpolator(self) -> BarycentricInterpolator:
-        """Barycentric interpolant of all profiles over the rule nodes."""
-        return BarycentricInterpolator(self.rule.nodes, self.values.T)
+        """Barycentric interpolant of all profiles over the rule nodes.
+
+        The fixed rng pins scipy's random node order for the weights, so
+        interpolated values repeat bit for bit from call to call.
+        """
+        return BarycentricInterpolator(self.rule.nodes, self.values.T, rng=0)
 
 
 @dataclass(frozen=True)
@@ -152,8 +155,7 @@ class SourceField:
     """
 
     def __init__(self, ctx, kind, support_radius, func=None, modal=None,
-                 grid=None, grid_values=None, radial_profile=None, radial_hint=None,
-                 potential_profile=None, bump_value=None):
+                 radial_profile=None, radial_hint=None, potential_profile=None, bump_value=None):
         if support_radius <= 0 or support_radius > ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
@@ -163,8 +165,6 @@ class SourceField:
         self.support_radius = float(min(support_radius, ctx.radius))
         self._func = func
         self.modal = modal
-        self._grid = grid
-        self._grid_values = grid_values
         self.radial_profile = radial_profile
         self.radial_hint = radial_hint
         self.potential_profile = potential_profile
@@ -213,16 +213,6 @@ class SourceField:
         return cls(ctx, "modal", support_radius, modal=modal)
 
     @classmethod
-    def from_grid(cls, ctx, grid: ProductGrid, values, support_radius=None):
-        """Source known only through its values on a quadrature product grid."""
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (grid.points.shape[0],):
-            raise ValueError("grid values must match grid points one to one")
-        if support_radius is None:
-            support_radius = ctx.radius
-        return cls(ctx, "grid", support_radius, grid=grid, grid_values=values)
-
-    @classmethod
     def zero(cls, ctx):
         return cls.from_callable(ctx, lambda pts: np.zeros(np.atleast_2d(pts).shape[0], dtype=complex))
 
@@ -233,41 +223,23 @@ class SourceField:
         r = np.linalg.norm(pts, axis=-1)
         if self.kind == "callable":
             vals = np.asarray(self._func(pts), dtype=complex)
-        elif self.kind == "modal":
-            vals = self._synthesize(pts, r)
         else:
-            raise ValueError("grid sources store node values only; no off-grid evaluation")
+            vals = self._synthesize(pts)
         vals = np.where(r >= self.support_radius, 0.0, vals)
         return vals
 
-    def _synthesize(self, pts, r, chunk=4096):
+    def _synthesize(self, pts, chunk=4096):
         modal = self.modal
         interp = modal.interpolator()
-        out = np.empty(r.size, dtype=complex)
-        for start in range(0, r.size, chunk):
-            sl = slice(start, start + chunk)
-            profs = interp(r[sl])  # (chunk, nmodes)
-            if profs.ndim == 1:
-                profs = profs[:, None]
-            if self.ctx.dimension == 2:
-                theta, phi = np.arctan2(pts[sl, 1], pts[sl, 0]), None
-            else:
-                rr = r[sl]
-                ct = np.divide(pts[sl, 2], rr, out=np.ones_like(rr), where=rr > 0)
-                theta = np.arccos(np.clip(ct, -1, 1))
-                phi = np.mod(np.arctan2(pts[sl, 1], pts[sl, 0]), 2 * np.pi)
+        out = np.empty(pts.shape[0], dtype=complex)
+        for start in range(0, pts.shape[0], chunk):
+            r, theta, phi = spherical_params(pts[start : start + chunk])
             basis = specfun.angular_basis(self.ctx.dimension, modal.truncation, theta, phi)
-            out[sl] = np.sum(profs * basis, axis=1)
+            out[start : start + chunk] = np.sum(interp(r) * basis, axis=1)
         return out
 
     def values_on(self, grid: ProductGrid) -> np.ndarray:
-        """Values at the nodes of a product grid (the only access for grid kinds)."""
-        if self.kind == "grid":
-            if grid.points.shape != self._grid.points.shape or not np.allclose(
-                grid.points, self._grid.points, rtol=0, atol=1e-14 * self.ctx.radius
-            ):
-                raise ValueError("grid source queried on a different grid than it stores")
-            return self._grid_values
+        """Values at the nodes of a product grid."""
         return self.evaluate(grid.points)
 
     # -- algebra ------------------------------------------------------------
@@ -282,7 +254,6 @@ class SourceField:
         )
         return SourceField(
             self.ctx, self.kind, self.support_radius, func=times(self._func), modal=modal,
-            grid=self._grid, grid_values=None if self._grid is None else self._grid_values * factor,
             radial_profile=times(self.radial_profile), radial_hint=self.radial_hint,
             potential_profile=times(self.potential_profile), bump_value=times(self.bump_value),
         )
@@ -292,8 +263,6 @@ class SourceField:
             return NotImplemented
         if self.ctx != other.ctx:
             raise ValueError("cannot add sources over different contexts")
-        if "grid" in (self.kind, other.kind):
-            raise ValueError("grid sources do not support addition")
         support = max(self.support_radius, other.support_radius)
         hint = max(self.radial_hint or 0, other.radial_hint or 0) or None
         a, b = self, other
@@ -331,7 +300,7 @@ class SourceField:
                 factor = 2.0 * np.pi if self.ctx.dimension == 2 else 1.0
                 self._norm_cache[key] = float(np.sqrt(factor * sq))
             else:
-                grid = self._grid if self.kind == "grid" else product_grid(self.ctx, *key)
+                grid = product_grid(self.ctx, *key)
                 vals = self.values_on(grid)
                 self._norm_cache[key] = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
         return self._norm_cache[key]
@@ -358,16 +327,13 @@ def project_modes(
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     if src.kind == "modal":
         return _retruncate_modal(src, truncation)
-    if src.kind == "grid":
-        grid = src._grid
-    else:
-        if angular_count is None:
-            # auto-scale so the rule resolves the requested truncation
-            if ctx.dimension == 2:
-                angular_count = max(DEFAULT_ANGULAR_COUNT_2D, 2 * truncation + 2)
-            else:
-                angular_count = max(DEFAULT_POLAR_COUNT_3D, truncation + 1)
-        grid = product_grid(ctx, src.resolve_radial_order(radial_order), angular_count)
+    if angular_count is None:
+        # auto-scale so the rule resolves the requested truncation
+        if ctx.dimension == 2:
+            angular_count = max(DEFAULT_ANGULAR_COUNT_2D, 2 * truncation + 2)
+        else:
+            angular_count = max(DEFAULT_POLAR_COUNT_3D, truncation + 1)
+    grid = product_grid(ctx, src.resolve_radial_order(radial_order), angular_count)
     rule, ang = grid.radial, grid.angular
     vals = src.values_on(grid).reshape(rule.order, ang.count)
 

@@ -1,11 +1,12 @@
-"""Cylindrical and spherical Bessel families and orthonormal spherical harmonics.
+"""Imaginary-axis Hankel functions in scaled form and orthonormal spherical
+harmonics: the special functions the library needs beyond scipy.special.
 
-Raw evaluation is delegated to scipy.special.  What this module adds on top:
-a uniform, domain-checked surface for the handful of families the library
-needs; evaluation on the positive imaginary axis routed through the modified
-functions I_n and K_n (never through complex continuation); exponentially
-scaled variants of the decaying family for use at large argument; and a
-loss-of-precision indicator.
+The decaying radial family of the modified Helmholtz equation is the
+outgoing Hankel function on the positive imaginary axis.  It is evaluated
+through the modified functions K_n (never by complex continuation) and
+returned with the factor exp(t) removed, so that it stays finite for every
+representable t; order arrays broadcast against argument arrays.  The other
+Bessel families are called from scipy.special directly where they are used.
 
 Conventions
 -----------
@@ -18,14 +19,8 @@ projection and synthesis, both of which live in this codebase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as _sp
-
-# I_0(t) exceeds the double range near t = 713; larger orders overflow later.
-IV_OVERFLOW_ARG = 713.0
-
 
 _IPOW = np.array([1.0, 1j, -1.0, -1j])
 
@@ -47,13 +42,6 @@ def _as_finite(z, name: str = "z") -> np.ndarray:
     return z
 
 
-def _as_nonnegative(z, name: str = "z") -> np.ndarray:
-    z = _as_finite(z, name)
-    if np.any(z < 0.0):
-        raise ValueError(f"{name} must be >= 0")
-    return z
-
-
 def _as_positive(z, name: str = "z") -> np.ndarray:
     z = _as_finite(z, name)
     if np.any(z <= 0.0):
@@ -62,78 +50,8 @@ def _as_positive(z, name: str = "z") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cylindrical family, real argument
+# Decaying family on the imaginary axis, exp(t)-scaled
 # ---------------------------------------------------------------------------
-def bessel_j(n: int, z):
-    """Bessel function of the first kind J_n(z), integer n, z >= 0."""
-    return _sp.jv(n, _as_nonnegative(z))
-
-
-def bessel_y(n: int, z):
-    """Bessel function of the second kind Y_n(z), integer n, z > 0."""
-    return _sp.yv(n, _as_positive(z))
-
-
-def hankel1(n: int, z):
-    """Hankel function of the first kind H^(1)_n(z) = J_n(z) + i Y_n(z), z > 0."""
-    return _sp.hankel1(n, _as_positive(z))
-
-
-def hankel2(n: int, z):
-    """Hankel function of the second kind H^(2)_n(z) = J_n(z) - i Y_n(z), z > 0."""
-    return _sp.hankel2(n, _as_positive(z))
-
-
-def bessel_j_dz(n: int, z):
-    """d/dz J_n(z)."""
-    return _sp.jvp(n, _as_nonnegative(z))
-
-
-def hankel1_dz(n: int, z):
-    """d/dz H^(1)_n(z)."""
-    return _sp.h1vp(n, _as_positive(z))
-
-
-# ---------------------------------------------------------------------------
-# Cylindrical family, imaginary argument (routed through I_n / K_n)
-# ---------------------------------------------------------------------------
-def bessel_j_imag(n: int, t):
-    """J_n evaluated on the positive imaginary axis: J_n(i t) = i**n I_n(t).
-
-    Raises OverflowError once I_n(t) leaves the double range (t above
-    roughly 713 for order 0; later for larger orders).
-    """
-    t = _as_nonnegative(t, "t")
-    inu = _sp.iv(n, t)
-    if not np.all(np.isfinite(inu)):
-        raise OverflowError(
-            f"I_{n}(t) overflows double precision (threshold near "
-            f"t = {IV_OVERFLOW_ARG:.0f} for order 0); got max t = {np.max(t):.6g}"
-        )
-    return _ipow(n) * inu
-
-
-def hankel1_imag(n: int, t):
-    """H^(1)_n on the positive imaginary axis: H^(1)_n(i t) = (2/pi) i**-(n+1) K_n(t)."""
-    t = _as_positive(t, "t")
-    return (2.0 / np.pi) * _ipow(-(n + 1)) * _sp.kv(n, t)
-
-
-def bessel_j_imag_dt(n: int, t):
-    """d/dt J_n(i t) = i**n I_n'(t)."""
-    t = _as_nonnegative(t, "t")
-    d = _sp.ivp(n, t)
-    if not np.all(np.isfinite(d)):
-        raise OverflowError(f"I_{n}'(t) overflows double precision at t = {np.max(t):.6g}")
-    return _ipow(n) * d
-
-
-def hankel1_imag_dt(n: int, t):
-    """d/dt H^(1)_n(i t) = (2/pi) i**-(n+1) K_n'(t)."""
-    t = _as_positive(t, "t")
-    return (2.0 / np.pi) * _ipow(-(n + 1)) * _sp.kvp(n, t)
-
-
 def hankel1_imag_scaled(n: int, t):
     """exp(t) * H^(1)_n(i t); finite for all representable t."""
     t = _as_positive(t, "t")
@@ -145,66 +63,6 @@ def hankel1_imag_scaled_dt(n: int, t):
     t = _as_positive(t, "t")
     kd = -0.5 * (_sp.kve(n - 1, t) + _sp.kve(n + 1, t))
     return (2.0 / np.pi) * _ipow(-(n + 1)) * kd
-
-
-# ---------------------------------------------------------------------------
-# Spherical family
-# ---------------------------------------------------------------------------
-def sph_bessel_j(n: int, z):
-    """Spherical Bessel function j_n(z), z >= 0 (j_0(0) = 1 by the series limit)."""
-    _check_spherical_order(n)
-    return _sp.spherical_jn(n, _as_nonnegative(z))
-
-
-def sph_hankel1(n: int, z):
-    """Spherical Hankel function h^(1)_n(z) = j_n(z) + i y_n(z), z > 0."""
-    _check_spherical_order(n)
-    z = _as_positive(z)
-    return _sp.spherical_jn(n, z) + 1j * _sp.spherical_yn(n, z)
-
-
-def sph_bessel_j_dz(n: int, z):
-    """d/dz j_n(z)."""
-    _check_spherical_order(n)
-    return _sp.spherical_jn(n, _as_nonnegative(z), derivative=True)
-
-
-def sph_hankel1_dz(n: int, z):
-    """d/dz h^(1)_n(z)."""
-    _check_spherical_order(n)
-    z = _as_positive(z)
-    return _sp.spherical_jn(n, z, derivative=True) + 1j * _sp.spherical_yn(n, z, derivative=True)
-
-
-def sph_bessel_j_imag(n: int, t):
-    """j_n on the positive imaginary axis: j_n(i t) = i**n i_n(t) (modified family)."""
-    _check_spherical_order(n)
-    t = _as_nonnegative(t, "t")
-    inu = _sp.spherical_in(n, t)
-    if not np.all(np.isfinite(inu)):
-        raise OverflowError(f"i_{n}(t) overflows double precision at t = {np.max(t):.6g}")
-    return _ipow(n) * inu
-
-
-def sph_hankel1_imag(n: int, t):
-    """h^(1)_n on the positive imaginary axis: h^(1)_n(i t) = -(2/pi) i**-n k_n(t)."""
-    _check_spherical_order(n)
-    t = _as_positive(t, "t")
-    return -(2.0 / np.pi) * _ipow(-n) * _sp.spherical_kn(n, t)
-
-
-def sph_bessel_j_imag_dt(n: int, t):
-    """d/dt j_n(i t) = i**n i_n'(t)."""
-    _check_spherical_order(n)
-    t = _as_nonnegative(t, "t")
-    return _ipow(n) * _sp.spherical_in(n, t, derivative=True)
-
-
-def sph_hankel1_imag_dt(n: int, t):
-    """d/dt h^(1)_n(i t) = -(2/pi) i**-n k_n'(t)."""
-    _check_spherical_order(n)
-    t = _as_positive(t, "t")
-    return -(2.0 / np.pi) * _ipow(-n) * _sp.spherical_kn(n, t, derivative=True)
 
 
 def sph_hankel1_imag_scaled(n: int, t):
@@ -258,68 +116,3 @@ def angular_basis(dimension: int, truncation: int, theta, phi=None) -> np.ndarra
     if dimension == 2:
         return np.exp(1j * np.outer(theta, np.arange(-truncation, truncation + 1)))
     return sph_harmonic_block(truncation, theta, phi)
-
-
-def sph_harmonic(n: int, m: int, theta, phi):
-    """Orthonormal spherical harmonic Y_n^m(theta, phi), Condon-Shortley phase.
-
-    Parameters
-    ----------
-    n : int
-        Degree, n >= 0.
-    m : int
-        Order, -n <= m <= n.
-    theta : array_like
-        Polar angle in [0, pi].
-    phi : array_like
-        Azimuthal angle in [0, 2 pi).
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if abs(m) > n:
-        raise ValueError(f"order |m| must be <= degree n, got (n, m) = ({n}, {m})")
-    return _sp.sph_harm_y(n, m, np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# Loss-of-precision plumbing
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SpecialValue:
-    """A special-function value with a loss-of-precision indicator.
-
-    condition_estimate is the relative condition number with respect to the
-    argument, |z f'(z) / f(z)|: the factor by which a relative perturbation
-    of z is amplified in the result.  Large values near zeros of f flag
-    cancellation-dominated digits.
-    """
-
-    value: complex
-    condition_estimate: float
-
-
-_KINDS = {
-    "j": (bessel_j, bessel_j_dz),
-    "y": (bessel_y, lambda n, z: _sp.yvp(n, z)),
-    "h1": (hankel1, hankel1_dz),
-    "h2": (hankel2, lambda n, z: _sp.h2vp(n, z)),
-    "i": (lambda n, z: _sp.iv(n, _as_nonnegative(z)), lambda n, z: _sp.ivp(n, z)),
-    "k": (lambda n, z: _sp.kv(n, _as_positive(z)), lambda n, z: _sp.kvp(n, z)),
-    "sph_j": (sph_bessel_j, sph_bessel_j_dz),
-    "sph_h1": (sph_hankel1, sph_hankel1_dz),
-}
-
-
-def evaluate(kind: str, n: int, z: float) -> SpecialValue:
-    """Evaluate one family member together with its condition estimate.
-
-    kind is one of 'j', 'y', 'h1', 'h2', 'i', 'k', 'sph_j', 'sph_h1'.
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
-    fn, dfn = _KINDS[kind]
-    value = complex(fn(n, z))
-    deriv = complex(dfn(n, z))
-    denom = max(abs(value), np.finfo(float).tiny)
-    cond = abs(z) * abs(deriv) / denom
-    return SpecialValue(value=value, condition_estimate=float(min(cond, 1.0 / np.finfo(float).eps)))

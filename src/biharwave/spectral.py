@@ -43,8 +43,6 @@ __all__ = [
     "InconsistencyError",
     "ModalCoefficients",
     "NonradiatingVerdict",
-    "SpectralConfig",
-    "SpectralSample",
     "VerdictConfig",
     "direction_grid",
     "fourier_on_circle",
@@ -53,7 +51,6 @@ __all__ = [
     "laplace_transform_quadrature",
     "modal_coefficients",
     "nullspace_residual",
-    "sample_spectrum",
     "u_hat_from_trace",
     "v_check_from_trace",
     "verdict",
@@ -79,32 +76,6 @@ class InconsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SpectralSample:
-    """Transform values of a source at one unit direction on the kappa sphere."""
-
-    direction: np.ndarray
-    f_hat: complex
-    f_check: complex
-
-
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Sampling configuration for the exponential-weight transform domain.
-
-    The transform is defined for frequency magnitudes up to s_max > kappa,
-    but every identity used here lives on |s| = kappa exactly, so s_max is
-    recorded for documentation and validation only.
-    """
-
-    s_max: float
-    direction_count: int = 64
-
-    def validate(self, ctx: WaveContext) -> None:
-        if not self.s_max > ctx.kappa:
-            raise ValueError(f"s_max must exceed kappa = {ctx.kappa}, got {self.s_max}")
-
-
-@dataclass(frozen=True)
 class VerdictConfig:
     """Knobs for the certification pipeline (all have working defaults)."""
 
@@ -115,6 +86,18 @@ class VerdictConfig:
     radial_order: int | None = None
     angular_count: int | None = None
     stability_margin: int = 8
+
+    def __post_init__(self):
+        # a tolerance that no residual can meet (<= 0, NaN) would report every
+        # source, invisible ones included, as radiating
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if self.truncation is not None and self.truncation < 0:
+            raise ValueError(f"truncation must be >= 0, got {self.truncation}")
+        if self.stability_margin < 0:
+            raise ValueError(f"stability_margin must be >= 0, got {self.stability_margin}")
+        if self.direction_count < 1:
+            raise ValueError(f"direction_count must be >= 1, got {self.direction_count}")
 
 
 @dataclass(frozen=True)
@@ -166,6 +149,8 @@ def direction_grid(ctx: WaveContext, count: int):
     return rule.directions, rule.params
 
 
+# Not quadrature.spherical_params: dividing unit directions by their computed
+# norm moves the polar angle of 3 of the 18 default 3D verdict directions.
 def _direction_params(ctx, dirs):
     if ctx.dimension == 2:
         return np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi), None
@@ -250,17 +235,6 @@ def laplace_transform_quadrature(
     """Exponential-weight transform at kappa * direction by direct quadrature."""
     _check_exp_weight(ctx)
     return fields._volume_transform(ctx, src, directions, -ctx.kappa, radial_order, angular_count)
-
-
-def sample_spectrum(ctx, src, directions, **kwargs) -> list[SpectralSample]:
-    """Both transforms per direction, bundled."""
-    dirs = _check_directions(ctx, directions)
-    fh = fourier_on_circle(ctx, src, dirs, **kwargs)
-    fc = laplace_on_circle(ctx, src, dirs, **kwargs)
-    return [
-        SpectralSample(direction=dirs[i], f_hat=complex(fh[i]), f_check=complex(fc[i]))
-        for i in range(dirs.shape[0])
-    ]
 
 
 # ---------------------------------------------------------------------------

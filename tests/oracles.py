@@ -4,6 +4,8 @@ Everything here is deliberately implemented from first principles (power
 series, integral representations, recurrences, finite differences, dense
 trapezoid sums) so that the quantities the library computes through
 scipy-backed fast paths are checked against a genuinely different route.
+The one exception, the unscaled imaginary-axis Hankel functions, uses
+scipy's unscaled K family as the reference for the library's exp-scaled one.
 Accuracy notes state the validated ranges; tests stay inside them.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special as _sp
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -86,6 +89,29 @@ def k0_integral(t: float, nodes: int = 4001) -> float:
     s = np.linspace(0.0, s_max, nodes)
     vals = np.exp(-t * np.cosh(s))
     return float(np.trapezoid(vals, s))
+
+
+# ---------------------------------------------------------------------------
+# Unscaled imaginary-axis Hankel functions (references for the scaled forms)
+# ---------------------------------------------------------------------------
+def hankel1_imag(n: int, t):
+    """H^(1)_n on the positive imaginary axis: H^(1)_n(i t) = (2/pi) i**-(n+1) K_n(t)."""
+    return (2.0 / np.pi) * 1j ** -(n + 1) * _sp.kv(n, t)
+
+
+def hankel1_imag_dt(n: int, t):
+    """d/dt H^(1)_n(i t) = (2/pi) i**-(n+1) K_n'(t)."""
+    return (2.0 / np.pi) * 1j ** -(n + 1) * _sp.kvp(n, t)
+
+
+def sph_hankel1_imag(n: int, t):
+    """h^(1)_n on the positive imaginary axis: h^(1)_n(i t) = -(2/pi) i**-n k_n(t)."""
+    return -(2.0 / np.pi) * 1j ** -n * _sp.spherical_kn(n, t)
+
+
+def sph_hankel1_imag_dt(n: int, t):
+    """d/dt h^(1)_n(i t) = -(2/pi) i**-n k_n'(t)."""
+    return -(2.0 / np.pi) * 1j ** -n * _sp.spherical_kn(n, t, derivative=True)
 
 
 # ---------------------------------------------------------------------------

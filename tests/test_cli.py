@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from biharwave.cli import main
 
@@ -170,3 +171,21 @@ class TestFieldCommand:
         assert len(rows) == 2 * 8
         u = np.array([complex(float(r[2]), float(r[3])) for r in rows])
         assert np.max(np.abs(u)) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "--radii", "0.5"],
+        ["field", "--radii", "abc"],
+        ["trace", "--resolution", "4"],
+        ["trace", "--truncation", "-1"],
+        ["verdict", "--tolerance", "-1"],
+    ],
+    ids=["radii-inside", "radii-text", "resolution-4", "truncation-neg", "tolerance-neg"],
+)
+def test_bad_flag_is_config_error(tmp_path, capsys, argv):
+    cfg = _write(tmp_path, "nr.json", NR2D)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()

@@ -106,15 +106,6 @@ class TestFourthOrderKernel:
         )
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
-    def test_kernel_value_bundle(self, ctx):
-        x = np.full(ctx.dimension, 0.4)
-        y = np.zeros(ctx.dimension)
-        kv = kernels.kernel_value(ctx, x, y)
-        assert kv.green == pytest.approx(
-            -(kv.phi_h - kv.phi_m) / (2.0 * ctx.kappa**2), rel=1e-13
-        )
-
-    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_annihilated_by_operator(self, ctx):
         # (bilaplacian - kappa^4) G = 0 away from the diagonal, FD oracle
         y = np.zeros(ctx.dimension)

@@ -92,16 +92,12 @@ class TestProjection:
         synth = modal_src.evaluate(pts)
         assert np.max(np.abs(direct - synth)) < 1e-9 * np.max(np.abs(direct))
 
-    def test_grid_source_round_trip(self):
-        grid = product_grid(CTX2, 32, 64)
-        vals = np.exp(-np.sum(grid.points**2, axis=-1)) + 0j
-        src = SourceField.from_grid(CTX2, grid, vals)
-        modal = project_modes(src, 4).modal
-        assert modal.rule.order == 32
-        with pytest.raises(ValueError):
-            src.evaluate(np.array([[0.1, 0.1]]))
-        with pytest.raises(ValueError):
-            src.values_on(product_grid(CTX2, 16, 64))
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_modal_evaluation_repeats_bitwise(self, ctx):
+        src = project_modes(gaussian_source(ctx, sigma=0.3), 6)
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-0.6, 0.6, size=(400, ctx.dimension))
+        assert src.evaluate(pts).tobytes() == src.evaluate(pts).tobytes()
 
     def test_masked_outside_support(self):
         src = gaussian_source(CTX2, sigma=0.2, support_radius=0.5)

@@ -15,7 +15,6 @@ from biharwave.sources import (
     make_bump_nonradiating,
 )
 from biharwave.spectral import (
-    SpectralConfig,
     VerdictConfig,
     direction_grid,
     fourier_on_circle,
@@ -23,7 +22,6 @@ from biharwave.spectral import (
     laplace_on_circle,
     laplace_transform_quadrature,
     nullspace_residual,
-    sample_spectrum,
     u_hat_from_trace,
     v_check_from_trace,
     verdict,
@@ -117,15 +115,6 @@ class TestLaplaceOnCircle:
         dirs, _ = direction_grid(big, 4)
         with pytest.raises(OverflowError):
             laplace_on_circle(big, src, dirs)
-
-    def test_sample_spectrum_bundles(self):
-        src = _gaussian(CTX2)
-        dirs, _ = direction_grid(CTX2, 8)
-        samples = sample_spectrum(CTX2, src, dirs)
-        assert len(samples) == dirs.shape[0]
-        assert np.allclose(
-            [s.f_hat for s in samples], fourier_on_circle(CTX2, src, dirs)
-        )
 
 
 class TestTraceFunctionals:
@@ -275,6 +264,17 @@ class TestVerdict:
         assert tight.tolerance == 1e-10
         assert tight.is_nonradiating
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tolerance": -1.0}, {"tolerance": 0.0}, {"tolerance": np.nan}, {"tolerance": np.inf},
+         {"truncation": -1}, {"stability_margin": -1}, {"direction_count": 0}],
+        ids=["tol-neg", "tol-zero", "tol-nan", "tol-inf", "trunc-neg", "margin-neg", "dirs-zero"],
+    )
+    def test_config_refuses_meaningless_values(self, kwargs):
+        # a tolerance no residual can meet would call an invisible source radiating
+        with pytest.raises(ValueError):
+            VerdictConfig(**kwargs)
+
     def test_truncation_too_low_raises_inconsistency(self):
         from biharwave.spectral import InconsistencyError
 
@@ -328,10 +328,3 @@ class TestConsistencyTriangle:
         assert np.max(np.abs(fhat_m - uhat)) < 1e-6 * norm
         assert np.max(np.abs(fcheck - vcheck)) < 1e-6 * norm
 
-
-class TestSpectralConfig:
-    def test_validation(self):
-        cfg = SpectralConfig(s_max=2.0 * CTX2.kappa)
-        cfg.validate(CTX2)
-        with pytest.raises(ValueError):
-            SpectralConfig(s_max=0.5 * CTX2.kappa).validate(CTX2)
