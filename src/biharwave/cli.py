@@ -27,6 +27,13 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so main exits 1 like any other bad flag."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _load_scenario(path: str, overrides: dict) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -106,12 +113,7 @@ def _verdict_config(cfg: dict) -> VerdictConfig:
 def cmd_verdict(args) -> int:
     cfg = _load_scenario(args.config, _common_overrides(args))
     ctx, src = _build(cfg)
-    try:
-        result = spectral.verdict(ctx, src, _verdict_config(cfg))
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 2
-    payload = result.to_dict()
+    payload = spectral.verdict(ctx, src, _verdict_config(cfg)).to_dict()
     payload.update(_meta(cfg))
     _write_json(args.out, payload)
     return 0
@@ -129,7 +131,7 @@ def cmd_trace(args) -> int:
 def cmd_spectral(args) -> int:
     cfg = _load_scenario(args.config, _common_overrides(args))
     ctx, src = _build(cfg)
-    count = int(cfg.get("directions") or 64)
+    count = 64 if cfg.get("directions") is None else int(cfg["directions"])
     dirs, params = spectral.direction_grid(ctx, count)
     trunc = cfg.get("truncation")
     fhat = spectral.fourier_on_circle(ctx, src, dirs, truncation=trunc)
@@ -163,11 +165,7 @@ def cmd_nonuniqueness(args) -> int:
     ctx_g, src_g = _build(cfg_g)
     if (ctx_g.dimension, ctx_g.kappa, ctx_g.radius) != (ctx.dimension, ctx.kappa, ctx.radius):
         raise ConfigError("the two configs must share dimension, kappa, and R")
-    try:
-        verdict_g = spectral.verdict(ctx, src_g, _verdict_config(cfg_f))
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 2
+    verdict_g = spectral.verdict(ctx, src_g, _verdict_config(cfg_f))
     if not verdict_g.is_nonradiating:
         print(
             "the perturbation source radiates "
@@ -195,7 +193,7 @@ def cmd_field(args) -> int:
     cfg = _load_scenario(args.config, _common_overrides(args))
     ctx, src = _build(cfg)
     factors = [float(v) for v in args.radii.split(",")] if args.radii else [1.05, 1.5, 3.0]
-    count = int(cfg.get("directions") or 16)
+    count = 16 if cfg.get("directions") is None else int(cfg["directions"])
     dirs, params = spectral.direction_grid(ctx, count)
     angle_header, angles = _angle_columns(ctx, params)
     header = ["radius"] + angle_header + ["u_re", "u_im", "fh_re", "fh_im", "fm_re", "fm_im"]
@@ -214,30 +212,27 @@ def cmd_field(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+# Scenario keys a flag can override, with the flag's type; each subcommand
+# registers only the ones it reads.
+_OVERRIDE_TYPES = {"truncation": int, "tolerance": float, "resolution": int, "directions": int}
+
+
 def _common_overrides(args) -> dict:
-    return {
-        "truncation": getattr(args, "truncation", None),
-        "tolerance": getattr(args, "tolerance", None),
-        "resolution": getattr(args, "resolution", None),
-        "dimension": getattr(args, "dimension", None),
-        "directions": getattr(args, "directions", None),
-    }
+    return {key: getattr(args, key, None) for key in (*_OVERRIDE_TYPES, "dimension")}
 
 
-def _add_common(p, with_g=False):
+def _add_common(p, *overrides, with_g=False):
     p.add_argument("--config", required=True, help="scenario JSON path")
     if with_g:
         p.add_argument("--config-g", required=True, help="perturbation scenario JSON path")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--directions", type=int, default=None)
+    for key in overrides:
+        p.add_argument(f"--{key}", type=_OVERRIDE_TYPES[key], default=None)
     p.add_argument("--dimension", type=int, choices=(2, 3), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biharwave",
         description="Field evaluation and nonradiating-source certification "
         "for the fourth-order wave equation",
@@ -245,23 +240,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verdict", help="certify a source and write a JSON report")
-    _add_common(p)
+    _add_common(p, "truncation", "tolerance", "directions")
     p.set_defaults(func=cmd_verdict)
 
     p = sub.add_parser("trace", help="boundary measurement channels as CSV")
-    _add_common(p)
+    _add_common(p, "truncation", "resolution")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("spectral", help="transform and boundary-functional samples as CSV")
-    _add_common(p)
+    _add_common(p, "truncation", "resolution", "directions")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("nonuniqueness", help="show an invisible source perturbation")
-    _add_common(p, with_g=True)
+    _add_common(p, "truncation", "tolerance", "resolution", "directions", with_g=True)
     p.set_defaults(func=cmd_nonuniqueness)
 
     p = sub.add_parser("field", help="exterior field samples as CSV")
-    _add_common(p)
+    _add_common(p, "directions")
     p.add_argument("--radii", default=None, help="comma-separated radius factors (times R)")
     p.set_defaults(func=cmd_field)
 
@@ -269,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # ConfigError, and every rejected flag or config value
         print(f"config error: {exc}", file=sys.stderr)

@@ -69,8 +69,8 @@ class BoundaryTrace:
 # ---------------------------------------------------------------------------
 # Direct quadrature route
 # ---------------------------------------------------------------------------
-def _eval_quadrature(ctx, src, pts, radial_order, angular_count):
-    grid = product_grid(ctx, radial_order, angular_count)
+def _eval_quadrature(ctx, src, pts):
+    grid = product_grid(ctx, src.resolve_radial_order())
     fw = src.values_on(grid) * grid.weights
     f_h = np.zeros(pts.shape[0], dtype=complex)
     f_m = np.zeros(pts.shape[0], dtype=complex)
@@ -91,10 +91,10 @@ def _check_directions(ctx, directions) -> np.ndarray:
     return dirs
 
 
-def _volume_transform(ctx, src, directions, scale, radial_order, angular_count):
+def _volume_transform(ctx, src, directions, scale):
     """sum over the ball grid of exp(scale * dir . y) f(y) w(y), one value per unit direction."""
     dirs = _check_directions(ctx, directions)
-    grid = product_grid(ctx, src.resolve_radial_order(radial_order), angular_count)
+    grid = product_grid(ctx, src.resolve_radial_order())
     fw = src.values_on(grid) * grid.weights
     return np.exp(scale * dirs @ grid.points.T) @ fw
 
@@ -145,8 +145,8 @@ def _modal_series(ctx, coeffs, r, basis, derivative=False):
     return f_h, f_m
 
 
-def _eval_modal(ctx, src, pts, truncation, radial_order, angular_count):
-    coeffs = resolve_coefficients(ctx, src, truncation, radial_order, angular_count)
+def _eval_modal(ctx, src, pts, truncation):
+    coeffs = resolve_coefficients(ctx, src, truncation)
     r, theta, phi = spherical_params(pts)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, theta, phi)
     return _modal_series(ctx, coeffs, r, basis)
@@ -161,8 +161,6 @@ def eval_field_batch(
     points,
     method: str = "auto",
     truncation: int | None = None,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
 ):
     """Evaluate (u, f_h, f_m) at exterior points, shape (M, d).
 
@@ -174,7 +172,6 @@ def eval_field_batch(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != ctx.dimension:
         raise ValueError(f"points must have {ctx.dimension} components")
-    radial_order = src.resolve_radial_order(radial_order)
     r = np.linalg.norm(pts, axis=-1)
     if method == "auto":
         method = "modal" if src.kind == "modal" else "quadrature"
@@ -184,14 +181,14 @@ def eval_field_batch(
                 "quadrature evaluation needs |x| > support radius "
                 f"({src.support_radius}); got min |x| = {r.min():.6g}"
             )
-        f_h, f_m = _eval_quadrature(ctx, src, pts, radial_order, angular_count)
+        f_h, f_m = _eval_quadrature(ctx, src, pts)
     elif method == "modal":
         if np.any(r < src.support_radius * (1.0 - 1e-12)):
             raise ValueError(
                 "modal evaluation is valid from the support radius outward "
                 f"({src.support_radius}); got min |x| = {r.min():.6g}"
             )
-        f_h, f_m = _eval_modal(ctx, src, pts, truncation, radial_order, angular_count)
+        f_h, f_m = _eval_modal(ctx, src, pts, truncation)
     else:
         raise ValueError(f"unknown method {method!r}")
     u = (f_h - f_m) / (2.0 * ctx.kappa**2)
@@ -210,8 +207,6 @@ def boundary_trace(
     src: SourceField,
     grid: BoundaryGrid,
     truncation: int | None = None,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
 ) -> BoundaryTrace:
     """The four boundary channels (u, normal derivative, Laplacian, its
     normal derivative) on the measurement grid, from the exterior series.
@@ -225,7 +220,7 @@ def boundary_trace(
         raise SupportViolationError(
             f"source support {src.support_radius} exceeds the context ball R = {ctx.radius}"
         )
-    coeffs = resolve_coefficients(ctx, src, truncation, src.resolve_radial_order(radial_order), angular_count)
+    coeffs = resolve_coefficients(ctx, src, truncation)
     r = np.full(grid.count, ctx.radius)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(grid.params))
     f_h, f_m = _modal_series(ctx, coeffs, r, basis)
@@ -240,20 +235,14 @@ def boundary_trace(
     )
 
 
-def far_field(
-    ctx: WaveContext,
-    src: SourceField,
-    directions,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
-) -> np.ndarray:
+def far_field(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
     """Far-field pattern at unit directions, shape (M, d): the source's
     Fourier data at spatial frequency kappa * direction.
 
     The large-radius field obeys
     u(x) ~ -(mu_d / (8 kappa^2)) exp(i kappa |x|) / (pi |x|)^((d-1)/2) * u_inf(xhat).
     """
-    return _volume_transform(ctx, src, directions, -1j * ctx.kappa, radial_order, angular_count)
+    return _volume_transform(ctx, src, directions, -1j * ctx.kappa)
 
 
 # ---------------------------------------------------------------------------

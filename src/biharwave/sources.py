@@ -169,7 +169,7 @@ class SourceField:
         self.radial_hint = radial_hint
         self.potential_profile = potential_profile
         self.bump_value = bump_value
-        self._norm_cache: dict = {}
+        self._norm: float | None = None
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -193,9 +193,9 @@ class SourceField:
                                  potential_profile=potential_profile)
 
     @classmethod
-    def from_modes(cls, ctx, modes, support_radius=None, radial_order=DEFAULT_RADIAL_ORDER):
+    def from_modes(cls, ctx, modes, support_radius=None):
         """Modal source from {n: profile} (2D) or {(n, m): profile} (3D) callables."""
-        rule = radial_rule(ctx, radial_order)
+        rule = radial_rule(ctx)
         if ctx.dimension == 2:
             trunc = max(abs(int(n)) for n in modes)
         else:
@@ -277,44 +277,38 @@ class SourceField:
 
     __rmul__ = __mul__
 
-    def resolve_radial_order(self, radial_order: int | None) -> int:
-        """Requested radial order, or this source's own hint, or the default."""
+    def resolve_radial_order(self, radial_order: int | None = None) -> int:
+        """The radial order of this source's quadrature grids: its own hint, or
+        the default (an explicit order, if given, wins)."""
         if radial_order is not None:
             return int(radial_order)
         return self.radial_hint or DEFAULT_RADIAL_ORDER
 
     # -- norms ---------------------------------------------------------------
-    def l2_norm(self, radial_order=None, angular_count=None) -> float:
-        """Quadrature L2 norm over the ball, cached per resolved (radial order,
-        angular count).
+    def l2_norm(self) -> float:
+        """Quadrature L2 norm over the ball (computed once, then cached).
 
         Modal sources integrate mode-by-mode (angular orthonormality turns
         the ball integral into a weighted sum of radial profile norms).
         """
-        key = (self.resolve_radial_order(radial_order), angular_count)
-        if key not in self._norm_cache:
+        if self._norm is None:
             if self.kind == "modal":
                 rule = self.modal.rule
                 meas = rule.weights * rule.nodes ** (self.ctx.dimension - 1)
                 sq = float(np.sum(np.abs(self.modal.values) ** 2 @ meas))
                 factor = 2.0 * np.pi if self.ctx.dimension == 2 else 1.0
-                self._norm_cache[key] = float(np.sqrt(factor * sq))
+                self._norm = float(np.sqrt(factor * sq))
             else:
-                grid = product_grid(self.ctx, *key)
+                grid = product_grid(self.ctx, self.resolve_radial_order())
                 vals = self.values_on(grid)
-                self._norm_cache[key] = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
-        return self._norm_cache[key]
+                self._norm = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
+        return self._norm
 
 
 # ---------------------------------------------------------------------------
 # Projection onto angular modes and onto the radial wave families
 # ---------------------------------------------------------------------------
-def project_modes(
-    src: SourceField,
-    truncation: int,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
-) -> SourceField:
+def project_modes(src: SourceField, truncation: int) -> SourceField:
     """Project a source onto angular-mode radial profiles up to the truncation.
 
     2D computes Fourier coefficients of the angular dependence at every
@@ -327,31 +321,23 @@ def project_modes(
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     if src.kind == "modal":
         return _retruncate_modal(src, truncation)
-    if angular_count is None:
-        # auto-scale so the rule resolves the requested truncation
-        if ctx.dimension == 2:
-            angular_count = max(DEFAULT_ANGULAR_COUNT_2D, 2 * truncation + 2)
-        else:
-            angular_count = max(DEFAULT_POLAR_COUNT_3D, truncation + 1)
-    grid = product_grid(ctx, src.resolve_radial_order(radial_order), angular_count)
+    # auto-scale so the rule resolves the requested truncation: m equispaced
+    # angles separate orders |n| < m/2; Gauss-in-cos(theta) with n_pol nodes
+    # integrates harmonic products up to degree n_pol - 1 exactly (beyond
+    # that the projection aliases)
+    if ctx.dimension == 2:
+        angular_count = max(DEFAULT_ANGULAR_COUNT_2D, 2 * truncation + 2)
+    else:
+        angular_count = max(DEFAULT_POLAR_COUNT_3D, truncation + 1)
+    grid = product_grid(ctx, src.resolve_radial_order(), angular_count)
     rule, ang = grid.radial, grid.angular
     vals = src.values_on(grid).reshape(rule.order, ang.count)
 
     if ctx.dimension == 2:
         m = ang.count
-        if 2 * truncation >= m:
-            raise ValueError(
-                f"angular count {m} cannot resolve orders up to {truncation}; need > 2N"
-            )
         spectrum = np.fft.fft(vals, axis=1) / m  # (1/2pi) * trapezoid in theta
         values = spectrum[:, mode_degrees(2, truncation) % m].T.copy()
     else:
-        # Gauss-in-cos(theta) with n_pol nodes resolves harmonic products of
-        # degree up to n_pol - 1 exactly; beyond that the projection aliases.
-        if truncation >= ang.polar_count:
-            raise ValueError(
-                f"polar count {ang.polar_count} cannot resolve degrees up to {truncation}"
-            )
         theta, phi = ang.params[:, 0], ang.params[:, 1]
         harm = specfun.sph_harmonic_block(truncation, theta, phi)
         values = (vals @ (np.conj(harm) * ang.weights[:, None])).T
@@ -359,11 +345,11 @@ def project_modes(
 
 
 def _modal_source(src: SourceField, truncation: int, rule: RadialRule, values) -> SourceField:
-    """Modal source with the given profiles that keeps src's support, hints and norm cache."""
+    """Modal source with the given profiles that keeps src's support, hints and cached norm."""
     modal = ModalProfiles(src.ctx.dimension, truncation, rule, values)
     out = SourceField(src.ctx, "modal", src.support_radius, modal=modal,
                       radial_profile=src.radial_profile, radial_hint=src.radial_hint)
-    out._norm_cache = dict(src._norm_cache)
+    out._norm = src._norm
     return out
 
 
@@ -379,13 +365,7 @@ def _retruncate_modal(src: SourceField, truncation: int) -> SourceField:
     return _modal_source(src, truncation, old.rule, values)
 
 
-def modal_coefficients(
-    ctx: WaveContext,
-    src: SourceField,
-    truncation: int,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
-) -> ModalCoefficients:
+def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int) -> ModalCoefficients:
     """Project the source's mode profiles onto the two radial wave families.
 
     2D pairs profile n with J_n(kappa r) (alpha) and J_n(i kappa r) (beta)
@@ -394,9 +374,9 @@ def modal_coefficients(
     """
     # norm of the source itself, not of its truncation (cached through the
     # projection, so this costs one grid pass at most)
-    norm_f = src.l2_norm(radial_order, angular_count)
+    norm_f = src.l2_norm()
     if src.kind != "modal" or src.modal.truncation < truncation:
-        src = project_modes(src, truncation, radial_order, angular_count)
+        src = project_modes(src, truncation)
     elif src.modal.truncation > truncation:
         src = _retruncate_modal(src, truncation)
     values = src.modal.values
@@ -436,20 +416,20 @@ def default_mode_truncation(ctx: WaveContext) -> int:
     return 2 * int(np.ceil(ctx.kappa * ctx.radius)) + 16
 
 
-def resolve_coefficients(ctx, src, truncation=None, radial_order=None, angular_count=None):
+def resolve_coefficients(ctx, src, truncation=None):
     """src itself when it already is a ModalCoefficients, else the source's
     coefficients at the truncation (default_mode_truncation when None)."""
     if isinstance(src, ModalCoefficients):
         return src
     if truncation is None:
         truncation = default_mode_truncation(ctx)
-    return modal_coefficients(ctx, src, truncation, radial_order, angular_count)
+    return modal_coefficients(ctx, src, truncation)
 
 
 # ---------------------------------------------------------------------------
 # Nonradiating constructors
 # ---------------------------------------------------------------------------
-def make_2d_bessel_nonradiating(ctx: WaveContext, radial_order: int | None = None) -> SourceField:
+def make_2d_bessel_nonradiating(ctx: WaveContext) -> SourceField:
     """Radially symmetric nonradiating source on the full disk (2D).
 
     Requires kappa*R to be a zero of J_0 (use
@@ -466,7 +446,7 @@ def make_2d_bessel_nonradiating(ctx: WaveContext, radial_order: int | None = Non
             f"kappa*R = {k * R:.15g} is not a zero of J_0 "
             f"(|J_0| = {abs(_sp.jv(0, k * R)):.3e} > 1e-12)"
         )
-    rule = radial_rule(ctx, radial_order or max(DEFAULT_RADIAL_ORDER, 8 * int(np.ceil(k * R))))
+    rule = radial_rule(ctx, max(DEFAULT_RADIAL_ORDER, 8 * int(np.ceil(k * R))))
     j0 = _sp.jv(0, k * rule.nodes)
     c_quartic = float(np.sum(j0**4 * rule.nodes * rule.weights))
     c_cubic = float(np.sum(j0**3 * rule.nodes * rule.weights))
@@ -490,9 +470,7 @@ def make_2d_bessel_nonradiating(ctx: WaveContext, radial_order: int | None = Non
     return SourceField.from_radial(ctx, profile, support_radius=R, potential_profile=potential)
 
 
-def make_3d_bessel_nonradiating(
-    ctx: WaveContext, m1: int = 3, m2: int = 4, radial_order: int | None = None
-) -> SourceField:
+def make_3d_bessel_nonradiating(ctx: WaveContext, m1: int = 3, m2: int = 4) -> SourceField:
     """Radially symmetric nonradiating source on the full ball (3D).
 
     Requires kappa*R to be a zero of the order-zero spherical wave
@@ -508,7 +486,7 @@ def make_3d_bessel_nonradiating(
             f"kappa*R = {k * R:.15g} is not a zero of the order-zero spherical wave "
             f"(|j_0| = {abs(_sp.spherical_jn(0, k * R)):.3e} > 1e-12)"
         )
-    rule = radial_rule(ctx, radial_order or max(DEFAULT_RADIAL_ORDER, 8 * int(np.ceil(k * R))))
+    rule = radial_rule(ctx, max(DEFAULT_RADIAL_ORDER, 8 * int(np.ceil(k * R))))
     j0 = _sp.spherical_jn(0, k * rule.nodes)
     i0 = _sp.spherical_in(0, k * rule.nodes)
     meas = rule.nodes**2 * rule.weights

@@ -70,8 +70,8 @@ def _check_exp_weight(ctx: WaveContext) -> None:
 class InconsistencyError(RuntimeError):
     """The equivalent certificates disagree; numerics, not mathematics.
 
-    Usually the truncation is too low for the source's angular content or
-    the quadrature orders too coarse; raise them and re-run.
+    Usually the truncation is too low for the source's angular content;
+    raise the truncation and re-run.
     """
 
 
@@ -83,8 +83,6 @@ class VerdictConfig:
     truncation: int | None = None
     direction_count: int = 16
     probe_factors: tuple = (1.05, 1.5, 3.0)
-    radial_order: int | None = None
-    angular_count: int | None = None
     stability_margin: int = 8
 
     def __post_init__(self):
@@ -141,6 +139,8 @@ def direction_grid(ctx: WaveContext, count: int):
     nodes (polar Gauss x equispaced azimuth), at least count in total.
     Returns (directions, params) as in AngularRule.
     """
+    if count < 1:
+        raise ValueError(f"direction count must be >= 1, got {count}")
     if ctx.dimension == 2:
         rule = angular_rule(ctx, max(count, 4))
         return rule.directions, rule.params
@@ -167,42 +167,28 @@ def _synthesis(ctx, basis, weights) -> np.ndarray:
     return (2.0 * np.pi if ctx.dimension == 2 else 4.0 * np.pi) * basis @ weights
 
 
-def _on_circle(ctx, src, directions, sign, truncation, radial_order, angular_count):
+def _on_circle(ctx, src, directions, sign, truncation):
     """Mode synthesis of sign**n-weighted coefficients at the directions:
     sign -1 pairs (-i)^n with alpha, sign +1 pairs i^n with beta."""
     dirs = _check_directions(ctx, directions)
-    coeffs = resolve_coefficients(ctx, src, truncation, radial_order, angular_count)
+    coeffs = resolve_coefficients(ctx, src, truncation)
     N = coeffs.truncation
     basis = specfun.angular_basis(ctx.dimension, N, *_direction_params(ctx, dirs))
     modes = coeffs.alpha if sign < 0 else coeffs.beta
     return _synthesis(ctx, basis, _ipow(sign * mode_degrees(ctx.dimension, N)) * modes)
 
 
-def fourier_on_circle(
-    ctx: WaveContext,
-    src,
-    directions,
-    truncation: int | None = None,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
-) -> np.ndarray:
+def fourier_on_circle(ctx: WaveContext, src, directions, truncation: int | None = None) -> np.ndarray:
     """Fourier data of the source at frequency kappa * direction, synthesized
     from the modal coefficients.
 
     2D: 2 pi sum_n (-i)^n alpha_n exp(i n arg(dir));
     3D: 4 pi sum_(n, m) (-i)^n alpha_n^m Y_n^m(dir).
     """
-    return _on_circle(ctx, src, directions, -1, truncation, radial_order, angular_count)
+    return _on_circle(ctx, src, directions, -1, truncation)
 
 
-def laplace_on_circle(
-    ctx: WaveContext,
-    src,
-    directions,
-    truncation: int | None = None,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
-) -> np.ndarray:
+def laplace_on_circle(ctx: WaveContext, src, directions, truncation: int | None = None) -> np.ndarray:
     """Exponential-weight transform of the source at s = kappa * direction,
     synthesized from the modal coefficients.
 
@@ -210,31 +196,19 @@ def laplace_on_circle(
     3D: 4 pi sum_(n, m) i^n beta_n^m Y_n^m(dir).
     """
     _check_exp_weight(ctx)
-    return _on_circle(ctx, src, directions, 1, truncation, radial_order, angular_count)
+    return _on_circle(ctx, src, directions, 1, truncation)
 
 
-def fourier_transform_quadrature(
-    ctx: WaveContext,
-    src: SourceField,
-    directions,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
-) -> np.ndarray:
+def fourier_transform_quadrature(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
     """Fourier data at kappa * direction by direct volume quadrature (the
     independent route against which the modal synthesis is checked)."""
-    return fields._volume_transform(ctx, src, directions, -1j * ctx.kappa, radial_order, angular_count)
+    return fields._volume_transform(ctx, src, directions, -1j * ctx.kappa)
 
 
-def laplace_transform_quadrature(
-    ctx: WaveContext,
-    src: SourceField,
-    directions,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
-) -> np.ndarray:
+def laplace_transform_quadrature(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
     """Exponential-weight transform at kappa * direction by direct quadrature."""
     _check_exp_weight(ctx)
-    return fields._volume_transform(ctx, src, directions, -ctx.kappa, radial_order, angular_count)
+    return fields._volume_transform(ctx, src, directions, -ctx.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +272,6 @@ def nullspace_residual(
     probe_radii,
     truncation: int | None = None,
     direction_count: int = 16,
-    radial_order: int | None = None,
-    angular_count: int | None = None,
 ) -> float:
     """Max over exterior probes of the two annihilation integrals that define
     the invisible class: the regular-wave kernel integral and the decaying
@@ -310,7 +282,7 @@ def nullspace_residual(
     radii = np.atleast_1d(np.asarray(probe_radii, dtype=float))
     if np.any(radii <= ctx.radius):
         raise ValueError(f"probe radii must exceed R = {ctx.radius}")
-    coeffs = resolve_coefficients(ctx, src, truncation, radial_order, angular_count)
+    coeffs = resolve_coefficients(ctx, src, truncation)
     _, params = direction_grid(ctx, direction_count)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(params))
     degrees = mode_degrees(ctx.dimension, coeffs.truncation)
@@ -339,9 +311,7 @@ def _field_scale(ctx, norm_f, probe_radii) -> float:
 
 
 def _residuals(ctx, src, truncation, config) -> tuple[float, float, ModalCoefficients]:
-    coeffs = modal_coefficients(
-        ctx, src, truncation, config.radial_order, config.angular_count
-    )
+    coeffs = modal_coefficients(ctx, src, truncation)
     dirs, _ = direction_grid(ctx, config.direction_count)
     fh = fourier_on_circle(ctx, coeffs, dirs)
     fc = laplace_on_circle(ctx, coeffs, dirs)
@@ -377,10 +347,7 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
     norm_f = coeffs.norm_f
     scale = _field_scale(ctx, norm_f, probe_radii)
     if norm_f > 0:
-        u, _, _ = fields.eval_field_batch(
-            ctx, src, pts, method="quadrature",
-            radial_order=cfg.radial_order, angular_count=cfg.angular_count,
-        )
+        u, _, _ = fields.eval_field_batch(ctx, src, pts, method="quadrature")
         res_field = float(np.max(np.abs(u))) / scale
     else:
         res_field = 0.0
@@ -390,7 +357,7 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
         raise InconsistencyError(
             "characterization routes disagree at tolerance "
             f"{cfg.tolerance:g}: modal {res_modal:.3e}, spectral {res_spectral:.3e}, "
-            f"field {res_field:.3e}; raise the truncation or quadrature orders "
+            f"field {res_field:.3e}; raise the truncation "
             "(or the source straddles the tolerance)"
         )
     return NonradiatingVerdict(

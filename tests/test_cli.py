@@ -181,11 +181,32 @@ class TestFieldCommand:
         ["trace", "--resolution", "4"],
         ["trace", "--truncation", "-1"],
         ["verdict", "--tolerance", "-1"],
+        ["field", "--directions", "-5"],
+        ["field", "--directions", "0"],
+        ["spectral", "--directions", "0"],
+        ["field", "--truncation", "3"],
+        ["trace", "--tolerance", "1e-3"],
+        ["verdict", "--resolution", "64"],
+        ["verdict", "--truncation", "abc"],
     ],
-    ids=["radii-inside", "radii-text", "resolution-4", "truncation-neg", "tolerance-neg"],
+    ids=[
+        "radii-inside", "radii-text", "resolution-4", "truncation-neg", "tolerance-neg",
+        "field-directions-neg", "field-directions-0", "spectral-directions-0",
+        "field-truncation", "trace-tolerance", "verdict-resolution", "truncation-text",
+    ],
 )
 def test_bad_flag_is_config_error(tmp_path, capsys, argv):
     cfg = _write(tmp_path, "nr.json", NR2D)
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_route_disagreement_exits_2(tmp_path, capsys):
+    # the 2D Bessel invisible source at kappa*R ~ 27.5: the modal and spectral
+    # residuals miss the tolerance while the field residual meets it
+    cfg = _write(tmp_path, "nr9.json", dict(NR2D, root_index=9))
+    assert main(["verdict", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inconsistency: ") and "raise the truncation" in err
     assert not (tmp_path / "out").exists()

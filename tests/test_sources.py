@@ -304,13 +304,14 @@ class TestAlgebra:
         z = SourceField.zero(CTX2)
         assert z.l2_norm() == 0.0
 
-    def test_norm_cache_keyed_by_grid(self):
-        src = gaussian_source(CTX2)
-        coarse = src.l2_norm(8, 8)
-        fine = src.l2_norm(128, 512)
-        assert fine == gaussian_source(CTX2).l2_norm(128, 512)
-        assert abs(fine - coarse) > 1e-4 * fine
-        assert src.l2_norm(8, 8) == coarse
+    def test_norm_is_cached_and_carried_by_projection(self):
+        src = gaussian_source(CTX2, center=[0.4, 0.0], sigma=0.2)
+        norm = src.l2_norm()
+        assert src.l2_norm() == norm == gaussian_source(CTX2, center=[0.4, 0.0], sigma=0.2).l2_norm()
+        # the projection keeps the source's norm, not that of its truncation
+        assert project_modes(src, 2).l2_norm() == norm
+        fresh = gaussian_source(CTX2, center=[0.4, 0.0], sigma=0.2)
+        assert abs(project_modes(fresh, 2).l2_norm() - norm) > 1e-3 * norm
 
     def test_attached_profiles_are_declared_and_scaled(self):
         plain = gaussian_source(CTX2)
