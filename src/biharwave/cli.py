@@ -20,7 +20,17 @@ from .quadrature import boundary_grid
 from .sources import _SOURCE_KEYS, source_from_config
 from .spectral import InconsistencyError, VerdictConfig
 
-_SCENARIO_KEYS = _SOURCE_KEYS | {"truncation", "tolerance", "resolution", "directions"}
+# The settings each subcommand reads, beyond the source keys.  A subcommand
+# registers a flag for each of its settings, and its scenario file may set
+# only these and the source keys.
+_READS = {
+    "verdict": ("truncation", "tolerance", "directions"),
+    "trace": ("truncation", "resolution"),
+    "spectral": ("truncation", "resolution", "directions"),
+    "nonuniqueness": ("truncation", "tolerance", "resolution", "directions"),
+    "field": ("directions",),
+}
+_SETTING_TYPES = {"truncation": int, "tolerance": float, "resolution": int, "directions": int}
 
 
 class ConfigError(ValueError):
@@ -34,7 +44,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _load_scenario(path: str, overrides: dict) -> dict:
+def _load_scenario(path: str, args, reads=None) -> dict:
+    """The scenario at path with the flags in args laid over it.  Besides the
+    source keys it may set the settings in reads, by default those that
+    args.command reads."""
+    reads = _READS[args.command] if reads is None else reads
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -44,12 +58,13 @@ def _load_scenario(path: str, overrides: dict) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r} must contain a JSON object")
-    unknown = set(cfg) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} in {path!r}")
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    unread = set(cfg) - _SOURCE_KEYS - set(reads)
+    if unread:
+        key = sorted(unread)[0]
+        raise ConfigError(f"config key {key!r} in {path!r} is not read by {args.command}")
+    for key in reads:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
@@ -111,7 +126,7 @@ def _verdict_config(cfg: dict) -> VerdictConfig:
 # Commands
 # ---------------------------------------------------------------------------
 def cmd_verdict(args) -> int:
-    cfg = _load_scenario(args.config, _common_overrides(args))
+    cfg = _load_scenario(args.config, args)
     ctx, src = _build(cfg)
     payload = spectral.verdict(ctx, src, _verdict_config(cfg)).to_dict()
     payload.update(_meta(cfg))
@@ -120,7 +135,7 @@ def cmd_verdict(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg = _load_scenario(args.config, _common_overrides(args))
+    cfg = _load_scenario(args.config, args)
     ctx, src = _build(cfg)
     grid = boundary_grid(ctx, cfg.get("resolution"))
     trace = fields.boundary_trace(ctx, src, grid, truncation=cfg.get("truncation"))
@@ -129,7 +144,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    cfg = _load_scenario(args.config, _common_overrides(args))
+    cfg = _load_scenario(args.config, args)
     ctx, src = _build(cfg)
     count = 64 if cfg.get("directions") is None else int(cfg["directions"])
     dirs, params = spectral.direction_grid(ctx, count)
@@ -159,8 +174,8 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_nonuniqueness(args) -> int:
-    cfg_f = _load_scenario(args.config, _common_overrides(args))
-    cfg_g = _load_scenario(args.config_g, {})
+    cfg_f = _load_scenario(args.config, args)
+    cfg_g = _load_scenario(args.config_g, args, reads=())
     ctx, src_f = _build(cfg_f)
     ctx_g, src_g = _build(cfg_g)
     if (ctx_g.dimension, ctx_g.kappa, ctx_g.radius) != (ctx.dimension, ctx.kappa, ctx.radius):
@@ -190,7 +205,7 @@ def cmd_nonuniqueness(args) -> int:
 
 
 def cmd_field(args) -> int:
-    cfg = _load_scenario(args.config, _common_overrides(args))
+    cfg = _load_scenario(args.config, args)
     ctx, src = _build(cfg)
     factors = [float(v) for v in args.radii.split(",")] if args.radii else [1.05, 1.5, 3.0]
     count = 16 if cfg.get("directions") is None else int(cfg["directions"])
@@ -212,23 +227,16 @@ def cmd_field(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-# Scenario keys a flag can override, with the flag's type; each subcommand
-# registers only the ones it reads.
-_OVERRIDE_TYPES = {"truncation": int, "tolerance": float, "resolution": int, "directions": int}
-
-
-def _common_overrides(args) -> dict:
-    return {key: getattr(args, key, None) for key in (*_OVERRIDE_TYPES, "dimension")}
-
-
-def _add_common(p, *overrides, with_g=False):
+def _add_subcommand(sub, name, func, help_text, with_g=False):
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", required=True, help="scenario JSON path")
     if with_g:
         p.add_argument("--config-g", required=True, help="perturbation scenario JSON path")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    for key in overrides:
-        p.add_argument(f"--{key}", type=_OVERRIDE_TYPES[key], default=None)
-    p.add_argument("--dimension", type=int, choices=(2, 3), default=None)
+    for key in _READS[name]:
+        p.add_argument(f"--{key}", type=_SETTING_TYPES[key], default=None)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,27 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verdict", help="certify a source and write a JSON report")
-    _add_common(p, "truncation", "tolerance", "directions")
-    p.set_defaults(func=cmd_verdict)
-
-    p = sub.add_parser("trace", help="boundary measurement channels as CSV")
-    _add_common(p, "truncation", "resolution")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("spectral", help="transform and boundary-functional samples as CSV")
-    _add_common(p, "truncation", "resolution", "directions")
-    p.set_defaults(func=cmd_spectral)
-
-    p = sub.add_parser("nonuniqueness", help="show an invisible source perturbation")
-    _add_common(p, "truncation", "tolerance", "resolution", "directions", with_g=True)
-    p.set_defaults(func=cmd_nonuniqueness)
-
-    p = sub.add_parser("field", help="exterior field samples as CSV")
-    _add_common(p, "directions")
+    _add_subcommand(sub, "verdict", cmd_verdict, "certify a source and write a JSON report")
+    _add_subcommand(sub, "trace", cmd_trace, "boundary measurement channels as CSV")
+    _add_subcommand(sub, "spectral", cmd_spectral, "transform and boundary-functional samples as CSV")
+    _add_subcommand(sub, "nonuniqueness", cmd_nonuniqueness, "show an invisible source perturbation",
+                    with_g=True)
+    p = _add_subcommand(sub, "field", cmd_field, "exterior field samples as CSV")
     p.add_argument("--radii", default=None, help="comma-separated radius factors (times R)")
-    p.set_defaults(func=cmd_field)
-
     return parser
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
-from scipy.interpolate import BarycentricInterpolator
 
 from . import specfun
 from .context import WaveContext
@@ -69,14 +68,17 @@ def mode_degrees(dimension: int, truncation: int) -> np.ndarray:
     return np.repeat(n, 2 * n + 1)
 
 
-def mode_index(dimension: int, n: int, m: int | None = None) -> int:
-    """Flat index of an angular mode: 2D order n, or 3D degree/order (n, m)."""
+def mode_index(dimension: int, truncation: int, n: int, m: int | None = None) -> int:
+    """Flat row of an angular mode up to the truncation: 2D order n (rows
+    n = -N..N), or 3D degree/order (n, m) (rows packed degree by degree)."""
     if dimension == 2:
-        return n  # caller adds the truncation offset
+        if abs(n) > truncation:
+            raise ValueError(f"|n| must be <= {truncation}, got {n}")
+        return n + truncation
     if m is None:
         raise ValueError("3D modes need both degree n and order m")
-    if abs(m) > n:
-        raise ValueError(f"|m| must be <= n, got (n, m) = ({n}, {m})")
+    if n > truncation or abs(m) > n:
+        raise ValueError(f"(n, m) must satisfy |m| <= n <= {truncation}, got ({n}, {m})")
     return n * n + n + m
 
 
@@ -84,8 +86,8 @@ def mode_index(dimension: int, n: int, m: int | None = None) -> int:
 class ModalProfiles:
     """Angular-mode radial profiles tabulated on a radial rule.
 
-    values[k, j] is profile k at radius nodes[j]; 2D rows are ordered
-    n = -N..N (offset by N), 3D rows are packed by mode_index.
+    values[k, j] is profile k at radius nodes[j]; row k of a mode is its
+    mode_index.
     """
 
     dimension: int
@@ -94,20 +96,18 @@ class ModalProfiles:
     values: np.ndarray
 
     def profile(self, n: int, m: int | None = None) -> np.ndarray:
-        if self.dimension == 2:
-            if abs(n) > self.truncation:
-                raise ValueError(f"|n| must be <= {self.truncation}, got {n}")
-            return self.values[n + self.truncation]
-        if n > self.truncation:
-            raise ValueError(f"n must be <= {self.truncation}, got {n}")
-        return self.values[mode_index(3, n, m)]
+        return self.values[mode_index(self.dimension, self.truncation, n, m)]
 
-    def interpolator(self) -> BarycentricInterpolator:
+    def interpolator(self):
         """Barycentric interpolant of all profiles over the rule nodes.
 
         The fixed rng pins scipy's random node order for the weights, so
-        interpolated values repeat bit for bit from call to call.
+        interpolated values repeat bit for bit from call to call.  Only
+        pointwise evaluation of a modal source needs it, so scipy.interpolate
+        is imported here rather than with the package.
         """
+        from scipy.interpolate import BarycentricInterpolator
+
         return BarycentricInterpolator(self.rule.nodes, self.values.T, rng=0)
 
 
@@ -130,10 +130,7 @@ class ModalCoefficients:
     norm_f: float
 
     def get(self, n: int, m: int | None = None) -> tuple[complex, complex]:
-        if self.dimension == 2:
-            idx = n + self.truncation
-        else:
-            idx = mode_index(3, n, m)
+        idx = mode_index(self.dimension, self.truncation, n, m)
         return complex(self.alpha[idx]), complex(self.beta[idx])
 
     def max_residual(self) -> float:
@@ -202,11 +199,8 @@ class SourceField:
             trunc = max(int(n) for n, _ in modes)
         values = np.zeros((mode_count(ctx.dimension, trunc), rule.order), dtype=complex)
         for key, prof in modes.items():
-            if ctx.dimension == 2:
-                idx = int(key) + trunc
-            else:
-                idx = mode_index(3, int(key[0]), int(key[1]))
-            values[idx] = np.asarray(prof(rule.nodes), dtype=complex)
+            row = mode_index(ctx.dimension, trunc, *map(int, (key,) if ctx.dimension == 2 else key))
+            values[row] = np.asarray(prof(rule.nodes), dtype=complex)
         modal = ModalProfiles(ctx.dimension, trunc, rule, values)
         if support_radius is None:
             support_radius = ctx.radius

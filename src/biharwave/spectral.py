@@ -28,13 +28,14 @@ from . import fields, specfun
 from .context import WaveContext
 from .fields import _check_directions
 from .kernels import green_biharmonic
-from .quadrature import angular_rule, split_params
+from .quadrature import angular_rule, spherical_params, split_params
 from .sources import (
     ModalCoefficients,
     SourceField,
     default_mode_truncation,
     mode_degrees,
     modal_coefficients,
+    project_modes,
     resolve_coefficients,
 )
 from .specfun import _ipow
@@ -59,6 +60,12 @@ __all__ = [
 # exp(kappa * R) weights overflow doubles beyond this.
 _EXP_WEIGHT_LIMIT = 700.0
 
+# Radii, as multiples of R, at which verdict probes the exterior field.
+PROBE_FACTORS = (1.05, 1.5, 3.0)
+
+# verdict re-checks the modal residual this many modes below its truncation.
+STABILITY_MARGIN = 8
+
 
 def _check_exp_weight(ctx: WaveContext) -> None:
     if ctx.kappa * ctx.radius > _EXP_WEIGHT_LIMIT:
@@ -82,8 +89,6 @@ class VerdictConfig:
     tolerance: float = 1e-6
     truncation: int | None = None
     direction_count: int = 16
-    probe_factors: tuple = (1.05, 1.5, 3.0)
-    stability_margin: int = 8
 
     def __post_init__(self):
         # a tolerance that no residual can meet (<= 0, NaN) would report every
@@ -92,8 +97,6 @@ class VerdictConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.truncation is not None and self.truncation < 0:
             raise ValueError(f"truncation must be >= 0, got {self.truncation}")
-        if self.stability_margin < 0:
-            raise ValueError(f"stability_margin must be >= 0, got {self.stability_margin}")
         if self.direction_count < 1:
             raise ValueError(f"direction_count must be >= 1, got {self.direction_count}")
 
@@ -149,16 +152,6 @@ def direction_grid(ctx: WaveContext, count: int):
     return rule.directions, rule.params
 
 
-# Not quadrature.spherical_params: dividing unit directions by their computed
-# norm moves the polar angle of 3 of the 18 default 3D verdict directions.
-def _direction_params(ctx, dirs):
-    if ctx.dimension == 2:
-        return np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi), None
-    theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi)
-    return theta, phi
-
-
 # ---------------------------------------------------------------------------
 # Restricted transforms (modal synthesis)
 # ---------------------------------------------------------------------------
@@ -173,7 +166,7 @@ def _on_circle(ctx, src, directions, sign, truncation):
     dirs = _check_directions(ctx, directions)
     coeffs = resolve_coefficients(ctx, src, truncation)
     N = coeffs.truncation
-    basis = specfun.angular_basis(ctx.dimension, N, *_direction_params(ctx, dirs))
+    basis = specfun.angular_basis(ctx.dimension, N, *spherical_params(dirs)[1:])
     modes = coeffs.alpha if sign < 0 else coeffs.beta
     return _synthesis(ctx, basis, _ipow(sign * mode_degrees(ctx.dimension, N)) * modes)
 
@@ -271,7 +264,6 @@ def nullspace_residual(
     src: SourceField,
     probe_radii,
     truncation: int | None = None,
-    direction_count: int = 16,
 ) -> float:
     """Max over exterior probes of the two annihilation integrals that define
     the invisible class: the regular-wave kernel integral and the decaying
@@ -283,7 +275,7 @@ def nullspace_residual(
     if np.any(radii <= ctx.radius):
         raise ValueError(f"probe radii must exceed R = {ctx.radius}")
     coeffs = resolve_coefficients(ctx, src, truncation)
-    _, params = direction_grid(ctx, direction_count)
+    _, params = direction_grid(ctx, 16)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(params))
     degrees = mode_degrees(ctx.dimension, coeffs.truncation)
     regular = _sp.jv if ctx.dimension == 2 else _sp.spherical_jn
@@ -310,41 +302,40 @@ def _field_scale(ctx, norm_f, probe_radii) -> float:
     return norm_f * np.sqrt(ctx.ball_volume) * gmax
 
 
-def _residuals(ctx, src, truncation, config) -> tuple[float, float, ModalCoefficients]:
-    coeffs = modal_coefficients(ctx, src, truncation)
-    dirs, _ = direction_grid(ctx, config.direction_count)
-    fh = fourier_on_circle(ctx, coeffs, dirs)
-    fc = laplace_on_circle(ctx, coeffs, dirs)
-    norm = coeffs.norm_f
-    spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm if norm > 0 else 0.0
-    return coeffs.max_residual(), spectral, coeffs
-
-
 def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = None) -> NonradiatingVerdict:
     """Certify whether a source radiates, by all three routes at once.
 
-    The modal residual is computed at the working truncation and re-checked
-    at a larger one (truncation stability); the exterior field is probed by
-    direct quadrature at several radii.  The three routes must agree on
-    which side of the tolerance they fall; disagreement raises
-    InconsistencyError instead of guessing.
+    The source is projected once, at the working truncation plus
+    STABILITY_MARGIN; the modal residual is computed there and re-checked on
+    that projection cut back to the working truncation (truncation
+    stability).  The exterior field is probed by direct quadrature of the
+    source itself at several radii.  The three routes must agree on which
+    side of the tolerance they fall; disagreement raises InconsistencyError
+    instead of guessing.
     """
     cfg = config or VerdictConfig()
     N = cfg.truncation if cfg.truncation is not None else default_mode_truncation(ctx)
+    top = N + STABILITY_MARGIN
 
-    res_modal_low, _, _ = _residuals(ctx, src, N, cfg)
-    res_modal, res_spectral, coeffs = _residuals(ctx, src, N + cfg.stability_margin, cfg)
+    norm_f = src.l2_norm()  # cached first, so the projection carries the source's own norm
+    proj = project_modes(src, top)
+    coeffs = modal_coefficients(ctx, proj, top)
+    res_modal = coeffs.max_residual()
+    res_modal_low = modal_coefficients(ctx, proj, N).max_residual()
     if (res_modal_low <= cfg.tolerance) != (res_modal <= cfg.tolerance):
         raise InconsistencyError(
             f"modal residual flips across the tolerance between truncations "
-            f"{N} and {N + cfg.stability_margin} ({res_modal_low:.3e} vs {res_modal:.3e}); "
+            f"{N} and {top} ({res_modal_low:.3e} vs {res_modal:.3e}); "
             "raise the truncation"
         )
 
-    probe_radii = np.array(cfg.probe_factors) * ctx.radius
     dirs, _ = direction_grid(ctx, cfg.direction_count)
+    fh = fourier_on_circle(ctx, coeffs, dirs)
+    fc = laplace_on_circle(ctx, coeffs, dirs)
+    res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f if norm_f > 0 else 0.0
+
+    probe_radii = np.array(PROBE_FACTORS) * ctx.radius
     pts = np.vstack([r * dirs for r in probe_radii])
-    norm_f = coeffs.norm_f
     scale = _field_scale(ctx, norm_f, probe_radii)
     if norm_f > 0:
         u, _, _ = fields.eval_field_batch(ctx, src, pts, method="quadrature")
@@ -366,7 +357,7 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
         residual_field=res_field,
         tolerance=cfg.tolerance,
         is_nonradiating=all(flags),
-        truncation=N + cfg.stability_margin,
+        truncation=top,
         norm_f=norm_f,
         field_scale=scale,
     )

@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, file formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,29 +178,33 @@ class TestFieldCommand:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, file_keys",
     [
-        ["field", "--radii", "0.5"],
-        ["field", "--radii", "abc"],
-        ["trace", "--resolution", "4"],
-        ["trace", "--truncation", "-1"],
-        ["verdict", "--tolerance", "-1"],
-        ["field", "--directions", "-5"],
-        ["field", "--directions", "0"],
-        ["spectral", "--directions", "0"],
-        ["field", "--truncation", "3"],
-        ["trace", "--tolerance", "1e-3"],
-        ["verdict", "--resolution", "64"],
-        ["verdict", "--truncation", "abc"],
+        (["field", "--radii", "0.5"], {}),
+        (["field", "--radii", "abc"], {}),
+        (["trace", "--resolution", "4"], {}),
+        (["trace", "--truncation", "-1"], {}),
+        (["verdict", "--tolerance", "-1"], {}),
+        (["field", "--directions", "-5"], {}),
+        (["field", "--directions", "0"], {}),
+        (["spectral", "--directions", "0"], {}),
+        (["field", "--truncation", "3"], {}),
+        (["trace", "--tolerance", "1e-3"], {}),
+        (["verdict", "--resolution", "64"], {}),
+        (["verdict", "--truncation", "abc"], {}),
+        (["field"], {"tolerance": 1e-3}),
+        (["verdict", "--dimension", "3"], {}),
     ],
     ids=[
         "radii-inside", "radii-text", "resolution-4", "truncation-neg", "tolerance-neg",
         "field-directions-neg", "field-directions-0", "spectral-directions-0",
         "field-truncation", "trace-tolerance", "verdict-resolution", "truncation-text",
+        "field-file-tolerance", "verdict-dimension",
     ],
 )
-def test_bad_flag_is_config_error(tmp_path, capsys, argv):
-    cfg = _write(tmp_path, "nr.json", NR2D)
+def test_bad_flag_is_config_error(tmp_path, capsys, argv, file_keys):
+    # file_keys: settings written into the scenario file instead of passed as flags
+    cfg = _write(tmp_path, "nr.json", dict(NR2D, **file_keys))
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
@@ -210,3 +218,12 @@ def test_route_disagreement_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("inconsistency: ") and "raise the truncation" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # only pointwise evaluation of a modal source interpolates, and no
+    # subcommand does that; a child process keeps this test's imports apart
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, biharwave.cli; sys.exit('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -122,6 +122,13 @@ class TestModalCoefficients:
                 a, b = co.get(n)
                 assert abs(a) < 1e-14 and abs(b) < 1e-14
 
+    def test_out_of_range_order_refused(self):
+        # a negative index would wrap round to another mode's row
+        co = modal_coefficients(CTX2, SourceField.from_radial(CTX2, lambda r: 1.0 - r**2), 4)
+        for n in (-6, 5):
+            with pytest.raises(ValueError, match="must be <= 4"):
+                co.get(n)
+
     def test_radial_source_only_zero_mode(self):
         src = SourceField.from_radial(CTX2, lambda r: 1.0 - r**2)
         co = modal_coefficients(CTX2, src, 6)

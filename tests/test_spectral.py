@@ -267,8 +267,8 @@ class TestVerdict:
     @pytest.mark.parametrize(
         "kwargs",
         [{"tolerance": -1.0}, {"tolerance": 0.0}, {"tolerance": np.nan}, {"tolerance": np.inf},
-         {"truncation": -1}, {"stability_margin": -1}, {"direction_count": 0}],
-        ids=["tol-neg", "tol-zero", "tol-nan", "tol-inf", "trunc-neg", "margin-neg", "dirs-zero"],
+         {"truncation": -1}, {"direction_count": 0}],
+        ids=["tol-neg", "tol-zero", "tol-nan", "tol-inf", "trunc-neg", "dirs-zero"],
     )
     def test_config_refuses_meaningless_values(self, kwargs):
         # a tolerance no residual can meet would call an invisible source radiating
@@ -278,13 +278,28 @@ class TestVerdict:
     def test_truncation_too_low_raises_inconsistency(self):
         from biharwave.spectral import InconsistencyError
 
-        # a pure order-8 source viewed with truncation 2: the mode and
-        # spectral routes see nothing while the field route sees radiation
+        # a pure order-9 source viewed with truncation 0 (re-checked at 8):
+        # the mode and spectral routes see nothing while the field route
+        # sees radiation
         k = CTX2.kappa
-        src = SourceField.from_modes(CTX2, {8: lambda r: sp.jv(8, k * r)})
-        cfg = VerdictConfig(truncation=2, stability_margin=0)
+        src = SourceField.from_modes(CTX2, {9: lambda r: sp.jv(9, k * r)})
         with pytest.raises(InconsistencyError, match="disagree"):
-            verdict(CTX2, src, cfg)
+            verdict(CTX2, src, VerdictConfig(truncation=0))
+
+    def test_source_read_once_per_route(self, monkeypatch):
+        # three reads of the source: its norm, one projection at the
+        # stability truncation and the field route's own quadrature; the
+        # check at the working truncation cuts that projection back
+        reads = []
+        values_on = SourceField.values_on
+
+        def counting(self, grid):
+            reads.append(grid.points.shape)
+            return values_on(self, grid)
+
+        monkeypatch.setattr(SourceField, "values_on", counting)
+        verdict(CTX2, _gaussian(CTX2))
+        assert len(reads) == 3
 
 
 class TestNonuniqueness:
