@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, fields, spectral
 from .quadrature import boundary_grid
-from .sources import _SOURCE_KEYS, source_from_config
+from .sources import _SOURCE_KEYS, resolve_coefficients, source_from_config
 from .spectral import InconsistencyError, VerdictConfig
 
 # The settings each subcommand reads, beyond the source keys.  A subcommand
@@ -148,11 +148,10 @@ def cmd_spectral(args) -> int:
     ctx, src = _build(cfg)
     count = 64 if cfg.get("directions") is None else int(cfg["directions"])
     dirs, params = spectral.direction_grid(ctx, count)
-    trunc = cfg.get("truncation")
-    fhat = spectral.fourier_on_circle(ctx, src, dirs, truncation=trunc)
-    fcheck = spectral.laplace_on_circle(ctx, src, dirs, truncation=trunc)
-    grid = boundary_grid(ctx, cfg.get("resolution"))
-    trace = fields.boundary_trace(ctx, src, grid, truncation=trunc)
+    coeffs = resolve_coefficients(ctx, src, cfg.get("truncation"))
+    fhat = spectral.fourier_on_circle(ctx, coeffs, dirs)
+    fcheck = spectral.laplace_on_circle(ctx, coeffs, dirs)
+    trace = fields.boundary_trace(ctx, coeffs, boundary_grid(ctx, cfg.get("resolution")))
     uhat = spectral.u_hat_from_trace(ctx, trace, dirs)
     vcheck = spectral.v_check_from_trace(ctx, trace, dirs)
 
@@ -212,13 +211,14 @@ def cmd_field(args) -> int:
     dirs, params = spectral.direction_grid(ctx, count)
     angle_header, angles = _angle_columns(ctx, params)
     header = ["radius"] + angle_header + ["u_re", "u_im", "fh_re", "fh_im", "fm_re", "fm_im"]
+    pts = np.vstack([factor * ctx.radius * dirs for factor in factors])
+    u, f_h, f_m = fields.eval_field_batch(ctx, src, pts, method="quadrature")
     rows = []
-    for factor in factors:
-        pts = factor * ctx.radius * dirs
-        u, f_h, f_m = fields.eval_field_batch(ctx, src, pts, method="quadrature")
+    for k, factor in enumerate(factors):
         for i in range(dirs.shape[0]):
+            j = k * dirs.shape[0] + i
             rows.append([factor * ctx.radius] + angles[i] + [
-                u[i].real, u[i].imag, f_h[i].real, f_h[i].imag, f_m[i].real, f_m[i].imag,
+                u[j].real, u[j].imag, f_h[j].real, f_h[j].imag, f_m[j].real, f_m[j].imag,
             ])
     _write_out(args.out, lambda fh: _write_rows(fh, _meta(cfg), header, rows))
     return 0

@@ -40,6 +40,10 @@ from .sources import SourceField, SupportViolationError, resolve_coefficients
 # Points per chunk in the direct-quadrature evaluator (memory control).
 _EVAL_CHUNK = 32
 
+# Relative slack within which a point counts as on the quadrature grid's angle
+# lattice, and two probe radii as one ring (rounding is about 1e-14 of a step).
+_LATTICE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FieldSample:
@@ -69,11 +73,41 @@ class BoundaryTrace:
 # ---------------------------------------------------------------------------
 # Direct quadrature route
 # ---------------------------------------------------------------------------
+def _lattice_steps(angular, pts):
+    """Each point's index on the 2D rule's angle lattice, or None when any
+    point is off that lattice (by more than rounding) or the rule is 3D."""
+    if angular.dimension != 2:
+        return None
+    steps = spherical_params(pts)[1] * (angular.count / (2.0 * np.pi))
+    nearest = np.rint(steps)
+    if np.any(np.abs(steps - nearest) > _LATTICE_TOL * angular.count):
+        return None
+    return nearest.astype(int) % angular.count
+
+
 def _eval_quadrature(ctx, src, pts):
     grid = product_grid(ctx, src.resolve_radial_order())
     fw = src.values_on(grid) * grid.weights
     f_h = np.zeros(pts.shape[0], dtype=complex)
     f_m = np.zeros(pts.shape[0], dtype=complex)
+    steps = _lattice_steps(grid.angular, pts)
+    if steps is not None:
+        # On a ring of probes at the lattice angles the kernel depends only on
+        # the radial node and the angle step between probe and node: one table
+        # per ring, rolled to each probe's angle.
+        cos, sin = grid.angular.directions.T
+        nodes = grid.radial.nodes[:, None]
+        r = np.linalg.norm(pts, axis=-1)
+        rs = np.sort(r)
+        rings = rs[np.diff(rs, prepend=-np.inf) > _LATTICE_TOL * rs]  # smallest radius of each ring
+        ring_of = np.searchsorted(rings, r, side="right") - 1
+        for k, rho in enumerate(rings):
+            dist = np.hypot(rho - nodes * cos, nodes * sin)
+            table_h, table_m = phi_h_of_r(ctx, dist), phi_m_of_r(ctx, dist)
+            for p in np.flatnonzero(ring_of == k):
+                f_h[p] = -np.roll(table_h, steps[p], axis=1).reshape(-1) @ fw
+                f_m[p] = -np.roll(table_m, steps[p], axis=1).reshape(-1) @ fw
+        return f_h, f_m
     for start in range(0, pts.shape[0], _EVAL_CHUNK):
         chunk = pts[start : start + _EVAL_CHUNK]
         dist = np.linalg.norm(chunk[:, None, :] - grid.points[None, :, :], axis=-1)
@@ -165,7 +199,10 @@ def eval_field_batch(
     """Evaluate (u, f_h, f_m) at exterior points, shape (M, d).
 
     method 'quadrature' integrates the kernels against the source and needs
-    every point strictly outside the support radius; 'modal' sums the
+    every point strictly outside the support radius.  In 2D, when every
+    point lies on the quadrature grid's angle lattice (rings of probes such
+    as direction_grid's), each probe radius shares one kernel table, rolled
+    to each probe's angle; scattered points use the dense sum.  'modal' sums the
     exterior angular-mode series (valid from the support radius outward);
     'auto' picks 'modal' for modal sources and 'quadrature' otherwise.
     """
@@ -215,8 +252,10 @@ def boundary_trace(
     classical.  Full-support sources are evaluated as the exterior limit,
     which is exact whenever the exterior field extends smoothly to the
     boundary (in particular for every certified nonradiating source).
+    src may also be the source's ModalCoefficients, computed once and shared
+    with the spectral syntheses.
     """
-    if src.support_radius > ctx.radius * (1 + 1e-12):
+    if isinstance(src, SourceField) and src.support_radius > ctx.radius * (1 + 1e-12):
         raise SupportViolationError(
             f"source support {src.support_radius} exceeds the context ball R = {ctx.radius}"
         )

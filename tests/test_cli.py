@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from biharwave import sources
 from biharwave.cli import main
 
 NR2D = {"dimension": 2, "R": 1.0, "root_index": 1, "kind": "bessel_nonradiating"}
@@ -114,6 +115,20 @@ class TestSpectralCommand:
         gap = np.array([float(r[-1]) for r in rows])
         assert np.max(gap) < 1e-6 * 0.177  # 1e-6 relative; this source's norm is ~0.177
 
+    def test_projects_once(self, tmp_path, monkeypatch):
+        # fhat, fcheck and the boundary trace share one set of coefficients
+        calls = []
+        project_modes = sources.project_modes
+
+        def counting(src, truncation):
+            calls.append(truncation)
+            return project_modes(src, truncation)
+
+        monkeypatch.setattr(sources, "project_modes", counting)
+        cfg = _write(tmp_path, "g.json", GAUSS2D)
+        assert main(["spectral", "--config", cfg, "--out", str(tmp_path / "spec.csv")]) == 0
+        assert len(calls) == 1
+
     def test_nonradiating_spectrum_dark(self, tmp_path):
         cfg = _write(tmp_path, "nr.json", NR2D)
         out = tmp_path / "spec.csv"
@@ -175,6 +190,34 @@ class TestFieldCommand:
         assert len(rows) == 2 * 8
         u = np.array([complex(float(r[2]), float(r[3])) for r in rows])
         assert np.max(np.abs(u)) > 0
+
+    def test_one_field_evaluation(self, tmp_path, monkeypatch):
+        # all radius factors in one call: the source is sampled on the
+        # quadrature grid once, and the rows match per-factor evaluation
+        from biharwave import WaveContext, fields, spectral
+
+        reads = []
+        values_on = sources.SourceField.values_on
+
+        def counting(self, grid):
+            reads.append(grid.points.shape)
+            return values_on(self, grid)
+
+        monkeypatch.setattr(sources.SourceField, "values_on", counting)
+        cfg = _write(tmp_path, "g.json", GAUSS2D)
+        out = tmp_path / "field.csv"
+        assert main(["field", "--config", cfg, "--out", str(out), "--directions", "8"]) == 0
+        assert len(reads) == 1
+        _, _, rows = _data_lines(out)
+        ctx = WaveContext.with_root_wavenumber(2, 1.0, 1)
+        src = sources.gaussian_source(ctx, **GAUSS2D["parameters"])
+        dirs, _ = spectral.direction_grid(ctx, 8)
+        expected = []
+        for factor in (1.05, 1.5, 3.0):
+            u = fields.eval_field_batch(ctx, src, factor * ctx.radius * dirs, method="quadrature")[0]
+            expected += [[factor * ctx.radius, v.real, v.imag] for v in u]
+        got = [[float(r[0]), float(r[2]), float(r[3])] for r in rows]
+        assert got == expected
 
 
 @pytest.mark.parametrize(

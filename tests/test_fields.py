@@ -13,7 +13,7 @@ from biharwave.fields import (
     far_field,
     write_trace_csv,
 )
-from biharwave.kernels import FarFieldConvention
+from biharwave.kernels import FarFieldConvention, phi_h_of_r, phi_m_of_r
 from biharwave.quadrature import boundary_grid, product_grid
 from biharwave.sources import (
     SourceField,
@@ -21,6 +21,7 @@ from biharwave.sources import (
     make_2d_bessel_nonradiating,
     make_bump_nonradiating,
 )
+from biharwave.spectral import PROBE_FACTORS, direction_grid
 
 import oracles
 
@@ -100,6 +101,58 @@ class TestEvalField:
         ratio = abs(f3) / abs(f2)
         expected = np.exp(-CTX2.kappa * CTX2.radius)
         assert expected / 2.0 < ratio < expected * 2.0
+
+
+def _dense_oracle(ctx, src, pts):
+    """f_h and f_m by the plain sum over the grid on explicit distances, and
+    the sums of the integrands' magnitudes, which bound their rounding."""
+    grid = product_grid(ctx, src.resolve_radial_order())
+    fw = src.values_on(grid) * grid.weights
+    dist = np.linalg.norm(pts[:, None, :] - grid.points[None, :, :], axis=-1)
+    k_h, k_m = phi_h_of_r(ctx, dist), phi_m_of_r(ctx, dist)
+    return -k_h @ fw, -k_m @ fw, np.abs(k_h) @ np.abs(fw), np.abs(k_m) @ np.abs(fw)
+
+
+class TestLatticeQuadrature:
+    """Probe rings on the grid's angle lattice share one kernel table per
+    radius; every other point set takes the dense sum."""
+
+    @pytest.mark.parametrize(
+        "root, kind", [(1, "gaussian"), (5, "gaussian"), (10, "gaussian"), (4, "bump")],
+        ids=["gaussian-r1", "gaussian-r5", "gaussian-r10", "bump-r4"],
+    )
+    def test_verdict_probes_match_dense_sum(self, root, kind, kernel_values):
+        ctx = WaveContext.with_root_wavenumber(2, 1.0, root)
+        src = _gaussian(ctx) if kind == "gaussian" else make_bump_nonradiating(ctx)
+        dirs, _ = direction_grid(ctx, 16)
+        pts = np.vstack([f * ctx.radius * dirs for f in PROBE_FACTORS])
+        _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
+        grid = product_grid(ctx, src.resolve_radial_order())
+        assert kernel_values[0] == len(PROBE_FACTORS) * grid.points.shape[0]
+        ref_h, ref_m, mag_h, mag_m = _dense_oracle(ctx, src, pts)
+        # relative to the integrand's magnitude: the invisible bump's field
+        # is itself rounding noise
+        assert np.max(np.abs(f_h - ref_h) / mag_h) <= 1e-13
+        assert np.max(np.abs(f_m - ref_m) / mag_m) <= 1e-13
+        if kind == "gaussian":
+            assert np.max(np.abs(f_h - ref_h)) <= 1e-13 * np.max(np.abs(ref_h))
+            assert np.max(np.abs(f_m - ref_m)) <= 1e-13 * np.max(np.abs(ref_m))
+
+    @pytest.mark.parametrize("layout", ["half-step", "mixed"])
+    def test_off_lattice_points_take_dense_sum(self, layout, kernel_values):
+        src = _gaussian(CTX2)
+        if layout == "half-step":
+            theta = 2.0 * np.pi * np.arange(16) / 16 + np.pi / 256  # half of the grid's step
+            pts = 1.5 * np.column_stack([np.cos(theta), np.sin(theta)])
+        else:
+            dirs, _ = direction_grid(CTX2, 16)
+            pts = np.vstack([1.05 * dirs, [[1.3, 0.4]]])
+        _, f_h, f_m = eval_field_batch(CTX2, src, pts, method="quadrature")
+        grid = product_grid(CTX2, src.resolve_radial_order())
+        assert kernel_values[0] == len(pts) * grid.points.shape[0]
+        ref_h, ref_m, _, _ = _dense_oracle(CTX2, src, pts)
+        np.testing.assert_array_equal(f_h, ref_h)
+        np.testing.assert_array_equal(f_m, ref_m)
 
 
 class TestBoundaryTrace:

@@ -6,7 +6,7 @@ from scipy import special as sp
 
 from biharwave import WaveContext
 from biharwave.fields import boundary_trace
-from biharwave.quadrature import boundary_grid
+from biharwave.quadrature import boundary_grid, product_grid
 from biharwave.sources import (
     SourceField,
     gaussian_source,
@@ -15,6 +15,7 @@ from biharwave.sources import (
     make_bump_nonradiating,
 )
 from biharwave.spectral import (
+    PROBE_FACTORS,
     VerdictConfig,
     direction_grid,
     fourier_on_circle,
@@ -300,6 +301,16 @@ class TestVerdict:
         monkeypatch.setattr(SourceField, "values_on", counting)
         verdict(CTX2, _gaussian(CTX2))
         assert len(reads) == 3
+
+    def test_field_route_shares_kernel_rows(self, kernel_values):
+        # the probes lie on the grid's angle lattice, so the field route
+        # evaluates one kernel table per probe radius; if the probe angles
+        # or radii leave the lattice it falls back to one row per probe,
+        # 16 times as many kernel values
+        src = _gaussian(CTX2)
+        verdict(CTX2, src)
+        grid = product_grid(CTX2, src.resolve_radial_order())
+        assert kernel_values[0] <= len(PROBE_FACTORS) * grid.radial.order * grid.angular.count
 
 
 class TestNonuniqueness:
