@@ -15,12 +15,6 @@ from .fields import (
 from .kernels import (
     FarFieldConvention,
     green_biharmonic,
-    green_star,
-    phi_h_series,
-    phi_helmholtz,
-    phi_m_series,
-    phi_modified,
-    psi_kernel,
 )
 from .quadrature import (
     AngularRule,
@@ -30,7 +24,6 @@ from .quadrature import (
     boundary_grid,
     product_grid,
     radial_rule,
-    volume_integrate,
 )
 from .sources import (
     DegenerateSourceError,

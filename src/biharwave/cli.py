@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # ConfigError, and every rejected flag or config value
+    except (ValueError, OverflowError) as exc:  # ConfigError, every rejected value, kappa*R too large
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except InconsistencyError as exc:

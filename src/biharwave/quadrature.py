@@ -191,17 +191,3 @@ def product_grid(
         points=pts.reshape(-1, ctx.dimension),
         weights=w.reshape(-1),
     )
-
-
-def volume_integrate(
-    ctx: WaveContext,
-    g,
-    radial_order: int = DEFAULT_RADIAL_ORDER,
-    angular_count: int | None = None,
-) -> complex:
-    """Integrate g over the ball B_R (the disk in 2D).  g maps (M, d) points to M values."""
-    grid = product_grid(ctx, radial_order, angular_count)
-    vals = np.asarray(g(grid.points))
-    if vals.shape != (grid.points.shape[0],):
-        raise ValueError("integrand must return one value per evaluation point")
-    return complex(np.sum(vals * grid.weights))

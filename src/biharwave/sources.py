@@ -10,8 +10,7 @@ A source is one of two kinds:
 The nonradiating constructors apply their radial differential operators
 analytically (chain rule on powers of the order-zero radial waves), never by
 numerical differentiation: the certification tests chase 1e-8-level zeros
-that finite differences cannot reach.  A user-supplied bump falls back to
-high-order finite differences with correspondingly reduced accuracy.
+that finite differences cannot reach.
 """
 
 from __future__ import annotations
@@ -146,14 +145,10 @@ class SourceField:
 
     Construct through the classmethods; instances are immutable in use and
     safe to share.  evaluate() returns 0 outside the support radius.
-    potential_profile (the radial potential whose image a Bessel constructor
-    is) and bump_value (the mollifier behind a bump source) are None unless
-    a constructor attaches them.
     """
 
-    def __init__(self, ctx, kind, support_radius, func=None, modal=None,
-                 radial_profile=None, radial_hint=None, potential_profile=None, bump_value=None):
-        if support_radius <= 0 or support_radius > ctx.radius * (1 + 1e-12):
+    def __init__(self, ctx, kind, support_radius, func=None, modal=None, radial_hint=None):
+        if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
             )
@@ -162,32 +157,26 @@ class SourceField:
         self.support_radius = float(min(support_radius, ctx.radius))
         self._func = func
         self.modal = modal
-        self.radial_profile = radial_profile
         self.radial_hint = radial_hint
-        self.potential_profile = potential_profile
-        self.bump_value = bump_value
         self._norm: float | None = None
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def from_callable(cls, ctx, func, support_radius=None, radial_profile=None, radial_hint=None,
-                      potential_profile=None, bump_value=None):
+    def from_callable(cls, ctx, func, support_radius=None, radial_hint=None):
         """Source from a pointwise evaluator mapping (M, d) points to M values."""
         if support_radius is None:
             support_radius = ctx.radius
-        return cls(ctx, "callable", support_radius, func=func, radial_profile=radial_profile,
-                   radial_hint=radial_hint, potential_profile=potential_profile, bump_value=bump_value)
+        return cls(ctx, "callable", support_radius, func=func, radial_hint=radial_hint)
 
     @classmethod
-    def from_radial(cls, ctx, profile, support_radius=None, potential_profile=None):
+    def from_radial(cls, ctx, profile, support_radius=None):
         """Radially symmetric source from a profile r -> value."""
 
         def func(points):
             r = np.linalg.norm(np.atleast_2d(points), axis=-1)
             return np.asarray(profile(r), dtype=complex)
 
-        return cls.from_callable(ctx, func, support_radius, radial_profile=profile,
-                                 potential_profile=potential_profile)
+        return cls.from_callable(ctx, func, support_radius)
 
     @classmethod
     def from_modes(cls, ctx, modes, support_radius=None):
@@ -238,7 +227,7 @@ class SourceField:
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, factor: complex) -> "SourceField":
-        """factor times the source; every attached profile is scaled with it."""
+        """factor times the source."""
 
         def times(fn):
             return None if fn is None else (lambda q: factor * np.asarray(fn(q), dtype=complex))
@@ -246,11 +235,8 @@ class SourceField:
         modal = None if self.modal is None else ModalProfiles(
             self.modal.dimension, self.modal.truncation, self.modal.rule, self.modal.values * factor
         )
-        return SourceField(
-            self.ctx, self.kind, self.support_radius, func=times(self._func), modal=modal,
-            radial_profile=times(self.radial_profile), radial_hint=self.radial_hint,
-            potential_profile=times(self.potential_profile), bump_value=times(self.bump_value),
-        )
+        return SourceField(self.ctx, self.kind, self.support_radius, func=times(self._func),
+                           modal=modal, radial_hint=self.radial_hint)
 
     def __add__(self, other: "SourceField") -> "SourceField":
         if not isinstance(other, SourceField):
@@ -341,8 +327,7 @@ def project_modes(src: SourceField, truncation: int) -> SourceField:
 def _modal_source(src: SourceField, truncation: int, rule: RadialRule, values) -> SourceField:
     """Modal source with the given profiles that keeps src's support, hints and cached norm."""
     modal = ModalProfiles(src.ctx.dimension, truncation, rule, values)
-    out = SourceField(src.ctx, "modal", src.support_radius, modal=modal,
-                      radial_profile=src.radial_profile, radial_hint=src.radial_hint)
+    out = SourceField(src.ctx, "modal", src.support_radius, modal=modal, radial_hint=src.radial_hint)
     out._norm = src._norm
     return out
 
@@ -369,6 +354,8 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int) -> M
     # norm of the source itself, not of its truncation (cached through the
     # projection, so this costs one grid pass at most)
     norm_f = src.l2_norm()
+    if not np.isfinite(norm_f):
+        raise ValueError(f"the source values, or their L2 norm, are not finite (norm {norm_f})")
     if src.kind != "modal" or src.modal.truncation < truncation:
         src = project_modes(src, truncation)
     elif src.modal.truncation > truncation:
@@ -457,11 +444,7 @@ def make_2d_bessel_nonradiating(ctx: WaveContext) -> SourceField:
         square_img = k * k * (2.0 * z1 * z1 - 3.0 * z0 * z0)
         return (cubic_img / c_quartic - square_img / c_cubic).astype(complex)
 
-    def potential(r):
-        z0 = _sp.jv(0, k * np.asarray(r, dtype=float))
-        return (z0**3 / c_quartic - z0**2 / c_cubic).astype(complex)
-
-    return SourceField.from_radial(ctx, profile, support_radius=R, potential_profile=potential)
+    return SourceField.from_radial(ctx, profile, support_radius=R)
 
 
 def make_3d_bessel_nonradiating(ctx: WaveContext, m1: int = 3, m2: int = 4) -> SourceField:
@@ -504,68 +487,35 @@ def make_3d_bessel_nonradiating(ctx: WaveContext, m1: int = 3, m2: int = 4) -> S
         r = np.asarray(r, dtype=float)
         return (_image(r, m1) / denom[m1] - _image(r, m2) / denom[m2]).astype(complex)
 
-    def potential(r):
-        z0 = _sp.spherical_jn(0, k * np.asarray(r, dtype=float))
-        return (z0**m1 / denom[m1] - z0**m2 / denom[m2]).astype(complex)
-
-    return SourceField.from_radial(ctx, profile, support_radius=R, potential_profile=potential)
+    return SourceField.from_radial(ctx, profile, support_radius=R)
 
 
 def make_bump_nonradiating(
     ctx: WaveContext,
-    bump=None,
-    bump_support: float | None = None,
     rho: float | None = None,
     center=None,
     amplitude: float = 1.0,
-    fd_step: float | None = None,
 ) -> SourceField:
     """Nonradiating source obtained by running an infinitely smooth bump
     through the (negated, shifted) squared-Laplacian wave operator.
 
-    With no ``bump`` argument, uses the built-in radial mollifier
-    amplitude * exp(-1/(1 - (|x - center|/rho)^2)) whose fourth-order image
-    is evaluated in closed form.  A user-supplied ``bump`` callable (with
-    its ``bump_support`` radius) is differentiated by composed fourth-order
-    finite-difference Laplacians instead: accuracy degrades to roughly the
-    stencil truncation level, so prefer the built-in bump for certification
-    work.
-
-    The bump support must stay strictly inside the context ball.
+    The bump is the radial mollifier
+    amplitude * exp(-1/(1 - (|x - center|/rho)^2)), whose fourth-order image
+    is evaluated in closed form.  The bump support must stay strictly inside
+    the context ball.
     """
     d = ctx.dimension
     k4 = ctx.kappa**4
-    if bump is not None:
-        if bump_support is None:
-            raise ValueError("bump_support is required with a user-supplied bump")
-        if bump_support >= ctx.radius:
-            raise SupportViolationError(
-                f"bump support {bump_support} must be strictly inside R = {ctx.radius}"
-            )
-        h = fd_step if fd_step is not None else 1e-2 * bump_support
-
-        def func(points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            vals = -( _fd_bilaplacian(bump, pts, h, d) - k4 * np.asarray(bump(pts), dtype=complex))
-            return vals
-
-        return SourceField.from_callable(ctx, func, support_radius=bump_support)
-
     rho = 0.8 * ctx.radius if rho is None else float(rho)
-    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    if center.shape != (d,):
-        raise ValueError(f"center must have {d} components")
+    center = _finite_center(center, d)
+    _check_amplitude(amplitude)
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     reach = float(np.linalg.norm(center)) + rho
-    if reach >= ctx.radius:
+    if not reach < ctx.radius:
         raise SupportViolationError(
             f"bump support (|center| + rho = {reach}) must stay strictly inside R = {ctx.radius}"
         )
-
-    def bump_value(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s = np.linalg.norm(pts - center, axis=-1)
-        g, _ = _mollifier_pair(s, rho, amplitude, d)
-        return g.astype(complex)
 
     def func(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -573,9 +523,7 @@ def make_bump_nonradiating(
         g, bilap = _mollifier_pair(s, rho, amplitude, d)
         return (-(bilap - k4 * g)).astype(complex)
 
-    return SourceField.from_callable(
-        ctx, func, support_radius=reach, radial_hint=_BUMP_RADIAL_ORDER, bump_value=bump_value
-    )
+    return SourceField.from_callable(ctx, func, support_radius=reach, radial_hint=_BUMP_RADIAL_ORDER)
 
 
 def _mollifier_pair(s, rho, amplitude, d):
@@ -628,22 +576,6 @@ def _mollifier_pair(s, rho, amplitude, d):
     return g, bilap
 
 
-def _fd_laplacian(func, pts, h, d):
-    """Fourth-order five-point-per-axis Laplacian of a pointwise field."""
-    vals = -(30.0 / 12.0) * d * np.asarray(func(pts), dtype=complex)
-    for axis in range(d):
-        for step, c in ((2, -1.0), (1, 16.0), (-1, 16.0), (-2, -1.0)):
-            shifted = pts.copy()
-            shifted[:, axis] += step * h
-            vals = vals + c / 12.0 * np.asarray(func(shifted), dtype=complex)
-    return vals / (h * h)
-
-
-def _fd_bilaplacian(func, pts, h, d):
-    """Composed finite-difference squared Laplacian (documented accuracy downgrade)."""
-    return _fd_laplacian(lambda q: _fd_laplacian(func, q, h, d), pts, h, d)
-
-
 # ---------------------------------------------------------------------------
 # Convenience sources
 # ---------------------------------------------------------------------------
@@ -655,12 +587,10 @@ def gaussian_source(
     support_radius: float | None = None,
 ) -> SourceField:
     """Gaussian blob truncated at the support radius (a generic radiating source)."""
-    d = ctx.dimension
-    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    if center.shape != (d,):
-        raise ValueError(f"center must have {d} components")
+    center = _finite_center(center, ctx.dimension)
+    _check_amplitude(amplitude)
     sigma = 0.15 * ctx.radius if sigma is None else float(sigma)
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if support_radius is None:
         support_radius = ctx.radius
@@ -671,6 +601,19 @@ def gaussian_source(
         return amplitude * np.exp(-q) + 0j
 
     return SourceField.from_callable(ctx, func, support_radius=support_radius)
+
+
+def _finite_center(center, d: int) -> np.ndarray:
+    """center as a float array of d finite components (the origin when None)."""
+    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+    if center.shape != (d,) or not np.all(np.isfinite(center)):
+        raise ValueError(f"center must have {d} finite components, got {center.tolist()}")
+    return center
+
+
+def _check_amplitude(amplitude) -> None:
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
 
 
 # ---------------------------------------------------------------------------

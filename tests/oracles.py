@@ -7,6 +7,13 @@ scipy-backed fast paths are checked against a genuinely different route.
 The one exception, the unscaled imaginary-axis Hankel functions, uses
 scipy's unscaled K family as the reference for the library's exp-scaled one.
 Accuracy notes state the validated ranges; tests stay inside them.
+
+The multipole series of the two point-source kernels and the 2D companion
+kernels (green_star, psi_kernel) live here too, written directly on
+scipy.special: the library computes none of them, so the tests use them as
+references for the library's closed-form kernels of distance.  The series
+keep their per-order loops, which sum in a different order from any
+vectorized route.
 """
 
 from __future__ import annotations
@@ -221,3 +228,127 @@ def trapezoid_angular(func, nodes: int = 8192) -> complex:
     """Dense trapezoid over one period: integral_0^(2 pi) func(theta) d theta."""
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     return complex(np.sum(func(theta)) * 2.0 * np.pi / nodes)
+
+
+# ---------------------------------------------------------------------------
+# Companion kernels and multipole series (2D/3D, ctx gives kappa, dimension)
+# ---------------------------------------------------------------------------
+def green_star(ctx, x, y):
+    """Conjugate-radiation companion kernel (2D only), coincident points refused.
+
+    -(phi_h_star - phi_m) / (2 kappa**2) with phi_h_star = -(i/4) H^(2)_0(kappa r)
+    and phi_m = K_0(kappa r) / (2 pi); green - green_star is psi_kernel.
+    """
+    if ctx.dimension != 2:
+        raise ValueError("green_star is defined for 2D contexts only")
+    r = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
+    if np.any(r == 0.0):
+        raise ValueError("green_star is singular at coincident points x == y")
+    kr = ctx.kappa * r
+    phi_h_star = -0.25j * _sp.hankel2(0, kr)
+    return -(phi_h_star - _sp.kv(0, kr) / (2.0 * np.pi)) / (2.0 * ctx.kappa**2)
+
+
+def psi_kernel(ctx, x, y):
+    """Entire kernel psi = green - green_star = -(i/(4 kappa**2)) J_0(kappa |x-y|); 2D only."""
+    if ctx.dimension != 2:
+        raise ValueError("psi_kernel is defined for 2D contexts only")
+    r = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
+    return -0.25j / ctx.kappa**2 * _sp.jv(0, ctx.kappa * r)
+
+
+def default_truncation(ctx, y_norm: float) -> int:
+    """Truncation order for the multipole series: convergence onset + guard."""
+    return int(np.ceil(np.e * ctx.kappa * y_norm / 2.0)) + 16
+
+
+def _polar_angle(p: np.ndarray) -> np.ndarray:
+    """Counterclockwise angle from (1, 0), in [0, 2 pi)."""
+    return np.mod(np.arctan2(p[..., 1], p[..., 0]), 2.0 * np.pi)
+
+
+def _separation(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rx = np.linalg.norm(x, axis=-1)
+    ry = np.linalg.norm(y, axis=-1)
+    if np.any(rx <= ry):
+        raise ValueError("multipole expansion requires |x| > |y|")
+    return x, y, rx, ry
+
+
+def phi_h_series(ctx, x, y, n_terms: int | None = None):
+    """Truncated multipole form of the Helmholtz kernel, orders/degrees up to n_terms.
+
+    2D: (i/4) sum_n H^(1)_n(kappa|x|) J_n(kappa|y|) exp(i n (arg x - arg y)).
+    3D: i kappa sum_n (2n+1)/(4 pi) h^(1)_n(kappa|x|) j_n(kappa|y|) P_n(xhat.yhat),
+    the degree-m sum collapsed by the harmonic addition theorem.
+    """
+    x, y, rx, ry = _separation(x, y)
+    if n_terms is None:
+        n_terms = default_truncation(ctx, float(np.max(ry)))
+    k = ctx.kappa
+    if ctx.dimension == 2:
+        delta = _polar_angle(x) - _polar_angle(y)
+        total = 0.25j * _sp.hankel1(0, k * rx) * _sp.jv(0, k * ry)
+        for n in range(1, n_terms + 1):
+            # n and -n terms combine: reflection signs cancel pairwise
+            total = total + 0.5j * _sp.hankel1(n, k * rx) * _sp.jv(n, k * ry) * np.cos(n * delta)
+        return total
+    cosg = np.clip(np.sum(x * y, axis=-1) / (rx * ry), -1.0, 1.0)
+    total = np.zeros(np.broadcast(rx, ry).shape, dtype=complex)
+    for n in range(n_terms + 1):
+        hn = _sp.spherical_jn(n, k * rx) + 1j * _sp.spherical_yn(n, k * rx)
+        total = total + (2 * n + 1) * hn * _sp.spherical_jn(n, k * ry) * _sp.eval_legendre(n, cosg)
+    return 1j * k / (4.0 * np.pi) * total
+
+
+def phi_m_series(ctx, x, y, n_terms: int | None = None):
+    """Truncated multipole form of the modified-Helmholtz kernel, through the I/K families.
+
+    2D: (1/(2 pi)) sum_n K_n(kappa|x|) I_n(kappa|y|) exp(i n (arg x - arg y)).
+    3D: (kappa/(2 pi^2)) sum_n (2n+1) k_n(kappa|x|) i_n(kappa|y|) P_n(xhat.yhat).
+    """
+    x, y, rx, ry = _separation(x, y)
+    if n_terms is None:
+        n_terms = default_truncation(ctx, float(np.max(ry)))
+    k = ctx.kappa
+    if ctx.dimension == 2:
+        delta = _polar_angle(x) - _polar_angle(y)
+        total = _sp.kv(0, k * rx) * _sp.iv(0, k * ry) + 0j
+        for n in range(1, n_terms + 1):
+            total = total + 2.0 * _sp.kv(n, k * rx) * _sp.iv(n, k * ry) * np.cos(n * delta)
+        return total / (2.0 * np.pi)
+    cosg = np.clip(np.sum(x * y, axis=-1) / (rx * ry), -1.0, 1.0)
+    total = np.zeros(np.broadcast(rx, ry).shape, dtype=float)
+    for n in range(n_terms + 1):
+        total = total + (
+            (2 * n + 1)
+            * _sp.spherical_kn(n, k * rx)
+            * _sp.spherical_in(n, k * ry)
+            * _sp.eval_legendre(n, cosg)
+        )
+    return k / (2.0 * np.pi**2) * total + 0j
+
+
+# ---------------------------------------------------------------------------
+# Potentials behind the nonradiating constructors
+# ---------------------------------------------------------------------------
+def mollifier(point, rho: float, center, amplitude: float = 1.0) -> float:
+    """amplitude * exp(-1/(1 - |x - c|^2/rho^2)) inside the ball |x - c| < rho, else 0."""
+    t = float(np.sum((np.asarray(point, dtype=float) - np.asarray(center, dtype=float)) ** 2)) / rho**2
+    return amplitude * math.exp(-1.0 / (1.0 - t)) if t < 1.0 else 0.0
+
+
+def bessel_pair_potential_2d(kappa: float, radius: float):
+    """psi(r) = J_0^3 / c_4 - J_0^2 / c_3 with c_p = integral_0^R J_0^p r dr by
+    adaptive quadrature: the potential whose (laplacian - kappa^2) image is the
+    2D Bessel-pair source."""
+    c4 = adaptive_radial(lambda r: _sp.jv(0, kappa * r) ** 4 * r, 0.0, radius)
+    c3 = adaptive_radial(lambda r: _sp.jv(0, kappa * r) ** 3 * r, 0.0, radius)
+
+    def psi(r):
+        z0 = _sp.jv(0, kappa * r)
+        return z0**3 / c4 - z0**2 / c3
+
+    return psi

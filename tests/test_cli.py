@@ -253,6 +253,45 @@ def test_bad_flag_is_config_error(tmp_path, capsys, argv, file_keys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [
+        ("gaussian", "amplitude", float("nan")),
+        ("gaussian", "amplitude", float("inf")),
+        ("gaussian", "center", [float("nan"), 0.0]),
+        ("gaussian", "sigma", float("nan")),
+        ("gaussian", "support_radius", float("nan")),
+        ("bump_nonradiating", "amplitude", float("nan")),
+        ("bump_nonradiating", "center", [0.0, float("nan")]),
+        ("bump_nonradiating", "rho", float("nan")),
+    ],
+    ids=[
+        "gaussian-amplitude-nan", "gaussian-amplitude-inf", "gaussian-center-nan",
+        "gaussian-sigma-nan", "gaussian-support_radius-nan", "bump-amplitude-nan",
+        "bump-center-nan", "bump-rho-nan",
+    ],
+)
+def test_non_finite_parameter_is_named(tmp_path, capsys, kind, name, value):
+    # Python's json reads NaN and Infinity; none may reach a computation
+    cfg = _write(tmp_path, "bad.json", dict(NR2D, kind=kind, parameters={name: value}))
+    assert main(["field", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflow_is_one_config_error_line(tmp_path, capsys):
+    # beta leaves the double range at kappa*R = 800; the library names kappa*R
+    scenario = {k: v for k, v in GAUSS2D.items() if k != "root_index"}
+    cfg = _write(tmp_path, "k800.json", dict(scenario, kappa=800))
+    argv = ["trace", "--truncation", "4", "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "kappa*R = 800" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_route_disagreement_exits_2(tmp_path, capsys):
     # the 2D Bessel invisible source at kappa*R ~ 27.5: the modal and spectral
     # residuals miss the tolerance while the field residual meets it

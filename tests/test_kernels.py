@@ -20,51 +20,57 @@ def _random_pairs(ctx, count, rng, lo=0.05, hi=10.0):
     return x, y
 
 
+def _phi_h(ctx, x, y):
+    return kernels.phi_h_of_r(ctx, np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1))
+
+
+def _phi_m(ctx, x, y):
+    return kernels.phi_m_of_r(ctx, np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1))
+
+
 class TestPointSourceKernels:
     def test_3d_helmholtz_closed_form(self):
-        x = np.array([1.0, 0.0, 0.0])
-        y = np.zeros(3)
-        assert kernels.phi_helmholtz(CTX3, x, y) == pytest.approx(
+        assert kernels.phi_h_of_r(CTX3, 1.0) == pytest.approx(
             np.exp(2j) / (4.0 * np.pi), rel=1e-14
         )
 
     def test_2d_symmetry(self):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=(2, 5, 2))
-        assert np.allclose(
-            kernels.phi_helmholtz(CTX2, x, y), kernels.phi_helmholtz(CTX2, y, x)
-        )
+        assert np.allclose(_phi_h(CTX2, x, y), _phi_h(CTX2, y, x))
 
     def test_2d_helmholtz_series_value(self):
-        # kappa |x - y| = 1: (i/4)(J_0(1) + i Y_0(1)) from the series oracles
-        x = np.array([0.5, 0.0])
+        # kappa r = 1: (i/4)(J_0(1) + i Y_0(1)) from the series oracles
         ref = 0.25j * (oracles.j_series(0, 1.0).real + 1j * oracles.y0_series(1.0))
-        assert kernels.phi_helmholtz(CTX2, x, np.zeros(2)) == pytest.approx(ref, rel=1e-12)
+        assert kernels.phi_h_of_r(CTX2, 0.5) == pytest.approx(ref, rel=1e-12)
 
     def test_3d_modified_closed_form(self):
         ctx = WaveContext(3, 1.0, 1.0)
-        x = np.array([1.0, 0.0, 0.0])
-        assert kernels.phi_modified(ctx, x, np.zeros(3)) == pytest.approx(
+        assert kernels.phi_m_of_r(ctx, 1.0) == pytest.approx(
             np.exp(-1.0) / (4.0 * np.pi), rel=1e-14
         )
 
     def test_2d_modified_real_positive(self):
         rng = np.random.default_rng(5)
         x, y = _random_pairs(CTX2, 50, rng)
-        vals = kernels.phi_modified(CTX2, x, y)
+        vals = _phi_m(CTX2, x, y)
         assert np.all(np.isreal(vals)) and np.all(vals.real > 0)
 
     def test_2d_modified_integral_oracle(self):
-        # kappa |x-y| = 1 gives K_0(1) / (2 pi)
-        x = np.array([0.5, 0.0])
+        # kappa r = 1 gives K_0(1) / (2 pi)
         ref = oracles.k0_integral(1.0) / (2.0 * np.pi)
-        assert kernels.phi_modified(CTX2, x, np.zeros(2)) == pytest.approx(ref, rel=1e-11)
+        assert kernels.phi_m_of_r(CTX2, 0.5) == pytest.approx(ref, rel=1e-11)
 
     def test_singularity_raises(self):
+        # the kernels of distance are singular at r = 0 (green_biharmonic's
+        # series branch exists for that); the companion oracle refuses x == y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for ctx in (CTX2, CTX3):
+                assert not np.isfinite(kernels.phi_h_of_r(ctx, 0.0))
+                assert not np.isfinite(kernels.phi_m_of_r(ctx, 0.0))
         z = np.zeros(2)
-        for fn in (kernels.phi_helmholtz, kernels.phi_modified, kernels.green_star):
-            with pytest.raises(ValueError):
-                fn(CTX2, z, z)
+        with pytest.raises(ValueError):
+            oracles.green_star(CTX2, z, z)
 
 
 class TestFourthOrderKernel:
@@ -72,8 +78,8 @@ class TestFourthOrderKernel:
     def test_decomposition(self, ctx):
         rng = np.random.default_rng(11)
         x, y = _random_pairs(ctx, 10_000, rng)
-        ph = kernels.phi_helmholtz(ctx, x, y)
-        pm = kernels.phi_modified(ctx, x, y)
+        ph = _phi_h(ctx, x, y)
+        pm = _phi_m(ctx, x, y)
         g = kernels.green_biharmonic(ctx, x, y)
         resid = np.abs(g + (ph - pm) / (2.0 * ctx.kappa**2))
         assert np.all(resid < 1e-12 * (np.abs(ph) + np.abs(pm)))
@@ -123,34 +129,38 @@ class TestRegularKernel:
     def test_difference_identity(self):
         rng = np.random.default_rng(17)
         x, y = _random_pairs(CTX2, 10_000, rng)
-        lhs = kernels.green_biharmonic(CTX2, x, y) - kernels.green_star(CTX2, x, y)
-        rhs = kernels.psi_kernel(CTX2, x, y)
+        lhs = kernels.green_biharmonic(CTX2, x, y) - oracles.green_star(CTX2, x, y)
+        rhs = oracles.psi_kernel(CTX2, x, y)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_value_at_coincidence(self):
+        # psi(x, x) = -i/(4 kappa^2), twice the fourth-order kernel's limit
         x = np.array([0.3, -0.2])
-        assert kernels.psi_kernel(CTX2, x, x) == pytest.approx(-0.25j / CTX2.kappa**2)
+        psi = oracles.psi_kernel(CTX2, x, x)
+        assert psi == pytest.approx(-0.25j / CTX2.kappa**2)
+        assert psi == pytest.approx(2.0 * kernels.green_biharmonic(CTX2, x, x), rel=1e-12)
 
     def test_purely_imaginary(self):
         rng = np.random.default_rng(19)
         x, y = _random_pairs(CTX2, 200, rng)
-        assert np.max(np.abs(kernels.psi_kernel(CTX2, x, y).real)) == 0.0
+        assert np.max(np.abs(oracles.psi_kernel(CTX2, x, y).real)) == 0.0
 
     def test_solves_helmholtz(self):
+        # green - green_star (= psi) solves the homogeneous Helmholtz equation
         y = np.array([0.1, 0.2])
         x = np.array([0.9, -0.4])
 
         def psi(p):
-            return kernels.psi_kernel(CTX2, p, y)
+            return kernels.green_biharmonic(CTX2, p, y) - oracles.green_star(CTX2, p, y)
 
         resid = oracles.fd_laplacian(psi, x, 1e-3) + CTX2.kappa**2 * psi(x)
         assert abs(resid) < 1e-6
 
     def test_3d_rejected(self):
         with pytest.raises(ValueError):
-            kernels.green_star(CTX3, np.ones(3), np.zeros(3))
+            oracles.green_star(CTX3, np.ones(3), np.zeros(3))
         with pytest.raises(ValueError):
-            kernels.psi_kernel(CTX3, np.ones(3), np.zeros(3))
+            oracles.psi_kernel(CTX3, np.ones(3), np.zeros(3))
 
 
 class TestMultipoleSeries:
@@ -162,35 +172,39 @@ class TestMultipoleSeries:
             y *= rng.uniform(0.2, 1.0) / np.linalg.norm(y)
             x = rng.normal(size=ctx.dimension)
             x *= rng.uniform(2.5, 4.0) / np.linalg.norm(x)
-            sh = kernels.phi_h_series(ctx, x, y, 40)
-            sm = kernels.phi_m_series(ctx, x, y, 40)
-            assert abs(sh - kernels.phi_helmholtz(ctx, x, y)) < 1e-10 * abs(sh)
-            assert abs(sm - kernels.phi_modified(ctx, x, y)) < 1e-10 * abs(sm)
+            sh = oracles.phi_h_series(ctx, x, y, 40)
+            sm = oracles.phi_m_series(ctx, x, y, 40)
+            assert abs(sh - _phi_h(ctx, x, y)) < 1e-10 * abs(sh)
+            assert abs(sm - _phi_m(ctx, x, y)) < 1e-10 * abs(sm)
 
     def test_origin_source_single_term(self):
         x = np.array([2.0, 0.0])
         y = np.array([1e-300, 0.0])
-        assert kernels.phi_h_series(CTX2, x, y, 10) == pytest.approx(
-            kernels.phi_helmholtz(CTX2, x, y), rel=1e-13
+        assert oracles.phi_h_series(CTX2, x, y, 10) == pytest.approx(
+            _phi_h(CTX2, x, y), rel=1e-13
         )
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            kernels.phi_h_series(CTX2, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
+            oracles.phi_h_series(CTX2, np.array([0.5, 0.0]), np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_truncation_error_decays_geometrically(self, ctx):
         x = np.zeros(ctx.dimension)
         x[0] = 3.0
         y = np.full(ctx.dimension, 0.9 / np.sqrt(ctx.dimension))
-        exact = kernels.phi_helmholtz(ctx, x, y)
+        exact = _phi_h(ctx, x, y)
         onset = int(np.ceil(np.e * ctx.kappa * np.linalg.norm(y) / 2.0))
-        err = [abs(kernels.phi_h_series(ctx, x, y, n) - exact) for n in (onset + 4, onset + 9)]
+        err = [abs(oracles.phi_h_series(ctx, x, y, n) - exact) for n in (onset + 4, onset + 9)]
         assert err[1] < 0.5 * err[0]
 
     def test_default_truncation(self):
-        n = kernels.default_truncation(CTX2, 1.0)
+        n = oracles.default_truncation(CTX2, 1.0)
         assert n == int(np.ceil(np.e * CTX2.kappa / 2.0)) + 16
+        # the series at its default truncation already matches the closed forms
+        x, y = np.array([2.5, 0.4]), np.array([-0.6, 0.5])
+        assert oracles.phi_h_series(CTX2, x, y) == pytest.approx(_phi_h(CTX2, x, y), rel=1e-12)
+        assert oracles.phi_m_series(CTX2, x, y) == pytest.approx(_phi_m(CTX2, x, y), rel=1e-12)
 
 
 class TestFarFieldAsymptotics:
