@@ -207,6 +207,10 @@ def cmd_field(args) -> int:
     cfg = _load_scenario(args.config, args)
     ctx, src = _build(cfg)
     factors = [float(v) for v in args.radii.split(",")] if args.radii else [1.05, 1.5, 3.0]
+    for factor in factors:
+        # a negative factor would probe the antipode under the direction's angle columns
+        if not (np.isfinite(factor) and factor > 0):
+            raise ConfigError(f"--radii factors must be finite and positive, got {factor!r}")
     count = 16 if cfg.get("directions") is None else int(cfg["directions"])
     dirs, params = spectral.direction_grid(ctx, count)
     angle_header, angles = _angle_columns(ctx, params)

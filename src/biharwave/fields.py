@@ -7,8 +7,8 @@ The radiated field of a source f splits into two radiation solutions,
 where f_h solves the Helmholtz equation driven by f and f_m the modified
 Helmholtz equation.  Two independent evaluation routes are provided:
 
-* direct quadrature of the kernels against the source (any source kind,
-  points strictly outside the support), and
+* direct quadrature of the kernels against the source (points strictly
+  outside the support), and
 * angular-mode series built from the modal coefficients (valid from the
   support radius outward), which is also how boundary traces are computed:
   the trace derivatives come from analytic recurrences, not numerical
@@ -193,7 +193,7 @@ def eval_field_batch(
     ctx: WaveContext,
     src: SourceField,
     points,
-    method: str = "auto",
+    method: str,
     truncation: int | None = None,
 ):
     """Evaluate (u, f_h, f_m) at exterior points, shape (M, d).
@@ -203,24 +203,25 @@ def eval_field_batch(
     point lies on the quadrature grid's angle lattice (rings of probes such
     as direction_grid's), each probe radius shares one kernel table, rolled
     to each probe's angle; scattered points use the dense sum.  'modal' sums the
-    exterior angular-mode series (valid from the support radius outward);
-    'auto' picks 'modal' for modal sources and 'quadrature' otherwise.
+    exterior angular-mode series (valid from the support radius outward).
+    Points with a coordinate that is not finite are refused.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != ctx.dimension:
         raise ValueError(f"points must have {ctx.dimension} components")
+    finite = np.all(np.isfinite(pts), axis=1)
+    if not np.all(finite):
+        raise ValueError(f"field points must be finite; got {pts[~finite].tolist()}")
     r = np.linalg.norm(pts, axis=-1)
-    if method == "auto":
-        method = "modal" if src.kind == "modal" else "quadrature"
     if method == "quadrature":
-        if np.any(r <= src.support_radius):
+        if not np.all(r > src.support_radius):
             raise ValueError(
                 "quadrature evaluation needs |x| > support radius "
                 f"({src.support_radius}); got min |x| = {r.min():.6g}"
             )
         f_h, f_m = _eval_quadrature(ctx, src, pts)
     elif method == "modal":
-        if np.any(r < src.support_radius * (1.0 - 1e-12)):
+        if not np.all(r >= src.support_radius * (1.0 - 1e-12)):
             raise ValueError(
                 "modal evaluation is valid from the support radius outward "
                 f"({src.support_radius}); got min |x| = {r.min():.6g}"

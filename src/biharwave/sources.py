@@ -1,11 +1,11 @@
-"""Compactly supported sources: representations, angular-mode projection,
-modal coefficients, and the explicit nonradiating constructors.
+"""Compactly supported sources, their angular-mode projection and modal
+coefficients, and the explicit nonradiating constructors.
 
-A source is one of two kinds:
-
-* ``callable`` -- a pointwise evaluator on the ball, masked to its support;
-* ``modal``    -- per-angular-mode radial profiles tabulated on a radial rule
-  (2D Fourier orders, 3D spherical-harmonic degree/order pairs).
+A source (SourceField) is a pointwise function on the ball, masked to zero
+outside its support radius.  Projecting it onto angular modes (2D Fourier
+orders, 3D spherical-harmonic degree/order pairs) gives plain data, the
+radial profiles of ModalProfiles, which modal_coefficients pairs with the
+two radial wave families.
 
 The nonradiating constructors apply their radial differential operators
 analytically (chain rule on powers of the order-zero radial waves), never by
@@ -30,7 +30,6 @@ from .quadrature import (
     RadialRule,
     product_grid,
     radial_rule,
-    spherical_params,
 )
 from .specfun import _ipow
 
@@ -52,11 +51,6 @@ class SupportViolationError(ValueError):
 
 class DegenerateSourceError(ValueError):
     """A normalizing integral of a constructor is numerically zero."""
-
-
-def mode_count(dimension: int, truncation: int) -> int:
-    """Number of stored angular modes up to the truncation."""
-    return 2 * truncation + 1 if dimension == 2 else (truncation + 1) ** 2
 
 
 def mode_degrees(dimension: int, truncation: int) -> np.ndarray:
@@ -97,18 +91,6 @@ class ModalProfiles:
     def profile(self, n: int, m: int | None = None) -> np.ndarray:
         return self.values[mode_index(self.dimension, self.truncation, n, m)]
 
-    def interpolator(self):
-        """Barycentric interpolant of all profiles over the rule nodes.
-
-        The fixed rng pins scipy's random node order for the weights, so
-        interpolated values repeat bit for bit from call to call.  Only
-        pointwise evaluation of a modal source needs it, so scipy.interpolate
-        is imported here rather than with the package.
-        """
-        from scipy.interpolate import BarycentricInterpolator
-
-        return BarycentricInterpolator(self.rule.nodes, self.values.T, rng=0)
-
 
 @dataclass(frozen=True)
 class ModalCoefficients:
@@ -132,6 +114,13 @@ class ModalCoefficients:
         idx = mode_index(self.dimension, self.truncation, n, m)
         return complex(self.alpha[idx]), complex(self.beta[idx])
 
+    def truncated(self, truncation: int) -> "ModalCoefficients":
+        """The coefficients of the modes of degree (2D: |order|) at most the truncation."""
+        if not 0 <= truncation <= self.truncation:
+            raise ValueError(f"truncation must lie in [0, {self.truncation}], got {truncation}")
+        keep = np.abs(mode_degrees(self.dimension, self.truncation)) <= truncation
+        return ModalCoefficients(self.dimension, truncation, self.alpha[keep], self.beta[keep], self.norm_f)
+
     def max_residual(self) -> float:
         """max over modes of (|alpha| + |beta|) / norm_f (zero source gives 0)."""
         peak = float(np.max(np.abs(self.alpha) + np.abs(self.beta)))
@@ -141,22 +130,22 @@ class ModalCoefficients:
 
 
 class SourceField:
-    """A compactly supported source over the context ball.
+    """A compactly supported source over the context ball: a pointwise
+    function mapping (M, d) points to M values, masked to zero outside the
+    support radius.
 
     Construct through the classmethods; instances are immutable in use and
-    safe to share.  evaluate() returns 0 outside the support radius.
+    safe to share.
     """
 
-    def __init__(self, ctx, kind, support_radius, func=None, modal=None, radial_hint=None):
+    def __init__(self, ctx, func, support_radius, radial_hint=None):
         if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
             )
         self.ctx = ctx
-        self.kind = kind
         self.support_radius = float(min(support_radius, ctx.radius))
         self._func = func
-        self.modal = modal
         self.radial_hint = radial_hint
         self._norm: float | None = None
 
@@ -166,7 +155,7 @@ class SourceField:
         """Source from a pointwise evaluator mapping (M, d) points to M values."""
         if support_radius is None:
             support_radius = ctx.radius
-        return cls(ctx, "callable", support_radius, func=func, radial_hint=radial_hint)
+        return cls(ctx, func, support_radius, radial_hint)
 
     @classmethod
     def from_radial(cls, ctx, profile, support_radius=None):
@@ -179,23 +168,6 @@ class SourceField:
         return cls.from_callable(ctx, func, support_radius)
 
     @classmethod
-    def from_modes(cls, ctx, modes, support_radius=None):
-        """Modal source from {n: profile} (2D) or {(n, m): profile} (3D) callables."""
-        rule = radial_rule(ctx)
-        if ctx.dimension == 2:
-            trunc = max(abs(int(n)) for n in modes)
-        else:
-            trunc = max(int(n) for n, _ in modes)
-        values = np.zeros((mode_count(ctx.dimension, trunc), rule.order), dtype=complex)
-        for key, prof in modes.items():
-            row = mode_index(ctx.dimension, trunc, *map(int, (key,) if ctx.dimension == 2 else key))
-            values[row] = np.asarray(prof(rule.nodes), dtype=complex)
-        modal = ModalProfiles(ctx.dimension, trunc, rule, values)
-        if support_radius is None:
-            support_radius = ctx.radius
-        return cls(ctx, "modal", support_radius, modal=modal)
-
-    @classmethod
     def zero(cls, ctx):
         return cls.from_callable(ctx, lambda pts: np.zeros(np.atleast_2d(pts).shape[0], dtype=complex))
 
@@ -204,22 +176,8 @@ class SourceField:
         """Pointwise values, masked to zero outside the support radius."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(pts, axis=-1)
-        if self.kind == "callable":
-            vals = np.asarray(self._func(pts), dtype=complex)
-        else:
-            vals = self._synthesize(pts)
-        vals = np.where(r >= self.support_radius, 0.0, vals)
-        return vals
-
-    def _synthesize(self, pts, chunk=4096):
-        modal = self.modal
-        interp = modal.interpolator()
-        out = np.empty(pts.shape[0], dtype=complex)
-        for start in range(0, pts.shape[0], chunk):
-            r, theta, phi = spherical_params(pts[start : start + chunk])
-            basis = specfun.angular_basis(self.ctx.dimension, modal.truncation, theta, phi)
-            out[start : start + chunk] = np.sum(interp(r) * basis, axis=1)
-        return out
+        vals = np.asarray(self._func(pts), dtype=complex)
+        return np.where(r >= self.support_radius, 0.0, vals)
 
     def values_on(self, grid: ProductGrid) -> np.ndarray:
         """Values at the nodes of a product grid."""
@@ -228,15 +186,9 @@ class SourceField:
     # -- algebra ------------------------------------------------------------
     def scaled(self, factor: complex) -> "SourceField":
         """factor times the source."""
-
-        def times(fn):
-            return None if fn is None else (lambda q: factor * np.asarray(fn(q), dtype=complex))
-
-        modal = None if self.modal is None else ModalProfiles(
-            self.modal.dimension, self.modal.truncation, self.modal.rule, self.modal.values * factor
-        )
-        return SourceField(self.ctx, self.kind, self.support_radius, func=times(self._func),
-                           modal=modal, radial_hint=self.radial_hint)
+        func = self._func
+        return SourceField(self.ctx, lambda q: factor * np.asarray(func(q), dtype=complex),
+                           self.support_radius, self.radial_hint)
 
     def __add__(self, other: "SourceField") -> "SourceField":
         if not isinstance(other, SourceField):
@@ -250,7 +202,7 @@ class SourceField:
         def func(pts):
             return a.evaluate(pts) + b.evaluate(pts)
 
-        return SourceField(self.ctx, "callable", support, func=func, radial_hint=hint)
+        return SourceField(self.ctx, func, support, hint)
 
     def __mul__(self, factor):
         return self.scaled(factor)
@@ -266,41 +218,28 @@ class SourceField:
 
     # -- norms ---------------------------------------------------------------
     def l2_norm(self) -> float:
-        """Quadrature L2 norm over the ball (computed once, then cached).
-
-        Modal sources integrate mode-by-mode (angular orthonormality turns
-        the ball integral into a weighted sum of radial profile norms).
-        """
+        """Quadrature L2 norm over the ball (computed once, then cached)."""
         if self._norm is None:
-            if self.kind == "modal":
-                rule = self.modal.rule
-                meas = rule.weights * rule.nodes ** (self.ctx.dimension - 1)
-                sq = float(np.sum(np.abs(self.modal.values) ** 2 @ meas))
-                factor = 2.0 * np.pi if self.ctx.dimension == 2 else 1.0
-                self._norm = float(np.sqrt(factor * sq))
-            else:
-                grid = product_grid(self.ctx, self.resolve_radial_order())
-                vals = self.values_on(grid)
-                self._norm = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
+            grid = product_grid(self.ctx, self.resolve_radial_order())
+            vals = self.values_on(grid)
+            self._norm = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
         return self._norm
 
 
 # ---------------------------------------------------------------------------
 # Projection onto angular modes and onto the radial wave families
 # ---------------------------------------------------------------------------
-def project_modes(src: SourceField, truncation: int) -> SourceField:
+def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
     """Project a source onto angular-mode radial profiles up to the truncation.
 
     2D computes Fourier coefficients of the angular dependence at every
     radial node through the FFT of equispaced samples (exact for band-limited
     data); 3D projects against the conjugate orthonormal harmonics with the
-    product rule.  The result is a modal source over the same support.
+    product rule.
     """
     ctx = src.ctx
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
-    if src.kind == "modal":
-        return _retruncate_modal(src, truncation)
     # auto-scale so the rule resolves the requested truncation: m equispaced
     # angles separate orders |n| < m/2; Gauss-in-cos(theta) with n_pol nodes
     # integrates harmonic products up to degree n_pol - 1 exactly (beyond
@@ -321,27 +260,7 @@ def project_modes(src: SourceField, truncation: int) -> SourceField:
         theta, phi = ang.params[:, 0], ang.params[:, 1]
         harm = specfun.sph_harmonic_block(truncation, theta, phi)
         values = (vals @ (np.conj(harm) * ang.weights[:, None])).T
-    return _modal_source(src, truncation, rule, values)
-
-
-def _modal_source(src: SourceField, truncation: int, rule: RadialRule, values) -> SourceField:
-    """Modal source with the given profiles that keeps src's support, hints and cached norm."""
-    modal = ModalProfiles(src.ctx.dimension, truncation, rule, values)
-    out = SourceField(src.ctx, "modal", src.support_radius, modal=modal, radial_hint=src.radial_hint)
-    out._norm = src._norm
-    return out
-
-
-def _retruncate_modal(src: SourceField, truncation: int) -> SourceField:
-    old = src.modal
-    values = np.zeros((mode_count(src.ctx.dimension, truncation), old.rule.order), dtype=complex)
-    keep = min(truncation, old.truncation)
-    if src.ctx.dimension == 2:
-        new_rows = slice(truncation - keep, truncation + keep + 1)
-        values[new_rows] = old.values[old.truncation - keep : old.truncation + keep + 1]
-    else:
-        values[: (keep + 1) ** 2] = old.values[: (keep + 1) ** 2]
-    return _modal_source(src, truncation, old.rule, values)
+    return ModalProfiles(ctx.dimension, truncation, rule, values)
 
 
 def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int) -> ModalCoefficients:
@@ -349,35 +268,33 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int) -> M
 
     2D pairs profile n with J_n(kappa r) (alpha) and J_n(i kappa r) (beta)
     under the r dr measure; 3D pairs degree n with the spherical j_n and its
-    imaginary-argument counterpart under r^2 dr.
+    imaginary-argument counterpart under r^2 dr.  norm_f is the norm of the
+    source itself, not of its truncation.
     """
-    # norm of the source itself, not of its truncation (cached through the
-    # projection, so this costs one grid pass at most)
     norm_f = src.l2_norm()
     if not np.isfinite(norm_f):
         raise ValueError(f"the source values, or their L2 norm, are not finite (norm {norm_f})")
-    if src.kind != "modal" or src.modal.truncation < truncation:
-        src = project_modes(src, truncation)
-    elif src.modal.truncation > truncation:
-        src = _retruncate_modal(src, truncation)
-    values = src.modal.values
-    rule = src.modal.rule
+    modal = project_modes(src, truncation)
+    values, rule = modal.values, modal.rule
     kr = ctx.kappa * rule.nodes
     measure = rule.weights * rule.nodes ** (ctx.dimension - 1)
-    if ctx.dimension == 2:
-        n = mode_degrees(2, truncation)[:, None]
-        alpha = np.sum(values * _sp.jv(n, kr) * measure, axis=1)
-        beta = _ipow(n[:, 0]) * np.sum(values * _sp.iv(np.abs(n), kr) * measure, axis=1)
-    else:
-        n = np.arange(truncation + 1)[:, None]
-        j_weighted = _sp.spherical_jn(n, kr) * measure
-        i_weighted = _sp.spherical_in(n, kr) * measure
-        alpha = np.empty(len(values), dtype=complex)
-        beta = np.empty_like(alpha)
-        for deg in range(truncation + 1):  # per degree: one stacked product would round differently
-            lo, hi = deg * deg, (deg + 1) ** 2
-            alpha[lo:hi] = values[lo:hi] @ j_weighted[deg]
-            beta[lo:hi] = _ipow(deg) * (values[lo:hi] @ i_weighted[deg])
+    # the imaginary-argument family can leave the double range; the check
+    # after this block names that, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ctx.dimension == 2:
+            n = mode_degrees(2, truncation)[:, None]
+            alpha = np.sum(values * _sp.jv(n, kr) * measure, axis=1)
+            beta = _ipow(n[:, 0]) * np.sum(values * _sp.iv(np.abs(n), kr) * measure, axis=1)
+        else:
+            n = np.arange(truncation + 1)[:, None]
+            j_weighted = _sp.spherical_jn(n, kr) * measure
+            i_weighted = _sp.spherical_in(n, kr) * measure
+            alpha = np.empty(len(values), dtype=complex)
+            beta = np.empty_like(alpha)
+            for deg in range(truncation + 1):  # per degree: one stacked product would round differently
+                lo, hi = deg * deg, (deg + 1) ** 2
+                alpha[lo:hi] = values[lo:hi] @ j_weighted[deg]
+                beta[lo:hi] = _ipow(deg) * (values[lo:hi] @ i_weighted[deg])
     if not np.all(np.isfinite(beta)):
         raise OverflowError(
             f"beta coefficients are not finite at kappa*R = {ctx.kappa * ctx.radius:.6g}: the "
@@ -682,4 +599,8 @@ def source_from_config(cfg: dict) -> tuple[WaveContext, SourceField]:
         if params:
             raise ValueError("parameters 'm1'/'m2' apply to 3D bessel_nonradiating only")
         return ctx, make_2d_bessel_nonradiating(ctx)
-    return ctx, make_3d_bessel_nonradiating(ctx, int(params.get("m1", 3)), int(params.get("m2", 4)))
+    exponents = {key: params.get(key, default) for key, default in (("m1", 3), ("m2", 4))}
+    for key, value in exponents.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+    return ctx, make_3d_bessel_nonradiating(ctx, exponents["m1"], exponents["m2"])

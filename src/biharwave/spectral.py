@@ -35,7 +35,6 @@ from .sources import (
     default_mode_truncation,
     mode_degrees,
     modal_coefficients,
-    project_modes,
     resolve_coefficients,
 )
 from .specfun import _ipow
@@ -311,7 +310,7 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
 
     The source is projected once, at the working truncation plus
     STABILITY_MARGIN; the modal residual is computed there and re-checked on
-    that projection cut back to the working truncation (truncation
+    those coefficients cut back to the working truncation (truncation
     stability).  The exterior field is probed by direct quadrature of the
     source itself at several radii.  The three routes must agree on which
     side of the tolerance they fall; disagreement raises InconsistencyError
@@ -321,11 +320,10 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
     N = cfg.truncation if cfg.truncation is not None else default_mode_truncation(ctx)
     top = N + STABILITY_MARGIN
 
-    norm_f = src.l2_norm()  # cached first, so the projection carries the source's own norm
-    proj = project_modes(src, top)
-    coeffs = modal_coefficients(ctx, proj, top)
+    coeffs = modal_coefficients(ctx, src, top)
+    norm_f = coeffs.norm_f
     res_modal = coeffs.max_residual()
-    res_modal_low = modal_coefficients(ctx, proj, N).max_residual()
+    res_modal_low = coeffs.truncated(N).max_residual()
     if (res_modal_low <= cfg.tolerance) != (res_modal <= cfg.tolerance):
         raise InconsistencyError(
             f"modal residual flips across the tolerance between truncations "

@@ -262,6 +262,19 @@ def default_truncation(ctx, y_norm: float) -> int:
     return int(np.ceil(np.e * ctx.kappa * y_norm / 2.0)) + 16
 
 
+def single_mode(profile, n: int):
+    """Pointwise function of one angular mode: profile(r) exp(i n theta) on
+    (M, 2) points, profile(r) Y_n^0 (scipy's orthonormal harmonic) on (M, 3)."""
+
+    def func(p):
+        r = np.linalg.norm(p, axis=-1)
+        if p.shape[1] == 2:
+            return profile(r) * np.exp(1j * n * np.arctan2(p[:, 1], p[:, 0]))
+        return profile(r) * _sp.sph_harm_y(n, 0, np.arctan2(np.hypot(p[:, 0], p[:, 1]), p[:, 2]), 0.0)
+
+    return func
+
+
 def _polar_angle(p: np.ndarray) -> np.ndarray:
     """Counterclockwise angle from (1, 0), in [0, 2 pi)."""
     return np.mod(np.arctan2(p[..., 1], p[..., 0]), 2.0 * np.pi)

@@ -280,6 +280,28 @@ def test_non_finite_parameter_is_named(tmp_path, capsys, kind, name, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("radii", ["nan", "inf", "-2", "0", "1.5,nan"])
+def test_radii_must_be_finite_and_positive(tmp_path, capsys, radii):
+    # nan matched no probe ring and wrote an all-zero field, the look of an
+    # invisible source; -2 probed the antipode under the direction's angles
+    cfg = _write(tmp_path, "g.json", GAUSS2D)
+    assert main(["field", f"--radii={radii}", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--radii" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [3.7, "3", True, float("nan")], ids=["float", "text", "bool", "nan"])
+def test_3d_exponent_must_be_integer(tmp_path, capsys, value):
+    # int() truncated 3.7 to 3, read true as 1 and "3" as 3
+    scenario = {"dimension": 3, "R": 1.0, "root_index": 1, "kind": "bessel_nonradiating"}
+    cfg = _write(tmp_path, "b3.json", dict(scenario, parameters={"m1": value}))
+    assert main(["field", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'m1'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_overflow_is_one_config_error_line(tmp_path, capsys):
     # beta leaves the double range at kappa*R = 800; the library names kappa*R
     scenario = {k: v for k, v in GAUSS2D.items() if k != "root_index"}
@@ -303,8 +325,8 @@ def test_route_disagreement_exits_2(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
-    # only pointwise evaluation of a modal source interpolates, and no
-    # subcommand does that; a child process keeps this test's imports apart
+    # the library never interpolates, and scipy.interpolate is slow to
+    # import; a child process keeps this test's imports apart
     root = Path(__file__).resolve().parents[1]
     code = "import sys, biharwave.cli; sys.exit('scipy.interpolate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -36,7 +36,7 @@ def _gaussian(ctx):
 
 class TestEvalField:
     def test_zero_source(self):
-        sample = eval_field(CTX2, SourceField.zero(CTX2), np.array([1.5, 0.0]))
+        sample = eval_field(CTX2, SourceField.zero(CTX2), np.array([1.5, 0.0]), method="quadrature")
         assert sample.u == 0 and sample.f_h == 0 and sample.f_m == 0
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
@@ -70,6 +70,19 @@ class TestEvalField:
         src = _gaussian(CTX2)
         with pytest.raises(ValueError, match="support"):
             eval_field(CTX2, src, np.array([0.5, 0.0]), method="quadrature")
+
+    @pytest.mark.parametrize("method", ["quadrature", "modal"])
+    @pytest.mark.parametrize("layout", ["ring", "scattered"])
+    def test_non_finite_points_rejected(self, method, layout):
+        # a NaN or infinite radius passes no support check by comparison and,
+        # on a probe ring, matched no ring: its field read as zero
+        if layout == "ring":
+            dirs, _ = direction_grid(CTX2, 16)
+            pts = np.vstack([1.5 * dirs, np.nan * dirs[3:4], np.inf * dirs[5:6]])
+        else:
+            pts = np.array([[1.3, 0.4], [np.nan, 0.0], [0.0, -np.inf]])
+        with pytest.raises(ValueError, match=r"must be finite.*nan.*inf"):
+            eval_field_batch(CTX2, _gaussian(CTX2), pts, method)
 
     def test_superposition(self):
         f = _gaussian(CTX2)
@@ -166,7 +179,7 @@ class TestBoundaryTrace:
         from scipy.special import jv
 
         k = CTX2.kappa
-        src = SourceField.from_modes(CTX2, {3: lambda r: jv(3, k * r)})
+        src = SourceField.from_callable(CTX2, oracles.single_mode(lambda r: jv(3, k * r), 3))
         grid = boundary_grid(CTX2, 64)
         tr = boundary_trace(CTX2, src, grid)
         spectrum = np.fft.fft(tr.u) / grid.count

@@ -1,11 +1,14 @@
 """Sources: projections, the nonradiating constructors, config parsing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special as sp
 
 from biharwave import WaveContext
 from biharwave.quadrature import product_grid
+from biharwave.specfun import angular_basis
 from biharwave.sources import (
     SourceField,
     SupportViolationError,
@@ -27,7 +30,7 @@ CTX3 = WaveContext.with_root_wavenumber(3, 1.0, 1)
 class TestProjection:
     def test_radial_source_is_single_mode(self):
         src = SourceField.from_radial(CTX2, lambda r: np.exp(-(r**2)))
-        modal = project_modes(src, 6).modal
+        modal = project_modes(src, 6)
         for n in range(-6, 7):
             peak = np.max(np.abs(modal.profile(n)))
             if n == 0:
@@ -42,7 +45,7 @@ class TestProjection:
             lambda p: g(np.linalg.norm(p, axis=-1))
             * np.exp(3j * np.arctan2(p[:, 1], p[:, 0])),
         )
-        modal = project_modes(src, 5).modal
+        modal = project_modes(src, 5)
         assert np.allclose(modal.profile(3), g(modal.rule.nodes), atol=1e-14)
         for n in range(-5, 6):
             if n != 3:
@@ -51,7 +54,7 @@ class TestProjection:
     def test_exponential_profile_matches_modified_series(self):
         # f(x) = exp(x_1): mode profiles are I_n(r); dense-trapezoid oracle
         src = SourceField.from_callable(CTX2, lambda p: np.exp(p[:, 0]) + 0j)
-        modal = project_modes(src, 4).modal
+        modal = project_modes(src, 4)
         r_test = modal.rule.nodes[::8]
         for n in range(5):
             prof = modal.profile(n)[::8]
@@ -69,35 +72,25 @@ class TestProjection:
             CTX2,
             lambda p: (p[:, 0] + 2j * p[:, 1]) ** 3 + np.exp(-np.sum(p**2, axis=-1)),
         )
-        modal_src = project_modes(src, 12)
-        pts = rng.normal(size=(1000, 2))
-        pts *= rng.uniform(0.05, 0.95, size=(1000, 1)) / np.linalg.norm(
-            pts, axis=1, keepdims=True
-        )
-        direct = src.evaluate(pts)
-        synth = modal_src.evaluate(pts)
-        assert np.max(np.abs(direct - synth)) < 1e-9 * np.max(np.abs(direct))
+        modal = project_modes(src, 12)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=40)
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        direct = src.evaluate((modal.rule.nodes[:, None, None] * dirs).reshape(-1, 2))
+        synth = modal.values.T @ angular_basis(2, 12, theta).T
+        assert np.max(np.abs(direct - synth.reshape(-1))) < 1e-9 * np.max(np.abs(direct))
 
     def test_resynthesis_3d(self):
         rng = np.random.default_rng(9)
         src = SourceField.from_callable(
             CTX3, lambda p: p[:, 0] * p[:, 2] + 0.5 * p[:, 1] + 0j
         )
-        modal_src = project_modes(src, 6)
-        pts = rng.normal(size=(200, 3))
-        pts *= rng.uniform(0.05, 0.95, size=(200, 1)) / np.linalg.norm(
-            pts, axis=1, keepdims=True
-        )
-        direct = src.evaluate(pts)
-        synth = modal_src.evaluate(pts)
-        assert np.max(np.abs(direct - synth)) < 1e-9 * np.max(np.abs(direct))
-
-    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
-    def test_modal_evaluation_repeats_bitwise(self, ctx):
-        src = project_modes(gaussian_source(ctx, sigma=0.3), 6)
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-0.6, 0.6, size=(400, ctx.dimension))
-        assert src.evaluate(pts).tobytes() == src.evaluate(pts).tobytes()
+        modal = project_modes(src, 6)
+        theta = np.arccos(rng.uniform(-1.0, 1.0, size=40))
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=40)
+        dirs = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+        direct = src.evaluate((modal.rule.nodes[:, None, None] * dirs).reshape(-1, 3))
+        synth = modal.values.T @ angular_basis(3, 6, theta, phi).T
+        assert np.max(np.abs(direct - synth.reshape(-1))) < 1e-9 * np.max(np.abs(direct))
 
     def test_masked_outside_support(self):
         src = gaussian_source(CTX2, sigma=0.2, support_radius=0.5)
@@ -109,7 +102,7 @@ class TestProjection:
 class TestModalCoefficients:
     def test_single_mode_positive_projection(self):
         k = CTX2.kappa
-        src = SourceField.from_modes(CTX2, {5: lambda r: sp.jv(5, k * r)})
+        src = SourceField.from_callable(CTX2, oracles.single_mode(lambda r: sp.jv(5, k * r), 5))
         co = modal_coefficients(CTX2, src, 8)
         a5, _ = co.get(5)
         ref = oracles.adaptive_radial(
@@ -138,23 +131,36 @@ class TestModalCoefficients:
                 assert abs(a) < 1e-14 and abs(b) < 1e-14
 
     def test_overflowing_beta_raises_naming_kappa_r(self):
-        # I_n(800 r) overflows; a NaN residual would compare as "radiating"
-        ctx = WaveContext(dimension=2, kappa=800.0, radius=1.0)
-        with np.errstate(all="ignore"), pytest.raises(OverflowError, match=r"kappa\*R = 800"):
-            modal_coefficients(ctx, gaussian_source(ctx), 4)
+        # I_n(800 r) overflows; a NaN residual would compare as "radiating".
+        # The error alone reports it: no RuntimeWarning comes first.
+        for dimension in (2, 3):
+            ctx = WaveContext(dimension=dimension, kappa=800.0, radius=1.0)
+            with warnings.catch_warnings(), pytest.raises(OverflowError, match=r"kappa\*R = 800"):
+                warnings.simplefilter("error")
+                modal_coefficients(ctx, gaussian_source(ctx), 4)
 
     def test_2d_broadcast_matches_per_mode_loop(self):
         # reference: one scalar-order sum per mode; the broadcast sums must agree bit for bit
-        src = project_modes(gaussian_source(CTX2, center=[0.2, -0.1], sigma=0.2), 7)
+        src = gaussian_source(CTX2, center=[0.2, -0.1], sigma=0.2)
         co = modal_coefficients(CTX2, src, 7)
-        rule = src.modal.rule
-        kr = CTX2.kappa * rule.nodes
-        meas = rule.weights * rule.nodes
+        modal = project_modes(src, 7)
+        kr = CTX2.kappa * modal.rule.nodes
+        meas = modal.rule.weights * modal.rule.nodes
         for n in range(-7, 8):
-            prof = src.modal.profile(n)
+            prof = modal.profile(n)
             alpha = np.sum(prof * sp.jv(n, kr) * meas)
             beta = 1j ** (n % 4) * np.sum(prof * sp.iv(abs(n), kr) * meas)
             assert (co.alpha[n + 7], co.beta[n + 7]) == (alpha, beta)
+
+    def test_truncated_matches_lower_projection(self):
+        src = gaussian_source(CTX2, center=[0.2, -0.1], sigma=0.2)
+        cut = modal_coefficients(CTX2, src, 9).truncated(5)
+        low = modal_coefficients(CTX2, src, 5)
+        assert cut.truncation == 5 and cut.norm_f == low.norm_f
+        np.testing.assert_array_equal(cut.alpha, low.alpha)
+        np.testing.assert_array_equal(cut.beta, low.beta)
+        with pytest.raises(ValueError, match="truncation"):
+            low.truncated(6)
 
     def test_norm_positive(self):
         src = gaussian_source(CTX2, sigma=0.2)
@@ -299,11 +305,6 @@ class TestAlgebra:
         )
         assert total.support_radius == max(f.support_radius, g.support_radius)
 
-    def test_scaling_modal(self):
-        src = project_modes(gaussian_source(CTX2, sigma=0.2), 4)
-        doubled = 2.0 * src
-        assert np.allclose(doubled.modal.values, 2.0 * src.modal.values)
-
     def test_zero_source(self):
         z = SourceField.zero(CTX2)
         assert z.l2_norm() == 0.0
@@ -312,10 +313,14 @@ class TestAlgebra:
         src = gaussian_source(CTX2, center=[0.4, 0.0], sigma=0.2)
         norm = src.l2_norm()
         assert src.l2_norm() == norm == gaussian_source(CTX2, center=[0.4, 0.0], sigma=0.2).l2_norm()
-        # the projection keeps the source's norm, not that of its truncation
-        assert project_modes(src, 2).l2_norm() == norm
+        # the coefficients carry the source's norm, whether or not it was
+        # asked for first, and not the norm of the projection's truncation
         fresh = gaussian_source(CTX2, center=[0.4, 0.0], sigma=0.2)
-        assert abs(project_modes(fresh, 2).l2_norm() - norm) > 1e-3 * norm
+        assert modal_coefficients(CTX2, fresh, 2).norm_f == norm
+        assert modal_coefficients(CTX2, src, 2).norm_f == norm
+        modal = project_modes(fresh, 2)
+        cut = np.sqrt(2.0 * np.pi * np.sum(np.abs(modal.values) ** 2 @ (modal.rule.weights * modal.rule.nodes)))
+        assert abs(cut - norm) > 1e-3 * norm
 
 
 class TestConfigParsing:

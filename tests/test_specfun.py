@@ -11,7 +11,7 @@ import pytest
 from scipy import special as sp
 
 from biharwave import WaveContext, specfun
-from biharwave.sources import SourceField, modal_coefficients
+from biharwave.sources import SourceField, modal_coefficients, project_modes
 
 import oracles
 
@@ -45,11 +45,10 @@ def _beta(dimension, n, kappa):
     degree n with order 0 in 3D) on the unit ball, with the arguments
     t = kappa r and the weights w r**(d-1) of the radial rule it sums over."""
     ctx = WaveContext(dimension, kappa, 1.0)
-    key = n if dimension == 2 else (n, 0)
-    src = SourceField.from_modes(ctx, {key: np.ones_like})
+    src = SourceField.from_callable(ctx, oracles.single_mode(np.ones_like, n))
     coeffs = modal_coefficients(ctx, src, abs(n))
     _, beta = coeffs.get(n) if dimension == 2 else coeffs.get(n, 0)
-    rule = src.modal.rule
+    rule = project_modes(src, abs(n)).rule
     return beta, kappa * rule.nodes, rule.weights * rule.nodes ** (dimension - 1)
 
 

@@ -183,7 +183,7 @@ class TestNullspaceResidual:
 
     def test_single_mode_source_outside_nullspace(self):
         k = CTX2.kappa
-        src = SourceField.from_modes(CTX2, {1: lambda r: sp.jv(1, k * r)})
+        src = SourceField.from_callable(CTX2, oracles.single_mode(lambda r: sp.jv(1, k * r), 1))
         alpha1 = oracles.adaptive_radial(
             lambda r: oracles.j_series(1, k * r).real ** 2 * r, 0.0, 1.0
         )
@@ -283,7 +283,7 @@ class TestVerdict:
         # the mode and spectral routes see nothing while the field route
         # sees radiation
         k = CTX2.kappa
-        src = SourceField.from_modes(CTX2, {9: lambda r: sp.jv(9, k * r)})
+        src = SourceField.from_callable(CTX2, oracles.single_mode(lambda r: sp.jv(9, k * r), 9))
         with pytest.raises(InconsistencyError, match="disagree"):
             verdict(CTX2, src, VerdictConfig(truncation=0))
 

@@ -28,9 +28,9 @@ install(tracer, biharwave)
 ctx = WaveContext.with_root_wavenumber(2, 1.0, 1)
 src = sources.gaussian_source(ctx, center=[0.2, 0.0], sigma=0.2)
 dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-# a modal source, whose default method is 'modal': only a method read from
-# the 4th position sends this call down the quadrature route
-fields.eval_field_batch(ctx, sources.project_modes(src, 4), 1.5 * dirs, "quadrature")
+# the method in the 4th position: a tracer that missed it would look for a
+# route on the source and fail
+fields.eval_field_batch(ctx, src, 1.5 * dirs, "quadrature")
 fields.far_field(ctx, src, dirs[:2])
 src.l2_norm()
 print(json.dumps([
