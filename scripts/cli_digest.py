@@ -13,6 +13,14 @@ stderr instead, so a refusal still compares.  Usage, from any directory:
     python scripts/cli_digest.py                  # this checkout
     python scripts/cli_digest.py --root OTHER     # another checkout's src/ and scenarios/
     diff <(python scripts/cli_digest.py --root A) <(python scripts/cli_digest.py --root B)
+    python scripts/cli_digest.py --compare OTHER  # this checkout against OTHER, by value
+
+With --compare, both checkouts run every command.  Each line carries the
+digest of OTHER's output and of this checkout's, then, for an output that
+moved, the largest absolute change over its numeric JSON and CSV fields and
+that change divided by the output's largest absolute value.  An output whose
+text outside those numbers changed (keys, headers, metadata, a refusal) is
+marked "text differs".
 
 Byte identity only holds for the same numpy/scipy/BLAS build on the same
 CPU; compare two checkouts on one machine, never digests from two machines.
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -42,26 +51,93 @@ def commands() -> list[tuple[str, str, list[str]]]:
     return out
 
 
-def digest(root: Path, sub: str, scenario: str, extra: list[str], tmp: Path) -> tuple[str, int]:
+def run(root: Path, sub: str, scenario: str, extra: list[str], tmp: Path) -> tuple[bytes, int]:
+    """The output file of one command (its stderr when it writes none) and its exit code."""
     out = tmp / f"{sub}_{scenario}.out"
     env = dict(os.environ, PYTHONPATH=str(root / "src"), **{v: "1" for v in THREAD_VARS})
     argv = [sys.executable, "-m", "biharwave.cli", sub, "--config", f"scenarios/{scenario}.json"]
     proc = subprocess.run(argv + extra + ["--out", str(out)], cwd=root, env=env,
                           capture_output=True)
     data = out.read_bytes() if out.exists() else proc.stderr
-    return hashlib.sha256(data).hexdigest(), proc.returncode
+    return data, proc.returncode
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _leaves(value):
+    """The leaves of parsed JSON in document order, keys included."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _csv_number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def split_numbers(data: bytes) -> tuple[list[float], list]:
+    """(numeric fields, all other tokens) of a JSON or CSV output.  JSON
+    numbers are numbers (bools and strings are not); CSV cells are numbers
+    when they parse as floats, and '#' metadata lines are tokens, whole."""
+    text = data.decode("utf-8", errors="replace")
+    try:
+        tokens = [(float(t) if isinstance(t, (int, float)) and not isinstance(t, bool) else None, t)
+                  for t in _leaves(json.loads(text))]
+    except json.JSONDecodeError:
+        cells = [cell for line in text.splitlines()
+                 for cell in ([line] if line.startswith("#") else line.split(","))]
+        tokens = [(None if cell.startswith("#") else _csv_number(cell), cell) for cell in cells]
+    numbers = [value for value, _ in tokens if value is not None]
+    other = [token for value, token in tokens if value is None]
+    return numbers, other
+
+
+def change(old: bytes, new: bytes) -> str:
+    """How an output moved: largest absolute change of its numbers, and that
+    change over the largest absolute value of the old output."""
+    a, text_a = split_numbers(old)
+    b, text_b = split_numbers(new)
+    if text_a != text_b or len(a) != len(b):
+        return "text differs"
+    diff = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+    peak = max((abs(x) for x in a), default=0.0)
+    rel = diff / peak if peak > 0 else float("inf") if diff else 0.0
+    return f"max abs change {diff:.3e}  max rel change {rel:.3e}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout holding src/biharwave and scenarios/ (default: this one)")
+    parser.add_argument("--compare", type=Path, metavar="OTHER_ROOT",
+                        help="another checkout to run too; report how each output moved")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     with tempfile.TemporaryDirectory() as tmp:
+        tmp_new, tmp_old = Path(tmp) / "new", Path(tmp) / "old"
+        tmp_new.mkdir()
+        tmp_old.mkdir()
         for sub, scenario, extra in commands():
-            sha, code = digest(root, sub, scenario, extra, Path(tmp))
-            print(f"{sha}  {code}  {sub}:{scenario}", flush=True)
+            data, code = run(root, sub, scenario, extra, tmp_new)
+            if args.compare is None:
+                print(f"{_sha(data)}  {code}  {sub}:{scenario}", flush=True)
+                continue
+            old, old_code = run(args.compare.resolve(), sub, scenario, extra, tmp_old)
+            line = f"{_sha(old)} {_sha(data)}  {old_code} {code}  {sub}:{scenario}"
+            if old != data:
+                line += f"  moved: {change(old, data)}"
+            print(line, flush=True)
     return 0
 
 

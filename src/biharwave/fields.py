@@ -34,11 +34,12 @@ from scipy import special as _sp
 from . import specfun
 from .context import WaveContext
 from .kernels import phi_h_of_r, phi_m_of_r
-from .quadrature import BoundaryGrid, product_grid, spherical_params, split_params
+from .quadrature import BoundaryGrid, product_grid, spherical_params
 from .sources import SourceField, SupportViolationError, resolve_coefficients
 
-# Points per chunk in the direct-quadrature evaluator (memory control).
-_EVAL_CHUNK = 32
+# (point, grid node) pairs per chunk of the dense direct-quadrature sum: it
+# bounds each difference, distance and kernel temporary to this many rows.
+_EVAL_PAIRS = 2**20
 
 # Relative slack within which a point counts as on the quadrature grid's angle
 # lattice, and two probe radii as one ring (rounding is about 1e-14 of a step).
@@ -108,11 +109,12 @@ def _eval_quadrature(ctx, src, pts):
                 f_h[p] = -np.roll(table_h, steps[p], axis=1).reshape(-1) @ fw
                 f_m[p] = -np.roll(table_m, steps[p], axis=1).reshape(-1) @ fw
         return f_h, f_m
-    for start in range(0, pts.shape[0], _EVAL_CHUNK):
-        chunk = pts[start : start + _EVAL_CHUNK]
+    step = max(1, _EVAL_PAIRS // grid.points.shape[0])
+    for start in range(0, pts.shape[0], step):
+        chunk = pts[start : start + step]
         dist = np.linalg.norm(chunk[:, None, :] - grid.points[None, :, :], axis=-1)
-        f_h[start : start + _EVAL_CHUNK] = -phi_h_of_r(ctx, dist) @ fw
-        f_m[start : start + _EVAL_CHUNK] = -phi_m_of_r(ctx, dist) @ fw
+        f_h[start : start + step] = -phi_h_of_r(ctx, dist) @ fw
+        f_m[start : start + step] = -phi_m_of_r(ctx, dist) @ fw
     return f_h, f_m
 
 
@@ -169,14 +171,31 @@ def _modal_series(ctx, coeffs, r, basis, derivative=False):
     mode series; basis holds the modes' angular factors at the same points."""
     t = ctx.kappa * r
     damp = np.exp(-t)
-    c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, t[:, None], derivative)
+    # one table row per distinct radius, gathered back to the points
+    radii, row = np.unique(t, return_inverse=True)
+    c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivative)
     # Named tables: numpy may overwrite an unnamed temporary right operand in
     # place, which changes how a complex product rounds under FMA.
-    H = _per_mode(ctx, h)
-    S = _per_mode(ctx, s)
+    H = _per_mode(ctx, h[row])
+    S = _per_mode(ctx, s[row])
     f_h = c_h * (basis * H) @ coeffs.alpha
     f_m = c_m * damp * ((basis * S) @ coeffs.beta)
     return f_h, f_m
+
+
+def _sphere_series(ctx, coeffs, angular):
+    """f_h, f_m and their radial derivatives on the 3D sphere |x| = R at the
+    nodes of a product rule: the radial factors are constant there, so they
+    are folded into the coefficients of one separated synthesis."""
+    t = ctx.kappa * ctx.radius
+    weights = []
+    for derivative in (False, True):
+        c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, np.array([[t]]), derivative)
+        weights.append(c_h * _per_mode(ctx, h)[0] * coeffs.alpha)
+        weights.append(c_m * np.exp(-t) * _per_mode(ctx, s)[0] * coeffs.beta)
+    theta, _ = angular.rings
+    sums = specfun.sph_synthesis(np.column_stack(weights), theta, angular.azimuth_count)
+    return sums.reshape(len(weights), -1)
 
 
 def _eval_modal(ctx, src, pts, truncation):
@@ -255,16 +274,26 @@ def boundary_trace(
     boundary (in particular for every certified nonradiating source).
     src may also be the source's ModalCoefficients, computed once and shared
     with the spectral syntheses.
+
+    The radial tables are evaluated once, at r = R.  2D sums the modes
+    against their angular factors at each node; 3D folds the radial factors
+    into the coefficients and synthesizes all four channels at once on the
+    grid's product rule (specfun.sph_synthesis: one Legendre sum per order
+    and polar ring, then an inverse FFT over the azimuths), never building
+    the dense harmonic block.
     """
     if isinstance(src, SourceField) and src.support_radius > ctx.radius * (1 + 1e-12):
         raise SupportViolationError(
             f"source support {src.support_radius} exceeds the context ball R = {ctx.radius}"
         )
     coeffs = resolve_coefficients(ctx, src, truncation)
-    r = np.full(grid.count, ctx.radius)
-    basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(grid.params))
-    f_h, f_m = _modal_series(ctx, coeffs, r, basis)
-    df_h, df_m = _modal_series(ctx, coeffs, r, basis, derivative=True)
+    if ctx.dimension == 2:
+        r = np.full(grid.count, ctx.radius)
+        basis = specfun.angular_basis(2, coeffs.truncation, grid.params)
+        f_h, f_m = _modal_series(ctx, coeffs, r, basis)
+        df_h, df_m = _modal_series(ctx, coeffs, r, basis, derivative=True)
+    else:
+        f_h, f_m, df_h, df_m = _sphere_series(ctx, coeffs, grid.angular)
     scale = 1.0 / (2.0 * ctx.kappa**2)
     return BoundaryTrace(
         grid=grid,

@@ -55,20 +55,36 @@ class AngularRule:
     def count(self) -> int:
         return self.directions.shape[0]
 
+    @property
+    def rings(self) -> tuple[np.ndarray, np.ndarray]:
+        """3D: the polar angle of each polar ring and the weight of each of
+        its nodes."""
+        first = slice(None, None, self.azimuth_count)
+        return self.params[first, 0], self.weights[first]
+
 
 @dataclass(frozen=True)
 class BoundaryGrid:
-    """Measurement nodes on the boundary sphere of radius R.
+    """Measurement nodes on the boundary sphere of radius R: the angular rule
+    scaled to radius R.
 
     points = R * normals; weights are surface weights summing to the sphere
-    measure; params as in AngularRule.
+    measure; normals, params and, in 3D, the polar and azimuth counts are
+    those of the angular rule.
     """
 
     radius: float
+    angular: AngularRule
     points: np.ndarray
-    normals: np.ndarray
     weights: np.ndarray
-    params: np.ndarray
+
+    @property
+    def normals(self) -> np.ndarray:
+        return self.angular.directions
+
+    @property
+    def params(self) -> np.ndarray:
+        return self.angular.params
 
     @property
     def count(self) -> int:
@@ -149,10 +165,9 @@ def boundary_grid(ctx: WaveContext, resolution: int | None = None) -> BoundaryGr
     scale = ctx.radius ** (ctx.dimension - 1)
     return BoundaryGrid(
         radius=ctx.radius,
+        angular=ang,
         points=ctx.radius * ang.directions,
-        normals=ang.directions,
         weights=scale * ang.weights,
-        params=ang.params,
     )
 
 

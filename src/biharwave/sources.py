@@ -235,7 +235,9 @@ def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
     2D computes Fourier coefficients of the angular dependence at every
     radial node through the FFT of equispaced samples (exact for band-limited
     data); 3D projects against the conjugate orthonormal harmonics with the
-    product rule.
+    product rule, separated: an FFT over the azimuths of each (radial, polar)
+    ring, then one Legendre sum per order (specfun.sph_analysis), never the
+    dense harmonic block.
     """
     ctx = src.ctx
     if truncation < 0:
@@ -257,9 +259,8 @@ def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
         spectrum = np.fft.fft(vals, axis=1) / m  # (1/2pi) * trapezoid in theta
         values = spectrum[:, mode_degrees(2, truncation) % m].T.copy()
     else:
-        theta, phi = ang.params[:, 0], ang.params[:, 1]
-        harm = specfun.sph_harmonic_block(truncation, theta, phi)
-        values = (vals @ (np.conj(harm) * ang.weights[:, None])).T
+        rows = vals.reshape(rule.order, ang.polar_count, ang.azimuth_count)
+        values = specfun.sph_analysis(truncation, rows, *ang.rings)
     return ModalProfiles(ctx.dimension, truncation, rule, values)
 
 
@@ -545,13 +546,22 @@ _PARAM_KEYS = {
 }
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON true would otherwise read as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and np.isfinite(value) and value > 0
+
+
 def context_from_config(cfg: dict) -> WaveContext:
     """WaveContext from the {dimension, R, kappa | root_index} part of a config."""
     dimension = cfg.get("dimension")
-    if dimension not in (2, 3):
-        raise ValueError(f"config key 'dimension' must be 2 or 3, got {dimension!r}")
+    if not _is_int(dimension) or dimension not in (2, 3):
+        raise ValueError(f"config key 'dimension' must be the integer 2 or 3, got {dimension!r}")
     R = cfg.get("R")
-    if not isinstance(R, (int, float)) or not np.isfinite(R) or R <= 0:
+    if not _is_positive_number(R):
         raise ValueError(f"config key 'R' must be a positive number, got {R!r}")
     has_kappa = "kappa" in cfg
     has_root = "root_index" in cfg
@@ -559,11 +569,11 @@ def context_from_config(cfg: dict) -> WaveContext:
         raise ValueError("config must set exactly one of 'kappa' or 'root_index'")
     if has_root:
         root_index = cfg["root_index"]
-        if not isinstance(root_index, int) or root_index < 1:
+        if not _is_int(root_index) or root_index < 1:
             raise ValueError(f"config key 'root_index' must be a positive integer, got {root_index!r}")
         return WaveContext.with_root_wavenumber(dimension, float(R), root_index)
     kappa = cfg["kappa"]
-    if not isinstance(kappa, (int, float)) or not np.isfinite(kappa) or kappa <= 0:
+    if not _is_positive_number(kappa):
         raise ValueError(f"config key 'kappa' must be a positive number, got {kappa!r}")
     return WaveContext(dimension=dimension, kappa=float(kappa), radius=float(R))
 
@@ -601,6 +611,6 @@ def source_from_config(cfg: dict) -> tuple[WaveContext, SourceField]:
         return ctx, make_2d_bessel_nonradiating(ctx)
     exponents = {key: params.get(key, default) for key, default in (("m1", 3), ("m2", 4))}
     for key, value in exponents.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
     return ctx, make_3d_bessel_nonradiating(ctx, exponents["m1"], exponents["m2"])

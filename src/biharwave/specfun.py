@@ -1,5 +1,6 @@
-"""Imaginary-axis Hankel functions in scaled form and orthonormal spherical
-harmonics: the special functions the library needs beyond scipy.special.
+"""Imaginary-axis Hankel functions in scaled form, orthonormal spherical
+harmonics and the separated harmonic transforms on product rules: the
+special functions the library needs beyond scipy.special.
 
 The decaying radial family of the modified Helmholtz equation is the
 outgoing Hankel function on the positive imaginary axis.  It is evaluated
@@ -90,11 +91,13 @@ def sph_hankel1_imag_scaled_dt(n: int, t):
 # Spherical harmonics
 # ---------------------------------------------------------------------------
 def sph_harmonic_block(truncation: int, theta, phi) -> np.ndarray:
-    """All orthonormal harmonics through the truncation degree at once.
+    """All orthonormal harmonics through the truncation degree at scattered
+    points: the dense block, for points that do not form a product rule.
 
     Returns shape (npoints, (truncation+1)**2); column n*n + n + m holds
-    Y_n^m.  One recurrence pass for every degree, much faster than repeated
-    single-harmonic calls.
+    Y_n^m.  It costs npoints * (truncation+1)**2 cells (and a transient
+    three times that), so on product rules use sph_analysis and
+    sph_synthesis instead.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -104,6 +107,62 @@ def sph_harmonic_block(truncation: int, theta, phi) -> np.ndarray:
         ms = np.arange(-n, n + 1)
         out[:, n * n + n + ms] = allv[n, ms].T
     return out
+
+
+def _legendre_table(truncation: int, theta) -> np.ndarray:
+    """Normalized associated Legendre values: [n, m, i] is the polar factor of
+    Y_n^m at theta[i] (Y_n^m = table[n, m] * exp(i m phi)); a negative m
+    indexes from the end, as in scipy."""
+    return _sp.sph_legendre_p_all(truncation, truncation, np.asarray(theta, dtype=float))[0]
+
+
+def sph_analysis(truncation: int, values, theta, weights) -> np.ndarray:
+    """Harmonic coefficients through the truncation degree of sampled data on
+    a product rule, by an FFT over the azimuths and one Legendre sum per order.
+
+    values has shape (k, polar, azimuth): k data sets sampled at the polar
+    nodes theta (polar-major) and at azimuths 2 pi j / azimuth; weights[i] is
+    the quadrature weight of each node of polar ring i.  Returns shape
+    ((truncation+1)**2, k), row n*n + n + m holding the quadrature value of
+    sum over nodes of weight * values * conj(Y_n^m), as the dense block
+    gives it.  After the FFT each data set costs about polar * (N+1)**2
+    products, against the dense block's polar * azimuth * (N+1)**2.
+    """
+    values = np.asarray(values)
+    azimuth = values.shape[2]
+    # fft's exp(-2 pi i m j / azimuth) is conj(exp(i m phi_j)); order m and
+    # m mod azimuth coincide on the lattice
+    columns = np.moveaxis(np.fft.fft(values, axis=2), 2, 0)  # (azimuth, k, polar)
+    table = _legendre_table(truncation, theta) * np.asarray(weights, dtype=float)
+    degrees = np.arange(truncation + 1)
+    out = np.empty(((truncation + 1) ** 2, values.shape[0]), dtype=complex)
+    for m in range(-truncation, truncation + 1):
+        n = degrees[abs(m):]
+        out[n * n + n + m] = table[abs(m):, m] @ columns[m % azimuth].T
+    return out
+
+
+def sph_synthesis(coeffs, theta, azimuth: int) -> np.ndarray:
+    """Harmonic sums of coefficient sets on a product rule, by one Legendre
+    sum per order and an inverse FFT over the azimuths (the transpose of
+    sph_analysis).
+
+    coeffs has shape ((N+1)**2, k), row n*n + n + m the coefficient of Y_n^m.
+    Returns shape (k, polar, azimuth): sum_(n, m) coeffs * Y_n^m at the polar
+    nodes theta and azimuths 2 pi j / azimuth.  Orders with |m| >= azimuth/2
+    fold onto the column m mod azimuth, where exp(i m phi) takes the same
+    lattice values.
+    """
+    coeffs = np.asarray(coeffs)
+    truncation = int(np.sqrt(coeffs.shape[0])) - 1
+    table = _legendre_table(truncation, theta)
+    degrees = np.arange(truncation + 1)
+    columns = np.zeros((azimuth, table.shape[2], coeffs.shape[1]), dtype=complex)
+    for m in range(-truncation, truncation + 1):
+        n = degrees[abs(m):]
+        columns[m % azimuth] += table[abs(m):, m].T @ coeffs[n * n + n + m]
+    # norm="forward" leaves the inverse unscaled: a plain sum of exp(+i m phi_j)
+    return np.fft.ifft(columns, axis=0, norm="forward").transpose(2, 1, 0)
 
 
 def angular_basis(dimension: int, truncation: int, theta, phi=None) -> np.ndarray:

@@ -8,6 +8,10 @@ The one exception, the unscaled imaginary-axis Hankel functions, uses
 scipy's unscaled K family as the reference for the library's exp-scaled one.
 Accuracy notes state the validated ranges; tests stay inside them.
 
+The dense spherical-harmonic projection and synthesis on a product rule
+(one harmonic block over every node) are the references for the library's
+separated transforms (FFT over the azimuths, Legendre sums per order).
+
 The multipole series of the two point-source kernels and the 2D companion
 kernels (green_star, psi_kernel) live here too, written directly on
 scipy.special: the library computes none of them, so the tests use them as
@@ -22,6 +26,8 @@ import math
 
 import numpy as np
 from scipy import special as _sp
+
+from biharwave import specfun
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -365,3 +371,19 @@ def bessel_pair_potential_2d(kappa: float, radius: float):
         return z0**3 / c4 - z0**2 / c3
 
     return psi
+
+
+# ---------------------------------------------------------------------------
+# Dense spherical-harmonic transforms on a product rule
+# ---------------------------------------------------------------------------
+def dense_sph_analysis(truncation: int, values, rule) -> np.ndarray:
+    """Coefficients of values (k, nodes) on an angular rule: the rule's sum of
+    weight * value * conj(Y_n^m) over every node, shape (modes, k)."""
+    block = specfun.sph_harmonic_block(truncation, rule.params[:, 0], rule.params[:, 1])
+    return (values @ (np.conj(block) * rule.weights[:, None])).T
+
+
+def dense_sph_synthesis(coeffs, params) -> np.ndarray:
+    """sum_(n, m) coeffs * Y_n^m at each (theta, phi) row of params, shape (k, nodes)."""
+    truncation = math.isqrt(coeffs.shape[0]) - 1
+    return (specfun.sph_harmonic_block(truncation, params[:, 0], params[:, 1]) @ coeffs).T

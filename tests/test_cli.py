@@ -302,6 +302,21 @@ def test_3d_exponent_must_be_integer(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("R", True), ("root_index", True), ("kappa", True), ("dimension", 2.0), ("dimension", True)],
+    ids=["R-bool", "root_index-bool", "kappa-bool", "dimension-float", "dimension-bool"],
+)
+def test_context_key_types_are_exact(tmp_path, capsys, key, value):
+    # JSON true is a Python int and 2.0 == 2: both passed the old checks
+    scenario = {k: v for k, v in NR2D.items() if not (key == "kappa" and k == "root_index")}
+    cfg = _write(tmp_path, "typed.json", dict(scenario, **{key: value}))
+    assert main(["field", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"'{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_overflow_is_one_config_error_line(tmp_path, capsys):
     # beta leaves the double range at kappa*R = 800; the library names kappa*R
     scenario = {k: v for k, v in GAUSS2D.items() if k != "root_index"}

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from biharwave import WaveContext
+from biharwave import WaveContext, fields, specfun
 from biharwave.fields import (
     boundary_trace,
     eval_field,
@@ -14,12 +14,13 @@ from biharwave.fields import (
     write_trace_csv,
 )
 from biharwave.kernels import FarFieldConvention, phi_h_of_r, phi_m_of_r
-from biharwave.quadrature import boundary_grid, product_grid
+from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.sources import (
     SourceField,
     gaussian_source,
     make_2d_bessel_nonradiating,
     make_bump_nonradiating,
+    modal_coefficients,
 )
 from biharwave.spectral import PROBE_FACTORS, direction_grid
 
@@ -232,6 +233,63 @@ class TestBoundaryTrace:
             "lap_u_re", "lap_u_im", "dnu_lap_u_re", "dnu_lap_u_im",
         ]
         assert len(lines) == 2 + grid.count
+
+
+def _per_point_series(ctx, coeffs, r, basis, derivative=False):
+    """The modal series with its radial tables evaluated at every point."""
+    t = ctx.kappa * r
+    c_h, c_m, h, s = fields._radial_tables(ctx, coeffs.truncation, t[:, None], derivative)
+    H = fields._per_mode(ctx, h)
+    S = fields._per_mode(ctx, s)
+    f_h = c_h * (basis * H) @ coeffs.alpha
+    f_m = c_m * np.exp(-t) * ((basis * S) @ coeffs.beta)
+    return f_h, f_m
+
+
+class TestSeparableModalRoute:
+    """Radial tables once per distinct radius; in 3D, harmonic transforms
+    separated on product rules instead of the dense harmonic block."""
+
+    def test_3d_projection_and_trace_build_no_harmonic_block(self, harmonic_blocks):
+        coeffs = modal_coefficients(CTX3, _gaussian(CTX3), 12)
+        assert harmonic_blocks[0] == 0
+        boundary_trace(CTX3, coeffs, boundary_grid(CTX3, 16))
+        assert harmonic_blocks[0] == 0
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_trace_tabulates_one_radius(self, ctx, radial_table_radii):
+        coeffs = modal_coefficients(ctx, _gaussian(ctx), 12)
+        boundary_trace(ctx, coeffs, boundary_grid(ctx, 16 if ctx.dimension == 3 else 64))
+        assert radial_table_radii == [1, 1]
+
+    def test_2d_trace_equals_per_point_tables(self):
+        coeffs = modal_coefficients(CTX2, _gaussian(CTX2), 20)
+        grid = boundary_grid(CTX2, 64)
+        tr = boundary_trace(CTX2, coeffs, grid)
+        r = np.full(grid.count, CTX2.radius)
+        basis = np.exp(1j * np.outer(grid.params, np.arange(-20, 21)))
+        f_h, f_m = _per_point_series(CTX2, coeffs, r, basis)
+        df_h, df_m = _per_point_series(CTX2, coeffs, r, basis, derivative=True)
+        scale = 1.0 / (2.0 * CTX2.kappa**2)
+        np.testing.assert_array_equal(tr.u, (f_h - f_m) * scale)
+        np.testing.assert_array_equal(tr.du_dnu, (df_h - df_m) * scale)
+        np.testing.assert_array_equal(tr.lap_u, -(f_h + f_m) / 2.0)
+        np.testing.assert_array_equal(tr.dlap_u_dnu, -(df_h + df_m) / 2.0)
+
+    def test_modal_field_equals_per_point_tables(self, radial_table_radii):
+        # two probe rings: one table row per distinct radius, gathered back
+        # to every point, bit for bit the per-point tables
+        src = _gaussian(CTX3)
+        dirs, _ = direction_grid(CTX3, 8)
+        pts = np.vstack([1.2 * dirs, 2.0 * dirs])
+        _, f_h, f_m = eval_field_batch(CTX3, src, pts, method="modal", truncation=10)
+        r, theta, phi = spherical_params(pts)
+        assert radial_table_radii == [np.unique(r).size]
+        assert np.unique(r).size < len(pts) / 4
+        coeffs = modal_coefficients(CTX3, src, 10)
+        ref_h, ref_m = _per_point_series(CTX3, coeffs, r, specfun.angular_basis(3, 10, theta, phi))
+        np.testing.assert_array_equal(f_h, ref_h)
+        np.testing.assert_array_equal(f_m, ref_m)
 
 
 class TestFarField:

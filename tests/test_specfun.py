@@ -11,6 +11,7 @@ import pytest
 from scipy import special as sp
 
 from biharwave import WaveContext, specfun
+from biharwave.quadrature import angular_rule, boundary_grid
 from biharwave.sources import SourceField, modal_coefficients, project_modes
 
 import oracles
@@ -243,9 +244,53 @@ class TestSphericalHarmonics:
 
     def test_gram_matrix_is_identity(self):
         # orthonormality through degree 8 under the product sphere rule
-        from biharwave.quadrature import angular_rule
-
         rule = angular_rule(WaveContext(3, 1.0, 1.0), 16)
         block = specfun.sph_harmonic_block(8, rule.params[:, 0], rule.params[:, 1])
         gram = (np.conj(block) * rule.weights[:, None]).T @ block
         assert np.max(np.abs(gram - np.eye(81))) < 1e-9
+
+
+def _random_complex(rows, sets, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, sets)) + 1j * rng.standard_normal((rows, sets))
+
+
+class TestSeparatedTransforms:
+    """FFT over the azimuths plus one Legendre sum per order, against the
+    dense harmonic block on the same product rule."""
+
+    @pytest.mark.parametrize(
+        "truncation, polar", [(8, 16), (31, 32), (40, 16)],
+        ids=["N8", "N31", "N40-folded"],
+    )
+    def test_analysis_matches_dense_block(self, truncation, polar):
+        # N40-folded: orders above azimuth/2 = 16 alias onto lattice columns
+        # in both routes alike
+        rule = angular_rule(WaveContext(3, 1.0, 1.0), polar)
+        values = _random_complex(3, rule.count, truncation)
+        got = specfun.sph_analysis(truncation, values.reshape(3, polar, rule.azimuth_count), *rule.rings)
+        ref = oracles.dense_sph_analysis(truncation, values, rule)
+        assert got.shape == ((truncation + 1) ** 2, 3)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "truncation, resolution", [(31, 32), (40, 40), (44, 40)],
+        ids=["grid32", "grid40", "grid40-folded"],
+    )
+    def test_synthesis_matches_dense_block(self, truncation, resolution):
+        # the folded case has degrees above azimuth/2 = 40: orders m and
+        # m - 80 share a lattice column
+        ang = boundary_grid(WaveContext(3, 1.0, 1.0), resolution).angular
+        coeffs = _random_complex((truncation + 1) ** 2, 2, resolution)
+        got = specfun.sph_synthesis(coeffs, ang.rings[0], ang.azimuth_count)
+        ref = oracles.dense_sph_synthesis(coeffs, ang.params)
+        assert got.shape == (2, ang.polar_count, ang.azimuth_count)
+        assert np.max(np.abs(got.reshape(2, -1) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_analysis_inverts_synthesis(self):
+        # below the rule's exact degree the two transforms are inverse
+        rule = angular_rule(WaveContext(3, 1.0, 1.0), 24)
+        coeffs = _random_complex(23**2, 1, 5)
+        samples = specfun.sph_synthesis(coeffs, rule.rings[0], rule.azimuth_count)
+        back = specfun.sph_analysis(22, samples, *rule.rings)
+        assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
