@@ -20,7 +20,10 @@ digest of OTHER's output and of this checkout's, then, for an output that
 moved, the largest absolute change over its numeric JSON and CSV fields and
 that change divided by the output's largest absolute value.  An output whose
 text outside those numbers changed (keys, headers, metadata, a refusal) is
-marked "text differs".
+marked "text differs".  --compare exits 1 when any exit code differs or any
+output's text differs (a flipped "is_nonradiating" is text: JSON booleans
+are not numbers), and 0 when every output is identical or moved only in its
+numbers; judge the printed sizes of those moves by eye.
 
 Byte identity only holds for the same numpy/scipy/BLAS build on the same
 CPU; compare two checkouts on one machine, never digests from two machines.
@@ -124,6 +127,7 @@ def main(argv=None) -> int:
                         help="another checkout to run too; report how each output moved")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    status = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp_new, tmp_old = Path(tmp) / "new", Path(tmp) / "old"
         tmp_new.mkdir()
@@ -135,10 +139,13 @@ def main(argv=None) -> int:
                 continue
             old, old_code = run(args.compare.resolve(), sub, scenario, extra, tmp_old)
             line = f"{_sha(old)} {_sha(data)}  {old_code} {code}  {sub}:{scenario}"
-            if old != data:
-                line += f"  moved: {change(old, data)}"
+            moved = change(old, data) if old != data else None
+            if moved is not None:
+                line += f"  moved: {moved}"
+            if old_code != code or moved == "text differs":
+                status = 1
             print(line, flush=True)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -7,8 +7,13 @@ The radiated field of a source f splits into two radiation solutions,
 where f_h solves the Helmholtz equation driven by f and f_m the modified
 Helmholtz equation.  Two independent evaluation routes are provided:
 
-* direct quadrature of the kernels against the source (points strictly
-  outside the support), and
+* direct quadrature of the kernels against the source's values on its
+  default product grid (points strictly outside the support): the kernels
+  enter as three real tables (kernels.kernel_tables: Re phi_h, Im phi_h,
+  phi_m), each summed against the real and imaginary parts of the weighted
+  values by real dot products, never in complex arithmetic; the far field
+  and the volume transforms do the same with cos/sin (or exp) of the real
+  phase kappa dir . y, and
 * angular-mode series built from the modal coefficients (valid from the
   support radius outward), which is also how boundary traces are computed:
   the trace derivatives come from analytic recurrences, not numerical
@@ -33,13 +38,14 @@ from scipy import special as _sp
 
 from . import specfun
 from .context import WaveContext
-from .kernels import phi_h_of_r, phi_m_of_r
-from .quadrature import BoundaryGrid, product_grid, spherical_params
+from .kernels import kernel_tables
+from .quadrature import BoundaryGrid, spherical_params
 from .sources import SourceField, SupportViolationError, resolve_coefficients
 
 # (point, grid node) pairs per chunk of the dense direct-quadrature sum: it
-# bounds each difference, distance and kernel temporary to this many rows.
-_EVAL_PAIRS = 2**20
+# bounds each difference, distance and kernel-table temporary to this many
+# entries (about seven such arrays are alive at once).
+_EVAL_PAIRS = 2**19
 
 # Relative slack within which a point counts as on the quadrature grid's angle
 # lattice, and two probe radii as one ring (rounding is about 1e-14 of a step).
@@ -86,9 +92,40 @@ def _lattice_steps(angular, pts):
     return nearest.astype(int) % angular.count
 
 
+def _weighted_parts(src):
+    """The source's default product grid and the real and imaginary parts of
+    its values times the quadrature weights."""
+    grid, values = src.default_samples()
+    return grid, values.real * grid.weights, values.imag * grid.weights
+
+
+def _kernel_sums(re_h, im_h, phi_m, a, b):
+    """-(phi_h . fw) and -(phi_m . fw) for one point's three real kernel rows,
+    with fw = a + i b: one real dot product per table and part."""
+    f_h = complex(im_h @ b - re_h @ a, -(re_h @ b + im_h @ a))
+    return f_h, complex(-(phi_m @ a), -(phi_m @ b))
+
+
+def _distances(pts, nodes):
+    """|x - y| for every (point, node) pair, summed one coordinate at a time in
+    the order np.linalg.norm sums them, without the (points, nodes, d) differences."""
+    sq = np.zeros((pts.shape[0], nodes.shape[0]))
+    for k in range(pts.shape[1]):
+        diff = pts[:, k, None] - nodes[None, :, k]
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
+
+
+def _dense_sums(ctx, pts, nodes, a, b):
+    """_kernel_sums of each point against every node, as (f_h, f_m) rows; its
+    kernel tables are freed on return, before the next chunk builds its own."""
+    tables = kernel_tables(ctx, _distances(pts, nodes))
+    return np.array([_kernel_sums(*rows, a, b) for rows in zip(*tables)]).T
+
+
 def _eval_quadrature(ctx, src, pts):
-    grid = product_grid(ctx, src.resolve_radial_order())
-    fw = src.values_on(grid) * grid.weights
+    grid, a, b = _weighted_parts(src)
     f_h = np.zeros(pts.shape[0], dtype=complex)
     f_m = np.zeros(pts.shape[0], dtype=complex)
     steps = _lattice_steps(grid.angular, pts)
@@ -103,18 +140,15 @@ def _eval_quadrature(ctx, src, pts):
         rings = rs[np.diff(rs, prepend=-np.inf) > _LATTICE_TOL * rs]  # smallest radius of each ring
         ring_of = np.searchsorted(rings, r, side="right") - 1
         for k, rho in enumerate(rings):
-            dist = np.hypot(rho - nodes * cos, nodes * sin)
-            table_h, table_m = phi_h_of_r(ctx, dist), phi_m_of_r(ctx, dist)
+            tables = kernel_tables(ctx, np.hypot(rho - nodes * cos, nodes * sin))
             for p in np.flatnonzero(ring_of == k):
-                f_h[p] = -np.roll(table_h, steps[p], axis=1).reshape(-1) @ fw
-                f_m[p] = -np.roll(table_m, steps[p], axis=1).reshape(-1) @ fw
+                rows = [np.roll(table, steps[p], axis=1).reshape(-1) for table in tables]
+                f_h[p], f_m[p] = _kernel_sums(*rows, a, b)
         return f_h, f_m
     step = max(1, _EVAL_PAIRS // grid.points.shape[0])
     for start in range(0, pts.shape[0], step):
-        chunk = pts[start : start + step]
-        dist = np.linalg.norm(chunk[:, None, :] - grid.points[None, :, :], axis=-1)
-        f_h[start : start + step] = -phi_h_of_r(ctx, dist) @ fw
-        f_m[start : start + step] = -phi_m_of_r(ctx, dist) @ fw
+        chunk = slice(start, start + step)
+        f_h[chunk], f_m[chunk] = _dense_sums(ctx, pts[chunk], grid.points, a, b)
     return f_h, f_m
 
 
@@ -127,12 +161,18 @@ def _check_directions(ctx, directions) -> np.ndarray:
     return dirs
 
 
-def _volume_transform(ctx, src, directions, scale):
-    """sum over the ball grid of exp(scale * dir . y) f(y) w(y), one value per unit direction."""
+def _volume_transform(ctx, src, directions, oscillating):
+    """Sum over the ball grid of exp(-i kappa dir . y) f(y) w(y) (oscillating)
+    or exp(-kappa dir . y) f(y) w(y), one value per unit direction, from the
+    real phase kappa dir . y."""
     dirs = _check_directions(ctx, directions)
-    grid = product_grid(ctx, src.resolve_radial_order())
-    fw = src.values_on(grid) * grid.weights
-    return np.exp(scale * dirs @ grid.points.T) @ fw
+    grid, a, b = _weighted_parts(src)
+    phase = (ctx.kappa * dirs) @ grid.points.T
+    if oscillating:
+        c, s = np.cos(phase), np.sin(phase)
+        return (c @ a + s @ b) + 1j * (c @ b - s @ a)
+    e = np.exp(-phase)
+    return e @ a + 1j * (e @ b)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +351,7 @@ def far_field(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
     The large-radius field obeys
     u(x) ~ -(mu_d / (8 kappa^2)) exp(i kappa |x|) / (pi |x|)^((d-1)/2) * u_inf(xhat).
     """
-    return _volume_transform(ctx, src, directions, -1j * ctx.kappa)
+    return _volume_transform(ctx, src, directions, oscillating=True)
 
 
 # ---------------------------------------------------------------------------

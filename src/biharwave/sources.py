@@ -148,6 +148,7 @@ class SourceField:
         self._func = func
         self.radial_hint = radial_hint
         self._norm: float | None = None
+        self._values: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -182,6 +183,24 @@ class SourceField:
     def values_on(self, grid: ProductGrid) -> np.ndarray:
         """Values at the nodes of a product grid."""
         return self.evaluate(grid.points)
+
+    def default_samples(self) -> tuple[ProductGrid, np.ndarray]:
+        """The source's default product grid (the one l2_norm integrates on)
+        and its values there.
+
+        The values are sampled once and cached, read-only, and real when the
+        source is.  The grid is rebuilt on each call, a few milliseconds: a
+        kept 3D grid would hold four times the memory of real values for as
+        long as the source lives.
+        """
+        grid = product_grid(self.ctx, self.resolve_radial_order())
+        if self._values is None:
+            values = self.values_on(grid)
+            if not np.any(values.imag):  # a real source keeps half the memory
+                values = values.real.copy()
+            values.flags.writeable = False
+            self._values = values
+        return grid, self._values
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, factor: complex) -> "SourceField":
@@ -220,8 +239,7 @@ class SourceField:
     def l2_norm(self) -> float:
         """Quadrature L2 norm over the ball (computed once, then cached)."""
         if self._norm is None:
-            grid = product_grid(self.ctx, self.resolve_radial_order())
-            vals = self.values_on(grid)
+            grid, vals = self.default_samples()
             self._norm = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
         return self._norm
 
@@ -237,7 +255,8 @@ def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
     data); 3D projects against the conjugate orthonormal harmonics with the
     product rule, separated: an FFT over the azimuths of each (radial, polar)
     ring, then one Legendre sum per order (specfun.sph_analysis), never the
-    dense harmonic block.
+    dense harmonic block.  When the default grid has enough angles for the
+    truncation, the projection reads the source's cached default samples.
     """
     ctx = src.ctx
     if truncation < 0:
@@ -247,12 +266,16 @@ def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
     # integrates harmonic products up to degree n_pol - 1 exactly (beyond
     # that the projection aliases)
     if ctx.dimension == 2:
-        angular_count = max(DEFAULT_ANGULAR_COUNT_2D, 2 * truncation + 2)
+        default, needed = DEFAULT_ANGULAR_COUNT_2D, 2 * truncation + 2
     else:
-        angular_count = max(DEFAULT_POLAR_COUNT_3D, truncation + 1)
-    grid = product_grid(ctx, src.resolve_radial_order(), angular_count)
+        default, needed = DEFAULT_POLAR_COUNT_3D, truncation + 1
+    if needed <= default:
+        grid, vals = src.default_samples()
+    else:
+        grid = product_grid(ctx, src.resolve_radial_order(), needed)
+        vals = src.values_on(grid)
     rule, ang = grid.radial, grid.angular
-    vals = src.values_on(grid).reshape(rule.order, ang.count)
+    vals = vals.reshape(rule.order, ang.count)
 
     if ctx.dimension == 2:
         m = ang.count

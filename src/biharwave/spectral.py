@@ -76,12 +76,13 @@ def _check_exp_weight(ctx: WaveContext) -> None:
 class InconsistencyError(RuntimeError):
     """The equivalent certificates disagree; numerics, not mathematics.
 
-    Raising the truncation does not clear the known false refusals: the 2D
-    Bessel source at roots 8-10 and the 2D bump at root 4 refuse with the
-    same residuals at every truncation, because the modal and spectral
-    residuals are divided only by the source norm while the
-    imaginary-argument family grows like exp(kappa R).
-    tests/test_cli.py::test_route_disagreement_exits_2 pins one of them.
+    The route-disagreement message names kappa*R and the truncation.  Raising
+    the truncation does not clear the known false refusals: the 2D Bessel
+    source at roots 8-10 and the 2D bump at root 4 refuse with the same
+    residuals at every truncation, because the modal and spectral residuals
+    are divided only by the source norm while the imaginary-argument family
+    grows like exp(kappa R).  tests/test_cli.py::test_route_disagreement_exits_2
+    pins one of them.
     """
 
 
@@ -198,13 +199,13 @@ def laplace_on_circle(ctx: WaveContext, src, directions, truncation: int | None 
 def fourier_transform_quadrature(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
     """Fourier data at kappa * direction by direct volume quadrature (the
     independent route against which the modal synthesis is checked)."""
-    return fields._volume_transform(ctx, src, directions, -1j * ctx.kappa)
+    return fields._volume_transform(ctx, src, directions, oscillating=True)
 
 
 def laplace_transform_quadrature(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
     """Exponential-weight transform at kappa * direction by direct quadrature."""
     _check_exp_weight(ctx)
-    return fields._volume_transform(ctx, src, directions, -ctx.kappa)
+    return fields._volume_transform(ctx, src, directions, oscillating=False)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +350,11 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
     if len(set(flags)) != 1:
         raise InconsistencyError(
             "characterization routes disagree at tolerance "
-            f"{cfg.tolerance:g}: modal {res_modal:.3e}, spectral {res_spectral:.3e}, "
-            f"field {res_field:.3e}; raise the truncation "
-            "(or the source straddles the tolerance)"
+            f"{cfg.tolerance:g} (kappa*R = {ctx.kappa * ctx.radius:.4g}, truncation {top}): "
+            f"modal {res_modal:.3e}, spectral {res_spectral:.3e}, field {res_field:.3e}; "
+            "at large kappa*R the modal and spectral residuals are limited by the "
+            "exp(kappa*R) growth of the imaginary-argument family, not by the truncation "
+            "(otherwise the source may straddle the tolerance)"
         )
     return NonradiatingVerdict(
         residual_modal=res_modal,

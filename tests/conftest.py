@@ -8,15 +8,15 @@ from biharwave import fields, specfun
 
 @pytest.fixture
 def kernel_values(monkeypatch):
-    """Number of distances fields.phi_h_of_r is asked for, as a one-entry list."""
+    """Number of distances fields.kernel_tables is asked for, as a one-entry list."""
     count = [0]
-    phi_h = fields.phi_h_of_r
+    tables = fields.kernel_tables
 
     def counting(ctx, r):
         count[0] += np.size(r)
-        return phi_h(ctx, r)
+        return tables(ctx, r)
 
-    monkeypatch.setattr(fields, "phi_h_of_r", counting)
+    monkeypatch.setattr(fields, "kernel_tables", counting)
     return count
 
 

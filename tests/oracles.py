@@ -12,6 +12,10 @@ The dense spherical-harmonic projection and synthesis on a product rule
 (one harmonic block over every node) are the references for the library's
 separated transforms (FFT over the azimuths, Legendre sums per order).
 
+The direct-quadrature sums (field parts and volume transforms) are redone
+here in complex arithmetic, on scipy's AMOS hankel1/kv in 2D and complex exp,
+as references for the library's sums of real kernel tables.
+
 The multipole series of the two point-source kernels and the 2D companion
 kernels (green_star, psi_kernel) live here too, written directly on
 scipy.special: the library computes none of them, so the tests use them as
@@ -28,6 +32,7 @@ import numpy as np
 from scipy import special as _sp
 
 from biharwave import specfun
+from biharwave.quadrature import product_grid
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -125,6 +130,37 @@ def sph_hankel1_imag(n: int, t):
 def sph_hankel1_imag_dt(n: int, t):
     """d/dt h^(1)_n(i t) = -(2/pi) i**-n k_n'(t)."""
     return -(2.0 / np.pi) * 1j ** -n * _sp.spherical_kn(n, t, derivative=True)
+
+
+# ---------------------------------------------------------------------------
+# Complex direct-quadrature sums (references for the real kernel tables)
+# ---------------------------------------------------------------------------
+def _weighted_values(ctx, src):
+    grid = product_grid(ctx, src.resolve_radial_order())
+    return grid, src.values_on(grid) * grid.weights
+
+
+def dense_kernel_sums(ctx, src, pts):
+    """f_h and f_m at points by the complex sum over the source's grid, on
+    explicit distances, and the sums of the integrands' magnitudes, which
+    bound their rounding.  2D kernels: (i/4) H^(1)_0 and K_0 / (2 pi) from
+    AMOS; 3D: exp(+-i kappa r) / (4 pi r) by complex exp."""
+    grid, fw = _weighted_values(ctx, src)
+    dist = np.linalg.norm(pts[:, None, :] - grid.points[None, :, :], axis=-1)
+    t = ctx.kappa * dist
+    if ctx.dimension == 2:
+        k_h, k_m = 0.25j * _sp.hankel1(0, t), _sp.kv(0, t) / (2.0 * np.pi)
+    else:
+        k_h, k_m = np.exp(1j * t) / (4.0 * np.pi * dist), np.exp(-t) / (4.0 * np.pi * dist)
+    return -k_h @ fw, -k_m @ fw, np.abs(k_h) @ np.abs(fw), np.abs(k_m) @ np.abs(fw)
+
+
+def volume_transform(ctx, src, dirs, scale):
+    """sum over the source's grid of exp(scale * dir . y) f(y) w(y) by complex
+    exp, one value per direction, and sum |f w|, which bounds the rounding of
+    the oscillating transform."""
+    grid, fw = _weighted_values(ctx, src)
+    return np.exp(scale * (dirs @ grid.points.T)) @ fw, float(np.sum(np.abs(fw)))
 
 
 # ---------------------------------------------------------------------------

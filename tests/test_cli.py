@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -331,12 +332,21 @@ def test_overflow_is_one_config_error_line(tmp_path, capsys):
 
 def test_route_disagreement_exits_2(tmp_path, capsys):
     # the 2D Bessel invisible source at kappa*R ~ 27.5: the modal and spectral
-    # residuals miss the tolerance while the field residual meets it
+    # residuals miss the tolerance while the field residual meets it, and a
+    # higher truncation refuses with the same residuals, so the message must
+    # not advise one
     cfg = _write(tmp_path, "nr9.json", dict(NR2D, root_index=9))
-    assert main(["verdict", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("inconsistency: ") and "raise the truncation" in err
-    assert not (tmp_path / "out").exists()
+    residuals = []
+    # the truncation the message names is the projected one, N + 8
+    for extra, top in (([], 80), (["--truncation", "96"], 104)):
+        assert main(["verdict", "--config", cfg, "--out", str(tmp_path / "out")] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("inconsistency: ")
+        assert f"(kappa*R = 27.49, truncation {top})" in err and "exp(kappa*R) growth" in err
+        assert "raise the truncation" not in err
+        residuals.append(re.search(r"modal (\S+), spectral (\S+), field (\S+);", err).groups())
+        assert not (tmp_path / "out").exists()
+    assert residuals[0] == residuals[1]
 
 
 def test_import_leaves_scipy_interpolate_unloaded():

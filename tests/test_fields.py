@@ -13,7 +13,7 @@ from biharwave.fields import (
     far_field,
     write_trace_csv,
 )
-from biharwave.kernels import FarFieldConvention, phi_h_of_r, phi_m_of_r
+from biharwave.kernels import FarFieldConvention
 from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.sources import (
     SourceField,
@@ -22,7 +22,12 @@ from biharwave.sources import (
     make_bump_nonradiating,
     modal_coefficients,
 )
-from biharwave.spectral import PROBE_FACTORS, direction_grid
+from biharwave.spectral import (
+    PROBE_FACTORS,
+    direction_grid,
+    fourier_transform_quadrature,
+    laplace_transform_quadrature,
+)
 
 import oracles
 
@@ -33,6 +38,13 @@ CTX3 = WaveContext.with_root_wavenumber(3, 1.0, 1)
 def _gaussian(ctx):
     center = [0.25, 0.0] if ctx.dimension == 2 else [0.2, 0.1, 0.15]
     return gaussian_source(ctx, center=center, sigma=0.1, support_radius=0.9)
+
+
+def _complex_gaussian(ctx):
+    """A source with unrelated real and imaginary parts, so that the real
+    kernel sums take both parts of the weighted values."""
+    other = gaussian_source(ctx, center=[-0.3] + [0.1] * (ctx.dimension - 1), sigma=0.2)
+    return _gaussian(ctx) + other.scaled(0.5j)
 
 
 class TestEvalField:
@@ -117,16 +129,6 @@ class TestEvalField:
         assert expected / 2.0 < ratio < expected * 2.0
 
 
-def _dense_oracle(ctx, src, pts):
-    """f_h and f_m by the plain sum over the grid on explicit distances, and
-    the sums of the integrands' magnitudes, which bound their rounding."""
-    grid = product_grid(ctx, src.resolve_radial_order())
-    fw = src.values_on(grid) * grid.weights
-    dist = np.linalg.norm(pts[:, None, :] - grid.points[None, :, :], axis=-1)
-    k_h, k_m = phi_h_of_r(ctx, dist), phi_m_of_r(ctx, dist)
-    return -k_h @ fw, -k_m @ fw, np.abs(k_h) @ np.abs(fw), np.abs(k_m) @ np.abs(fw)
-
-
 class TestLatticeQuadrature:
     """Probe rings on the grid's angle lattice share one kernel table per
     radius; every other point set takes the dense sum."""
@@ -143,7 +145,7 @@ class TestLatticeQuadrature:
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
         grid = product_grid(ctx, src.resolve_radial_order())
         assert kernel_values[0] == len(PROBE_FACTORS) * grid.points.shape[0]
-        ref_h, ref_m, mag_h, mag_m = _dense_oracle(ctx, src, pts)
+        ref_h, ref_m, mag_h, mag_m = oracles.dense_kernel_sums(ctx, src, pts)
         # relative to the integrand's magnitude: the invisible bump's field
         # is itself rounding noise
         assert np.max(np.abs(f_h - ref_h) / mag_h) <= 1e-13
@@ -152,21 +154,42 @@ class TestLatticeQuadrature:
             assert np.max(np.abs(f_h - ref_h)) <= 1e-13 * np.max(np.abs(ref_h))
             assert np.max(np.abs(f_m - ref_m)) <= 1e-13 * np.max(np.abs(ref_m))
 
-    @pytest.mark.parametrize("layout", ["half-step", "mixed"])
+    @pytest.mark.parametrize("layout", ["half-step", "mixed", "3d"])
     def test_off_lattice_points_take_dense_sum(self, layout, kernel_values):
-        src = _gaussian(CTX2)
+        ctx = CTX3 if layout == "3d" else CTX2
+        src = _complex_gaussian(ctx)
         if layout == "half-step":
             theta = 2.0 * np.pi * np.arange(16) / 16 + np.pi / 256  # half of the grid's step
             pts = 1.5 * np.column_stack([np.cos(theta), np.sin(theta)])
-        else:
+        elif layout == "mixed":
             dirs, _ = direction_grid(CTX2, 16)
             pts = np.vstack([1.05 * dirs, [[1.3, 0.4]]])
-        _, f_h, f_m = eval_field_batch(CTX2, src, pts, method="quadrature")
-        grid = product_grid(CTX2, src.resolve_radial_order())
+        else:
+            dirs, _ = direction_grid(CTX3, 16)
+            pts = np.vstack([1.05 * dirs, 3.0 * dirs])
+        _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
+        grid = product_grid(ctx, src.resolve_radial_order())
         assert kernel_values[0] == len(pts) * grid.points.shape[0]
-        ref_h, ref_m, _, _ = _dense_oracle(CTX2, src, pts)
-        np.testing.assert_array_equal(f_h, ref_h)
-        np.testing.assert_array_equal(f_m, ref_m)
+        ref_h, ref_m, mag_h, mag_m = oracles.dense_kernel_sums(ctx, src, pts)
+        assert np.max(np.abs(f_h - ref_h) / mag_h) <= 1e-13
+        assert np.max(np.abs(f_m - ref_m) / mag_m) <= 1e-13
+        if layout != "mixed":  # alone, a lattice point of the mixed batch takes the ring path
+            # each point's sum is independent of the batch (and chunk) it came in
+            alone = [eval_field_batch(ctx, src, p[None, :], method="quadrature") for p in pts]
+            np.testing.assert_array_equal(f_h, [a[1][0] for a in alone])
+            np.testing.assert_array_equal(f_m, [a[2][0] for a in alone])
+
+    def test_ring_and_dense_paths_agree_on_the_lattice(self):
+        # test_exterior_pde_residual's stencil mixes both paths, so a gap
+        # between them shows up amplified by 1/h^4 there
+        src = _complex_gaussian(CTX2)
+        dirs, _ = direction_grid(CTX2, 16)
+        on_lattice = 1.5 * dirs
+        _, ring_h, ring_m = eval_field_batch(CTX2, src, on_lattice, method="quadrature")
+        mixed = np.vstack([on_lattice, [[1.3, 0.4]]])  # one scattered point forces the dense sum
+        _, dense_h, dense_m = eval_field_batch(CTX2, src, mixed, method="quadrature")
+        assert np.max(np.abs(ring_h - dense_h[:-1]) / np.abs(dense_h[:-1])) <= 2e-15
+        assert np.max(np.abs(ring_m - dense_m[:-1]) / np.abs(dense_m[:-1])) <= 2e-15
 
 
 class TestBoundaryTrace:
@@ -293,6 +316,21 @@ class TestSeparableModalRoute:
 
 
 class TestFarField:
+    @pytest.mark.parametrize("transform", ["far_field", "fourier", "laplace"])
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_real_phase_sums_match_complex_exp(self, ctx, transform):
+        src = _complex_gaussian(ctx)
+        rng = np.random.default_rng(41)
+        dirs = rng.normal(size=(12, ctx.dimension))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        func, scale = {
+            "far_field": (far_field, -1j * ctx.kappa),
+            "fourier": (fourier_transform_quadrature, -1j * ctx.kappa),
+            "laplace": (laplace_transform_quadrature, -ctx.kappa),
+        }[transform]
+        ref, mass = oracles.volume_transform(ctx, src, dirs, scale)
+        assert np.max(np.abs(func(ctx, src, dirs) - ref)) <= 1e-14 * mass
+
     def test_nonradiating_dark(self):
         src = make_2d_bessel_nonradiating(CTX2)
         dirs = np.column_stack(

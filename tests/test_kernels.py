@@ -1,5 +1,6 @@
 """Kernels: closed forms, the fourth-order assembly, expansions, asymptotics."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,6 +72,38 @@ class TestPointSourceKernels:
         z = np.zeros(2)
         with pytest.raises(ValueError):
             oracles.green_star(CTX2, z, z)
+
+
+class TestKernelTables:
+    """The real tables against mpmath at the argument they see, t = fl(kappa r)."""
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_mpmath_oracle(self, ctx):
+        rng = np.random.default_rng(29)
+        r = np.concatenate([np.geomspace(1e-8, 2000.0, 120), rng.uniform(1.0, 2000.0, 80)]) / ctx.kappa
+        t = ctx.kappa * r
+        re, im, phi_m = kernels.kernel_tables(ctx, r)
+        err_h, err_m = [], []
+        with mpmath.workdps(40):
+            for k in range(len(r)):
+                tk, rk = mpmath.mpf(t[k]), mpmath.mpf(r[k])
+                if ctx.dimension == 2:
+                    ref = (-mpmath.bessely(0, tk) / 4, mpmath.besselj(0, tk) / 4,
+                           mpmath.besselk(0, tk) / (2 * mpmath.pi))
+                else:
+                    s = 4 * mpmath.pi * rk
+                    ref = (mpmath.cos(tk) / s, mpmath.sin(tk) / s, mpmath.exp(-tk) / s)
+                # both parts of phi_h relative to its modulus: J_0, Y_0, cos
+                # and sin have zeros, where a relative error means nothing
+                modulus = mpmath.sqrt(ref[0] ** 2 + ref[1] ** 2)
+                err_h.append(float(max(abs(re[k] - ref[0]), abs(im[k] - ref[1])) / modulus))
+                # phi_m underflows past t ~ 700; there only its absolute error is defined
+                err_m.append(float(abs(phi_m[k] - ref[2]) / max(ref[2], mpmath.mpf(1e-290))))
+        # scipy's Cephes j0/y0 lose about 1e-16 * t relative at large t
+        # (AMOS hankel1 stays near 7e-16); k0, cos, sin and exp do not
+        bound = 5e-15 + 1e-16 * t if ctx.dimension == 2 else 1e-15
+        assert np.all(np.array(err_h) <= bound)
+        assert np.all(np.array(err_m) <= bound)
 
 
 class TestFourthOrderKernel:

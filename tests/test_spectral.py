@@ -288,9 +288,11 @@ class TestVerdict:
             verdict(CTX2, src, VerdictConfig(truncation=0))
 
     def test_source_read_once_per_route(self, monkeypatch):
-        # three reads of the source: its norm, one projection at the
-        # stability truncation and the field route's own quadrature; the
-        # check at the working truncation cuts that projection back
+        # the norm and the field route's quadrature share the source's
+        # default grid, sampled once.  In 2D the projection at the stability
+        # truncation needs no more angles than that grid has and reads the
+        # same samples: one read.  In 3D it needs more polar rings: a second
+        # read.  The check at the working truncation cuts that projection back
         reads = []
         values_on = SourceField.values_on
 
@@ -300,7 +302,11 @@ class TestVerdict:
 
         monkeypatch.setattr(SourceField, "values_on", counting)
         verdict(CTX2, _gaussian(CTX2))
+        assert len(reads) == 1
+        src = _gaussian(CTX3)
+        verdict(CTX3, src)
         assert len(reads) == 3
+        assert reads[1] == product_grid(CTX3, src.resolve_radial_order()).points.shape
 
     def test_field_route_shares_kernel_rows(self, kernel_values):
         # the probes lie on the grid's angle lattice, so the field route
