@@ -94,16 +94,24 @@ def _lattice_steps(angular, pts):
 
 def _weighted_parts(src):
     """The source's default product grid and the real and imaginary parts of
-    its values times the quadrature weights."""
+    its values times the quadrature weights; the imaginary part is None for a
+    real source (default_samples keeps its values real)."""
     grid, values = src.default_samples()
-    return grid, values.real * grid.weights, values.imag * grid.weights
+    b = None if np.isrealobj(values) else values.imag * grid.weights
+    return grid, values.real * grid.weights, b
+
+
+def _dot(table, b):
+    """table @ b, or 0.0 when b is None: a dot product of zeros is +0.0, so
+    skipping it keeps every signed zero of the outputs."""
+    return 0.0 if b is None else table @ b
 
 
 def _kernel_sums(re_h, im_h, phi_m, a, b):
     """-(phi_h . fw) and -(phi_m . fw) for one point's three real kernel rows,
     with fw = a + i b: one real dot product per table and part."""
-    f_h = complex(im_h @ b - re_h @ a, -(re_h @ b + im_h @ a))
-    return f_h, complex(-(phi_m @ a), -(phi_m @ b))
+    f_h = complex(_dot(im_h, b) - re_h @ a, -(_dot(re_h, b) + im_h @ a))
+    return f_h, complex(-(phi_m @ a), -_dot(phi_m, b))
 
 
 def _distances(pts, nodes):
@@ -170,9 +178,9 @@ def _volume_transform(ctx, src, directions, oscillating):
     phase = (ctx.kappa * dirs) @ grid.points.T
     if oscillating:
         c, s = np.cos(phase), np.sin(phase)
-        return (c @ a + s @ b) + 1j * (c @ b - s @ a)
+        return (c @ a + _dot(s, b)) + 1j * (_dot(c, b) - s @ a)
     e = np.exp(-phase)
-    return e @ a + 1j * (e @ b)
+    return e @ a + 1j * _dot(e, b)
 
 
 # ---------------------------------------------------------------------------
