@@ -17,10 +17,16 @@ stderr instead, so a refusal still compares.  Usage, from any directory:
 
 With --compare, both checkouts run every command.  Each line carries the
 digest of OTHER's output and of this checkout's, then, for an output that
-moved, the largest absolute change over its numeric JSON and CSV fields and
-that change divided by the output's largest absolute value.  An output whose
-text outside those numbers changed (keys, headers, metadata, a refusal) is
-marked "text differs".  --compare exits 1 when any exit code differs or any
+moved, three sizes over its numeric JSON and CSV fields: the largest
+absolute change; that change divided by the output's largest absolute value
+(its peak); and the largest per-value change |new - old| / max(|old|,
+1e-15 * peak), with the JSON key path or the CSV column and data row where
+it occurs.  The per-value change shows a small number that moved by a large
+fraction of itself, which the peak-relative change hides behind the
+output's largest number (in a verdict JSON, the integer truncation); the
+floor keeps a value that is rounding noise around zero from dividing by
+nothing.  An output whose text outside those numbers changed (keys,
+headers, metadata, a refusal) is marked "text differs".  --compare exits 1 when any exit code differs or any
 output's text differs (a flipped "is_nonradiating" is text: JSON booleans
 are not numbers), and 0 when every output is identical or moved only in its
 numbers; judge the printed sizes of those moves by eye.
@@ -69,17 +75,18 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _leaves(value):
-    """The leaves of parsed JSON in document order, keys included."""
+def _leaves(value, path=""):
+    """(key path, leaf) for the leaves of parsed JSON in document order; each
+    key is a leaf of its own, under the path of its object."""
     if isinstance(value, dict):
         for key, item in value.items():
-            yield key
-            yield from _leaves(item)
+            yield path, key
+            yield from _leaves(item, f"{path}.{key}" if path else key)
     elif isinstance(value, list):
-        for item in value:
-            yield from _leaves(item)
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
     else:
-        yield value
+        yield path, value
 
 
 def _csv_number(cell: str):
@@ -89,34 +96,64 @@ def _csv_number(cell: str):
         return None
 
 
-def split_numbers(data: bytes) -> tuple[list[float], list]:
-    """(numeric fields, all other tokens) of a JSON or CSV output.  JSON
-    numbers are numbers (bools and strings are not); CSV cells are numbers
-    when they parse as floats, and '#' metadata lines are tokens, whole."""
+def _csv_tokens(text: str):
+    """(number or None, cell, label) for every CSV cell: a number is labelled
+    by its header column and data row, and '#' metadata lines are cells, whole."""
+    header, row = None, 0
+    for line in text.splitlines():
+        if line.startswith("#"):
+            yield None, line, ""
+            continue
+        cells = line.split(",")
+        if header is None:
+            header = cells
+        else:
+            row += 1
+        for j, cell in enumerate(cells):
+            column = header[j] if j < len(header) else f"column {j}"
+            yield (None, cell, "") if row == 0 else (_csv_number(cell), cell, f"{column} row {row}")
+
+
+def split_numbers(data: bytes) -> tuple[list[float], list[str], list]:
+    """(numeric fields, where each one sits, all other tokens) of a JSON or
+    CSV output.  JSON numbers are numbers (bools and strings are not) and sit
+    at their key path; CSV cells are numbers when they parse as floats and
+    sit at their column and data row; '#' metadata lines are tokens, whole."""
     text = data.decode("utf-8", errors="replace")
     try:
-        tokens = [(float(t) if isinstance(t, (int, float)) and not isinstance(t, bool) else None, t)
-                  for t in _leaves(json.loads(text))]
+        tokens = [(float(t) if isinstance(t, (int, float)) and not isinstance(t, bool) else None, t, path)
+                  for path, t in _leaves(json.loads(text))]
     except json.JSONDecodeError:
-        cells = [cell for line in text.splitlines()
-                 for cell in ([line] if line.startswith("#") else line.split(","))]
-        tokens = [(None if cell.startswith("#") else _csv_number(cell), cell) for cell in cells]
-    numbers = [value for value, _ in tokens if value is not None]
-    other = [token for value, token in tokens if value is None]
-    return numbers, other
+        tokens = list(_csv_tokens(text))
+    numbers = [(value, label) for value, _, label in tokens if value is not None]
+    other = [token for value, token, _ in tokens if value is None]
+    return [value for value, _ in numbers], [label for _, label in numbers], other
+
+
+def _relative(x: float, y: float, floor: float) -> float:
+    """|y - x| / max(|x|, floor); inf for a move away from an exact zero scale."""
+    scale = max(abs(x), floor)
+    if scale > 0:
+        return abs(y - x) / scale
+    return float("inf") if y != x else 0.0
 
 
 def change(old: bytes, new: bytes) -> str:
-    """How an output moved: largest absolute change of its numbers, and that
-    change over the largest absolute value of the old output."""
-    a, text_a = split_numbers(old)
-    b, text_b = split_numbers(new)
+    """How an output moved: largest absolute change of its numbers, that
+    change over the largest absolute value (peak) of the old output, and the
+    largest per-value change |new - old| / max(|old|, 1e-15 * peak) with
+    where it occurs."""
+    a, labels, text_a = split_numbers(old)
+    b, _, text_b = split_numbers(new)
     if text_a != text_b or len(a) != len(b):
         return "text differs"
     diff = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
     peak = max((abs(x) for x in a), default=0.0)
     rel = diff / peak if peak > 0 else float("inf") if diff else 0.0
-    return f"max abs change {diff:.3e}  max rel change {rel:.3e}"
+    per_value = [(_relative(x, y, 1e-15 * peak), label) for x, y, label in zip(a, b, labels)]
+    worst, where = max(per_value, key=lambda item: item[0], default=(0.0, ""))
+    return (f"max abs change {diff:.3e}  max rel change {rel:.3e}  "
+            f"max per-value change {worst:.3e} at {where or '-'}")
 
 
 def main(argv=None) -> int:

@@ -1,0 +1,34 @@
+"""scripts/cli_digest.py: how a compared output's numbers moved."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "cli_digest", Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
+)
+cli_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_digest)
+
+
+def _verdict(residual):
+    return json.dumps({"residual_field": residual, "truncation": 23, "is_nonradiating": True}).encode()
+
+
+def test_per_value_change_names_the_key():
+    # the residual moves by 1.3e-4 of itself; next to the truncation that is
+    # 5e-19 of the output's peak
+    moved = cli_digest.change(_verdict(8.7574e-14), _verdict(8.7585e-14))
+    assert "max rel change 4.783e-19" in moved
+    assert moved.endswith("max per-value change 1.256e-04 at residual_field")
+
+
+def test_per_value_change_names_the_csv_column_and_row():
+    old = b"# scenario=x\nradius,u_re,u_im\n1.05,0.5,-0.0\n3.0,1e-20,2.0\n"
+    new = old.replace(b"1e-20", b"2e-20")
+    # 1e-20 lies below the floor 1e-15 * peak = 3e-15
+    assert cli_digest.change(old, new).endswith("max per-value change 3.333e-06 at u_re row 2")
+
+
+def test_text_change_is_not_a_move():
+    assert cli_digest.change(_verdict(1e-14), _verdict(1e-14).replace(b"true", b"false")) == "text differs"
