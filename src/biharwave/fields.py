@@ -11,9 +11,12 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   default product grid (points strictly outside the support): the kernels
   enter as three real tables (kernels.kernel_tables: Re phi_h, Im phi_h,
   phi_m), each summed against the real and imaginary parts of the weighted
-  values by real dot products, never in complex arithmetic; the far field
-  and the volume transforms do the same with cos/sin (or exp) of the real
-  phase kappa dir . y, and
+  values by real dot products, never in complex arithmetic (a real source
+  has no imaginary part to sum).  Points that are images of each other
+  under the grid's symmetries (azimuth-step rotations, phi -> -phi and, in
+  3D, z -> -z) share one point's tables, summed against the source's values
+  permuted to each image; the far field and the volume transforms sum
+  cos/sin (or exp) of the real phase kappa dir . y the same way, and
 * angular-mode series built from the modal coefficients (valid from the
   support radius outward), which is also how boundary traces are computed:
   the trace derivatives come from analytic recurrences, not numerical
@@ -42,13 +45,14 @@ from .kernels import kernel_tables
 from .quadrature import BoundaryGrid, spherical_params
 from .sources import SourceField, SupportViolationError, resolve_coefficients
 
-# (point, grid node) pairs per chunk of the dense direct-quadrature sum: it
+# (point, grid node) pairs per chunk of the direct-quadrature kernel tables: it
 # bounds each difference, distance and kernel-table temporary to this many
-# entries (about seven such arrays are alive at once).
-_EVAL_PAIRS = 2**19
+# entries, 1 MB (about seven such arrays are alive at once).
+_EVAL_PAIRS = 2**17
 
-# Relative slack within which a point counts as on the quadrature grid's angle
-# lattice, and two probe radii as one ring (rounding is about 1e-14 of a step).
+# Slack within which two points count as images of one another under the
+# quadrature grid's symmetries: relative in the radius, absolute in the polar
+# angle and in the fraction of an azimuth step (rounding is about 1e-14 of one).
 _LATTICE_TOL = 1e-12
 
 
@@ -80,16 +84,57 @@ class BoundaryTrace:
 # ---------------------------------------------------------------------------
 # Direct quadrature route
 # ---------------------------------------------------------------------------
-def _lattice_steps(angular, pts):
-    """Each point's index on the 2D rule's angle lattice, or None when any
-    point is off that lattice (by more than rounding) or the rule is 3D."""
-    if angular.dimension != 2:
-        return None
-    steps = spherical_params(pts)[1] * (angular.count / (2.0 * np.pi))
-    nearest = np.rint(steps)
-    if np.any(np.abs(steps - nearest) > _LATTICE_TOL * angular.count):
-        return None
-    return nearest.astype(int) % angular.count
+def _snap(keys, relative=False):
+    """Integer ids of keys, shared by keys within _LATTICE_TOL (times the key
+    when relative) of each other: sort, split where the gap exceeds it, search."""
+    ks = np.sort(keys)
+    starts = ks[np.diff(ks, prepend=-np.inf) > (_LATTICE_TOL * ks if relative else _LATTICE_TOL)]
+    return np.searchsorted(starts, keys, side="right") - 1
+
+
+def _symmetry_groups(angular, pts):
+    """Group the points by the exact symmetries of the product grid: rotation
+    by the azimuth step 2 pi / n, the reflection phi -> -phi and, in 3D,
+    z -> -z (numpy's Gauss-Legendre polar rings are mirror-symmetric).
+
+    Each point is the image of a canonical point (r, theta_c, f) with
+    theta_c <= pi / 2 and f in [0, 1/2]: its azimuth is (s + eps f) 2 pi / n
+    and its polar angle pi - theta_c when flipped.  Points whose canonical
+    forms agree share a group.  Returns each point's group, the first point
+    of each group, and each point's s, eps and flip.
+    """
+    r, theta, phi = spherical_params(pts)
+    if angular.dimension == 2:
+        n, phi, theta = angular.count, theta, np.zeros_like(r)
+    else:
+        n = angular.azimuth_count
+    u = phi * (n / (2.0 * np.pi))
+    s = np.floor(u)
+    f = u - s
+    eps = np.where(f > 0.5, -1, 1)
+    f = np.where(eps < 0, 1.0 - f, f)
+    s = (s.astype(int) + (eps < 0)) % n
+    flip = theta > 0.5 * np.pi
+    theta = np.where(flip, np.pi - theta, theta)
+    ids = [_snap(r, relative=True), _snap(theta), _snap(f)]
+    key = np.ravel_multi_index(ids, [i.max() + 1 for i in ids])
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return group, first, s, eps, flip
+
+
+def _node_images(values, shape, shift, sign, reverse):
+    """values over the product grid (shape (radial, polar, azimuth)) taken at
+    each node's image under a grid symmetry: azimuth index l goes to
+    shift + sign l (mod n), and the polar rings reverse when reverse.  The
+    identity (and a real source's absent imaginary part) passes through."""
+    if values is None or (shift == 0 and sign == 1 and not reverse):
+        return values
+    v = values.reshape(shape)
+    if reverse:
+        v = v[:, ::-1]
+    if sign < 0:  # v[shift - l] is the reversed azimuths at l - shift - 1
+        v, shift = v[..., ::-1], -shift - 1
+    return np.roll(v, -shift, axis=-1).reshape(-1)
 
 
 def _weighted_parts(src):
@@ -125,38 +170,32 @@ def _distances(pts, nodes):
     return np.sqrt(sq, out=sq)
 
 
-def _dense_sums(ctx, pts, nodes, a, b):
-    """_kernel_sums of each point against every node, as (f_h, f_m) rows; its
-    kernel tables are freed on return, before the next chunk builds its own."""
-    tables = kernel_tables(ctx, _distances(pts, nodes))
-    return np.array([_kernel_sums(*rows, a, b) for rows in zip(*tables)]).T
-
-
 def _eval_quadrature(ctx, src, pts):
+    """f_h and f_m at the points by direct quadrature.  Only the first point q
+    of each symmetry group gets kernel tables; another member m is h(q) for
+    a grid symmetry h, so |m - h(y)| = |q - y| and m sums q's tables against
+    the values at h(y): the source's own values, permuted."""
     grid, a, b = _weighted_parts(src)
+    angular = grid.angular
+    n = angular.azimuth_count or angular.count
+    shape = (grid.radial.order, max(angular.polar_count, 1), n)
+    group, first, s, eps, flip = _symmetry_groups(angular, pts)
+    members = np.argsort(group, kind="stable")  # by group, each group's first point first
+    bounds = np.searchsorted(group[members], np.arange(first.size + 1))
     f_h = np.zeros(pts.shape[0], dtype=complex)
     f_m = np.zeros(pts.shape[0], dtype=complex)
-    steps = _lattice_steps(grid.angular, pts)
-    if steps is not None:
-        # On a ring of probes at the lattice angles the kernel depends only on
-        # the radial node and the angle step between probe and node: one table
-        # per ring, rolled to each probe's angle.
-        cos, sin = grid.angular.directions.T
-        nodes = grid.radial.nodes[:, None]
-        r = np.linalg.norm(pts, axis=-1)
-        rs = np.sort(r)
-        rings = rs[np.diff(rs, prepend=-np.inf) > _LATTICE_TOL * rs]  # smallest radius of each ring
-        ring_of = np.searchsorted(rings, r, side="right") - 1
-        for k, rho in enumerate(rings):
-            tables = kernel_tables(ctx, np.hypot(rho - nodes * cos, nodes * sin))
-            for p in np.flatnonzero(ring_of == k):
-                rows = [np.roll(table, steps[p], axis=1).reshape(-1) for table in tables]
-                f_h[p], f_m[p] = _kernel_sums(*rows, a, b)
-        return f_h, f_m
     step = max(1, _EVAL_PAIRS // grid.points.shape[0])
-    for start in range(0, pts.shape[0], step):
-        chunk = slice(start, start + step)
-        f_h[chunk], f_m[chunk] = _dense_sums(ctx, pts[chunk], grid.points, a, b)
+    for start in range(0, first.size, step):
+        tables = kernel_tables(ctx, _distances(pts[first[start:start + step]], grid.points))
+        for g, rows in enumerate(zip(*tables), start):
+            q = first[g]
+            for m in members[bounds[g]:bounds[g + 1]]:
+                # azimuth l -> s_m + eps_m eps_q (l - s_q), polar rings mirrored when the flips differ
+                sign = eps[m] * eps[q]
+                shift = (s[m] - sign * s[q]) % n
+                image = [_node_images(v, shape, shift, sign, flip[m] != flip[q]) for v in (a, b)]
+                f_h[m], f_m[m] = _kernel_sums(*rows, *image)
+        del tables, rows  # freed before the next chunk builds its own
     return f_h, f_m
 
 
@@ -266,12 +305,15 @@ def eval_field_batch(
     """Evaluate (u, f_h, f_m) at exterior points, shape (M, d).
 
     method 'quadrature' integrates the kernels against the source and needs
-    every point strictly outside the support radius.  In 2D, when every
-    point lies on the quadrature grid's angle lattice (rings of probes such
-    as direction_grid's), each probe radius shares one kernel table, rolled
-    to each probe's angle; scattered points use the dense sum.  'modal' sums the
-    exterior angular-mode series (valid from the support radius outward).
-    Points with a coordinate that is not finite are refused.
+    every point strictly outside the support radius.  Points that are images
+    of each other under the symmetries of the source's product grid (rotation
+    by its azimuth step, phi -> -phi and, in 3D, z -> -z) share one kernel
+    table: a ring of probes on the 2D grid's angle lattice takes one table
+    per radius, and the 54 probes of a 3D verdict take 12.  Each point still
+    sums the source's own values, permuted to its image; scattered points
+    take one table each.  'modal' sums the exterior angular-mode series
+    (valid from the support radius outward).  Points with a coordinate that
+    is not finite are refused.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != ctx.dimension:

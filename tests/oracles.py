@@ -146,13 +146,16 @@ def dense_kernel_sums(ctx, src, pts):
     bound their rounding.  2D kernels: (i/4) H^(1)_0 and K_0 / (2 pi) from
     AMOS; 3D: exp(+-i kappa r) / (4 pi r) by complex exp."""
     grid, fw = _weighted_values(ctx, src)
-    dist = np.linalg.norm(pts[:, None, :] - grid.points[None, :, :], axis=-1)
-    t = ctx.kappa * dist
-    if ctx.dimension == 2:
-        k_h, k_m = 0.25j * _sp.hankel1(0, t), _sp.kv(0, t) / (2.0 * np.pi)
-    else:
-        k_h, k_m = np.exp(1j * t) / (4.0 * np.pi * dist), np.exp(-t) / (4.0 * np.pi * dist)
-    return -k_h @ fw, -k_m @ fw, np.abs(k_h) @ np.abs(fw), np.abs(k_m) @ np.abs(fw)
+    sums = []
+    for chunk in np.array_split(pts, -(-len(pts) * len(fw) // 2**20)):  # about 2**20 pairs each
+        dist = np.linalg.norm(chunk[:, None, :] - grid.points[None, :, :], axis=-1)
+        t = ctx.kappa * dist
+        if ctx.dimension == 2:
+            k_h, k_m = 0.25j * _sp.hankel1(0, t), _sp.kv(0, t) / (2.0 * np.pi)
+        else:
+            k_h, k_m = np.exp(1j * t) / (4.0 * np.pi * dist), np.exp(-t) / (4.0 * np.pi * dist)
+        sums.append([-k_h @ fw, -k_m @ fw, np.abs(k_h) @ np.abs(fw), np.abs(k_m) @ np.abs(fw)])
+    return tuple(np.concatenate(part) for part in zip(*sums))
 
 
 def volume_transform(ctx, src, dirs, scale):

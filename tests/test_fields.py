@@ -19,6 +19,7 @@ from biharwave.sources import (
     SourceField,
     gaussian_source,
     make_2d_bessel_nonradiating,
+    make_3d_bessel_nonradiating,
     make_bump_nonradiating,
     modal_coefficients,
 )
@@ -129,9 +130,24 @@ class TestEvalField:
         assert expected / 2.0 < ratio < expected * 2.0
 
 
-class TestLatticeQuadrature:
-    """Probe rings on the grid's angle lattice share one kernel table per
-    radius; every other point set takes the dense sum."""
+def _verdict_probes(ctx):
+    dirs, _ = direction_grid(ctx, 16)
+    return np.vstack([f * ctx.radius * dirs for f in PROBE_FACTORS])
+
+
+def _assert_matches_dense_sum(ctx, src, pts, f_h, f_m):
+    ref_h, ref_m, mag_h, mag_m = oracles.dense_kernel_sums(ctx, src, pts)
+    # relative to the integrand's magnitude: an invisible source's field
+    # is itself rounding noise
+    assert np.max(np.abs(f_h - ref_h) / mag_h) <= 1e-13
+    assert np.max(np.abs(f_m - ref_m) / mag_m) <= 1e-13
+    return ref_h, ref_m, mag_h, mag_m
+
+
+class TestSymmetryGroupQuadrature:
+    """Points that are images of each other under the source grid's
+    symmetries (azimuth step rotations, phi -> -phi, z -> -z in 3D) share
+    one kernel table; scattered points are groups of one."""
 
     @pytest.mark.parametrize(
         "root, kind", [(1, "gaussian"), (5, "gaussian"), (10, "gaussian"), (4, "bump")],
@@ -140,26 +156,46 @@ class TestLatticeQuadrature:
     def test_verdict_probes_match_dense_sum(self, root, kind, kernel_values):
         ctx = WaveContext.with_root_wavenumber(2, 1.0, root)
         src = _gaussian(ctx) if kind == "gaussian" else make_bump_nonradiating(ctx)
-        dirs, _ = direction_grid(ctx, 16)
-        pts = np.vstack([f * ctx.radius * dirs for f in PROBE_FACTORS])
+        pts = _verdict_probes(ctx)
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
         grid = product_grid(ctx, src.resolve_radial_order())
         assert kernel_values[0] == len(PROBE_FACTORS) * grid.points.shape[0]
-        ref_h, ref_m, mag_h, mag_m = oracles.dense_kernel_sums(ctx, src, pts)
-        # relative to the integrand's magnitude: the invisible bump's field
-        # is itself rounding noise
-        assert np.max(np.abs(f_h - ref_h) / mag_h) <= 1e-13
-        assert np.max(np.abs(f_m - ref_m) / mag_m) <= 1e-13
+        ref_h, ref_m, _, _ = _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
         if kind == "gaussian":
             assert np.max(np.abs(f_h - ref_h)) <= 1e-13 * np.max(np.abs(ref_h))
             assert np.max(np.abs(f_m - ref_m)) <= 1e-13 * np.max(np.abs(ref_m))
 
-    @pytest.mark.parametrize("layout", ["half-step", "mixed", "3d"])
-    def test_off_lattice_points_take_dense_sum(self, layout, kernel_values):
+    @pytest.mark.parametrize(
+        "root, kind", [(1, "gaussian"), (2, "bessel"), (1, "bump")],
+        ids=["gaussian-r1", "bessel-r2", "bump-r1"],
+    )
+    def test_3d_verdict_probes_match_dense_sum(self, root, kind, kernel_values):
+        # 3 polar rings x 6 azimuths at 60 degrees, off the 64-azimuth
+        # lattice: 2 azimuth classes (0 and 1/3 of a step from it) times 2
+        # polar classes (the outer rings mirror each other) per radius
+        ctx = WaveContext.with_root_wavenumber(3, 1.0, root)
+        make = {"gaussian": _gaussian, "bessel": make_3d_bessel_nonradiating,
+                "bump": make_bump_nonradiating}[kind]
+        src = make(ctx)
+        pts = _verdict_probes(ctx)
+        _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
+        grid = product_grid(ctx, src.resolve_radial_order())
+        assert kernel_values[0] == 12 * grid.points.shape[0]
+        _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
+
+    @pytest.mark.parametrize(
+        "layout, groups, firsts",
+        [("half-step", 1, [0]), ("mixed", 2, [0, 16]),
+         ("3d", 8, [0, 1, 6, 7, 18, 19, 24, 25])],
+        ids=["half-step", "mixed", "3d"],
+    )
+    def test_symmetric_layouts_share_tables(self, layout, groups, firsts, kernel_values):
         ctx = CTX3 if layout == "3d" else CTX2
         src = _complex_gaussian(ctx)
         if layout == "half-step":
-            theta = 2.0 * np.pi * np.arange(16) / 16 + np.pi / 256  # half of the grid's step
+            # half a grid step off the lattice: each point is the mirror
+            # image of the next under phi -> -phi about a lattice angle
+            theta = 2.0 * np.pi * np.arange(16) / 16 + np.pi / 256
             pts = 1.5 * np.column_stack([np.cos(theta), np.sin(theta)])
         elif layout == "mixed":
             dirs, _ = direction_grid(CTX2, 16)
@@ -169,27 +205,64 @@ class TestLatticeQuadrature:
             pts = np.vstack([1.05 * dirs, 3.0 * dirs])
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
         grid = product_grid(ctx, src.resolve_radial_order())
-        assert kernel_values[0] == len(pts) * grid.points.shape[0]
-        ref_h, ref_m, mag_h, mag_m = oracles.dense_kernel_sums(ctx, src, pts)
-        assert np.max(np.abs(f_h - ref_h) / mag_h) <= 1e-13
-        assert np.max(np.abs(f_m - ref_m) / mag_m) <= 1e-13
-        if layout != "mixed":  # alone, a lattice point of the mixed batch takes the ring path
-            # each point's sum is independent of the batch (and chunk) it came in
-            alone = [eval_field_batch(ctx, src, p[None, :], method="quadrature") for p in pts]
-            np.testing.assert_array_equal(f_h, [a[1][0] for a in alone])
-            np.testing.assert_array_equal(f_m, [a[2][0] for a in alone])
+        assert kernel_values[0] == groups * grid.points.shape[0]
+        _, _, mag_h, mag_m = _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
+        # alone, a point is the first of its own group: the first point of
+        # each group (in batch order) sums its own tables, so its value is
+        # independent of the batch (and chunk) it came in; another member
+        # sums the permuted values against its first point's tables
+        alone = [eval_field_batch(ctx, src, p[None, :], method="quadrature") for p in pts]
+        alone_h = np.array([a[1][0] for a in alone])
+        alone_m = np.array([a[2][0] for a in alone])
+        np.testing.assert_array_equal(f_h[firsts], alone_h[firsts])
+        np.testing.assert_array_equal(f_m[firsts], alone_m[firsts])
+        assert np.max(np.abs(f_h - alone_h) / mag_h) <= 2e-15
+        assert np.max(np.abs(f_m - alone_m) / mag_m) <= 2e-15
 
-    def test_ring_and_dense_paths_agree_on_the_lattice(self):
-        # test_exterior_pde_residual's stencil mixes both paths, so a gap
-        # between them shows up amplified by 1/h^4 there
+    def test_group_members_agree_with_own_tables(self):
+        # a member's permuted sum and the sum over its own kernel tables
+        # differ only in rounding; test_exterior_pde_residual's stencil
+        # would amplify a gap between them by 1/h^4
         src = _complex_gaussian(CTX2)
         dirs, _ = direction_grid(CTX2, 16)
-        on_lattice = 1.5 * dirs
-        _, ring_h, ring_m = eval_field_batch(CTX2, src, on_lattice, method="quadrature")
-        mixed = np.vstack([on_lattice, [[1.3, 0.4]]])  # one scattered point forces the dense sum
-        _, dense_h, dense_m = eval_field_batch(CTX2, src, mixed, method="quadrature")
-        assert np.max(np.abs(ring_h - dense_h[:-1]) / np.abs(dense_h[:-1])) <= 2e-15
-        assert np.max(np.abs(ring_m - dense_m[:-1]) / np.abs(dense_m[:-1])) <= 2e-15
+        ring = 1.5 * dirs
+        _, ring_h, ring_m = eval_field_batch(CTX2, src, ring, method="quadrature")
+        own = [eval_field_batch(CTX2, src, p[None, :], method="quadrature") for p in ring]
+        own_h = np.array([o[1][0] for o in own])
+        own_m = np.array([o[2][0] for o in own])
+        assert np.max(np.abs(ring_h - own_h) / np.abs(own_h)) <= 2e-15
+        assert np.max(np.abs(ring_m - own_m) / np.abs(own_m)) <= 2e-15
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_near_image_forms_its_own_group(self, ctx, kernel_values):
+        # a member's symmetric image turned by 1e-9 rad about the z axis
+        # is not a symmetric image: it must take tables of its own
+        src = _complex_gaussian(ctx)
+        dirs, _ = direction_grid(ctx, 16)
+        member = 1.5 * dirs[1]
+        turn = 1e-9
+        c, s = np.cos(turn), np.sin(turn)
+        near = member.copy()
+        near[0], near[1] = c * member[0] + s * member[1], -s * member[0] + c * member[1]
+        near[1] = -near[1]  # phi -> -(phi - 1e-9)
+        if ctx.dimension == 3:
+            near[2] = -near[2]
+        pts = np.vstack([1.5 * dirs[:2], near])
+        _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
+        grid = product_grid(ctx, src.resolve_radial_order())
+        # dirs[0] and dirs[1]: one group on the 2D lattice, two in 3D
+        assert kernel_values[0] == (2 if ctx.dimension == 2 else 3) * grid.points.shape[0]
+        _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
+
+    def test_scattered_points_are_groups_of_one(self, kernel_values):
+        src = _gaussian(CTX2)
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(40, 2))
+        pts *= (1.2 + rng.random((40, 1))) / np.linalg.norm(pts, axis=1, keepdims=True)
+        _, f_h, f_m = eval_field_batch(CTX2, src, pts, method="quadrature")
+        grid = product_grid(CTX2, src.resolve_radial_order())
+        assert kernel_values[0] == len(pts) * grid.points.shape[0]
+        _assert_matches_dense_sum(CTX2, src, pts, f_h, f_m)
 
 
 class TestBoundaryTrace:

@@ -309,14 +309,22 @@ class TestVerdict:
         assert reads[1] == product_grid(CTX3, src.resolve_radial_order()).points.shape
 
     def test_field_route_shares_kernel_rows(self, kernel_values):
-        # the probes lie on the grid's angle lattice, so the field route
-        # evaluates one kernel table per probe radius; if the probe angles
-        # or radii leave the lattice it falls back to one row per probe,
-        # 16 times as many kernel values
+        # the probes are images of each other under the source grid's
+        # symmetries, so the field route evaluates one kernel table per
+        # group: in 2D the probes lie on the grid's angle lattice, one
+        # group per probe radius; if the grouping missed them, each probe
+        # would take its own table, 16 times as many kernel values
         src = _gaussian(CTX2)
         verdict(CTX2, src)
         grid = product_grid(CTX2, src.resolve_radial_order())
         assert kernel_values[0] <= len(PROBE_FACTORS) * grid.radial.order * grid.angular.count
+        # in 3D the 18 directions fall into 2 azimuth classes times 2 polar
+        # classes, 12 groups over the three radii instead of 54 probes
+        kernel_values[0] = 0
+        src = _gaussian(CTX3)
+        verdict(CTX3, src)
+        grid = product_grid(CTX3, src.resolve_radial_order())
+        assert kernel_values[0] <= 12 * grid.points.shape[0]
 
 
 class TestNonuniqueness:
