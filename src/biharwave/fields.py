@@ -116,9 +116,8 @@ def _symmetry_groups(angular, pts):
     s = (s.astype(int) + (eps < 0)) % n
     flip = theta > 0.5 * np.pi
     theta = np.where(flip, np.pi - theta, theta)
-    ids = [_snap(r, relative=True), _snap(theta), _snap(f)]
-    key = np.ravel_multi_index(ids, [i.max() + 1 for i in ids])
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    ids = np.column_stack([_snap(r, relative=True), _snap(theta), _snap(f)])
+    _, first, group = np.unique(ids, axis=0, return_index=True, return_inverse=True)
     return group, first, s, eps, flip
 
 

@@ -98,6 +98,10 @@ class TestEvalField:
         with pytest.raises(ValueError, match=r"must be finite.*nan.*inf"):
             eval_field_batch(CTX2, _gaussian(CTX2), pts, method)
 
+    def test_no_points(self):
+        empty = eval_field_batch(CTX3, _gaussian(CTX3), np.zeros((0, 3)), method="quadrature")
+        assert all(part.shape == (0,) for part in empty)
+
     def test_superposition(self):
         f = _gaussian(CTX2)
         g = make_2d_bessel_nonradiating(CTX2)
