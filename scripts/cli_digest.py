@@ -26,10 +26,11 @@ fraction of itself, which the peak-relative change hides behind the
 output's largest number (in a verdict JSON, the integer truncation); the
 floor keeps a value that is rounding noise around zero from dividing by
 nothing.  An output whose text outside those numbers changed (keys,
-headers, metadata, a refusal) is marked "text differs".  --compare exits 1 when any exit code differs or any
-output's text differs (a flipped "is_nonradiating" is text: JSON booleans
-are not numbers), and 0 when every output is identical or moved only in its
-numbers; judge the printed sizes of those moves by eye.
+headers, metadata, a refusal) is marked "text differs".  --compare exits 1
+when any exit code differs or any output's text differs (a flipped
+"is_nonradiating" is text: JSON booleans are not numbers), and 0 when every
+output is identical or moved only in its numbers; judge the printed sizes of
+those moves by eye.
 
 Byte identity only holds for the same numpy/scipy/BLAS build on the same
 CPU; compare two checkouts on one machine, never digests from two machines.
@@ -97,21 +98,20 @@ def _csv_number(cell: str):
 
 
 def _csv_tokens(text: str):
-    """(number or None, cell, label) for every CSV cell: a number is labelled
-    by its header column and data row, and '#' metadata lines are cells, whole."""
+    """(number or None, cell, label) for every CSV cell, labelled by the cell
+    in the first row's column (the header) and its row, the header being row
+    0; '#' metadata lines are cells, whole."""
     header, row = None, 0
     for line in text.splitlines():
         if line.startswith("#"):
             yield None, line, ""
             continue
         cells = line.split(",")
-        if header is None:
-            header = cells
-        else:
-            row += 1
+        header = header or cells
         for j, cell in enumerate(cells):
             column = header[j] if j < len(header) else f"column {j}"
-            yield (None, cell, "") if row == 0 else (_csv_number(cell), cell, f"{column} row {row}")
+            yield _csv_number(cell), cell, f"{column} row {row}"
+        row += 1
 
 
 def split_numbers(data: bytes) -> tuple[list[float], list[str], list]:
