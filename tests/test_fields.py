@@ -239,24 +239,25 @@ class TestSymmetryGroupQuadrature:
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_near_image_forms_its_own_group(self, ctx, kernel_values):
-        # a member's symmetric image turned by 1e-9 rad about the z axis
-        # is not a symmetric image: it must take tables of its own
+        # the mirror image of a member (phi -> -phi, and z -> -z in 3D) joins
+        # its group; turned by 1e-9 rad about the z axis it is no image of
+        # any point and must take tables of its own
         src = _complex_gaussian(ctx)
-        dirs, _ = direction_grid(ctx, 16)
-        member = 1.5 * dirs[1]
-        turn = 1e-9
-        c, s = np.cos(turn), np.sin(turn)
-        near = member.copy()
-        near[0], near[1] = c * member[0] + s * member[1], -s * member[0] + c * member[1]
-        near[1] = -near[1]  # phi -> -(phi - 1e-9)
-        if ctx.dimension == 3:
-            near[2] = -near[2]
-        pts = np.vstack([1.5 * dirs[:2], near])
-        _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
-        grid = product_grid(ctx, src.resolve_radial_order())
-        # dirs[0] and dirs[1]: one group on the 2D lattice, two in 3D
-        assert kernel_values[0] == (2 if ctx.dimension == 2 else 3) * grid.points.shape[0]
-        _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
+        dirs, params = direction_grid(ctx, 16)
+        nodes = product_grid(ctx, src.resolve_radial_order()).points.shape[0]
+        groups = 1 if ctx.dimension == 2 else 2  # of dirs[0] and dirs[1]
+        for turn, own in ((0.0, 0), (1e-9, 1)):
+            if ctx.dimension == 2:
+                phi = -params[1] + turn
+                near = [np.cos(phi), np.sin(phi)]
+            else:
+                theta, phi = np.pi - params[1, 0], -params[1, 1] + turn
+                near = [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+            pts = 1.5 * np.vstack([dirs[:2], near])
+            kernel_values[0] = 0
+            _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
+            assert kernel_values[0] == (groups + own) * nodes
+            _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
 
     def test_scattered_points_are_groups_of_one(self, kernel_values):
         src = _gaussian(CTX2)
