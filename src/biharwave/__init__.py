@@ -12,10 +12,7 @@ from .fields import (
     eval_field_batch,
     far_field,
 )
-from .kernels import (
-    FarFieldConvention,
-    green_biharmonic,
-)
+from .kernels import green_biharmonic
 from .quadrature import (
     AngularRule,
     BoundaryGrid,

@@ -398,7 +398,8 @@ def far_field(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
     Fourier data at spatial frequency kappa * direction.
 
     The large-radius field obeys
-    u(x) ~ -(mu_d / (8 kappa^2)) exp(i kappa |x|) / (pi |x|)^((d-1)/2) * u_inf(xhat).
+    u(x) ~ -(mu_d / (8 kappa^2)) exp(i kappa |x|) / (pi |x|)^((d-1)/2) * u_inf(xhat),
+    with mu_2 = sqrt(2 / kappa) exp(i pi / 4) and mu_3 = 1.
     """
     return _volume_transform(ctx, src, directions, oscillating=True)
 

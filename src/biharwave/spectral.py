@@ -77,12 +77,9 @@ class InconsistencyError(RuntimeError):
     """The equivalent certificates disagree; numerics, not mathematics.
 
     The route-disagreement message names kappa*R and the truncation.  Raising
-    the truncation does not clear the known false refusals: the 2D Bessel
-    source at roots 8-10 and the 2D bump at root 4 refuse with the same
-    residuals at every truncation, because the modal and spectral residuals
-    are divided only by the source norm while the imaginary-argument family
-    grows like exp(kappa R).  tests/test_cli.py::test_route_disagreement_exits_2
-    pins one of them.
+    the truncation does not clear the known false refusals, because the modal
+    and spectral residuals are divided only by the source norm while the
+    imaginary-argument family grows like exp(kappa R); the README lists them.
     """
 
 

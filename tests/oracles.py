@@ -302,6 +302,11 @@ def psi_kernel(ctx, x, y):
     return -0.25j / ctx.kappa**2 * _sp.jv(0, ctx.kappa * r)
 
 
+def far_field_mu(ctx) -> complex:
+    """The far-field factor mu_d: sqrt(2/kappa) exp(i pi/4) in 2D, 1 in 3D."""
+    return np.sqrt(2.0 / ctx.kappa) * np.exp(1j * np.pi / 4.0) if ctx.dimension == 2 else 1.0 + 0.0j
+
+
 def default_truncation(ctx, y_norm: float) -> int:
     """Truncation order for the multipole series: convergence onset + guard."""
     return int(np.ceil(np.e * ctx.kappa * y_norm / 2.0)) + 16

@@ -13,7 +13,6 @@ from biharwave.fields import (
     far_field,
     write_trace_csv,
 )
-from biharwave.kernels import FarFieldConvention
 from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.sources import (
     SourceField,
@@ -431,7 +430,7 @@ class TestFarField:
         xhat = np.zeros(ctx.dimension)
         xhat[0] = 1.0
         uinf = far_field(ctx, src, xhat[None, :])[0]
-        mu = FarFieldConvention.for_context(ctx).mu_d
+        mu = oracles.far_field_mu(ctx)
         errs = []
         for factor in (1e3, 2e3):
             x = factor * ctx.radius * xhat

@@ -21,17 +21,26 @@ def _random_pairs(ctx, count, rng, lo=0.05, hi=10.0):
     return x, y
 
 
+def _phi_h_of_r(ctx, r):
+    re, im, _ = kernels.kernel_tables(ctx, r)
+    return re + 1j * im
+
+
+def _phi_m_of_r(ctx, r):
+    return kernels.kernel_tables(ctx, r)[2]
+
+
 def _phi_h(ctx, x, y):
-    return kernels.phi_h_of_r(ctx, np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1))
+    return _phi_h_of_r(ctx, np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1))
 
 
 def _phi_m(ctx, x, y):
-    return kernels.phi_m_of_r(ctx, np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1))
+    return _phi_m_of_r(ctx, np.linalg.norm(np.asarray(x) - np.asarray(y), axis=-1))
 
 
 class TestPointSourceKernels:
     def test_3d_helmholtz_closed_form(self):
-        assert kernels.phi_h_of_r(CTX3, 1.0) == pytest.approx(
+        assert _phi_h_of_r(CTX3, 1.0) == pytest.approx(
             np.exp(2j) / (4.0 * np.pi), rel=1e-14
         )
 
@@ -43,11 +52,11 @@ class TestPointSourceKernels:
     def test_2d_helmholtz_series_value(self):
         # kappa r = 1: (i/4)(J_0(1) + i Y_0(1)) from the series oracles
         ref = 0.25j * (oracles.j_series(0, 1.0).real + 1j * oracles.y0_series(1.0))
-        assert kernels.phi_h_of_r(CTX2, 0.5) == pytest.approx(ref, rel=1e-12)
+        assert _phi_h_of_r(CTX2, 0.5) == pytest.approx(ref, rel=1e-12)
 
     def test_3d_modified_closed_form(self):
         ctx = WaveContext(3, 1.0, 1.0)
-        assert kernels.phi_m_of_r(ctx, 1.0) == pytest.approx(
+        assert _phi_m_of_r(ctx, 1.0) == pytest.approx(
             np.exp(-1.0) / (4.0 * np.pi), rel=1e-14
         )
 
@@ -60,15 +69,15 @@ class TestPointSourceKernels:
     def test_2d_modified_integral_oracle(self):
         # kappa r = 1 gives K_0(1) / (2 pi)
         ref = oracles.k0_integral(1.0) / (2.0 * np.pi)
-        assert kernels.phi_m_of_r(CTX2, 0.5) == pytest.approx(ref, rel=1e-11)
+        assert _phi_m_of_r(CTX2, 0.5) == pytest.approx(ref, rel=1e-11)
 
     def test_singularity_raises(self):
-        # the kernels of distance are singular at r = 0 (green_biharmonic's
-        # series branch exists for that); the companion oracle refuses x == y
+        # the kernels of distance are singular at r = 0 (green_biharmonic
+        # refuses such pairs); the companion oracle refuses x == y
         with np.errstate(divide="ignore", invalid="ignore"):
             for ctx in (CTX2, CTX3):
-                assert not np.isfinite(kernels.phi_h_of_r(ctx, 0.0))
-                assert not np.isfinite(kernels.phi_m_of_r(ctx, 0.0))
+                assert not np.isfinite(_phi_h_of_r(ctx, 0.0))
+                assert not np.isfinite(_phi_m_of_r(ctx, 0.0))
         z = np.zeros(2)
         with pytest.raises(ValueError):
             oracles.green_star(CTX2, z, z)
@@ -127,22 +136,24 @@ class TestFourthOrderKernel:
         )
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
-    def test_coincidence_limit_finite_and_continuous(self, ctx):
+    def test_coincidence_refused(self, ctx):
         x = np.zeros(ctx.dimension)
-        at_zero = kernels.green_biharmonic(ctx, x, x)
-        assert np.isfinite(at_zero)
+        with pytest.raises(ValueError, match="distance 0$"):
+            kernels.green_biharmonic(ctx, x, x)
+        # a batch is refused on its closest pair, which the message names
+        batch = np.zeros((2, ctx.dimension))
+        batch[:, 0] = [0.5, 1e-9 * ctx.radius]
+        with pytest.raises(ValueError, match="distance 1e-09$"):
+            kernels.green_biharmonic(ctx, batch, x)
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_near_coincidence_limit(self, ctx):
         # limit values: -i/(8 kappa^2) in 2D, -(1+i)/(8 pi kappa) in 3D
-        if ctx.dimension == 2:
-            assert at_zero == pytest.approx(-0.125j / ctx.kappa**2, rel=1e-12)
-        else:
-            assert at_zero == pytest.approx(
-                -(1.0 + 1j) / (8.0 * np.pi * ctx.kappa), rel=1e-12
-            )
+        limit = -0.125j / ctx.kappa**2 if ctx.dimension == 2 else -(1.0 + 1j) / (8.0 * np.pi * ctx.kappa)
+        x = np.zeros(ctx.dimension)
         just_out = x.copy()
         just_out[0] = 2e-8 * ctx.radius
-        assert kernels.green_biharmonic(ctx, just_out, x) == pytest.approx(
-            at_zero, rel=1e-6
-        )
+        assert kernels.green_biharmonic(ctx, just_out, x) == pytest.approx(limit, rel=1e-6)
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_annihilated_by_operator(self, ctx):
@@ -171,7 +182,6 @@ class TestRegularKernel:
         x = np.array([0.3, -0.2])
         psi = oracles.psi_kernel(CTX2, x, x)
         assert psi == pytest.approx(-0.25j / CTX2.kappa**2)
-        assert psi == pytest.approx(2.0 * kernels.green_biharmonic(CTX2, x, x), rel=1e-12)
 
     def test_purely_imaginary(self):
         rng = np.random.default_rng(19)
@@ -243,7 +253,7 @@ class TestMultipoleSeries:
 class TestFarFieldAsymptotics:
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_kernel_asymptote(self, ctx):
-        mu = kernels.FarFieldConvention.for_context(ctx).mu_d
+        mu = oracles.far_field_mu(ctx)
         y = np.zeros(ctx.dimension)
         y[0] = 0.4
         xhat = np.zeros(ctx.dimension)
@@ -262,8 +272,3 @@ class TestFarFieldAsymptotics:
             errs.append(abs(kernels.green_biharmonic(ctx, x, y) - asym) / abs(asym))
         assert errs[0] < 1e-2
         assert 0.3 < errs[1] / errs[0] < 0.7  # linear decay in 1/|x|
-
-    def test_mu_values(self):
-        assert kernels.FarFieldConvention.for_context(CTX3).mu_d == 1.0
-        mu2 = kernels.FarFieldConvention.for_context(CTX2).mu_d
-        assert mu2 == pytest.approx(np.sqrt(2.0 / CTX2.kappa) * np.exp(1j * np.pi / 4))
