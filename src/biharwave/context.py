@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +41,21 @@ class WaveContext:
 
         The radially symmetric nonradiating constructors require this zero
         condition; deriving kappa from the requested root index makes the
-        condition hold by construction instead of approximately.
+        condition hold by construction instead of approximately.  root_index
+        must be an integer >= 1 (not a bool) and radius positive and finite.
         """
-        if root_index < 1:
-            raise ValueError(f"root_index must be >= 1, got {root_index}")
+        if dimension not in (2, 3):
+            raise ValueError(f"dimension must be 2 or 3, got {dimension}")
+        if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not (
+            np.isfinite(radius) and radius > 0
+        ):
+            raise ValueError(f"R must be positive and finite, got {radius!r}")
+        if isinstance(root_index, bool) or not isinstance(root_index, numbers.Integral) or root_index < 1:
+            raise ValueError(f"root_index must be an integer >= 1, got {root_index!r}")
         if dimension == 2:
             root = float(jn_zeros(0, root_index)[root_index - 1])
-        elif dimension == 3:
-            root = root_index * np.pi
         else:
-            raise ValueError(f"dimension must be 2 or 3, got {dimension}")
+            root = root_index * np.pi
         return cls(dimension=dimension, kappa=root / radius, radius=radius)
 
     @property

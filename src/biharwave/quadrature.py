@@ -4,6 +4,11 @@ Node/weight sets are plain data and are reused across the library: the same
 radial rule that integrates a source also carries its angular-mode profiles,
 and the boundary grid doubles as the measurement surface for traces.
 
+The Gauss-Legendre nodes and weights on [-1, 1] are solved once per order
+and kept read-only (solving order 320 costs a few milliseconds); every rule
+maps them into fresh arrays of its own.  Product grids are not kept: a kept
+3D grid holds four times the memory of the real values sampled on it.
+
 Defaults (radial 64, angular 256 in 2D, Gauss-32 x 64 in 3D) are chosen so
 the shipped radially-symmetric test sources self-converge below 1e-10; the
 integrands are smooth in r, so Gauss-Legendre converges spectrally, and the
@@ -13,6 +18,7 @@ discrete orthogonality of Fourier modes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +97,20 @@ class BoundaryGrid:
         return self.points.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], solved once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def radial_rule(ctx: WaveContext, order: int = DEFAULT_RADIAL_ORDER) -> RadialRule:
     """Gauss-Legendre rule mapped to [0, R]; exact for polynomials of degree 2*order - 1."""
     if order < 2:
         raise ValueError(f"radial order must be >= 2, got {order}")
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = gauss_legendre(order)
     half = 0.5 * ctx.radius
     return RadialRule(nodes=half * (t + 1.0), weights=half * w, order=order)
 
@@ -120,7 +135,7 @@ def angular_rule(ctx: WaveContext, count: int | None = None) -> AngularRule:
     if n_pol < 2:
         raise ValueError(f"polar count must be >= 2, got {n_pol}")
     n_az = 2 * n_pol
-    c, wc = np.polynomial.legendre.leggauss(n_pol)  # nodes in cos(theta)
+    c, wc = gauss_legendre(n_pol)  # nodes in cos(theta)
     theta = np.arccos(c)
     phi = 2.0 * np.pi * np.arange(n_az) / n_az
     wphi = 2.0 * np.pi / n_az

@@ -135,10 +135,12 @@ class SourceField:
     support radius.
 
     Construct through the classmethods; instances are immutable in use and
-    safe to share.
+    safe to share.  A radially symmetric source (from_radial) also keeps its
+    profile, so reading it on a product grid costs one profile evaluation per
+    radial node.
     """
 
-    def __init__(self, ctx, func, support_radius, radial_hint=None):
+    def __init__(self, ctx, func, support_radius, radial_hint=None, profile=None):
         if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
@@ -146,6 +148,7 @@ class SourceField:
         self.ctx = ctx
         self.support_radius = float(min(support_radius, ctx.radius))
         self._func = func
+        self._profile = profile
         self.radial_hint = radial_hint
         self._norm: float | None = None
         self._values: np.ndarray | None = None
@@ -166,7 +169,9 @@ class SourceField:
             r = np.linalg.norm(np.atleast_2d(points), axis=-1)
             return np.asarray(profile(r), dtype=complex)
 
-        return cls.from_callable(ctx, func, support_radius)
+        if support_radius is None:
+            support_radius = ctx.radius
+        return cls(ctx, func, support_radius, profile=profile)
 
     @classmethod
     def zero(cls, ctx):
@@ -181,17 +186,28 @@ class SourceField:
         return np.where(r >= self.support_radius, 0.0, vals)
 
     def values_on(self, grid: ProductGrid) -> np.ndarray:
-        """Values at the nodes of a product grid."""
-        return self.evaluate(grid.points)
+        """Values at the nodes of a product grid.
+
+        A radial source tabulates its profile once on the grid's radial nodes,
+        masks the nodes at or beyond the support radius and repeats each
+        value over the angles (the grid is radial-major); any other source is
+        evaluated pointwise.
+        """
+        if self._profile is None:
+            return self.evaluate(grid.points)
+        r = grid.radial.nodes
+        vals = np.where(r >= self.support_radius, 0.0, np.asarray(self._profile(r), dtype=complex))
+        return np.repeat(vals, grid.angular.count)
 
     def default_samples(self) -> tuple[ProductGrid, np.ndarray]:
         """The source's default product grid (the one l2_norm integrates on)
         and its values there.
 
         The values are sampled once and cached, read-only, and real when the
-        source is.  The grid is rebuilt on each call, a few milliseconds: a
-        kept 3D grid would hold four times the memory of real values for as
-        long as the source lives.
+        source is.  The grid is rebuilt on each call from the cached
+        Gauss-Legendre rules, which costs only its points and weights: a kept
+        3D grid would hold four times the memory of real values for as long
+        as the source lives.
         """
         grid = product_grid(self.ctx, self.resolve_radial_order())
         if self._values is None:
@@ -204,10 +220,10 @@ class SourceField:
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, factor: complex) -> "SourceField":
-        """factor times the source."""
-        func = self._func
-        return SourceField(self.ctx, lambda q: factor * np.asarray(func(q), dtype=complex),
-                           self.support_radius, self.radial_hint)
+        """factor times the source (a radial source stays radial)."""
+        profile = None if self._profile is None else _times(factor, self._profile)
+        return SourceField(self.ctx, _times(factor, self._func), self.support_radius,
+                           self.radial_hint, profile)
 
     def __add__(self, other: "SourceField") -> "SourceField":
         if not isinstance(other, SourceField):
@@ -242,6 +258,11 @@ class SourceField:
             grid, vals = self.default_samples()
             self._norm = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
         return self._norm
+
+
+def _times(factor, fn):
+    """x -> factor * fn(x), as a complex array."""
+    return lambda x: factor * np.asarray(fn(x), dtype=complex)
 
 
 # ---------------------------------------------------------------------------

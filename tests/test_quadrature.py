@@ -144,3 +144,28 @@ class TestProductGrid:
         grid = quadrature.product_grid(CTX2, 8, 16)
         assert grid.points.shape == (8 * 16, 2)
         assert grid.shape == (8, 16)
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("order", [2, 7, 32, 64, 320])
+    def test_bit_equal_to_leggauss(self, order):
+        nodes, weights = quadrature.gauss_legendre(order)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+
+    def test_cached_arrays_read_only(self):
+        nodes, weights = quadrature.gauss_legendre(16)
+        assert quadrature.gauss_legendre(16)[0] is nodes
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_rules_own_their_arrays(self):
+        first = quadrature.radial_rule(CTX2, 16)
+        first.nodes[:] = -1.0
+        assert np.array_equal(quadrature.radial_rule(CTX2, 16).nodes,
+                              0.5 * (np.polynomial.legendre.leggauss(16)[0] + 1.0))
+        ang = quadrature.angular_rule(CTX3, 12)
+        ang.weights[:] = -1.0
+        assert np.sum(quadrature.angular_rule(CTX3, 12).weights) == pytest.approx(4.0 * np.pi, rel=1e-13)

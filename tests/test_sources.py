@@ -12,6 +12,7 @@ from biharwave.specfun import angular_basis
 from biharwave.sources import (
     SourceField,
     SupportViolationError,
+    default_mode_truncation,
     gaussian_source,
     make_2d_bessel_nonradiating,
     make_3d_bessel_nonradiating,
@@ -25,6 +26,7 @@ import oracles
 
 CTX2 = WaveContext.with_root_wavenumber(2, 1.0, 1)
 CTX3 = WaveContext.with_root_wavenumber(3, 1.0, 1)
+CTX3_ROOT3 = WaveContext.with_root_wavenumber(3, 1.0, 3)
 
 
 class TestProjection:
@@ -321,6 +323,79 @@ class TestAlgebra:
         modal = project_modes(fresh, 2)
         cut = np.sqrt(2.0 * np.pi * np.sum(np.abs(modal.values) ** 2 @ (modal.rule.weights * modal.rule.nodes)))
         assert abs(cut - norm) > 1e-3 * norm
+
+
+def _counting(profile):
+    """profile wrapped to record the number of radii of each call, and the list it records into."""
+    sizes = []
+
+    def counted(r):
+        sizes.append(np.size(r))
+        return profile(r)
+
+    return counted, sizes
+
+
+def _bessel(ctx):
+    if ctx.dimension == 2:
+        return make_2d_bessel_nonradiating(ctx)
+    return make_3d_bessel_nonradiating(ctx)
+
+
+class TestRadialPath:
+    """A from_radial source reads a product grid one radius at a time."""
+
+    @pytest.mark.parametrize("ctx, angular_count", [
+        (CTX2, None),
+        (CTX3, None),
+        # the enlarged projection grid a 3D verdict reads at root 3
+        (CTX3_ROOT3, default_mode_truncation(CTX3_ROOT3) + 1),
+    ], ids=["2d", "3d", "3d-projection"])
+    def test_matches_pointwise_evaluation(self, ctx, angular_count):
+        src = _bessel(ctx)
+        grid = product_grid(ctx, src.resolve_radial_order(), angular_count)
+        pointwise = src.evaluate(grid.points)
+        # the two reads differ only in how the radius of a node rounds
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(src.values_on(grid) - pointwise)) <= 16 * eps * np.max(np.abs(pointwise))
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_support_masks_nodes_at_or_beyond_it(self, ctx):
+        grid = product_grid(ctx, 32, 8)
+        support = grid.radial.nodes[20]  # a node sits exactly on the support radius
+        src = SourceField.from_radial(ctx, lambda r: 1.0 + r, support_radius=support)
+        rows = src.values_on(grid).reshape(grid.shape)
+        inside = grid.radial.nodes < support
+        assert np.all(rows[~inside] == 0.0)
+        assert np.all(rows[inside] == (1.0 + grid.radial.nodes[inside])[:, None])
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_profile_called_once_per_read(self, ctx):
+        profile, sizes = _counting(lambda r: np.exp(-(r**2)))
+        src = SourceField.from_radial(ctx, profile)
+        grid = product_grid(ctx, 24)
+        src.values_on(grid)
+        assert sizes == [grid.radial.order]
+
+    def test_scaled_keeps_the_path(self):
+        profile, sizes = _counting(lambda r: np.exp(-(r**2)))
+        src = SourceField.from_radial(CTX3, profile)
+        grid = product_grid(CTX3, 24)
+        factor = 2.5 - 0.5j
+        scaled = src.scaled(factor).values_on(grid)
+        assert sizes == [grid.radial.order]
+        assert np.array_equal(scaled, factor * src.values_on(grid))
+
+    def test_sum_with_gaussian_stays_pointwise(self):
+        gauss = gaussian_source(CTX2, center=[0.3, -0.2], sigma=0.2)
+        grid = product_grid(CTX2, 32)
+        profile, sizes = _counting(lambda r: sp.jv(0, CTX2.kappa * r))
+        (gauss + SourceField.from_radial(CTX2, profile)).values_on(grid)
+        assert sizes == [grid.points.shape[0]]
+        # a per-radius read would round differently from the pointwise parts
+        bessel = make_2d_bessel_nonradiating(CTX2)
+        parts = gauss.evaluate(grid.points) + bessel.evaluate(grid.points)
+        assert np.array_equal((gauss + bessel).values_on(grid), parts)
 
 
 class TestConfigParsing:
