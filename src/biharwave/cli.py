@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, fields, spectral
 from .quadrature import boundary_grid
-from .sources import _SOURCE_KEYS, resolve_coefficients, source_from_config
+from .sources import _SOURCE_KEYS, _is_int, resolve_coefficients, source_from_config
 from .spectral import InconsistencyError, VerdictConfig
 
 # The settings each subcommand reads, beyond the source keys.  A subcommand
@@ -63,9 +63,20 @@ def _load_scenario(path: str, args, reads=None) -> dict:
         key = sorted(unread)[0]
         raise ConfigError(f"config key {key!r} in {path!r} is not read by {args.command}")
     for key in reads:
+        if cfg.get(key) is not None and not _setting_ok(key, cfg[key]):
+            kind = "an integer" if _SETTING_TYPES[key] is int else "a finite number"
+            raise ConfigError(f"config key {key!r} in {path!r} must be {kind}, got {cfg[key]!r}")
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     return cfg
+
+
+def _setting_ok(key: str, value) -> bool:
+    """A file setting has its flag's type: an int (not a bool) for an int
+    setting, a finite int or float (not a bool) for a float one."""
+    if _SETTING_TYPES[key] is int:
+        return _is_int(value)
+    return (_is_int(value) or isinstance(value, float)) and bool(np.isfinite(value))
 
 
 def _config_hash(cfg: dict) -> str:
@@ -114,11 +125,11 @@ def _angle_columns(ctx, params) -> tuple[list[str], list[list[float]]]:
 def _verdict_config(cfg: dict) -> VerdictConfig:
     kwargs = {}
     if cfg.get("truncation") is not None:
-        kwargs["truncation"] = int(cfg["truncation"])
-    if cfg.get("tolerance") is not None:
+        kwargs["truncation"] = cfg["truncation"]
+    if cfg.get("tolerance") is not None:  # an integer in the file reports as a float, as the flag does
         kwargs["tolerance"] = float(cfg["tolerance"])
     if cfg.get("directions") is not None:
-        kwargs["direction_count"] = int(cfg["directions"])
+        kwargs["direction_count"] = cfg["directions"]
     return VerdictConfig(**kwargs)
 
 
@@ -146,7 +157,7 @@ def cmd_trace(args) -> int:
 def cmd_spectral(args) -> int:
     cfg = _load_scenario(args.config, args)
     ctx, src = _build(cfg)
-    count = 64 if cfg.get("directions") is None else int(cfg["directions"])
+    count = 64 if cfg.get("directions") is None else cfg["directions"]
     dirs, params = spectral.direction_grid(ctx, count)
     coeffs = resolve_coefficients(ctx, src, cfg.get("truncation"))
     fhat = spectral.fourier_on_circle(ctx, coeffs, dirs)
@@ -211,7 +222,7 @@ def cmd_field(args) -> int:
         # a negative factor would probe the antipode under the direction's angle columns
         if not (np.isfinite(factor) and factor > 0):
             raise ConfigError(f"--radii factors must be finite and positive, got {factor!r}")
-    count = VerdictConfig.direction_count if cfg.get("directions") is None else int(cfg["directions"])
+    count = VerdictConfig.direction_count if cfg.get("directions") is None else cfg["directions"]
     dirs, params = spectral.direction_grid(ctx, count)
     angle_header, angles = _angle_columns(ctx, params)
     header = ["radius"] + angle_header + ["u_re", "u_im", "fh_re", "fh_im", "fm_re", "fm_im"]

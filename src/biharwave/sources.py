@@ -16,6 +16,7 @@ that finite differences cannot reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special as _sp
@@ -239,11 +240,6 @@ class SourceField:
 
         return SourceField(self.ctx, func, support, hint)
 
-    def __mul__(self, factor):
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
     def resolve_radial_order(self, radial_order: int | None = None) -> int:
         """The radial order of this source's quadrature grids: its own hint, or
         the default (an explicit order, if given, wins)."""
@@ -377,77 +373,72 @@ def make_2d_bessel_nonradiating(ctx: WaveContext) -> SourceField:
 
     Requires kappa*R to be a zero of J_0 (use
     WaveContext.with_root_wavenumber).  The source is the radial
-    modified-Helmholtz operator applied to a normalized pair of J_0 powers;
-    both projections onto the radial wave families vanish identically, so
-    the exterior field is zero while the source itself is not.
+    modified-Helmholtz operator applied to a normalized pair of J_0 powers
+    (exponents 3 and 2, each divided by its integral against J_0); both
+    projections onto the radial wave families vanish identically, so the
+    exterior field is zero while the source itself is not.
     """
     if ctx.dimension != 2:
         raise ValueError("make_2d_bessel_nonradiating requires a 2D context")
-    k, R = ctx.kappa, ctx.radius
-    if abs(_sp.jv(0, k * R)) > 1e-12:
+    kr = ctx.kappa * ctx.radius
+    if abs(_sp.jv(0, kr)) > 1e-12:
         raise ValueError(
-            f"kappa*R = {k * R:.15g} is not a zero of J_0 "
-            f"(|J_0| = {abs(_sp.jv(0, k * R)):.3e} > 1e-12)"
+            f"kappa*R = {kr:.15g} is not a zero of J_0 (|J_0| = {abs(_sp.jv(0, kr)):.3e} > 1e-12)"
         )
-    rule = radial_rule(ctx, max(DEFAULT_RADIAL_ORDER, 8 * int(np.ceil(k * R))))
-    j0 = _sp.jv(0, k * rule.nodes)
-    c_quartic = float(np.sum(j0**4 * rule.nodes * rule.weights))
-    c_cubic = float(np.sum(j0**3 * rule.nodes * rule.weights))
-    for name, c in (("quartic", c_quartic), ("cubic", c_cubic)):
-        if abs(c) < DEGENERATE_DENOMINATOR:
-            raise DegenerateSourceError(f"normalizing {name} integral is numerically zero: {c:.3e}")
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        z0 = _sp.jv(0, k * r)
-        z1 = _sp.jv(1, k * r)
-        # (laplacian - kappa^2) of J_0^p reduces to kappa^2 [p(p-1) J_0^(p-2) J_1^2 - (p+1) J_0^p]
-        cubic_img = k * k * (6.0 * z0 * z1 * z1 - 4.0 * z0**3)
-        square_img = k * k * (2.0 * z1 * z1 - 3.0 * z0 * z0)
-        return (cubic_img / c_quartic - square_img / c_cubic).astype(complex)
-
-    return SourceField.from_radial(ctx, profile, support_radius=R)
+    return _bessel_power_source(ctx, (3, 2), -1, partial(_sp.jv, 0))
 
 
 def make_3d_bessel_nonradiating(ctx: WaveContext, m1: int = 3, m2: int = 4) -> SourceField:
     """Radially symmetric nonradiating source on the full ball (3D).
 
     Requires kappa*R to be a zero of the order-zero spherical wave
-    (kappa*R = k*pi) and two distinct exponents >= 3.
+    (kappa*R = k*pi) and two distinct exponents >= 3.  The source is the
+    radial Helmholtz operator applied to j_0^m1 and j_0^m2, each divided by
+    its integral against the imaginary-argument i_0.
     """
     if ctx.dimension != 3:
         raise ValueError("make_3d_bessel_nonradiating requires a 3D context")
     if m1 == m2 or m1 < 3 or m2 < 3:
         raise ValueError(f"exponents must be distinct integers >= 3, got ({m1}, {m2})")
-    k, R = ctx.kappa, ctx.radius
-    if abs(_sp.spherical_jn(0, k * R)) > 1e-12:
+    kr = ctx.kappa * ctx.radius
+    if abs(_sp.spherical_jn(0, kr)) > 1e-12:
         raise ValueError(
-            f"kappa*R = {k * R:.15g} is not a zero of the order-zero spherical wave "
-            f"(|j_0| = {abs(_sp.spherical_jn(0, k * R)):.3e} > 1e-12)"
+            f"kappa*R = {kr:.15g} is not a zero of the order-zero spherical wave "
+            f"(|j_0| = {abs(_sp.spherical_jn(0, kr)):.3e} > 1e-12)"
         )
-    rule = radial_rule(ctx, max(DEFAULT_RADIAL_ORDER, 8 * int(np.ceil(k * R))))
-    j0 = _sp.spherical_jn(0, k * rule.nodes)
-    i0 = _sp.spherical_in(0, k * rule.nodes)
-    meas = rule.nodes**2 * rule.weights
-    denom = {}
-    for m in (m1, m2):
-        d = float(np.sum(j0**m * i0 * meas))
-        if abs(d) < DEGENERATE_DENOMINATOR:
-            raise DegenerateSourceError(
-                f"normalizing integral for exponent {m} is numerically zero: {d:.3e}"
-            )
-        denom[m] = d
+    return _bessel_power_source(ctx, (m1, m2), 1, partial(_sp.spherical_in, 0))
 
-    def _image(r, m):
-        z0 = _sp.spherical_jn(0, k * r)
-        z1 = _sp.spherical_jn(1, k * r)
-        # (laplacian + kappa^2) of j_0^m reduces to
-        # kappa^2 [m(m-1) j_0^(m-2) j_1^2 - (m-1) j_0^m]
-        return k * k * (m * (m - 1) * z0 ** (m - 2) * z1 * z1 - (m - 1) * z0**m)
+
+def _bessel_power_source(ctx, exponents, s, pair) -> SourceField:
+    """(laplacian + s kappa^2) z_0^p / <z_0^p, pair> for the first exponent p
+    minus the same term for the second.
+
+    z_0, z_1 are the order-zero and order-one radial waves at kappa r (J in
+    2D, spherical j in 3D) and <a, pair> is the integral of a(r) pair(kappa r)
+    r^(d-1) dr over [0, R].  Since z_0' = -kappa z_1 in both dimensions, the
+    image is kappa^2 [p(p-1) z_0^(p-2) z_1^2 - (p - s) z_0^p].
+    """
+    k, R = ctx.kappa, ctx.radius
+    wave = _sp.jv if ctx.dimension == 2 else _sp.spherical_jn
+    rule = radial_rule(ctx, max(DEFAULT_RADIAL_ORDER, 8 * int(np.ceil(k * R))))
+    t = k * rule.nodes
+    z0 = wave(0, t)
+    paired = pair(t)
+    meas = rule.nodes ** (ctx.dimension - 1) * rule.weights
+    norms = []
+    for p in exponents:
+        c = float(np.sum(z0**p * paired * meas))
+        if abs(c) < DEGENERATE_DENOMINATOR:
+            raise DegenerateSourceError(f"normalizing integral for exponent {p} is numerically zero: {c:.3e}")
+        norms.append(c)
 
     def profile(r):
-        r = np.asarray(r, dtype=float)
-        return (_image(r, m1) / denom[m1] - _image(r, m2) / denom[m2]).astype(complex)
+        t = k * np.asarray(r, dtype=float)
+        z0, z1 = wave(0, t), wave(1, t)
+        out = np.zeros_like(t)
+        for p, c, sign in zip(exponents, norms, (1.0, -1.0)):
+            out += sign * k * k * (p * (p - 1) * z0 ** (p - 2) * z1 * z1 - (p - s) * z0**p) / c
+        return out
 
     return SourceField.from_radial(ctx, profile, support_radius=R)
 

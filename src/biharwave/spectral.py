@@ -208,53 +208,42 @@ def laplace_transform_quadrature(ctx: WaveContext, src: SourceField, directions)
 # ---------------------------------------------------------------------------
 # Near-field functionals (boundary data only)
 # ---------------------------------------------------------------------------
-def u_hat_from_trace(ctx: WaveContext, trace: fields.BoundaryTrace, directions) -> np.ndarray:
-    """Fourier data on the kappa sphere recovered from the four boundary
-    channels alone; equals the source's Fourier data there.
+def _trace_transform(ctx, trace, directions, oscillating):
+    """-sum_x w [(d_nu lap u + c d_nu u) + (z . nu)(lap u + c u)] exp(-z . x)
+    over the boundary nodes, with z = i kappa dir (oscillating) or kappa dir,
+    and c = z . z.
 
-    The 2D and 3D integrands are assembled exactly as their separate
-    derivations group the signs; at |xi| = kappa the two groupings agree.
+    The channels group into p = (d_nu lap u + c d_nu u) w and
+    q = (lap u + c u) w; one real table of the phase kappa dir . x (cos and
+    sin, or exp(-phase)) meets the d + 1 columns [p, nu_1 q, ..., nu_d q].
     """
     dirs = _check_directions(ctx, directions)
     g = trace.grid
-    k2 = ctx.kappa**2
-    xi = ctx.kappa * dirs  # (M, d)
-    phase = np.exp(-1j * xi @ g.points.T)  # (M, nodes)
-    xi_nu = 1j * (xi @ g.normals.T)  # (M, nodes)
-    if ctx.dimension == 2:
-        integrand = (
-            -xi_nu * trace.lap_u[None, :]
-            - trace.dlap_u_dnu[None, :]
-            + k2 * trace.du_dnu[None, :]
-            + k2 * xi_nu * trace.u[None, :]
-        )
-        return (integrand * phase) @ g.weights
-    integrand = (
-        trace.dlap_u_dnu[None, :]
-        - k2 * trace.du_dnu[None, :]
-        + xi_nu * trace.lap_u[None, :]
-        - k2 * xi_nu * trace.u[None, :]
-    )
-    return -(integrand * phase) @ g.weights
+    c = -ctx.kappa**2 if oscillating else ctx.kappa**2
+    cols = np.empty((len(g.weights), ctx.dimension + 1), dtype=complex)
+    cols[:, 0] = (trace.dlap_u_dnu + c * trace.du_dnu) * g.weights
+    cols[:, 1:] = g.normals * ((trace.lap_u + c * trace.u) * g.weights)[:, None]
+    flat = cols.view(float)  # real and imaginary parts side by side
+    phase = (ctx.kappa * dirs) @ g.points.T
+    if oscillating:
+        sums = (np.cos(phase) @ flat).view(complex) - 1j * (np.sin(phase) @ flat).view(complex)
+    else:
+        sums = (np.exp(-phase) @ flat).view(complex)
+    z = (1j if oscillating else 1.0) * ctx.kappa * dirs
+    return -(sums[:, 0] + np.sum(z * sums[:, 1:], axis=1))
+
+
+def u_hat_from_trace(ctx: WaveContext, trace: fields.BoundaryTrace, directions) -> np.ndarray:
+    """Fourier data on the kappa sphere recovered from the four boundary
+    channels alone; equals the source's Fourier data there."""
+    return _trace_transform(ctx, trace, directions, oscillating=True)
 
 
 def v_check_from_trace(ctx: WaveContext, trace: fields.BoundaryTrace, directions) -> np.ndarray:
     """Exponential-weight transform on the kappa sphere recovered from the
     boundary channels alone; equals the source's transform there."""
     _check_exp_weight(ctx)
-    dirs = _check_directions(ctx, directions)
-    g = trace.grid
-    k2 = ctx.kappa**2
-    s = ctx.kappa * dirs
-    weight = np.exp(-s @ g.points.T)
-    s_nu = s @ g.normals.T
-    integrand = (
-        trace.dlap_u_dnu[None, :]
-        + k2 * trace.du_dnu[None, :]
-        + s_nu * trace.lap_u[None, :]
-        + k2 * s_nu * trace.u[None, :]
-    )
-    return -(integrand * weight) @ g.weights
+    return _trace_transform(ctx, trace, directions, oscillating=False)
 
 
 # ---------------------------------------------------------------------------

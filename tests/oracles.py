@@ -417,6 +417,49 @@ def bessel_pair_potential_2d(kappa: float, radius: float):
     return psi
 
 
+def bessel_pair_profile_2d(ctx):
+    """The 2D Bessel-pair source profile r -> value in its own closed form:
+    kappa^2 (6 J_0 J_1^2 - 4 J_0^3) / c_4 - kappa^2 (2 J_1^2 - 3 J_0^2) / c_3,
+    the (laplacian - kappa^2) images of J_0^3 and J_0^2, with c_p the sum of
+    J_0^p r w over the Gauss-Legendre rule of max(64, 8 ceil(kappa R)) nodes."""
+    k, t, meas = _normalizing_rule(ctx)
+    j0 = _sp.jv(0, t)
+    c4 = float(np.sum(j0**4 * meas))
+    c3 = float(np.sum(j0**3 * meas))
+
+    def profile(r):
+        z0, z1 = _sp.jv(0, k * r), _sp.jv(1, k * r)
+        cubic = k * k * (6.0 * z0 * z1 * z1 - 4.0 * z0**3)
+        square = k * k * (2.0 * z1 * z1 - 3.0 * z0 * z0)
+        return cubic / c4 - square / c3
+
+    return profile
+
+
+def bessel_pair_profile_3d(ctx, m1: int, m2: int):
+    """The 3D Bessel-pair source profile r -> value in its own closed form:
+    the (laplacian + kappa^2) images kappa^2 [m(m-1) j_0^(m-2) j_1^2 - (m-1) j_0^m]
+    of j_0^m1 and j_0^m2, each divided by the sum of j_0^m i_0 r^2 w over the
+    same rule as the 2D profile."""
+    k, t, meas = _normalizing_rule(ctx)
+    j0, i0 = _sp.spherical_jn(0, t), _sp.spherical_in(0, t)
+
+    def image(r, m):
+        z0, z1 = _sp.spherical_jn(0, k * r), _sp.spherical_jn(1, k * r)
+        norm = float(np.sum(j0**m * i0 * meas))
+        return k * k * (m * (m - 1) * z0 ** (m - 2) * z1 * z1 - (m - 1) * z0**m) / norm
+
+    return lambda r: image(r, m1) - image(r, m2)
+
+
+def _normalizing_rule(ctx):
+    """kappa, kappa * nodes and nodes^(d-1) * weights of the Bessel-pair
+    normalizing rule on [0, R]."""
+    nodes, weights = np.polynomial.legendre.leggauss(max(64, 8 * math.ceil(ctx.kappa * ctx.radius)))
+    r = 0.5 * ctx.radius * (nodes + 1.0)
+    return ctx.kappa, ctx.kappa * r, r ** (ctx.dimension - 1) * 0.5 * ctx.radius * weights
+
+
 # ---------------------------------------------------------------------------
 # Dense spherical-harmonic transforms on a product rule
 # ---------------------------------------------------------------------------

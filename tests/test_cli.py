@@ -255,6 +255,35 @@ def test_bad_flag_is_config_error(tmp_path, capsys, argv, file_keys):
 
 
 @pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("trace", "truncation", 2.5),
+        ("trace", "truncation", "12"),
+        ("trace", "truncation", True),
+        ("verdict", "tolerance", True),
+        ("verdict", "tolerance", "1e-6"),
+        ("field", "directions", 8.9),
+    ],
+    ids=["truncation-float", "truncation-text", "truncation-bool", "tolerance-bool",
+         "tolerance-text", "directions-float"],
+)
+def test_file_setting_needs_its_flag_type(tmp_path, capsys, command, key, value):
+    # the file is held to the type its flag parses to, not cast or left to fail later
+    cfg = _write(tmp_path, "nr.json", dict(NR2D, **{key: value}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(key) in err and repr(value) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_tolerance_in_file_reports_as_float(tmp_path):
+    cfg = _write(tmp_path, "nr.json", dict(NR2D, tolerance=1))
+    out = tmp_path / "report.json"
+    assert main(["verdict", "--config", cfg, "--out", str(out)]) == 0
+    assert repr(json.loads(out.read_text())["tolerance"]) == "1.0"
+
+
+@pytest.mark.parametrize(
     "kind, name, value",
     [
         ("gaussian", "amplitude", float("nan")),

@@ -264,6 +264,41 @@ class TestBesselPair3D:
             make_3d_bessel_nonradiating(bad)
 
 
+class TestBesselPowerTemplate:
+    """Both Bessel constructors share one template; each still builds the
+    source its own closed form (kept in oracles) describes."""
+
+    @pytest.mark.parametrize("dimension, root, exponents", [
+        (2, 1, None), (2, 6, None), (3, 1, (3, 4)), (3, 4, (3, 4)), (3, 2, (5, 3)),
+    ], ids=["2d-root1", "2d-root6", "3d-root1", "3d-root4", "3d-exponents-5-3"])
+    def test_profile_matches_closed_form(self, dimension, root, exponents):
+        ctx = WaveContext.with_root_wavenumber(dimension, 1.3, root)
+        if dimension == 2:
+            src, ref = make_2d_bessel_nonradiating(ctx), oracles.bessel_pair_profile_2d(ctx)
+        else:
+            src = make_3d_bessel_nonradiating(ctx, *exponents)
+            ref = oracles.bessel_pair_profile_3d(ctx, *exponents)
+        r = np.linspace(0.0, ctx.radius, 501, endpoint=False)
+        direction = np.ones(dimension) / np.sqrt(dimension)
+        want = ref(r)
+        got = src.evaluate(r[:, None] * direction)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_3d_pointwise_read_evaluates_each_order_once(self, monkeypatch):
+        orders = []
+        spherical_jn = sp.spherical_jn
+
+        def counting(n, z, *args, **kwargs):
+            orders.append(n)
+            return spherical_jn(n, z, *args, **kwargs)
+
+        monkeypatch.setattr(sp, "spherical_jn", counting)
+        src = make_3d_bessel_nonradiating(CTX3, 3, 4)
+        orders.clear()
+        src.evaluate(np.array([[0.1, 0.2, 0.3], [0.4, -0.1, 0.2]]))
+        assert orders == [0, 1]
+
+
 class TestBumpConstruction:
     def test_support_violation(self):
         with pytest.raises(SupportViolationError):

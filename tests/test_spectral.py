@@ -5,7 +5,7 @@ import pytest
 from scipy import special as sp
 
 from biharwave import WaveContext
-from biharwave.fields import boundary_trace
+from biharwave.fields import BoundaryTrace, boundary_trace
 from biharwave.quadrature import boundary_grid, product_grid
 from biharwave.sources import (
     SourceField,
@@ -139,12 +139,33 @@ class TestTraceFunctionals:
         fcheck = laplace_on_circle(ctx, src, dirs)
         assert np.max(np.abs(vcheck - fcheck)) < 1e-6 * src.l2_norm()
 
-    def test_zero_trace_gives_zero(self):
-        grid = boundary_grid(CTX2, 32)
-        tr = boundary_trace(CTX2, SourceField.zero(CTX2), grid)
-        dirs, _ = direction_grid(CTX2, 8)
-        assert np.max(np.abs(u_hat_from_trace(CTX2, tr, dirs))) == 0.0
-        assert np.max(np.abs(v_check_from_trace(CTX2, tr, dirs))) == 0.0
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_zero_trace_gives_zero(self, ctx):
+        grid = boundary_grid(ctx, 32)
+        tr = boundary_trace(ctx, SourceField.zero(ctx), grid)
+        dirs, _ = direction_grid(ctx, 8)
+        assert np.max(np.abs(u_hat_from_trace(ctx, tr, dirs))) == 0.0
+        assert np.max(np.abs(v_check_from_trace(ctx, tr, dirs))) == 0.0
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    @pytest.mark.parametrize("oscillating", [True, False], ids=["u_hat", "v_check"])
+    def test_matches_dense_integrand_on_arbitrary_channels(self, ctx, oscillating):
+        # channels that come from no source: the paper's integrand,
+        # -sum w [(d_nu lap u + c d_nu u) + (z . nu)(lap u + c u)] exp(-z . x)
+        # with c = z . z, summed term by term in complex arithmetic
+        grid = boundary_grid(ctx, 24 if ctx.dimension == 3 else 96)
+        rng = np.random.default_rng(7)
+        shape = (4, len(grid.weights))
+        u, du, lap, dlap = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tr = BoundaryTrace(grid, u, du, lap, dlap)
+        dirs, _ = direction_grid(ctx, 16)
+        z = (1j if oscillating else 1.0) * ctx.kappa * dirs
+        c = np.sum(z * z, axis=1)[:, None]
+        integrand = (dlap + c * du) + (z @ grid.normals.T) * (lap + c * u)
+        terms = integrand * np.exp(-(z @ grid.points.T)) * grid.weights
+        transform = u_hat_from_trace if oscillating else v_check_from_trace
+        got = transform(ctx, tr, dirs)
+        assert np.all(np.abs(got + terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1))
 
     def test_linearity_in_trace(self):
         import dataclasses
@@ -166,13 +187,14 @@ class TestTraceFunctionals:
             rtol=1e-13,
         )
 
-    def test_nonradiating_trace_functionals_dark(self):
-        src = make_2d_bessel_nonradiating(CTX2)
-        grid = boundary_grid(CTX2, 256)
-        tr = boundary_trace(CTX2, src, grid)
-        dirs, _ = direction_grid(CTX2, 16)
-        assert np.max(np.abs(u_hat_from_trace(CTX2, tr, dirs))) < 1e-8 * src.l2_norm()
-        assert np.max(np.abs(v_check_from_trace(CTX2, tr, dirs))) < 1e-8 * src.l2_norm()
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_nonradiating_trace_functionals_dark(self, ctx):
+        src = make_2d_bessel_nonradiating(ctx) if ctx.dimension == 2 else make_3d_bessel_nonradiating(ctx)
+        grid = boundary_grid(ctx, 256 if ctx.dimension == 2 else 32)
+        tr = boundary_trace(ctx, src, grid)
+        dirs, _ = direction_grid(ctx, 16)
+        assert np.max(np.abs(u_hat_from_trace(ctx, tr, dirs))) < 1e-8 * src.l2_norm()
+        assert np.max(np.abs(v_check_from_trace(ctx, tr, dirs))) < 1e-8 * src.l2_norm()
 
 
 class TestNullspaceResidual:
