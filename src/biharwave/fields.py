@@ -46,8 +46,7 @@ from .quadrature import BoundaryGrid, spherical_params
 from .sources import SourceField, SupportViolationError, resolve_coefficients
 
 # (point, grid node) pairs per chunk of the direct-quadrature kernel tables: it
-# bounds each difference, distance and kernel-table temporary to this many
-# entries, 1 MB (about seven such arrays are alive at once).
+# bounds the distance and kernel-table buffers to this many entries, 1 MB each.
 _EVAL_PAIRS = 2**17
 
 # Slack within which two points count as images of one another under the
@@ -121,11 +120,12 @@ def _symmetry_groups(angular, pts):
     return group, first, s, eps, flip
 
 
-def _node_images(values, shape, shift, sign, reverse):
+def _node_images(values, shape, shift, sign, reverse, out):
     """values over the product grid (shape (radial, polar, azimuth)) taken at
     each node's image under a grid symmetry: azimuth index l goes to
     shift + sign l (mod n), and the polar rings reverse when reverse.  The
-    identity (and a real source's absent imaginary part) passes through."""
+    image is written into out (a node-length buffer); the identity (and a
+    real source's absent imaginary part) passes values through."""
     if values is None or (shift == 0 and sign == 1 and not reverse):
         return values
     v = values.reshape(shape)
@@ -133,7 +133,12 @@ def _node_images(values, shape, shift, sign, reverse):
         v = v[:, ::-1]
     if sign < 0:  # v[shift - l] is the reversed azimuths at l - shift - 1
         v, shift = v[..., ::-1], -shift - 1
-    return np.roll(v, -shift, axis=-1).reshape(-1)
+    n = shape[-1]
+    shift %= n
+    image = out.reshape(shape)
+    image[..., :n - shift] = v[..., shift:]
+    image[..., n - shift:] = v[..., :shift]
+    return out
 
 
 def _weighted_parts(src):
@@ -158,22 +163,29 @@ def _kernel_sums(re_h, im_h, phi_m, a, b):
     return f_h, complex(-(phi_m @ a), -_dot(phi_m, b))
 
 
-def _distances(pts, nodes):
-    """|x - y| for every (point, node) pair, summed one coordinate at a time in
-    the order np.linalg.norm sums them, without the (points, nodes, d) differences."""
-    sq = np.zeros((pts.shape[0], nodes.shape[0]))
-    for k in range(pts.shape[1]):
-        diff = pts[:, k, None] - nodes[None, :, k]
-        diff *= diff
-        sq += diff
-    return np.sqrt(sq, out=sq)
+def _distances(pts, nodes_t, out, scratch):
+    """|x - y| for every (point, node) pair into out (shape (points, nodes)),
+    summed one coordinate at a time in the order np.linalg.norm sums them;
+    nodes_t holds the node coordinates as rows, and scratch (out's shape)
+    takes each coordinate's differences."""
+    np.subtract(pts[:, 0, None], nodes_t[0], out=out)
+    out *= out
+    for k in range(1, pts.shape[1]):
+        np.subtract(pts[:, k, None], nodes_t[k], out=scratch)
+        scratch *= scratch
+        out += scratch
+    return np.sqrt(out, out=out)
 
 
 def _eval_quadrature(ctx, src, pts):
     """f_h and f_m at the points by direct quadrature.  Only the first point q
     of each symmetry group gets kernel tables; another member m is h(q) for
     a grid symmetry h, so |m - h(y)| = |q - y| and m sums q's tables against
-    the values at h(y): the source's own values, permuted."""
+    the values at h(y): the source's own values, permuted.
+
+    Every node-length array lives in buffers allocated once per call: the
+    distances and the three kernel tables of a chunk of groups, and the
+    images of the weighted values."""
     grid, a, b = _weighted_parts(src)
     angular = grid.angular
     n = angular.azimuth_count or angular.count
@@ -183,18 +195,25 @@ def _eval_quadrature(ctx, src, pts):
     bounds = np.searchsorted(group[members], np.arange(first.size + 1))
     f_h = np.zeros(pts.shape[0], dtype=complex)
     f_m = np.zeros(pts.shape[0], dtype=complex)
-    step = max(1, _EVAL_PAIRS // grid.points.shape[0])
+    nodes_t = np.ascontiguousarray(grid.points.T)
+    step = max(1, min(first.size, _EVAL_PAIRS // nodes_t.shape[1]))
+    # rows: the distances, then the three kernel tables (the first also the
+    # distances' scratch); one image buffer per part of the weighted values
+    work = np.empty((4, step, nodes_t.shape[1]))
+    images = np.empty((2, nodes_t.shape[1]))
     for start in range(0, first.size, step):
-        tables = kernel_tables(ctx, _distances(pts[first[start:start + step]], grid.points))
+        chunk = first[start:start + step]
+        r = _distances(pts[chunk], nodes_t, work[0, :chunk.size], work[1, :chunk.size])
+        tables = kernel_tables(ctx, r, out=work[1:, :chunk.size])
         for g, rows in enumerate(zip(*tables), start):
             q = first[g]
             for m in members[bounds[g]:bounds[g + 1]]:
                 # azimuth l -> s_m + eps_m eps_q (l - s_q), polar rings mirrored when the flips differ
                 sign = eps[m] * eps[q]
                 shift = (s[m] - sign * s[q]) % n
-                image = [_node_images(v, shape, shift, sign, flip[m] != flip[q]) for v in (a, b)]
+                image = [_node_images(v, shape, shift, sign, flip[m] != flip[q], out)
+                         for v, out in zip((a, b), images)]
                 f_h[m], f_m[m] = _kernel_sums(*rows, *image)
-        del tables, rows  # freed before the next chunk builds its own
     return f_h, f_m
 
 

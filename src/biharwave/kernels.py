@@ -29,7 +29,7 @@ from .context import WaveContext
 NEAR_COINCIDENCE_FRACTION = 1e-8
 
 
-def kernel_tables(ctx: WaveContext, r):
+def kernel_tables(ctx: WaveContext, r, out=None):
     """Re phi_h, Im phi_h and phi_m at distance r, as three real arrays.
 
     2D: -Y_0(kappa r)/4, J_0(kappa r)/4, K_0(kappa r)/(2 pi);
@@ -39,12 +39,31 @@ def kernel_tables(ctx: WaveContext, r):
     t = 2000, because scipy's j0/y0 lose about 1e-16 * t where the complex
     AMOS hankel1 stays near 7e-16; j0 + y0 cost a quarter of hankel1, and
     k0 a fifth of kv.
+
+    out, a float array of shape (3,) + r.shape, receives the three tables,
+    and its rows are returned: a caller that evaluates many tables reuses
+    one buffer instead of allocating (and faulting in) new ones.  r is left
+    unchanged.
     """
-    t = ctx.kappa * r
+    r = np.asarray(r, dtype=float)
+    if out is None:
+        out = np.empty((3,) + r.shape)
+    re, im, m = out[0, ...], out[1, ...], out[2, ...]  # views, 0-d ones too
+    t = np.multiply(r, ctx.kappa, out=m)
     if ctx.dimension == 2:
-        return -_sp.y0(t) / 4.0, _sp.j0(t) / 4.0, _sp.k0(t) / (2.0 * np.pi)
-    s = 4.0 * np.pi * r
-    return np.cos(t) / s, np.sin(t) / s, np.exp(-t) / s
+        _sp.y0(t, out=re)
+        _sp.j0(t, out=im)
+        _sp.k0(t, out=m)
+        re /= -4.0
+        im /= 4.0
+        m /= 2.0 * np.pi
+        return re, im, m
+    np.cos(t, out=re)
+    np.sin(t, out=im)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    out /= 4.0 * np.pi * r
+    return re, im, m
 
 
 def green_biharmonic(ctx: WaveContext, x, y):
