@@ -15,8 +15,12 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   has no imaginary part to sum).  Points that are images of each other
   under the grid's symmetries (azimuth-step rotations, phi -> -phi and, in
   3D, z -> -z) share one point's tables, summed against the source's values
-  permuted to each image; the far field and the volume transforms sum
-  cos/sin (or exp) of the real phase kappa dir . y the same way, and
+  permuted to each image.  The far field and the volume transforms sum
+  cos and sin (or exp) of the real phase kappa dir . y the same way, one
+  direction at a time; cos and sin come from one half-angle tangent
+  (specfun.cos_sin, within 2.2e-16 of mpmath).  Every node-length array of
+  a call (distances, tables, permuted values, phases) lives in buffers
+  allocated once per call and reused, and
 * angular-mode series built from the modal coefficients (valid from the
   support radius outward), which is also how boundary traces are computed:
   the trace derivatives come from analytic recurrences, not numerical
@@ -229,15 +233,21 @@ def _check_directions(ctx, directions) -> np.ndarray:
 def _volume_transform(ctx, src, directions, oscillating):
     """Sum over the ball grid of exp(-i kappa dir . y) f(y) w(y) (oscillating)
     or exp(-kappa dir . y) f(y) w(y), one value per unit direction, from the
-    real phase kappa dir . y."""
+    real phase kappa dir . y: one direction at a time, its phase and its cos
+    and sin (or exp) in one reused row buffer."""
     dirs = _check_directions(ctx, directions)
     grid, a, b = _weighted_parts(src)
-    phase = (ctx.kappa * dirs) @ grid.points.T
-    if oscillating:
-        c, s = np.cos(phase), np.sin(phase)
-        return (c @ a + _dot(s, b)) + 1j * (_dot(c, b) - s @ a)
-    e = np.exp(-phase)
-    return e @ a + 1j * _dot(e, b)
+    rows = np.empty((3, grid.points.shape[0]))
+    out = np.empty(len(dirs), dtype=complex)
+    for i, k in enumerate(ctx.kappa * dirs):
+        phase = np.dot(grid.points, k, out=rows[2])
+        if oscillating:
+            c, s = specfun.cos_sin(phase, out=rows)
+            out[i] = complex(c @ a + _dot(s, b), _dot(c, b) - s @ a)
+        else:
+            e = np.exp(np.negative(phase, out=phase), out=phase)
+            out[i] = complex(e @ a, _dot(e, b))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,8 @@ def _trace_transform(ctx, trace, directions, oscillating):
 
     The channels group into p = (d_nu lap u + c d_nu u) w and
     q = (lap u + c u) w; one real table of the phase kappa dir . x (cos and
-    sin, or exp(-phase)) meets the d + 1 columns [p, nu_1 q, ..., nu_d q].
+    sin from specfun.cos_sin, or exp(-phase)) meets the d + 1 columns
+    [p, nu_1 q, ..., nu_d q].
     """
     dirs = _check_directions(ctx, directions)
     g = trace.grid
@@ -224,11 +225,13 @@ def _trace_transform(ctx, trace, directions, oscillating):
     cols[:, 0] = (trace.dlap_u_dnu + c * trace.du_dnu) * g.weights
     cols[:, 1:] = g.normals * ((trace.lap_u + c * trace.u) * g.weights)[:, None]
     flat = cols.view(float)  # real and imaginary parts side by side
-    phase = (ctx.kappa * dirs) @ g.points.T
+    tables = np.empty((3, len(dirs), len(g.weights)))
+    phase = np.matmul(ctx.kappa * dirs, g.points.T, out=tables[2])
     if oscillating:
-        sums = (np.cos(phase) @ flat).view(complex) - 1j * (np.sin(phase) @ flat).view(complex)
+        c, s = specfun.cos_sin(phase, out=tables)
+        sums = (c @ flat).view(complex) - 1j * (s @ flat).view(complex)
     else:
-        sums = (np.exp(-phase) @ flat).view(complex)
+        sums = (np.exp(np.negative(phase, out=phase), out=phase) @ flat).view(complex)
     z = (1j if oscillating else 1.0) * ctx.kappa * dirs
     return -(sums[:, 0] + np.sum(z * sums[:, 1:], axis=1))
 

@@ -115,6 +115,24 @@ class TestKernelTables:
         assert np.all(np.array(err_m) <= bound)
 
 
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_caller_buffer(self, ctx):
+        # the tables written into a caller's buffer are the tables, bit for
+        # bit, returned as views of it; r is left as it was, and a buffer
+        # that already holds other tables is overwritten in full
+        rng = np.random.default_rng(41)
+        buf = np.full((3, 4, 50), np.nan)
+        for _ in range(2):
+            r = rng.uniform(1e-3, 50.0, (4, 50))
+            kept = r.copy()
+            got = kernels.kernel_tables(ctx, r, out=buf)
+            ref = kernels.kernel_tables(ctx, r)
+            assert np.array_equal(r.view(np.uint64), kept.view(np.uint64))
+            for k in range(3):
+                assert np.shares_memory(got[k], buf[k])
+                assert np.array_equal(got[k].view(np.uint64), ref[k].view(np.uint64))
+
+
 class TestFourthOrderKernel:
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_decomposition(self, ctx):

@@ -6,6 +6,7 @@ library calls; the imaginary-axis family J_n(i t) = i**n I_|n|(t) is checked
 where the library evaluates it, as beta of single-mode sources.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -75,6 +76,61 @@ class TestBesselJ:
             lhs = sp.jv(-n, z)
             rhs = (-1.0) ** n * sp.jv(n, z)
             assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs) + 1e-30)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestCosSin:
+    """cos and sin from one half-angle tangent, against mpmath at the double
+    the function sees."""
+
+    def test_mpmath_oracle(self):
+        rng = np.random.default_rng(31)
+        mag = np.geomspace(1e-8, 1e12, 1500) * rng.uniform(0.5, 1.5, 1500)
+        # the doubles next to odd multiples of pi, where tan(t/2) is largest
+        odd = np.unique(np.concatenate([np.arange(1, 400, 2), np.geomspace(401, 3e11, 200).astype(np.int64) | 1]))
+        near = np.concatenate([np.nextafter(odd * np.pi, np.inf), odd * np.pi,
+                               np.nextafter(odd * np.pi, -np.inf)])
+        t = np.concatenate([mag, near])
+        t = np.concatenate([t, -t])
+        c, s = specfun.cos_sin(t)
+        err = 0.0
+        with mpmath.workdps(50):
+            for k in range(t.size):
+                x = mpmath.mpf(float(t[k]))
+                err = max(err, float(abs(c[k] - mpmath.cos(x))), float(abs(s[k] - mpmath.sin(x))))
+        assert err <= 4.5e-16
+
+    def test_shapes_and_buffer(self):
+        t = np.random.default_rng(37).uniform(-50.0, 50.0, (7, 9))
+        c, s = specfun.cos_sin(t)
+        assert c.shape == s.shape == (7, 9)
+        flat_c, flat_s = specfun.cos_sin(t.ravel())
+        assert np.array_equal(_bits(c).ravel(), _bits(flat_c))
+        assert np.array_equal(_bits(s).ravel(), _bits(flat_s))
+        # a 0-d argument gives 0-d values
+        c0, s0 = specfun.cos_sin(0.5)
+        assert c0.shape == s0.shape == ()
+        assert c0 == pytest.approx(np.cos(0.5), abs=4.5e-16)
+        assert s0 == pytest.approx(np.sin(0.5), abs=4.5e-16)
+        # a caller's buffer receives the values; its last row may hold t
+        buf = np.empty((3, 7, 9))
+        buf[2] = t
+        cb, sb = specfun.cos_sin(buf[2], out=buf)
+        assert np.shares_memory(cb, buf[0]) and np.shares_memory(sb, buf[1])
+        assert np.array_equal(_bits(cb), _bits(c)) and np.array_equal(_bits(sb), _bits(s))
+
+    def test_finite_everywhere(self):
+        big = np.finfo(float).max
+        t = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-8, np.pi, 1e15, 1e100, 1e300, big])
+        t = np.concatenate([t, -t, np.nextafter(np.pi / 2 * np.arange(1, 60), 0.0)])
+        c, s = specfun.cos_sin(t)
+        assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
+        assert np.max(np.abs(c * c + s * s - 1.0)) < 1e-15
+        assert np.max(np.abs(c - np.cos(t))) <= 4.5e-16
+        assert np.max(np.abs(s - np.sin(t))) <= 4.5e-16
 
 
 class TestHankelFamily:
