@@ -256,21 +256,39 @@ def _volume_transform(ctx, src, directions, oscillating):
 def _radial_tables(ctx, truncation, t, derivative):
     """Prefactors and per-degree radial factors of the f_h and f_m series at
     t = kappa r (shape (M, 1)): the outgoing family and the exp(t)-scaled
-    decaying family, or their r-derivatives."""
+    decaying family, or their r-derivatives.
+
+    Raises OverflowError when a factor leaves the double range (a high
+    truncation at small kappa r), where the series would give inf * 0 = NaN.
+    """
     k = ctx.kappa
-    if ctx.dimension == 2:
-        n = np.arange(-truncation, truncation + 1)
-        if derivative:
-            c = -0.5j * np.pi * k
-            return c, c, _sp.h1vp(n, t), specfun.hankel1_imag_scaled_dt(n, t)
-        c = -0.5j * np.pi
-        return c, c, _sp.hankel1(n, t), specfun.hankel1_imag_scaled(n, t)
     n = np.arange(truncation + 1)
-    if derivative:
-        h = k * (_sp.spherical_jn(n, t, derivative=True) + 1j * _sp.spherical_yn(n, t, derivative=True))
-        return -1j * k, k, h, k * specfun.sph_hankel1_imag_scaled_dt(n, t)
-    h = _sp.spherical_jn(n, t) + 1j * _sp.spherical_yn(n, t)
-    return -1j * k, k, h, specfun.sph_hankel1_imag_scaled(n, t)
+    # the check below names an overflow, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ctx.dimension == 2:  # orders n >= 0 only, mirrored to -N..N
+            if derivative:
+                c_h = c_m = -0.5j * np.pi * k
+                tables = _sp.h1vp(n, t), specfun.hankel1_imag_scaled_dt(n, t)
+            else:
+                c_h = c_m = -0.5j * np.pi
+                tables = _sp.hankel1(n, t), specfun.hankel1_imag_scaled(n, t)
+            h, s = (specfun.mirror_orders(table) for table in tables)
+        elif derivative:
+            c_h, c_m = -1j * k, k
+            h = k * (_sp.spherical_jn(n, t, derivative=True) + 1j * _sp.spherical_yn(n, t, derivative=True))
+            s = k * specfun.sph_hankel1_imag_scaled_dt(n, t)
+        else:
+            c_h, c_m = -1j * k, k
+            h = _sp.spherical_jn(n, t) + 1j * _sp.spherical_yn(n, t)
+            s = specfun.sph_hankel1_imag_scaled(n, t)
+    finite = np.isfinite(h) & np.isfinite(s)
+    if not np.all(finite):
+        worst = float(np.min(np.broadcast_to(t, finite.shape)[~finite]))
+        raise OverflowError(
+            f"exterior series radial factors are not finite at kappa*r = {worst:.6g}: the "
+            f"radial wave families leave the double range (truncation {truncation})"
+        )
+    return c_h, c_m, h, s
 
 
 def _per_mode(ctx, table):

@@ -322,10 +322,12 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int) -> M
     # the imaginary-argument family can leave the double range; the check
     # after this block names that, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        if ctx.dimension == 2:
-            n = mode_degrees(2, truncation)[:, None]
-            alpha = np.sum(values * _sp.jv(n, kr) * measure, axis=1)
-            beta = _ipow(n[:, 0]) * np.sum(values * _sp.iv(np.abs(n), kr) * measure, axis=1)
+        if ctx.dimension == 2:  # orders n >= 0 only: J_-n = (-1)^n J_n, I_-n = I_n
+            n = mode_degrees(2, truncation)
+            orders = np.arange(truncation + 1)[:, None]
+            j = specfun.mirror_orders(_sp.jv(orders, kr), axis=0)
+            alpha = np.sum(values * j * measure, axis=1)
+            beta = _ipow(n) * np.sum(values * _sp.iv(orders, kr)[np.abs(n)] * measure, axis=1)
         else:
             n = np.arange(truncation + 1)[:, None]
             j_weighted = _sp.spherical_jn(n, kr) * measure

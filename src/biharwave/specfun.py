@@ -86,6 +86,26 @@ def cos_sin(t, out=None):
 
 
 # ---------------------------------------------------------------------------
+# Negative integer orders
+# ---------------------------------------------------------------------------
+def mirror_orders(table, axis=-1):
+    """A table over the integer orders n = 0..N (along axis) extended to
+    n = -N..N by C_-n = (-1)**n C_n, the reflection of J_n, Y_n, their
+    Hankel combinations, their derivatives and the scaled H_n(i t) family:
+    the negative orders cost a gather and a negation, not a second
+    evaluation.  The values equal scipy's own at the negative orders.
+    """
+    table = np.asarray(table)
+    top = table.shape[axis] - 1
+    out = np.take(table, np.abs(np.arange(-top, top + 1)), axis=axis)
+    if top:
+        odd = [slice(None)] * out.ndim
+        odd[axis] = slice(top - 1, None, -2)  # n = -1, -3, ...
+        np.negative(out[tuple(odd)], out=out[tuple(odd)])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Decaying family on the imaginary axis, exp(t)-scaled
 # ---------------------------------------------------------------------------
 def hankel1_imag_scaled(n: int, t):

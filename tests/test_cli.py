@@ -359,6 +359,27 @@ def test_overflow_is_one_config_error_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "cfg, truncation, kr",
+    [
+        (GAUSS2D, 300, "2.40483"),
+        (dict(dimension=3, R=1.0, kappa=1e-3, kind="gaussian",
+              parameters={"center": [0.2, 0.1, 0.15], "sigma": 0.1, "support_radius": 0.9}), 70, "0.001"),
+    ],
+    ids=["2d", "3d"],
+)
+def test_series_overflow_is_one_config_error_line(tmp_path, capsys, cfg, truncation, kr):
+    # the exterior series' radial factors leave the double range at kappa R:
+    # refused, not written as rows of NaN
+    path = _write(tmp_path, "g.json", cfg)
+    argv = ["trace", "--truncation", str(truncation), "--config", path, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"kappa*r = {kr}" in err and f"truncation {truncation}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_route_disagreement_exits_2(tmp_path, capsys):
     # the 2D Bessel invisible source at kappa*R ~ 27.5: the modal and spectral
     # residuals miss the tolerance while the field residual meets it, and a

@@ -269,6 +269,32 @@ class TestSymmetryGroupQuadrature:
         _assert_matches_dense_sum(CTX2, src, pts, f_h, f_m)
 
 
+class TestSeriesOverflow:
+    """A truncation so high that the radial factors leave the double range
+    at kappa r is refused, naming kappa r and the truncation: the series
+    would give inf * 0 = NaN at every point."""
+
+    # (context, truncation): 2D Gaussian at kappa R = j_0,1; a 3D Gaussian at
+    # kappa R = 1e-3, where the spherical K family overflows below degree 70
+    CASES = {"2d": (CTX2, 200), "3d": (WaveContext(3, 1e-3, 1.0), 70)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_modal_field_refused(self, case):
+        ctx, truncation = self.CASES[case]
+        point = np.zeros((1, ctx.dimension))
+        point[0, 0] = ctx.radius
+        match = rf"kappa\*r = {ctx.kappa * ctx.radius:.6g}: .*\(truncation {truncation}\)"
+        with pytest.raises(OverflowError, match=match):
+            eval_field_batch(ctx, _gaussian(ctx), point, method="modal", truncation=truncation)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_trace_refused(self, case):
+        ctx, truncation = self.CASES[case]
+        grid = boundary_grid(ctx, 16)
+        with pytest.raises(OverflowError, match=rf"\(truncation {truncation}\)"):
+            boundary_trace(ctx, _gaussian(ctx), grid, truncation=truncation)
+
+
 class TestBoundaryTrace:
     def test_nonradiating_bump_trace_dark(self):
         src = make_bump_nonradiating(CTX2)

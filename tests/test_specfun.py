@@ -133,6 +133,20 @@ class TestCosSin:
         assert np.max(np.abs(s - np.sin(t))) <= 4.5e-16
 
 
+@pytest.mark.parametrize("axis", [0, -1])
+def test_mirror_orders_matches_negative_orders(axis):
+    # C_-n = (-1)^n C_n for the integer-order families the library mirrors
+    t = np.linspace(0.3, 40.0, 17)
+    top = 25
+    n = np.arange(-top, top + 1)
+    for fn in (sp.jv, sp.hankel1, sp.h1vp, specfun.hankel1_imag_scaled, specfun.hankel1_imag_scaled_dt):
+        half = fn(np.arange(top + 1)[:, None], t)
+        full = fn(n[:, None], t)
+        got = specfun.mirror_orders(half if axis == 0 else half.T, axis=axis)
+        assert np.array_equal(got if axis == 0 else got.T, full)
+    assert np.array_equal(specfun.mirror_orders(np.array([2.5])), [2.5])
+
+
 class TestHankelFamily:
     def test_conjugate_pair(self):
         z = np.linspace(0.2, 30.0, 23)
