@@ -98,10 +98,9 @@ def mirror_orders(table, axis=-1):
     table = np.asarray(table)
     top = table.shape[axis] - 1
     out = np.take(table, np.abs(np.arange(-top, top + 1)), axis=axis)
-    if top:
-        odd = [slice(None)] * out.ndim
-        odd[axis] = slice(top - 1, None, -2)  # n = -1, -3, ...
-        np.negative(out[tuple(odd)], out=out[tuple(odd)])
+    odd = [slice(None)] * out.ndim
+    odd[axis] = slice((top + 1) % 2, top, 2)  # index i holds n = i - top
+    np.negative(out[tuple(odd)], out=out[tuple(odd)])
     return out
 
 
