@@ -275,7 +275,7 @@ class TestSeriesOverflow:
     would give inf * 0 = NaN at every point."""
 
     # (context, truncation): 2D Gaussian at kappa R = j_0,1; a 3D Gaussian at
-    # kappa R = 1e-3, where the spherical K family overflows below degree 70
+    # kappa R = 1e-3, where the spherical K family overflows between degrees 60 and 70
     CASES = {"2d": (CTX2, 200), "3d": (WaveContext(3, 1e-3, 1.0), 70)}
 
     @pytest.mark.parametrize("case", sorted(CASES))
