@@ -8,18 +8,20 @@ where f_h solves the Helmholtz equation driven by f and f_m the modified
 Helmholtz equation.  Two independent evaluation routes are provided:
 
 * direct quadrature of the kernels against the source's values on its
-  default product grid (points strictly outside the support): the kernels
-  enter as three real tables (kernels.kernel_tables: Re phi_h, Im phi_h,
-  phi_m), each summed against the real and imaginary parts of the weighted
-  values by real dot products, never in complex arithmetic (a real source
-  has no imaginary part to sum).  Points that are images of each other
-  under the grid's symmetries (azimuth-step rotations, phi -> -phi and, in
-  3D, z -> -z) share one point's tables, summed against the source's values
-  permuted to each image.  The far field and the volume transforms sum
-  cos and sin (or exp) of the real phase kappa dir . y the same way, one
-  direction at a time; cos and sin come from one half-angle tangent
+  default product grid (points strictly outside the support): the weighted
+  values are one block of real rows (a real source one row, a complex one
+  its real and imaginary rows), and the kernels enter as three real tables
+  (kernels.kernel_tables: Re phi_h, Im phi_h, phi_m), so each point's sums
+  are one real matrix product, never complex arithmetic.  Points that are
+  images of each other under the grid's symmetries (azimuth-step rotations,
+  phi -> -phi and, in 3D, z -> -z) share one point's tables, summed against
+  the rows permuted to each image; the quadrature takes one symmetry group
+  at a time.  The far field and the volume transforms sum cos and sin (or
+  exp) of the real phase kappa dir . y against the same rows, one direction
+  at a time (_phase_sums, which also serves the boundary-data functionals
+  of the spectral module); cos and sin come from one half-angle tangent
   (specfun.cos_sin, within 2.2e-16 of mpmath).  Every node-length array of
-  a call (distances, tables, permuted values, phases) lives in buffers
+  a call (distances, tables, permuted rows, phases) lives in buffers
   allocated once per call and reused, and
 * angular-mode series built from the modal coefficients (valid from the
   support radius outward), which is also how boundary traces are computed:
@@ -48,10 +50,6 @@ from .context import WaveContext
 from .kernels import kernel_tables
 from .quadrature import BoundaryGrid, spherical_params
 from .sources import SourceField, SupportViolationError, resolve_coefficients
-
-# (point, grid node) pairs per chunk of the direct-quadrature kernel tables: it
-# bounds the distance and kernel-table buffers to this many entries, 1 MB each.
-_EVAL_PAIRS = 2**17
 
 # Slack within which two points count as images of one another under the
 # quadrature grid's symmetries: relative in the radius, absolute in the polar
@@ -124,100 +122,84 @@ def _symmetry_groups(angular, pts):
     return group, first, s, eps, flip
 
 
-def _node_images(values, shape, shift, sign, reverse, out):
-    """values over the product grid (shape (radial, polar, azimuth)) taken at
-    each node's image under a grid symmetry: azimuth index l goes to
+def _real_rows(data, weights):
+    """data of shape (nodes,) or (parts, nodes) times the node weights, as
+    one C-contiguous block of real rows: a real part is one row, a complex
+    part its (real, imaginary) row pair."""
+    data = np.atleast_2d(data)
+    if np.iscomplexobj(data):
+        data = np.stack([data.real, data.imag], axis=1).reshape(-1, data.shape[-1])
+    return data * weights
+
+
+def _node_images(rows, shape, shift, sign, reverse, out):
+    """Rows over the product grid (shape (radial, polar, azimuth) each) taken
+    at each node's image under a grid symmetry: azimuth index l goes to
     shift + sign l (mod n), and the polar rings reverse when reverse.  The
-    image is written into out (a node-length buffer); the identity (and a
-    real source's absent imaginary part) passes values through."""
-    if values is None or (shift == 0 and sign == 1 and not reverse):
-        return values
-    v = values.reshape(shape)
+    images are written into out (rows' shape); the identity passes rows
+    through."""
+    if shift == 0 and sign == 1 and not reverse:
+        return rows
+    v = rows.reshape((-1,) + shape)
     if reverse:
-        v = v[:, ::-1]
+        v = v[:, :, ::-1]
     if sign < 0:  # v[shift - l] is the reversed azimuths at l - shift - 1
         v, shift = v[..., ::-1], -shift - 1
-    n = shape[-1]
-    shift %= n
-    image = out.reshape(shape)
-    image[..., :n - shift] = v[..., shift:]
-    image[..., n - shift:] = v[..., :shift]
+    shift %= shape[-1]
+    np.concatenate((v[..., shift:], v[..., :shift]), axis=-1, out=out.reshape(v.shape))
     return out
 
 
-def _weighted_parts(src):
-    """The source's default product grid and the real and imaginary parts of
-    its values times the quadrature weights; the imaginary part is None for a
-    real source (default_samples keeps its values real)."""
-    grid, values = src.default_samples()
-    b = None if np.isrealobj(values) else values.imag * grid.weights
-    return grid, values.real * grid.weights, b
-
-
-def _dot(table, b):
-    """table @ b, or 0.0 when b is None: a dot product of zeros is +0.0, so
-    skipping it keeps every signed zero of the outputs."""
-    return 0.0 if b is None else table @ b
-
-
-def _kernel_sums(re_h, im_h, phi_m, a, b):
-    """-(phi_h . fw) and -(phi_m . fw) for one point's three real kernel rows,
-    with fw = a + i b: one real dot product per table and part."""
-    f_h = complex(_dot(im_h, b) - re_h @ a, -(_dot(re_h, b) + im_h @ a))
-    return f_h, complex(-(phi_m @ a), -_dot(phi_m, b))
-
-
-def _distances(pts, nodes_t, out, scratch):
-    """|x - y| for every (point, node) pair into out (shape (points, nodes)),
-    summed one coordinate at a time in the order np.linalg.norm sums them;
-    nodes_t holds the node coordinates as rows, and scratch (out's shape)
-    takes each coordinate's differences."""
-    np.subtract(pts[:, 0, None], nodes_t[0], out=out)
+def _distances(point, nodes_t, out, scratch):
+    """|point - y| for every node y into out, summed one coordinate at a time
+    in the order np.linalg.norm sums them; nodes_t holds the node coordinates
+    as rows, and scratch (out's shape) takes each coordinate's differences."""
+    np.subtract(point[0], nodes_t[0], out=out)
     out *= out
-    for k in range(1, pts.shape[1]):
-        np.subtract(pts[:, k, None], nodes_t[k], out=scratch)
+    for k in range(1, len(point)):
+        np.subtract(point[k], nodes_t[k], out=scratch)
         scratch *= scratch
         out += scratch
     return np.sqrt(out, out=out)
 
 
 def _eval_quadrature(ctx, src, pts):
-    """f_h and f_m at the points by direct quadrature.  Only the first point q
-    of each symmetry group gets kernel tables; another member m is h(q) for
-    a grid symmetry h, so |m - h(y)| = |q - y| and m sums q's tables against
-    the values at h(y): the source's own values, permuted.
+    """f_h and f_m at the points by direct quadrature, one symmetry group at a
+    time.  Only the first point q of each group gets kernel tables; another
+    member m is h(q) for a grid symmetry h, so |m - h(y)| = |q - y| and m
+    sums q's tables against the weighted rows at h(y): the source's own
+    values, permuted.
 
     Every node-length array lives in buffers allocated once per call: the
-    distances and the three kernel tables of a chunk of groups, and the
-    images of the weighted values."""
-    grid, a, b = _weighted_parts(src)
+    distances and the three kernel tables, and the images of the rows."""
+    grid, values = src.default_samples()  # a real source's values stay real
+    rows = _real_rows(values, grid.weights)
     angular = grid.angular
     n = angular.azimuth_count or angular.count
     shape = (grid.radial.order, max(angular.polar_count, 1), n)
     group, first, s, eps, flip = _symmetry_groups(angular, pts)
     members = np.argsort(group, kind="stable")  # by group, each group's first point first
     bounds = np.searchsorted(group[members], np.arange(first.size + 1))
-    f_h = np.zeros(pts.shape[0], dtype=complex)
-    f_m = np.zeros(pts.shape[0], dtype=complex)
+    f_h, f_m = np.zeros((2, pts.shape[0]), dtype=complex)
     nodes_t = np.ascontiguousarray(grid.points.T)
-    step = max(1, min(first.size, _EVAL_PAIRS // nodes_t.shape[1]))
     # rows: the distances, then the three kernel tables (the first also the
-    # distances' scratch); one image buffer per part of the weighted values
-    work = np.empty((4, step, nodes_t.shape[1]))
-    images = np.empty((2, nodes_t.shape[1]))
-    for start in range(0, first.size, step):
-        chunk = first[start:start + step]
-        r = _distances(pts[chunk], nodes_t, work[0, :chunk.size], work[1, :chunk.size])
-        tables = kernel_tables(ctx, r, out=work[1:, :chunk.size])
-        for g, rows in enumerate(zip(*tables), start):
-            q = first[g]
-            for m in members[bounds[g]:bounds[g + 1]]:
-                # azimuth l -> s_m + eps_m eps_q (l - s_q), polar rings mirrored when the flips differ
-                sign = eps[m] * eps[q]
-                shift = (s[m] - sign * s[q]) % n
-                image = [_node_images(v, shape, shift, sign, flip[m] != flip[q], out)
-                         for v, out in zip((a, b), images)]
-                f_h[m], f_m[m] = _kernel_sums(*rows, *image)
+    # distances' scratch)
+    work = np.empty((4, nodes_t.shape[1]))
+    image = np.empty_like(rows)
+    # each table against the real and the imaginary row; a real source's
+    # absent imaginary row sums to +0.0
+    sums = np.zeros((3, 2))
+    for g, q in enumerate(first):
+        kernel_tables(ctx, _distances(pts[q], nodes_t, work[0], work[1]), out=work[1:])
+        for m in members[bounds[g]:bounds[g + 1]]:
+            # azimuth l -> s_m + eps_m eps_q (l - s_q), polar rings mirrored when the flips differ
+            sign = eps[m] * eps[q]
+            shift = (s[m] - sign * s[q]) % n
+            v = _node_images(rows, shape, shift, sign, flip[m] != flip[q], image)
+            np.matmul(work[1:], v.T, out=sums[:, :len(rows)])
+            (re_a, re_b), (im_a, im_b), (m_a, m_b) = sums
+            f_h[m] = complex(im_b - re_a, -(re_b + im_a))
+            f_m[m] = complex(-m_a, -m_b)
     return f_h, f_m
 
 
@@ -230,24 +212,39 @@ def _check_directions(ctx, directions) -> np.ndarray:
     return dirs
 
 
+def _phase_sums(ctx, points, rows, directions, oscillating):
+    """Sums over the nodes of data times c - i s, with c = cos(kappa dir . x)
+    and s = sin(kappa dir . x) (oscillating), or c = exp(-kappa dir . x) and
+    s = 0; shape (directions, parts).  rows holds the data as real rows
+    (_real_rows; a lone real row is a part with no imaginary row), and
+    directions are checked unit vectors.  One direction at a time: its phase
+    by np.dot into a reused 3-row buffer, c and s in place (specfun.cos_sin),
+    then one real matrix product with the rows."""
+    table = np.empty((3, len(points)))
+    parts = (len(rows) + 1) // 2
+    # each row against c and s, per direction; a lone real row's absent
+    # imaginary row sums to +0.0
+    sums = np.zeros((len(directions), 2 * parts, 2))
+    for i, k in enumerate(ctx.kappa * directions):
+        phase = np.dot(points, k, out=table[2])
+        if oscillating:
+            specfun.cos_sin(phase, out=table)
+            np.matmul(rows, table[1], out=sums[i, :len(rows), 1])
+        else:
+            np.exp(np.negative(phase, out=table[0]), out=table[0])
+        np.matmul(rows, table[0], out=sums[i, :len(rows), 0])
+    out = np.empty((len(directions), parts), dtype=complex)
+    out.real = sums[:, 0::2, 0] + sums[:, 1::2, 1]
+    out.imag = sums[:, 1::2, 0] - sums[:, 0::2, 1]
+    return out
+
+
 def _volume_transform(ctx, src, directions, oscillating):
     """Sum over the ball grid of exp(-i kappa dir . y) f(y) w(y) (oscillating)
-    or exp(-kappa dir . y) f(y) w(y), one value per unit direction, from the
-    real phase kappa dir . y: one direction at a time, its phase and its cos
-    and sin (or exp) in one reused row buffer."""
+    or exp(-kappa dir . y) f(y) w(y), one value per unit direction."""
     dirs = _check_directions(ctx, directions)
-    grid, a, b = _weighted_parts(src)
-    rows = np.empty((3, grid.points.shape[0]))
-    out = np.empty(len(dirs), dtype=complex)
-    for i, k in enumerate(ctx.kappa * dirs):
-        phase = np.dot(grid.points, k, out=rows[2])
-        if oscillating:
-            c, s = specfun.cos_sin(phase, out=rows)
-            out[i] = complex(c @ a + _dot(s, b), _dot(c, b) - s @ a)
-        else:
-            e = np.exp(np.negative(phase, out=phase), out=phase)
-            out[i] = complex(e @ a, _dot(e, b))
-    return out
+    grid, values = src.default_samples()
+    return _phase_sums(ctx, grid.points, _real_rows(values, grid.weights), dirs, oscillating)[:, 0]
 
 
 # ---------------------------------------------------------------------------

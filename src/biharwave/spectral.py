@@ -213,25 +213,15 @@ def _trace_transform(ctx, trace, directions, oscillating):
     over the boundary nodes, with z = i kappa dir (oscillating) or kappa dir,
     and c = z . z.
 
-    The channels group into p = (d_nu lap u + c d_nu u) w and
-    q = (lap u + c u) w; one real table of the phase kappa dir . x (cos and
-    sin from specfun.cos_sin, or exp(-phase)) meets the d + 1 columns
-    [p, nu_1 q, ..., nu_d q].
+    The channels group into the d + 1 columns [p, nu_1 q, ..., nu_d q] with
+    p = d_nu lap u + c d_nu u and q = lap u + c u; fields._phase_sums sums
+    their weighted real rows against the phase kappa dir . x.
     """
     dirs = _check_directions(ctx, directions)
     g = trace.grid
     c = -ctx.kappa**2 if oscillating else ctx.kappa**2
-    cols = np.empty((len(g.weights), ctx.dimension + 1), dtype=complex)
-    cols[:, 0] = (trace.dlap_u_dnu + c * trace.du_dnu) * g.weights
-    cols[:, 1:] = g.normals * ((trace.lap_u + c * trace.u) * g.weights)[:, None]
-    flat = cols.view(float)  # real and imaginary parts side by side
-    tables = np.empty((3, len(dirs), len(g.weights)))
-    phase = np.matmul(ctx.kappa * dirs, g.points.T, out=tables[2])
-    if oscillating:
-        c, s = specfun.cos_sin(phase, out=tables)
-        sums = (c @ flat).view(complex) - 1j * (s @ flat).view(complex)
-    else:
-        sums = (np.exp(np.negative(phase, out=phase), out=phase) @ flat).view(complex)
+    cols = np.vstack([trace.dlap_u_dnu + c * trace.du_dnu, g.normals.T * (trace.lap_u + c * trace.u)])
+    sums = fields._phase_sums(ctx, g.points, fields._real_rows(cols, g.weights), dirs, oscillating)
     z = (1j if oscillating else 1.0) * ctx.kappa * dirs
     return -(sums[:, 0] + np.sum(z * sums[:, 1:], axis=1))
 
