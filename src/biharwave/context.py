@@ -9,6 +9,19 @@ import numpy as np
 from scipy.special import jn_zeros
 
 
+def _check_integer(name: str, value, minimum: int):
+    """value when it is an integer >= minimum (numpy integers too, never a
+    bool); otherwise a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _is_real(value) -> bool:
+    """A real number (numpy's too) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WaveContext:
     """Ambient configuration threaded through every operation.
@@ -30,10 +43,10 @@ class WaveContext:
     def __post_init__(self):
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
-        if not (np.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"R must be positive and finite, got {self.radius}")
+        if not (_is_real(self.kappa) and np.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
+        if not (_is_real(self.radius) and np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"R must be positive and finite, got {self.radius!r}")
 
     @classmethod
     def with_root_wavenumber(cls, dimension: int, radius: float, root_index: int = 1) -> "WaveContext":
@@ -46,12 +59,9 @@ class WaveContext:
         """
         if dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {dimension}")
-        if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not (
-            np.isfinite(radius) and radius > 0
-        ):
+        if not (_is_real(radius) and np.isfinite(radius) and radius > 0):
             raise ValueError(f"R must be positive and finite, got {radius!r}")
-        if isinstance(root_index, bool) or not isinstance(root_index, numbers.Integral) or root_index < 1:
-            raise ValueError(f"root_index must be an integer >= 1, got {root_index!r}")
+        _check_integer("root_index", root_index, 1)
         if dimension == 2:
             root = float(jn_zeros(0, root_index)[root_index - 1])
         else:

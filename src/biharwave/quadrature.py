@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import WaveContext
+from .context import WaveContext, _check_integer
 
 DEFAULT_RADIAL_ORDER = 64
 DEFAULT_ANGULAR_COUNT_2D = 256
@@ -123,17 +123,13 @@ def angular_rule(ctx: WaveContext, count: int | None = None) -> AngularRule:
     integrates spherical harmonics up to degree count - 1 exactly.
     """
     if ctx.dimension == 2:
-        m = DEFAULT_ANGULAR_COUNT_2D if count is None else int(count)
-        if m < 4:
-            raise ValueError(f"angular count must be >= 4, got {m}")
+        m = DEFAULT_ANGULAR_COUNT_2D if count is None else _check_integer("angular count", count, 4)
         theta = 2.0 * np.pi * np.arange(m) / m
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(m, 2.0 * np.pi / m)
         return AngularRule(2, dirs, weights, theta)
 
-    n_pol = DEFAULT_POLAR_COUNT_3D if count is None else int(count)
-    if n_pol < 2:
-        raise ValueError(f"polar count must be >= 2, got {n_pol}")
+    n_pol = DEFAULT_POLAR_COUNT_3D if count is None else _check_integer("polar count", count, 2)
     n_az = 2 * n_pol
     c, wc = gauss_legendre(n_pol)  # nodes in cos(theta)
     theta = np.arccos(c)
@@ -174,8 +170,8 @@ def boundary_grid(ctx: WaveContext, resolution: int | None = None) -> BoundaryGr
 
     resolution is the angular count (2D) or polar count (3D); must be >= 8.
     """
-    if resolution is not None and resolution < 8:
-        raise ValueError(f"resolution must be >= 8, got {resolution}")
+    if resolution is not None:
+        _check_integer("resolution", resolution, 8)
     ang = angular_rule(ctx, resolution)
     scale = ctx.radius ** (ctx.dimension - 1)
     return BoundaryGrid(

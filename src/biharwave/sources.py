@@ -358,10 +358,14 @@ def default_mode_truncation(ctx: WaveContext) -> int:
 
 
 def resolve_coefficients(ctx, src, truncation=None):
-    """src itself when it already is a ModalCoefficients, else the source's
-    coefficients at the truncation (default_mode_truncation when None)."""
+    """The source's coefficients at the truncation (default_mode_truncation
+    when None).  src may already be a ModalCoefficients of ctx's dimension:
+    it is cut back to the truncation (ModalCoefficients.truncated), or
+    returned whole when the truncation is None."""
     if isinstance(src, ModalCoefficients):
-        return src
+        if src.dimension != ctx.dimension:
+            raise ValueError(f"coefficients are {src.dimension}D but the context is {ctx.dimension}D")
+        return src if truncation is None else src.truncated(truncation)
     if truncation is None:
         truncation = default_mode_truncation(ctx)
     return modal_coefficients(ctx, src, truncation)

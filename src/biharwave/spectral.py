@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special as _sp
 
 from . import fields, specfun
-from .context import WaveContext
+from .context import WaveContext, _check_integer, _is_real
 from .fields import _check_directions
 from .kernels import green_biharmonic
 from .quadrature import angular_rule, spherical_params, split_params
@@ -94,12 +94,11 @@ class VerdictConfig:
     def __post_init__(self):
         # a tolerance that no residual can meet (<= 0, NaN) would report every
         # source, invisible ones included, as radiating
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.truncation is not None and self.truncation < 0:
-            raise ValueError(f"truncation must be >= 0, got {self.truncation}")
-        if self.direction_count < 1:
-            raise ValueError(f"direction_count must be >= 1, got {self.direction_count}")
+        if not (_is_real(self.tolerance) and np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        if self.truncation is not None:
+            _check_integer("truncation", self.truncation, 0)
+        _check_integer("direction_count", self.direction_count, 1)
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,7 @@ def direction_grid(ctx: WaveContext, count: int):
     nodes (polar Gauss x equispaced azimuth), at least count in total.
     Returns (directions, params) as in AngularRule.
     """
-    if count < 1:
-        raise ValueError(f"direction count must be >= 1, got {count}")
+    _check_integer("direction count", count, 1)
     if ctx.dimension == 2:
         rule = angular_rule(ctx, max(count, 4))
         return rule.directions, rule.params

@@ -1,5 +1,6 @@
-"""WaveContext: validation of the root-wavenumber constructor."""
+"""WaveContext: validation of the constructor and of the root-wavenumber constructor."""
 
+import numpy as np
 import pytest
 
 from biharwave import WaveContext
@@ -22,3 +23,14 @@ class TestWithRootWavenumber:
     def test_bool_root_index_refused(self, dimension):
         with pytest.raises(ValueError, match=r"root_index must be an integer >= 1, got True"):
             WaveContext.with_root_wavenumber(dimension, 1.0, True)
+
+
+@pytest.mark.parametrize("field, args", [("kappa", (2, True, 1.0)), ("R", (3, 2.0, True))], ids=["kappa", "R"])
+def test_bool_kappa_or_radius_refused(field, args):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite, got True"):
+        WaveContext(*args)
+
+
+def test_numpy_numbers_accepted():
+    ctx = WaveContext(np.int64(3), np.float32(2.0), np.int64(1))
+    assert (ctx.kappa, ctx.radius) == (2.0, 1)

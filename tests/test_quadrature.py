@@ -169,3 +169,34 @@ class TestRuleCache:
         ang = quadrature.angular_rule(CTX3, 12)
         ang.weights[:] = -1.0
         assert np.sum(quadrature.angular_rule(CTX3, 12).weights) == pytest.approx(4.0 * np.pi, rel=1e-13)
+
+
+class TestCounts:
+    """Counts of nodes and directions are integers: a fraction or a bool is
+    refused by name, never truncated."""
+
+    @pytest.mark.parametrize(
+        "ctx, make, name, value",
+        [(CTX2, quadrature.angular_rule, "angular count", 64.7),
+         (CTX2, quadrature.angular_rule, "angular count", True),
+         (CTX3, quadrature.angular_rule, "polar count", 8.5),
+         (CTX2, quadrature.boundary_grid, "resolution", 64.7),
+         (CTX3, quadrature.boundary_grid, "resolution", 16.0),
+         (CTX2, "direction_grid", "direction count", 16.5),
+         (CTX2, "direction_grid", "direction count", True),
+         (CTX3, "direction_grid", "direction count", 16.5)],
+        ids=["angular-frac", "angular-bool", "polar-frac", "boundary-2d", "boundary-3d-float",
+             "directions-frac", "directions-bool", "directions-3d"],
+    )
+    def test_fraction_or_bool_refused(self, ctx, make, name, value):
+        if make == "direction_grid":
+            from biharwave.spectral import direction_grid as make
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= .*, got {value!r}"):
+            make(ctx, value)
+
+    def test_numpy_integers_accepted(self):
+        from biharwave.spectral import direction_grid
+
+        assert quadrature.boundary_grid(CTX2, np.int64(64)).count == 64
+        assert quadrature.angular_rule(CTX3, np.int32(4)).count == 32
+        assert len(direction_grid(CTX2, np.int64(16))[0]) == 16

@@ -290,13 +290,23 @@ class TestVerdict:
     @pytest.mark.parametrize(
         "kwargs",
         [{"tolerance": -1.0}, {"tolerance": 0.0}, {"tolerance": np.nan}, {"tolerance": np.inf},
-         {"truncation": -1}, {"direction_count": 0}],
-        ids=["tol-neg", "tol-zero", "tol-nan", "tol-inf", "trunc-neg", "dirs-zero"],
+         {"truncation": -1}, {"direction_count": 0},
+         {"truncation": 2.5}, {"truncation": True}, {"direction_count": 2.5},
+         {"direction_count": True}, {"tolerance": True}],
+        ids=["tol-neg", "tol-zero", "tol-nan", "tol-inf", "trunc-neg", "dirs-zero",
+             "trunc-frac", "trunc-bool", "dirs-frac", "dirs-bool", "tol-bool"],
     )
     def test_config_refuses_meaningless_values(self, kwargs):
-        # a tolerance no residual can meet would call an invisible source radiating
-        with pytest.raises(ValueError):
+        # a tolerance no residual can meet would call an invisible source
+        # radiating; a fractional truncation would fail deep in the projection,
+        # and True would pass for 1
+        (key, value), = kwargs.items()
+        with pytest.raises(ValueError, match=f"{key} must be .*, got {value!r}"):
             VerdictConfig(**kwargs)
+
+    def test_config_takes_numpy_numbers(self):
+        cfg = VerdictConfig(tolerance=np.float32(1e-6), truncation=np.int64(5), direction_count=np.int32(8))
+        assert (cfg.truncation, cfg.direction_count) == (5, 8)
 
     def test_truncation_too_low_raises_inconsistency(self):
         from biharwave.spectral import InconsistencyError
@@ -390,3 +400,47 @@ class TestConsistencyTriangle:
         assert np.max(np.abs(fhat_m - uhat)) < 1e-6 * norm
         assert np.max(np.abs(fcheck - vcheck)) < 1e-6 * norm
 
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+class TestGivenCoefficients:
+    """A ModalCoefficients passed as the source is cut back to the truncation
+    asked for, and must belong to the context's dimension."""
+
+    def _coeffs(self, ctx):
+        from biharwave.sources import modal_coefficients
+
+        return modal_coefficients(ctx, _gaussian(ctx), 8)
+
+    def test_trace_honours_truncation(self, ctx):
+        coeffs = self._coeffs(ctx)
+        grid = boundary_grid(ctx, 16 if ctx.dimension == 3 else 64)
+        cut = boundary_trace(ctx, coeffs, grid, truncation=3)
+        np.testing.assert_array_equal(cut.stacked(), boundary_trace(ctx, coeffs.truncated(3), grid).stacked())
+        assert np.max(np.abs(cut.stacked() - boundary_trace(ctx, coeffs, grid).stacked())) > 1e-6
+
+    def test_fourier_on_circle_honours_truncation(self, ctx):
+        coeffs = self._coeffs(ctx)
+        dirs, _ = direction_grid(ctx, 16)
+        cut = fourier_on_circle(ctx, coeffs, dirs, truncation=2)
+        np.testing.assert_array_equal(cut, fourier_on_circle(ctx, coeffs.truncated(2), dirs))
+        assert np.max(np.abs(cut - fourier_on_circle(ctx, coeffs, dirs))) > 1e-6
+        with pytest.raises(ValueError, match=r"truncation must lie in \[0, 8\], got 9"):
+            fourier_on_circle(ctx, coeffs, dirs, truncation=9)
+
+    def test_nullspace_residual_honours_truncation(self, ctx):
+        coeffs = self._coeffs(ctx)
+        cut = nullspace_residual(ctx, coeffs, [1.5, 3.0], truncation=3)
+        assert cut == nullspace_residual(ctx, coeffs.truncated(3), [1.5, 3.0])
+        assert cut != nullspace_residual(ctx, coeffs, [1.5, 3.0])
+
+    def test_other_dimension_refused(self, ctx):
+        other = CTX3 if ctx.dimension == 2 else CTX2
+        coeffs = self._coeffs(other)
+        match = f"coefficients are {other.dimension}D but the context is {ctx.dimension}D"
+        with pytest.raises(ValueError, match=match):
+            boundary_trace(ctx, coeffs, boundary_grid(ctx))
+        with pytest.raises(ValueError, match=match):
+            fourier_on_circle(ctx, coeffs, direction_grid(ctx, 16)[0])
+        with pytest.raises(ValueError, match=match):
+            nullspace_residual(ctx, coeffs, [1.5])
