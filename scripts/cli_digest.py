@@ -26,11 +26,13 @@ fraction of itself, which the peak-relative change hides behind the
 output's largest number (in a verdict JSON, the integer truncation); the
 floor keeps a value that is rounding noise around zero from dividing by
 nothing.  An output whose text outside those numbers changed (keys,
-headers, metadata, a refusal) is marked "text differs".  --compare exits 1
-when any exit code differs or any output's text differs (a flipped
-"is_nonradiating" is text: JSON booleans are not numbers), and 0 when every
-output is identical or moved only in its numbers; judge the printed sizes of
-those moves by eye.
+headers, metadata, a refusal) is marked "text differs", and one whose
+number is the same zero with the other sign (-0.0 against 0.0, which compare
+equal) "signed zero differs at <label>".  --compare exits 1 when any exit
+code differs, any output's text differs (a flipped "is_nonradiating" is
+text: JSON booleans are not numbers) or a signed zero differs, and 0 when
+every output is identical or moved only in its numbers; judge the printed
+sizes of those moves by eye.
 
 Byte identity only holds for the same numpy/scipy/BLAS build on the same
 CPU; compare two checkouts on one machine, never digests from two machines.
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,11 +145,16 @@ def change(old: bytes, new: bytes) -> str:
     """How an output moved: largest absolute change of its numbers, that
     change over the largest absolute value (peak) of the old output, and the
     largest per-value change |new - old| / max(|old|, 1e-15 * peak) with
-    where it occurs."""
+    where it occurs; "text differs" or "signed zero differs at <label>"
+    instead when the change is more than a move of the numbers."""
     a, labels, text_a = split_numbers(old)
     b, _, text_b = split_numbers(new)
     if text_a != text_b or len(a) != len(b):
         return "text differs"
+    flips = [label for x, y, label in zip(a, b, labels)
+             if x == y == 0.0 and math.copysign(1.0, x) != math.copysign(1.0, y)]
+    if flips:
+        return f"signed zero differs at {flips[0]}" + (f" and {len(flips) - 1} more" if flips[1:] else "")
     diff = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
     peak = max((abs(x) for x in a), default=0.0)
     rel = diff / peak if peak > 0 else float("inf") if diff else 0.0
@@ -154,6 +162,11 @@ def change(old: bytes, new: bytes) -> str:
     worst, where = max(per_value, key=lambda item: item[0], default=(0.0, ""))
     return (f"max abs change {diff:.3e}  max rel change {rel:.3e}  "
             f"max per-value change {worst:.3e} at {where or '-'}")
+
+
+def fails(moved: str | None) -> bool:
+    """Whether a change reported by change() fails --compare: a text change or a flipped signed zero."""
+    return moved is not None and moved.startswith(("text differs", "signed zero differs"))
 
 
 def main(argv=None) -> int:
@@ -179,7 +192,7 @@ def main(argv=None) -> int:
             moved = change(old, data) if old != data else None
             if moved is not None:
                 line += f"  moved: {moved}"
-            if old_code != code or moved == "text differs":
+            if old_code != code or fails(moved):
                 status = 1
             print(line, flush=True)
     return status

@@ -32,3 +32,14 @@ def test_per_value_change_names_the_csv_column_and_row():
 
 def test_text_change_is_not_a_move():
     assert cli_digest.change(_verdict(1e-14), _verdict(1e-14).replace(b"true", b"false")) == "text differs"
+
+
+def test_signed_zero_flip_fails_the_comparison():
+    # -0.0 == 0.0, so no number moved; the sign of the zero did
+    old = b"radius,fm_re,fm_im\n1.05,0.5,-0.0\n1.5,0.25,-0.0\n3.0,0.125,-0.0\n"
+    new = old.replace(b"0.25,-0.0", b"0.25,0.0").replace(b"0.125,-0.0", b"0.125,0.0")
+    moved = cli_digest.change(old, new)
+    assert moved == "signed zero differs at fm_im row 2 and 1 more"
+    assert cli_digest.fails(moved)
+    assert not cli_digest.fails(cli_digest.change(old, old.replace(b"0.5", b"0.5000001")))
+    assert cli_digest.fails(cli_digest.change(_verdict(1e-14), _verdict(1e-14).replace(b"true", b"false")))
