@@ -219,7 +219,8 @@ def _phase_sums(ctx, points, rows, directions, oscillating):
     (_real_rows; a lone real row is a part with no imaginary row), and
     directions are checked unit vectors.  One direction at a time: its phase
     by np.dot into a reused 3-row buffer, c and s in place (specfun.cos_sin),
-    then one real matrix product with the rows."""
+    then the rows times c and times s, each a contiguous real dot product per
+    row (a (nodes, parts) layout lost 1e-14 of the data's mass in 3D)."""
     table = np.empty((3, len(points)))
     parts = (len(rows) + 1) // 2
     # each row against c and s, per direction; a lone real row's absent
@@ -406,7 +407,7 @@ def boundary_trace(
     which is exact whenever the exterior field extends smoothly to the
     boundary (in particular for every certified nonradiating source).
     src may also be the source's ModalCoefficients, computed once and shared
-    with the spectral syntheses.
+    with the spectral syntheses (cut back to truncation when one is given).
 
     The radial tables are evaluated once, at r = R.  2D sums the modes
     against their angular factors at each node; 3D folds the radial factors

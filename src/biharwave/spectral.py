@@ -85,7 +85,11 @@ class InconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class VerdictConfig:
-    """Knobs for the certification pipeline (all have working defaults)."""
+    """Knobs for the certification pipeline (all have working defaults).
+
+    truncation and direction_count are integers (numpy's too), tolerance a
+    real number; a bool is refused for each, as is a fraction for a count.
+    """
 
     tolerance: float = 1e-6
     truncation: int | None = None
