@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special as _sp
 
 from . import specfun
-from .context import WaveContext
+from .context import WaveContext, _check_integer
 from .quadrature import (
     DEFAULT_ANGULAR_COUNT_2D,
     DEFAULT_POLAR_COUNT_3D,
@@ -117,6 +117,7 @@ class ModalCoefficients:
 
     def truncated(self, truncation: int) -> "ModalCoefficients":
         """The coefficients of the modes of degree (2D: |order|) at most the truncation."""
+        _check_integer("truncation", truncation, 0)
         if not 0 <= truncation <= self.truncation:
             raise ValueError(f"truncation must lie in [0, {self.truncation}], got {truncation}")
         keep = np.abs(mode_degrees(self.dimension, self.truncation)) <= truncation
@@ -276,8 +277,7 @@ def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
     truncation, the projection reads the source's cached default samples.
     """
     ctx = src.ctx
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    _check_integer("truncation", truncation, 0)
     # auto-scale so the rule resolves the requested truncation: m equispaced
     # angles separate orders |n| < m/2; Gauss-in-cos(theta) with n_pol nodes
     # integrates harmonic products up to degree n_pol - 1 exactly (beyond

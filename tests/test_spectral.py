@@ -405,7 +405,8 @@ class TestConsistencyTriangle:
 @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
 class TestGivenCoefficients:
     """A ModalCoefficients passed as the source is cut back to the truncation
-    asked for, and must belong to the context's dimension."""
+    asked for, and must belong to the context's dimension; a truncation,
+    with coefficients or with a source, is an integer."""
 
     def _coeffs(self, ctx):
         from biharwave.sources import modal_coefficients
@@ -433,6 +434,16 @@ class TestGivenCoefficients:
         cut = nullspace_residual(ctx, coeffs, [1.5, 3.0], truncation=3)
         assert cut == nullspace_residual(ctx, coeffs.truncated(3), [1.5, 3.0])
         assert cut != nullspace_residual(ctx, coeffs, [1.5, 3.0])
+
+    @pytest.mark.parametrize("truncation", [2.5, True])
+    def test_fraction_or_bool_truncation_refused(self, ctx, truncation):
+        # 2.5 used to fail as an IndexError inside the projection, True to run as 1
+        coeffs = self._coeffs(ctx)
+        grid = boundary_grid(ctx, 16 if ctx.dimension == 3 else 64)
+        match = f"truncation must be an integer >= 0, got {truncation!r}"
+        for src in (coeffs, _gaussian(ctx)):
+            with pytest.raises(ValueError, match=match):
+                boundary_trace(ctx, src, grid, truncation=truncation)
 
     def test_other_dimension_refused(self, ctx):
         other = CTX3 if ctx.dimension == 2 else CTX2
