@@ -17,9 +17,10 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   phi -> -phi and, in 3D, z -> -z) share one point's tables, summed against
   the rows permuted to each image; the quadrature takes one symmetry group
   at a time.  The far field and the volume transforms sum cos and sin (or
-  exp) of the real phase kappa dir . y against the same rows, one direction
-  at a time (_phase_sums, which also serves the boundary-data functionals
-  of the spectral module); cos and sin come from one half-angle tangent
+  exp) of the real phase kappa dir . y against the same rows, in blocks of
+  directions of bounded size (_phase_sums, which also takes the complex
+  channel columns of the spectral module's boundary-data functionals and
+  lays out their rows itself); cos and sin come from one half-angle tangent
   (specfun.cos_sin, within 2.2e-16 of mpmath).  Every node-length array of
   a call (distances, tables, permuted rows, phases) lives in buffers
   allocated once per call and reused, and
@@ -55,6 +56,10 @@ from .sources import SourceField, SupportViolationError, resolve_coefficients
 # quadrature grid's symmetries: relative in the radius, absolute in the polar
 # angle and in the fraction of an azimuth step (rounding is about 1e-14 of one).
 _LATTICE_TOL = 1e-12
+
+# Table entries (directions times nodes) per block of directions in
+# _phase_sums: 1.5 MB of phase, cos and sin at a time.
+_PHASE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -212,31 +217,40 @@ def _check_directions(ctx, directions) -> np.ndarray:
     return dirs
 
 
-def _phase_sums(ctx, points, rows, directions, oscillating):
-    """Sums over the nodes of data times c - i s, with c = cos(kappa dir . x)
+def _phase_sums(ctx, points, data, weights, directions, oscillating):
+    """Sums over the nodes of data w (c - i s), with c = cos(kappa dir . x)
     and s = sin(kappa dir . x) (oscillating), or c = exp(-kappa dir . x) and
-    s = 0; shape (directions, parts).  rows holds the data as real rows
-    (_real_rows; a lone real row is a part with no imaginary row), and
-    directions are checked unit vectors.  One direction at a time: its phase
-    by np.dot into a reused 3-row buffer, c and s in place (specfun.cos_sin),
-    then the rows times c and times s, each a contiguous real dot product per
-    row (a (nodes, parts) layout lost 1e-14 of the data's mass in 3D)."""
-    table = np.empty((3, len(points)))
-    parts = (len(rows) + 1) // 2
-    # each row against c and s, per direction; a lone real row's absent
-    # imaginary row sums to +0.0
-    sums = np.zeros((len(directions), 2 * parts, 2))
-    for i, k in enumerate(ctx.kappa * directions):
-        phase = np.dot(points, k, out=table[2])
+    s = 0; one complex column per part of data ((nodes,) or (parts, nodes),
+    real or complex), shape (directions, parts).  directions are checked
+    unit vectors.
+
+    The weighted data are one block of real rows (_real_rows).  The
+    directions go in blocks of at most _PHASE_BLOCK table entries: the block's
+    phases by one matrix product into a reused 3-row buffer, c and s in place
+    (specfun.cos_sin), then the rows times c and times s, each a real product
+    over contiguous node rows (a (nodes, parts) layout lost 1e-14 of the
+    data's mass in 3D)."""
+    rows = _real_rows(data, weights)
+    # rows times c and times s, a part's real row then its imaginary row; a
+    # real part's single row takes the real slot, its imaginary one sums to +0.0
+    step = 1 if np.iscomplexobj(data) else 2
+    sums = np.zeros((2, step * len(rows), len(directions)))
+    block = max(1, _PHASE_BLOCK // max(len(points), 1))
+    table = np.empty((3, min(block, len(directions)), len(points)))
+    k = ctx.kappa * directions
+    for i in range(0, len(directions), block):
+        j = min(i + block, len(directions))
+        c, s, phase = table[:, :j - i]
+        np.matmul(k[i:j], points.T, out=phase)
         if oscillating:
-            specfun.cos_sin(phase, out=table)
-            np.matmul(rows, table[1], out=sums[i, :len(rows), 1])
+            specfun.cos_sin(phase, out=table[:, :j - i])
+            np.matmul(rows, s.T, out=sums[1, ::step, i:j])
         else:
-            np.exp(np.negative(phase, out=table[0]), out=table[0])
-        np.matmul(rows, table[0], out=sums[i, :len(rows), 0])
-    out = np.empty((len(directions), parts), dtype=complex)
-    out.real = sums[:, 0::2, 0] + sums[:, 1::2, 1]
-    out.imag = sums[:, 1::2, 0] - sums[:, 0::2, 1]
+            np.exp(np.negative(phase, out=c), out=c)
+        np.matmul(rows, c.T, out=sums[0, ::step, i:j])
+    out = np.empty((len(directions), sums.shape[1] // 2), dtype=complex)
+    out.real = (sums[0, 0::2] + sums[1, 1::2]).T
+    out.imag = (sums[0, 1::2] - sums[1, 0::2]).T
     return out
 
 
@@ -245,7 +259,7 @@ def _volume_transform(ctx, src, directions, oscillating):
     or exp(-kappa dir . y) f(y) w(y), one value per unit direction."""
     dirs = _check_directions(ctx, directions)
     grid, values = src.default_samples()
-    return _phase_sums(ctx, grid.points, _real_rows(values, grid.weights), dirs, oscillating)[:, 0]
+    return _phase_sums(ctx, grid.points, values, grid.weights, dirs, oscillating)[:, 0]
 
 
 # ---------------------------------------------------------------------------

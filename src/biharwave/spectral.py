@@ -217,13 +217,13 @@ def _trace_transform(ctx, trace, directions, oscillating):
 
     The channels group into the d + 1 columns [p, nu_1 q, ..., nu_d q] with
     p = d_nu lap u + c d_nu u and q = lap u + c u; fields._phase_sums sums
-    their weighted real rows against the phase kappa dir . x.
+    each weighted column against the phase kappa dir . x.
     """
     dirs = _check_directions(ctx, directions)
     g = trace.grid
     c = -ctx.kappa**2 if oscillating else ctx.kappa**2
     cols = np.vstack([trace.dlap_u_dnu + c * trace.du_dnu, g.normals.T * (trace.lap_u + c * trace.u)])
-    sums = fields._phase_sums(ctx, g.points, fields._real_rows(cols, g.weights), dirs, oscillating)
+    sums = fields._phase_sums(ctx, g.points, cols, g.weights, dirs, oscillating)
     z = (1j if oscillating else 1.0) * ctx.kappa * dirs
     return -(sums[:, 0] + np.sum(z * sums[:, 1:], axis=1))
 

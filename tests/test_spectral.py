@@ -152,20 +152,22 @@ class TestTraceFunctionals:
     def test_matches_dense_integrand_on_arbitrary_channels(self, ctx, oscillating):
         # channels that come from no source: the paper's integrand,
         # -sum w [(d_nu lap u + c d_nu u) + (z . nu)(lap u + c u)] exp(-z . x)
-        # with c = z . z, summed term by term in complex arithmetic
+        # with c = z . z, summed term by term in complex arithmetic; complex
+        # channels, then their real parts as real arrays
         grid = boundary_grid(ctx, 24 if ctx.dimension == 3 else 96)
         rng = np.random.default_rng(7)
         shape = (4, len(grid.weights))
-        u, du, lap, dlap = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        tr = BoundaryTrace(grid, u, du, lap, dlap)
+        channels = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         dirs, _ = direction_grid(ctx, 16)
         z = (1j if oscillating else 1.0) * ctx.kappa * dirs
         c = np.sum(z * z, axis=1)[:, None]
-        integrand = (dlap + c * du) + (z @ grid.normals.T) * (lap + c * u)
-        terms = integrand * np.exp(-(z @ grid.points.T)) * grid.weights
         transform = u_hat_from_trace if oscillating else v_check_from_trace
-        got = transform(ctx, tr, dirs)
-        assert np.all(np.abs(got + terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1))
+        for u, du, lap, dlap in (channels, channels.real):
+            integrand = (dlap + c * du) + (z @ grid.normals.T) * (lap + c * u)
+            terms = integrand * np.exp(-(z @ grid.points.T)) * grid.weights
+            got = transform(ctx, BoundaryTrace(grid, u, du, lap, dlap), dirs)
+            assert got.shape == (len(dirs),)
+            assert np.all(np.abs(got + terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1))
 
     def test_linearity_in_trace(self):
         import dataclasses
