@@ -225,11 +225,11 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
     unit vectors.
 
     The weighted data are one block of real rows (_real_rows).  The
-    directions go in blocks of at most _PHASE_BLOCK table entries: the block's
-    phases by one matrix product into a reused 3-row buffer, c and s in place
-    (specfun.cos_sin), then the rows times c and times s, each a real product
-    over contiguous node rows (a (nodes, parts) layout lost 1e-14 of the
-    data's mass in 3D)."""
+    directions go in blocks of at most _PHASE_BLOCK table entries: the
+    block's phases by one matrix product into a reused (3, block, nodes)
+    buffer, c and s in place (specfun.cos_sin), then the rows times c and
+    times s, each a real product over contiguous node rows (a (nodes, parts)
+    layout lost 1e-14 of the data's mass in 3D)."""
     rows = _real_rows(data, weights)
     # rows times c and times s, a part's real row then its imaginary row; a
     # real part's single row takes the real slot, its imaginary one sums to +0.0
