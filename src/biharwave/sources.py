@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from numbers import Number
 
 import numpy as np
 from scipy import special as _sp
@@ -136,13 +137,15 @@ class SourceField:
     function mapping (M, d) points to M values, masked to zero outside the
     support radius.
 
-    Construct through the classmethods; instances are immutable in use and
-    safe to share.  A radially symmetric source (from_radial) also keeps its
-    profile, so reading it on a product grid costs one profile evaluation per
-    radial node.
+    Construct through the classmethods, scaled and +; instances are immutable
+    in use and safe to share.  On a product grid a source reads its values by
+    rows, one per radial node, each masked at the source's own support
+    radius: a radial source (from_radial) evaluates its profile once per
+    radial node, a pointwise one its function at the grid's points, a scaled
+    source scales its parent's rows and a sum adds its parts' rows.
     """
 
-    def __init__(self, ctx, func, support_radius, radial_hint=None, profile=None):
+    def __init__(self, ctx, func, support_radius, radial_hint=None, read=None):
         if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
@@ -150,7 +153,7 @@ class SourceField:
         self.ctx = ctx
         self.support_radius = float(min(support_radius, ctx.radius))
         self._func = func
-        self._profile = profile
+        self._read = read  # grid -> unmasked rows; None evaluates func at the grid's points
         self.radial_hint = radial_hint
         self._norm: float | None = None
         self._values: np.ndarray | None = None
@@ -165,7 +168,8 @@ class SourceField:
 
     @classmethod
     def from_radial(cls, ctx, profile, support_radius=None):
-        """Radially symmetric source from a profile r -> value."""
+        """Radially symmetric source from a profile r -> value (vectorized
+        over r); a product grid reads it one profile value per radial node."""
 
         def func(points):
             r = np.linalg.norm(np.atleast_2d(points), axis=-1)
@@ -173,7 +177,7 @@ class SourceField:
 
         if support_radius is None:
             support_radius = ctx.radius
-        return cls(ctx, func, support_radius, profile=profile)
+        return cls(ctx, func, support_radius, read=lambda grid: np.asarray(profile(grid.radial.nodes))[:, None])
 
     @classmethod
     def zero(cls, ctx):
@@ -188,18 +192,29 @@ class SourceField:
         return np.where(r >= self.support_radius, 0.0, vals)
 
     def values_on(self, grid: ProductGrid) -> np.ndarray:
-        """Values at the nodes of a product grid.
+        """Values at the nodes of a product grid, complex and radial-major.
 
-        A radial source tabulates its profile once on the grid's radial nodes,
-        masks the nodes at or beyond the support radius and repeats each
-        value over the angles (the grid is radial-major); any other source is
-        evaluated pointwise.
+        The source reads the grid by its rows (see the class docstring): a
+        node at or beyond the support radius is zero by its radial node, not
+        by the norm of its point, and a row that does not vary over the
+        angles is repeated over them.
         """
-        if self._profile is None:
-            return self.evaluate(grid.points)
-        r = grid.radial.nodes
-        vals = np.where(r >= self.support_radius, 0.0, np.asarray(self._profile(r), dtype=complex))
-        return np.repeat(vals, grid.angular.count)
+        values = np.empty(grid.shape, dtype=complex)
+        values[...] = self._rows(grid)
+        return values.reshape(-1)
+
+    def _rows(self, grid: ProductGrid) -> np.ndarray:
+        """Values on a product grid, broadcastable to grid.shape (radial
+        nodes by angles), zero on every radial node at or beyond the support
+        radius."""
+        if self._read is None:
+            rows = np.asarray(self._func(grid.points)).reshape(grid.shape)
+        else:
+            rows = self._read(grid)
+        outside = grid.radial.nodes >= self.support_radius
+        if outside.any():
+            rows = np.where(outside[:, None], 0.0, rows)
+        return rows
 
     def default_samples(self) -> tuple[ProductGrid, np.ndarray]:
         """The source's default product grid (the one l2_norm integrates on)
@@ -222,10 +237,11 @@ class SourceField:
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, factor: complex) -> "SourceField":
-        """factor times the source (a radial source stays radial)."""
-        profile = None if self._profile is None else _times(factor, self._profile)
-        return SourceField(self.ctx, _times(factor, self._func), self.support_radius,
-                           self.radial_hint, profile)
+        """factor (a finite number) times the source."""
+        _check_finite_number("factor", factor)
+        func = self._func
+        return SourceField(self.ctx, lambda pts: factor * np.asarray(func(pts), dtype=complex),
+                           self.support_radius, self.radial_hint, lambda grid: factor * self._rows(grid))
 
     def __add__(self, other: "SourceField") -> "SourceField":
         if not isinstance(other, SourceField):
@@ -239,7 +255,7 @@ class SourceField:
         def func(pts):
             return a.evaluate(pts) + b.evaluate(pts)
 
-        return SourceField(self.ctx, func, support, hint)
+        return SourceField(self.ctx, func, support, hint, lambda grid: a._rows(grid) + b._rows(grid))
 
     def resolve_radial_order(self, radial_order: int | None = None) -> int:
         """The radial order of this source's quadrature grids: its own hint, or
@@ -255,11 +271,6 @@ class SourceField:
             grid, vals = self.default_samples()
             self._norm = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
         return self._norm
-
-
-def _times(factor, fn):
-    """x -> factor * fn(x), as a complex array."""
-    return lambda x: factor * np.asarray(fn(x), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +478,7 @@ def make_bump_nonradiating(
     k4 = ctx.kappa**4
     rho = 0.8 * ctx.radius if rho is None else float(rho)
     center = _finite_center(center, d)
-    _check_amplitude(amplitude)
+    _check_finite_number("amplitude", amplitude)
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     reach = float(np.linalg.norm(center)) + rho
@@ -547,7 +558,7 @@ def gaussian_source(
 ) -> SourceField:
     """Gaussian blob truncated at the support radius (a generic radiating source)."""
     center = _finite_center(center, ctx.dimension)
-    _check_amplitude(amplitude)
+    _check_finite_number("amplitude", amplitude)
     sigma = 0.15 * ctx.radius if sigma is None else float(sigma)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -556,8 +567,13 @@ def gaussian_source(
 
     def func(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        q = np.sum((pts - center) ** 2, axis=-1) / (2.0 * sigma * sigma)
-        return amplitude * np.exp(-q) + 0j
+        # one coordinate at a time, in real arithmetic: the left-to-right
+        # order of np.sum over the coordinates, without an (M, d) temporary
+        q = (pts[:, 0] - center[0]) ** 2
+        for k in range(1, len(center)):
+            q += (pts[:, k] - center[k]) ** 2
+        q /= 2.0 * sigma * sigma
+        return amplitude * np.exp(-q)
 
     return SourceField.from_callable(ctx, func, support_radius=support_radius)
 
@@ -570,9 +586,10 @@ def _finite_center(center, d: int) -> np.ndarray:
     return center
 
 
-def _check_amplitude(amplitude) -> None:
-    if not np.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
+def _check_finite_number(name: str, value) -> None:
+    """Refuse a bool, a value that is not a number, or a number that is not finite."""
+    if isinstance(value, bool) or not isinstance(value, Number) or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

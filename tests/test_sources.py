@@ -1,5 +1,6 @@
 """Sources: projections, the nonradiating constructors, config parsing."""
 
+import re
 import warnings
 
 import numpy as np
@@ -360,6 +361,20 @@ class TestAlgebra:
         assert abs(cut - norm) > 1e-3 * norm
 
 
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), complex(1.0, float("nan")), True, "2", None],
+                         ids=["nan", "inf", "complex-nan", "bool", "text", "none"])
+def test_scaled_refuses_a_factor_that_is_not_a_finite_number(factor):
+    with pytest.raises(ValueError, match=re.escape(f"factor must be a finite number, got {factor!r}")):
+        make_2d_bessel_nonradiating(CTX2).scaled(factor)
+
+
+@pytest.mark.parametrize("make", [gaussian_source, make_bump_nonradiating], ids=["gaussian", "bump"])
+@pytest.mark.parametrize("amplitude", [float("nan"), float("-inf"), True, "2"], ids=["nan", "inf", "bool", "text"])
+def test_amplitude_must_be_a_finite_number(make, amplitude):
+    with pytest.raises(ValueError, match=re.escape(f"amplitude must be a finite number, got {amplitude!r}")):
+        make(CTX2, amplitude=amplitude)
+
+
 def _counting(profile):
     """profile wrapped to record the number of radii of each call, and the list it records into."""
     sizes = []
@@ -378,7 +393,8 @@ def _bessel(ctx):
 
 
 class TestRadialPath:
-    """A from_radial source reads a product grid one radius at a time."""
+    """A source reads a product grid by its rows: a from_radial source one
+    radius at a time, a sum or a scaled source through its parts' rows."""
 
     @pytest.mark.parametrize("ctx, angular_count", [
         (CTX2, None),
@@ -421,16 +437,58 @@ class TestRadialPath:
         assert sizes == [grid.radial.order]
         assert np.array_equal(scaled, factor * src.values_on(grid))
 
-    def test_sum_with_gaussian_stays_pointwise(self):
-        gauss = gaussian_source(CTX2, center=[0.3, -0.2], sigma=0.2)
-        grid = product_grid(CTX2, 32)
-        profile, sizes = _counting(lambda r: sp.jv(0, CTX2.kappa * r))
-        (gauss + SourceField.from_radial(CTX2, profile)).values_on(grid)
-        assert sizes == [grid.points.shape[0]]
-        # a per-radius read would round differently from the pointwise parts
-        bessel = make_2d_bessel_nonradiating(CTX2)
-        parts = gauss.evaluate(grid.points) + bessel.evaluate(grid.points)
-        assert np.array_equal((gauss + bessel).values_on(grid), parts)
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_sum_reads_parts_by_structure(self, ctx):
+        wave = sp.jv if ctx.dimension == 2 else sp.spherical_jn
+        profile, sizes = _counting(lambda r: wave(0, ctx.kappa * r))
+        bessel = SourceField.from_radial(ctx, profile)
+        gauss = gaussian_source(ctx, center=[0.3, -0.2, 0.1][: ctx.dimension], sigma=0.2)
+        grid = product_grid(ctx, 32)
+        eps = np.finfo(float).eps
+        sums = [gauss + bessel, (gauss + bessel) + gauss, gauss + (bessel + gauss),
+                (gauss + bessel).scaled(0.75 - 0.5j)]
+        for src in sums:
+            sizes.clear()
+            values = src.values_on(grid)
+            assert sizes == [grid.radial.order]
+            # the parts differ from a pointwise read only in how the radius of a node rounds
+            pointwise = src.evaluate(grid.points)
+            assert np.max(np.abs(values - pointwise)) <= 16 * eps * np.max(np.abs(pointwise))
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_part_beyond_its_support_stays_out_of_a_sum(self, ctx):
+        grid = product_grid(ctx, 32)
+        beyond = grid.radial.nodes >= 0.5 * ctx.radius
+        # the Gaussian's function is far from zero between 0.5R and R
+        assert np.all(np.abs(gaussian_source(ctx, sigma=0.3).values_on(grid).reshape(grid.shape)[beyond]) > 1e-3)
+        gauss = gaussian_source(ctx, sigma=0.3, support_radius=0.5 * ctx.radius)
+        bessel = _bessel(ctx)
+        rows = (gauss + bessel).values_on(grid).reshape(grid.shape)
+        assert np.array_equal(rows[beyond], bessel.values_on(grid).reshape(grid.shape)[beyond])
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_pointwise_support_masks_nodes_at_or_beyond_it(self, ctx):
+        grid = product_grid(ctx, 32, 8)
+        support = grid.radial.nodes[20]  # a node sits exactly on the support radius
+        src = SourceField.from_callable(ctx, lambda p: 1.0 + p[:, 0] ** 2, support_radius=support)
+        rows = src.values_on(grid).reshape(grid.shape)
+        inside = grid.radial.nodes < support
+        assert np.all(rows[~inside] == 0.0)
+        assert np.array_equal(rows[inside], (1.0 + grid.points[:, 0] ** 2).reshape(grid.shape)[inside])
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_gaussian_read_is_bitwise_pointwise(self, ctx):
+        grid = product_grid(ctx, 32)
+        nodes = grid.radial.nodes
+        support = 0.5 * (nodes[24] + nodes[25])  # on no node
+        center = np.array([0.25, -0.1, 0.15][: ctx.dimension])
+        src = gaussian_source(ctx, center=center, sigma=0.2, amplitude=1.5, support_radius=support)
+        # the reduction over the coordinates that the Gaussian's sum reproduces
+        pts = grid.points
+        q = np.sum((pts - center) ** 2, axis=-1) / (2.0 * 0.2 * 0.2)
+        expected = np.where(np.linalg.norm(pts, axis=-1) >= support, 0.0, 1.5 * np.exp(-q) + 0j)
+        assert np.array_equal(src.values_on(grid), expected)
+        assert np.array_equal(src.evaluate(pts), expected)
 
 
 class TestConfigParsing:
