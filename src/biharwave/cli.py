@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, fields, spectral
 from .quadrature import boundary_grid
-from .sources import _SOURCE_KEYS, _is_int, resolve_coefficients, source_from_config
+from .sources import _SOURCE_KEYS, _is_int, source_from_config
 from .spectral import InconsistencyError, VerdictConfig
 
 # The settings each subcommand reads, beyond the source keys.  A subcommand
@@ -159,10 +159,10 @@ def cmd_spectral(args) -> int:
     ctx, src = _build(cfg)
     count = 64 if cfg.get("directions") is None else cfg["directions"]
     dirs, params = spectral.direction_grid(ctx, count)
-    coeffs = resolve_coefficients(ctx, src, cfg.get("truncation"))
-    fhat = spectral.fourier_on_circle(ctx, coeffs, dirs)
-    fcheck = spectral.laplace_on_circle(ctx, coeffs, dirs)
-    trace = fields.boundary_trace(ctx, coeffs, boundary_grid(ctx, cfg.get("resolution")))
+    trunc = cfg.get("truncation")  # the source keeps its coefficients: one projection for all three
+    fhat = spectral.fourier_on_circle(ctx, src, dirs, trunc)
+    fcheck = spectral.laplace_on_circle(ctx, src, dirs, trunc)
+    trace = fields.boundary_trace(ctx, src, boundary_grid(ctx, cfg.get("resolution")), trunc)
     uhat = spectral.u_hat_from_trace(ctx, trace, dirs)
     vcheck = spectral.v_check_from_trace(ctx, trace, dirs)
 

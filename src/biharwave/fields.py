@@ -50,7 +50,7 @@ from . import specfun
 from .context import WaveContext
 from .kernels import kernel_tables
 from .quadrature import BoundaryGrid, spherical_params
-from .sources import SourceField, SupportViolationError, resolve_coefficients
+from .sources import SourceField, SupportViolationError, mode_degrees, resolve_coefficients
 
 # Slack within which two points count as images of one another under the
 # quadrature grid's symmetries: relative in the radius, absolute in the polar
@@ -311,14 +311,14 @@ def _per_mode(ctx, table):
     return np.repeat(table, 2 * n + 1, axis=1)
 
 
-def _modal_series(ctx, coeffs, r, basis, derivative=False):
-    """f_h and f_m (or their radial derivatives) at radii r from the exterior
-    mode series; basis holds the modes' angular factors at the same points."""
+def _modal_series(ctx, coeffs, r, basis):
+    """f_h and f_m at radii r from the exterior mode series; basis holds the
+    modes' angular factors at the same points."""
     t = ctx.kappa * r
     damp = np.exp(-t)
     # one table row per distinct radius, gathered back to the points
     radii, row = np.unique(t, return_inverse=True)
-    c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivative)
+    c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivative=False)
     # Named tables: numpy may overwrite an unnamed temporary right operand in
     # place, which changes how a complex product rounds under FMA.
     H = _per_mode(ctx, h[row])
@@ -329,18 +329,28 @@ def _modal_series(ctx, coeffs, r, basis, derivative=False):
 
 
 def _sphere_series(ctx, coeffs, angular):
-    """f_h, f_m and their radial derivatives on the 3D sphere |x| = R at the
-    nodes of a product rule: the radial factors are constant there, so they
-    are folded into the coefficients of one separated synthesis."""
+    """f_h, f_m and their radial derivatives on the sphere |x| = R at the
+    nodes of the boundary rule: the radial factors are constant there, so
+    they are folded into the coefficients of one synthesis of all four.
+
+    2D adds the modes of equal order mod M into one column and sums the M
+    equispaced angles by one inverse FFT (exp(i n theta_j) takes the same
+    values for every n in a column); 3D is specfun.sph_synthesis on the
+    product rule."""
     t = ctx.kappa * ctx.radius
     weights = []
     for derivative in (False, True):
         c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, np.array([[t]]), derivative)
         weights.append(c_h * _per_mode(ctx, h)[0] * coeffs.alpha)
         weights.append(c_m * np.exp(-t) * _per_mode(ctx, s)[0] * coeffs.beta)
-    theta, _ = angular.rings
-    sums = specfun.sph_synthesis(np.column_stack(weights), theta, angular.azimuth_count)
-    return sums.reshape(len(weights), -1)
+    weights = np.column_stack(weights)
+    if ctx.dimension == 3:
+        theta, _ = angular.rings
+        return specfun.sph_synthesis(weights, theta, angular.azimuth_count).reshape(weights.shape[1], -1)
+    columns = np.zeros((angular.count, weights.shape[1]), dtype=complex)
+    np.add.at(columns, mode_degrees(2, coeffs.truncation) % angular.count, weights)
+    # norm="forward" leaves the inverse unscaled: a plain sum of exp(+i n theta_j)
+    return np.fft.ifft(columns, axis=0, norm="forward").T
 
 
 def _eval_modal(ctx, src, pts, truncation):
@@ -423,25 +433,18 @@ def boundary_trace(
     src may also be the source's ModalCoefficients, computed once and shared
     with the spectral syntheses (cut back to truncation when one is given).
 
-    The radial tables are evaluated once, at r = R.  2D sums the modes
-    against their angular factors at each node; 3D folds the radial factors
-    into the coefficients and synthesizes all four channels at once on the
-    grid's product rule (specfun.sph_synthesis: one Legendre sum per order
-    and polar ring, then an inverse FFT over the azimuths), never building
-    the dense harmonic block.
+    The radial tables are evaluated once, at r = R, and folded into the
+    coefficients; all four channels are synthesized at once on the grid's
+    rule: in 2D by one inverse FFT over the equispaced angles, in 3D by
+    specfun.sph_synthesis (one Legendre sum per order and polar ring, then an
+    inverse FFT over the azimuths).  Neither builds a dense angular basis.
     """
     if isinstance(src, SourceField) and src.support_radius > ctx.radius * (1 + 1e-12):
         raise SupportViolationError(
             f"source support {src.support_radius} exceeds the context ball R = {ctx.radius}"
         )
     coeffs = resolve_coefficients(ctx, src, truncation)
-    if ctx.dimension == 2:
-        r = np.full(grid.count, ctx.radius)
-        basis = specfun.angular_basis(2, coeffs.truncation, grid.params)
-        f_h, f_m = _modal_series(ctx, coeffs, r, basis)
-        df_h, df_m = _modal_series(ctx, coeffs, r, basis, derivative=True)
-    else:
-        f_h, f_m, df_h, df_m = _sphere_series(ctx, coeffs, grid.angular)
+    f_h, f_m, df_h, df_m = _sphere_series(ctx, coeffs, grid.angular)
     scale = 1.0 / (2.0 * ctx.kappa**2)
     return BoundaryTrace(
         grid=grid,

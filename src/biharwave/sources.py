@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as _sp
 
 from . import specfun
-from .context import WaveContext, _check_integer
+from .context import WaveContext, _check_integer, _is_real
 from .quadrature import (
     DEFAULT_ANGULAR_COUNT_2D,
     DEFAULT_POLAR_COUNT_3D,
@@ -142,7 +142,10 @@ class SourceField:
     rows, one per radial node, each masked at the source's own support
     radius: a radial source (from_radial) evaluates its profile once per
     radial node, a pointwise one its function at the grid's points, a scaled
-    source scales its parent's rows and a sum adds its parts' rows.
+    source scales its parent's rows and a sum adds its parts' rows.  A
+    source keeps its default-grid samples, its norm and its modal
+    coefficients once computed; scaled and + build new sources, which keep
+    none of them.
     """
 
     def __init__(self, ctx, func, support_radius, radial_hint=None, read=None):
@@ -157,6 +160,7 @@ class SourceField:
         self.radial_hint = radial_hint
         self._norm: float | None = None
         self._values: np.ndarray | None = None
+        self._coefficients: dict = {}  # (ctx, truncation) -> ModalCoefficients
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -192,15 +196,20 @@ class SourceField:
         return np.where(r >= self.support_radius, 0.0, vals)
 
     def values_on(self, grid: ProductGrid) -> np.ndarray:
-        """Values at the nodes of a product grid, complex and radial-major.
+        """Values at the nodes of a product grid, radial-major: real when
+        the source's rows are (a zero imaginary part is stored real), else
+        complex.
 
         The source reads the grid by its rows (see the class docstring): a
         node at or beyond the support radius is zero by its radial node, not
         by the norm of its point, and a row that does not vary over the
-        angles is repeated over them.
+        angles is repeated over them, in the rows' own dtype.
         """
-        values = np.empty(grid.shape, dtype=complex)
-        values[...] = self._rows(grid)
+        rows = self._rows(grid)
+        if np.iscomplexobj(rows) and not np.any(rows.imag):
+            rows = rows.real
+        values = np.empty(grid.shape, dtype=np.result_type(rows, float))
+        values[...] = rows
         return values.reshape(-1)
 
     def _rows(self, grid: ProductGrid) -> np.ndarray:
@@ -220,8 +229,7 @@ class SourceField:
         """The source's default product grid (the one l2_norm integrates on)
         and its values there.
 
-        The values are sampled once and cached, read-only, and real when the
-        source is.  The grid is rebuilt on each call from the cached
+        The values are sampled once (values_on) and cached, read-only.  The grid is rebuilt on each call from the cached
         Gauss-Legendre rules, which costs only its points and weights: a kept
         3D grid would hold four times the memory of real values for as long
         as the source lives.
@@ -229,8 +237,6 @@ class SourceField:
         grid = product_grid(self.ctx, self.resolve_radial_order())
         if self._values is None:
             values = self.values_on(grid)
-            if not np.any(values.imag):  # a real source keeps half the memory
-                values = values.real.copy()
             values.flags.writeable = False
             self._values = values
         return grid, self._values
@@ -322,7 +328,16 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int) -> M
     under the r dr measure; 3D pairs degree n with the spherical j_n and its
     imaginary-argument counterpart under r^2 dr.  norm_f is the norm of the
     source itself, not of its truncation.
+
+    The coefficients are computed once per (context, truncation) and kept on
+    the source, with alpha and beta read-only: the transforms, the boundary
+    traces, the modal field and the verdict of one source at one truncation
+    share one projection.
     """
+    _check_integer("truncation", truncation, 0)  # before the lookup: True and 1.0 hash as 1
+    key = (ctx, truncation)
+    if key in src._coefficients:
+        return src._coefficients[key]
     norm_f = src.l2_norm()
     if not np.isfinite(norm_f):
         raise ValueError(f"the source values, or their L2 norm, are not finite (norm {norm_f})")
@@ -354,13 +369,11 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int) -> M
             f"beta coefficients are not finite at kappa*R = {ctx.kappa * ctx.radius:.6g}: the "
             f"imaginary-argument family leaves the double range (truncation {truncation})"
         )
-    return ModalCoefficients(
-        dimension=ctx.dimension,
-        truncation=truncation,
-        alpha=alpha,
-        beta=beta,
-        norm_f=norm_f,
-    )
+    alpha.flags.writeable = False
+    beta.flags.writeable = False
+    coeffs = ModalCoefficients(ctx.dimension, truncation, alpha, beta, norm_f)
+    src._coefficients[key] = coeffs
+    return coeffs
 
 
 def default_mode_truncation(ctx: WaveContext) -> int:
@@ -479,6 +492,8 @@ def make_bump_nonradiating(
     rho = 0.8 * ctx.radius if rho is None else float(rho)
     center = _finite_center(center, d)
     _check_finite_number("amplitude", amplitude)
+    if not _is_real(amplitude):  # the mollifier pair is real arithmetic
+        raise ValueError(f"amplitude must be a real number, got {amplitude!r}")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     reach = float(np.linalg.norm(center)) + rho
@@ -491,7 +506,7 @@ def make_bump_nonradiating(
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         s = np.linalg.norm(pts - center, axis=-1)
         g, bilap = _mollifier_pair(s, rho, amplitude, d)
-        return (-(bilap - k4 * g)).astype(complex)
+        return -(bilap - k4 * g)
 
     return SourceField.from_callable(ctx, func, support_radius=reach, radial_hint=_BUMP_RADIAL_ORDER)
 
@@ -519,11 +534,14 @@ def _mollifier_pair(s, rho, amplitude, d):
         w4 = 24.0 * w**3 + 288.0 * sm**2 * w**4 + 384.0 * sm**4 * w**5
         r2 = rho * rho
         v1, v2, v3, v4 = -r2 * w1, -r2 * w2, -r2 * w3, -r2 * w4
+        # v1 < 0: products, not v1**3 and v1**4 (numpy's pow is a scalar
+        # loop for a negative base, hundreds of times slower than a square)
+        v1sq = v1 * v1
         gm = amplitude * np.exp(v)
         g1 = gm * v1
-        g2 = gm * (v2 + v1**2)
-        g3 = gm * (v3 + 3.0 * v2 * v1 + v1**3)
-        g4 = gm * (v4 + 4.0 * v3 * v1 + 3.0 * v2**2 + 6.0 * v2 * v1**2 + v1**4)
+        g2 = gm * (v2 + v1sq)
+        g3 = gm * (v3 + 3.0 * v2 * v1 + v1sq * v1)
+        g4 = gm * (v4 + 4.0 * v3 * v1 + 3.0 * v2**2 + 6.0 * v2 * v1sq + v1sq * v1sq)
         radial = (
             g4
             + 2.0 * (d - 1) * g3 / sm

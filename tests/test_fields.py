@@ -15,6 +15,7 @@ from biharwave.fields import (
 )
 from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.sources import (
+    ModalCoefficients,
     SourceField,
     gaussian_source,
     make_2d_bessel_nonradiating,
@@ -388,19 +389,40 @@ class TestSeparableModalRoute:
         boundary_trace(ctx, coeffs, boundary_grid(ctx, 16 if ctx.dimension == 3 else 64))
         assert radial_table_radii == [1, 1]
 
-    def test_2d_trace_equals_per_point_tables(self):
-        coeffs = modal_coefficients(CTX2, _gaussian(CTX2), 20)
-        grid = boundary_grid(CTX2, 64)
+    @staticmethod
+    def _check_2d_trace(coeffs):
+        # the inverse FFT sums in another order than the dense per-point sum,
+        # so the channels agree to rounding (measured 6e-16 of the peak)
+        N, M = coeffs.truncation, 64
+        grid = boundary_grid(CTX2, M)
         tr = boundary_trace(CTX2, coeffs, grid)
         r = np.full(grid.count, CTX2.radius)
-        basis = np.exp(1j * np.outer(grid.params, np.arange(-20, 21)))
+        # the grid's angles are the lattice 2 pi j / M, so n theta_j reduces
+        # exactly to 2 pi (n j mod M) / M: exp(i n theta_j) at |n| = 100
+        # straight from theta_j would carry a phase error of 1e-13
+        j = np.arange(M)
+        assert np.array_equal(grid.params, 2.0 * np.pi * j / M)
+        basis = np.exp(2j * np.pi * (np.outer(j, np.arange(-N, N + 1)) % M) / M)
         f_h, f_m = _per_point_series(CTX2, coeffs, r, basis)
         df_h, df_m = _per_point_series(CTX2, coeffs, r, basis, derivative=True)
         scale = 1.0 / (2.0 * CTX2.kappa**2)
-        np.testing.assert_array_equal(tr.u, (f_h - f_m) * scale)
-        np.testing.assert_array_equal(tr.du_dnu, (df_h - df_m) * scale)
-        np.testing.assert_array_equal(tr.lap_u, -(f_h + f_m) / 2.0)
-        np.testing.assert_array_equal(tr.dlap_u_dnu, -(df_h + df_m) / 2.0)
+        expected = [(f_h - f_m) * scale, (df_h - df_m) * scale, -(f_h + f_m) / 2.0, -(df_h + df_m) / 2.0]
+        for got, ref in zip(tr.stacked(), expected):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_2d_trace_equals_per_point_tables(self):
+        # 41 orders on 64 angles: no two orders share a column of the FFT
+        self._check_2d_trace(modal_coefficients(CTX2, _gaussian(CTX2), 20))
+
+    def test_2d_trace_folds_orders_beyond_half_the_angles(self):
+        # 201 orders on 64 angles, up to four sharing each column of the FFT.
+        # A Gaussian's orders beyond 32 weigh 1e-20 of its peak at r = R, so
+        # the coefficients are drawn to give every order a term of size one
+        N = 100
+        _, _, h, s = fields._radial_tables(CTX2, N, np.array([[CTX2.kappa * CTX2.radius]]), False)
+        rng = np.random.default_rng(7)
+        alpha, beta = rng.normal(size=(2, 2 * N + 1, 2)) @ [1.0, 1j]
+        self._check_2d_trace(ModalCoefficients(2, N, alpha / np.abs(h[0]), beta / np.abs(s[0]), 1.0))
 
     def test_modal_field_equals_per_point_tables(self, radial_table_radii):
         # two probe rings: one table row per distinct radius, gathered back

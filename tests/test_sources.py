@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from biharwave import WaveContext
-from biharwave.quadrature import product_grid
+from biharwave import WaveContext, sources
+from biharwave.fields import boundary_trace, eval_field_batch
+from biharwave.quadrature import boundary_grid, product_grid
+from biharwave.spectral import direction_grid, fourier_on_circle, laplace_on_circle
 from biharwave.specfun import angular_basis
 from biharwave.sources import (
     SourceField,
@@ -373,6 +375,73 @@ def test_scaled_refuses_a_factor_that_is_not_a_finite_number(factor):
 def test_amplitude_must_be_a_finite_number(make, amplitude):
     with pytest.raises(ValueError, match=re.escape(f"amplitude must be a finite number, got {amplitude!r}")):
         make(CTX2, amplitude=amplitude)
+
+
+def test_bump_amplitude_must_be_real():
+    # the mollifier pair is real arithmetic: a complex amplitude would fail
+    # at the first read with a casting error that names neither
+    with pytest.raises(ValueError, match=re.escape("amplitude must be a real number, got 1j")):
+        make_bump_nonradiating(CTX2, amplitude=1j)
+    assert make_bump_nonradiating(CTX2, amplitude=np.float64(2.0)).l2_norm() > 0
+
+
+class TestCoefficientCache:
+    """modal_coefficients projects a source once per (context, truncation)."""
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        calls = []
+        project_modes = sources.project_modes
+
+        def counting(src, truncation):
+            calls.append(truncation)
+            return project_modes(src, truncation)
+
+        monkeypatch.setattr(sources, "project_modes", counting)
+        return calls
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_one_projection_per_source_and_truncation(self, ctx, projections):
+        src = gaussian_source(ctx, center=[0.2, -0.1, 0.1][: ctx.dimension], sigma=0.2)
+        dirs, _ = direction_grid(ctx, 8)
+        for grid in (boundary_grid(ctx), boundary_grid(ctx, 16 if ctx.dimension == 3 else 128)):
+            boundary_trace(ctx, src, grid, truncation=10)
+        fourier_on_circle(ctx, src, dirs, truncation=10)
+        laplace_on_circle(ctx, src, dirs, truncation=10)
+        eval_field_batch(ctx, src, 1.5 * dirs, method="modal", truncation=10)
+        assert projections == [10]
+        assert modal_coefficients(ctx, src, 10) is modal_coefficients(ctx, src, np.int64(10))
+        # another truncation is another projection, then kept too
+        modal_coefficients(ctx, src, 12)
+        modal_coefficients(ctx, src, 12)
+        assert projections == [10, 12]
+
+    @pytest.mark.parametrize("truncation", [True, 1.0], ids=["bool", "float"])
+    def test_truncation_checked_before_the_lookup(self, truncation):
+        # True and 1.0 hash and compare as 1, the key of the cached entry
+        src = gaussian_source(CTX2, sigma=0.2)
+        modal_coefficients(CTX2, src, 1)
+        with pytest.raises(ValueError, match="truncation must be an integer"):
+            modal_coefficients(CTX2, src, truncation)
+
+    def test_cached_coefficients_are_read_only(self):
+        co = modal_coefficients(CTX2, gaussian_source(CTX2, sigma=0.2), 4)
+        for values in (co.alpha, co.beta):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    def test_derived_sources_project_afresh(self, projections):
+        f = gaussian_source(CTX2, center=[0.3, 0.0], sigma=0.2)
+        g = make_2d_bessel_nonradiating(CTX2)
+        co_f = modal_coefficients(CTX2, f, 6)
+        co_scaled = modal_coefficients(CTX2, f.scaled(2.0), 6)
+        co_sum = modal_coefficients(CTX2, f + g, 6)
+        assert projections == [6, 6, 6]
+        assert co_scaled.norm_f == pytest.approx(2.0 * co_f.norm_f, rel=1e-14)
+        peak = np.max(np.abs(co_f.alpha))
+        assert np.max(np.abs(co_scaled.alpha - 2.0 * co_f.alpha)) <= 1e-13 * peak
+        # g is invisible: the sum's alpha is f's, but its norm is not
+        assert co_sum.norm_f > 10 * co_f.norm_f
 
 
 def _counting(profile):

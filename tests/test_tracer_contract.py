@@ -3,6 +3,8 @@
 The tracer binds call arguments by name (ctx, src, points, directions),
 reads eval_field_batch's method as its 4th positional argument and works
 out a field call's pair count from the product grid the source resolves to.
+It wraps modal_coefficients and project_modes in every namespace that binds
+them, so a cached coefficient lookup still shows as a call.
 A signature change that breaks any of that would only show in a traced
 benchmark run; this test runs one small traced session in a child process,
 so the wrappers never reach the other tests.
@@ -20,8 +22,8 @@ CHILD = """
 import json
 import numpy as np
 import biharwave
-from biharwave import WaveContext, fields, sources
-from biharwave.quadrature import product_grid
+from biharwave import WaveContext, fields, sources, spectral
+from biharwave.quadrature import boundary_grid, product_grid
 from tracer import Tracer, install
 
 ctx = WaveContext.with_root_wavenumber(2, 1.0, 1)
@@ -35,6 +37,10 @@ dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 fields.eval_field_batch(ctx, src, 1.5 * dirs, "quadrature")
 fields.far_field(ctx, src, dirs[:2])
 src.l2_norm()
+# one source at one truncation: three coefficient lookups, one projection
+fields.boundary_trace(ctx, src, boundary_grid(ctx), truncation=8)
+spectral.fourier_on_circle(ctx, src, dirs, truncation=8)
+spectral.laplace_on_circle(ctx, src, dirs, truncation=8)
 print(json.dumps({"nodes": nodes, "spans": [
     {"name": s.name, "parent": s.parent, "counts": s.counts} for s in tracer.spans
 ]}))
@@ -56,3 +62,7 @@ def test_traced_calls_count_pairs_against_their_grid():
     assert "sources.l2_norm" in names
     (values,) = [s for s in spans if s["name"] == "sources.values_on"]
     assert values["counts"]["points"] == nodes == 64 * 256
+    # the coefficient cache sits inside modal_coefficients: its span records
+    # every call, and the projection's only the one that computes
+    assert names.count("sources.modal_coefficients") == 3
+    assert names.count("sources.project_modes") == 1
