@@ -430,8 +430,9 @@ def boundary_trace(
     classical.  Full-support sources are evaluated as the exterior limit,
     which is exact whenever the exterior field extends smoothly to the
     boundary (in particular for every certified nonradiating source).
-    src may also be the source's ModalCoefficients, computed once and shared
-    with the spectral syntheses (cut back to truncation when one is given).
+    src may also be a ModalCoefficients (cut back to truncation when one is
+    given); a source keeps its own coefficients per truncation, so traces on
+    several grids and the spectral syntheses share one projection either way.
 
     The radial tables are evaluated once, at r = R, and folded into the
     coefficients; all four channels are synthesized at once on the grid's

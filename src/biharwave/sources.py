@@ -229,10 +229,10 @@ class SourceField:
         """The source's default product grid (the one l2_norm integrates on)
         and its values there.
 
-        The values are sampled once (values_on) and cached, read-only.  The grid is rebuilt on each call from the cached
-        Gauss-Legendre rules, which costs only its points and weights: a kept
-        3D grid would hold four times the memory of real values for as long
-        as the source lives.
+        The values are sampled once (values_on) and cached, read-only.  The
+        grid is rebuilt on each call from the cached Gauss-Legendre rules,
+        which costs only its points and weights: a kept 3D grid would hold
+        four times the memory of real values for as long as the source lives.
         """
         grid = product_grid(self.ctx, self.resolve_radial_order())
         if self._values is None:
