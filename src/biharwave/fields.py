@@ -24,8 +24,10 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   (specfun.cos_sin, within 2.2e-16 of mpmath).  Every node-length array of
   a call (distances, tables, permuted rows, phases) lives in buffers
   allocated once per call and reused, and
-* angular-mode series built from the modal coefficients (valid from the
-  support radius outward), which is also how boundary traces are computed:
+* angular-mode series built from the source's modal coefficients
+  (sources.modal_coefficients, which the source keeps per truncation; valid
+  from the support radius outward), which is also how boundary traces are
+  computed:
   the trace derivatives come from analytic recurrences, not numerical
   differentiation, because the near-field identities downstream need them
   at the 1e-8 level.
@@ -50,7 +52,7 @@ from . import specfun
 from .context import WaveContext
 from .kernels import kernel_tables
 from .quadrature import BoundaryGrid, spherical_params
-from .sources import SourceField, SupportViolationError, mode_degrees, resolve_coefficients
+from .sources import SourceField, SupportViolationError, mode_degrees, modal_coefficients
 
 # Slack within which two points count as images of one another under the
 # quadrature grid's symmetries: relative in the radius, absolute in the polar
@@ -354,7 +356,7 @@ def _sphere_series(ctx, coeffs, angular):
 
 
 def _eval_modal(ctx, src, pts, truncation):
-    coeffs = resolve_coefficients(ctx, src, truncation)
+    coeffs = modal_coefficients(ctx, src, truncation)
     r, theta, phi = spherical_params(pts)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, theta, phi)
     return _modal_series(ctx, coeffs, r, basis)
@@ -379,9 +381,10 @@ def eval_field_batch(
     table: a ring of probes on the 2D grid's angle lattice takes one table
     per radius, and the 54 probes of a 3D verdict take 12.  Each point still
     sums the source's own values, permuted to its image; scattered points
-    take one table each.  'modal' sums the exterior angular-mode series
-    (valid from the support radius outward).  Points with a coordinate that
-    is not finite are refused.
+    take one table each.  'modal' sums the exterior angular-mode series of
+    the source's coefficients at the truncation (default_mode_truncation
+    when None; valid from the support radius outward).  Points with a
+    coordinate that is not finite are refused.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != ctx.dimension:
@@ -424,15 +427,16 @@ def boundary_trace(
     truncation: int | None = None,
 ) -> BoundaryTrace:
     """The four boundary channels (u, normal derivative, Laplacian, its
-    normal derivative) on the measurement grid, from the exterior series.
+    normal derivative) on the measurement grid, from the exterior series of
+    the source's coefficients at the truncation (default_mode_truncation
+    when None).
 
     For sources supported strictly inside the ball all four channels are
     classical.  Full-support sources are evaluated as the exterior limit,
     which is exact whenever the exterior field extends smoothly to the
-    boundary (in particular for every certified nonradiating source).
-    src may also be a ModalCoefficients (cut back to truncation when one is
-    given); a source keeps its own coefficients per truncation, so traces on
-    several grids and the spectral syntheses share one projection either way.
+    boundary (in particular for every certified nonradiating source).  The
+    source keeps its coefficients per truncation, so traces on several grids
+    and the spectral syntheses share one projection.
 
     The radial tables are evaluated once, at r = R, and folded into the
     coefficients; all four channels are synthesized at once on the grid's
@@ -440,11 +444,11 @@ def boundary_trace(
     specfun.sph_synthesis (one Legendre sum per order and polar ring, then an
     inverse FFT over the azimuths).  Neither builds a dense angular basis.
     """
-    if isinstance(src, SourceField) and src.support_radius > ctx.radius * (1 + 1e-12):
+    if src.support_radius > ctx.radius * (1 + 1e-12):
         raise SupportViolationError(
             f"source support {src.support_radius} exceeds the context ball R = {ctx.radius}"
         )
-    coeffs = resolve_coefficients(ctx, src, truncation)
+    coeffs = modal_coefficients(ctx, src, truncation)
     f_h, f_m, df_h, df_m = _sphere_series(ctx, coeffs, grid.angular)
     scale = 1.0 / (2.0 * ctx.kappa**2)
     return BoundaryTrace(

@@ -321,8 +321,9 @@ def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
     return ModalProfiles(ctx.dimension, truncation, rule, values)
 
 
-def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int) -> ModalCoefficients:
-    """Project the source's mode profiles onto the two radial wave families.
+def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | None = None) -> ModalCoefficients:
+    """Project the source's mode profiles onto the two radial wave families,
+    at the truncation (default_mode_truncation when None).
 
     2D pairs profile n with J_n(kappa r) (alpha) and J_n(i kappa r) (beta)
     under the r dr measure; 3D pairs degree n with the spherical j_n and its
@@ -334,6 +335,8 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int) -> M
     traces, the modal field and the verdict of one source at one truncation
     share one projection.
     """
+    if truncation is None:
+        truncation = default_mode_truncation(ctx)
     _check_integer("truncation", truncation, 0)  # before the lookup: True and 1.0 hash as 1
     key = (ctx, truncation)
     if key in src._coefficients:
@@ -380,19 +383,6 @@ def default_mode_truncation(ctx: WaveContext) -> int:
     """Band-limit heuristic for source projections plus guard modes."""
     return 2 * int(np.ceil(ctx.kappa * ctx.radius)) + 16
 
-
-def resolve_coefficients(ctx, src, truncation=None):
-    """The source's coefficients at the truncation (default_mode_truncation
-    when None).  src may already be a ModalCoefficients of ctx's dimension:
-    it is cut back to the truncation (ModalCoefficients.truncated), or
-    returned whole when the truncation is None."""
-    if isinstance(src, ModalCoefficients):
-        if src.dimension != ctx.dimension:
-            raise ValueError(f"coefficients are {src.dimension}D but the context is {ctx.dimension}D")
-        return src if truncation is None else src.truncated(truncation)
-    if truncation is None:
-        truncation = default_mode_truncation(ctx)
-    return modal_coefficients(ctx, src, truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ the functionals assembled in u_hat_from_trace / v_check_from_trace equal the
 two transforms on the radius-kappa sphere, which is exactly why boundary
 data at one frequency cannot determine more of the source than that sphere.
 
+The modal route takes a source (SourceField) and nothing else: its
+coefficients come from sources.modal_coefficients at the truncation asked
+for (default_mode_truncation when None), and the source keeps them, so the
+transforms, the null-space residual and the verdict of one source at one
+truncation share one projection.
+
 Callers pass unit directions only; the evaluation radius is snapped to
 exactly kappa internally, so off-sphere queries are unrepresentable.
 """
@@ -29,19 +35,11 @@ from .context import WaveContext, _check_integer, _is_real
 from .fields import _check_directions
 from .kernels import green_biharmonic
 from .quadrature import angular_rule, spherical_params, split_params
-from .sources import (
-    ModalCoefficients,
-    SourceField,
-    default_mode_truncation,
-    mode_degrees,
-    modal_coefficients,
-    resolve_coefficients,
-)
+from .sources import SourceField, default_mode_truncation, mode_degrees, modal_coefficients
 from .specfun import _ipow
 
 __all__ = [
     "InconsistencyError",
-    "ModalCoefficients",
     "NonradiatingVerdict",
     "VerdictConfig",
     "direction_grid",
@@ -167,16 +165,17 @@ def _on_circle(ctx, src, directions, sign, truncation):
     """Mode synthesis of sign**n-weighted coefficients at the directions:
     sign -1 pairs (-i)^n with alpha, sign +1 pairs i^n with beta."""
     dirs = _check_directions(ctx, directions)
-    coeffs = resolve_coefficients(ctx, src, truncation)
+    coeffs = modal_coefficients(ctx, src, truncation)
     N = coeffs.truncation
     basis = specfun.angular_basis(ctx.dimension, N, *spherical_params(dirs)[1:])
     modes = coeffs.alpha if sign < 0 else coeffs.beta
     return _synthesis(ctx, basis, _ipow(sign * mode_degrees(ctx.dimension, N)) * modes)
 
 
-def fourier_on_circle(ctx: WaveContext, src, directions, truncation: int | None = None) -> np.ndarray:
+def fourier_on_circle(ctx: WaveContext, src: SourceField, directions, truncation: int | None = None) -> np.ndarray:
     """Fourier data of the source at frequency kappa * direction, synthesized
-    from the modal coefficients.
+    from its modal coefficients at the truncation (default_mode_truncation
+    when None).
 
     2D: 2 pi sum_n (-i)^n alpha_n exp(i n arg(dir));
     3D: 4 pi sum_(n, m) (-i)^n alpha_n^m Y_n^m(dir).
@@ -184,9 +183,10 @@ def fourier_on_circle(ctx: WaveContext, src, directions, truncation: int | None 
     return _on_circle(ctx, src, directions, -1, truncation)
 
 
-def laplace_on_circle(ctx: WaveContext, src, directions, truncation: int | None = None) -> np.ndarray:
+def laplace_on_circle(ctx: WaveContext, src: SourceField, directions, truncation: int | None = None) -> np.ndarray:
     """Exponential-weight transform of the source at s = kappa * direction,
-    synthesized from the modal coefficients.
+    synthesized from its modal coefficients at the truncation
+    (default_mode_truncation when None).
 
     2D: 2 pi sum_n i^n beta_n exp(i n arg(dir));
     3D: 4 pi sum_(n, m) i^n beta_n^m Y_n^m(dir).
@@ -252,14 +252,16 @@ def nullspace_residual(
 ) -> float:
     """Max over exterior probes of the two annihilation integrals that define
     the invisible class: the regular-wave kernel integral and the decaying
-    kernel integral, both evaluated through the mode expansions.
+    kernel integral, both evaluated through the mode expansions of the
+    source's coefficients at the truncation (default_mode_truncation when
+    None).
 
     Zero (below tolerance) exactly for sources with no exterior field.
     """
     radii = np.atleast_1d(np.asarray(probe_radii, dtype=float))
     if np.any(radii <= ctx.radius):
         raise ValueError(f"probe radii must exceed R = {ctx.radius}")
-    coeffs = resolve_coefficients(ctx, src, truncation)
+    coeffs = modal_coefficients(ctx, src, truncation)
     _, params = direction_grid(ctx, 16)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(params))
     degrees = mode_degrees(ctx.dimension, coeffs.truncation)
@@ -293,7 +295,7 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
     The source is projected once, at the working truncation plus
     STABILITY_MARGIN; the modal residual is computed there and re-checked on
     those coefficients cut back to the working truncation (truncation
-    stability).  The exterior field is probed by direct quadrature of the
+    stability), and the spectral syntheses read the same projection.  The exterior field is probed by direct quadrature of the
     source itself at several radii.  The three routes must agree on which
     side of the tolerance they fall; disagreement raises InconsistencyError
     instead of guessing.
@@ -314,8 +316,8 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
         )
 
     dirs, _ = direction_grid(ctx, cfg.direction_count)
-    fh = fourier_on_circle(ctx, coeffs, dirs)
-    fc = laplace_on_circle(ctx, coeffs, dirs)
+    fh = fourier_on_circle(ctx, src, dirs, top)  # both the projection just made
+    fc = laplace_on_circle(ctx, src, dirs, top)
     res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f if norm_f > 0 else 0.0
 
     probe_radii = np.array(PROBE_FACTORS) * ctx.radius

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biharwave import fields, specfun
+from biharwave import fields, sources, specfun
 
 
 @pytest.fixture
@@ -46,3 +46,17 @@ def radial_table_radii(monkeypatch):
 
     monkeypatch.setattr(fields, "_radial_tables", counting)
     return sizes
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """The truncation of each sources.project_modes call, as a list."""
+    calls = []
+    project_modes = sources.project_modes
+
+    def counting(src, truncation):
+        calls.append(truncation)
+        return project_modes(src, truncation)
+
+    monkeypatch.setattr(sources, "project_modes", counting)
+    return calls

@@ -378,24 +378,25 @@ class TestSeparableModalRoute:
     separated on product rules instead of the dense harmonic block."""
 
     def test_3d_projection_and_trace_build_no_harmonic_block(self, harmonic_blocks):
-        coeffs = modal_coefficients(CTX3, _gaussian(CTX3), 12)
+        src = _gaussian(CTX3)
+        modal_coefficients(CTX3, src, 12)
         assert harmonic_blocks[0] == 0
-        boundary_trace(CTX3, coeffs, boundary_grid(CTX3, 16))
+        boundary_trace(CTX3, src, boundary_grid(CTX3, 16), truncation=12)
         assert harmonic_blocks[0] == 0
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_trace_tabulates_one_radius(self, ctx, radial_table_radii):
-        coeffs = modal_coefficients(ctx, _gaussian(ctx), 12)
-        boundary_trace(ctx, coeffs, boundary_grid(ctx, 16 if ctx.dimension == 3 else 64))
+        boundary_trace(ctx, _gaussian(ctx), boundary_grid(ctx, 16 if ctx.dimension == 3 else 64), truncation=12)
         assert radial_table_radii == [1, 1]
 
     @staticmethod
     def _check_2d_trace(coeffs):
         # the inverse FFT sums in another order than the dense per-point sum,
-        # so the channels agree to rounding (measured 6e-16 of the peak)
+        # so the four series (f_h, f_m and their radial derivatives) agree to
+        # rounding (measured 3e-16 to 6e-16 of each one's peak)
         N, M = coeffs.truncation, 64
         grid = boundary_grid(CTX2, M)
-        tr = boundary_trace(CTX2, coeffs, grid)
+        series = fields._sphere_series(CTX2, coeffs, grid.angular)
         r = np.full(grid.count, CTX2.radius)
         # the grid's angles are the lattice 2 pi j / M, so n theta_j reduces
         # exactly to 2 pi (n j mod M) / M: exp(i n theta_j) at |n| = 100
@@ -403,11 +404,8 @@ class TestSeparableModalRoute:
         j = np.arange(M)
         assert np.array_equal(grid.params, 2.0 * np.pi * j / M)
         basis = np.exp(2j * np.pi * (np.outer(j, np.arange(-N, N + 1)) % M) / M)
-        f_h, f_m = _per_point_series(CTX2, coeffs, r, basis)
-        df_h, df_m = _per_point_series(CTX2, coeffs, r, basis, derivative=True)
-        scale = 1.0 / (2.0 * CTX2.kappa**2)
-        expected = [(f_h - f_m) * scale, (df_h - df_m) * scale, -(f_h + f_m) / 2.0, -(df_h + df_m) / 2.0]
-        for got, ref in zip(tr.stacked(), expected):
+        expected = _per_point_series(CTX2, coeffs, r, basis) + _per_point_series(CTX2, coeffs, r, basis, True)
+        for got, ref in zip(series, expected):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_2d_trace_equals_per_point_tables(self):

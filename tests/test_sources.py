@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from biharwave import WaveContext, sources
+from biharwave import WaveContext
 from biharwave.fields import boundary_trace, eval_field_batch
 from biharwave.quadrature import boundary_grid, product_grid
-from biharwave.spectral import direction_grid, fourier_on_circle, laplace_on_circle
+from biharwave.spectral import STABILITY_MARGIN, direction_grid, fourier_on_circle, laplace_on_circle, verdict
 from biharwave.specfun import angular_basis
 from biharwave.sources import (
     SourceField,
@@ -388,18 +388,6 @@ def test_bump_amplitude_must_be_real():
 class TestCoefficientCache:
     """modal_coefficients projects a source once per (context, truncation)."""
 
-    @pytest.fixture
-    def projections(self, monkeypatch):
-        calls = []
-        project_modes = sources.project_modes
-
-        def counting(src, truncation):
-            calls.append(truncation)
-            return project_modes(src, truncation)
-
-        monkeypatch.setattr(sources, "project_modes", counting)
-        return calls
-
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_one_projection_per_source_and_truncation(self, ctx, projections):
         src = gaussian_source(ctx, center=[0.2, -0.1, 0.1][: ctx.dimension], sigma=0.2)
@@ -415,6 +403,13 @@ class TestCoefficientCache:
         modal_coefficients(ctx, src, 12)
         modal_coefficients(ctx, src, 12)
         assert projections == [10, 12]
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_one_projection_per_verdict(self, ctx, projections):
+        # the spectral syntheses take the source at the stability truncation,
+        # the one the modal residual was projected at
+        verdict(ctx, gaussian_source(ctx, center=[0.2, -0.1, 0.1][: ctx.dimension], sigma=0.2))
+        assert projections == [default_mode_truncation(ctx) + STABILITY_MARGIN]
 
     @pytest.mark.parametrize("truncation", [True, 1.0], ids=["bool", "float"])
     def test_truncation_checked_before_the_lookup(self, truncation):

@@ -9,6 +9,7 @@ from biharwave.fields import BoundaryTrace, boundary_trace
 from biharwave.quadrature import boundary_grid, product_grid
 from biharwave.sources import (
     SourceField,
+    default_mode_truncation,
     gaussian_source,
     make_2d_bessel_nonradiating,
     make_3d_bessel_nonradiating,
@@ -406,54 +407,34 @@ class TestConsistencyTriangle:
 
 @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
 class TestGivenCoefficients:
-    """A ModalCoefficients passed as the source is cut back to the truncation
-    asked for, and must belong to the context's dimension; a truncation,
-    with coefficients or with a source, is an integer."""
+    """The modal route reads the coefficients of the source it is given,
+    projected at the truncation given with it (default_mode_truncation when
+    None); a truncation is an integer."""
 
-    def _coeffs(self, ctx):
-        from biharwave.sources import modal_coefficients
-
-        return modal_coefficients(ctx, _gaussian(ctx), 8)
-
-    def test_trace_honours_truncation(self, ctx):
-        coeffs = self._coeffs(ctx)
+    def test_trace_honours_truncation(self, ctx, projections):
+        src = _gaussian(ctx)
         grid = boundary_grid(ctx, 16 if ctx.dimension == 3 else 64)
-        cut = boundary_trace(ctx, coeffs, grid, truncation=3)
-        np.testing.assert_array_equal(cut.stacked(), boundary_trace(ctx, coeffs.truncated(3), grid).stacked())
-        assert np.max(np.abs(cut.stacked() - boundary_trace(ctx, coeffs, grid).stacked())) > 1e-6
+        cut = boundary_trace(ctx, src, grid, truncation=3)
+        assert projections == [3]
+        assert np.max(np.abs(cut.stacked() - boundary_trace(ctx, src, grid, truncation=8).stacked())) > 1e-6
 
-    def test_fourier_on_circle_honours_truncation(self, ctx):
-        coeffs = self._coeffs(ctx)
+    def test_fourier_on_circle_honours_truncation(self, ctx, projections):
+        src = _gaussian(ctx)
         dirs, _ = direction_grid(ctx, 16)
-        cut = fourier_on_circle(ctx, coeffs, dirs, truncation=2)
-        np.testing.assert_array_equal(cut, fourier_on_circle(ctx, coeffs.truncated(2), dirs))
-        assert np.max(np.abs(cut - fourier_on_circle(ctx, coeffs, dirs))) > 1e-6
-        with pytest.raises(ValueError, match=r"truncation must lie in \[0, 8\], got 9"):
-            fourier_on_circle(ctx, coeffs, dirs, truncation=9)
+        cut = fourier_on_circle(ctx, src, dirs, truncation=2)
+        assert np.max(np.abs(cut - fourier_on_circle(ctx, src, dirs))) > 1e-6
+        assert projections == [2, default_mode_truncation(ctx)]
 
-    def test_nullspace_residual_honours_truncation(self, ctx):
-        coeffs = self._coeffs(ctx)
-        cut = nullspace_residual(ctx, coeffs, [1.5, 3.0], truncation=3)
-        assert cut == nullspace_residual(ctx, coeffs.truncated(3), [1.5, 3.0])
-        assert cut != nullspace_residual(ctx, coeffs, [1.5, 3.0])
+    def test_nullspace_residual_honours_truncation(self, ctx, projections):
+        src = _gaussian(ctx)
+        cut = nullspace_residual(ctx, src, [1.5, 3.0], truncation=3)
+        assert projections == [3]
+        assert cut != nullspace_residual(ctx, src, [1.5, 3.0], truncation=8)
 
     @pytest.mark.parametrize("truncation", [2.5, True])
     def test_fraction_or_bool_truncation_refused(self, ctx, truncation):
         # 2.5 used to fail as an IndexError inside the projection, True to run as 1
-        coeffs = self._coeffs(ctx)
         grid = boundary_grid(ctx, 16 if ctx.dimension == 3 else 64)
         match = f"truncation must be an integer >= 0, got {truncation!r}"
-        for src in (coeffs, _gaussian(ctx)):
-            with pytest.raises(ValueError, match=match):
-                boundary_trace(ctx, src, grid, truncation=truncation)
-
-    def test_other_dimension_refused(self, ctx):
-        other = CTX3 if ctx.dimension == 2 else CTX2
-        coeffs = self._coeffs(other)
-        match = f"coefficients are {other.dimension}D but the context is {ctx.dimension}D"
         with pytest.raises(ValueError, match=match):
-            boundary_trace(ctx, coeffs, boundary_grid(ctx))
-        with pytest.raises(ValueError, match=match):
-            fourier_on_circle(ctx, coeffs, direction_grid(ctx, 16)[0])
-        with pytest.raises(ValueError, match=match):
-            nullspace_residual(ctx, coeffs, [1.5])
+            boundary_trace(ctx, _gaussian(ctx), grid, truncation=truncation)
