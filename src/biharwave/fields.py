@@ -52,7 +52,7 @@ from . import specfun
 from .context import WaveContext
 from .kernels import kernel_tables
 from .quadrature import BoundaryGrid, spherical_params
-from .sources import SourceField, SupportViolationError, mode_degrees, modal_coefficients
+from .sources import SourceField, SupportViolationError, _check_dimension, mode_degrees, modal_coefficients
 
 # Slack within which two points count as images of one another under the
 # quadrature grid's symmetries: relative in the radius, absolute in the polar
@@ -179,6 +179,7 @@ def _eval_quadrature(ctx, src, pts):
 
     Every node-length array lives in buffers allocated once per call: the
     distances and the three kernel tables, and the images of the rows."""
+    _check_dimension(ctx, src)
     grid, values = src.default_samples()  # a real source's values stay real
     rows = _real_rows(values, grid.weights)
     angular = grid.angular
@@ -260,6 +261,7 @@ def _volume_transform(ctx, src, directions, oscillating):
     """Sum over the ball grid of exp(-i kappa dir . y) f(y) w(y) (oscillating)
     or exp(-kappa dir . y) f(y) w(y), one value per unit direction."""
     dirs = _check_directions(ctx, directions)
+    _check_dimension(ctx, src)
     grid, values = src.default_samples()
     return _phase_sums(ctx, grid.points, values, grid.weights, dirs, oscillating)[:, 0]
 

@@ -335,6 +335,7 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     traces, the modal field and the verdict of one source at one truncation
     share one projection.
     """
+    _check_dimension(ctx, src)
     if truncation is None:
         truncation = default_mode_truncation(ctx)
     _check_integer("truncation", truncation, 0)  # before the lookup: True and 1.0 hash as 1
@@ -382,6 +383,13 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
 def default_mode_truncation(ctx: WaveContext) -> int:
     """Band-limit heuristic for source projections plus guard modes."""
     return 2 * int(np.ceil(ctx.kappa * ctx.radius)) + 16
+
+
+def _check_dimension(ctx: WaveContext, src: SourceField) -> None:
+    """Refuse a source built over a context of another dimension; one whose
+    context differs only in kappa or R is accepted."""
+    if src.ctx.dimension != ctx.dimension:
+        raise ValueError(f"the source is {src.ctx.dimension}D but the context is {ctx.dimension}D")
 
 
 

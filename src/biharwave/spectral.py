@@ -257,10 +257,15 @@ def nullspace_residual(
     None).
 
     Zero (below tolerance) exactly for sources with no exterior field.
+    probe_radii is one radius or a non-empty 1-D list, each finite and
+    beyond R.
     """
-    radii = np.atleast_1d(np.asarray(probe_radii, dtype=float))
-    if np.any(radii <= ctx.radius):
-        raise ValueError(f"probe radii must exceed R = {ctx.radius}")
+    radii = np.asarray(probe_radii, dtype=float)
+    if radii.ndim > 1 or radii.size == 0:  # the max over no probes would certify any source
+        raise ValueError(f"probe_radii must be one radius or a non-empty 1-D list, got shape {radii.shape}")
+    radii = np.atleast_1d(radii)
+    if not np.all(np.isfinite(radii)) or np.any(radii <= ctx.radius):
+        raise ValueError(f"probe_radii must be finite and exceed R = {ctx.radius}, got {radii.tolist()}")
     coeffs = modal_coefficients(ctx, src, truncation)
     _, params = direction_grid(ctx, 16)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(params))

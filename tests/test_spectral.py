@@ -5,7 +5,7 @@ import pytest
 from scipy import special as sp
 
 from biharwave import WaveContext
-from biharwave.fields import BoundaryTrace, boundary_trace
+from biharwave.fields import BoundaryTrace, boundary_trace, eval_field_batch, far_field
 from biharwave.quadrature import boundary_grid, product_grid
 from biharwave.sources import (
     SourceField,
@@ -14,6 +14,7 @@ from biharwave.sources import (
     make_2d_bessel_nonradiating,
     make_3d_bessel_nonradiating,
     make_bump_nonradiating,
+    modal_coefficients,
 )
 from biharwave.spectral import (
     PROBE_FACTORS,
@@ -223,6 +224,21 @@ class TestNullspaceResidual:
         with pytest.raises(ValueError):
             nullspace_residual(CTX2, SourceField.zero(CTX2), [0.5])
 
+    @pytest.mark.parametrize(
+        "radii, match",
+        [([], r"shape \(0,\)"), (np.empty((0, 1)), r"shape \(0, 1\)"), ([[1.5, 2.0]], r"shape \(1, 2\)"),
+         ([np.nan], r"finite .*\[nan\]"), ([1.5, np.inf], r"finite .*\[1.5, inf\]")],
+        ids=["empty", "empty-2d", "2d", "nan", "inf"],
+    )
+    def test_meaningless_probe_radii_refused(self, radii, match):
+        # the Gaussian radiates (0.091 at 1.5 R): an empty probe set used
+        # to return 0.0 for it, a non-finite radius failed inside specfun and
+        # a 2-D set as a broadcast error
+        src = gaussian_source(CTX2, center=[0.25, 0.0], sigma=0.2)
+        assert nullspace_residual(CTX2, src, [1.5]) > 1e-2
+        with pytest.raises(ValueError, match=f"probe_radii must .*{match}"):
+            nullspace_residual(CTX2, src, radii)
+
 
 class TestVerdict:
     @pytest.mark.parametrize(
@@ -269,8 +285,6 @@ class TestVerdict:
         assert scaled.residual_modal == pytest.approx(unscaled.residual_modal, rel=1e-10)
 
     def test_truncation_monotonicity(self):
-        from biharwave.sources import modal_coefficients
-
         src = _gaussian(CTX2)
         resids = [
             modal_coefficients(CTX2, src, N).max_residual() for N in (4, 8, 16, 24)
@@ -409,7 +423,8 @@ class TestConsistencyTriangle:
 class TestGivenCoefficients:
     """The modal route reads the coefficients of the source it is given,
     projected at the truncation given with it (default_mode_truncation when
-    None); a truncation is an integer."""
+    None); a truncation is an integer, and a source of another dimension
+    than the context's is refused by every route."""
 
     def test_trace_honours_truncation(self, ctx, projections):
         src = _gaussian(ctx)
@@ -438,3 +453,27 @@ class TestGivenCoefficients:
         match = f"truncation must be an integer >= 0, got {truncation!r}"
         with pytest.raises(ValueError, match=match):
             boundary_trace(ctx, _gaussian(ctx), grid, truncation=truncation)
+
+    def test_other_dimension_refused(self, ctx):
+        # each entry names the two dimensions; before, they failed with an
+        # IndexError, a broadcast or matmul error, or a TypeError
+        other = CTX3 if ctx.dimension == 2 else CTX2
+        src = _gaussian(other)
+        dirs, _ = direction_grid(ctx, 16)
+        calls = [
+            lambda: verdict(ctx, src),
+            lambda: fourier_on_circle(ctx, src, dirs),
+            lambda: laplace_on_circle(ctx, src, dirs),
+            lambda: nullspace_residual(ctx, src, [1.5]),
+            lambda: fourier_transform_quadrature(ctx, src, dirs),
+            lambda: laplace_transform_quadrature(ctx, src, dirs),
+            lambda: boundary_trace(ctx, src, boundary_grid(ctx)),
+            lambda: eval_field_batch(ctx, src, 1.5 * dirs, "quadrature"),
+            lambda: eval_field_batch(ctx, src, 1.5 * dirs, "modal"),
+            lambda: far_field(ctx, src, dirs),
+            lambda: modal_coefficients(ctx, src, 4),
+        ]
+        match = f"the source is {other.dimension}D but the context is {ctx.dimension}D"
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
