@@ -18,14 +18,15 @@ stderr instead, so a refusal still compares.  Usage, from any directory:
 With --compare, both checkouts run every command.  Each line carries the
 digest of OTHER's output and of this checkout's, then, for an output that
 moved, three sizes over its numeric JSON and CSV fields: the largest
-absolute change; that change divided by the output's largest absolute value
-(its peak); and the largest per-value change |new - old| / max(|old|,
-1e-15 * peak), with the JSON key path or the CSV column and data row where
-it occurs.  The per-value change shows a small number that moved by a large
-fraction of itself, which the peak-relative change hides behind the
-output's largest number (in a verdict JSON, the integer truncation); the
-floor keeps a value that is rounding noise around zero from dividing by
-nothing.  An output whose text outside those numbers changed (keys,
+absolute change; the largest change relative to the peak (largest absolute
+value) of the moved value's own column, a CSV column or a JSON key path; and
+the largest per-value change |new - old| / max(|old|, 1e-15 * peak of the
+output), with the JSON key path or the CSV column and data row where it
+occurs.  A column's peak keeps a move in a small column from hiding behind
+another column's large values (in a spectral CSV, the angles up to 2 pi
+beside transforms of 1e-6); the per-value change shows a small number that
+moved by a large fraction of itself, and its floor keeps a value that is
+rounding noise around zero from dividing by nothing.  An output whose text outside those numbers changed (keys,
 headers, metadata, a refusal) is marked "text differs", and one whose
 number is the same zero with the other sign (-0.0 against 0.0, which compare
 equal) "signed zero differs at <label>".  --compare exits 1 when any exit
@@ -101,36 +102,38 @@ def _csv_number(cell: str):
 
 
 def _csv_tokens(text: str):
-    """(number or None, cell, label) for every CSV cell, labelled by the cell
-    in the first row's column (the header) and its row, the header being row
-    0; '#' metadata lines are cells, whole."""
+    """(number or None, cell, column, label) for every CSV cell: its column
+    is the cell in the first row (the header), and it is labelled by that
+    and its row, the header being row 0; '#' metadata lines are cells,
+    whole."""
     header, row = None, 0
     for line in text.splitlines():
         if line.startswith("#"):
-            yield None, line, ""
+            yield None, line, "", ""
             continue
         cells = line.split(",")
         header = header or cells
         for j, cell in enumerate(cells):
             column = header[j] if j < len(header) else f"column {j}"
-            yield _csv_number(cell), cell, f"{column} row {row}"
+            yield _csv_number(cell), cell, column, f"{column} row {row}"
         row += 1
 
 
-def split_numbers(data: bytes) -> tuple[list[float], list[str], list]:
-    """(numeric fields, where each one sits, all other tokens) of a JSON or
-    CSV output.  JSON numbers are numbers (bools and strings are not) and sit
-    at their key path; CSV cells are numbers when they parse as floats and
-    sit at their column and data row; '#' metadata lines are tokens, whole."""
+def split_numbers(data: bytes) -> tuple[list[float], list[str], list[str], list]:
+    """(numeric fields, the column of each, where each one sits, all other
+    tokens) of a JSON or CSV output.  JSON numbers are numbers (bools and
+    strings are not) and sit at their key path, which is their column; CSV
+    cells are numbers when they parse as floats and sit at their column and
+    data row; '#' metadata lines are tokens, whole."""
     text = data.decode("utf-8", errors="replace")
     try:
-        tokens = [(float(t) if isinstance(t, (int, float)) and not isinstance(t, bool) else None, t, path)
+        tokens = [(float(t) if isinstance(t, (int, float)) and not isinstance(t, bool) else None, t, path, path)
                   for path, t in _leaves(json.loads(text))]
     except json.JSONDecodeError:
         tokens = list(_csv_tokens(text))
-    numbers = [(value, label) for value, _, label in tokens if value is not None]
-    other = [token for value, token, _ in tokens if value is None]
-    return [value for value, _ in numbers], [label for _, label in numbers], other
+    numbers = [token for token in tokens if token[0] is not None]
+    other = [token for value, token, _, _ in tokens if value is None]
+    return [n[0] for n in numbers], [n[2] for n in numbers], [n[3] for n in numbers], other
 
 
 def _relative(x: float, y: float, floor: float) -> float:
@@ -142,13 +145,14 @@ def _relative(x: float, y: float, floor: float) -> float:
 
 
 def change(old: bytes, new: bytes) -> str:
-    """How an output moved: largest absolute change of its numbers, that
-    change over the largest absolute value (peak) of the old output, and the
-    largest per-value change |new - old| / max(|old|, 1e-15 * peak) with
-    where it occurs; "text differs" or "signed zero differs at <label>"
-    instead when the change is more than a move of the numbers."""
-    a, labels, text_a = split_numbers(old)
-    b, _, text_b = split_numbers(new)
+    """How an output moved: largest absolute change of its numbers, largest
+    change over the largest absolute value (peak) of its column in the old
+    output, and the largest per-value change |new - old| / max(|old|, 1e-15 *
+    peak of the old output) with where it occurs; "text differs" or "signed
+    zero differs at <label>" instead when the change is more than a move of
+    the numbers."""
+    a, columns, labels, text_a = split_numbers(old)
+    b, _, _, text_b = split_numbers(new)
     if text_a != text_b or len(a) != len(b):
         return "text differs"
     flips = [label for x, y, label in zip(a, b, labels)
@@ -157,7 +161,11 @@ def change(old: bytes, new: bytes) -> str:
         return f"signed zero differs at {flips[0]}" + (f" and {len(flips) - 1} more" if flips[1:] else "")
     diff = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
     peak = max((abs(x) for x in a), default=0.0)
-    rel = diff / peak if peak > 0 else float("inf") if diff else 0.0
+    column_peak = {}
+    for x, column in zip(a, columns):
+        column_peak[column] = max(column_peak.get(column, 0.0), abs(x))
+    # |y - x| over the peak of its column
+    rel = max((_relative(0.0, y - x, column_peak[column]) for x, y, column in zip(a, b, columns)), default=0.0)
     per_value = [(_relative(x, y, 1e-15 * peak), label) for x, y, label in zip(a, b, labels)]
     worst, where = max(per_value, key=lambda item: item[0], default=(0.0, ""))
     return (f"max abs change {diff:.3e}  max rel change {rel:.3e}  "

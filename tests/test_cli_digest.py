@@ -16,11 +16,19 @@ def _verdict(residual):
 
 
 def test_per_value_change_names_the_key():
-    # the residual moves by 1.3e-4 of itself; next to the truncation that is
-    # 5e-19 of the output's peak
+    # the residual moves by 1.3e-4 of itself, and of its key's peak; against
+    # the output's peak, the truncation, that would read 5e-19
     moved = cli_digest.change(_verdict(8.7574e-14), _verdict(8.7585e-14))
-    assert "max rel change 4.783e-19" in moved
+    assert "max rel change 1.256e-04" in moved
     assert moved.endswith("max per-value change 1.256e-04 at residual_field")
+
+
+def test_relative_change_takes_the_peak_of_its_column():
+    # a transform column of 1e-6 beside angles up to 6.0: its move is 3e-8
+    # of its own column's peak, where the output's peak would read 5e-15
+    old = b"theta,fcheck_re\n0.0,1e-06\n3.0,-5e-07\n6.0,2e-07\n"
+    new = old.replace(b"1e-06", b"1.00000003e-06")
+    assert "max rel change 3.000e-08" in cli_digest.change(old, new)
 
 
 def test_per_value_change_names_the_csv_column_and_row():
