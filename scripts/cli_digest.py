@@ -26,8 +26,9 @@ occurs.  A column's peak keeps a move in a small column from hiding behind
 another column's large values (in a spectral CSV, the angles up to 2 pi
 beside transforms of 1e-6); the per-value change shows a small number that
 moved by a large fraction of itself, and its floor keeps a value that is
-rounding noise around zero from dividing by nothing.  An output whose text outside those numbers changed (keys,
-headers, metadata, a refusal) is marked "text differs", and one whose
+rounding noise around zero from dividing by nothing.  An output whose text
+outside those numbers changed (keys, headers, metadata, a refusal) is
+marked "text differs", and one whose
 number is the same zero with the other sign (-0.0 against 0.0, which compare
 equal) "signed zero differs at <label>".  --compare exits 1 when any exit
 code differs, any output's text differs (a flipped "is_nonradiating" is
@@ -131,9 +132,9 @@ def split_numbers(data: bytes) -> tuple[list[float], list[str], list[str], list]
                   for path, t in _leaves(json.loads(text))]
     except json.JSONDecodeError:
         tokens = list(_csv_tokens(text))
-    numbers = [token for token in tokens if token[0] is not None]
+    numbers = [(value, column, label) for value, _, column, label in tokens if value is not None]
     other = [token for value, token, _, _ in tokens if value is None]
-    return [n[0] for n in numbers], [n[2] for n in numbers], [n[3] for n in numbers], other
+    return [n[0] for n in numbers], [n[1] for n in numbers], [n[2] for n in numbers], other
 
 
 def _relative(x: float, y: float, floor: float) -> float:

@@ -333,7 +333,8 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     The coefficients are computed once per (context, truncation) and kept on
     the source, with alpha and beta read-only: the transforms, the boundary
     traces, the modal field and the verdict of one source at one truncation
-    share one projection.
+    share one projection.  A source over a context of another dimension is
+    refused.
     """
     _check_dimension(ctx, src)
     if truncation is None:
@@ -390,7 +391,6 @@ def _check_dimension(ctx: WaveContext, src: SourceField) -> None:
     context differs only in kappa or R is accepted."""
     if src.ctx.dimension != ctx.dimension:
         raise ValueError(f"the source is {src.ctx.dimension}D but the context is {ctx.dimension}D")
-
 
 
 # ---------------------------------------------------------------------------

@@ -300,8 +300,9 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
     The source is projected once, at the working truncation plus
     STABILITY_MARGIN; the modal residual is computed there and re-checked on
     those coefficients cut back to the working truncation (truncation
-    stability), and the spectral syntheses read the same projection.  The exterior field is probed by direct quadrature of the
-    source itself at several radii.  The three routes must agree on which
+    stability), and the spectral syntheses read the same projection.  The
+    exterior field is probed by direct quadrature of the source itself at
+    several radii.  The three routes must agree on which
     side of the tolerance they fall; disagreement raises InconsistencyError
     instead of guessing.
     """
@@ -321,7 +322,7 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
         )
 
     dirs, _ = direction_grid(ctx, cfg.direction_count)
-    fh = fourier_on_circle(ctx, src, dirs, top)  # both the projection just made
+    fh = fourier_on_circle(ctx, src, dirs, top)  # both read the projection made above
     fc = laplace_on_circle(ctx, src, dirs, top)
     res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f if norm_f > 0 else 0.0
 
