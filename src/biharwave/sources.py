@@ -353,16 +353,16 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     # the imaginary-argument family can leave the double range; the check
     # after this block names that, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        if ctx.dimension == 2:  # orders n >= 0 only: J_-n = (-1)^n J_n, I_-n = I_n
+        # orders n >= 0 only (2D: J_-n = (-1)^n J_n, I_-n = I_n)
+        osc, mod = specfun.regular_wave_tables(ctx.dimension, truncation, kr)
+        if ctx.dimension == 2:
             n = mode_degrees(2, truncation)
-            orders = np.arange(truncation + 1)[:, None]
-            j = specfun.mirror_orders(_sp.jv(orders, kr), axis=0)
+            j = specfun.mirror_orders(osc, axis=0)
             alpha = np.sum(values * j * measure, axis=1)
-            beta = _ipow(n) * np.sum(values * _sp.iv(orders, kr)[np.abs(n)] * measure, axis=1)
+            beta = _ipow(n) * np.sum(values * mod[np.abs(n)] * measure, axis=1)
         else:
-            n = np.arange(truncation + 1)[:, None]
-            j_weighted = _sp.spherical_jn(n, kr) * measure
-            i_weighted = _sp.spherical_in(n, kr) * measure
+            j_weighted = osc * measure
+            i_weighted = mod * measure
             alpha = np.empty(len(values), dtype=complex)
             beta = np.empty_like(alpha)
             for deg in range(truncation + 1):  # per degree: one stacked product would round differently
@@ -373,6 +373,11 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
         raise OverflowError(
             f"beta coefficients are not finite at kappa*R = {ctx.kappa * ctx.radius:.6g}: the "
             f"imaginary-argument family leaves the double range (truncation {truncation})"
+        )
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError(
+            f"alpha coefficients are not finite at kappa*R = {ctx.kappa * ctx.radius:.6g} "
+            f"(truncation {truncation}): a non-finite alpha would read as a radiating source"
         )
     alpha.flags.writeable = False
     beta.flags.writeable = False

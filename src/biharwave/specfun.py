@@ -1,13 +1,19 @@
-"""Imaginary-axis Hankel functions in scaled form, orthonormal spherical
-harmonics and the separated harmonic transforms on product rules: the
-special functions the library needs beyond scipy.special.
+"""Regular radial waves over all orders, imaginary-axis Hankel functions in
+scaled form, orthonormal spherical harmonics and the separated harmonic
+transforms on product rules: the special functions the library needs beyond
+scipy.special.
 
+The regular families, J_n and I_n in 2D and the spherical j_n and i_n in
+3D, come as whole tables over the orders 0..N from one backward ratio
+recurrence (regular_wave_tables): every per-order table of them in the
+library, the modal coefficients' and the null-space probes', comes from it.
 The decaying radial family of the modified Helmholtz equation is the
 outgoing Hankel function on the positive imaginary axis.  It is evaluated
 through the modified functions K_n (never by complex continuation) and
 returned with the factor exp(t) removed, so that it stays finite for every
-representable t; order arrays broadcast against argument arrays.  The other
-Bessel families are called from scipy.special directly where they are used.
+representable t; order arrays broadcast against argument arrays.  The
+outgoing families and single-order values are called from scipy.special
+directly where they are used.
 
 Conventions
 -----------
@@ -22,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import special as _sp
+
+from .context import _check_integer
 
 _IPOW = np.array([1.0, 1j, -1.0, -1j])
 
@@ -105,6 +113,101 @@ def mirror_orders(table, axis=-1):
 
 
 # ---------------------------------------------------------------------------
+# Regular radial waves over all orders
+# ---------------------------------------------------------------------------
+# The oscillating family's ratio in row 0 (stored negated, see below), the
+# modified family's in row 1.
+_RATIO_SIGNS = np.array([[-1.0], [1.0]])
+
+# Added to every denominator of the ratio recurrence: a no-op on any nonzero
+# one (a sum or difference of c_n >= 2 / x and a ratio, so at least an ulp
+# of 2 / x), but an exact zero, which the double nearest the first zero of
+# J_0 gives at n = 1, becomes a finite ratio, and the products of ratios
+# pass through that zero as the rounding would.
+_ZERO_GUARD = 1e-100
+
+
+def regular_wave_tables(dimension: int, truncation: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """The regular radial waves of orders 0..truncation at arguments x > 0
+    (a 1-D array, or one number): (J_n(x), I_n(x)) in 2D, (j_n(x), i_n(x))
+    in 3D, each of shape (truncation + 1, len(x)).
+
+    Both families are minimal solutions of their three-term recurrences
+    (2D c_n = 2n / x, 3D c_n = (2n + 1) / x)
+
+        z_(n-1) + z_(n+1) = c_n z_n  (J, j),   z_(n-1) - z_(n+1) = c_n z_n  (I, i),
+
+    so their ratios r_n = z_n / z_(n-1) follow stably from a start order
+    far above the orders and the argument (Miller's algorithm, Gautschi,
+    SIAM Review 9 (1967) 24-82): r_n = 1 / (c_n - r_(n+1)) and
+    1 / (c_n + r_(n+1)), both families in one pass, from r = 0 at the start
+    order max(truncation, x + 10 x^(1/3)) + 16, x the largest argument.
+    Past its turning point n = x, J_n decays as an Airy function, by more
+    than 1e-13 over the 10 x^(1/3) orders, and the error of the start
+    falls as the square of that decay.
+    The products of the ratios are normalized:
+
+    * the oscillating family by its Neumann sum, 1 = J_0 + 2 sum_k J_2k
+      (2D) or sum_n (2n + 1) j_n**2 = 1 (3D), whose sign is that of the
+      pair (j_0, j_1) against (sin x, sin x / x - cos x), never ambiguous;
+    * the modified family on scipy's order-0 value, I_0 or i_0: one that
+      overflows stays inf through every order.
+
+    Against mpmath (40 digits) at the radial nodes of the 2D roots 1-14 and
+    3D roots 1-12 (kappa R up to 43.2) through the verdict truncation, at
+    x = 1e-3 and next to the zeros of J_0 and j_0: J_n and j_n within
+    3.4e-16 absolute (scipy's jv and spherical_jn: 1.5e-15), I_n and i_n
+    within 5.4e-15 relative (scipy's iv and spherical_in: 1.9e-13).  Both
+    tables on 64 nodes (2-vCPU x86-64 VM, one BLAS thread, medians of 41):
+    2D root 1 (truncation 30) 0.25-0.42 ms against 1.2-1.4 ms for scipy's
+    order sweeps, root 9 (80) 0.70-0.81 against 7.1-8.5 ms, 3D root 12
+    (100) 0.83-1.1 against 8.7-9.3 ms; on the bump's 320 nodes at 2D root 4
+    (48) 1.0-1.1 against 18-20 ms.
+
+    A non-positive or non-finite x is refused by its value.
+    """
+    if dimension not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {dimension!r}")
+    _check_integer("truncation", truncation, 0)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = ~(np.isfinite(x) & (x > 0.0))
+    if bad.any():
+        raise ValueError(f"regular wave arguments must be finite and > 0, got x = {float(x[bad][0])!r}")
+    top = float(np.max(x))
+    start = int(np.ceil(max(truncation, top + 10.0 * np.cbrt(top)))) + 16
+    n = np.arange(1, start + 1)[:, None]
+    c = (2.0 * n + (dimension - 2)) / x  # row k: c_(k+1)
+    # row n: -r_n of the oscillating family, so both rows take c_n + row
+    # and differ only in the sign of the numerator; the rows past the
+    # truncation serve the start and the Neumann sum
+    ratios = np.zeros((start + 2, 2, x.size))
+    den = np.empty((2, x.size))
+    for k in range(start, 0, -1):
+        np.add(c[k - 1], ratios[k + 1], out=den)
+        den += _ZERO_GUARD
+        np.divide(_RATIO_SIGNS, den, out=ratios[k])
+    products = np.cumprod(ratios[1:start + 1, 0], axis=0)  # row n - 1: (-1)^n z_n / z_0
+    osc = np.empty((truncation + 1, x.size))
+    if dimension == 2:
+        neumann = 1.0 + 2.0 * np.sum(products[1::2], axis=0)
+        osc[0] = 1.0 / neumann
+        np.divide(products[:truncation], neumann, out=osc[1:])
+        anchor = _sp.iv(0, x)
+    else:
+        sin, cos = np.sin(x), np.cos(x)
+        sign = np.sign(sin - ratios[1, 0] * (sin / x - cos))
+        osc[0] = sign / np.sqrt(1.0 + np.sum((2.0 * n + 1.0) * products * products, axis=0))
+        np.multiply(products[:truncation], osc[0], out=osc[1:])
+        anchor = _sp.spherical_in(0, x)
+    np.negative(osc[1::2], out=osc[1::2])
+    mod = np.empty_like(osc)
+    mod[0] = anchor
+    mod[1:] = ratios[1:truncation + 1, 1]
+    np.cumprod(mod, axis=0, out=mod)
+    return osc, mod
+
+
+# ---------------------------------------------------------------------------
 # Decaying family on the imaginary axis, exp(t)-scaled
 # ---------------------------------------------------------------------------
 def hankel1_imag_scaled(n: int, t):
@@ -181,18 +284,38 @@ def sph_analysis(truncation: int, values, theta, weights) -> np.ndarray:
     sum over nodes of weight * values * conj(Y_n^m), as the dense block
     gives it.  After the FFT each data set costs about polar * (N+1)**2
     products, against the dense block's polar * azimuth * (N+1)**2.
+
+    The FFT is a real one: a complex data set goes through as its real and
+    its imaginary row, whose sums are recombined at the end.  Column j of
+    rfft holds the azimuthal frequencies j = 0..azimuth/2; a frequency
+    above that is the conjugate of column azimuth - j (real rows).
     """
     values = np.asarray(values)
-    azimuth = values.shape[2]
-    # fft's exp(-2 pi i m j / azimuth) is conj(exp(i m phi_j)); order m and
-    # m mod azimuth coincide on the lattice
-    columns = np.moveaxis(np.fft.fft(values, axis=2), 2, 0)  # (azimuth, k, polar)
+    count, azimuth = values.shape[0], values.shape[2]
+    split = np.iscomplexobj(values)
+    if split:
+        values = np.stack([values.real, values.imag], axis=1).reshape((2 * count,) + values.shape[1:])
+    # rfft's exp(-2 pi i m j / azimuth) is conj(exp(i m phi_j)); order m and
+    # m mod azimuth coincide on the lattice.  Each column is a real block of
+    # (polar, rows) real and imaginary parts, interleaved, so the Legendre
+    # sums are real products.
+    spectrum = np.fft.rfft(values, axis=2)  # (rows, polar, azimuth // 2 + 1)
+    columns = np.ascontiguousarray(spectrum.transpose(2, 1, 0)).view(float)
     table = _legendre_table(truncation, theta) * np.asarray(weights, dtype=float)
     degrees = np.arange(truncation + 1)
-    out = np.empty(((truncation + 1) ** 2, values.shape[0]), dtype=complex)
+    sums = np.empty(((truncation + 1) ** 2, len(values)), dtype=complex)
     for m in range(-truncation, truncation + 1):
         n = degrees[abs(m):]
-        out[n * n + n + m] = table[abs(m):, m] @ columns[m % azimuth].T
+        j = m % azimuth
+        mirrored = 2 * j > azimuth
+        part = (table[abs(m):, m] @ columns[azimuth - j if mirrored else j]).view(complex)
+        sums[n * n + n + m] = part.conj() if mirrored else part
+    if not split:
+        return sums
+    re, im = sums[:, 0::2], sums[:, 1::2]  # re + i im, without 0 * x terms
+    out = np.empty((len(sums), count), dtype=complex)
+    out.real = re.real - im.imag
+    out.imag = re.imag + im.real
     return out
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from . import fields, specfun
 from .context import WaveContext, _check_integer, _is_real
@@ -161,15 +160,17 @@ def _synthesis(ctx, basis, weights) -> np.ndarray:
     return (2.0 * np.pi if ctx.dimension == 2 else 4.0 * np.pi) * basis @ weights
 
 
-def _on_circle(ctx, src, directions, sign, truncation):
-    """Mode synthesis of sign**n-weighted coefficients at the directions:
-    sign -1 pairs (-i)^n with alpha, sign +1 pairs i^n with beta."""
+def _on_circle(ctx, src, directions, signs, truncation):
+    """Mode syntheses of sign**n-weighted coefficients at the directions, one
+    per sign and all from one angular basis: sign -1 pairs (-i)^n with
+    alpha, sign +1 pairs i^n with beta."""
     dirs = _check_directions(ctx, directions)
     coeffs = modal_coefficients(ctx, src, truncation)
     N = coeffs.truncation
     basis = specfun.angular_basis(ctx.dimension, N, *spherical_params(dirs)[1:])
-    modes = coeffs.alpha if sign < 0 else coeffs.beta
-    return _synthesis(ctx, basis, _ipow(sign * mode_degrees(ctx.dimension, N)) * modes)
+    degrees = mode_degrees(ctx.dimension, N)
+    return [_synthesis(ctx, basis, _ipow(sign * degrees) * (coeffs.alpha if sign < 0 else coeffs.beta))
+            for sign in signs]
 
 
 def fourier_on_circle(ctx: WaveContext, src: SourceField, directions, truncation: int | None = None) -> np.ndarray:
@@ -180,7 +181,7 @@ def fourier_on_circle(ctx: WaveContext, src: SourceField, directions, truncation
     2D: 2 pi sum_n (-i)^n alpha_n exp(i n arg(dir));
     3D: 4 pi sum_(n, m) (-i)^n alpha_n^m Y_n^m(dir).
     """
-    return _on_circle(ctx, src, directions, -1, truncation)
+    return _on_circle(ctx, src, directions, (-1,), truncation)[0]
 
 
 def laplace_on_circle(ctx: WaveContext, src: SourceField, directions, truncation: int | None = None) -> np.ndarray:
@@ -192,7 +193,7 @@ def laplace_on_circle(ctx: WaveContext, src: SourceField, directions, truncation
     3D: 4 pi sum_(n, m) i^n beta_n^m Y_n^m(dir).
     """
     _check_exp_weight(ctx)
-    return _on_circle(ctx, src, directions, 1, truncation)
+    return _on_circle(ctx, src, directions, (1,), truncation)[0]
 
 
 def fourier_transform_quadrature(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
@@ -269,11 +270,15 @@ def nullspace_residual(
     coeffs = modal_coefficients(ctx, src, truncation)
     _, params = direction_grid(ctx, 16)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(params))
-    degrees = mode_degrees(ctx.dimension, coeffs.truncation)
-    regular = _sp.jv if ctx.dimension == 2 else _sp.spherical_jn
+    # one regular wave per order (2D, mirrored to -N..N) or degree (3D) and
+    # radius, repeated over the modes: rows by radius
+    regular, _ = specfun.regular_wave_tables(ctx.dimension, coeffs.truncation, ctx.kappa * radii)
+    if ctx.dimension == 2:
+        regular = specfun.mirror_orders(regular, axis=0)
+    regular = fields._per_mode(ctx, regular.T)
     worst = 0.0
-    for r in radii:
-        reg = _synthesis(ctx, basis, regular(degrees, ctx.kappa * r) * coeffs.alpha)
+    for r, wave in zip(radii, regular):
+        reg = _synthesis(ctx, basis, wave * coeffs.alpha)
         _, f_m = fields._modal_series(ctx, coeffs, np.full(len(params), r), basis)
         # the decaying-kernel integral is minus the modified radiation part
         worst = max(worst, float(np.max(np.abs(reg) + np.abs(f_m))))
@@ -322,8 +327,10 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
         )
 
     dirs, _ = direction_grid(ctx, cfg.direction_count)
-    fh = fourier_on_circle(ctx, src, dirs, top)  # both read the projection made above
-    fc = laplace_on_circle(ctx, src, dirs, top)
+    _check_exp_weight(ctx)
+    # fourier_on_circle and laplace_on_circle from one angular basis, both
+    # reading the projection made above
+    fh, fc = _on_circle(ctx, src, dirs, (-1, 1), top)
     res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f if norm_f > 0 else 0.0
 
     probe_radii = np.array(PROBE_FACTORS) * ctx.radius

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from biharwave import WaveContext
+from biharwave import WaveContext, specfun
 from biharwave.fields import boundary_trace, eval_field_batch
 from biharwave.quadrature import boundary_grid, product_grid
 from biharwave.spectral import STABILITY_MARGIN, direction_grid, fourier_on_circle, laplace_on_circle, verdict
-from biharwave.specfun import angular_basis
+from biharwave.specfun import angular_basis, regular_wave_tables
 from biharwave.sources import (
     SourceField,
     SupportViolationError,
@@ -144,18 +144,50 @@ class TestModalCoefficients:
                 warnings.simplefilter("error")
                 modal_coefficients(ctx, gaussian_source(ctx), 4)
 
+    def test_non_finite_alpha_named(self, monkeypatch):
+        # a NaN alpha would make max_residual NaN, which reads as "radiating"
+        tables = specfun.regular_wave_tables
+
+        def nan_wave(dimension, truncation, x):
+            osc, mod = tables(dimension, truncation, x)
+            osc[1, 0] = np.nan
+            return osc, mod
+
+        monkeypatch.setattr(specfun, "regular_wave_tables", nan_wave)
+        for ctx in (CTX2, CTX3):
+            with pytest.raises(ValueError, match=r"alpha coefficients are not finite at kappa\*R"):
+                modal_coefficients(ctx, gaussian_source(ctx), 4)
+
     def test_2d_broadcast_matches_per_mode_loop(self):
-        # reference: one scalar-order sum per mode; the broadcast sums must agree bit for bit
+        # reference: one scalar-order sum per mode over rows of the regular
+        # wave tables, J_-n = (-1)^n J_n; the broadcast sums must agree bit for bit
         src = gaussian_source(CTX2, center=[0.2, -0.1], sigma=0.2)
         co = modal_coefficients(CTX2, src, 7)
         modal = project_modes(src, 7)
         kr = CTX2.kappa * modal.rule.nodes
         meas = modal.rule.weights * modal.rule.nodes
+        j, i = regular_wave_tables(2, 7, kr)
         for n in range(-7, 8):
             prof = modal.profile(n)
-            alpha = np.sum(prof * sp.jv(n, kr) * meas)
-            beta = 1j ** (n % 4) * np.sum(prof * sp.iv(abs(n), kr) * meas)
+            mirror = -1.0 if n < 0 and n % 2 else 1.0
+            alpha = np.sum(prof * (mirror * j[abs(n)]) * meas)
+            beta = 1j ** (n % 4) * np.sum(prof * i[abs(n)] * meas)
             assert (co.alpha[n + 7], co.beta[n + 7]) == (alpha, beta)
+
+    def test_3d_per_degree_sums_match_mode_profiles(self):
+        # reference: the profiles of one degree, gathered by (n, m), against
+        # that degree's row of the regular wave tables; bit for bit
+        src = gaussian_source(CTX3, center=[0.2, -0.1, 0.3], sigma=0.3)
+        co = modal_coefficients(CTX3, src, 6)
+        modal = project_modes(src, 6)
+        kr = CTX3.kappa * modal.rule.nodes
+        meas = modal.rule.weights * modal.rule.nodes**2
+        j, i = regular_wave_tables(3, 6, kr)
+        for n in range(7):
+            profiles = np.array([modal.profile(n, m) for m in range(-n, n + 1)])
+            rows = slice(n * n, (n + 1) ** 2)
+            np.testing.assert_array_equal(co.alpha[rows], profiles @ (j[n] * meas))
+            np.testing.assert_array_equal(co.beta[rows], 1j ** n * (profiles @ (i[n] * meas)))
 
     def test_truncated_matches_lower_projection(self):
         src = gaussian_source(CTX2, center=[0.2, -0.1], sigma=0.2)

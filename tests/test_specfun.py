@@ -1,19 +1,26 @@
 """Special functions: frozen oracle values, identities, error paths.
 
-The real-axis Bessel/Hankel families, the spherical Bessel functions and
-single spherical harmonics are checked at the scipy.special routines the
-library calls; the imaginary-axis family J_n(i t) = i**n I_|n|(t) is checked
-where the library evaluates it, as beta of single-mode sources.
+The regular-wave tables over all orders (J_n, I_n, j_n, i_n) are checked
+against mpmath; the outgoing Bessel/Hankel families and single spherical
+harmonics at the scipy.special routines the library calls; the
+imaginary-axis family J_n(i t) = i**n I_|n|(t) also where the library
+evaluates it, as beta of single-mode sources.
 """
+
+import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from biharwave import WaveContext, specfun
-from biharwave.quadrature import angular_rule, boundary_grid
-from biharwave.sources import SourceField, modal_coefficients, project_modes
+from biharwave.quadrature import angular_rule, boundary_grid, radial_rule
+from biharwave.sources import SourceField, default_mode_truncation, modal_coefficients, project_modes
+from biharwave.spectral import STABILITY_MARGIN
 
 import oracles
 
@@ -145,6 +152,95 @@ def test_mirror_orders_matches_negative_orders(axis):
         got = specfun.mirror_orders(half if axis == 0 else half.T, axis=axis)
         assert np.array_equal(got if axis == 0 else got.T, full)
     assert np.array_equal(specfun.mirror_orders(np.array([2.5])), [2.5])
+
+
+def _mp_regular(dimension, n, x):
+    """(J_n(x), I_n(x)) in 2D, (j_n(x), i_n(x)) in 3D, from mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(float(x))
+        if dimension == 2:
+            return float(mpmath.besselj(n, x)), float(mpmath.besseli(n, x))
+        scale = mpmath.sqrt(mpmath.pi / (2 * x))
+        return float(scale * mpmath.besselj(n + 0.5, x)), float(scale * mpmath.besseli(n + 0.5, x))
+
+
+# J_n and j_n absolute, I_n and i_n relative (down to the smallest normal double)
+OSC_ABS, MOD_REL = 5e-16, 1e-14
+
+
+def _table_errors(dimension, entries, osc, mod):
+    """Largest error of each family over the (order, column, x) entries
+    (NaN if any entry is NaN, so that no bound is met)."""
+    n, col, x = (np.array(v) for v in zip(*entries))
+    ref = np.array([_mp_regular(dimension, order, xc) for order, xc in zip(n, x)])
+    j_err = np.abs(osc[n, col] - ref[:, 0])
+    i_err = np.abs(mod[n, col] - ref[:, 1]) / np.maximum(ref[:, 1], np.finfo(float).tiny)
+    return np.max(j_err), np.max(i_err)
+
+
+class TestRegularWaveTables:
+    """specfun.regular_wave_tables against mpmath: the orders and arguments
+    of the modal coefficients, and the zeros of J_0 and j_0, where the
+    Bessel sources live."""
+
+    @pytest.mark.parametrize("dimension, root", [(2, 1), (2, 9), (2, 14), (3, 1), (3, 12)])
+    def test_matches_mpmath_on_modal_nodes(self, dimension, root):
+        # every 8th radial node (the first, kappa r near 1e-3, among them)
+        # and the last, through the verdict truncation
+        ctx = WaveContext.with_root_wavenumber(dimension, 1.0, root)
+        top = default_mode_truncation(ctx) + STABILITY_MARGIN
+        nodes = radial_rule(ctx).nodes
+        x = ctx.kappa * np.append(nodes[::8], nodes[-1])
+        osc, mod = specfun.regular_wave_tables(dimension, top, x)
+        assert osc.shape == mod.shape == (top + 1, x.size)
+        entries = [(n, col, xc) for col, xc in enumerate(x) for n in range(top + 1)]
+        j_err, i_err = _table_errors(dimension, entries, osc, mod)
+        assert j_err <= OSC_ABS and i_err <= MOD_REL
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_matches_mpmath_next_to_zeros(self, dimension):
+        # the double nearest the first zero of J_0 (J0_FIRST_ROOT) and of J_1
+        # make a denominator of the ratio recurrence exactly zero; at the
+        # double nearest 29 pi the sign of sin x alone would flip every j_n
+        if dimension == 2:
+            zeros = np.concatenate([sp.jn_zeros(0, 14)[[0, 6, 13]], [J0_FIRST_ROOT], sp.jn_zeros(1, 1)])
+        else:
+            zeros = np.pi * np.array([1.0, 6.0, 12.0, 29.0])
+        x = np.concatenate([zeros, np.nextafter(zeros, 0.0), np.nextafter(zeros, np.inf), [1e-3]])
+        osc, mod = specfun.regular_wave_tables(dimension, 60, x)
+        entries = [(n, col, xc) for col, xc in enumerate(x) for n in (0, 1, 2, 3, 17, 60)]
+        j_err, i_err = _table_errors(dimension, entries, osc, mod)
+        assert j_err <= OSC_ABS and i_err <= MOD_REL
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        dimension=st.sampled_from([2, 3]),
+        truncation=st.integers(0, 120),
+        x=st.lists(st.floats(1e-3, 60.0), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_random_entries_match_mpmath(self, dimension, truncation, x, data):
+        osc, mod = specfun.regular_wave_tables(dimension, truncation, x)
+        entry = st.tuples(st.integers(0, truncation), st.integers(0, len(x) - 1))
+        picks = data.draw(st.lists(entry, min_size=1, max_size=3))
+        j_err, i_err = _table_errors(dimension, [(n, col, x[col]) for n, col in picks], osc, mod)
+        assert j_err <= OSC_ABS and i_err <= MOD_REL
+
+    @pytest.mark.parametrize("bad", [0.0, -1.5, np.nan, np.inf])
+    def test_refuses_argument_by_value(self, bad):
+        for dimension in (2, 3):
+            with pytest.raises(ValueError, match=rf"x = {re.escape(repr(float(bad)))}$"):
+                specfun.regular_wave_tables(dimension, 4, [1.0, bad])
+
+    def test_overflowing_order_zero_stays_inf(self):
+        # I_0(800) and i_0(800) leave the double range: every order is inf,
+        # never NaN, and no warning fires
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dimension in (2, 3):
+                osc, mod = specfun.regular_wave_tables(dimension, 40, [1.0, 800.0])
+                assert np.all(np.isfinite(osc)) and np.all(np.isfinite(mod[:, 0]))
+                assert np.all(mod[:, 1] == np.inf)
 
 
 class TestHankelFamily:
@@ -330,14 +426,18 @@ class TestSeparatedTransforms:
     dense harmonic block on the same product rule."""
 
     @pytest.mark.parametrize(
-        "truncation, polar", [(8, 16), (31, 32), (40, 16)],
-        ids=["N8", "N31", "N40-folded"],
+        "truncation, polar, real", [(8, 16, False), (31, 32, False), (40, 16, False), (8, 16, True), (40, 16, True)],
+        ids=["N8", "N31", "N40-folded", "N8-real", "N40-folded-real"],
     )
-    def test_analysis_matches_dense_block(self, truncation, polar):
+    def test_analysis_matches_dense_block(self, truncation, polar, real):
         # N40-folded: orders above azimuth/2 = 16 alias onto lattice columns
-        # in both routes alike
+        # in both routes alike.  Every data set takes the real FFT (a complex
+        # one as its real and imaginary rows): orders m < 0, and the folded
+        # orders above azimuth/2, by conjugate symmetry
         rule = angular_rule(WaveContext(3, 1.0, 1.0), polar)
         values = _random_complex(3, rule.count, truncation)
+        if real:
+            values = values.real
         got = specfun.sph_analysis(truncation, values.reshape(3, polar, rule.azimuth_count), *rule.rings)
         ref = oracles.dense_sph_analysis(truncation, values, rule)
         assert got.shape == ((truncation + 1) ** 2, 3)

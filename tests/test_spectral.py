@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from biharwave import WaveContext
+from biharwave import WaveContext, specfun
 from biharwave.fields import BoundaryTrace, boundary_trace, eval_field_batch, far_field
 from biharwave.quadrature import boundary_grid, product_grid
 from biharwave.sources import (
@@ -220,6 +220,24 @@ class TestNullspaceResidual:
     def test_zero_source(self):
         assert nullspace_residual(CTX2, SourceField.zero(CTX2), [2.0]) == 0.0
 
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_regular_waves_per_mode_match_scipy(self, ctx, monkeypatch):
+        # the regular-wave probe integral reads one table value per order
+        # (3D: degree) and radius, expanded over the modes; on scipy's order
+        # sweeps instead the residual moves by rounding only
+        src = _gaussian(ctx)
+        radii = [1.05, 1.5, 3.0]
+        got = nullspace_residual(ctx, src, radii, 12)
+        wave, modified = (sp.jv, sp.iv) if ctx.dimension == 2 else (sp.spherical_jn, sp.spherical_in)
+
+        def scipy_tables(dimension, truncation, x):
+            orders = np.arange(truncation + 1)[:, None]
+            return wave(orders, x), modified(orders, x)
+
+        monkeypatch.setattr(specfun, "regular_wave_tables", scipy_tables)
+        ref = nullspace_residual(ctx, src, radii, 12)
+        assert abs(got - ref) <= 1e-14 * ref
+
     def test_probe_radii_validated(self):
         with pytest.raises(ValueError):
             nullspace_residual(CTX2, SourceField.zero(CTX2), [0.5])
@@ -374,6 +392,17 @@ class TestVerdict:
         verdict(CTX3, src)
         grid = product_grid(CTX3, src.resolve_radial_order())
         assert kernel_values[0] <= 12 * grid.points.shape[0]
+
+    def test_spectral_syntheses_share_one_basis(self, harmonic_blocks):
+        # fourier_on_circle and laplace_on_circle from one harmonic block,
+        # with the values the two public transforms give
+        src = _gaussian(CTX3)
+        result = verdict(CTX3, src)
+        assert harmonic_blocks[0] == 1
+        dirs, _ = direction_grid(CTX3, VerdictConfig().direction_count)
+        fh = fourier_on_circle(CTX3, src, dirs, result.truncation)
+        fc = laplace_on_circle(CTX3, src, dirs, result.truncation)
+        assert result.residual_spectral == float(np.max(np.abs(fh) + np.abs(fc))) / result.norm_f
 
 
 class TestNonuniqueness:
