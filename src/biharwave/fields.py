@@ -14,16 +14,19 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   (kernels.kernel_tables: Re phi_h, Im phi_h, phi_m), so each point's sums
   are one real matrix product, never complex arithmetic.  Points that are
   images of each other under the grid's symmetries (azimuth-step rotations,
-  phi -> -phi and, in 3D, z -> -z) share one point's tables, summed against
-  the rows permuted to each image; the quadrature takes one symmetry group
-  at a time.  The far field and the volume transforms sum cos and sin (or
-  exp) of the real phase kappa dir . y against the same rows, in blocks of
-  directions of bounded size (_phase_sums, which also takes the complex
-  channel columns of the spectral module's boundary-data functionals and
-  lays out their rows itself); cos and sin come from one half-angle tangent
-  (specfun.cos_sin, within 2.2e-16 of mpmath).  Every node-length array of
-  a call (distances, tables, permuted rows, phases) lives in buffers
-  allocated once per call and reused, and
+  phi -> -phi and, in 3D, z -> -z) share the tables of one canonical point,
+  summed against the rows permuted to each image; where that point lies on
+  a mirror of the grid, its tables are evaluated on a fundamental domain of
+  its stabilizer and mirrored (a 2D verdict evaluates 129 of every 256
+  azimuth columns).  The quadrature walks the grid in radial blocks of at
+  most _RADIAL_BLOCK nodes, whose distances, tables and rows live in
+  block-sized buffers allocated once per call.  The far field and the
+  volume transforms sum cos and sin (or exp) of the real phase
+  kappa dir . y against the same rows, in blocks of directions of bounded
+  size (_phase_sums, which also takes the complex channel columns of the
+  spectral module's boundary-data functionals and lays out their rows
+  itself); cos and sin come from one half-angle tangent (specfun.cos_sin,
+  within 2.2e-16 of mpmath), into a buffer allocated once per call, and
 * angular-mode series built from the source's modal coefficients
   (sources.modal_coefficients, which the source keeps per truncation; valid
   from the support radius outward), which is also how boundary traces are
@@ -62,6 +65,11 @@ _LATTICE_TOL = 1e-12
 # Table entries (directions times nodes) per block of directions in
 # _phase_sums: 1.5 MB of phase, cos and sin at a time.
 _PHASE_BLOCK = 1 << 16
+
+# Nodes per radial block of the direct quadrature (_eval_quadrature): the
+# block's distances, kernel tables and weighted and permuted rows stay in a
+# 2 MB L2 cache.
+_RADIAL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,9 @@ def _symmetry_groups(angular, pts):
     Each point is the image of a canonical point (r, theta_c, f) with
     theta_c <= pi / 2 and f in [0, 1/2]: its azimuth is (s + eps f) 2 pi / n
     and its polar angle pi - theta_c when flipped.  Points whose canonical
-    forms agree share a group.  Returns each point's group, the first point
-    of each group, and each point's s, eps and flip.
+    forms agree share a group.  Returns each point's group, s, eps and flip,
+    and the canonical form (r, theta_c, f) of each group's first point, with
+    f snapped to 0 or 1/2 and theta_c to pi / 2 within _LATTICE_TOL.
     """
     r, theta, phi = spherical_params(pts)
     if angular.dimension == 2:
@@ -126,24 +135,50 @@ def _symmetry_groups(angular, pts):
     theta = np.where(flip, np.pi - theta, theta)
     ids = np.column_stack([_snap(r, relative=True), _snap(theta), _snap(f)])
     _, first, group = np.unique(ids, axis=0, return_index=True, return_inverse=True)
-    return group, first, s, eps, flip
+    f0, theta0 = f[first], theta[first]
+    for key, lattice in ((f0, 0.0), (f0, 0.5), (theta0, 0.5 * np.pi)):
+        key[np.abs(key - lattice) <= _LATTICE_TOL] = lattice
+    return group, s, eps, flip, (r[first], theta0, f0)
 
 
-def _real_rows(data, weights):
+def _canonical_point(angular, r, theta, f):
+    """The canonical point q0 = (r, theta, f 2 pi / n) of a symmetry group,
+    and the part of the grid's (polar, azimuth) lattice its kernel tables
+    need: the first `rings` polar rings and azimuth columns lo..hi-1, a
+    fundamental domain of q0's stabilizer.  The tables are mirror-symmetric
+    under l -> -l when f = 0 (columns 0..n/2), under l -> 1 - l when f = 1/2
+    (columns 1..n/2) and, in 3D, under j -> P-1-j when theta = pi / 2 (rings
+    0..P/2-1)."""
+    n = angular.azimuth_count or angular.count
+    polar = max(angular.polar_count, 1)
+    phi = f * (2.0 * np.pi / n)
+    equator = angular.dimension == 3 and theta == 0.5 * np.pi
+    if angular.dimension == 2:
+        q0 = r * np.array([np.cos(phi), np.sin(phi)])
+    else:
+        # on the equator exactly: cos(pi / 2) rounds to 6e-17
+        st, ct = (1.0, 0.0) if equator else (np.sin(theta), np.cos(theta))
+        q0 = r * np.array([st * np.cos(phi), st * np.sin(phi), ct])
+    rings = (polar + 1) // 2 if equator else polar
+    lo, hi = (0, n // 2 + 1) if f == 0.0 else (1, (n + 1) // 2 + 1) if f == 0.5 else (0, n)
+    return q0, (rings, lo, hi)
+
+
+def _real_rows(data, weights, out=None):
     """data of shape (nodes,) or (parts, nodes) times the node weights, as
-    one C-contiguous block of real rows: a real part is one row, a complex
-    part its (real, imaginary) row pair."""
+    one C-contiguous block of real rows (into out when given): a real part
+    is one row, a complex part its (real, imaginary) row pair."""
     data = np.atleast_2d(data)
     if np.iscomplexobj(data):
         data = np.stack([data.real, data.imag], axis=1).reshape(-1, data.shape[-1])
-    return data * weights
+    return np.multiply(data, weights, out=out)
 
 
 def _node_images(rows, shape, shift, sign, reverse, out):
-    """Rows over the product grid (shape (radial, polar, azimuth) each) taken
-    at each node's image under a grid symmetry: azimuth index l goes to
-    shift + sign l (mod n), and the polar rings reverse when reverse.  The
-    images are written into out (rows' shape); the identity passes rows
+    """Rows over a block of the product grid (shape (radial, polar, azimuth)
+    each) taken at each node's image under a grid symmetry: azimuth index l
+    goes to shift + sign l (mod n), and the polar rings reverse when reverse.
+    The images are written into out (rows' shape); the identity passes rows
     through."""
     if shift == 0 and sign == 1 and not reverse:
         return rows
@@ -159,8 +194,9 @@ def _node_images(rows, shape, shift, sign, reverse, out):
 
 def _distances(point, nodes_t, out, scratch):
     """|point - y| for every node y into out, summed one coordinate at a time
-    in the order np.linalg.norm sums them; nodes_t holds the node coordinates
-    as rows, and scratch (out's shape) takes each coordinate's differences."""
+    in the order np.linalg.norm sums them; nodes_t[k] holds the nodes' k-th
+    coordinates (out's shape), and scratch (out's shape) takes each
+    coordinate's differences."""
     np.subtract(point[0], nodes_t[0], out=out)
     out *= out
     for k in range(1, len(point)):
@@ -170,44 +206,85 @@ def _distances(point, nodes_t, out, scratch):
     return np.sqrt(out, out=out)
 
 
-def _eval_quadrature(ctx, src, pts):
-    """f_h and f_m at the points by direct quadrature, one symmetry group at a
-    time.  Only the first point q of each group gets kernel tables; another
-    member m is h(q) for a grid symmetry h, so |m - h(y)| = |q - y| and m
-    sums q's tables against the weighted rows at h(y): the source's own
-    values, permuted.
+def _group_tables(ctx, q0, domain, nodes_t, tables, work):
+    """q0's three kernel tables over a block of the grid (nodes_t of shape
+    (d, radial, polar, azimuth), tables of shape (3, radial, polar,
+    azimuth)), evaluated on the domain (rings, lo, hi) of _canonical_point
+    only and mirrored into the rest of the block by slice copies.  work, of
+    shape (4, block nodes), takes the domain's distances (the next row also
+    their scratch) and then its tables; without a stabilizer the tables are
+    evaluated in place."""
+    rings, lo, hi = domain
+    polar, n = tables.shape[2:]
+    if rings == polar and hi - lo == n:
+        dist, scratch = work[0].reshape(tables.shape[1:]), work[1].reshape(tables.shape[1:])
+        return kernel_tables(ctx, _distances(q0, nodes_t, dist, scratch), out=tables)
+    nodes_t = nodes_t[:, :, :rings, lo:hi]
+    shape, size = nodes_t.shape[1:], nodes_t[0].size
+    part = work[:, :size].reshape((4,) + shape)
+    kernel_tables(ctx, _distances(q0, nodes_t, part[0], part[1]), out=part[1:])
+    tables[:, :, :rings, lo:hi] = part[1:]
+    if hi - lo < n:  # l -> lo - l: columns hi..n-1 from lo+n-hi..lo+1
+        tables[:, :, :rings, hi:] = tables[:, :, :rings, lo + 1:lo + n - hi + 1][..., ::-1]
+        tables[:, :, :rings, :lo] = tables[:, :, :rings, 1:lo + 1]
+    if rings < polar:  # j -> polar-1-j
+        tables[:, :, rings:] = tables[:, :, :polar - rings][:, :, ::-1]
+    return tables
 
-    Every node-length array lives in buffers allocated once per call: the
-    distances and the three kernel tables, and the images of the rows."""
+
+def _eval_quadrature(ctx, src, pts):
+    """f_h and f_m at the points by direct quadrature, in radial blocks of the
+    source's grid of at most _RADIAL_BLOCK nodes.
+
+    Each symmetry group's kernel tables are those of its canonical point q0
+    (_canonical_point); every member m is h(q0) for a grid symmetry h, so
+    |m - h(y)| = |q0 - y| and m sums q0's tables against the weighted rows
+    at h(y): the source's own values, permuted.  Where q0 lies on a mirror
+    of the grid, its tables are evaluated on a fundamental domain of its
+    stabilizer and mirrored (_group_tables).
+
+    Each block's node coordinates, weighted rows, distances, tables and row
+    images live in block-sized buffers allocated once per call, small
+    enough to stay in a 2 MB L2 cache; each point adds its six real sums
+    (three tables against the real and the imaginary row) across the
+    blocks."""
     _check_dimension(ctx, src)
     grid, values = src.default_samples()  # a real source's values stay real
-    rows = _real_rows(values, grid.weights)
+    values = np.atleast_2d(values)
     angular = grid.angular
-    n = angular.azimuth_count or angular.count
-    shape = (grid.radial.order, max(angular.polar_count, 1), n)
-    group, first, s, eps, flip = _symmetry_groups(angular, pts)
-    members = np.argsort(group, kind="stable")  # by group, each group's first point first
-    bounds = np.searchsorted(group[members], np.arange(first.size + 1))
-    f_h, f_m = np.zeros((2, pts.shape[0]), dtype=complex)
-    nodes_t = np.ascontiguousarray(grid.points.T)
-    # rows: the distances, then the three kernel tables (the first also the
-    # distances' scratch)
-    work = np.empty((4, nodes_t.shape[1]))
-    image = np.empty_like(rows)
+    shape = (grid.radial.order, max(angular.polar_count, 1), angular.azimuth_count or angular.count)
+    ring = shape[1] * shape[2]
+    step = max(1, _RADIAL_BLOCK // ring)  # radial nodes per block
+    group, s, eps, flip, canonical = _symmetry_groups(angular, pts)
+    members = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[members], np.arange(len(canonical[0]) + 1))
+    groups = [(_canonical_point(angular, *c), members[bounds[g]:bounds[g + 1]])
+              for g, c in enumerate(zip(*canonical))]
+    d, k = ctx.dimension, len(values) * (2 if np.iscomplexobj(values) else 1)
+    # flat buffers, so that every block's views of them are contiguous
+    size = min(step, shape[0]) * ring
+    nodes_buf, work_buf, table_buf = np.empty(d * size), np.empty(4 * size), np.empty(3 * size)
+    rows_buf, image_buf = np.empty(k * size), np.empty(k * size)
     # each table against the real and the imaginary row; a real source's
     # absent imaginary row sums to +0.0
-    sums = np.zeros((3, 2))
-    for g, q in enumerate(first):
-        kernel_tables(ctx, _distances(pts[q], nodes_t, work[0], work[1]), out=work[1:])
-        for m in members[bounds[g]:bounds[g + 1]]:
-            # azimuth l -> s_m + eps_m eps_q (l - s_q), polar rings mirrored when the flips differ
-            sign = eps[m] * eps[q]
-            shift = (s[m] - sign * s[q]) % n
-            v = _node_images(rows, shape, shift, sign, flip[m] != flip[q], image)
-            np.matmul(work[1:], v.T, out=sums[:, :len(rows)])
-            (re_a, re_b), (im_a, im_b), (m_a, m_b) = sums
-            f_h[m] = complex(im_b - re_a, -(re_b + im_a))
-            f_m[m] = complex(-m_a, -m_b)
+    sums = np.zeros((len(pts), 3, 2))
+    for i in range(0, shape[0], step):
+        block = (min(i + step, shape[0]) - i,) + shape[1:]
+        nodes, b = slice(i * ring, i * ring + block[0] * ring), block[0] * ring
+        nodes_t = nodes_buf[:d * b].reshape(d, b)
+        np.copyto(nodes_t, grid.points[nodes].T)
+        rows = _real_rows(values[:, nodes], grid.weights[nodes], out=rows_buf[:k * b].reshape(k, b))
+        image, tables = image_buf[:k * b].reshape(k, b), table_buf[:3 * b].reshape(3, b)
+        work = work_buf[:4 * b].reshape(4, b)
+        for (q0, domain), group_members in groups:
+            _group_tables(ctx, q0, domain, nodes_t.reshape((d,) + block), tables.reshape((3,) + block), work)
+            for m in group_members:
+                v = _node_images(rows, block, s[m], eps[m], flip[m], image)
+                sums[m, :, :k] += tables @ v.T
+    (re_a, re_b), (im_a, im_b), (m_a, m_b) = sums.transpose(1, 2, 0)
+    f_h, f_m = np.empty((2, len(pts)), dtype=complex)
+    f_h.real, f_h.imag = im_b - re_a, -(re_b + im_a)
+    f_m.real, f_m.imag = -m_a, -m_b  # complex(-m_a, -m_b): a real source's f_m.imag is -0.0
     return f_h, f_m
 
 
@@ -379,11 +456,15 @@ def eval_field_batch(
     method 'quadrature' integrates the kernels against the source and needs
     every point strictly outside the support radius.  Points that are images
     of each other under the symmetries of the source's product grid (rotation
-    by its azimuth step, phi -> -phi and, in 3D, z -> -z) share one kernel
-    table: a ring of probes on the 2D grid's angle lattice takes one table
-    per radius, and the 54 probes of a 3D verdict take 12.  Each point still
-    sums the source's own values, permuted to its image; scattered points
-    take one table each.  'modal' sums the exterior angular-mode series of
+    by its azimuth step, phi -> -phi and, in 3D, z -> -z) share the kernel
+    tables of one canonical point, evaluated only on a fundamental domain of
+    its stabilizer when it lies on a mirror of the grid: a ring of probes on
+    the 2D grid's angle lattice takes one table per radius, 129 of its 256
+    azimuth columns evaluated (24,768 kernel values for a 2D verdict on the
+    64 x 256 grid), and the 54 probes of a 3D verdict take 12 tables,
+    893,952 kernel values of 1,572,864.  Each point still sums the source's
+    own values, permuted to its image, in radial blocks of the grid;
+    scattered points take one whole table each.  'modal' sums the exterior angular-mode series of
     the source's coefficients at the truncation (default_mode_truncation
     when None; valid from the support radius outward).  Points with a
     coordinate that is not finite are refused.

@@ -285,21 +285,19 @@ def sph_analysis(truncation: int, values, theta, weights) -> np.ndarray:
     gives it.  After the FFT each data set costs about polar * (N+1)**2
     products, against the dense block's polar * azimuth * (N+1)**2.
 
-    The FFT is a real one: a complex data set goes through as its real and
-    its imaginary row, whose sums are recombined at the end.  Column j of
-    rfft holds the azimuthal frequencies j = 0..azimuth/2; a frequency
-    above that is the conjugate of column azimuth - j (real rows).
+    A real data set takes rfft: column j holds the azimuthal frequencies
+    j = 0..azimuth/2, and a frequency above that is the conjugate of column
+    azimuth - j.  A complex data set takes one complex FFT, whose columns
+    hold every frequency.
     """
     values = np.asarray(values)
-    count, azimuth = values.shape[0], values.shape[2]
-    split = np.iscomplexobj(values)
-    if split:
-        values = np.stack([values.real, values.imag], axis=1).reshape((2 * count,) + values.shape[1:])
-    # rfft's exp(-2 pi i m j / azimuth) is conj(exp(i m phi_j)); order m and
-    # m mod azimuth coincide on the lattice.  Each column is a real block of
-    # (polar, rows) real and imaginary parts, interleaved, so the Legendre
-    # sums are real products.
-    spectrum = np.fft.rfft(values, axis=2)  # (rows, polar, azimuth // 2 + 1)
+    azimuth = values.shape[2]
+    real = not np.iscomplexobj(values)
+    # the FFT's exp(-2 pi i m j / azimuth) is conj(exp(i m phi_j)); order m
+    # and m mod azimuth coincide on the lattice.  Each column is a real
+    # block of (polar, data sets) real and imaginary parts, interleaved, so
+    # the Legendre sums are real products.
+    spectrum = np.fft.rfft(values, axis=2) if real else np.fft.fft(values, axis=2)
     columns = np.ascontiguousarray(spectrum.transpose(2, 1, 0)).view(float)
     table = _legendre_table(truncation, theta) * np.asarray(weights, dtype=float)
     degrees = np.arange(truncation + 1)
@@ -307,16 +305,10 @@ def sph_analysis(truncation: int, values, theta, weights) -> np.ndarray:
     for m in range(-truncation, truncation + 1):
         n = degrees[abs(m):]
         j = m % azimuth
-        mirrored = 2 * j > azimuth
+        mirrored = real and 2 * j > azimuth
         part = (table[abs(m):, m] @ columns[azimuth - j if mirrored else j]).view(complex)
         sums[n * n + n + m] = part.conj() if mirrored else part
-    if not split:
-        return sums
-    re, im = sums[:, 0::2], sums[:, 1::2]  # re + i im, without 0 * x terms
-    out = np.empty((len(sums), count), dtype=complex)
-    out.real = re.real - im.imag
-    out.imag = re.imag + im.real
-    return out
+    return sums
 
 
 def sph_synthesis(coeffs, theta, azimuth: int) -> np.ndarray:

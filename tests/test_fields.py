@@ -148,10 +148,22 @@ def _assert_matches_dense_sum(ctx, src, pts, f_h, f_m):
     return ref_h, ref_m, mag_h, mag_m
 
 
+def _orbit_values(grid, f, equator=False):
+    """Kernel values one symmetry group evaluates on the grid, R P' n': its
+    canonical point's tables on a fundamental domain of its stabilizer,
+    n/2 + 1 azimuth columns at f = 0 (l -> -l), n/2 at f = 1/2 (l -> 1 - l),
+    all n otherwise, and half the polar rings on the 3D equator."""
+    n = grid.angular.azimuth_count or grid.angular.count
+    polar = max(grid.angular.polar_count, 1)
+    columns = {0: n // 2 + 1, 0.5: n // 2}.get(f, n)
+    return grid.radial.order * (polar // 2 if equator else polar) * columns
+
+
 class TestSymmetryGroupQuadrature:
     """Points that are images of each other under the source grid's
     symmetries (azimuth step rotations, phi -> -phi, z -> -z in 3D) share
-    one kernel table; scattered points are groups of one."""
+    one kernel table, evaluated on its stabilizer's fundamental domain and
+    mirrored; scattered points are groups of one."""
 
     @pytest.mark.parametrize(
         "root, kind", [(1, "gaussian"), (5, "gaussian"), (10, "gaussian"), (4, "bump")],
@@ -163,7 +175,9 @@ class TestSymmetryGroupQuadrature:
         pts = _verdict_probes(ctx)
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
         grid = product_grid(ctx, src.resolve_radial_order())
-        assert kernel_values[0] == len(PROBE_FACTORS) * grid.points.shape[0]
+        # every probe is on the angle lattice (f = 0): 129 of 256 columns
+        assert kernel_values[0] == len(PROBE_FACTORS) * _orbit_values(grid, 0)
+        assert kernel_values[0] == {"gaussian": 24768, "bump": 123840}[kind]
         ref_h, ref_m, _, _ = _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
         if kind == "gaussian":
             assert np.max(np.abs(f_h - ref_h)) <= 1e-13 * np.max(np.abs(ref_h))
@@ -184,16 +198,20 @@ class TestSymmetryGroupQuadrature:
         pts = _verdict_probes(ctx)
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
         grid = product_grid(ctx, src.resolve_radial_order())
-        assert kernel_values[0] == 12 * grid.points.shape[0]
+        # per radius: f = 0 and f = 1/3, each on the equator and off it
+        per_radius = sum(_orbit_values(grid, f, eq) for f in (0, 1 / 3) for eq in (True, False))
+        assert kernel_values[0] == len(PROBE_FACTORS) * per_radius
+        if grid.radial.order == 64:
+            assert kernel_values[0] == 893952  # of 12 * 131072 = 1572864
         _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
 
     @pytest.mark.parametrize(
-        "layout, groups, firsts",
-        [("half-step", 1, [0]), ("mixed", 2, [0, 16]),
-         ("3d", 8, [0, 1, 6, 7, 18, 19, 24, 25])],
+        "layout, orbits, firsts",
+        [("half-step", [(0.5, False)], [0]), ("mixed", [(0, False), (None, False)], [0, 16]),
+         ("3d", 2 * [(f, eq) for f in (0, 1 / 3) for eq in (True, False)], [0, 1, 6, 7, 18, 19, 24, 25])],
         ids=["half-step", "mixed", "3d"],
     )
-    def test_symmetric_layouts_share_tables(self, layout, groups, firsts, kernel_values):
+    def test_symmetric_layouts_share_tables(self, layout, orbits, firsts, kernel_values):
         ctx = CTX3 if layout == "3d" else CTX2
         src = _complex_gaussian(ctx)
         if layout == "half-step":
@@ -209,7 +227,9 @@ class TestSymmetryGroupQuadrature:
             pts = np.vstack([1.05 * dirs, 3.0 * dirs])
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
         grid = product_grid(ctx, src.resolve_radial_order())
-        assert kernel_values[0] == groups * grid.points.shape[0]
+        assert kernel_values[0] == sum(_orbit_values(grid, *orbit) for orbit in orbits)
+        if layout == "half-step":
+            assert kernel_values[0] == 8192  # 64 x 128 columns
         _, _, mag_h, mag_m = _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
         # alone, a point is the first of its own group: the first point of
         # each group (in batch order) sums its own tables, so its value is
@@ -244,8 +264,10 @@ class TestSymmetryGroupQuadrature:
         # any point and must take tables of its own
         src = _complex_gaussian(ctx)
         dirs, params = direction_grid(ctx, 16)
-        nodes = product_grid(ctx, src.resolve_radial_order()).points.shape[0]
-        groups = 1 if ctx.dimension == 2 else 2  # of dirs[0] and dirs[1]
+        grid = product_grid(ctx, src.resolve_radial_order())
+        # of dirs[0] and dirs[1]: one on the 2D lattice, two off the 3D equator
+        groups = _orbit_values(grid, 0) + (_orbit_values(grid, 1 / 3) if ctx.dimension == 3 else 0)
+        nodes = grid.points.shape[0]
         for turn, own in ((0.0, 0), (1e-9, 1)):
             if ctx.dimension == 2:
                 phi = -params[1] + turn
@@ -256,8 +278,38 @@ class TestSymmetryGroupQuadrature:
             pts = 1.5 * np.vstack([dirs[:2], near])
             kernel_values[0] = 0
             _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
-            assert kernel_values[0] == (groups + own) * nodes
+            assert kernel_values[0] == groups + own * nodes
             _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
+
+    @pytest.mark.parametrize("imag", [0.0, 0.5], ids=["real", "complex"])
+    def test_radial_blocks_with_partial_last_block(self, imag, kernel_values):
+        # radial order 67 on the 32 x 64 sphere rule: blocks of 8 radial
+        # nodes (16384 nodes), 3 in the last; every stabilizer domain, its
+        # mirror images and a generic point, in one batch.  A broad source
+        # on the whole ball, so that every block carries its weight.
+        def func(p):
+            return np.exp(-np.sum((p - [0.3, 0.1, -0.2]) ** 2, axis=-1)) + imag * 1j * p[:, 2]
+
+        src = SourceField.from_callable(CTX3, func, support_radius=CTX3.radius, radial_hint=67)
+        step = 2.0 * np.pi / 64
+        params = [  # (r, theta, phi) and the group's (f, equator), or None for an image
+            (1.2, 0.7, 5 * step, (0, False)), (1.2, np.pi - 0.7, -5 * step, None),
+            (2.0, 2.0, 7.5 * step, (0.5, False)), (2.0, np.pi - 2.0, 3.5 * step, None),
+            (1.2, 0.5 * np.pi, 3 * step, (0, True)), (1.6, 0.5 * np.pi, -0.5 * step, (0.5, True)),
+            (1.6, 0.5 * np.pi, 0.3, (None, True)), (1.6, 0.5 * np.pi, 2 * np.pi - 0.3, None),
+            (3.0, 1.1, 2.2, (None, False)),
+        ]
+        r, theta, phi = np.array([p[:3] for p in params]).T
+        pts = r[:, None] * np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+        _, f_h, f_m = eval_field_batch(CTX3, src, pts, method="quadrature")
+        grid = product_grid(CTX3, 67)
+        assert kernel_values[0] == sum(_orbit_values(grid, *p[3]) for p in params if p[3])
+        _, _, mag_h, mag_m = _assert_matches_dense_sum(CTX3, src, pts, f_h, f_m)
+        alone = [eval_field_batch(CTX3, src, p[None, :], method="quadrature") for p in pts]
+        alone_h = np.array([a[1][0] for a in alone])
+        alone_m = np.array([a[2][0] for a in alone])
+        assert np.max(np.abs(f_h - alone_h) / mag_h) <= 2e-15
+        assert np.max(np.abs(f_m - alone_m) / mag_m) <= 2e-15
 
     def test_scattered_points_are_groups_of_one(self, kernel_values):
         src = _gaussian(CTX2)

@@ -6,7 +6,7 @@ out a field call's pair count from the product grid the source resolves to.
 It wraps modal_coefficients and project_modes in every namespace that binds
 them, so a cached coefficient lookup still shows as a call.
 A signature change that breaks any of that would only show in a traced
-benchmark run; this test runs one small traced session in a child process,
+benchmark run; these tests run small traced sessions in child processes,
 so the wrappers never reach the other tests.
 """
 
@@ -47,11 +47,30 @@ print(json.dumps({"nodes": nodes, "spans": [
 """
 
 
-def test_traced_calls_count_pairs_against_their_grid():
+VERDICTS = """
+import json
+import biharwave
+from biharwave import WaveContext, sources, spectral
+from tracer import Tracer, install
+
+tracer = Tracer()
+install(tracer, biharwave)
+for dimension in (2, 3):
+    ctx = WaveContext.with_root_wavenumber(dimension, 1.0, 1)
+    spectral.verdict(ctx, sources.gaussian_source(ctx, sigma=0.2, support_radius=0.9))
+print(json.dumps([s.counts for s in tracer.spans if s.name == "fields.eval_field_batch.quadrature"]))
+"""
+
+
+def _traced(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_traced_calls_count_pairs_against_their_grid():
+    out = _traced(CHILD)
     spans, nodes = out["spans"], out["nodes"]
     names = [s["name"] for s in spans]
     # the pairs come from the call's arguments, whether or not the call
@@ -66,3 +85,11 @@ def test_traced_calls_count_pairs_against_their_grid():
     # every call, and the projection's only the one that computes
     assert names.count("sources.modal_coefficients") == 3
     assert names.count("sources.project_modes") == 1
+
+
+def test_traced_verdict_counts_every_probe_against_the_whole_grid():
+    # one quadrature call per verdict, its pairs the probes times the grid's
+    # nodes however few kernel values the call evaluates: 3 radii x 16
+    # directions on the 64 x 256 disk grid, 3 x 18 on the 64 x 32 x 64 ball
+    spans = _traced(VERDICTS)
+    assert spans == [{"pairs": 3 * 16 * 64 * 256}, {"pairs": 3 * 18 * 64 * 32 * 64}]
