@@ -464,10 +464,10 @@ def eval_field_batch(
     64 x 256 grid), and the 54 probes of a 3D verdict take 12 tables,
     893,952 kernel values of 1,572,864.  Each point still sums the source's
     own values, permuted to its image, in radial blocks of the grid;
-    scattered points take one whole table each.  'modal' sums the exterior angular-mode series of
-    the source's coefficients at the truncation (default_mode_truncation
-    when None; valid from the support radius outward).  Points with a
-    coordinate that is not finite are refused.
+    scattered points take one whole table each.  'modal' sums the exterior
+    angular-mode series of the source's coefficients at the truncation
+    (default_mode_truncation when None; valid from the support radius
+    outward).  Points with a coordinate that is not finite are refused.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != ctx.dimension:
