@@ -19,18 +19,20 @@ With --compare, both checkouts run every command.  Each line carries the
 digest of OTHER's output and of this checkout's, then, for an output that
 moved, three sizes over its numeric JSON and CSV fields: the largest
 absolute change; the largest change relative to the peak (largest absolute
-value) of the moved value's own column, a CSV column or a JSON key path; and
-the largest per-value change |new - old| / max(|old|, 1e-15 * peak of the
-output), with the JSON key path or the CSV column and data row where it
-occurs.  A column's peak keeps a move in a small column from hiding behind
-another column's large values (in a spectral CSV, the angles up to 2 pi
-beside transforms of 1e-6); the per-value change shows a small number that
-moved by a large fraction of itself, and its floor keeps a value that is
-rounding noise around zero from dividing by nothing.  An output whose text
-outside those numbers changed (keys, headers, metadata, a refusal) is
-marked "text differs", and one whose
-number is the same zero with the other sign (-0.0 against 0.0, which compare
-equal) "signed zero differs at <label>".  --compare exits 1 when any exit
+value) of the moved value's own column, a CSV column or a JSON key path,
+floored at 1e-15 * peak of the output; and the largest per-value change
+|new - old| / max(|old|, 1e-15 * peak of the output), with the JSON key path
+or the CSV column and data row where it occurs.  A column's peak keeps a
+move in a small column from hiding behind another column's large values (in
+a spectral CSV, the angles up to 2 pi beside transforms of 1e-6); the
+per-value change shows a small number that moved by a large fraction of
+itself.  Both floors keep a value, or a whole column, that is rounding noise
+around zero from dividing by nothing: a spectral CSV's fhat_minus_uhat_abs
+column of about 1e-17 would read a 3e-17 move as a change of order one.  An
+output whose text outside those numbers changed (keys, headers, metadata, a
+refusal) is marked "text differs", and one whose number is the same zero
+with the other sign (-0.0 against 0.0, which compare equal) "signed zero
+differs at <label>".  --compare exits 1 when any exit
 code differs, any output's text differs (a flipped "is_nonradiating" is
 text: JSON booleans are not numbers) or a signed zero differs, and 0 when
 every output is identical or moved only in its numbers; judge the printed
@@ -148,10 +150,10 @@ def _relative(x: float, y: float, floor: float) -> float:
 def change(old: bytes, new: bytes) -> str:
     """How an output moved: largest absolute change of its numbers, largest
     change over the largest absolute value (peak) of its column in the old
-    output, and the largest per-value change |new - old| / max(|old|, 1e-15 *
-    peak of the old output) with where it occurs; "text differs" or "signed
-    zero differs at <label>" instead when the change is more than a move of
-    the numbers."""
+    output (at least 1e-15 * peak of the old output), and the largest
+    per-value change |new - old| / max(|old|, 1e-15 * peak of the old
+    output) with where it occurs; "text differs" or "signed zero differs at
+    <label>" instead when the change is more than a move of the numbers."""
     a, columns, labels, text_a = split_numbers(old)
     b, _, _, text_b = split_numbers(new)
     if text_a != text_b or len(a) != len(b):
@@ -163,8 +165,8 @@ def change(old: bytes, new: bytes) -> str:
     diff = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
     peak = max((abs(x) for x in a), default=0.0)
     column_peak = {}
-    for x, column in zip(a, columns):
-        column_peak[column] = max(column_peak.get(column, 0.0), abs(x))
+    for x, column in zip(a, columns):  # floored at 1e-15 * peak of the output
+        column_peak[column] = max(column_peak.get(column, 1e-15 * peak), abs(x))
     # |y - x| over the peak of its column
     rel = max((_relative(0.0, y - x, column_peak[column]) for x, y, column in zip(a, b, columns)), default=0.0)
     per_value = [(_relative(x, y, 1e-15 * peak), label) for x, y, label in zip(a, b, labels)]

@@ -8,7 +8,10 @@ where f_h solves the Helmholtz equation driven by f and f_m the modified
 Helmholtz equation.  Two independent evaluation routes are provided:
 
 * direct quadrature of the kernels against the source's values on its
-  default product grid (points strictly outside the support): the weighted
+  default product grid (points strictly outside the support), which ends at
+  the support, so no radial block, kernel table or phase sum covers the
+  rows of zeros beyond it (51 of 64 radial nodes for a Gaussian of support
+  0.9R, 226 of 320 for the rho 0.8R bump): the weighted
   values are one block of real rows (a real source one row, a complex one
   its real and imaginary rows), and the kernels enter as three real tables
   (kernels.kernel_tables: Re phi_h, Im phi_h, phi_m), so each point's sums
@@ -252,7 +255,7 @@ def _eval_quadrature(ctx, src, pts):
     grid, values = src.default_samples()  # a real source's values stay real
     values = np.atleast_2d(values)
     angular = grid.angular
-    shape = (grid.radial.order, max(angular.polar_count, 1), angular.azimuth_count or angular.count)
+    shape = (grid.shape[0], max(angular.polar_count, 1), angular.azimuth_count or angular.count)
     ring = shape[1] * shape[2]
     step = max(1, _RADIAL_BLOCK // ring)  # radial nodes per block
     group, s, eps, flip, canonical = _symmetry_groups(angular, pts)
@@ -462,9 +465,11 @@ def eval_field_batch(
     the 2D grid's angle lattice takes one table per radius, 129 of its 256
     azimuth columns evaluated (24,768 kernel values for a 2D verdict on the
     64 x 256 grid), and the 54 probes of a 3D verdict take 12 tables,
-    893,952 kernel values of 1,572,864.  Each point still sums the source's
-    own values, permuted to its image, in radial blocks of the grid;
-    scattered points take one whole table each.  'modal' sums the exterior
+    893,952 kernel values of 1,572,864.  Those counts are a whole-ball
+    source's: the grid ends at the support, so a Gaussian of support 0.9R
+    takes 51/64 of them (19,737 and 712,368).  Each point still sums the
+    source's own values, permuted to its image, in radial blocks of the
+    grid; scattered points take one whole table each.  'modal' sums the exterior
     angular-mode series of the source's coefficients at the truncation
     (default_mode_truncation when None; valid from the support radius
     outward).  Points with a coordinate that is not finite are refused.

@@ -173,7 +173,8 @@ def regular_wave_tables(dimension: int, truncation: int, x) -> tuple[np.ndarray,
     bad = ~(np.isfinite(x) & (x > 0.0))
     if bad.any():
         raise ValueError(f"regular wave arguments must be finite and > 0, got x = {float(x[bad][0])!r}")
-    top = float(np.max(x))
+    # x may be empty: a source whose support ends before the first radial node
+    top = float(np.max(x, initial=0.0))
     start = int(np.ceil(max(truncation, top + 10.0 * np.cbrt(top)))) + 16
     n = np.arange(1, start + 1)[:, None]
     c = (2.0 * n + (dimension - 2)) / x  # row k: c_(k+1)

@@ -136,6 +136,9 @@ def sph_hankel1_imag_dt(n: int, t):
 # Complex direct-quadrature sums (references for the real kernel tables)
 # ---------------------------------------------------------------------------
 def _weighted_values(ctx, src):
+    # the whole [0, R] rule, not the source's grid that ends at its support:
+    # the rows beyond it read zero here, so a reference that sums them
+    # checks that dropping them is exact
     grid = product_grid(ctx, src.resolve_radial_order())
     return grid, src.values_on(grid) * grid.weights
 

@@ -348,14 +348,15 @@ def test_context_key_types_are_exact(tmp_path, capsys, key, value):
 
 
 def test_overflow_is_one_config_error_line(tmp_path, capsys):
-    # beta leaves the double range at kappa*R = 800; the library names kappa*R
+    # beta leaves the double range inside the support (radius 0.9) at
+    # kappa = 1000; the library names kappa times the support radius
     scenario = {k: v for k, v in GAUSS2D.items() if k != "root_index"}
-    cfg = _write(tmp_path, "k800.json", dict(scenario, kappa=800))
+    cfg = _write(tmp_path, "k1000.json", dict(scenario, kappa=1000))
     argv = ["trace", "--truncation", "4", "--config", cfg, "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "kappa*R = 800" in err
+    assert "kappa*support_radius = 900" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -31,6 +31,15 @@ def test_relative_change_takes_the_peak_of_its_column():
     assert "max rel change 3.000e-08" in cli_digest.change(old, new)
 
 
+def test_column_of_rounding_noise_takes_the_output_floor():
+    # a column of rounding noise (a spectral CSV's fhat_minus_uhat_abs, about
+    # 1e-17) that moves by 3e-17 is no change of order one: its peak is
+    # floored at 1e-15 * the output's peak, 6e-15 here
+    old = b"theta,fhat_re,fhat_minus_uhat_abs\n0.0,1e-06,1e-17\n3.0,-5e-07,3e-17\n6.0,2e-07,2e-17\n"
+    new = old.replace(b"3e-17", b"6e-17")
+    assert "max rel change 5.000e-03" in cli_digest.change(old, new)
+
+
 def test_per_value_change_names_the_csv_column_and_row():
     old = b"# scenario=x\nradius,u_re,u_im\n1.05,0.5,-0.0\n3.0,1e-20,2.0\n"
     new = old.replace(b"1e-20", b"2e-20")

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from biharwave import WaveContext, fields, specfun
+from biharwave import WaveContext, fields, sources, specfun
 from biharwave.fields import (
     boundary_trace,
     eval_field,
@@ -17,12 +17,17 @@ from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.sources import (
     ModalCoefficients,
     SourceField,
+    default_mode_truncation,
     gaussian_source,
     make_2d_bessel_nonradiating,
     make_3d_bessel_nonradiating,
     make_bump_nonradiating,
     modal_coefficients,
+    mode_degrees,
+    project_modes,
 )
+from biharwave.kernels import kernel_tables
+from biharwave.specfun import regular_wave_tables
 from biharwave.spectral import (
     PROBE_FACTORS,
     direction_grid,
@@ -150,13 +155,15 @@ def _assert_matches_dense_sum(ctx, src, pts, f_h, f_m):
 
 def _orbit_values(grid, f, equator=False):
     """Kernel values one symmetry group evaluates on the grid, R P' n': its
-    canonical point's tables on a fundamental domain of its stabilizer,
-    n/2 + 1 azimuth columns at f = 0 (l -> -l), n/2 at f = 1/2 (l -> 1 - l),
-    all n otherwise, and half the polar rings on the 3D equator."""
+    canonical point's tables on a fundamental domain of its stabilizer over
+    the grid's R radial nodes (those inside the source's support, on the
+    source's own grid), n/2 + 1 azimuth columns at f = 0 (l -> -l), n/2 at
+    f = 1/2 (l -> 1 - l), all n otherwise, and half the polar rings on the
+    3D equator."""
     n = grid.angular.azimuth_count or grid.angular.count
     polar = max(grid.angular.polar_count, 1)
     columns = {0: n // 2 + 1, 0.5: n // 2}.get(f, n)
-    return grid.radial.order * (polar // 2 if equator else polar) * columns
+    return grid.shape[0] * (polar // 2 if equator else polar) * columns
 
 
 class TestSymmetryGroupQuadrature:
@@ -174,10 +181,12 @@ class TestSymmetryGroupQuadrature:
         src = _gaussian(ctx) if kind == "gaussian" else make_bump_nonradiating(ctx)
         pts = _verdict_probes(ctx)
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
-        grid = product_grid(ctx, src.resolve_radial_order())
-        # every probe is on the angle lattice (f = 0): 129 of 256 columns
+        grid, _ = src.default_samples()
+        # every probe is on the angle lattice (f = 0): 129 of 256 columns,
+        # on the radial nodes inside the support (Gaussian 51 of 64, bump
+        # 226 of 320)
         assert kernel_values[0] == len(PROBE_FACTORS) * _orbit_values(grid, 0)
-        assert kernel_values[0] == {"gaussian": 24768, "bump": 123840}[kind]
+        assert kernel_values[0] == {"gaussian": 19737, "bump": 87462}[kind]
         ref_h, ref_m, _, _ = _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
         if kind == "gaussian":
             assert np.max(np.abs(f_h - ref_h)) <= 1e-13 * np.max(np.abs(ref_h))
@@ -197,12 +206,14 @@ class TestSymmetryGroupQuadrature:
         src = make(ctx)
         pts = _verdict_probes(ctx)
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
-        grid = product_grid(ctx, src.resolve_radial_order())
+        grid, _ = src.default_samples()
         # per radius: f = 0 and f = 1/3, each on the equator and off it
         per_radius = sum(_orbit_values(grid, f, eq) for f in (0, 1 / 3) for eq in (True, False))
         assert kernel_values[0] == len(PROBE_FACTORS) * per_radius
-        if grid.radial.order == 64:
-            assert kernel_values[0] == 893952  # of 12 * 131072 = 1572864
+        # 13,968 per radial node inside the support: the Gaussian keeps 51
+        # of 64, the full-ball Bessel source all 64 (893,952 of 12 * 131,072)
+        # and the bump 226 of 320
+        assert kernel_values[0] == {"gaussian": 712368, "bessel": 893952, "bump": 3156768}[kind]
         _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
 
     @pytest.mark.parametrize(
@@ -317,9 +328,86 @@ class TestSymmetryGroupQuadrature:
         pts = rng.normal(size=(40, 2))
         pts *= (1.2 + rng.random((40, 1))) / np.linalg.norm(pts, axis=1, keepdims=True)
         _, f_h, f_m = eval_field_batch(CTX2, src, pts, method="quadrature")
-        grid = product_grid(CTX2, src.resolve_radial_order())
-        assert kernel_values[0] == len(pts) * grid.points.shape[0]
+        grid, _ = src.default_samples()
+        # a whole table per point on the 51 of 64 radial nodes inside the support
+        assert kernel_values[0] == len(pts) * grid.points.shape[0] == 40 * 51 * 256
         _assert_matches_dense_sum(CTX2, src, pts, f_h, f_m)
+
+
+def _cut_sources(ctx, kind):
+    """A source whose support ends inside the ball: a Gaussian (support
+    0.85), the rho 0.8R bump, or a complex sum whose parts end at 0.85 and 0.7."""
+    center = [0.2, -0.1, 0.1][: ctx.dimension]
+    gauss = gaussian_source(ctx, center=center, sigma=0.15, support_radius=0.85)
+    if kind == "gaussian":
+        return gauss
+    if kind == "bump":
+        return make_bump_nonradiating(ctx)
+    other = gaussian_source(ctx, center=[-0.1, 0.2, 0.0][: ctx.dimension], sigma=0.2, support_radius=0.7)
+    return gauss + other.scaled(0.5j)
+
+
+def _support_grid_routes(ctx, src):
+    """Every sum over the source's grid: its norm, its modal coefficients,
+    the field quadrature at the 2D/3D verdict probes and six scattered
+    points, the far field and both volume transforms."""
+    dirs, _ = direction_grid(ctx, 16)
+    rng = np.random.default_rng(3)
+    scattered = rng.normal(size=(6, ctx.dimension))
+    scattered *= 1.3 / np.linalg.norm(scattered, axis=1, keepdims=True)
+    pts = np.vstack([f * dirs for f in PROBE_FACTORS] + [scattered])
+    coeffs = modal_coefficients(ctx, src)
+    _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
+    out = {"norm": np.array([src.l2_norm()]), "alpha": coeffs.alpha, "beta": coeffs.beta,
+           "f_h": f_h, "f_m": f_m, "far": far_field(ctx, src, dirs),
+           "fhat": fourier_transform_quadrature(ctx, src, dirs),
+           "fcheck": laplace_transform_quadrature(ctx, src, dirs)}
+    return pts, dirs, out
+
+
+def _term_magnitudes(ctx, src, pts, dirs):
+    """Bounds on the sums of _support_grid_routes over the magnitudes of
+    their terms: sum |f w| times the largest kernel (at the probe nearest
+    the support) or phase weight, and for the coefficients the profiles'
+    magnitudes against the wave tables'."""
+    mass = oracles.volume_transform(ctx, src, dirs, 0.0)[1]
+    nearest = np.array([np.min(np.linalg.norm(pts, axis=1)) - src.support_radius])
+    re_h, im_h, phi_m = np.abs(kernel_tables(ctx, nearest))[:, 0]
+    out = {"f_h": mass * np.hypot(re_h, im_h), "f_m": mass * phi_m, "far": mass, "fhat": mass,
+           "fcheck": mass * np.exp(ctx.kappa * src.support_radius)}
+    modal = project_modes(src, default_mode_truncation(ctx))
+    rule = modal.rule
+    degree = np.abs(mode_degrees(ctx.dimension, modal.truncation))
+    measure = rule.weights * rule.nodes ** (ctx.dimension - 1)
+    tables = regular_wave_tables(ctx.dimension, modal.truncation, ctx.kappa * rule.nodes)
+    for key, table in zip(("alpha", "beta"), tables):
+        out[key] = np.max(np.sum(np.abs(modal.values) * np.abs(table[degree]) * measure, axis=1))
+    return out
+
+
+class TestSupportGrid:
+    """Each source's grids end at its support: every route sums the radial
+    nodes inside it, and agrees with the masked sums over the whole [0, R]
+    rule (the grids every source had before), to 1e-15 of their peak (for
+    the nonradiating bump, of the magnitudes of their terms)."""
+
+    @pytest.mark.parametrize("dimension, kind", [(2, "gaussian"), (2, "bump"), (2, "complex"),
+                                                 (3, "gaussian"), (3, "complex")])
+    def test_routes_match_whole_grid_masked_sums(self, dimension, kind, monkeypatch):
+        ctx = WaveContext.with_root_wavenumber(dimension, 1.0, 2)
+        src = _cut_sources(ctx, kind)
+        assert src.default_samples()[0].shape[0] < src.resolve_radial_order()
+        pts, dirs, cut = _support_grid_routes(ctx, src)
+        whole = sources.product_grid
+        monkeypatch.setattr(sources, "product_grid", lambda c, order, count=None, extent=None: whole(c, order, count))
+        ref_src = _cut_sources(ctx, kind)
+        assert ref_src.default_samples()[0].shape[0] == ref_src.resolve_radial_order()
+        _, _, ref = _support_grid_routes(ctx, ref_src)
+        scale = {key: np.max(np.abs(value)) for key, value in ref.items()}
+        if kind == "bump":  # nonradiating: its sums are rounding noise, so bound by their terms
+            scale.update(_term_magnitudes(ctx, ref_src, pts, dirs))
+        for key, value in cut.items():
+            assert np.max(np.abs(value - ref[key])) <= 1e-15 * scale[key], key
 
 
 class TestSeriesOverflow:

@@ -146,6 +146,40 @@ class TestProductGrid:
         assert grid.shape == (8, 16)
 
 
+class TestExtent:
+    """A rule cut at an extent keeps the nodes below it, those of the whole
+    rule on [0, R] bit for bit, and drops the rest (a source's grids end at
+    its support)."""
+
+    @pytest.mark.parametrize("order", [64, 320])
+    @pytest.mark.parametrize("extent", [0.3, 0.85, 0.9, 1.0])
+    def test_kept_nodes_are_the_first_of_the_whole_rule(self, order, extent):
+        full = quadrature.radial_rule(CTX2, order)
+        cut = quadrature.radial_rule(CTX2, order, extent)
+        k = len(cut.nodes)
+        assert cut.order == order and len(cut.weights) == k
+        assert np.array_equal(cut.nodes, full.nodes[:k])
+        assert np.array_equal(cut.weights, full.weights[:k])
+        assert np.all(cut.nodes < extent) and np.all(full.nodes[k:] >= extent)
+        if extent == CTX2.radius:  # the whole ball: every node
+            assert k == order
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_grid_is_the_first_rows_of_the_whole_grid(self, ctx):
+        full = quadrature.product_grid(ctx, 64, 8)
+        cut = quadrature.product_grid(ctx, 64, 8, extent=0.9)
+        rows = len(cut.radial.nodes)
+        assert rows == 51 and cut.shape == (51, full.angular.count)
+        assert np.array_equal(cut.points, full.points[:rows * full.angular.count])
+        assert np.array_equal(cut.weights, full.weights[:rows * full.angular.count])
+
+    def test_node_at_the_extent_is_dropped(self):
+        # the test a source masks its rows by: a node at the support is outside
+        full = quadrature.radial_rule(CTX2, 32)
+        assert len(quadrature.radial_rule(CTX2, 32, full.nodes[20]).nodes) == 20
+        assert len(quadrature.radial_rule(CTX2, 32, np.nextafter(full.nodes[20], 2.0)).nodes) == 21
+
+
 class TestRuleCache:
     @pytest.mark.parametrize("order", [2, 7, 32, 64, 320])
     def test_bit_equal_to_leggauss(self, order):

@@ -140,9 +140,22 @@ class TestModalCoefficients:
         # The error alone reports it: no RuntimeWarning comes first.
         for dimension in (2, 3):
             ctx = WaveContext(dimension=dimension, kappa=800.0, radius=1.0)
-            with warnings.catch_warnings(), pytest.raises(OverflowError, match=r"kappa\*R = 800"):
+            with warnings.catch_warnings(), pytest.raises(OverflowError, match=r"kappa\*support_radius = 800"):
                 warnings.simplefilter("error")
                 modal_coefficients(ctx, gaussian_source(ctx), 4)
+
+    def test_beta_finite_when_the_support_keeps_it_in_range(self):
+        # support 0.9 at kappa 800: I_n(kappa r) stays finite on the nodes
+        # inside the support (kappa r < 714), and the grid has no node
+        # beyond it where inf * 0 would make NaN.  max |beta| continues the
+        # trend of kappa 600 and 700 (6.0e218, 3.0e257).
+        ctx = WaveContext(dimension=2, kappa=800.0, radius=1.0)
+        src = gaussian_source(ctx, center=[0.25, 0.0], sigma=0.1, support_radius=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            co = modal_coefficients(ctx, src, 4)
+        assert np.all(np.isfinite(co.alpha)) and np.all(np.isfinite(co.beta))
+        assert 1e296 < np.max(np.abs(co.beta)) < 1e297
 
     def test_non_finite_alpha_named(self, monkeypatch):
         # a NaN alpha would make max_residual NaN, which reads as "radiating"
@@ -155,7 +168,7 @@ class TestModalCoefficients:
 
         monkeypatch.setattr(specfun, "regular_wave_tables", nan_wave)
         for ctx in (CTX2, CTX3):
-            with pytest.raises(ValueError, match=r"alpha coefficients are not finite at kappa\*R"):
+            with pytest.raises(ValueError, match=r"alpha coefficients are not finite at kappa\*support_radius"):
                 modal_coefficients(ctx, gaussian_source(ctx), 4)
 
     def test_2d_broadcast_matches_per_mode_loop(self):
@@ -585,6 +598,57 @@ class TestRadialPath:
         expected = np.where(np.linalg.norm(pts, axis=-1) >= support, 0.0, 1.5 * np.exp(-q) + 0j)
         assert np.array_equal(src.values_on(grid), expected)
         assert np.array_equal(src.evaluate(pts), expected)
+
+
+class TestSupportGrid:
+    """A source's default grid, and its finer-angle projection grid, end at
+    its support: the radial nodes below the support radius, those of the
+    whole [0, R] rule."""
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_default_grid_keeps_the_nodes_inside_the_support(self, ctx):
+        center = [0.2, -0.1, 0.1][: ctx.dimension]
+        kept = {0.85: 48, 0.9: 51, 0.95: 55}
+        for support, rows in kept.items():
+            grid, values = gaussian_source(ctx, center=center, support_radius=support).default_samples()
+            assert grid.shape[0] == rows and values.shape == (rows * grid.angular.count,)
+            assert grid.radial.nodes[-1] < support
+        assert _bessel(ctx).default_samples()[0].shape[0] == 64
+        assert make_bump_nonradiating(ctx).default_samples()[0].shape[0] == 226  # of 320
+
+    def test_node_at_the_support_is_dropped(self):
+        nodes = product_grid(CTX2, 64).radial.nodes
+        src = SourceField.from_radial(CTX2, lambda r: 1.0 + r, support_radius=nodes[20])
+        assert src.default_samples()[0].shape[0] == 20
+        modal = project_modes(src, default_mode_truncation(CTX2) + 200)  # the finer-angle grid
+        assert np.array_equal(modal.rule.nodes, nodes[:20])
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_support_inside_the_first_node_leaves_no_node(self, ctx):
+        # the source reads zero at every node of the whole rule, so every
+        # route sums nothing: zeros, and a nonradiating verdict with zero residuals
+        src = gaussian_source(ctx, sigma=0.1, support_radius=1e-4)
+        grid, values = src.default_samples()
+        assert grid.shape == (0, grid.angular.count) and values.size == 0
+        assert src.l2_norm() == 0.0
+        co = modal_coefficients(ctx, src, 4)
+        assert not np.any(co.alpha) and not np.any(co.beta)
+        _, f_h, f_m = eval_field_batch(ctx, src, 1.5 * np.eye(ctx.dimension), method="quadrature")
+        assert not np.any(f_h) and not np.any(f_m)
+        result = verdict(ctx, src)
+        assert result.is_nonradiating and result.residual_modal == result.residual_field == 0.0
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_sum_with_a_whole_ball_part_keeps_every_node(self, ctx):
+        gauss = gaussian_source(ctx, sigma=0.3, support_radius=0.5 * ctx.radius)
+        bessel = _bessel(ctx)
+        assert gauss.default_samples()[0].shape[0] < 64
+        grid, values = (gauss + bessel).default_samples()
+        assert grid.shape[0] == 64
+        # the Gaussian's rows stay zero beyond its own support
+        beyond = grid.radial.nodes >= 0.5 * ctx.radius
+        rows, bessel_rows = values.reshape(grid.shape), bessel.default_samples()[1].reshape(grid.shape)
+        assert np.array_equal(rows[beyond], bessel_rows[beyond])
 
 
 class TestConfigParsing:

@@ -18,6 +18,7 @@ from biharwave.sources import (
 )
 from biharwave.spectral import (
     PROBE_FACTORS,
+    InconsistencyError,
     VerdictConfig,
     direction_grid,
     fourier_on_circle,
@@ -373,7 +374,8 @@ class TestVerdict:
         src = _gaussian(CTX3)
         verdict(CTX3, src)
         assert len(reads) == 3
-        assert reads[1] == product_grid(CTX3, src.resolve_radial_order()).points.shape
+        # the default grid: the radial nodes inside the support, all angles
+        assert reads[1] == src.default_samples()[0].points.shape == (51 * 2048, 3)
 
     def test_field_route_shares_kernel_rows(self, kernel_values):
         # the probes are images of each other under the source grid's
@@ -403,6 +405,30 @@ class TestVerdict:
         fh = fourier_on_circle(CTX3, src, dirs, result.truncation)
         fc = laplace_on_circle(CTX3, src, dirs, result.truncation)
         assert result.residual_spectral == float(np.max(np.abs(fh) + np.abs(fc))) / result.norm_f
+
+
+class TestUnresolvedBumps:
+    """Every bump is nonradiating by construction, so a verdict on one must
+    certify it or refuse.  These small bumps read "radiating" on the
+    default grids, with all three routes agreeing on the wrong class
+    (ROADMAP item 1: grids that cover the support, and a refusal when a grid
+    does not resolve the source); strict, so they fail once they flip."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the rho 0.3R bump is not resolved by the default grids")
+    @pytest.mark.parametrize(
+        "dimension, root, center",
+        [(2, 2, None), (2, 2, [0.5, 0.0]), (3, 1, None)],
+        ids=["2d-centred-root2", "2d-off-centre-root2", "3d-centred-root1"],
+    )
+    def test_small_bump_never_reads_radiating(self, dimension, root, center):
+        ctx = WaveContext.with_root_wavenumber(dimension, 1.0, root)
+        src = make_bump_nonradiating(ctx, rho=0.3 * ctx.radius, center=center)
+        try:
+            result = verdict(ctx, src)
+        except InconsistencyError:
+            return  # a refusal is a right answer
+        assert result.is_nonradiating, result.to_dict()
 
 
 class TestNonuniqueness:
