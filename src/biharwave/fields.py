@@ -32,9 +32,11 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   within 2.2e-16 of mpmath), into a buffer allocated once per call, and
 * angular-mode series built from the source's modal coefficients
   (sources.modal_coefficients, which the source keeps per truncation; valid
-  from the support radius outward), which is also how boundary traces are
-  computed:
-  the trace derivatives come from analytic recurrences, not numerical
+  from the support radius outward), with per-mode radial tables
+  (specfun.per_mode).  Boundary traces are such series on the boundary
+  rule, synthesized by specfun.rule_synthesis; only the modal field at
+  caller-given points sums them against the dense angular basis.  The trace
+  derivatives come from analytic recurrences, not numerical
   differentiation, because the near-field identities downstream need them
   at the 1e-8 level.
 
@@ -58,7 +60,7 @@ from . import specfun
 from .context import WaveContext
 from .kernels import kernel_tables
 from .quadrature import BoundaryGrid, spherical_params
-from .sources import SourceField, SupportViolationError, _check_dimension, mode_degrees, modal_coefficients
+from .sources import SourceField, SupportViolationError, _check_dimension, modal_coefficients
 
 # Slack within which two points count as images of one another under the
 # quadrature grid's symmetries: relative in the radius, absolute in the polar
@@ -350,9 +352,10 @@ def _volume_transform(ctx, src, directions, oscillating):
 # Modal series route
 # ---------------------------------------------------------------------------
 def _radial_tables(ctx, truncation, t, derivative):
-    """Prefactors and per-degree radial factors of the f_h and f_m series at
+    """Prefactors and per-mode radial factors of the f_h and f_m series at
     t = kappa r (shape (M, 1)): the outgoing family and the exp(t)-scaled
-    decaying family, or their r-derivatives.
+    decaying family, or their r-derivatives, each of shape (M, modes)
+    (specfun.per_mode).
 
     Raises OverflowError when a factor leaves the double range (a high
     truncation at small kappa r), where the series would give inf * 0 = NaN.
@@ -361,14 +364,13 @@ def _radial_tables(ctx, truncation, t, derivative):
     n = np.arange(truncation + 1)
     # the check below names an overflow, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        if ctx.dimension == 2:  # orders n >= 0 only, mirrored to -N..N
+        if ctx.dimension == 2:
             if derivative:
                 c_h = c_m = -0.5j * np.pi * k
-                tables = _sp.h1vp(n, t), specfun.hankel1_imag_scaled_dt(n, t)
+                h, s = _sp.h1vp(n, t), specfun.hankel1_imag_scaled_dt(n, t)
             else:
                 c_h = c_m = -0.5j * np.pi
-                tables = _sp.hankel1(n, t), specfun.hankel1_imag_scaled(n, t)
-            h, s = (specfun.mirror_orders(table) for table in tables)
+                h, s = _sp.hankel1(n, t), specfun.hankel1_imag_scaled(n, t)
         elif derivative:
             c_h, c_m = -1j * k, k
             h = k * (_sp.spherical_jn(n, t, derivative=True) + 1j * _sp.spherical_yn(n, t, derivative=True))
@@ -384,64 +386,41 @@ def _radial_tables(ctx, truncation, t, derivative):
             f"exterior series radial factors are not finite at kappa*r = {worst:.6g}: the "
             f"radial wave families leave the double range (truncation {truncation})"
         )
-    return c_h, c_m, h, s
-
-
-def _per_mode(ctx, table):
-    """Per-degree columns repeated over the 2n+1 orders of each degree (3D)."""
-    if ctx.dimension == 2:
-        return table
-    n = np.arange(table.shape[1])
-    return np.repeat(table, 2 * n + 1, axis=1)
-
-
-def _modal_series(ctx, coeffs, r, basis):
-    """f_h and f_m at radii r from the exterior mode series; basis holds the
-    modes' angular factors at the same points."""
-    t = ctx.kappa * r
-    damp = np.exp(-t)
-    # one table row per distinct radius, gathered back to the points
-    radii, row = np.unique(t, return_inverse=True)
-    c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivative=False)
-    # Named tables: numpy may overwrite an unnamed temporary right operand in
-    # place, which changes how a complex product rounds under FMA.
-    H = _per_mode(ctx, h[row])
-    S = _per_mode(ctx, s[row])
-    f_h = c_h * (basis * H) @ coeffs.alpha
-    f_m = c_m * damp * ((basis * S) @ coeffs.beta)
-    return f_h, f_m
+    return c_h, c_m, specfun.per_mode(ctx.dimension, h), specfun.per_mode(ctx.dimension, s)
 
 
 def _sphere_series(ctx, coeffs, angular):
     """f_h, f_m and their radial derivatives on the sphere |x| = R at the
     nodes of the boundary rule: the radial factors are constant there, so
-    they are folded into the coefficients of one synthesis of all four.
-
-    2D adds the modes of equal order mod M into one column and sums the M
-    equispaced angles by one inverse FFT (exp(i n theta_j) takes the same
-    values for every n in a column); 3D is specfun.sph_synthesis on the
-    product rule."""
+    they are folded into the coefficients of one synthesis of all four
+    (specfun.rule_synthesis)."""
     t = ctx.kappa * ctx.radius
     weights = []
     for derivative in (False, True):
         c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, np.array([[t]]), derivative)
-        weights.append(c_h * _per_mode(ctx, h)[0] * coeffs.alpha)
-        weights.append(c_m * np.exp(-t) * _per_mode(ctx, s)[0] * coeffs.beta)
-    weights = np.column_stack(weights)
-    if ctx.dimension == 3:
-        theta, _ = angular.rings
-        return specfun.sph_synthesis(weights, theta, angular.azimuth_count).reshape(weights.shape[1], -1)
-    columns = np.zeros((angular.count, weights.shape[1]), dtype=complex)
-    np.add.at(columns, mode_degrees(2, coeffs.truncation) % angular.count, weights)
-    # norm="forward" leaves the inverse unscaled: a plain sum of exp(+i n theta_j)
-    return np.fft.ifft(columns, axis=0, norm="forward").T
+        weights.append(c_h * h[0] * coeffs.alpha)
+        weights.append(c_m * np.exp(-t) * s[0] * coeffs.beta)
+    return specfun.rule_synthesis(np.column_stack(weights), angular)
 
 
 def _eval_modal(ctx, src, pts, truncation):
+    """f_h and f_m at the points from the exterior mode series, on the dense
+    angular basis at the points: one table row per distinct radius, gathered
+    back to the points."""
     coeffs = modal_coefficients(ctx, src, truncation)
     r, theta, phi = spherical_params(pts)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, theta, phi)
-    return _modal_series(ctx, coeffs, r, basis)
+    t = ctx.kappa * r
+    damp = np.exp(-t)
+    radii, row = np.unique(t, return_inverse=True)
+    c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivative=False)
+    # Named tables: numpy may overwrite an unnamed temporary right operand in
+    # place, which changes how a complex product rounds under FMA.
+    H = h[row]
+    S = s[row]
+    f_h = c_h * (basis * H) @ coeffs.alpha
+    f_m = c_m * damp * ((basis * S) @ coeffs.beta)
+    return f_h, f_m
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +507,16 @@ def boundary_trace(
 
     The radial tables are evaluated once, at r = R, and folded into the
     coefficients; all four channels are synthesized at once on the grid's
-    rule: in 2D by one inverse FFT over the equispaced angles, in 3D by
-    specfun.sph_synthesis (one Legendre sum per order and polar ring, then an
-    inverse FFT over the azimuths).  Neither builds a dense angular basis.
+    rule by specfun.rule_synthesis: in 2D by one inverse FFT over the
+    equispaced angles, in 3D by one Legendre sum per order and polar ring,
+    then an inverse FFT over the azimuths.  Neither builds a dense angular
+    basis.  The channels are synthesized at |x| = R, so a grid of another
+    dimension or radius than the context's is refused, naming both.
     """
+    if grid.angular.dimension != ctx.dimension:
+        raise ValueError(f"the boundary grid is {grid.angular.dimension}D but the context is {ctx.dimension}D")
+    if abs(grid.radius - ctx.radius) > 1e-12 * ctx.radius:
+        raise ValueError(f"the boundary grid has radius {grid.radius} but the context has R = {ctx.radius}")
     if src.support_radius > ctx.radius * (1 + 1e-12):
         raise SupportViolationError(
             f"source support {src.support_radius} exceeds the context ball R = {ctx.radius}"

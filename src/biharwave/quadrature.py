@@ -164,11 +164,6 @@ def angular_rule(ctx: WaveContext, count: int | None = None) -> AngularRule:
     return AngularRule(3, dirs, ww, np.column_stack([tt, pp]), n_pol, n_az)
 
 
-def split_params(params: np.ndarray):
-    """(theta, phi) from AngularRule-style params; phi is None in 2D."""
-    return (params, None) if params.ndim == 1 else (params[:, 0], params[:, 1])
-
-
 def spherical_params(pts: np.ndarray):
     """(r, theta, phi) of points of shape (M, d).
 

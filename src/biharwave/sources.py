@@ -6,9 +6,11 @@ outside its support radius.  Its grids end at its support: they keep the
 radial nodes of the [0, R] rule below the support radius and drop the rest,
 where it is zero (a Gaussian of support 0.9R 51 of 64, the rho 0.8R bump 226
 of 320).  Projecting it onto angular modes (2D Fourier orders, 3D
-spherical-harmonic degree/order pairs) gives plain data, the radial profiles
-of ModalProfiles on those nodes, which modal_coefficients pairs with the two
-radial wave families.
+spherical-harmonic degree/order pairs, in the layout of specfun.mode_degrees)
+gives plain data, the radial profiles of ModalProfiles on those nodes, which
+modal_coefficients pairs with the two radial wave families.  The angular
+work, the mode layout and the analysis on the grid's angular rule, is
+specfun's; this module only sizes the grid and reads the source on it.
 
 The nonradiating constructors apply their radial differential operators
 analytically (chain rule on powers of the order-zero radial waves), never by
@@ -36,7 +38,7 @@ from .quadrature import (
     product_grid,
     radial_rule,
 )
-from .specfun import _ipow
+from .specfun import _ipow, mode_degrees, mode_index
 
 # Denominator magnitudes below this are treated as degenerate normalizations.
 DEGENERATE_DENOMINATOR = 1e-12
@@ -56,28 +58,6 @@ class SupportViolationError(ValueError):
 
 class DegenerateSourceError(ValueError):
     """A normalizing integral of a constructor is numerically zero."""
-
-
-def mode_degrees(dimension: int, truncation: int) -> np.ndarray:
-    """Order (2D) or degree (3D) of every stored mode, in storage order."""
-    if dimension == 2:
-        return np.arange(-truncation, truncation + 1)
-    n = np.arange(truncation + 1)
-    return np.repeat(n, 2 * n + 1)
-
-
-def mode_index(dimension: int, truncation: int, n: int, m: int | None = None) -> int:
-    """Flat row of an angular mode up to the truncation: 2D order n (rows
-    n = -N..N), or 3D degree/order (n, m) (rows packed degree by degree)."""
-    if dimension == 2:
-        if abs(n) > truncation:
-            raise ValueError(f"|n| must be <= {truncation}, got {n}")
-        return n + truncation
-    if m is None:
-        raise ValueError("3D modes need both degree n and order m")
-    if n > truncation or abs(m) > n:
-        raise ValueError(f"(n, m) must satisfy |m| <= n <= {truncation}, got ({n}, {m})")
-    return n * n + n + m
 
 
 @dataclass(frozen=True)
@@ -293,15 +273,15 @@ class SourceField:
 def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
     """Project a source onto angular-mode radial profiles up to the truncation.
 
-    2D computes Fourier coefficients of the angular dependence at every
-    radial node through the FFT of equispaced samples (exact for band-limited
-    data); 3D projects against the conjugate orthonormal harmonics with the
-    product rule, separated: an FFT over the azimuths of each (radial, polar)
-    ring, then one Legendre sum per order (specfun.sph_analysis), never the
-    dense harmonic block.  When the default grid has enough angles for the
-    truncation, the projection reads the source's cached default samples;
-    otherwise it reads a grid with more angles, which also ends at the
-    source's support.
+    The samples of each radial node are analysed on the grid's angular rule
+    by specfun.rule_analysis: in 2D the Fourier coefficients of the angular
+    dependence by one FFT of the equispaced samples (exact for band-limited
+    data), in 3D the quadrature against the conjugate orthonormal harmonics,
+    separated into an FFT over the azimuths of each (radial, polar) ring and
+    one Legendre sum per order, never the dense harmonic block.  When the
+    default grid has enough angles for the truncation, the projection reads
+    the source's cached default samples; otherwise it reads a grid with more
+    angles, which also ends at the source's support.
     """
     ctx = src.ctx
     _check_integer("truncation", truncation, 0)
@@ -318,17 +298,8 @@ def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
     else:
         grid = product_grid(ctx, src.resolve_radial_order(), needed, extent=src.support_radius)
         vals = src.values_on(grid)
-    rule, ang = grid.radial, grid.angular
-    vals = vals.reshape(grid.shape)
-
-    if ctx.dimension == 2:
-        m = ang.count
-        spectrum = np.fft.fft(vals, axis=1) / m  # (1/2pi) * trapezoid in theta
-        values = spectrum[:, mode_degrees(2, truncation) % m].T.copy()
-    else:
-        rows = vals.reshape(grid.shape[0], ang.polar_count, ang.azimuth_count)
-        values = specfun.sph_analysis(truncation, rows, *ang.rings)
-    return ModalProfiles(ctx.dimension, truncation, rule, values)
+    values = specfun.rule_analysis(truncation, vals.reshape(grid.shape), grid.angular)
+    return ModalProfiles(ctx.dimension, truncation, grid.radial, values)
 
 
 def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | None = None) -> ModalCoefficients:
@@ -369,7 +340,7 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
         osc, mod = specfun.regular_wave_tables(ctx.dimension, truncation, kr)
         if ctx.dimension == 2:
             n = mode_degrees(2, truncation)
-            j = specfun.mirror_orders(osc, axis=0)
+            j = specfun.per_mode(2, osc, axis=0)
             alpha = np.sum(values * j * measure, axis=1)
             beta = _ipow(n) * np.sum(values * mod[np.abs(n)] * measure, axis=1)
         else:

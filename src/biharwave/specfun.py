@@ -1,7 +1,19 @@
 """Regular radial waves over all orders, imaginary-axis Hankel functions in
-scaled form, orthonormal spherical harmonics and the separated harmonic
-transforms on product rules: the special functions the library needs beyond
-scipy.special.
+scaled form, orthonormal spherical harmonics, and the angular-mode layer:
+the mode layout and every transform on it.  These are the special functions
+the library needs beyond scipy.special.
+
+The angular modes are the 2D Fourier orders n = -N..N and the 3D
+spherical-harmonic pairs (n, m), stored degree by degree.  Their layout
+(mode_degrees, mode_index) is spelled out here only.  A per-order table
+(2D, orders 0..N) or per-degree table (3D) becomes a per-mode one through
+per_mode: in 2D by the reflection C_-n = (-1)**n C_n, in 3D by repeating
+each degree over its orders.  On the nodes of an AngularRule the modes are
+analysed and synthesized by rule_analysis and rule_synthesis: one FFT over
+the equispaced angles in 2D, and in 3D an FFT over the azimuths with one
+Legendre sum per order (sph_analysis and sph_synthesis, the separated
+transforms of Driscoll & Healy, Adv. Appl. Math. 15 (1994) 202-250).  The
+dense angular_basis serves only angles that are not a rule's nodes.
 
 The regular families, J_n and I_n in 2D and the spherical j_n and i_n in
 3D, come as whole tables over the orders 0..N from one backward ratio
@@ -94,21 +106,47 @@ def cos_sin(t, out=None):
 
 
 # ---------------------------------------------------------------------------
-# Negative integer orders
+# Angular modes: their layout and per-order tables expanded over it
 # ---------------------------------------------------------------------------
-def mirror_orders(table, axis=-1):
-    """A table over the integer orders n = 0..N (along axis) extended to
-    n = -N..N by C_-n = (-1)**n C_n, the reflection of J_n, Y_n, their
-    Hankel combinations, their derivatives and the scaled H_n(i t) family:
-    the negative orders cost a gather and a negation, not a second
-    evaluation.  The values equal scipy's own at the negative orders.
+def mode_degrees(dimension: int, truncation: int) -> np.ndarray:
+    """Order (2D) or degree (3D) of every stored mode, in storage order."""
+    if dimension == 2:
+        return np.arange(-truncation, truncation + 1)
+    n = np.arange(truncation + 1)
+    return np.repeat(n, 2 * n + 1)
+
+
+def mode_index(dimension: int, truncation: int, n: int, m: int | None = None) -> int:
+    """Flat row of an angular mode up to the truncation: 2D order n (rows
+    n = -N..N), or 3D degree/order (n, m) (rows packed degree by degree)."""
+    if dimension == 2:
+        if abs(n) > truncation:
+            raise ValueError(f"|n| must be <= {truncation}, got {n}")
+        return n + truncation
+    if m is None:
+        raise ValueError("3D modes need both degree n and order m")
+    if n > truncation or abs(m) > n:
+        raise ValueError(f"(n, m) must satisfy |m| <= n <= {truncation}, got ({n}, {m})")
+    return n * n + n + m
+
+
+def per_mode(dimension: int, table, axis: int = -1) -> np.ndarray:
+    """A table over the orders (2D) or degrees (3D) n = 0..N (along axis)
+    expanded to one entry per stored mode, in mode_degrees' layout.
+
+    2D extends it to n = -N..N by C_-n = (-1)**n C_n, the reflection of J_n,
+    Y_n, their Hankel combinations, their derivatives and the scaled H_n(i t)
+    family: the negative orders cost a gather and a negation, not a second
+    evaluation, and equal scipy's own values there.  3D repeats each degree
+    over its 2n + 1 orders.
     """
     table = np.asarray(table)
     top = table.shape[axis] - 1
-    out = np.take(table, np.abs(np.arange(-top, top + 1)), axis=axis)
-    odd = [slice(None)] * out.ndim
-    odd[axis] = slice((top + 1) % 2, top, 2)  # index i holds n = i - top
-    np.negative(out[tuple(odd)], out=out[tuple(odd)])
+    out = np.take(table, np.abs(mode_degrees(dimension, top)), axis=axis)
+    if dimension == 2:
+        odd = [slice(None)] * out.ndim
+        odd[axis] = slice((top + 1) % 2, top, 2)  # index i holds n = i - top
+        np.negative(out[tuple(odd)], out=out[tuple(odd)])
     return out
 
 
@@ -254,8 +292,8 @@ def sph_harmonic_block(truncation: int, theta, phi) -> np.ndarray:
 
     Returns shape (npoints, (truncation+1)**2); column n*n + n + m holds
     Y_n^m.  It costs npoints * (truncation+1)**2 cells (and a transient
-    three times that), so on product rules use sph_analysis and
-    sph_synthesis instead.
+    three times that), so on the nodes of an AngularRule use rule_analysis
+    and rule_synthesis instead.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -335,12 +373,55 @@ def sph_synthesis(coeffs, theta, azimuth: int) -> np.ndarray:
     return np.fft.ifft(columns, axis=0, norm="forward").transpose(2, 1, 0)
 
 
+# ---------------------------------------------------------------------------
+# Transforms on the nodes of an angular rule, and the dense basis elsewhere
+# ---------------------------------------------------------------------------
+def rule_analysis(truncation: int, values, angular) -> np.ndarray:
+    """Mode coefficients through the truncation of k data sets sampled at
+    the nodes of an AngularRule: values of shape (k, angular.count), result
+    of shape (modes, k) in mode_degrees' layout, the coefficients whose
+    rule_synthesis gives the data back when the rule resolves them.
+
+    2D: one FFT over the M equispaced angles divided by M (the trapezoid
+    rule for 1 / (2 pi) times the integral against exp(-i n theta)), order n
+    read from column n mod M.  3D: sph_analysis on the rule's polar rings
+    (the quadrature of the data against conj(Y_n^m)).
+    """
+    values = np.asarray(values)
+    if angular.dimension == 3:
+        rings = values.reshape(len(values), angular.polar_count, angular.azimuth_count)
+        return sph_analysis(truncation, rings, *angular.rings)
+    spectrum = np.fft.fft(values, axis=1) / angular.count
+    return spectrum[:, mode_degrees(2, truncation) % angular.count].T.copy()
+
+
+def rule_synthesis(columns, angular) -> np.ndarray:
+    """Mode sums of k coefficient sets at the nodes of an AngularRule:
+    columns of shape (modes, k) in mode_degrees' layout, result of shape
+    (k, angular.count), each row the sum over modes of a column against
+    angular_basis at the nodes.
+
+    2D adds the modes of equal order mod M into one of M columns and sums
+    the M equispaced angles by one inverse FFT: exp(i n theta_j) takes the
+    same values for every n of a column, so no phase n theta_j is rounded.
+    3D is sph_synthesis on the rule's polar rings.
+    """
+    columns = np.asarray(columns)
+    if angular.dimension == 3:
+        return sph_synthesis(columns, angular.rings[0], angular.azimuth_count).reshape(columns.shape[1], -1)
+    folded = np.zeros((angular.count, columns.shape[1]), dtype=complex)
+    np.add.at(folded, mode_degrees(2, len(columns) // 2) % angular.count, columns)
+    # norm="forward" leaves the inverse unscaled: a plain sum of exp(+i n theta_j)
+    return np.fft.ifft(folded, axis=0, norm="forward").T
+
+
 def angular_basis(dimension: int, truncation: int, theta, phi=None) -> np.ndarray:
-    """Angular factor of every stored mode at the given angles, shape (M, modes).
+    """Angular factor of every stored mode at the given angles, shape (M, modes):
+    the dense basis, for angles that are not the nodes of an AngularRule
+    (on a rule, rule_analysis and rule_synthesis).
 
     2D: exp(i n theta) for n = -N..N; 3D: sph_harmonic_block at polar angle
-    theta and azimuth phi.  Columns follow the mode layout of the modal
-    profiles and coefficients.
+    theta and azimuth phi.  Columns follow mode_degrees' layout.
     """
     if dimension == 2:
         return np.exp(1j * np.outer(theta, np.arange(-truncation, truncation + 1)))

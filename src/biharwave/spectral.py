@@ -19,6 +19,13 @@ for (default_mode_truncation when None), and the source keeps them, so the
 transforms, the null-space residual and the verdict of one source at one
 truncation share one projection.
 
+The modal syntheses on the kappa sphere follow the points they are asked
+at.  verdict's spectral residual and every probe radius of
+nullspace_residual are columns of one specfun.rule_synthesis on the
+AngularRule behind direction_grid (an inverse FFT in 2D, the separated
+harmonic synthesis in 3D).  fourier_on_circle and laplace_on_circle take
+caller-given directions, so they sum the dense angular basis there.
+
 Callers pass unit directions only; the evaluation radius is snapped to
 exactly kappa internally, so off-sphere queries are unrepresentable.
 """
@@ -33,8 +40,8 @@ from . import fields, specfun
 from .context import WaveContext, _check_integer, _is_real
 from .fields import _check_directions
 from .kernels import green_biharmonic
-from .quadrature import angular_rule, spherical_params, split_params
-from .sources import SourceField, default_mode_truncation, mode_degrees, modal_coefficients
+from .quadrature import angular_rule, spherical_params
+from .sources import SourceField, default_mode_truncation, modal_coefficients
 from .specfun import _ipow
 
 __all__ = [
@@ -136,41 +143,49 @@ class NonradiatingVerdict:
 # ---------------------------------------------------------------------------
 # Direction grids
 # ---------------------------------------------------------------------------
+def _direction_rule(ctx, count):
+    """The AngularRule behind direction_grid(ctx, count)."""
+    _check_integer("direction count", count, 1)
+    if ctx.dimension == 2:
+        return angular_rule(ctx, max(count, 4))
+    return angular_rule(ctx, max(2, int(np.ceil(np.sqrt(count / 2.0)))))
+
+
 def direction_grid(ctx: WaveContext, count: int):
     """Unit directions for sampling the kappa sphere.
 
-    2D: count equispaced angles.  3D: the product rule closest to count
-    nodes (polar Gauss x equispaced azimuth), at least count in total.
-    Returns (directions, params) as in AngularRule.
+    2D: count equispaced angles, at least 4 (the floor of angular_rule).
+    3D: the product rule closest to count nodes (polar Gauss x equispaced
+    azimuth), at least count in total.  Returns (directions, params) as in
+    AngularRule.
     """
-    _check_integer("direction count", count, 1)
-    if ctx.dimension == 2:
-        rule = angular_rule(ctx, max(count, 4))
-        return rule.directions, rule.params
-    polar = max(2, int(np.ceil(np.sqrt(count / 2.0))))
-    rule = angular_rule(ctx, polar)
+    rule = _direction_rule(ctx, count)
     return rule.directions, rule.params
 
 
 # ---------------------------------------------------------------------------
 # Restricted transforms (modal synthesis)
 # ---------------------------------------------------------------------------
-def _synthesis(ctx, basis, weights) -> np.ndarray:
-    """|S^(d-1)| times the mode sum of weights against the angular basis."""
-    return (2.0 * np.pi if ctx.dimension == 2 else 4.0 * np.pi) * basis @ weights
+def _sphere_measure(ctx) -> float:
+    """|S^(d-1)|: 2 pi in 2D, 4 pi in 3D."""
+    return 2.0 * np.pi if ctx.dimension == 2 else 4.0 * np.pi
 
 
-def _on_circle(ctx, src, directions, signs, truncation):
-    """Mode syntheses of sign**n-weighted coefficients at the directions, one
-    per sign and all from one angular basis: sign -1 pairs (-i)^n with
-    alpha, sign +1 pairs i^n with beta."""
+def _signed_modes(coeffs, sign):
+    """sign**n-weighted coefficients: sign -1 pairs (-i)^n with alpha (the
+    Fourier data), sign +1 pairs i^n with beta (the exponential-weight
+    transform)."""
+    degrees = specfun.mode_degrees(coeffs.dimension, coeffs.truncation)
+    return _ipow(sign * degrees) * (coeffs.alpha if sign < 0 else coeffs.beta)
+
+
+def _on_circle(ctx, src, directions, sign, truncation):
+    """|S^(d-1)| times the mode sum of the sign**n-weighted coefficients at
+    caller-given directions, on the dense angular basis."""
     dirs = _check_directions(ctx, directions)
     coeffs = modal_coefficients(ctx, src, truncation)
-    N = coeffs.truncation
-    basis = specfun.angular_basis(ctx.dimension, N, *spherical_params(dirs)[1:])
-    degrees = mode_degrees(ctx.dimension, N)
-    return [_synthesis(ctx, basis, _ipow(sign * degrees) * (coeffs.alpha if sign < 0 else coeffs.beta))
-            for sign in signs]
+    basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *spherical_params(dirs)[1:])
+    return _sphere_measure(ctx) * basis @ _signed_modes(coeffs, sign)
 
 
 def fourier_on_circle(ctx: WaveContext, src: SourceField, directions, truncation: int | None = None) -> np.ndarray:
@@ -181,7 +196,7 @@ def fourier_on_circle(ctx: WaveContext, src: SourceField, directions, truncation
     2D: 2 pi sum_n (-i)^n alpha_n exp(i n arg(dir));
     3D: 4 pi sum_(n, m) (-i)^n alpha_n^m Y_n^m(dir).
     """
-    return _on_circle(ctx, src, directions, (-1,), truncation)[0]
+    return _on_circle(ctx, src, directions, -1, truncation)
 
 
 def laplace_on_circle(ctx: WaveContext, src: SourceField, directions, truncation: int | None = None) -> np.ndarray:
@@ -193,7 +208,7 @@ def laplace_on_circle(ctx: WaveContext, src: SourceField, directions, truncation
     3D: 4 pi sum_(n, m) i^n beta_n^m Y_n^m(dir).
     """
     _check_exp_weight(ctx)
-    return _on_circle(ctx, src, directions, (1,), truncation)[0]
+    return _on_circle(ctx, src, directions, 1, truncation)
 
 
 def fourier_transform_quadrature(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
@@ -255,7 +270,9 @@ def nullspace_residual(
     the invisible class: the regular-wave kernel integral and the decaying
     kernel integral, both evaluated through the mode expansions of the
     source's coefficients at the truncation (default_mode_truncation when
-    None).
+    None).  The probes are the directions of direction_grid(ctx, 16) at each
+    radius: every radius is a column of each integral in one
+    specfun.rule_synthesis on that grid's rule.
 
     Zero (below tolerance) exactly for sources with no exterior field.
     probe_radii is one radius or a non-empty 1-D list, each finite and
@@ -268,21 +285,19 @@ def nullspace_residual(
     if not np.all(np.isfinite(radii)) or np.any(radii <= ctx.radius):
         raise ValueError(f"probe_radii must be finite and exceed R = {ctx.radius}, got {radii.tolist()}")
     coeffs = modal_coefficients(ctx, src, truncation)
-    _, params = direction_grid(ctx, 16)
-    basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *split_params(params))
-    # one regular wave per order (2D, mirrored to -N..N) or degree (3D) and
-    # radius, repeated over the modes: rows by radius
-    regular, _ = specfun.regular_wave_tables(ctx.dimension, coeffs.truncation, ctx.kappa * radii)
-    if ctx.dimension == 2:
-        regular = specfun.mirror_orders(regular, axis=0)
-    regular = fields._per_mode(ctx, regular.T)
-    worst = 0.0
-    for r, wave in zip(radii, regular):
-        reg = _synthesis(ctx, basis, wave * coeffs.alpha)
-        _, f_m = fields._modal_series(ctx, coeffs, np.full(len(params), r), basis)
-        # the decaying-kernel integral is minus the modified radiation part
-        worst = max(worst, float(np.max(np.abs(reg) + np.abs(f_m))))
-    return worst
+    N, nr = coeffs.truncation, len(radii)
+    # one regular wave per order (2D) or degree (3D) and radius, and the
+    # decaying family's per-mode table: every radius is a column of each
+    # family in one synthesis on the direction rule
+    regular, _ = specfun.regular_wave_tables(ctx.dimension, N, ctx.kappa * radii)
+    _, c_m, _, s = fields._radial_tables(ctx, N, ctx.kappa * radii[:, None], derivative=False)
+    columns = np.hstack([specfun.per_mode(ctx.dimension, regular, axis=0) * coeffs.alpha[:, None],
+                         s.T * coeffs.beta[:, None]])
+    sums = specfun.rule_synthesis(columns, _direction_rule(ctx, 16))
+    reg = _sphere_measure(ctx) * sums[:nr]
+    # the decaying-kernel integral is minus the modified radiation part
+    f_m = c_m * np.exp(-ctx.kappa * radii)[:, None] * sums[nr:]
+    return float(np.max(np.abs(reg) + np.abs(f_m)))
 
 
 def _field_scale(ctx, norm_f, probe_radii) -> float:
@@ -326,11 +341,13 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
             "raise the truncation"
         )
 
-    dirs, _ = direction_grid(ctx, cfg.direction_count)
+    rule = _direction_rule(ctx, cfg.direction_count)
+    dirs = rule.directions
     _check_exp_weight(ctx)
-    # fourier_on_circle and laplace_on_circle from one angular basis, both
-    # reading the projection made above
-    fh, fc = _on_circle(ctx, src, dirs, (-1, 1), top)
+    # fourier_on_circle and laplace_on_circle at the rule's nodes, two
+    # columns of one synthesis of the projection made above
+    columns = np.column_stack([_signed_modes(coeffs, -1), _signed_modes(coeffs, 1)])
+    fh, fc = _sphere_measure(ctx) * specfun.rule_synthesis(columns, rule)
     res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f if norm_f > 0 else 0.0
 
     probe_radii = np.array(PROBE_FACTORS) * ctx.radius

@@ -23,16 +23,17 @@ from biharwave.sources import (
     make_3d_bessel_nonradiating,
     make_bump_nonradiating,
     modal_coefficients,
-    mode_degrees,
     project_modes,
 )
 from biharwave.kernels import kernel_tables
-from biharwave.specfun import regular_wave_tables
+from biharwave.specfun import mode_degrees, regular_wave_tables
 from biharwave.spectral import (
     PROBE_FACTORS,
     direction_grid,
     fourier_transform_quadrature,
     laplace_transform_quadrature,
+    nullspace_residual,
+    verdict,
 )
 
 import oracles
@@ -487,6 +488,21 @@ class TestBoundaryTrace:
         with pytest.raises(Exception):
             boundary_trace(big, src, grid)
 
+    def test_grid_of_another_radius_refused(self):
+        # the channels are synthesized at |x| = R of the context: on a grid
+        # of radius 2 under R = 1 they were labelled with the grid's points,
+        # and u_hat_from_trace missed f_hat by 2.3 times its peak, silently
+        grid = boundary_grid(WaveContext(2, CTX2.kappa, 2.0), 16)
+        with pytest.raises(ValueError, match=r"grid has radius 2\.0 but the context has R = 1\.0"):
+            boundary_trace(CTX2, _gaussian(CTX2), grid)
+
+    def test_grid_of_another_dimension_refused(self):
+        # a 3D grid under a 2D context gave a 2048-value trace, which failed
+        # only later, in a matrix product of the trace functionals
+        grid = boundary_grid(CTX3, 32)
+        with pytest.raises(ValueError, match="grid is 3D but the context is 2D"):
+            boundary_trace(CTX2, _gaussian(CTX2), grid)
+
     def test_csv_schema(self):
         src = _gaussian(CTX2)
         grid = boundary_grid(CTX2, 16)
@@ -505,9 +521,7 @@ class TestBoundaryTrace:
 def _per_point_series(ctx, coeffs, r, basis, derivative=False):
     """The modal series with its radial tables evaluated at every point."""
     t = ctx.kappa * r
-    c_h, c_m, h, s = fields._radial_tables(ctx, coeffs.truncation, t[:, None], derivative)
-    H = fields._per_mode(ctx, h)
-    S = fields._per_mode(ctx, s)
+    c_h, c_m, H, S = fields._radial_tables(ctx, coeffs.truncation, t[:, None], derivative)
     f_h = c_h * (basis * H) @ coeffs.alpha
     f_m = c_m * np.exp(-t) * ((basis * S) @ coeffs.beta)
     return f_h, f_m
@@ -522,6 +536,12 @@ class TestSeparableModalRoute:
         modal_coefficients(CTX3, src, 12)
         assert harmonic_blocks[0] == 0
         boundary_trace(CTX3, src, boundary_grid(CTX3, 16), truncation=12)
+        assert harmonic_blocks[0] == 0
+        # the verdict's spectral residual and the null-space probes
+        # synthesize on the direction rule too
+        verdict(CTX3, src)
+        assert harmonic_blocks[0] == 0
+        nullspace_residual(CTX3, src, [1.5, 3.0])
         assert harmonic_blocks[0] == 0
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])

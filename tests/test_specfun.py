@@ -141,17 +141,25 @@ class TestCosSin:
 
 
 @pytest.mark.parametrize("axis", [0, -1])
-def test_mirror_orders_matches_negative_orders(axis):
-    # C_-n = (-1)^n C_n for the integer-order families the library mirrors
+def test_per_mode_matches_negative_orders(axis):
+    # 2D: C_-n = (-1)^n C_n for the integer-order families the library
+    # mirrors; 3D: each degree repeated over its 2n + 1 orders
     t = np.linspace(0.3, 40.0, 17)
     top = 25
     n = np.arange(-top, top + 1)
     for fn in (sp.jv, sp.hankel1, sp.h1vp, specfun.hankel1_imag_scaled, specfun.hankel1_imag_scaled_dt):
         half = fn(np.arange(top + 1)[:, None], t)
         full = fn(n[:, None], t)
-        got = specfun.mirror_orders(half if axis == 0 else half.T, axis=axis)
+        got = specfun.per_mode(2, half if axis == 0 else half.T, axis=axis)
         assert np.array_equal(got if axis == 0 else got.T, full)
-    assert np.array_equal(specfun.mirror_orders(np.array([2.5])), [2.5])
+    assert np.array_equal(specfun.per_mode(2, np.array([2.5])), [2.5])
+    for fn in (sp.spherical_jn, sp.spherical_yn, specfun.sph_hankel1_imag_scaled):
+        half = fn(np.arange(top + 1)[:, None], t)
+        full = fn(specfun.mode_degrees(3, top)[:, None], t)
+        got = specfun.per_mode(3, half if axis == 0 else half.T, axis=axis)
+        assert got.shape[axis] == (top + 1) ** 2
+        assert np.array_equal(got if axis == 0 else got.T, full)
+    assert np.array_equal(specfun.per_mode(3, np.array([2.5, -1.0])), [2.5, -1.0, -1.0, -1.0])
 
 
 def _mp_regular(dimension, n, x):
@@ -456,6 +464,25 @@ class TestSeparatedTransforms:
         ref = oracles.dense_sph_synthesis(coeffs, ang.params)
         assert got.shape == (2, ang.polar_count, ang.azimuth_count)
         assert np.max(np.abs(got.reshape(2, -1) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the angular-mode layer's synthesis on the same rule, node by node
+        got = specfun.rule_synthesis(coeffs, ang)
+        assert got.shape == (2, ang.count)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_2d_rule_synthesis_matches_exact_phases(self):
+        # 201 orders on 64 angles, up to four sharing each column of the
+        # inverse FFT.  The reference reduces n theta_j exactly to
+        # 2 pi (n j mod M) / M; the dense basis exp(i n theta_j), whose phase
+        # is rounded, was 2.4e-14 of the peak off at |n| = 100
+        N, M = 100, 64
+        rule = angular_rule(WaveContext(2, 1.0, 1.0), M)
+        coeffs = _random_complex(2 * N + 1, 2, 11)
+        j = np.arange(M)
+        basis = np.exp(2j * np.pi * (np.outer(j, specfun.mode_degrees(2, N)) % M) / M)
+        ref = (basis @ coeffs).T
+        got = specfun.rule_synthesis(coeffs, rule)
+        assert got.shape == (2, M)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_analysis_inverts_synthesis(self):
         # below the rule's exact degree the two transforms are inverse
@@ -463,4 +490,13 @@ class TestSeparatedTransforms:
         coeffs = _random_complex(23**2, 1, 5)
         samples = specfun.sph_synthesis(coeffs, rule.rings[0], rule.azimuth_count)
         back = specfun.sph_analysis(22, samples, *rule.rings)
+        assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+        # and through the angular-mode layer: 3D on the same rule, 2D with
+        # the orders |n| <= 31 apart on 64 angles
+        back = specfun.rule_analysis(22, specfun.rule_synthesis(coeffs, rule), rule)
+        assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+        rule = angular_rule(WaveContext(2, 1.0, 1.0), 64)
+        coeffs = _random_complex(63, 3, 6)
+        back = specfun.rule_analysis(31, specfun.rule_synthesis(coeffs, rule), rule)
+        assert back.shape == coeffs.shape
         assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
