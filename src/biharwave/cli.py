@@ -217,7 +217,10 @@ def cmd_nonuniqueness(args) -> int:
 def cmd_field(args) -> int:
     cfg = _load_scenario(args.config, args)
     ctx, src = _build(cfg)
-    factors = [float(v) for v in args.radii.split(",")] if args.radii else list(spectral.PROBE_FACTORS)
+    try:
+        factors = [float(v) for v in args.radii.split(",")] if args.radii else list(spectral.PROBE_FACTORS)
+    except ValueError as exc:  # "abc", or the empty item of "1.5,,2"
+        raise ConfigError(f"--radii factors must be numbers: {exc}") from None
     for factor in factors:
         # a negative factor would probe the antipode under the direction's angle columns
         if not (np.isfinite(factor) and factor > 0):

@@ -32,13 +32,15 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   within 2.2e-16 of mpmath), into a buffer allocated once per call, and
 * angular-mode series built from the source's modal coefficients
   (sources.modal_coefficients, which the source keeps per truncation; valid
-  from the support radius outward), with per-mode radial tables
-  (specfun.per_mode).  Boundary traces are such series on the boundary
-  rule, synthesized by specfun.rule_synthesis; only the modal field at
-  caller-given points sums them against the dense angular basis.  The trace
-  derivatives come from analytic recurrences, not numerical
-  differentiation, because the near-field identities downstream need them
-  at the 1e-8 level.
+  from the support radius outward), with the radial tables of
+  specfun.exterior_wave_tables expanded per mode (specfun.per_mode); this
+  module adds only the series prefactors.  Boundary traces are such series
+  on the boundary rule, synthesized by specfun.rule_synthesis; only the
+  modal field at caller-given points sums them against the dense angular
+  basis.  The trace derivatives come from the one recurrence
+  z_n' = (n / t) z_n - z_(n+1) on those tables, in both dimensions, not
+  from numerical differentiation, because the near-field identities
+  downstream need them at the 1e-8 level.
 
 Outside the support, f_h and f_m solve the homogeneous equations, so the
 Laplacian trace needs no new series: lap u = -(f_h + f_m) / 2.
@@ -54,7 +56,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from . import specfun
 from .context import WaveContext
@@ -355,30 +356,17 @@ def _radial_tables(ctx, truncation, t, derivative):
     """Prefactors and per-mode radial factors of the f_h and f_m series at
     t = kappa r (shape (M, 1)): the outgoing family and the exp(t)-scaled
     decaying family, or their r-derivatives, each of shape (M, modes)
-    (specfun.per_mode).
+    (specfun.exterior_wave_tables, expanded by specfun.per_mode).
 
     Raises OverflowError when a factor leaves the double range (a high
     truncation at small kappa r), where the series would give inf * 0 = NaN.
     """
-    k = ctx.kappa
-    n = np.arange(truncation + 1)
+    k = ctx.kappa if derivative else 1.0  # d/dr = kappa d/dt
+    c_h, c_m = (-0.5j * np.pi * k,) * 2 if ctx.dimension == 2 else (-1j * ctx.kappa * k, ctx.kappa * k)
     # the check below names an overflow, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        if ctx.dimension == 2:
-            if derivative:
-                c_h = c_m = -0.5j * np.pi * k
-                h, s = _sp.h1vp(n, t), specfun.hankel1_imag_scaled_dt(n, t)
-            else:
-                c_h = c_m = -0.5j * np.pi
-                h, s = _sp.hankel1(n, t), specfun.hankel1_imag_scaled(n, t)
-        elif derivative:
-            c_h, c_m = -1j * k, k
-            h = k * (_sp.spherical_jn(n, t, derivative=True) + 1j * _sp.spherical_yn(n, t, derivative=True))
-            s = k * specfun.sph_hankel1_imag_scaled_dt(n, t)
-        else:
-            c_h, c_m = -1j * k, k
-            h = _sp.spherical_jn(n, t) + 1j * _sp.spherical_yn(n, t)
-            s = specfun.sph_hankel1_imag_scaled(n, t)
+        tables = specfun.exterior_wave_tables(ctx.dimension, truncation, np.ravel(t), derivative)
+    h, s = (table.T for table in tables)  # (M, orders), as t
     finite = np.isfinite(h) & np.isfinite(s)
     if not np.all(finite):
         worst = float(np.min(np.broadcast_to(t, finite.shape)[~finite]))
@@ -448,7 +436,8 @@ def eval_field_batch(
     source's: the grid ends at the support, so a Gaussian of support 0.9R
     takes 51/64 of them (19,737 and 712,368).  Each point still sums the
     source's own values, permuted to its image, in radial blocks of the
-    grid; scattered points take one whole table each.  'modal' sums the exterior
+    grid; scattered points take one whole table each, and a truncation is
+    refused, naming both.  'modal' sums the exterior
     angular-mode series of the source's coefficients at the truncation
     (default_mode_truncation when None; valid from the support radius
     outward).  Points with a coordinate that is not finite are refused.
@@ -461,6 +450,9 @@ def eval_field_batch(
         raise ValueError(f"field points must be finite; got {pts[~finite].tolist()}")
     r = np.linalg.norm(pts, axis=-1)
     if method == "quadrature":
+        if truncation is not None:  # the quadrature has no modes to truncate
+            raise ValueError(f"method 'quadrature' takes no truncation (got truncation={truncation!r}); "
+                             "a truncation sets the 'modal' series")
         if not np.all(r > src.support_radius):
             raise ValueError(
                 "quadrature evaluation needs |x| > support radius "

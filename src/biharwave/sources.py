@@ -8,9 +8,11 @@ where it is zero (a Gaussian of support 0.9R 51 of 64, the rho 0.8R bump 226
 of 320).  Projecting it onto angular modes (2D Fourier orders, 3D
 spherical-harmonic degree/order pairs, in the layout of specfun.mode_degrees)
 gives plain data, the radial profiles of ModalProfiles on those nodes, which
-modal_coefficients pairs with the two radial wave families.  The angular
-work, the mode layout and the analysis on the grid's angular rule, is
-specfun's; this module only sizes the grid and reads the source on it.
+modal_coefficients pairs with the two regular radial wave families, in one
+code path for 2D and 3D.  The angular work (the mode layout and the
+analysis on the grid's angular rule) and the radial wave tables are
+specfun's; this module only sizes the grid, reads the source on it and
+sums the products.
 
 The nonradiating constructors apply their radial differential operators
 analytically (chain rule on powers of the order-zero radial waves), never by
@@ -308,8 +310,10 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
 
     2D pairs profile n with J_n(kappa r) (alpha) and J_n(i kappa r) (beta)
     under the r dr measure; 3D pairs degree n with the spherical j_n and its
-    imaginary-argument counterpart under r^2 dr.  norm_f is the norm of the
-    source itself, not of its truncation.
+    imaginary-argument counterpart under r^2 dr.  In both, the
+    imaginary-argument value is i**n times the modified family, I_n or i_n,
+    and the tables come from specfun.regular_wave_tables, expanded per mode.
+    norm_f is the norm of the source itself, not of its truncation.
 
     The coefficients are computed once per (context, truncation) and kept on
     the source, with alpha and beta read-only: the transforms, the boundary
@@ -336,22 +340,12 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     # the imaginary-argument family can leave the double range; the check
     # after this block names that, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        # orders n >= 0 only (2D: J_-n = (-1)^n J_n, I_-n = I_n)
+        # orders (2D) or degrees (3D) n >= 0 only, expanded over the modes
+        # (2D: J_-n = (-1)^n J_n, I_-n = I_n)
         osc, mod = specfun.regular_wave_tables(ctx.dimension, truncation, kr)
-        if ctx.dimension == 2:
-            n = mode_degrees(2, truncation)
-            j = specfun.per_mode(2, osc, axis=0)
-            alpha = np.sum(values * j * measure, axis=1)
-            beta = _ipow(n) * np.sum(values * mod[np.abs(n)] * measure, axis=1)
-        else:
-            j_weighted = osc * measure
-            i_weighted = mod * measure
-            alpha = np.empty(len(values), dtype=complex)
-            beta = np.empty_like(alpha)
-            for deg in range(truncation + 1):  # per degree: one stacked product would round differently
-                lo, hi = deg * deg, (deg + 1) ** 2
-                alpha[lo:hi] = values[lo:hi] @ j_weighted[deg]
-                beta[lo:hi] = _ipow(deg) * (values[lo:hi] @ i_weighted[deg])
+        n = mode_degrees(ctx.dimension, truncation)
+        alpha = np.sum(values * specfun.per_mode(ctx.dimension, osc, axis=0) * measure, axis=1)
+        beta = _ipow(n) * np.sum(values * mod[np.abs(n)] * measure, axis=1)
     k_support = ctx.kappa * src.support_radius
     if not np.all(np.isfinite(beta)):
         raise OverflowError(

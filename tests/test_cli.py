@@ -310,10 +310,11 @@ def test_non_finite_parameter_is_named(tmp_path, capsys, kind, name, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("radii", ["nan", "inf", "-2", "0", "1.5,nan"])
+@pytest.mark.parametrize("radii", ["nan", "inf", "-2", "0", "1.5,nan", "abc", "1.5,,2"])
 def test_radii_must_be_finite_and_positive(tmp_path, capsys, radii):
     # nan matched no probe ring and wrote an all-zero field, the look of an
-    # invisible source; -2 probed the antipode under the direction's angles
+    # invisible source; -2 probed the antipode under the direction's angles;
+    # a word or an empty item gave float()'s message, which named no flag
     cfg = _write(tmp_path, "g.json", GAUSS2D)
     assert main(["field", f"--radii={radii}", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

@@ -91,6 +91,15 @@ class TestEvalField:
         with pytest.raises(ValueError, match="support"):
             eval_field(CTX2, src, np.array([0.5, 0.0]), method="quadrature")
 
+    @pytest.mark.parametrize("truncation", [12, -3])
+    def test_quadrature_refuses_truncation(self, truncation):
+        # the quadrature has no modes: a truncation, even -3, was ignored
+        src, pts = _gaussian(CTX2), np.array([[1.5, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match=rf"'quadrature' takes no truncation \(got truncation={truncation}\)"):
+            eval_field_batch(CTX2, src, pts, method="quadrature", truncation=truncation)
+        with pytest.raises(ValueError, match="'quadrature' takes no truncation"):
+            eval_field(CTX2, src, pts[0], method="quadrature", truncation=truncation)
+
     @pytest.mark.parametrize("method", ["quadrature", "modal"])
     @pytest.mark.parametrize("layout", ["ring", "scattered"])
     def test_non_finite_points_rejected(self, method, layout):

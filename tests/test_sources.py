@@ -199,8 +199,8 @@ class TestModalCoefficients:
         for n in range(7):
             profiles = np.array([modal.profile(n, m) for m in range(-n, n + 1)])
             rows = slice(n * n, (n + 1) ** 2)
-            np.testing.assert_array_equal(co.alpha[rows], profiles @ (j[n] * meas))
-            np.testing.assert_array_equal(co.beta[rows], 1j ** n * (profiles @ (i[n] * meas)))
+            np.testing.assert_array_equal(co.alpha[rows], np.sum(profiles * j[n] * meas, axis=1))
+            np.testing.assert_array_equal(co.beta[rows], 1j ** n * np.sum(profiles * i[n] * meas, axis=1))
 
     def test_truncated_matches_lower_projection(self):
         src = gaussian_source(CTX2, center=[0.2, -0.1], sigma=0.2)

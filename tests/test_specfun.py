@@ -1,8 +1,9 @@
 """Special functions: frozen oracle values, identities, error paths.
 
-The regular-wave tables over all orders (J_n, I_n, j_n, i_n) are checked
-against mpmath; the outgoing Bessel/Hankel families and single spherical
-harmonics at the scipy.special routines the library calls; the
+The regular-wave tables over all orders (J_n, I_n, j_n, i_n) and the
+exterior ones (outgoing and exp-scaled decaying waves and their derivatives)
+are checked against mpmath; the outgoing Hankel family and single spherical
+harmonics also at the scipy.special routines the library calls; the
 imaginary-axis family J_n(i t) = i**n I_|n|(t) also where the library
 evaluates it, as beta of single-mode sources.
 """
@@ -147,18 +148,26 @@ def test_per_mode_matches_negative_orders(axis):
     t = np.linspace(0.3, 40.0, 17)
     top = 25
     n = np.arange(-top, top + 1)
-    for fn in (sp.jv, sp.hankel1, sp.h1vp, specfun.hankel1_imag_scaled, specfun.hankel1_imag_scaled_dt):
-        half = fn(np.arange(top + 1)[:, None], t)
-        full = fn(n[:, None], t)
-        got = specfun.per_mode(2, half if axis == 0 else half.T, axis=axis)
-        assert np.array_equal(got if axis == 0 else got.T, full)
+
+    def expand(dimension, half):
+        got = specfun.per_mode(dimension, half if axis == 0 else half.T, axis=axis)
+        return got if axis == 0 else got.T
+
+    for fn in (sp.jv, sp.hankel1, sp.h1vp):
+        assert np.array_equal(expand(2, fn(np.arange(top + 1)[:, None], t)), fn(n[:, None], t))
+    # the exp(t)-scaled decaying family and its derivative against the
+    # unscaled K-family oracle at the negative orders
+    for derivative, oracle in ((False, oracles.hankel1_imag), (True, oracles.hankel1_imag_dt)):
+        _, scaled = specfun.exterior_wave_tables(2, top, t, derivative)
+        np.testing.assert_allclose(expand(2, scaled) * np.exp(-t), oracle(n[:, None], t), rtol=1e-13, atol=0)
     assert np.array_equal(specfun.per_mode(2, np.array([2.5])), [2.5])
-    for fn in (sp.spherical_jn, sp.spherical_yn, specfun.sph_hankel1_imag_scaled):
-        half = fn(np.arange(top + 1)[:, None], t)
-        full = fn(specfun.mode_degrees(3, top)[:, None], t)
-        got = specfun.per_mode(3, half if axis == 0 else half.T, axis=axis)
-        assert got.shape[axis] == (top + 1) ** 2
-        assert np.array_equal(got if axis == 0 else got.T, full)
+    for fn in (sp.spherical_jn, sp.spherical_yn):
+        got = expand(3, fn(np.arange(top + 1)[:, None], t))
+        assert got.shape[0] == (top + 1) ** 2
+        assert np.array_equal(got, fn(specfun.mode_degrees(3, top)[:, None], t))
+    _, scaled = specfun.exterior_wave_tables(3, top, t)
+    ref = oracles.sph_hankel1_imag(specfun.mode_degrees(3, top)[:, None], t)
+    np.testing.assert_allclose(expand(3, scaled) * np.exp(-t), ref, rtol=1e-12, atol=0)
     assert np.array_equal(specfun.per_mode(3, np.array([2.5, -1.0])), [2.5, -1.0, -1.0, -1.0])
 
 
@@ -184,6 +193,13 @@ def _table_errors(dimension, entries, osc, mod):
     j_err = np.abs(osc[n, col] - ref[:, 0])
     i_err = np.abs(mod[n, col] - ref[:, 1]) / np.maximum(ref[:, 1], np.finfo(float).tiny)
     return np.max(j_err), np.max(i_err)
+
+
+# Relative bound of every exterior table entry against mpmath.  Measured on
+# TestExteriorWaveTables' arguments: 1.8e-14 (2D, the outgoing derivative)
+# and 2.0e-14 (3D, likewise); scipy's own h1vp and spherical derivatives
+# reach 1.7e-14 and 2.0e-14 there, its hankel1 values 1.7e-14.
+EXTERIOR_REL = 2.5e-14
 
 
 class TestRegularWaveTables:
@@ -251,6 +267,55 @@ class TestRegularWaveTables:
                 assert np.all(mod[:, 1] == np.inf)
 
 
+def _mp_exterior(dimension, top, x):
+    """Outgoing and exp(x)-scaled decaying waves of orders 0..top at x, and
+    their derivatives, from mpmath at 40 digits: four lists of complex.
+
+    The cylindrical functions of order v = n (2D) or n + 1/2 (3D) come from
+    mpmath's J_v at every order and its Y_v and K_v at the two lowest, then
+    the forward recurrences of Y and K, stable in that direction; their
+    derivatives from Z_v' = (Z_(v-1) - Z_(v+1)) / 2 and K_v' = -(K_(v-1) +
+    K_(v+1)) / 2, not from the recurrence the library uses.  3D multiplies
+    by f = sqrt(pi / (2 x)), whose derivative is -f / (2 x).
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        v0 = 0 if dimension == 2 else mpmath.mpf(0.5)
+        orders = [v0 + k for k in range(-1, top + 2)]  # row k + 1 holds order v0 + k
+        J = [mpmath.besselj(v, x) for v in orders]
+        Y = [mpmath.bessely(v, x) for v in orders[:2]]
+        K = [mpmath.besselk(v, x) for v in orders[:2]]
+        for v in orders[1:-1]:
+            Y.append(2 * v / x * Y[-1] - Y[-2])
+            K.append(K[-2] + 2 * v / x * K[-1])
+        f, g = (1, 0) if dimension == 2 else (mpmath.sqrt(mpmath.pi / (2 * x)), 1 / (2 * x))
+        tables = [[], [], [], []]
+        for n in range(top + 1):
+            h = J[n + 1] + 1j * Y[n + 1]
+            dh = (J[n] - J[n + 2] + 1j * (Y[n] - Y[n + 2])) / 2
+            dk = -(K[n] + K[n + 2]) / 2
+            # H_n(i t) = (2 / pi) i^-(n+1) K_n(t), h_n(i t) = -(2 / pi) i^-n f K_(n+1/2)(t)
+            c = mpmath.exp(x) * 2 / mpmath.pi * ((-1j) ** ((n + 1) % 4) if dimension == 2 else -((-1j) ** (n % 4)))
+            for table, value in zip(tables, (h, dh - g * h, c * K[n + 1], c * (dk - g * K[n + 1]))):
+                table.append(complex(f * value))
+    return tables
+
+
+class TestExteriorWaveTables:
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_matches_mpmath(self, dimension):
+        # both families, values and derivatives, orders 0-40 from below the
+        # first zeros to beyond the largest verdict argument (kappa R 43.2),
+        # relative to each entry's own size (no entry vanishes on the real axis)
+        t = np.array([0.3, 0.9, 2.4, 5.0, 11.0, 19.5, 30.0, 43.0])
+        got = [table for derivative in (False, True)
+               for table in specfun.exterior_wave_tables(dimension, 40, t, derivative)]
+        refs = [_mp_exterior(dimension, 40, tc) for tc in t]
+        ref = [np.array([r[k] for r in refs]).T for k in (0, 2, 1, 3)]
+        worst = [float(np.max(np.abs(g - r) / np.abs(r))) for g, r in zip(got, ref)]
+        assert max(worst) <= EXTERIOR_REL, worst
+
+
 class TestHankelFamily:
     def test_conjugate_pair(self):
         z = np.linspace(0.2, 30.0, 23)
@@ -271,6 +336,15 @@ class TestHankelFamily:
         assert lhs == pytest.approx(2.0 / (np.pi * z), rel=1e-11)
         lib = sp.jv(1, z) * sp.yv(0, z) - sp.jv(0, z) * sp.yv(1, z)
         assert lib == pytest.approx(2.0 / (np.pi * z), rel=1e-12)
+
+
+def _assert_columns_stand_alone(dimension, truncation, t):
+    """Every column of the exterior tables is the table at its argument alone, bit for bit."""
+    for derivative in (False, True):
+        tables = specfun.exterior_wave_tables(dimension, truncation, t, derivative)
+        for col, tc in enumerate(t):
+            for table, alone in zip(tables, specfun.exterior_wave_tables(dimension, truncation, tc, derivative)):
+                assert table[:, col].tobytes() == alone[:, 0].tobytes()
 
 
 class TestImaginaryArgumentRouting:
@@ -305,40 +379,40 @@ class TestImaginaryArgumentRouting:
 
     def test_hankel_imag_is_k_family(self):
         t = np.array([0.7, 1.0, 4.0])
-        vals = specfun.hankel1_imag_scaled(0, t) * (np.pi / 2.0) * 1j
+        _, scaled = specfun.exterior_wave_tables(2, 0, t)
+        vals = scaled[0] * (np.pi / 2.0) * 1j
         assert np.max(np.abs(vals.imag)) < 1e-15 * np.max(vals.real)
         assert np.all(vals.real > 0.0)
 
     def test_hankel_imag_decays(self):
+        t = np.array([1.0, 10.0])
+        _, scaled = specfun.exterior_wave_tables(2, 3, t)
         for n in (0, 3):
-            near = np.exp(-1.0) * specfun.hankel1_imag_scaled(n, 1.0)
-            far = np.exp(-10.0) * specfun.hankel1_imag_scaled(n, 10.0)
+            near, far = np.exp(-t) * scaled[n]
             assert abs(far) < abs(near)
 
     def test_hankel_imag_from_integral_oracle(self):
         ref = -(2j / np.pi) * K0_AT_1
-        assert np.exp(-1.0) * specfun.hankel1_imag_scaled(0, 1.0) == pytest.approx(ref, rel=1e-11)
+        _, scaled = specfun.exterior_wave_tables(2, 0, 1.0)
+        assert np.exp(-1.0) * scaled[0, 0] == pytest.approx(ref, rel=1e-11)
 
     def test_hankel_imag_singular_at_zero(self):
-        for fn in (specfun.hankel1_imag_scaled, specfun.hankel1_imag_scaled_dt):
-            with pytest.raises(ValueError):
-                fn(0, 0.0)
+        # both families are singular at t = 0: a non-positive or non-finite
+        # argument is refused by its value, with or without derivatives
+        for bad in (0.0, -1.5, np.nan, np.inf):
+            for derivative in (False, True):
+                with pytest.raises(ValueError, match=rf"t = {re.escape(repr(bad))}$"):
+                    specfun.exterior_wave_tables(2, 3, [1.0, bad], derivative)
 
     def test_scaled_variants_consistent(self):
+        t = np.array([0.5, 3.0, 12.0])
+        _, scaled = specfun.exterior_wave_tables(2, 5, t)
+        _, dscaled = specfun.exterior_wave_tables(2, 5, t, derivative=True)
         for n in (0, 2, 5):
-            for t in (0.5, 3.0, 12.0):
-                plain = oracles.hankel1_imag(n, t)
-                scaled = specfun.hankel1_imag_scaled(n, t) * np.exp(-t)
-                assert scaled == pytest.approx(plain, rel=1e-13)
-                dplain = oracles.hankel1_imag_dt(n, t)
-                dscaled = specfun.hankel1_imag_scaled_dt(n, t) * np.exp(-t)
-                assert dscaled == pytest.approx(dplain, rel=1e-13)
-        # an order array gives the scalar-order values bit for bit
-        orders = np.arange(-5, 6)
-        t = np.array([[0.5], [3.0], [12.0]])
-        for fn in (specfun.hankel1_imag_scaled, specfun.hankel1_imag_scaled_dt):
-            loop = np.column_stack([fn(int(n), t[:, 0]) for n in orders])
-            assert fn(orders, t).tobytes() == loop.astype(complex).tobytes()
+            for col, tc in enumerate(t):
+                assert scaled[n, col] * np.exp(-tc) == pytest.approx(oracles.hankel1_imag(n, tc), rel=1e-13)
+                assert dscaled[n, col] * np.exp(-tc) == pytest.approx(oracles.hankel1_imag_dt(n, tc), rel=1e-13)
+        _assert_columns_stand_alone(2, 5, t)
 
 
 class TestSphericalFamily:
@@ -353,9 +427,9 @@ class TestSphericalFamily:
             assert got == pytest.approx(oracles.sph_h1_closed(n, z), rel=1e-13)
 
     def test_hankel_singular_at_zero(self):
-        for fn in (specfun.sph_hankel1_imag_scaled, specfun.sph_hankel1_imag_scaled_dt):
-            with pytest.raises(ValueError):
-                fn(1, 0.0)
+        for derivative in (False, True):
+            with pytest.raises(ValueError, match=r"t = 0\.0$"):
+                specfun.exterior_wave_tables(3, 1, 0.0, derivative)
 
     def test_imaginary_routing(self):
         # 3D beta pairs degree n with j_n(i t) = sqrt(pi/(2 i t)) J_(n+1/2)(i t)
@@ -371,23 +445,18 @@ class TestSphericalFamily:
     def test_imag_hankel_order_zero(self):
         # h^(1)_0(i t) = -exp(-t)/t
         t = np.array([0.5, 2.0, 9.0])
-        got = np.exp(-t) * specfun.sph_hankel1_imag_scaled(0, t)
-        assert np.max(np.abs(got + np.exp(-t) / t)) < 1e-14
+        _, scaled = specfun.exterior_wave_tables(3, 0, t)
+        assert np.max(np.abs(np.exp(-t) * scaled[0] + np.exp(-t) / t)) < 1e-14
 
     def test_scaled_spherical_consistent(self):
+        t = np.array([0.8, 5.0])
+        _, scaled = specfun.exterior_wave_tables(3, 4, t)
+        _, dscaled = specfun.exterior_wave_tables(3, 4, t, derivative=True)
         for n in (0, 1, 4):
-            for t in (0.8, 5.0):
-                plain = oracles.sph_hankel1_imag(n, t)
-                scaled = specfun.sph_hankel1_imag_scaled(n, t) * np.exp(-t)
-                assert scaled == pytest.approx(plain, rel=1e-12)
-                dplain = oracles.sph_hankel1_imag_dt(n, t)
-                dscaled = specfun.sph_hankel1_imag_scaled_dt(n, t) * np.exp(-t)
-                assert dscaled == pytest.approx(dplain, rel=1e-12)
-        orders = np.arange(0, 9)
-        t = np.array([[0.8], [5.0]])
-        for fn in (specfun.sph_hankel1_imag_scaled, specfun.sph_hankel1_imag_scaled_dt):
-            loop = np.column_stack([fn(int(n), t[:, 0]) for n in orders])
-            assert fn(orders, t).tobytes() == loop.astype(complex).tobytes()
+            for col, tc in enumerate(t):
+                assert scaled[n, col] * np.exp(-tc) == pytest.approx(oracles.sph_hankel1_imag(n, tc), rel=1e-12)
+                assert dscaled[n, col] * np.exp(-tc) == pytest.approx(oracles.sph_hankel1_imag_dt(n, tc), rel=1e-12)
+        _assert_columns_stand_alone(3, 4, t)
 
 
 class TestSphericalHarmonics:
