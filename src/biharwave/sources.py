@@ -132,7 +132,12 @@ class SourceField:
     at the grid's points, a scaled source scales its parent's rows and a sum
     adds its parts' rows.  A source keeps its default-grid samples, its norm
     and its modal coefficients once computed; scaled and + build new
-    sources, which keep none of them.
+    sources, which keep none of them.  A pointwise source whose samples are
+    kept reads them back on any grid that extends its default grid (the
+    same radial order and angular rule, at least as many radial nodes),
+    padded with +0.0 rows beyond its support, bit for bit the values its
+    function would give there: the default grid of f + g when g reaches
+    further, or of f.scaled(c), never evaluates f's function again.
     """
 
     def __init__(self, ctx, func, support_radius, radial_hint=None, read=None):
@@ -147,6 +152,8 @@ class SourceField:
         self.radial_hint = radial_hint
         self._norm: float | None = None
         self._values: np.ndarray | None = None
+        self._samples_rule: RadialRule | None = None  # the default grid's, once sampled (_cached_rows)
+        self._retyped = False  # a values_on read changed the dtype of the rows (_cached_rows)
         self._coefficients: dict = {}  # (ctx, truncation) -> ModalCoefficients
 
     # -- constructors -------------------------------------------------------
@@ -192,24 +199,49 @@ class SourceField:
         by the norm of its point, and a row that does not vary over the
         angles is repeated over them, in the rows' own dtype.
         """
-        rows = self._rows(grid)
+        rows = read = self._rows(grid)
         if np.iscomplexobj(rows) and not np.any(rows.imag):
             rows = rows.real
         values = np.empty(grid.shape, dtype=np.result_type(rows, float))
         values[...] = rows
+        if values.dtype != read.dtype:
+            self._retyped = True
         return values.reshape(-1)
 
     def _rows(self, grid: ProductGrid) -> np.ndarray:
         """Values on a product grid, broadcastable to grid.shape (radial
         nodes by angles), zero on every radial node at or beyond the support
         radius."""
-        if self._read is None:
-            rows = np.asarray(self._func(grid.points)).reshape(grid.shape)
-        else:
+        if self._read is not None:
             rows = self._read(grid)
+        else:
+            cached = self._cached_rows(grid)
+            if cached is not None:
+                return cached
+            rows = np.asarray(self._func(grid.points)).reshape(grid.shape)
         outside = grid.radial.nodes >= self.support_radius
         if outside.any():
             rows = np.where(outside[:, None], 0.0, rows)
+        return rows
+
+    def _cached_rows(self, grid: ProductGrid) -> np.ndarray | None:
+        """The cached default samples as rows on a grid that extends the
+        default grid (the same radial order and angular rule, at least as
+        many radial nodes; an angular_rule follows from its dimension and
+        node count), padded with +0.0 rows, the values the function is
+        masked to there.  None for any other grid, and once a read has
+        stored the source's values in another dtype than its function gave
+        (a zero imaginary part stored real, a narrower type widened): the
+        samples would then round a sum or a scaling otherwise."""
+        rule = self._samples_rule
+        if rule is None or self._retyped:
+            return None
+        kept = len(rule.nodes)
+        if (grid.angular.dimension != self.ctx.dimension or kept * grid.angular.count != self._values.size
+                or grid.radial.order != rule.order or not np.array_equal(grid.radial.nodes[:kept], rule.nodes)):
+            return None
+        rows = np.zeros(grid.shape, dtype=self._values.dtype)
+        rows[:kept] = self._values.reshape(kept, grid.angular.count)
         return rows
 
     def default_samples(self) -> tuple[ProductGrid, np.ndarray]:
@@ -219,16 +251,18 @@ class SourceField:
         weights (a Gaussian of support 0.9R keeps 51 of its 64 radial
         nodes, the rho 0.8R bump 226 of 320, a whole-ball source all).
 
-        The values are sampled once (values_on) and cached, read-only.  The
-        grid is rebuilt on each call from the cached Gauss-Legendre rules,
-        which costs only its points and weights: a kept 3D grid would hold
-        four times the memory of real values for as long as the source lives.
+        The values are sampled once (values_on) and cached, read-only; a
+        pointwise source reads them back on every grid that extends this
+        one (_cached_rows).  The grid is rebuilt on each call from the
+        cached Gauss-Legendre rules, which costs only its points and
+        weights: a kept 3D grid would hold four times the memory of real
+        values for as long as the source lives.
         """
         grid = product_grid(self.ctx, self.resolve_radial_order(), extent=self.support_radius)
         if self._values is None:
             values = self.values_on(grid)
             values.flags.writeable = False
-            self._values = values
+            self._values, self._samples_rule = values, grid.radial
         return grid, self._values
 
     # -- algebra ------------------------------------------------------------

@@ -12,7 +12,8 @@ analysed and synthesized by rule_analysis and rule_synthesis: one FFT over
 the equispaced angles in 2D, and in 3D an FFT over the azimuths with one
 Legendre sum per order (sph_analysis and sph_synthesis, the separated
 transforms of Driscoll & Healy, Adv. Appl. Math. 15 (1994) 202-250).  The
-dense angular_basis serves only angles that are not a rule's nodes.
+dense angular_basis serves only angles that are not a rule's nodes; its 3D
+block is scipy's normalized Legendre values times exp(i m phi).
 
 Every per-order radial table of the modal route comes from this module,
 orders 0..N on axis 0 and the arguments on axis 1.  The regular families,
@@ -287,18 +288,19 @@ def sph_harmonic_block(truncation: int, theta, phi) -> np.ndarray:
     points: the dense block, for points that do not form a product rule.
 
     Returns shape (npoints, (truncation+1)**2); column n*n + n + m holds
-    Y_n^m.  It costs npoints * (truncation+1)**2 cells (and a transient
-    three times that), so on the nodes of an AngularRule use rule_analysis
-    and rule_synthesis instead.
+    Y_n^m, the normalized Legendre value at theta (_legendre_table) times
+    exp(i m phi), each gathered from its table.  It costs npoints * (truncation+1)**2 cells, so on the nodes of
+    an AngularRule use rule_analysis and rule_synthesis instead.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    allv = _sp.sph_harm_y_all(truncation, truncation, theta, phi)
-    out = np.empty((theta.size, (truncation + 1) ** 2), dtype=complex)
-    for n in range(truncation + 1):
-        ms = np.arange(-n, n + 1)
-        out[:, n * n + n + ms] = allv[n, ms].T
-    return out
+    theta = np.ravel(np.asarray(theta, dtype=float))
+    phi = np.ravel(np.asarray(phi, dtype=float))
+    n = mode_degrees(3, truncation)
+    m = np.arange(n.size) - n * n - n
+    polar = _legendre_table(truncation, theta)[n, m]
+    azimuthal = np.exp(1j * np.outer(phi, np.arange(-truncation, truncation + 1)))
+    # row-major, as a sum against the block rounds by its layout
+    out = np.empty((max(theta.size, phi.size), n.size), dtype=complex)
+    return np.multiply(polar.T, azimuthal[:, m + truncation], out=out)
 
 
 def _legendre_table(truncation: int, theta) -> np.ndarray:

@@ -36,7 +36,10 @@ def harmonic_blocks(monkeypatch):
 
 @pytest.fixture
 def radial_table_radii(monkeypatch):
-    """Number of radii of each fields._radial_tables call, as a list."""
+    """Number of radii of each fields._radial_tables call, as a list; the
+    kept exterior factors at r = R are dropped first, so that every trace
+    tabulates its own."""
+    fields._sphere_factors.cache_clear()
     sizes = []
     tables = fields._radial_tables
 

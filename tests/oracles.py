@@ -26,8 +26,10 @@ vectorized route.
 
 from __future__ import annotations
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 from scipy import special as _sp
 
@@ -461,6 +463,69 @@ def _normalizing_rule(ctx):
     nodes, weights = np.polynomial.legendre.leggauss(max(64, 8 * math.ceil(ctx.kappa * ctx.radius)))
     r = 0.5 * ctx.radius * (nodes + 1.0)
     return ctx.kappa, ctx.kappa * r, r ** (ctx.dimension - 1) * 0.5 * ctx.radius * weights
+
+
+# ---------------------------------------------------------------------------
+# Closed-form radial controls: alpha_0 and beta_0 of a regular radial wave
+# ---------------------------------------------------------------------------
+def radial_control_profile(dimension: int, a: float):
+    """The control source's profile r -> J_0(a r) (2D) or j_0(a r) (3D)."""
+    if dimension == 2:
+        return lambda r: _sp.j0(a * np.asarray(r, dtype=float))
+    return lambda r: _sp.spherical_jn(0, a * np.asarray(r, dtype=float))
+
+
+def radial_control_coefficients(dimension: int, kappa: float, a: float, radius: float) -> tuple[float, float]:
+    """alpha_0 and beta_0 of the control source f = J_0(a r) (2D) or
+    j_0(a r) (3D) on the ball of the radius, a != kappa, in closed form at
+    40 digits (mpmath):
+
+        2D  alpha_0 = R [kappa J_0(aR) J_1(kR) - a J_1(aR) J_0(kR)] / (kappa^2 - a^2)
+            beta_0  = R [a J_1(aR) I_0(kR) + kappa J_0(aR) I_1(kR)] / (a^2 + kappa^2)
+        3D  alpha_0 = c [sin((a - kappa) R) / (a - kappa) - sin((a + kappa) R) / (a + kappa)] / (2 a kappa)
+            beta_0  = c [kappa cosh(kR) sin(aR) - a sinh(kR) cos(aR)] / (a kappa (a^2 + kappa^2))
+
+    with k = kappa and c = sqrt(4 pi), the weight of the 3D mode (0, 0) in
+    the library's orthonormal harmonics.  The 2D pair are Lommel's integrals
+    of r J_0(a r) J_0(b r) at b = kappa and b = i kappa (Watson, Theory of
+    Bessel Functions, 5.11; DLMF 10.22.5); the 3D pair integrate
+    sin(a r) sin(kappa r) and sin(a r) sinh(kappa r).  alpha_0 is zero
+    exactly when aR and kappa R are distinct zeros of J_0 (2D) or
+    multiples of pi (3D)."""
+    with mpmath.workdps(40):
+        k, a, R = mpmath.mpf(kappa), mpmath.mpf(a), mpmath.mpf(radius)
+        if dimension == 2:
+            j0a, j1a = mpmath.besselj(0, a * R), mpmath.besselj(1, a * R)
+            alpha = R * (k * j0a * mpmath.besselj(1, k * R) - a * j1a * mpmath.besselj(0, k * R)) / (k * k - a * a)
+            beta = R * (a * j1a * mpmath.besseli(0, k * R) + k * j0a * mpmath.besseli(1, k * R)) / (a * a + k * k)
+        else:
+            c = mpmath.sqrt(4 * mpmath.pi)
+            alpha = c * (mpmath.sin((a - k) * R) / (a - k) - mpmath.sin((a + k) * R) / (a + k)) / (2 * a * k)
+            beta = c * (k * mpmath.cosh(k * R) * mpmath.sin(a * R)
+                        - a * mpmath.sinh(k * R) * mpmath.cos(a * R)) / (a * k * (a * a + k * k))
+        return float(alpha), float(beta)
+
+
+@functools.cache
+def _scale_rule():
+    return np.polynomial.legendre.leggauss(600)
+
+
+def radial_control_term_scales(dimension: int, kappa: float, a: float, radius: float) -> tuple[float, float]:
+    """The integrals of |f z_0(kappa r)| r^(d-1) over [0, R] for the two
+    radial families z_0 (J_0 and I_0 in 2D, j_0 and i_0 in 3D, times
+    sqrt(4 pi) in 3D): the magnitudes of the terms that alpha_0 and beta_0
+    sum, against which a quadrature's rounding is measured.  600-node
+    Gauss-Legendre; a scale needs no more than a few digits."""
+    nodes, weights = _scale_rule()
+    r = 0.5 * radius * (nodes + 1.0)
+    f = np.abs(radial_control_profile(dimension, a)(r))
+    if dimension == 2:
+        waves, c = (_sp.j0(kappa * r), _sp.i0(kappa * r)), 1.0
+    else:
+        waves, c = (_sp.spherical_jn(0, kappa * r), _sp.spherical_in(0, kappa * r)), math.sqrt(4.0 * math.pi)
+    measure = c * f * r ** (dimension - 1) * 0.5 * radius * weights
+    return tuple(float(np.sum(np.abs(z) * measure)) for z in waves)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,42 @@ class TestModalCoefficients:
             modal_coefficients(CTX2, src, 4)
 
 
+class TestClosedFormRadialControls:
+    """alpha_0 and beta_0 of the radial controls f = J_0(a r) (2D) and
+    j_0(a r) (3D), the source's only mode, against their closed forms
+    (oracles.radial_control_coefficients), from kappa R = j_0,1 to
+    j_0,14 = 43.2 in 2D and from pi to 12 pi = 37.7 in 3D, at a / kappa =
+    0.5, 1.3 and 2 and at the next zero, where alpha_0 = 0 exactly.
+
+    Each error is measured against the magnitude of the terms its
+    coefficient sums (oracles.radial_control_term_scales), not against the
+    coefficient: a closed form that cancels reads large relative to itself
+    (3D root 11 at a / kappa = 1.3: beta_0 is 5.3e-13 off relative to
+    itself, 2.4e-14 of its terms).  Measured with the default 64-node radial
+    rule (numpy 2.4.6, scipy 1.17.1): alpha_0 within 3.1e-15 and beta_0
+    within 2.4e-14 of their terms; |alpha_0| <= 2.7e-17 (2D, where the
+    closed form at the rounded zeros is itself 1e-17) and 2.4e-18 (3D) where
+    it is zero.  Beyond kappa R 55 at a = 2 kappa the 64 radial nodes no
+    longer resolve f (2.2e-10 of the terms at kappa R 62), so the range
+    stops at the roots above."""
+
+    @pytest.mark.parametrize("dimension, roots", [(2, range(1, 15)), (3, range(1, 13))], ids=["2d", "3d"])
+    def test_alpha0_and_beta0_match_closed_forms(self, dimension, roots):
+        for root in roots:
+            ctx = WaveContext.with_root_wavenumber(dimension, 1.0, root)
+            zero = (sp.jn_zeros(0, root + 1)[-1] if dimension == 2 else (root + 1) * np.pi) / ctx.radius
+            for a in (0.5 * ctx.kappa, 1.3 * ctx.kappa, 2.0 * ctx.kappa, zero):
+                src = SourceField.from_radial(ctx, oracles.radial_control_profile(dimension, a))
+                co = modal_coefficients(ctx, src, 0)
+                ref_alpha, ref_beta = oracles.radial_control_coefficients(dimension, ctx.kappa, a, ctx.radius)
+                terms_alpha, terms_beta = oracles.radial_control_term_scales(dimension, ctx.kappa, a, ctx.radius)
+                label = f"root {root}, a / kappa = {a / ctx.kappa:.3g}"
+                assert abs(co.alpha[0] - ref_alpha) <= 1e-14 * terms_alpha, label
+                assert abs(co.beta[0] - ref_beta) <= 1e-13 * terms_beta, label
+                if a == zero:
+                    assert abs(co.alpha[0]) <= 5e-17, label
+
+
 class TestBesselPair2D:
     def test_requires_root_condition(self):
         bad = WaveContext(dimension=2, kappa=2.0, radius=1.0)

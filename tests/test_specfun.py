@@ -485,6 +485,50 @@ class TestSphericalHarmonics:
                     block[:, n * n + n + m], sp.sph_harm_y(n, m, theta, phi)
                 )
 
+    @staticmethod
+    def _scipy_block(truncation, theta, phi):
+        """The block from scipy's sph_harm_y_all, laid out degree by degree."""
+        every = sp.sph_harm_y_all(truncation, truncation, theta, phi)
+        out = np.empty((np.size(theta), (truncation + 1) ** 2), dtype=complex)
+        for n in range(truncation + 1):
+            m = np.arange(-n, n + 1)
+            out[:, n * n + n + m] = every[n, m].T
+        return out
+
+    @pytest.mark.parametrize("truncation", [0, 24, 60])
+    def test_block_matches_scipy_all_harmonics(self, truncation):
+        # Y_n^m is one product of scipy's normalized Legendre value and the
+        # unit phase exp(i m phi), as sph_harm_y_all forms it: measured bit
+        # for bit equal (numpy 2.4.6, scipy 1.17.1), and bounded by the two
+        # ulps a phase rounded another way would move the product
+        rng = np.random.default_rng(truncation)
+        theta = np.concatenate([[0.0, np.pi, 0.5 * np.pi], rng.uniform(0.0, np.pi, 200)])
+        phi = np.concatenate([[0.0, 2.0, 2.0 * np.pi - 1e-9], rng.uniform(0.0, 2.0 * np.pi, 200)])
+        got = specfun.sph_harmonic_block(truncation, theta, phi)
+        ref = self._scipy_block(truncation, theta, phi)
+        assert got.shape == ref.shape == (203, (truncation + 1) ** 2)
+        assert np.all(np.abs(got - ref) <= 2.0 * np.finfo(float).eps * np.abs(ref))
+
+    def test_block_at_a_scalar_angle(self):
+        got = specfun.sph_harmonic_block(3, 0.4, 1.1)
+        assert got.shape == (1, 16)
+        np.testing.assert_array_equal(got, specfun.sph_harmonic_block(3, np.array([0.4]), np.array([1.1])))
+        np.testing.assert_array_equal(got, self._scipy_block(3, 0.4, 1.1))
+
+    def test_block_at_the_poles(self):
+        # only the zonal harmonics survive there: Y_n^0 = (+-1)^n sqrt((2n + 1) / (4 pi))
+        block = specfun.sph_harmonic_block(6, np.array([0.0, np.pi]), np.array([0.7, 2.9]))
+        n = specfun.mode_degrees(3, 6)
+        zonal = np.arange(n.size) == n * n + n
+        peak = np.sqrt((2 * n[zonal] + 1) / (4.0 * np.pi))
+        np.testing.assert_allclose(block[0, zonal], peak, rtol=1e-15)
+        np.testing.assert_allclose(block[1, zonal], (-1.0) ** n[zonal] * peak, rtol=1e-15)
+        assert np.max(np.abs(block[:, ~zonal])) < 1e-15
+
+    def test_block_of_no_points(self):
+        for theta in (np.empty(0), []):
+            assert specfun.sph_harmonic_block(5, theta, theta).shape == (0, 36)
+
     def test_gram_matrix_is_identity(self):
         # orthonormality through degree 8 under the product sphere rule
         rule = angular_rule(WaveContext(3, 1.0, 1.0), 16)
