@@ -1,0 +1,153 @@
+"""Run the test suite against known-bad edits of the library, one at a time.
+
+Each mutant is a named text edit of one file (its old text, found exactly
+once, replaced by new text) with the tests expected to catch it.  For each
+mutant the script copies the tree into a temporary directory, applies the
+edit there and runs pytest on the copy, then prints a table of which
+mutants were caught (at least one test failed) and which survived.  It
+never edits the tree it runs from.  Usage, from any directory:
+
+    python scripts/mutants.py                    # each mutant against its expected tests
+    python scripts/mutants.py --all              # each mutant against the whole suite
+
+A run of the whole suite takes 30-40 s per mutant on 2 cores; the expected
+tests alone take a few seconds.  Each table row reads
+
+    <mutant>  <expected tests that failed>/<expected>  caught|survived  <pytest's summary line>
+
+The result is "caught" when pytest exits 1 (a test failed), "survived" when it
+exits 0 and "exit N" for any other exit (pytest could not run).  The exit
+code is 1 when a mutant is not caught, or when an edit's old text is not
+found exactly once, and 0 otherwise.  A surviving mutant is a gap in the
+tests to record, not a reason to change the mutant.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "_out", "*.egg-info")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    expected: tuple[str, ...]  # pytest node ids that should fail
+
+
+MUTANTS = (
+    Mutant(
+        "field-residual-zero",
+        "src/biharwave/spectral.py",
+        "        res_field = float(np.max(np.abs(u))) / scale\n",
+        "        res_field = 0.0\n",
+        ("tests/test_spectral.py::TestVerdict::test_gaussian_radiates",),
+    ),
+    Mutant(
+        "spectral-residual-zero",
+        "src/biharwave/spectral.py",
+        "    res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f if norm_f > 0 else 0.0\n",
+        "    res_spectral = 0.0\n",
+        ("tests/test_spectral.py::TestVerdict::test_gaussian_radiates",),
+    ),
+    Mutant(
+        "verdict-modal-only",
+        "src/biharwave/spectral.py",
+        "    flags = [res_modal <= cfg.tolerance, res_spectral <= cfg.tolerance, res_field <= cfg.tolerance]\n",
+        "    flags = [res_modal <= cfg.tolerance] * 3\n",
+        ("tests/test_cli.py::test_route_disagreement_exits_2",),
+    ),
+    Mutant(
+        "zero-imaginary-dropped",
+        "src/biharwave/sources.py",
+        "        rows = self._rows(grid)\n",
+        "        rows = self._rows(grid)\n"
+        "        if np.iscomplexobj(rows) and not np.any(rows.imag):\n"
+        "            rows = rows.real\n",
+        (
+            "tests/test_sources.py::TestSampleRead::test_zero_imaginary_part_stays_complex",
+            "tests/test_table_caches.py::TestSampleReuse::test_samples_that_dropped_an_imaginary_part_are_not_reused",
+        ),
+    ),
+    Mutant(
+        "cached-rows-any-angular-rule",
+        "src/biharwave/sources.py",
+        "        if (kept * grid.angular.count != self._values.size or grid.radial.order != rule.order\n",
+        "        if (grid.radial.order != rule.order\n",
+        ("tests/test_table_caches.py::TestSampleReuse::test_other_grids_evaluate_the_function",),
+    ),
+    Mutant(
+        "dimension-unchecked",
+        "src/biharwave/sources.py",
+        "        if grid.angular.dimension != self.ctx.dimension:\n            raise ValueError(",
+        "        if False:\n            raise ValueError(",
+        (
+            "tests/test_sources.py::TestSampleRead::test_grid_of_another_dimension_is_refused",
+            "tests/test_sources.py::TestSampleRead::test_3d_source_on_a_2d_grid_is_refused",
+        ),
+    ),
+)
+
+
+def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
+    """How often the mutant's old text occurs in its file under root."""
+    return (root / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+
+
+def run(mutant: Mutant, whole_suite: bool) -> tuple[str, int, str]:
+    """The result of pytest on a mutated copy of the tree (caught: some test
+    failed), how many expected tests failed, and pytest's summary line."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=IGNORED)
+        target = copy / mutant.path
+        target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
+        # tests/test_mutants.py checks that each edit applies to the tree, so it
+        # fails on every mutated copy: it would report every mutant as caught
+        tests = ["tests", "--ignore", "tests/test_mutants.py"] if whole_suite else list(mutant.expected)
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+             *tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    failed_ids = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, flags=re.M)
+    # an expected id names a test or, parametrized, all of its cases
+    hit = sum(any(i == e or i.startswith(e + "[") for i in failed_ids) for e in mutant.expected)
+    lines = proc.stdout.strip().splitlines() or ["no output"]
+    result = {0: "survived", 1: "caught"}.get(proc.returncode, f"exit {proc.returncode}")
+    return result, hit, lines[-1]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--all", action="store_true", help="run the whole suite on each mutant")
+    args = parser.parse_args(argv)
+    missing = [f"{m.name}: old text found {occurrences(m)} times in {m.path}" for m in MUTANTS if occurrences(m) != 1]
+    if missing:
+        print("\n".join(missing), file=sys.stderr)
+        return 1
+    uncaught = 0
+    width = max(len(m.name) for m in MUTANTS)
+    print(f"{'mutant':<{width}}  expected  result    pytest")
+    for mutant in MUTANTS:
+        result, hit, summary = run(mutant, args.all)
+        uncaught += result != "caught"
+        print(f"{mutant.name:<{width}}  {f'{hit}/{len(mutant.expected)}':>8}  {result:<8}  {summary}", flush=True)
+    return 1 if uncaught else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

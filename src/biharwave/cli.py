@@ -61,7 +61,9 @@ def _load_scenario(path: str, args, reads=None) -> dict:
     unread = set(cfg) - _SOURCE_KEYS - set(reads)
     if unread:
         key = sorted(unread)[0]
-        raise ConfigError(f"config key {key!r} in {path!r} is not read by {args.command}")
+        # reads=() is nonuniqueness's --config-g: its settings come from --config
+        why = f"is not read by {args.command}" if reads else "is not a source key: --config-g may hold source keys only"
+        raise ConfigError(f"config key {key!r} in {path!r} {why}")
     for key in reads:
         if cfg.get(key) is not None and not _setting_ok(key, cfg[key]):
             kind = "an integer" if _SETTING_TYPES[key] is int else "a finite number"
@@ -94,12 +96,16 @@ def _meta(cfg: dict) -> dict:
 
 
 def _write_out(path: str | None, write) -> None:
-    """Call write(fh) on the file at path, or on stdout when path is None."""
+    """Call write(fh) on the file at path, or on stdout when path is None; a
+    path that cannot be written is a ConfigError naming it."""
     if path is None:
         write(sys.stdout)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write(fh)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def _write_json(path: str | None, payload: dict) -> None:

@@ -132,9 +132,8 @@ def _symmetry_groups(angular, pts):
     """
     r, theta, phi = spherical_params(pts)
     if angular.dimension == 2:
-        n, phi, theta = angular.count, theta, np.zeros_like(r)
-    else:
-        n = angular.azimuth_count
+        phi, theta = theta, np.zeros_like(r)
+    n = angular.azimuth_count
     u = phi * (n / (2.0 * np.pi))
     s = np.floor(u)
     f = u - s
@@ -159,8 +158,7 @@ def _canonical_point(angular, r, theta, f):
     under l -> -l when f = 0 (columns 0..n/2), under l -> 1 - l when f = 1/2
     (columns 1..n/2) and, in 3D, under j -> P-1-j when theta = pi / 2 (rings
     0..P/2-1)."""
-    n = angular.azimuth_count or angular.count
-    polar = max(angular.polar_count, 1)
+    n, polar = angular.azimuth_count, angular.polar_count
     phi = f * (2.0 * np.pi / n)
     equator = angular.dimension == 3 and theta == 0.5 * np.pi
     if angular.dimension == 2:
@@ -262,7 +260,7 @@ def _eval_quadrature(ctx, src, pts):
     grid, values = src.default_samples()  # a real source's values stay real
     values = np.atleast_2d(values)
     angular = grid.angular
-    shape = (grid.shape[0], max(angular.polar_count, 1), angular.azimuth_count or angular.count)
+    shape = (grid.shape[0], angular.polar_count, angular.azimuth_count)
     ring = shape[1] * shape[2]
     step = max(1, _RADIAL_BLOCK // ring)  # radial nodes per block
     group, s, eps, flip, canonical = _symmetry_groups(angular, pts)

@@ -56,17 +56,18 @@ class AngularRule:
 
     directions has shape (M, d); weights sum to 2 pi (2D) or 4 pi (3D).
     params holds the parametrization per node: theta (2D) or
-    (theta_polar, phi) (3D).  In 3D the grid is a tensor product of Gauss
-    nodes in cos(theta) with equispaced phi, flattened polar-major;
-    polar_count/azimuth_count record the factor sizes (0 in 2D).
+    (theta_polar, phi) (3D).  The nodes are polar_count rings of
+    azimuth_count equispaced azimuths, flattened polar-major: in 3D Gauss
+    nodes in cos(theta) times equispaced phi, in 2D one ring of M angles
+    (polar_count 1, azimuth_count M).
     """
 
     dimension: int
     directions: np.ndarray
     weights: np.ndarray
     params: np.ndarray
-    polar_count: int = 0
-    azimuth_count: int = 0
+    polar_count: int
+    azimuth_count: int
 
     @property
     def count(self) -> int:
@@ -86,8 +87,8 @@ class BoundaryGrid:
     scaled to radius R.
 
     points = R * normals; weights are surface weights summing to the sphere
-    measure; normals, params and, in 3D, the polar and azimuth counts are
-    those of the angular rule.
+    measure; normals, params and the polar and azimuth counts are those of
+    the angular rule.
     """
 
     radius: float
@@ -147,7 +148,7 @@ def angular_rule(ctx: WaveContext, count: int | None = None) -> AngularRule:
         theta = 2.0 * np.pi * np.arange(m) / m
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(m, 2.0 * np.pi / m)
-        return AngularRule(2, dirs, weights, theta)
+        return AngularRule(2, dirs, weights, theta, 1, m)
 
     n_pol = DEFAULT_POLAR_COUNT_3D if count is None else _check_integer("polar count", count, 2)
     n_az = 2 * n_pol

@@ -122,25 +122,29 @@ class SourceField:
     function mapping (M, d) points to M values, masked to zero outside the
     support radius.
 
-    Construct through the classmethods, scaled and +; instances are immutable
-    in use and safe to share.  Its own grids (default_samples and the
-    finer-angle projection grid) end at its support radius.  On a product
-    grid a source reads its values by rows, one per radial node, each masked
-    at the source's own support radius (a part of a sum is read on the sum's
-    grid, which ends at the larger support): a radial source (from_radial)
-    evaluates its profile once per radial node, a pointwise one its function
-    at the grid's points, a scaled source scales its parent's rows and a sum
-    adds its parts' rows.  A source keeps its default-grid samples, its norm
-    and its modal coefficients once computed; scaled and + build new
-    sources, which keep none of them.  A pointwise source whose samples are
-    kept reads them back on any grid that extends its default grid (the
-    same radial order and angular rule, at least as many radial nodes),
-    padded with +0.0 rows beyond its support, bit for bit the values its
-    function would give there: the default grid of f + g when g reaches
-    further, or of f.scaled(c), never evaluates f's function again.
+    Construct through the classmethods, scaled and +, or the constructor
+    with a radial order; instances are immutable in use and safe to share.
+    Its own grids (default_samples and the finer-angle projection grid) end
+    at its support radius and have its radial_order, an int: 64 unless the
+    constructor is given another (the bump 320); a scaled source keeps its
+    parent's, a sum takes the larger of its parts'.  On a product grid a
+    source reads its values by rows, one per radial node, each masked at
+    the source's own support radius (a part of a sum is read on the sum's
+    grid, which ends at the larger support), in np.result_type(rows, float):
+    a radial source (from_radial) evaluates its profile once per radial
+    node, a pointwise one its function at the grid's points, a scaled
+    source scales its parent's rows and a sum adds its parts' rows.  A
+    source keeps its default-grid samples, its norm and its modal
+    coefficients once computed; scaled and + build new sources, which keep
+    none of them.  A pointwise source whose samples are kept reads them
+    back on any grid that extends its default grid (the same radial order
+    and angular rule, at least as many radial nodes), padded with +0.0 rows
+    beyond its support, bit for bit the values its function would give
+    there: the default grid of f + g when g reaches further, or of
+    f.scaled(c), never evaluates f's function again.
     """
 
-    def __init__(self, ctx, func, support_radius, radial_hint=None, read=None):
+    def __init__(self, ctx, func, support_radius, radial_order=DEFAULT_RADIAL_ORDER, read=None):
         if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
@@ -149,20 +153,19 @@ class SourceField:
         self.support_radius = float(min(support_radius, ctx.radius))
         self._func = func
         self._read = read  # grid -> unmasked rows; None evaluates func at the grid's points
-        self.radial_hint = radial_hint
+        self.radial_order = radial_order
         self._norm: float | None = None
         self._values: np.ndarray | None = None
         self._samples_rule: RadialRule | None = None  # the default grid's, once sampled (_cached_rows)
-        self._retyped = False  # a values_on read changed the dtype of the rows (_cached_rows)
         self._coefficients: dict = {}  # (ctx, truncation) -> ModalCoefficients
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def from_callable(cls, ctx, func, support_radius=None, radial_hint=None):
+    def from_callable(cls, ctx, func, support_radius=None):
         """Source from a pointwise evaluator mapping (M, d) points to M values."""
         if support_radius is None:
             support_radius = ctx.radius
-        return cls(ctx, func, support_radius, radial_hint)
+        return cls(ctx, func, support_radius)
 
     @classmethod
     def from_radial(cls, ctx, profile, support_radius=None):
@@ -179,7 +182,7 @@ class SourceField:
 
     @classmethod
     def zero(cls, ctx):
-        return cls.from_callable(ctx, lambda pts: np.zeros(np.atleast_2d(pts).shape[0], dtype=complex))
+        return cls.from_callable(ctx, lambda pts: np.zeros(np.atleast_2d(pts).shape[0]))
 
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, points) -> np.ndarray:
@@ -190,28 +193,27 @@ class SourceField:
         return np.where(r >= self.support_radius, 0.0, vals)
 
     def values_on(self, grid: ProductGrid) -> np.ndarray:
-        """Values at the nodes of a product grid, radial-major: real when
-        the source's rows are (a zero imaginary part is stored real), else
-        complex.
+        """Values at the nodes of a product grid, radial-major, in the dtype
+        of the source's rows.  A grid of another dimension than the
+        source's is refused, naming both.
 
         The source reads the grid by its rows (see the class docstring): a
         node at or beyond the support radius is zero by its radial node, not
         by the norm of its point, and a row that does not vary over the
-        angles is repeated over them, in the rows' own dtype.
+        angles is repeated over them.
         """
-        rows = read = self._rows(grid)
-        if np.iscomplexobj(rows) and not np.any(rows.imag):
-            rows = rows.real
-        values = np.empty(grid.shape, dtype=np.result_type(rows, float))
+        if grid.angular.dimension != self.ctx.dimension:
+            raise ValueError(f"the grid is {grid.angular.dimension}D but the source is {self.ctx.dimension}D")
+        rows = self._rows(grid)
+        values = np.empty(grid.shape, dtype=rows.dtype)
         values[...] = rows
-        if values.dtype != read.dtype:
-            self._retyped = True
         return values.reshape(-1)
 
     def _rows(self, grid: ProductGrid) -> np.ndarray:
         """Values on a product grid, broadcastable to grid.shape (radial
         nodes by angles), zero on every radial node at or beyond the support
-        radius."""
+        radius, in np.result_type(rows, float) of the rows read: real or
+        complex, never narrower than float."""
         if self._read is not None:
             rows = self._read(grid)
         else:
@@ -219,6 +221,7 @@ class SourceField:
             if cached is not None:
                 return cached
             rows = np.asarray(self._func(grid.points)).reshape(grid.shape)
+        rows = rows.astype(np.result_type(rows, float), copy=False)
         outside = grid.radial.nodes >= self.support_radius
         if outside.any():
             rows = np.where(outside[:, None], 0.0, rows)
@@ -229,16 +232,14 @@ class SourceField:
         default grid (the same radial order and angular rule, at least as
         many radial nodes; an angular_rule follows from its dimension and
         node count), padded with +0.0 rows, the values the function is
-        masked to there.  None for any other grid, and once a read has
-        stored the source's values in another dtype than its function gave
-        (a zero imaginary part stored real, a narrower type widened): the
-        samples would then round a sum or a scaling otherwise."""
+        masked to there: bit for bit a fresh read, since values_on keeps
+        the rows' dtype.  None for any other grid."""
         rule = self._samples_rule
-        if rule is None or self._retyped:
+        if rule is None:
             return None
         kept = len(rule.nodes)
-        if (grid.angular.dimension != self.ctx.dimension or kept * grid.angular.count != self._values.size
-                or grid.radial.order != rule.order or not np.array_equal(grid.radial.nodes[:kept], rule.nodes)):
+        if (kept * grid.angular.count != self._values.size or grid.radial.order != rule.order
+                or not np.array_equal(grid.radial.nodes[:kept], rule.nodes)):
             return None
         rows = np.zeros(grid.shape, dtype=self._values.dtype)
         rows[:kept] = self._values.reshape(kept, grid.angular.count)
@@ -258,7 +259,7 @@ class SourceField:
         weights: a kept 3D grid would hold four times the memory of real
         values for as long as the source lives.
         """
-        grid = product_grid(self.ctx, self.resolve_radial_order(), extent=self.support_radius)
+        grid = product_grid(self.ctx, self.radial_order, extent=self.support_radius)
         if self._values is None:
             values = self.values_on(grid)
             values.flags.writeable = False
@@ -271,7 +272,7 @@ class SourceField:
         _check_finite_number("factor", factor)
         func = self._func
         return SourceField(self.ctx, lambda pts: factor * np.asarray(func(pts), dtype=complex),
-                           self.support_radius, self.radial_hint, lambda grid: factor * self._rows(grid))
+                           self.support_radius, self.radial_order, lambda grid: factor * self._rows(grid))
 
     def __add__(self, other: "SourceField") -> "SourceField":
         if not isinstance(other, SourceField):
@@ -279,20 +280,18 @@ class SourceField:
         if self.ctx != other.ctx:
             raise ValueError("cannot add sources over different contexts")
         support = max(self.support_radius, other.support_radius)
-        hint = max(self.radial_hint or 0, other.radial_hint or 0) or None
+        order = max(self.radial_order, other.radial_order)
         a, b = self, other
 
         def func(pts):
             return a.evaluate(pts) + b.evaluate(pts)
 
-        return SourceField(self.ctx, func, support, hint, lambda grid: a._rows(grid) + b._rows(grid))
+        return SourceField(self.ctx, func, support, order, lambda grid: a._rows(grid) + b._rows(grid))
 
     def resolve_radial_order(self, radial_order: int | None = None) -> int:
-        """The radial order of this source's quadrature grids: its own hint, or
-        the default (an explicit order, if given, wins)."""
-        if radial_order is not None:
-            return int(radial_order)
-        return self.radial_hint or DEFAULT_RADIAL_ORDER
+        """The radial order of a quadrature grid over this source: the
+        source's own, unless an explicit order is given."""
+        return self.radial_order if radial_order is None else int(radial_order)
 
     # -- norms ---------------------------------------------------------------
     def l2_norm(self) -> float:
@@ -332,7 +331,7 @@ def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
     if needed <= default:
         grid, vals = src.default_samples()
     else:
-        grid = product_grid(ctx, src.resolve_radial_order(), needed, extent=src.support_radius)
+        grid = product_grid(ctx, src.radial_order, needed, extent=src.support_radius)
         vals = src.values_on(grid)
     values = specfun.rule_analysis(truncation, vals.reshape(grid.shape), grid.angular)
     return ModalProfiles(ctx.dimension, truncation, grid.radial, values)
@@ -523,7 +522,7 @@ def make_bump_nonradiating(
         g, bilap = _mollifier_pair(s, rho, amplitude, d)
         return -(bilap - k4 * g)
 
-    return SourceField.from_callable(ctx, func, support_radius=reach, radial_hint=_BUMP_RADIAL_ORDER)
+    return SourceField(ctx, func, reach, _BUMP_RADIAL_ORDER)
 
 
 def _mollifier_pair(s, rho, amplitude, d):

@@ -177,6 +177,16 @@ class TestNonuniquenessCommand:
         assert main(["nonuniqueness", "--config", cfg_f, "--config-g", cfg_g]) == 1
         assert "radiates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("truncation", 12), ("shape", "round")])
+    def test_perturbation_file_holds_source_keys_only(self, tmp_path, capsys, key, value):
+        # nonuniqueness reads its truncation from --config, never from --config-g
+        cfg_f = _write(tmp_path, "f.json", GAUSS2D)
+        cfg_g = _write(tmp_path, "g.json", dict(NR2D, **{key: value}))
+        assert main(["nonuniqueness", "--config", cfg_f, "--config-g", cfg_g]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: config key {key!r} in {cfg_g!r} is not a source key: " \
+                      "--config-g may hold source keys only\n"
+
 
 class TestFieldCommand:
     def test_field_table(self, tmp_path):
@@ -252,6 +262,15 @@ def test_bad_flag_is_config_error(tmp_path, capsys, argv, file_keys):
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out_is_one_config_error_line(tmp_path, capsys, target):
+    cfg = _write(tmp_path, "nr.json", NR2D)
+    out = str(tmp_path / target)
+    assert main(["verdict", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {out!r}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -170,8 +170,7 @@ def _orbit_values(grid, f, equator=False):
     source's own grid), n/2 + 1 azimuth columns at f = 0 (l -> -l), n/2 at
     f = 1/2 (l -> 1 - l), all n otherwise, and half the polar rings on the
     3D equator."""
-    n = grid.angular.azimuth_count or grid.angular.count
-    polar = max(grid.angular.polar_count, 1)
+    n, polar = grid.angular.azimuth_count, grid.angular.polar_count
     columns = {0: n // 2 + 1, 0.5: n // 2}.get(f, n)
     return grid.shape[0] * (polar // 2 if equator else polar) * columns
 
@@ -311,7 +310,7 @@ class TestSymmetryGroupQuadrature:
         def func(p):
             return np.exp(-np.sum((p - [0.3, 0.1, -0.2]) ** 2, axis=-1)) + imag * 1j * p[:, 2]
 
-        src = SourceField.from_callable(CTX3, func, support_radius=CTX3.radius, radial_hint=67)
+        src = SourceField(CTX3, func, CTX3.radius, 67)
         step = 2.0 * np.pi / 64
         params = [  # (r, theta, phi) and the group's (f, equator), or None for an image
             (1.2, 0.7, 5 * step, (0, False)), (1.2, np.pi - 0.7, -5 * step, None),

@@ -10,7 +10,14 @@ from scipy import special as sp
 from biharwave import WaveContext, specfun
 from biharwave.fields import boundary_trace, eval_field_batch
 from biharwave.quadrature import boundary_grid, product_grid
-from biharwave.spectral import STABILITY_MARGIN, direction_grid, fourier_on_circle, laplace_on_circle, verdict
+from biharwave.spectral import (
+    STABILITY_MARGIN,
+    InconsistencyError,
+    direction_grid,
+    fourier_on_circle,
+    laplace_on_circle,
+    verdict,
+)
 from biharwave.specfun import angular_basis, regular_wave_tables
 from biharwave.sources import (
     SourceField,
@@ -245,7 +252,8 @@ class TestClosedFormRadialControls:
     closed form at the rounded zeros is itself 1e-17) and 2.4e-18 (3D) where
     it is zero.  Beyond kappa R 55 at a = 2 kappa the 64 radial nodes no
     longer resolve f (2.2e-10 of the terms at kappa R 62), so the range
-    stops at the roots above."""
+    stops at the roots above; two strict xfails pin root 30, where alpha_0
+    is wrong with no refusal (ROADMAP item 1)."""
 
     @pytest.mark.parametrize("dimension, roots", [(2, range(1, 15)), (3, range(1, 13))], ids=["2d", "3d"])
     def test_alpha0_and_beta0_match_closed_forms(self, dimension, roots):
@@ -262,6 +270,23 @@ class TestClosedFormRadialControls:
                 assert abs(co.beta[0] - ref_beta) <= 1e-13 * terms_beta, label
                 if a == zero:
                     assert abs(co.alpha[0]) <= 5e-17, label
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: 64 radial nodes do not resolve f, and nothing refuses")
+    @pytest.mark.parametrize("dimension", [2, 3], ids=["2d-root30", "3d-root30"])
+    def test_unresolved_control_is_refused_or_right(self, dimension):
+        # f = J_0(2 kappa r) at kappa R 93.5 (2D) and j_0(2 kappa r) at 94.2
+        # (3D): alpha_0 reads 0.21 and 0.31 of its terms off, with no refusal
+        ctx = WaveContext.with_root_wavenumber(dimension, 1.0, 30)
+        a = 2.0 * ctx.kappa
+        src = SourceField.from_radial(ctx, oracles.radial_control_profile(dimension, a))
+        try:
+            co = modal_coefficients(ctx, src, 0)
+        except (ValueError, ArithmeticError, InconsistencyError):
+            return  # a refusal is a right answer
+        ref_alpha, _ = oracles.radial_control_coefficients(dimension, ctx.kappa, a, ctx.radius)
+        terms_alpha, _ = oracles.radial_control_term_scales(dimension, ctx.kappa, a, ctx.radius)
+        assert abs(co.alpha[0] - ref_alpha) <= 1e-10 * terms_alpha
 
 
 class TestBesselPair2D:
@@ -634,6 +659,47 @@ class TestRadialPath:
         expected = np.where(np.linalg.norm(pts, axis=-1) >= support, 0.0, 1.5 * np.exp(-q) + 0j)
         assert np.array_equal(src.values_on(grid), expected)
         assert np.array_equal(src.evaluate(pts), expected)
+
+
+class TestSampleRead:
+    """Every read of a source returns its rows in np.result_type(rows, float):
+    real or complex as the source gives them, never narrower than float,
+    and a complex read keeps a zero imaginary part.  A grid of another
+    dimension than the source's is refused."""
+
+    def test_grid_of_another_dimension_is_refused(self):
+        # it used to return 512 values built from the first two coordinates
+        src = gaussian_source(CTX2, sigma=0.3)
+        with pytest.raises(ValueError, match="the grid is 3D but the source is 2D"):
+            src.values_on(product_grid(CTX3, 16, 4))
+
+    def test_3d_source_on_a_2d_grid_is_refused(self):
+        # it used to fail inside numpy, broadcasting (128, 2) points against a 3D centre
+        src = make_bump_nonradiating(CTX3)
+        with pytest.raises(ValueError, match="the grid is 2D but the source is 3D"):
+            src.values_on(product_grid(CTX2, 16, 8))
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_narrow_reads_widen_to_float(self, ctx):
+        grid = product_grid(ctx, 16, 8)
+        pointwise = SourceField.from_callable(ctx, lambda p: (p[:, 0] > 0).astype(np.int8))
+        single = SourceField.from_callable(ctx, lambda p: np.exp(-np.sum(p**2, axis=-1)).astype(np.float32))
+        radial = SourceField.from_radial(ctx, lambda r: np.ones(np.shape(r), dtype=np.float32))
+        for src in (pointwise, single, radial, single.scaled(2), pointwise + radial):
+            assert src.values_on(grid).dtype == float
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_zero_imaginary_part_stays_complex(self, ctx):
+        grid = product_grid(ctx, 16, 8)
+        src = SourceField.from_callable(ctx, lambda p: np.exp(-np.sum(p**2, axis=-1)) + 0j)
+        for read in (src, src.scaled(1.0), src + SourceField.zero(ctx), gaussian_source(ctx).scaled(2 + 0j)):
+            values = read.values_on(grid)
+            assert values.dtype == complex and not np.any(values.imag)
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_zero_source_reads_real_zeros(self, ctx):
+        grid, values = SourceField.zero(ctx).default_samples()
+        assert values.dtype == float and not np.any(values) and not np.any(np.signbit(values))
 
 
 class TestSupportGrid:

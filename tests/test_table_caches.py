@@ -143,9 +143,9 @@ class TestSampleReuse:
             _assert_identical(got, expected)
 
     def test_samples_that_dropped_an_imaginary_part_are_not_reused(self):
-        # f's zero imaginary part, -0.0 at every node, is stored real; its
-        # function's complex values are read again, so a sum keeps the signs
-        # of its zeros where g's imaginary part is -0.0 too
+        # f's zero imaginary part, -0.0 at every node, is kept: the samples
+        # stay complex, so the reused samples give a sum the signs of the
+        # zeros a fresh read gives, where g's imaginary part is -0.0 too
         def func(points):
             values = np.empty(len(points), dtype=complex)
             values.real, values.imag = np.exp(-np.sum(points**2, axis=-1)), -0.0
@@ -159,11 +159,29 @@ class TestSampleReuse:
             f = SourceField.from_callable(CTX2, func, support_radius=0.9)
             g = SourceField.from_callable(CTX2, other)
             if cached:
-                assert f.default_samples()[1].dtype == float
+                assert f.default_samples()[1].dtype == complex
             grid = (f + g).default_samples()[0]
             reads.append((f + g).values_on(grid))
         assert reads[0].dtype == complex and np.any(np.signbit(reads[0].imag))
         _assert_identical(*reads)
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_samples_of_a_narrow_function_are_reused(self, ctx):
+        # a float32 function's samples are kept as float, the dtype of every
+        # read, so the kept samples reproduce a fresh read of a sum or a scaling
+        def func(points):
+            return np.exp(-np.sum(points**2, axis=-1)).astype(np.float32)
+
+        g = _bessel(ctx).scaled(-0.75)
+        reads = []
+        for cached in (True, False):
+            f = SourceField.from_callable(ctx, func, support_radius=0.85)
+            if cached:
+                assert f.default_samples()[1].dtype == float
+            grid = (f + g).default_samples()[0]
+            reads.append([(f + g).values_on(grid), f.scaled(-1.0).values_on(grid)])
+        for got, expected in zip(*reads):
+            _assert_identical(got, expected)
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_bump_plus_gaussian_does_not_reuse(self, ctx):
