@@ -98,6 +98,30 @@ MUTANTS = (
             "tests/test_sources.py::TestSampleRead::test_3d_source_on_a_2d_grid_is_refused",
         ),
     ),
+    Mutant(
+        "k0-last-coefficient-dropped",
+        "src/biharwave/specfun.py",
+        "2.5764203428073633e-17, -7.371317369630266e-18)",
+        "2.5764203428073633e-17)",
+        ("tests/test_specfun.py::TestOrderZeroBessel::test_k0_coefficients_refit",),
+    ),
+    Mutant(
+        "y0-q-sign-flipped",
+        "src/biharwave/specfun.py",
+        "        a *= q\n        y += a\n",
+        "        a *= q\n        y -= a\n",
+        (
+            "tests/test_specfun.py::TestOrderZeroBessel::test_j0_y0_match_mpmath",
+            "tests/test_kernels.py::TestKernelTables::test_mpmath_oracle",
+        ),
+    ),
+    Mutant(
+        "j0-threshold-at-2",
+        "src/biharwave/specfun.py",
+        "J0_THRESHOLD = 5.0\n",
+        "J0_THRESHOLD = 2.0\n",
+        ("tests/test_specfun.py::TestOrderZeroBessel::test_j0_y0_on_both_sides_of_the_threshold",),
+    ),
 )
 
 

@@ -9,8 +9,10 @@ files, and every file embeds the configuration hash and library version.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -95,9 +97,26 @@ def _meta(cfg: dict) -> dict:
     return {"biharwave_version": __version__, "config_sha256": _config_hash(cfg)}
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an output path that is a directory, or whose directory does
+    not exist, with the ConfigError _write_out would raise, before any
+    computation; the file is not created."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write output {path!r}: {OSError(code, os.strerror(code), path)}")
+
+
 def _write_out(path: str | None, write) -> None:
     """Call write(fh) on the file at path, or on stdout when path is None; a
-    path that cannot be written is a ConfigError naming it."""
+    path that cannot be written is a ConfigError naming it (main refuses a
+    directory, or a missing one, before the command runs: _check_out)."""
     if path is None:
         write(sys.stdout)
         return
@@ -284,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
     except (ValueError, OverflowError) as exc:  # ConfigError, every rejected value, kappa*R too large
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,8 +25,8 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   most _RADIAL_BLOCK nodes, whose distances, tables and rows live in
   block-sized buffers allocated once per call.  The far field and the
   volume transforms sum cos and sin (or exp) of the real phase
-  kappa dir . y against the same rows, in blocks of directions of bounded
-  size (_phase_sums, which also takes the complex channel columns of the
+  kappa dir . y against the same rows, in blocks of nodes and of directions
+  of bounded size (_phase_sums, which also takes the complex channel columns of the
   spectral module's boundary-data functionals and lays out their rows
   itself); cos and sin come from one half-angle tangent (specfun.cos_sin,
   within 2.2e-16 of mpmath), into a buffer allocated once per call, and
@@ -312,30 +312,40 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
     real or complex), shape (directions, parts).  directions are checked
     unit vectors.
 
-    The weighted data are one block of real rows (_real_rows).  The
-    directions go in blocks of at most _PHASE_BLOCK table entries: the
-    block's phases by one matrix product into a reused (3, block, nodes)
-    buffer, c and s in place (specfun.cos_sin), then the rows times c and
-    times s, each a real product over contiguous node rows (a (nodes, parts)
-    layout lost 1e-14 of the data's mass in 3D)."""
+    The weighted data are one block of real rows (_real_rows).  The nodes
+    go in blocks of at most _RADIAL_BLOCK, and within each the directions
+    in blocks of at most _PHASE_BLOCK table entries: the block's phases by
+    one matrix product into a reused (3, directions, nodes) buffer, c and s
+    in place (specfun.cos_sin), then the rows times c and times s, each a
+    real product over contiguous node rows (a (nodes, parts) layout lost
+    1e-14 of the data's mass in 3D), added up over the node blocks.  A grid
+    of at most _RADIAL_BLOCK nodes is one node block, summed by one product
+    per direction block."""
     rows = _real_rows(data, weights)
     # rows times c and times s, a part's real row then its imaginary row; a
     # real part's single row takes the real slot, its imaginary one sums to +0.0
     step = 1 if np.iscomplexobj(data) else 2
     sums = np.zeros((2, step * len(rows), len(directions)))
-    block = max(1, _PHASE_BLOCK // max(len(points), 1))
-    table = np.empty((3, min(block, len(directions)), len(points)))
+    nodes = max(1, min(len(points), _RADIAL_BLOCK))
+    block = max(1, _PHASE_BLOCK // nodes)
+    buf = np.empty(3 * min(block, len(directions)) * nodes)
     k = ctx.kappa * directions
-    for i in range(0, len(directions), block):
-        j = min(i + block, len(directions))
-        c, s, phase = table[:, :j - i]
-        np.matmul(k[i:j], points.T, out=phase)
-        if oscillating:
-            specfun.cos_sin(phase, out=table[:, :j - i])
-            np.matmul(rows, s.T, out=sums[1, ::step, i:j])
-        else:
-            np.exp(np.negative(phase, out=c), out=c)
-        np.matmul(rows, c.T, out=sums[0, ::step, i:j])
+    for a in range(0, len(points), nodes):
+        b = min(a + nodes, len(points))
+        for i in range(0, len(directions), block):
+            j = min(i + block, len(directions))
+            table = buf[:3 * (j - i) * (b - a)].reshape(3, j - i, b - a)
+            c, s, phase = table
+            np.matmul(k[i:j], points[a:b].T, out=phase)
+            if oscillating:
+                specfun.cos_sin(phase, out=table)
+            else:
+                np.exp(np.negative(phase, out=c), out=c)
+            for total, factor in zip(sums[:, ::step, i:j], (c, s) if oscillating else (c,)):
+                if a == 0:  # the first node block's products, signed zeros included
+                    np.matmul(rows[:, :b], factor.T, out=total)
+                else:
+                    total += rows[:, a:b] @ factor.T
     out = np.empty((len(directions), sums.shape[1] // 2), dtype=complex)
     out.real = (sums[0, 0::2] + sums[1, 1::2]).T
     out.imag = (sums[0, 1::2] - sums[1, 0::2]).T

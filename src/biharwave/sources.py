@@ -173,8 +173,7 @@ class SourceField:
         over r); a product grid reads it one profile value per radial node."""
 
         def func(points):
-            r = np.linalg.norm(np.atleast_2d(points), axis=-1)
-            return np.asarray(profile(r), dtype=complex)
+            return profile(np.linalg.norm(np.atleast_2d(points), axis=-1))
 
         if support_radius is None:
             support_radius = ctx.radius
@@ -186,11 +185,12 @@ class SourceField:
 
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, points) -> np.ndarray:
-        """Pointwise values, masked to zero outside the support radius."""
+        """Pointwise values, masked to zero outside the support radius, in
+        np.result_type(values, float) of the function's values, the dtype
+        values_on reads."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(pts, axis=-1)
-        vals = np.asarray(self._func(pts), dtype=complex)
-        return np.where(r >= self.support_radius, 0.0, vals)
+        return np.where(r >= self.support_radius, 0.0, _widened(self._func(pts)))
 
     def values_on(self, grid: ProductGrid) -> np.ndarray:
         """Values at the nodes of a product grid, radial-major, in the dtype
@@ -221,7 +221,7 @@ class SourceField:
             if cached is not None:
                 return cached
             rows = np.asarray(self._func(grid.points)).reshape(grid.shape)
-        rows = rows.astype(np.result_type(rows, float), copy=False)
+        rows = _widened(rows)
         outside = grid.radial.nodes >= self.support_radius
         if outside.any():
             rows = np.where(outside[:, None], 0.0, rows)
@@ -268,10 +268,13 @@ class SourceField:
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, factor: complex) -> "SourceField":
-        """factor (a finite number) times the source."""
+        """factor (a finite number) times the source; a complex factor whose
+        imaginary part is zero is kept as its real part, so a real source
+        stays real."""
         _check_finite_number("factor", factor)
+        factor = _real_if_real(factor)
         func = self._func
-        return SourceField(self.ctx, lambda pts: factor * np.asarray(func(pts), dtype=complex),
+        return SourceField(self.ctx, lambda pts: factor * _widened(func(pts)),
                            self.support_radius, self.radial_order, lambda grid: factor * self._rows(grid))
 
     def __add__(self, other: "SourceField") -> "SourceField":
@@ -588,9 +591,12 @@ def gaussian_source(
     amplitude: float = 1.0,
     support_radius: float | None = None,
 ) -> SourceField:
-    """Gaussian blob truncated at the support radius (a generic radiating source)."""
+    """Gaussian blob truncated at the support radius (a generic radiating
+    source); a complex amplitude whose imaginary part is zero is kept as its
+    real part, so the source reads real values."""
     center = _finite_center(center, ctx.dimension)
     _check_finite_number("amplitude", amplitude)
+    amplitude = _real_if_real(amplitude)
     sigma = 0.15 * ctx.radius if sigma is None else float(sigma)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -622,6 +628,19 @@ def _check_finite_number(name: str, value) -> None:
     """Refuse a bool, a value that is not a number, or a number that is not finite."""
     if isinstance(value, bool) or not isinstance(value, Number) or not np.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _real_if_real(value):
+    """A complex number whose imaginary part is zero (of either sign) as its
+    real part; any other number as it is."""
+    return value.real if not _is_real(value) and value.imag == 0 else value
+
+
+def _widened(values) -> np.ndarray:
+    """values as an array of np.result_type(values, float): real or complex
+    as they are, never narrower than float."""
+    values = np.asarray(values)
+    return values.astype(np.result_type(values, float), copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biharwave import sources
+from biharwave import sources, spectral
 from biharwave.cli import main
 
 NR2D = {"dimension": 2, "R": 1.0, "root_index": 1, "kind": "bessel_nonradiating"}
@@ -265,7 +265,12 @@ def test_bad_flag_is_config_error(tmp_path, capsys, argv, file_keys):
 
 
 @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-directory", "directory"])
-def test_unwritable_out_is_one_config_error_line(tmp_path, capsys, target):
+def test_unwritable_out_is_one_config_error_line(tmp_path, capsys, monkeypatch, target):
+    # refused before the verdict is computed: reaching it fails the test
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the verdict ran before the output path was refused")
+
+    monkeypatch.setattr(spectral, "verdict", unreachable)
     cfg = _write(tmp_path, "nr.json", NR2D)
     out = str(tmp_path / target)
     assert main(["verdict", "--config", cfg, "--out", out]) == 1

@@ -622,6 +622,27 @@ class TestFarField:
         ref, mass = oracles.volume_transform(ctx, src, dirs, scale)
         assert np.max(np.abs(func(ctx, src, dirs) - ref)) <= 1e-14 * mass
 
+    @pytest.mark.parametrize("transform", ["far_field", "laplace"])
+    @pytest.mark.parametrize("part", ["real", "complex"])
+    def test_phase_sums_over_node_blocks(self, part, transform):
+        # a grid above 2**16 nodes goes in node blocks of at most
+        # _RADIAL_BLOCK, the last one partial here, each with several
+        # blocks of directions; the block sums add up to the whole sum
+        src = _gaussian(CTX3)
+        if part == "complex":
+            other = gaussian_source(CTX3, center=[-0.3, 0.1, 0.1], sigma=0.2, support_radius=0.9)
+            src = src + other.scaled(0.5j)
+        nodes = len(src.default_samples()[0].points)
+        assert nodes > 1 << 16 and nodes % fields._RADIAL_BLOCK
+        assert fields._PHASE_BLOCK // fields._RADIAL_BLOCK < 12
+        rng = np.random.default_rng(59)
+        dirs = rng.normal(size=(12, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        func, scale = (far_field, -1j * CTX3.kappa) if transform == "far_field" else \
+            (laplace_transform_quadrature, -CTX3.kappa)
+        ref, mass = oracles.volume_transform(CTX3, src, dirs, scale)
+        assert np.max(np.abs(func(CTX3, src, dirs) - ref)) <= 1e-14 * mass
+
     def test_nonradiating_dark(self):
         src = make_2d_bessel_nonradiating(CTX2)
         dirs = np.column_stack(

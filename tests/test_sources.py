@@ -656,9 +656,9 @@ class TestRadialPath:
         # the reduction over the coordinates that the Gaussian's sum reproduces
         pts = grid.points
         q = np.sum((pts - center) ** 2, axis=-1) / (2.0 * 0.2 * 0.2)
-        expected = np.where(np.linalg.norm(pts, axis=-1) >= support, 0.0, 1.5 * np.exp(-q) + 0j)
-        assert np.array_equal(src.values_on(grid), expected)
-        assert np.array_equal(src.evaluate(pts), expected)
+        expected = np.where(np.linalg.norm(pts, axis=-1) >= support, 0.0, 1.5 * np.exp(-q))
+        for values in (src.values_on(grid), src.evaluate(pts)):
+            assert values.dtype == float and np.array_equal(values, expected)
 
 
 class TestSampleRead:
@@ -690,11 +690,49 @@ class TestSampleRead:
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_zero_imaginary_part_stays_complex(self, ctx):
+        # a function that returns complex values reads complex
         grid = product_grid(ctx, 16, 8)
         src = SourceField.from_callable(ctx, lambda p: np.exp(-np.sum(p**2, axis=-1)) + 0j)
-        for read in (src, src.scaled(1.0), src + SourceField.zero(ctx), gaussian_source(ctx).scaled(2 + 0j)):
+        for read in (src, src.scaled(1.0), src + SourceField.zero(ctx)):
             values = read.values_on(grid)
             assert values.dtype == complex and not np.any(values.imag)
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_real_valued_complex_amplitude_reads_float(self, ctx):
+        # a complex factor or amplitude with a zero imaginary part is kept as
+        # its real part at construction: the source reads one real row
+        grid = product_grid(ctx, 16, 8)
+        gauss = gaussian_source(ctx)
+        reads = [(gauss.scaled(2 + 0j), gauss.scaled(2.0)), (gauss.scaled(np.complex128(2 - 0j)), gauss.scaled(2.0)),
+                 (gaussian_source(ctx, amplitude=1.5 + 0j), gaussian_source(ctx, amplitude=1.5))]
+        for read, real in reads:
+            values, expected = read.values_on(grid), real.values_on(grid)
+            assert values.dtype == float
+            assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        assert gaussian_source(ctx, amplitude=1.5 + 0.5j).values_on(grid).dtype == complex
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_pointwise_read_has_the_grid_read_dtype_and_bits(self, ctx):
+        # evaluate and values_on give one dtype and the same bits, real
+        # sources real; a radial source is compared at points on an axis,
+        # whose norms are its radial nodes exactly
+        grid = product_grid(ctx, 16, 8)
+        nodes = grid.radial.nodes
+        support = 0.5 * (nodes[12] + nodes[13])  # on no node
+        gauss = gaussian_source(ctx, center=[0.1, -0.2, 0.05][: ctx.dimension], sigma=0.3, support_radius=support)
+        complex_gauss = gaussian_source(ctx, sigma=0.4, amplitude=1.0 - 2.0j)
+        for src in (gauss, gauss.scaled(-1.5), gauss.scaled(0.5j), gauss + complex_gauss, gauss + gauss.scaled(3)):
+            pointwise, read = src.evaluate(grid.points), src.values_on(grid)
+            assert pointwise.dtype == read.dtype
+            assert np.array_equal(pointwise.view(np.uint64), read.view(np.uint64))
+        axis = np.zeros((len(nodes), ctx.dimension))
+        axis[:, 0] = nodes
+        for src in (SourceField.from_radial(ctx, lambda r: np.cos(3.0 * r), support_radius=support),
+                    SourceField.from_radial(ctx, lambda r: np.exp(1j * r))):
+            pointwise, read = src.evaluate(axis), np.ascontiguousarray(src.values_on(grid).reshape(grid.shape)[:, 0])
+            assert pointwise.dtype == read.dtype
+            assert np.array_equal(pointwise.view(np.uint64), read.view(np.uint64))
+        assert SourceField.from_radial(ctx, np.cos).evaluate(axis).dtype == float
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_zero_source_reads_real_zeros(self, ctx):

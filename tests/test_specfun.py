@@ -10,6 +10,7 @@ evaluates it, as beta of single-mode sources.
 
 import re
 import warnings
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -139,6 +140,127 @@ class TestCosSin:
         assert np.max(np.abs(c * c + s * s - 1.0)) < 1e-15
         assert np.max(np.abs(c - np.cos(t))) <= 4.5e-16
         assert np.max(np.abs(s - np.sin(t))) <= 4.5e-16
+
+
+# Cephes's numerator and denominator of P (j0.c), highest power first, as
+# printed there; specfun keeps the denominator and the difference PP - PQ.
+_CEPHES_J0_PP = ("7.96936729297347051624e-4", "8.28352392107440799803e-2", "1.23953371646414299388e0",
+                 "5.44725003058768775090e0", "8.74716500199817011941e0", "5.30324038235394892183e0",
+                 "9.99999999999999997821e-1")
+_CEPHES_J0_PQ = ("9.24408810558863637013e-4", "8.56288474354474431428e-2", "1.25352743901058953537e0",
+                 "5.47097740330417105182e0", "8.76190883237069594232e0", "5.30605288235394617618e0",
+                 "1.00000000000000000218e0")
+
+
+def _mp_j0_y0(t):
+    """J_0, Y_0 and the amplitude sqrt(2 / (pi t)) at the doubles t, from mpmath."""
+    with mpmath.workdps(40):
+        rows = [(mpmath.besselj(0, x), mpmath.bessely(0, x), mpmath.sqrt(2 / (mpmath.pi * x)))
+                for x in map(mpmath.mpf, np.asarray(t, dtype=float))]
+    return rows
+
+
+class TestOrderZeroBessel:
+    """specfun.j0_y0 above t = 5 and specfun.k0 above t = 2 against mpmath
+    at the double they see; at or below the thresholds they are scipy's."""
+
+    def test_j0_y0_match_mpmath(self):
+        rng = np.random.default_rng(43)
+        t = np.concatenate([np.geomspace(np.nextafter(5.0, 6.0), 2000.0, 200), rng.uniform(5.0, 2000.0, 200),
+                            5.0 + rng.exponential(2.0, 100)])
+        j, y = specfun.j0_y0(t)
+        err = [float(max(abs(j[k] - J), abs(y[k] - Y)) / A) for k, (J, Y, A) in enumerate(_mp_j0_y0(t))]
+        # scipy's j0/y0 lose about 1e-16 * t here: 8e-14 at t = 2000
+        assert max(err) <= 5e-16
+
+    def test_j0_y0_on_both_sides_of_the_threshold(self):
+        below = np.array([0.0, 1e-300, 1e-8, 0.5, 2.404825557695773, 4.9, np.nextafter(5.0, 0.0), 5.0])
+        above = np.array([np.nextafter(5.0, 6.0), 5.0 + 1e-12, 5.1, 5.5])
+        j, y = specfun.j0_y0(np.concatenate([below, above]))
+        n = len(below)
+        # scipy's own values at and below t = 5, bit for bit (Y_0(0) = -inf)
+        assert np.array_equal(_bits(j[:n]), _bits(sp.j0(below)))
+        assert np.array_equal(_bits(y[:n]), _bits(sp.y0(below)))
+        for k, (J, Y, A) in enumerate(_mp_j0_y0(above)):
+            assert float(max(abs(j[n + k] - J), abs(y[n + k] - Y)) / A) <= 5e-16
+
+    def test_k0_matches_mpmath(self):
+        rng = np.random.default_rng(47)
+        t = np.concatenate([np.geomspace(np.nextafter(2.0, 3.0), 700.0, 200), rng.uniform(2.0, 700.0, 200),
+                            2.0 + rng.exponential(1.0, 100)])
+        k = specfun.k0(t)
+        with mpmath.workdps(40):
+            err = [float(abs(k[i] - mpmath.besselk(0, mpmath.mpf(x))) / mpmath.besselk(0, mpmath.mpf(x)))
+                   for i, x in enumerate(t)]
+        assert max(err) <= 1e-15
+
+    def test_k0_beyond_the_underflow(self):
+        # exp(-t) leaves the normal range past t = 708 and K_0 rounds to 0
+        # near t = 745: there only the absolute error is defined
+        t = np.concatenate([np.linspace(700.0, 760.0, 61), [1e3, 1e300, np.inf]])
+        k = specfun.k0(t)
+        assert np.all(k >= 0.0) and not np.any(k[t > 746.0])
+        with mpmath.workdps(40):
+            err = [float(abs(k[i] - mpmath.besselk(0, mpmath.mpf(x)))) for i, x in enumerate(t[:-1])]
+        assert max(err) <= 1e-15 * float(mpmath.besselk(0, 700)) and max(err[45:]) <= 1e-322
+
+    def test_k0_on_both_sides_of_the_threshold(self):
+        below = np.array([0.0, 1e-300, 1e-8, 0.5, 1.0, 1.9, np.nextafter(2.0, 0.0), 2.0])
+        above = np.array([np.nextafter(2.0, 3.0), 2.0 + 1e-12, 2.1, 2.5])
+        k = specfun.k0(np.concatenate([below, above]))
+        n = len(below)
+        assert np.array_equal(_bits(k[:n]), _bits(sp.k0(below)))  # K_0(0) = inf
+        with mpmath.workdps(40):
+            for i, x in enumerate(above):
+                ref = mpmath.besselk(0, mpmath.mpf(x))
+                assert float(abs(k[n + i] - ref) / ref) <= 1e-15
+
+    def test_k0_coefficients_refit(self):
+        # the Chebyshev coefficients of g(u) = exp(x) sqrt(x) K_0(x),
+        # x = 4 / (u + 1), on the 24 Chebyshev nodes, at 40 digits
+        n = 24
+        with mpmath.workdps(40):
+            theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+            g = [mpmath.exp(x) * mpmath.sqrt(x) * mpmath.besselk(0, x)
+                 for x in (4 / (mpmath.cos(th) + 1) for th in theta)]
+            refit = tuple(float(mpmath.fsum(gj * mpmath.cos(k * th) for gj, th in zip(g, theta)) / n)
+                          for k in range(n))
+        assert refit == specfun._K0_CHEBYSHEV
+
+    def test_j0_numerator_is_cephes(self):
+        # P = 1 + (PP - PQ)(q) / PQ(q): the difference of Cephes's printed
+        # coefficients, exact in decimal, rounded once
+        assert tuple(map(float, _CEPHES_J0_PQ)) == specfun._J0_PQ
+        diff = tuple(float(Decimal(a) - Decimal(b)) for a, b in zip(_CEPHES_J0_PP, _CEPHES_J0_PQ))
+        assert diff == specfun._J0_PP_MINUS_PQ
+
+    def test_shapes_and_buffers(self):
+        t = np.random.default_rng(53).uniform(0.5, 60.0, (7, 9))
+        j, y = specfun.j0_y0(t)
+        k = specfun.k0(t)
+        assert j.shape == y.shape == k.shape == (7, 9)
+        flat_j, flat_y = specfun.j0_y0(t.ravel())
+        assert np.array_equal(_bits(j).ravel(), _bits(flat_j)) and np.array_equal(_bits(y).ravel(), _bits(flat_y))
+        assert np.array_equal(_bits(k).ravel(), _bits(specfun.k0(t.ravel())))
+        # 0-d arguments give 0-d values, those of the array's entries
+        for x in (0.0, 3.0, 7.0, t[3, 4]):
+            j0, y0 = specfun.j0_y0(x)
+            k0 = specfun.k0(x)
+            assert j0.shape == y0.shape == k0.shape == ()
+            ref_j, ref_y = specfun.j0_y0(np.array([x]))
+            assert _bits(j0) == _bits(ref_j) and _bits(y0) == _bits(ref_y)
+            assert _bits(k0) == _bits(specfun.k0(np.array([x])))
+        # empty arguments give empty values
+        for empty in (np.empty(0), np.empty((3, 0))):
+            assert all(v.shape == empty.shape for v in (*specfun.j0_y0(empty), specfun.k0(empty)))
+        # caller's buffers receive the values; k0's first row may hold t
+        buf = np.full((6, 7, 9), np.nan)
+        jb, yb = specfun.j0_y0(t, out=buf)
+        assert np.shares_memory(jb, buf[0]) and np.shares_memory(yb, buf[1])
+        assert np.array_equal(_bits(jb), _bits(j)) and np.array_equal(_bits(yb), _bits(y))
+        buf[0] = t
+        kb = specfun.k0(buf[0], out=buf[:5])
+        assert np.shares_memory(kb, buf[0]) and np.array_equal(_bits(kb), _bits(k))
 
 
 @pytest.mark.parametrize("axis", [0, -1])
