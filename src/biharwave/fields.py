@@ -22,14 +22,13 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   a mirror of the grid, its tables are evaluated on a fundamental domain of
   its stabilizer and mirrored (a 2D verdict evaluates 129 of every 256
   azimuth columns).  The quadrature walks the grid in radial blocks of at
-  most _RADIAL_BLOCK nodes, whose distances, tables and rows live in
-  block-sized buffers allocated once per call.  The far field and the
-  volume transforms sum cos and sin (or exp) of the real phase
-  kappa dir . y against the same rows, in blocks of nodes and of directions
-  of bounded size (_phase_sums, which also takes the complex channel columns of the
-  spectral module's boundary-data functionals and lays out their rows
-  itself); cos and sin come from one half-angle tangent (specfun.cos_sin,
-  within 2.2e-16 of mpmath), into a buffer allocated once per call, and
+  most _RADIAL_BLOCK nodes.  The far field and the volume transforms sum
+  cos and sin (or exp) of the real phase kappa dir . y against the same
+  rows, in blocks of nodes and of directions of bounded size (_phase_sums,
+  which also takes the complex channel columns of the spectral module's
+  boundary-data functionals and lays out their rows itself); cos and sin
+  come from one half-angle tangent (specfun.cos_sin, within 2.2e-16 of
+  mpmath), and
 * angular-mode series built from the source's modal coefficients
   (sources.modal_coefficients, which the source keeps per truncation; valid
   from the support radius outward), with the radial tables of
@@ -172,22 +171,21 @@ def _canonical_point(angular, r, theta, f):
     return q0, (rings, lo, hi)
 
 
-def _real_rows(data, weights, out=None):
+def _real_rows(data, weights):
     """data of shape (nodes,) or (parts, nodes) times the node weights, as
-    one C-contiguous block of real rows (into out when given): a real part
-    is one row, a complex part its (real, imaginary) row pair."""
+    one C-contiguous block of real rows: a real part is one row, a complex
+    part its (real, imaginary) row pair."""
     data = np.atleast_2d(data)
     if np.iscomplexobj(data):
         data = np.stack([data.real, data.imag], axis=1).reshape(-1, data.shape[-1])
-    return np.multiply(data, weights, out=out)
+    return np.multiply(data, weights)
 
 
-def _node_images(rows, shape, shift, sign, reverse, out):
+def _node_images(rows, shape, shift, sign, reverse):
     """Rows over a block of the product grid (shape (radial, polar, azimuth)
     each) taken at each node's image under a grid symmetry: azimuth index l
     goes to shift + sign l (mod n), and the polar rings reverse when reverse.
-    The images are written into out (rows' shape); the identity passes rows
-    through."""
+    The identity passes rows through."""
     if shift == 0 and sign == 1 and not reverse:
         return rows
     v = rows.reshape((-1,) + shape)
@@ -196,17 +194,16 @@ def _node_images(rows, shape, shift, sign, reverse, out):
     if sign < 0:  # v[shift - l] is the reversed azimuths at l - shift - 1
         v, shift = v[..., ::-1], -shift - 1
     shift %= shape[-1]
-    np.concatenate((v[..., shift:], v[..., :shift]), axis=-1, out=out.reshape(v.shape))
-    return out
+    return np.concatenate((v[..., shift:], v[..., :shift]), axis=-1).reshape(rows.shape)
 
 
-def _distances(point, nodes_t, out, scratch):
-    """|point - y| for every node y into out, summed one coordinate at a time
-    in the order np.linalg.norm sums them; nodes_t[k] holds the nodes' k-th
-    coordinates (out's shape), and scratch (out's shape) takes each
-    coordinate's differences."""
-    np.subtract(point[0], nodes_t[0], out=out)
+def _distances(point, nodes_t):
+    """|point - y| for every node y, summed one coordinate at a time in the
+    order np.linalg.norm sums them; nodes_t[k] holds the nodes' k-th
+    coordinates."""
+    out = np.subtract(point[0], nodes_t[0])
     out *= out
+    scratch = np.empty_like(out)
     for k in range(1, len(point)):
         np.subtract(point[k], nodes_t[k], out=scratch)
         scratch *= scratch
@@ -214,24 +211,17 @@ def _distances(point, nodes_t, out, scratch):
     return np.sqrt(out, out=out)
 
 
-def _group_tables(ctx, q0, domain, nodes_t, tables, work):
+def _group_tables(ctx, q0, domain, nodes_t):
     """q0's three kernel tables over a block of the grid (nodes_t of shape
-    (d, radial, polar, azimuth), tables of shape (3, radial, polar,
-    azimuth)), evaluated on the domain (rings, lo, hi) of _canonical_point
-    only and mirrored into the rest of the block by slice copies.  work, of
-    shape (4, block nodes), takes the domain's distances (the next row also
-    their scratch) and then its tables; without a stabilizer the tables are
-    evaluated in place."""
+    (d, radial, polar, azimuth)), of shape (3, radial, polar, azimuth),
+    evaluated on the domain (rings, lo, hi) of _canonical_point only and
+    mirrored into the rest of the block by slice copies."""
     rings, lo, hi = domain
-    polar, n = tables.shape[2:]
+    polar, n = nodes_t.shape[2:]
     if rings == polar and hi - lo == n:
-        dist, scratch = work[0].reshape(tables.shape[1:]), work[1].reshape(tables.shape[1:])
-        return kernel_tables(ctx, _distances(q0, nodes_t, dist, scratch), out=tables)
-    nodes_t = nodes_t[:, :, :rings, lo:hi]
-    shape, size = nodes_t.shape[1:], nodes_t[0].size
-    part = work[:, :size].reshape((4,) + shape)
-    kernel_tables(ctx, _distances(q0, nodes_t, part[0], part[1]), out=part[1:])
-    tables[:, :, :rings, lo:hi] = part[1:]
+        return kernel_tables(ctx, _distances(q0, nodes_t))
+    tables = np.empty((3,) + nodes_t.shape[1:])
+    tables[:, :, :rings, lo:hi] = kernel_tables(ctx, _distances(q0, nodes_t[:, :, :rings, lo:hi]))
     if hi - lo < n:  # l -> lo - l: columns hi..n-1 from lo+n-hi..lo+1
         tables[:, :, :rings, hi:] = tables[:, :, :rings, lo + 1:lo + n - hi + 1][..., ::-1]
         tables[:, :, :rings, :lo] = tables[:, :, :rings, 1:lo + 1]
@@ -252,10 +242,9 @@ def _eval_quadrature(ctx, src, pts):
     stabilizer and mirrored (_group_tables).
 
     Each block's node coordinates, weighted rows, distances, tables and row
-    images live in block-sized buffers allocated once per call, small
-    enough to stay in a 2 MB L2 cache; each point adds its six real sums
-    (three tables against the real and the imaginary row) across the
-    blocks."""
+    images are small enough to stay in a 2 MB L2 cache; each point adds its
+    six real sums (three tables against the real and the imaginary row)
+    across the blocks."""
     _check_dimension(ctx, src)
     grid, values = src.default_samples()  # a real source's values stay real
     values = np.atleast_2d(values)
@@ -268,26 +257,19 @@ def _eval_quadrature(ctx, src, pts):
     bounds = np.searchsorted(group[members], np.arange(len(canonical[0]) + 1))
     groups = [(_canonical_point(angular, *c), members[bounds[g]:bounds[g + 1]])
               for g, c in enumerate(zip(*canonical))]
-    d, k = ctx.dimension, len(values) * (2 if np.iscomplexobj(values) else 1)
-    # flat buffers, so that every block's views of them are contiguous
-    size = min(step, shape[0]) * ring
-    nodes_buf, work_buf, table_buf = np.empty(d * size), np.empty(4 * size), np.empty(3 * size)
-    rows_buf, image_buf = np.empty(k * size), np.empty(k * size)
+    k = len(values) * (2 if np.iscomplexobj(values) else 1)
     # each table against the real and the imaginary row; a real source's
     # absent imaginary row sums to +0.0
     sums = np.zeros((len(pts), 3, 2))
     for i in range(0, shape[0], step):
         block = (min(i + step, shape[0]) - i,) + shape[1:]
-        nodes, b = slice(i * ring, i * ring + block[0] * ring), block[0] * ring
-        nodes_t = nodes_buf[:d * b].reshape(d, b)
-        np.copyto(nodes_t, grid.points[nodes].T)
-        rows = _real_rows(values[:, nodes], grid.weights[nodes], out=rows_buf[:k * b].reshape(k, b))
-        image, tables = image_buf[:k * b].reshape(k, b), table_buf[:3 * b].reshape(3, b)
-        work = work_buf[:4 * b].reshape(4, b)
+        nodes = slice(i * ring, (i + block[0]) * ring)
+        nodes_t = grid.points[nodes].T.copy().reshape((ctx.dimension,) + block)
+        rows = _real_rows(values[:, nodes], grid.weights[nodes])
         for (q0, domain), group_members in groups:
-            _group_tables(ctx, q0, domain, nodes_t.reshape((d,) + block), tables.reshape((3,) + block), work)
+            tables = _group_tables(ctx, q0, domain, nodes_t).reshape(3, -1)
             for m in group_members:
-                v = _node_images(rows, block, s[m], eps[m], flip[m], image)
+                v = _node_images(rows, block, s[m], eps[m], flip[m])
                 sums[m, :, :k] += tables @ v.T
     (re_a, re_b), (im_a, im_b), (m_a, m_b) = sums.transpose(1, 2, 0)
     f_h, f_m = np.empty((2, len(pts)), dtype=complex)
@@ -315,8 +297,8 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
     The weighted data are one block of real rows (_real_rows).  The nodes
     go in blocks of at most _RADIAL_BLOCK, and within each the directions
     in blocks of at most _PHASE_BLOCK table entries: the block's phases by
-    one matrix product into a reused (3, directions, nodes) buffer, c and s
-    in place (specfun.cos_sin), then the rows times c and times s, each a
+    one matrix product, c and s from them (specfun.cos_sin, or c in place
+    of the phases), then the rows times c and times s, each a
     real product over contiguous node rows (a (nodes, parts) layout lost
     1e-14 of the data's mass in 3D), added up over the node blocks.  A grid
     of at most _RADIAL_BLOCK nodes is one node block, summed by one product
@@ -328,19 +310,16 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
     sums = np.zeros((2, step * len(rows), len(directions)))
     nodes = max(1, min(len(points), _RADIAL_BLOCK))
     block = max(1, _PHASE_BLOCK // nodes)
-    buf = np.empty(3 * min(block, len(directions)) * nodes)
     k = ctx.kappa * directions
     for a in range(0, len(points), nodes):
         b = min(a + nodes, len(points))
         for i in range(0, len(directions), block):
             j = min(i + block, len(directions))
-            table = buf[:3 * (j - i) * (b - a)].reshape(3, j - i, b - a)
-            c, s, phase = table
-            np.matmul(k[i:j], points[a:b].T, out=phase)
+            phase = k[i:j] @ points[a:b].T
             if oscillating:
-                specfun.cos_sin(phase, out=table)
+                c, s = specfun.cos_sin(phase)
             else:
-                np.exp(np.negative(phase, out=c), out=c)
+                c = np.exp(np.negative(phase, out=phase), out=phase)
             for total, factor in zip(sums[:, ::step, i:j], (c, s) if oscillating else (c,)):
                 if a == 0:  # the first node block's products, signed zeros included
                     np.matmul(rows[:, :b], factor.T, out=total)

@@ -4,8 +4,8 @@ wave operators in 2D/3D.
 kernel_tables is the one implementation of the two second-order kernels: it
 returns Re phi_h, Im phi_h and phi_m as three real arrays, from real-argument
 functions in vectorised passes only (2D: specfun.j0_y0 and specfun.k0; 3D:
-one half-angle tangent and exp), into a buffer the caller may own.  The
-direct quadrature sums these real tables.
+one half-angle tangent and exp).  The direct quadrature sums these real
+tables.
 
 green_biharmonic assembles the fourth-order kernel from the same tables,
 
@@ -16,8 +16,7 @@ the difference loses about eps / (kappa r) of its value to cancellation.
 green_biharmonic therefore refuses pairs closer than 1e-8 R.
 
 The kernels are functions of the distance r = |x - y| > 0; green_biharmonic
-broadcasts over point arrays of shape (..., d).  All functions are pure, but
-for kernel_tables' writes into a buffer it is given.
+broadcasts over point arrays of shape (..., d).  All functions are pure.
 """
 
 from __future__ import annotations
@@ -31,13 +30,13 @@ from .context import WaveContext
 NEAR_COINCIDENCE_FRACTION = 1e-8
 
 
-def kernel_tables(ctx: WaveContext, r, out=None):
-    """Re phi_h, Im phi_h and phi_m at distance r, as three real arrays.
+def kernel_tables(ctx: WaveContext, r):
+    """Re phi_h, Im phi_h and phi_m at distance r, as the three rows of one
+    real array of shape (3,) + r.shape.
 
     2D: -Y_0(kappa r)/4, J_0(kappa r)/4, K_0(kappa r)/(2 pi), from
     specfun.j0_y0 and specfun.k0 (vectorised above t = kappa r = 5 and 2,
-    scipy's j0, y0 and k0 on the entries at or below), into scratch of six
-    rows of r's shape allocated per call.
+    scipy's j0, y0 and k0 on the entries at or below).
     3D: cos(kappa r), sin(kappa r) and exp(-kappa r), each over 4 pi r, from
     one half-angle tangent tau = tan(kappa r / 2) and two divisions per
     value: w = (1 / (4 pi)) / (r (1 + tau**2)), Re phi_h = (1 - tau**2) w,
@@ -49,24 +48,17 @@ def kernel_tables(ctx: WaveContext, r, out=None):
     (2-vCPU x86-64 VM, one BLAS thread): 2D 0.76-0.98 ms against 1.70 ms
     with scipy's j0, y0 and k0 on every value, 3D 104-113 us against
     151 us with specfun.cos_sin and six divisions.
-
-    out, a float array of shape (3,) + r.shape, receives the three tables,
-    and its rows are returned: a caller that evaluates many tables reuses
-    one buffer instead of allocating (and faulting in) new ones.  r is left
-    unchanged.
     """
     r = np.asarray(r, dtype=float)
-    if out is None:
-        out = np.empty((3,) + r.shape)
+    out = np.empty((3,) + r.shape)
     re, im, m = out[0, ...], out[1, ...], out[2, ...]  # views, 0-d ones too
     if ctx.dimension == 2:
         t = np.multiply(r, ctx.kappa, out=m)
-        scratch = np.empty((6,) + r.shape)
-        j, y = specfun.j0_y0(t, out=scratch)
+        j, y = specfun.j0_y0(t)
         np.multiply(y, -0.25, out=re)
         np.multiply(j, 0.25, out=im)
-        np.divide(specfun.k0(t, out=scratch[:5]), 2.0 * np.pi, out=m)  # t (in m) read, then m written
-        return re, im, m
+        np.divide(specfun.k0(t), 2.0 * np.pi, out=m)  # t (in m) read, then m written
+        return out
     # tau = tan(kappa r / 2): cos = (1 - tau**2) w', sin = 2 tau w' with
     # w' = 1 / (1 + tau**2), so the tables share w = w' / (4 pi r)
     np.multiply(r, 0.5 * ctx.kappa, out=im)
@@ -83,7 +75,7 @@ def kernel_tables(ctx: WaveContext, r, out=None):
     np.exp(m, out=m)
     m *= 1.0 / (4.0 * np.pi)
     m /= r
-    return re, im, m
+    return out
 
 
 def green_biharmonic(ctx: WaveContext, x, y):

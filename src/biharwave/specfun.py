@@ -63,7 +63,7 @@ def _ipow(k):
 # ---------------------------------------------------------------------------
 # Cosine and sine of a phase
 # ---------------------------------------------------------------------------
-def cos_sin(t, out=None):
+def cos_sin(t):
     """cos t and sin t from one half-angle tangent tau = tan(t / 2):
 
         cos t = (1 - tau**2) / (1 + tau**2),  sin t = 2 tau / (1 + tau**2).
@@ -75,15 +75,9 @@ def cos_sin(t, out=None):
     and their neighbours included, both stay within 2.2e-16 absolute (np.cos
     and np.sin: 5.6e-17), and every finite t gives finite values: |tan| of
     a double stays far below the square root of the largest double.
-
-    out, a float array of shape (3,) + t.shape, receives cos t and sin t in
-    its first two rows, which are returned; its last row is scratch and may
-    be t itself.
     """
     t = np.asarray(t, dtype=float)
-    if out is None:
-        out = np.empty((3,) + t.shape)
-    c, s, d = out[0, ...], out[1, ...], out[2, ...]  # views, 0-d ones too
+    c, s, d = (np.empty(t.shape) for _ in range(3))  # 0-d arrays for a 0-d t
     np.multiply(t, 0.5, out=s)
     np.tan(s, out=s)
     np.multiply(s, s, out=c)
@@ -142,7 +136,7 @@ def _polynomial(coeffs, x, out):
     return out
 
 
-def j0_y0(t, out=None):
+def j0_y0(t):
     """J_0(t) and Y_0(t) at real t >= 0, in vectorised passes.
 
     For t > J0_THRESHOLD (5) from Cephes's rational amplitudes P and Q
@@ -161,25 +155,20 @@ def j0_y0(t, out=None):
     8e-14 at t = 2000), and within 4.0e-16 absolute of scipy's on (5, 150].
     Per 16,384 values at t in (5, 40] (one BLAS thread): 0.39-0.49 ms
     against 1.05-1.11 ms for scipy's j0 and y0.
-
-    out, a float array of shape (6,) + t.shape, receives J_0 and Y_0 in its
-    first two rows, which are returned; the other four are scratch.
     """
     t = np.asarray(t, dtype=float)
-    if out is None:
-        out = np.empty((6,) + t.shape)
-    j, y, b, a, p, q = (out[k, ...] for k in range(6))  # views, 0-d ones too
+    b, a, p, q, w = (np.empty(t.shape) for _ in range(5))  # 0-d arrays for a 0-d t
     # entries at or below the threshold (t = 0 among them) are overwritten
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(5.0, t, out=a)
         np.multiply(a, a, out=b)  # q = 25 / t**2
         _polynomial(_J0_PP_MINUS_PQ, b, p)
-        p /= _polynomial(_J0_PQ, b, j)
+        p /= _polynomial(_J0_PQ, b, w)
         p += 1.0
         _polynomial(_J0_QP, b, q)
-        q /= _polynomial(_J0_QQ, b, j)
+        q /= _polynomial(_J0_QQ, b, w)
         q *= a
-        cos_sin(t, out=out[:3])  # c, s into j, y; b is scratch
+        j, y = cos_sin(t)  # c and s, then J_0 and Y_0 in their place
         np.add(j, y, out=a)  # c + s
         np.subtract(y, j, out=b)  # s - c
         np.multiply(p, a, out=j)
@@ -200,7 +189,7 @@ def j0_y0(t, out=None):
     return j, y
 
 
-def k0(t, out=None):
+def k0(t):
     """K_0(t) at real t >= 0, in vectorised passes.
 
     For t > K0_THRESHOLD (2), exp(-t) / sqrt(t) times the 24-term Chebyshev
@@ -211,17 +200,9 @@ def k0(t, out=None):
     t = 700 exp(-t) leaves the normal range and K_0 underflows to 0 near
     t = 745.  Per 16,384 values at t in (5, 40]: 0.34-0.48 ms against
     0.58-0.61 ms for scipy's k0.
-
-    out, a float array of shape (5,) + t.shape, receives K_0 in its first
-    row, which is returned, and may be t itself; the other four are scratch.
     """
     t = np.asarray(t, dtype=float)
-    if out is None:
-        out = np.empty((5,) + t.shape)
-    low = t <= K0_THRESHOLD
-    tl = t[low] if low.any() else None  # before out[0] overwrites t
-    rows = [out[k, ...] for k in range(3)]
-    x, f = out[3, ...], out[4, ...]
+    x, f, *rows = (np.empty(t.shape) for _ in range(5))  # 0-d arrays for a 0-d t
     a = _K0_CHEBYSHEV
     # entries at or below the threshold (t = 0 among them) are overwritten
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -229,7 +210,7 @@ def k0(t, out=None):
         x -= 2.0  # 2 u
         np.negative(t, out=f)
         np.exp(f, out=f)
-        f /= np.sqrt(t, out=rows[2])  # the last read of t
+        f /= np.sqrt(t, out=rows[2])
         # b_k = a_k + 2 u b_(k+1) - b_(k+2), from b_23 = a_23, b_24 = 0,
         # each b_k into the row of b_(k+3)
         cur, prev, free = rows
@@ -244,10 +225,11 @@ def k0(t, out=None):
             free -= prev
             free += c
             cur, prev, free = free, cur, prev
-        k = np.subtract(cur, free, out=out[0, ...])  # b_0 - b_2
+        k = np.subtract(cur, free, out=cur)  # b_0 - b_2
         k *= f
-    if tl is not None:
-        k[low] = _sp.k0(tl)
+    low = t <= K0_THRESHOLD
+    if low.any():
+        k[low] = _sp.k0(t[low])
     return k
 
 

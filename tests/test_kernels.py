@@ -122,20 +122,20 @@ class TestKernelTables:
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_caller_buffer(self, ctx):
-        # the tables written into a caller's buffer are the tables, bit for
-        # bit, returned as views of it; r is left as it was, and a buffer
-        # that already holds other tables is overwritten in full
+        # the caller's r is left as it was, bit for bit, and the tables are
+        # one fresh (3,) + r.shape array that shares no memory with it; a
+        # second call gives the same bits
         rng = np.random.default_rng(41)
-        buf = np.full((3, 4, 50), np.nan)
         for _ in range(2):
             r = rng.uniform(1e-3, 50.0, (4, 50))
             kept = r.copy()
-            got = kernels.kernel_tables(ctx, r, out=buf)
-            ref = kernels.kernel_tables(ctx, r)
+            got = kernels.kernel_tables(ctx, r)
+            assert got.shape == (3, 4, 50)
             assert np.array_equal(r.view(np.uint64), kept.view(np.uint64))
-            for k in range(3):
-                assert np.shares_memory(got[k], buf[k])
-                assert np.array_equal(got[k].view(np.uint64), ref[k].view(np.uint64))
+            assert not np.shares_memory(got, r)
+            again = kernels.kernel_tables(ctx, r)
+            assert not np.shares_memory(again, got)
+            assert np.array_equal(got.view(np.uint64), again.view(np.uint64))
 
 
 class TestFourthOrderKernel:

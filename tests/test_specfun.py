@@ -124,11 +124,13 @@ class TestCosSin:
         assert c0.shape == s0.shape == ()
         assert c0 == pytest.approx(np.cos(0.5), abs=4.5e-16)
         assert s0 == pytest.approx(np.sin(0.5), abs=4.5e-16)
-        # a caller's buffer receives the values; its last row may hold t
-        buf = np.empty((3, 7, 9))
-        buf[2] = t
-        cb, sb = specfun.cos_sin(buf[2], out=buf)
-        assert np.shares_memory(cb, buf[0]) and np.shares_memory(sb, buf[1])
+        # the values are fresh arrays: t is left as it was and shares no
+        # memory with them, and a second call gives the same bits
+        kept = t.copy()
+        cb, sb = specfun.cos_sin(t)
+        assert np.array_equal(_bits(t), _bits(kept))
+        assert not any(np.shares_memory(v, w) for v in (cb, sb) for w in (t, c, s))
+        assert not np.shares_memory(cb, sb)
         assert np.array_equal(_bits(cb), _bits(c)) and np.array_equal(_bits(sb), _bits(s))
 
     def test_finite_everywhere(self):
@@ -253,14 +255,16 @@ class TestOrderZeroBessel:
         # empty arguments give empty values
         for empty in (np.empty(0), np.empty((3, 0))):
             assert all(v.shape == empty.shape for v in (*specfun.j0_y0(empty), specfun.k0(empty)))
-        # caller's buffers receive the values; k0's first row may hold t
-        buf = np.full((6, 7, 9), np.nan)
-        jb, yb = specfun.j0_y0(t, out=buf)
-        assert np.shares_memory(jb, buf[0]) and np.shares_memory(yb, buf[1])
+        # the values are fresh arrays: t is left as it was and shares no
+        # memory with them, and a second call gives the same bits
+        kept = t.copy()
+        jb, yb = specfun.j0_y0(t)
+        kb = specfun.k0(t)
+        assert np.array_equal(_bits(t), _bits(kept))
+        assert not any(np.shares_memory(v, w) for v in (jb, yb, kb) for w in (t, j, y, k))
+        assert not np.shares_memory(jb, yb)
         assert np.array_equal(_bits(jb), _bits(j)) and np.array_equal(_bits(yb), _bits(y))
-        buf[0] = t
-        kb = specfun.k0(buf[0], out=buf[:5])
-        assert np.shares_memory(kb, buf[0]) and np.array_equal(_bits(kb), _bits(k))
+        assert np.array_equal(_bits(kb), _bits(k))
 
 
 @pytest.mark.parametrize("axis", [0, -1])
