@@ -271,6 +271,9 @@ def _eval_quadrature(ctx, src, pts):
             for m in group_members:
                 v = _node_images(rows, block, s[m], eps[m], flip[m])
                 sums[m, :, :k] += tables @ v.T
+            # freed before the next group's tables are allocated, which then
+            # reuse the same, cache-warm memory
+            del tables, v
     (re_a, re_b), (im_a, im_b), (m_a, m_b) = sums.transpose(1, 2, 0)
     f_h, f_m = np.empty((2, len(pts)), dtype=complex)
     f_h.real, f_h.imag = im_b - re_a, -(re_b + im_a)
@@ -316,15 +319,15 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
         for i in range(0, len(directions), block):
             j = min(i + block, len(directions))
             phase = k[i:j] @ points[a:b].T
-            if oscillating:
-                c, s = specfun.cos_sin(phase)
-            else:
-                c = np.exp(np.negative(phase, out=phase), out=phase)
-            for total, factor in zip(sums[:, ::step, i:j], (c, s) if oscillating else (c,)):
+            factors = specfun.cos_sin(phase) if oscillating else (np.exp(np.negative(phase, out=phase), out=phase),)
+            for total, factor in zip(sums[:, ::step, i:j], factors):
                 if a == 0:  # the first node block's products, signed zeros included
                     np.matmul(rows[:, :b], factor.T, out=total)
                 else:
                     total += rows[:, a:b] @ factor.T
+            # freed before the next block's phases are allocated, which then
+            # reuse the same, cache-warm memory
+            del phase, factors, factor
     out = np.empty((len(directions), sums.shape[1] // 2), dtype=complex)
     out.real = (sums[0, 0::2] + sums[1, 1::2]).T
     out.imag = (sums[0, 1::2] - sums[1, 0::2]).T
