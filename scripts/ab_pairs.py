@@ -20,7 +20,11 @@ end-to-end metrics of the run's last line and its share of failed jobs
 jobs per second of the first pass
 (``first_pass_jobs_per_s``, the cold caches of a fresh process) and of the
 passes after it (``warm_jobs_per_s``), neither scaled to the reference
-host.  The cli workload has one pass, so no warm figure.  Each run's
+host.  The cli workload has one pass, so no warm figure.  A last line
+gives each side's median ``host_factor``, read from the run's
+``# workload`` line: the factor perfbench scales times by, so that a scaled
+metric that moves against its unscaled rates shows host-speed scaling
+rather than a change in the code.  Each run's
 metrics go to standard error as it finishes.  The script itself writes
 nothing in the two checkouts (perfbench's cli workload keeps its scratch
 outputs under its own ``perfbench/_out`` while it runs).
@@ -51,6 +55,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float | None) -> dic
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     metrics["failed_frac"] = result["failed"] / result["attempted"]
     metrics.update(pass_rates(lines))
+    notes = next(line for line in lines if line.startswith("# workload "))
+    metrics["host_factor"] = json.loads(notes[notes.index("{"):])["host_factor"]
     return metrics
 
 
@@ -90,6 +96,8 @@ def summary(pairs, better: dict) -> list[str]:
         (b1, b3), (h1, h3) = quartiles(base), quartiles(head)
         out.append(f"  {name:22s} base {mb:9.4g} [{b1:.4g}, {b3:.4g}]  head {mh:9.4g} [{h1:.4g}, {h3:.4g}]  "
                    f"ratio {ratio:6.3f}  head won {wins}/{len(both)}  base spread {b3 - b1:.3g}")
+    base, head = ([p[side]["host_factor"] for p in pairs] for side in (0, 1))
+    out.append(f"  {'host_factor':22s} base {statistics.median(base):9.4g}  head {statistics.median(head):9.4g}")
     return out
 
 

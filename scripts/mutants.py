@@ -122,6 +122,27 @@ MUTANTS = (
         "J0_THRESHOLD = 2.0\n",
         ("tests/test_specfun.py::TestOrderZeroBessel::test_j0_y0_on_both_sides_of_the_threshold",),
     ),
+    Mutant(
+        "group-columns-not-mirrored",
+        "src/biharwave/fields.py",
+        "tables[:, :, :rings, lo + 1:lo + n - hi + 1][..., ::-1]\n",
+        "tables[:, :, :rings, lo + 1:lo + n - hi + 1]\n",
+        ("tests/test_fields.py::TestEvalField::test_exterior_pde_residual",),
+    ),
+    Mutant(
+        "node-images-rings-not-reversed",
+        "src/biharwave/fields.py",
+        "    if reverse:\n        v = v[:, :, ::-1]\n",
+        "",
+        ("tests/test_fields.py::TestSymmetryGroupQuadrature::test_3d_verdict_probes_match_dense_sum",),
+    ),
+    Mutant(
+        "support-inside-first-node-accepted",
+        "src/biharwave/sources.py",
+        "        if support_radius <= first:",
+        "        if False:",
+        ("tests/test_sources.py::TestSupportGrid::test_support_inside_the_first_node_is_refused",),
+    ),
 )
 
 

@@ -125,8 +125,7 @@ def radial_rule(ctx: WaveContext, order: int = DEFAULT_RADIAL_ORDER, extent: flo
     their weights unchanged: a node at or beyond the extent is dropped, the
     test SourceField uses to zero a node outside its support.
     """
-    if order < 2:
-        raise ValueError(f"radial order must be >= 2, got {order}")
+    _check_integer("radial order", order, 2)
     t, w = gauss_legendre(order)
     half = 0.5 * ctx.radius
     nodes, weights = half * (t + 1.0), half * w

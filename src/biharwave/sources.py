@@ -127,13 +127,16 @@ class SourceField:
     Its own grids (default_samples and the finer-angle projection grid) end
     at its support radius and have its radial_order, an int: 64 unless the
     constructor is given another (the bump 320); a scaled source keeps its
-    parent's, a sum takes the larger of its parts'.  On a product grid a
-    source reads its values by rows, one per radial node, each masked at
-    the source's own support radius (a part of a sum is read on the sum's
-    grid, which ends at the larger support), in np.result_type(rows, float):
-    a radial source (from_radial) evaluates its profile once per radial
-    node, a pointwise one its function at the grid's points, a scaled
-    source scales its parent's rows and a sum adds its parts' rows.  A
+    parent's, a sum takes the larger of its parts'.  A support at or inside
+    the first node of that rule would leave its grids without a node, so
+    every route would sum nothing; the constructor refuses it, naming both.
+    On a product grid a source reads its values by rows, one per radial
+    node, each masked at the source's own support radius (a part of a sum
+    is read on the sum's grid, which ends at the larger support), in
+    np.result_type(rows, float): a radial source (from_radial) evaluates its
+    profile once per radial node, a pointwise one its function at the
+    grid's points, a scaled source scales its parent's rows and a sum adds
+    its parts' rows.  A
     source keeps its default-grid samples, its norm and its modal
     coefficients once computed; scaled and + build new sources, which keep
     none of them.  A pointwise source whose samples are kept reads them
@@ -148,6 +151,15 @@ class SourceField:
         if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
+            )
+        _check_integer("radial order", radial_order, 2)
+        # the first node of a rule of order >= 2 lies at or below that of order 2,
+        # R (1 - 1/sqrt(3)) / 2 < R / 2, so a wider support solves no rule here
+        first = float(radial_rule(ctx, radial_order).nodes[0]) if support_radius < 0.5 * ctx.radius else 0.0
+        if support_radius <= first:  # its grid would hold no node, and every sum would be zero
+            raise SupportViolationError(
+                f"support_radius {support_radius} lies at or inside the first radial node {first:.6g} "
+                f"of the order-{radial_order} rule"
             )
         self.ctx = ctx
         self.support_radius = float(min(support_radius, ctx.radius))

@@ -4,11 +4,11 @@ Bessel functions J_0, Y_0 and K_0 at real arguments, and orthonormal
 spherical harmonics.
 
 cos_sin, j0_y0 and k0 work in vectorised numpy passes over whole arrays,
-into buffers the caller may own, where scipy's and numpy's routines are
-scalar loops per value: the direct-quadrature kernel tables
-(kernels.kernel_tables) and the phase sums of the far field and the volume
-transforms call them.  j0_y0 and k0 hand the arguments at or below their
-thresholds (t = 5 and t = 2) to scipy's j0, y0 and k0.
+where scipy's and numpy's routines are scalar loops per value: the
+direct-quadrature kernel tables (kernels.kernel_tables) and the phase sums
+of the far field and the volume transforms call them.  j0_y0 and k0 hand
+the arguments at or below their thresholds (t = 5 and t = 2) to scipy's
+j0, y0 and k0.
 
 The angular modes are the 2D Fourier orders n = -N..N and the 3D
 spherical-harmonic pairs (n, m), stored degree by degree.  Their layout
@@ -153,8 +153,9 @@ def j0_y0(t):
     1e-16 * t, as they round t - pi/4; against mpmath on (5, 2000] both
     stay within 4.4e-16 of the amplitude sqrt(2 / (pi t)) here (scipy:
     8e-14 at t = 2000), and within 4.0e-16 absolute of scipy's on (5, 150].
-    Per 16,384 values at t in (5, 40] (one BLAS thread): 0.39-0.49 ms
-    against 1.05-1.11 ms for scipy's j0 and y0.
+    Per 16,384 values at t in (5, 40] (one BLAS thread, medians of six
+    runs on a shared host): 0.47-0.65 ms against 1.24-1.78 ms for scipy's
+    j0 and y0.
     """
     t = np.asarray(t, dtype=float)
     b, a, p, q, w = (np.empty(t.shape) for _ in range(5))  # 0-d arrays for a 0-d t
@@ -198,8 +199,8 @@ def k0(t):
     entries.  scipy's k0 (40-55 ns per value) runs a 25-term Chebyshev loop
     per value.  Against mpmath on (2, 700] within 4e-16 relative; beyond
     t = 700 exp(-t) leaves the normal range and K_0 underflows to 0 near
-    t = 745.  Per 16,384 values at t in (5, 40]: 0.34-0.48 ms against
-    0.58-0.61 ms for scipy's k0.
+    t = 745.  Per 16,384 values at t in (5, 40], as for j0_y0: 0.51-0.63
+    ms against 0.67-1.59 ms for scipy's k0.
     """
     t = np.asarray(t, dtype=float)
     x, f, *rows = (np.empty(t.shape) for _ in range(5))  # 0-d arrays for a 0-d t

@@ -406,6 +406,18 @@ def test_series_overflow_is_one_config_error_line(tmp_path, capsys, cfg, truncat
     assert not (tmp_path / "out").exists()
 
 
+def test_support_inside_the_first_node_is_one_config_error_line(tmp_path, capsys):
+    # the 64-node rule's first node is at 3.47e-4 R: a support inside it
+    # leaves the grid without a node, which every route would sum to zero
+    scenario = dict(GAUSS2D, parameters={"sigma": 0.1, "support_radius": 0.0002})
+    cfg = _write(tmp_path, "tiny.json", scenario)
+    assert main(["verdict", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "support_radius 0.0002 " in err and "first radial node 0.000347479 " in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_route_disagreement_exits_2(tmp_path, capsys):
     # the 2D Bessel invisible source at kappa*R ~ 27.5: the modal and spectral
     # residuals miss the tolerance while the field residual meets it, and a

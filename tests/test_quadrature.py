@@ -40,8 +40,9 @@ class TestRadialRule:
         assert got == pytest.approx(adaptive, rel=1e-11)
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            quadrature.radial_rule(CTX2, 1)
+        for order in (1, 2.5, 64.0, True, "64"):
+            with pytest.raises(ValueError, match="radial order must be an integer >= 2"):
+                quadrature.radial_rule(CTX2, order)
 
 
 def _integrate(ctx, g, radial_order=quadrature.DEFAULT_RADIAL_ORDER):

@@ -764,19 +764,23 @@ class TestSupportGrid:
         assert np.array_equal(modal.rule.nodes, nodes[:20])
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
-    def test_support_inside_the_first_node_leaves_no_node(self, ctx):
-        # the source reads zero at every node of the whole rule, so every
-        # route sums nothing: zeros, and a nonradiating verdict with zero residuals
-        src = gaussian_source(ctx, sigma=0.1, support_radius=1e-4)
-        grid, values = src.default_samples()
-        assert grid.shape == (0, grid.angular.count) and values.size == 0
-        assert src.l2_norm() == 0.0
-        co = modal_coefficients(ctx, src, 4)
-        assert not np.any(co.alpha) and not np.any(co.beta)
-        _, f_h, f_m = eval_field_batch(ctx, src, 1.5 * np.eye(ctx.dimension), method="quadrature")
-        assert not np.any(f_h) and not np.any(f_m)
-        result = verdict(ctx, src)
-        assert result.is_nonradiating and result.residual_modal == result.residual_field == 0.0
+    def test_support_inside_the_first_node_is_refused(self, ctx):
+        # its grid would hold no node, so every route would sum nothing and a
+        # verdict would certify it nonradiating with zero residuals: refused,
+        # naming the support radius and the first node
+        first = product_grid(ctx, 64).radial.nodes[0]
+        for support in (1e-4, float(first)):
+            with pytest.raises(SupportViolationError) as info:
+                gaussian_source(ctx, sigma=0.1, support_radius=support)
+            assert f"support_radius {support} " in str(info.value) and f"node {first:.6g} " in str(info.value)
+        src = gaussian_source(ctx, sigma=0.1, support_radius=np.nextafter(first, 1.0))
+        assert src.default_samples()[0].shape[0] == 1
+
+    def test_radial_order_is_checked_at_construction(self):
+        # 2.5 used to construct, then fail in numpy on the first sample
+        for order in (2.5, 1, True):
+            with pytest.raises(ValueError, match="radial order must be an integer >= 2"):
+                SourceField(CTX2, lambda pts: np.zeros(len(pts)), CTX2.radius, order)
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_sum_with_a_whole_ball_part_keeps_every_node(self, ctx):
