@@ -51,14 +51,14 @@ MUTANTS = (
     Mutant(
         "field-residual-zero",
         "src/biharwave/spectral.py",
-        "        res_field = float(np.max(np.abs(u))) / scale\n",
-        "        res_field = 0.0\n",
+        "    res_field = float(np.max(np.abs(u))) / scale\n",
+        "    res_field = 0.0\n",
         ("tests/test_spectral.py::TestVerdict::test_gaussian_radiates",),
     ),
     Mutant(
         "spectral-residual-zero",
         "src/biharwave/spectral.py",
-        "    res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f if norm_f > 0 else 0.0\n",
+        "    res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f\n",
         "    res_spectral = 0.0\n",
         ("tests/test_spectral.py::TestVerdict::test_gaussian_radiates",),
     ),
@@ -142,6 +142,20 @@ MUTANTS = (
         "        if support_radius <= first:",
         "        if False:",
         ("tests/test_sources.py::TestSupportGrid::test_support_inside_the_first_node_is_refused",),
+    ),
+    Mutant(
+        "bump-image-d-term",
+        "src/biharwave/sources.py",
+        "(d + 2) * g3",
+        "d * g3",
+        ("tests/test_sources.py::TestBumpConstruction::test_image_matches_mpmath_oracle",),
+    ),
+    Mutant(
+        "zero-samples-certified",
+        "src/biharwave/spectral.py",
+        "    if src.l2_norm() == 0.0:",
+        "    if False:",
+        ("tests/test_cli.py::test_source_no_node_sees_is_refused",),
     ),
 )
 

@@ -6,6 +6,7 @@ default on ``WaveContext.with_root_wavenumber(d, 1.0, k)`` (R = 1) for
     2D bump, rho = 0.8R   roots 1-12
     2D Bessel             roots 1-14
     3D Bessel             roots 1-12  (exponents 3 and 4)
+    3D bump, rho = 0.8R   roots 1-6
 
 and prints one line per root: the class ("nonradiating" or "radiating") or
 the refusal (the exception's class), then the modal, spectral and field
@@ -34,6 +35,7 @@ SWEEP = [
     ("2D bump, ρ = 0.8R", 2, "bump", 12),
     ("2D Bessel", 2, "bessel", 14),
     ("3D Bessel", 3, "bessel", 12),
+    ("3D bump, ρ = 0.8R", 3, "bump", 6),
 ]
 _NAMED = re.compile(r"modal (\S+), spectral (\S+), field (\S+?);")
 

@@ -17,7 +17,12 @@ sums the products.
 The nonradiating constructors apply their radial differential operators
 analytically (chain rule on powers of the order-zero radial waves), never by
 numerical differentiation: the certification tests chase 1e-8-level zeros
-that finite differences cannot reach.
+that finite differences cannot reach.  The bump's image is one closed form
+in the squared distance u = |x - center|^2 (_mollifier_pair): the radial
+Laplacian in u, 4 u G'' + 2 d G', divides by no power of the distance, so
+the one formula holds at the centre too, with no Taylor branch there and
+no digits lost just beyond one.  The bump and the Gaussian read u by one
+helper (_squared_distance).
 """
 
 from __future__ import annotations
@@ -44,10 +49,6 @@ from .specfun import _ipow, mode_degrees, mode_index
 
 # Denominator magnitudes below this are treated as degenerate normalizations.
 DEGENERATE_DENOMINATOR = 1e-12
-
-# Fraction of the bump radius below which the Taylor branch evaluates the
-# mollifier image (the closed-form branch divides by r, r**2, r**3).
-_BUMP_TAYLOR_FRACTION = 1e-3
 
 # The mollifier's fourth-order image has steep spikes near its support edge;
 # this radial order resolves its projection integrals below 1e-8 relative.
@@ -513,8 +514,9 @@ def make_bump_nonradiating(
 
     The bump is the radial mollifier
     amplitude * exp(-1/(1 - (|x - center|/rho)^2)), whose fourth-order image
-    is evaluated in closed form.  The bump support must stay strictly inside
-    the context ball.
+    is evaluated in closed form in the squared distance |x - center|^2
+    (_mollifier_pair).  The bump support must stay strictly inside the
+    context ball.
     """
     d = ctx.dimension
     k4 = ctx.kappa**4
@@ -532,64 +534,43 @@ def make_bump_nonradiating(
         )
 
     def func(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s = np.linalg.norm(pts - center, axis=-1)
-        g, bilap = _mollifier_pair(s, rho, amplitude, d)
+        g, bilap = _mollifier_pair(_squared_distance(points, center), rho, amplitude, d)
         return -(bilap - k4 * g)
 
     return SourceField(ctx, func, reach, _BUMP_RADIAL_ORDER)
 
 
-def _mollifier_pair(s, rho, amplitude, d):
-    """(g, bilaplacian of g) for the built-in radial mollifier in d dimensions."""
-    s = np.asarray(s, dtype=float)
-    g = np.zeros_like(s)
-    bilap = np.zeros_like(s)
+def _mollifier_pair(u, rho, amplitude, d):
+    """(g, bilaplacian of g) for the built-in radial mollifier in d
+    dimensions, at squared distances u = |x - center|^2.
 
-    inside = s < rho * (1.0 - 1e-14)
-    tiny = inside & (s < _BUMP_TAYLOR_FRACTION * rho)
-    main = inside & ~tiny
-
-    if np.any(main):
-        sm = s[main]
-        t = (sm / rho) ** 2
-        v = -1.0 / (1.0 - t)
-        live = v > -700.0  # exp underflows beyond; true values < 1e-304
-        sm, t, v = sm[live], t[live], v[live]
-        w = 1.0 / (rho * rho - sm * sm)
-        w1 = 2.0 * sm * w * w
-        w2 = 2.0 * w * w + 8.0 * sm**2 * w**3
-        w3 = 24.0 * sm * w**3 + 48.0 * sm**3 * w**4
-        w4 = 24.0 * w**3 + 288.0 * sm**2 * w**4 + 384.0 * sm**4 * w**5
-        r2 = rho * rho
-        v1, v2, v3, v4 = -r2 * w1, -r2 * w2, -r2 * w3, -r2 * w4
-        # v1 < 0: products, not v1**3 and v1**4 (numpy's pow is a scalar
-        # loop for a negative base, hundreds of times slower than a square)
-        v1sq = v1 * v1
-        gm = amplitude * np.exp(v)
-        g1 = gm * v1
-        g2 = gm * (v2 + v1sq)
-        g3 = gm * (v3 + 3.0 * v2 * v1 + v1sq * v1)
-        g4 = gm * (v4 + 4.0 * v3 * v1 + 3.0 * v2**2 + 6.0 * v2 * v1sq + v1sq * v1sq)
-        radial = (
-            g4
-            + 2.0 * (d - 1) * g3 / sm
-            + (d - 1) * (d - 3) * (g2 / sm**2 - g1 / sm**3)
-        )
-        idx = np.flatnonzero(main)[live]
-        g[idx] = gm
-        bilap[idx] = radial
-
-    if np.any(tiny):
-        st = s[tiny]
-        t = (st / rho) ** 2
-        coeff = np.array([1.0, -1.0, -0.5, -1.0 / 6.0, 1.0 / 24.0]) * amplitude * np.exp(-1.0)
-        g[tiny] = coeff[0] + coeff[1] * t + coeff[2] * t**2 + coeff[3] * t**3 + coeff[4] * t**4
-        bilap_t = np.zeros_like(st)
-        for kk in range(2, 5):
-            mult = (2 * kk) * (2 * kk + d - 2) * (2 * kk - 2) * (2 * kk + d - 4)
-            bilap_t += coeff[kk] / rho ** (2 * kk) * mult * st ** (2 * kk - 4)
-        bilap[tiny] = bilap_t
+    In u the mollifier is G(u) = amplitude * exp(v) with v = -rho^2 q and
+    q = 1/(rho^2 - u), whose u-derivatives are -k! rho^2 q^(k+1).  The radial
+    Laplacian of G(|x|^2) is 4 u G'' + 2 d G', so its bilaplacian is
+    16 u^2 G'''' + 16 (d + 2) u G''' + 4 d (d + 2) G'': no power of the
+    distance divides it, so one formula holds down to the centre, u = 0,
+    with no Taylor branch there.
+    """
+    u = np.asarray(u, dtype=float)
+    g = np.zeros_like(u)
+    bilap = np.zeros_like(u)
+    r2 = rho * rho
+    live = u < r2 * (1.0 - 1.0 / 700.0)  # v > -700: exp underflows beyond; true values < 1e-304
+    u = u[live]
+    q = 1.0 / (r2 - u)
+    v1 = -r2 * q * q
+    v2 = 2.0 * q * v1
+    v3 = 3.0 * q * v2
+    v4 = 4.0 * q * v3
+    # v1 < 0: products, not v1**3 and v1**4 (numpy's pow is a scalar loop
+    # for a negative base, hundreds of times slower than a square)
+    v1sq = v1 * v1
+    gm = amplitude * np.exp(-r2 * q)
+    g2 = gm * (v2 + v1sq)
+    g3 = gm * (v3 + 3.0 * v2 * v1 + v1sq * v1)
+    g4 = gm * (v4 + 4.0 * v3 * v1 + 3.0 * v2 * v2 + 6.0 * v2 * v1sq + v1sq * v1sq)
+    g[live] = gm
+    bilap[live] = 16.0 * u * (u * g4 + (d + 2) * g3) + 4.0 * d * (d + 2) * g2
     return g, bilap
 
 
@@ -616,16 +597,22 @@ def gaussian_source(
         support_radius = ctx.radius
 
     def func(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        # one coordinate at a time, in real arithmetic: the left-to-right
-        # order of np.sum over the coordinates, without an (M, d) temporary
-        q = (pts[:, 0] - center[0]) ** 2
-        for k in range(1, len(center)):
-            q += (pts[:, k] - center[k]) ** 2
+        q = _squared_distance(points, center)
         q /= 2.0 * sigma * sigma
         return amplitude * np.exp(-q)
 
     return SourceField.from_callable(ctx, func, support_radius=support_radius)
+
+
+def _squared_distance(points, center) -> np.ndarray:
+    """|x - center|^2 at (M, d) points, one coordinate at a time in real
+    arithmetic: the left-to-right order of np.sum over the coordinates,
+    without an (M, d) temporary."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    q = (pts[:, 0] - center[0]) ** 2
+    for k in range(1, len(center)):
+        q += (pts[:, k] - center[k]) ** 2
+    return q
 
 
 def _finite_center(center, d: int) -> np.ndarray:

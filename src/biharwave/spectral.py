@@ -84,6 +84,10 @@ class InconsistencyError(RuntimeError):
     the truncation does not clear the known false refusals, because the modal
     and spectral residuals are divided only by the source norm while the
     imaginary-argument family grows like exp(kappa R); the README lists them.
+
+    It is also raised when the source is zero at every node of its grid,
+    which no route can tell from a nonradiating source: a source narrower
+    than the grid's spacing, or the zero source.  The message names the grid.
     """
 
 
@@ -302,8 +306,6 @@ def nullspace_residual(
 
 def _field_scale(ctx, norm_f, probe_radii) -> float:
     """Cauchy-Schwarz bound on the field magnitude the source could radiate."""
-    if norm_f == 0.0:
-        return 0.0
     dmin = max(float(np.min(probe_radii)) - ctx.radius, 1e-3 * ctx.radius)
     dmax = float(np.max(probe_radii)) + ctx.radius
     r = np.linspace(dmin, dmax, 512)
@@ -324,11 +326,19 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
     exterior field is probed by direct quadrature of the source itself at
     several radii.  The three routes must agree on which
     side of the tolerance they fall; disagreement raises InconsistencyError
-    instead of guessing.
+    instead of guessing.  So does a source that is zero at every node of its
+    grid, before any route runs: its residuals would all be 0 / 0.
     """
     cfg = config or VerdictConfig()
     N = cfg.truncation if cfg.truncation is not None else default_mode_truncation(ctx)
     top = N + STABILITY_MARGIN
+    if src.l2_norm() == 0.0:  # every residual would be 0 / 0, read as nonradiating
+        grid, _ = src.default_samples()
+        raise InconsistencyError(
+            f"the source is zero at every node of its grid ({grid.shape[0]} radial x {grid.shape[1]} "
+            "angular nodes): a source narrower than the grid's spacing, or the zero source, "
+            "cannot be certified"
+        )
 
     coeffs = modal_coefficients(ctx, src, top)
     norm_f = coeffs.norm_f
@@ -348,16 +358,13 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
     # columns of one synthesis of the projection made above
     columns = np.column_stack([_signed_modes(coeffs, -1), _signed_modes(coeffs, 1)])
     fh, fc = _sphere_measure(ctx) * specfun.rule_synthesis(columns, rule)
-    res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f if norm_f > 0 else 0.0
+    res_spectral = float(np.max(np.abs(fh) + np.abs(fc))) / norm_f
 
     probe_radii = np.array(PROBE_FACTORS) * ctx.radius
     pts = np.vstack([r * dirs for r in probe_radii])
     scale = _field_scale(ctx, norm_f, probe_radii)
-    if norm_f > 0:
-        u, _, _ = fields.eval_field_batch(ctx, src, pts, method="quadrature")
-        res_field = float(np.max(np.abs(u))) / scale
-    else:
-        res_field = 0.0
+    u, _, _ = fields.eval_field_batch(ctx, src, pts, method="quadrature")
+    res_field = float(np.max(np.abs(u))) / scale
 
     flags = [res_modal <= cfg.tolerance, res_spectral <= cfg.tolerance, res_field <= cfg.tolerance]
     if len(set(flags)) != 1:

@@ -408,6 +408,26 @@ def mollifier(point, rho: float, center, amplitude: float = 1.0) -> float:
     return amplitude * math.exp(-1.0 / (1.0 - t)) if t < 1.0 else 0.0
 
 
+def bump_image(u: float, rho: float, kappa: float, dimension: int, amplitude: float = 1.0) -> float:
+    """-(bilaplacian - kappa^4) of the mollifier at squared distance u < rho^2
+    from its centre, by numerical differentiation at 40 digits (mpmath.diff) of
+    G(u) = amplitude * exp(-rho^2/(rho^2 - u)): the radial Laplacian in u,
+    4 u F'' + 2 d F', is applied to G and then to its result, each time to a
+    numerically differentiated function, never through closed-form
+    derivatives of G."""
+    with mpmath.workdps(40):
+        r2 = mpmath.mpf(rho) ** 2
+
+        def g(x):
+            return amplitude * mpmath.exp(-r2 / (r2 - x))
+
+        def laplacian(f):
+            return lambda x: 4 * x * mpmath.diff(f, x, 2) + 2 * dimension * mpmath.diff(f, x, 1)
+
+        u = mpmath.mpf(u)
+        return float(-(laplacian(laplacian(g))(u) - mpmath.mpf(kappa) ** 4 * g(u)))
+
+
 def bessel_pair_potential_2d(kappa: float, radius: float):
     """psi(r) = J_0^3 / c_4 - J_0^2 / c_3 with c_p = integral_0^R J_0^p r dr by
     adaptive quadrature: the potential whose (laplacian - kappa^2) image is the

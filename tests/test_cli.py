@@ -418,6 +418,33 @@ def test_support_inside_the_first_node_is_one_config_error_line(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dimension, center, sigma, grid", [
+    (2, [0.5, 0.0013], 1e-4, "64 radial x 256 angular"),
+    (2, [0.5, 0.0013], 1e-5, "64 radial x 256 angular"),
+    (3, [0.5, 0.0013, 0.0007], 1e-4, "64 radial x 2048 angular"),
+], ids=["2d", "2d-narrower", "3d"])
+def test_source_no_node_sees_is_refused(tmp_path, capsys, dimension, center, sigma, grid):
+    # a Gaussian narrower than the grid's spacing, between its nodes, reads
+    # zero at every node: every residual would be 0 / 0, which used to
+    # certify this radiating source as nonradiating
+    scenario = dict(GAUSS2D, dimension=dimension, parameters={"center": center, "sigma": sigma})
+    cfg = _write(tmp_path, "narrow.json", scenario)
+    assert main(["verdict", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inconsistency: ") and err.count("\n") == 1
+    assert f"zero at every node of its grid ({grid} nodes)" in err and "narrower than the grid's spacing" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nonuniqueness_with_a_zero_perturbation_exits_2(tmp_path, capsys):
+    cfg_f = _write(tmp_path, "f.json", GAUSS2D)
+    cfg_g = _write(tmp_path, "g.json", {"dimension": 2, "R": 1.0, "root_index": 1, "kind": "zero"})
+    assert main(["nonuniqueness", "--config", cfg_f, "--config-g", cfg_g, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inconsistency: ") and "zero at every node of its grid" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_route_disagreement_exits_2(tmp_path, capsys):
     # the 2D Bessel invisible source at kappa*R ~ 27.5: the modal and spectral
     # residuals miss the tolerance while the field residual meets it, and a

@@ -429,6 +429,22 @@ class TestBumpConstruction:
         got = src.evaluate(x0[None, :])[0]
         assert abs(got - ref) < 1e-6 * abs(ref)
 
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_image_matches_mpmath_oracle(self, ctx):
+        # the centre at the origin, so each distance is exact; the distances
+        # close to the centre straddle 1e-3 rho, where a Taylor branch and a
+        # closed form that divides by s, s^2 and s^3 used to meet
+        rho = 0.8
+        near = np.array([0.0, 1e-6, 0.99e-3, 1.01e-3, 2e-3, 5e-3, 1e-2]) * rho
+        s = np.concatenate([near, np.linspace(0.02, 0.99, 40) * rho])
+        points = np.zeros((s.size, ctx.dimension))
+        points[:, 0] = s
+        got = make_bump_nonradiating(ctx, rho=rho).evaluate(points)
+        want = np.array([oracles.bump_image(x * x, rho, ctx.kappa, ctx.dimension) for x in s])
+        err = np.abs(got - want)
+        assert np.max(err) <= 1e-14 * np.max(np.abs(want))
+        assert np.all(err[: near.size] <= 1e-13 * np.abs(want[: near.size]))
+
     def test_helmholtz_moment_vanishes_outside(self):
         # the source integrates to zero against the oscillatory kernel outside
         from biharwave.fields import eval_field

@@ -300,11 +300,10 @@ class TestVerdict:
         assert result.residual_spectral > 1e-2
 
     def test_zero_source_convention(self):
-        result = verdict(CTX2, SourceField.zero(CTX2))
-        assert result.is_nonradiating
-        assert result.residual_modal == 0.0
-        assert result.residual_spectral == 0.0
-        assert result.residual_field == 0.0
+        # every residual would be 0 / 0: no route can tell the zero source
+        # from a nonradiating one, so the verdict refuses it, naming the grid
+        with pytest.raises(InconsistencyError, match=r"zero at every node of its grid \(64 radial x 256 angular"):
+            verdict(CTX2, SourceField.zero(CTX2))
 
     def test_scaling_invariance(self):
         # residuals are normalized by the source norm, so rescaling the
@@ -328,7 +327,7 @@ class TestVerdict:
         assert all(b >= a * (1 - 1e-12) for a, b in zip(resids, resids[1:]))
 
     def test_report_dict_keys(self):
-        result = verdict(CTX2, SourceField.zero(CTX2))
+        result = verdict(CTX2, make_2d_bessel_nonradiating(CTX2))
         assert set(result.to_dict()) == {
             "residual_modal", "residual_spectral", "residual_field",
             "N", "tolerance", "is_nonradiating",
