@@ -20,9 +20,9 @@ numerical differentiation: the certification tests chase 1e-8-level zeros
 that finite differences cannot reach.  The bump's image is one closed form
 in the squared distance u = |x - center|^2 (_mollifier_pair): the radial
 Laplacian in u, 4 u G'' + 2 d G', divides by no power of the distance, so
-the one formula holds at the centre too, with no Taylor branch there and
-no digits lost just beyond one.  The bump and the Gaussian read u by one
-helper (_squared_distance).
+one formula holds down to the centre: no Taylor branch near it, and no
+digits lost where such a branch hands over.  The bump and the Gaussian
+read u by one helper (_squared_distance).
 """
 
 from __future__ import annotations

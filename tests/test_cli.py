@@ -425,8 +425,8 @@ def test_support_inside_the_first_node_is_one_config_error_line(tmp_path, capsys
 ], ids=["2d", "2d-narrower", "3d"])
 def test_source_no_node_sees_is_refused(tmp_path, capsys, dimension, center, sigma, grid):
     # a Gaussian narrower than the grid's spacing, between its nodes, reads
-    # zero at every node: every residual would be 0 / 0, which used to
-    # certify this radiating source as nonradiating
+    # zero at every node: every residual would be 0 / 0, and a residual of 0
+    # would certify this radiating source as nonradiating
     scenario = dict(GAUSS2D, dimension=dimension, parameters={"center": center, "sigma": sigma})
     cfg = _write(tmp_path, "narrow.json", scenario)
     assert main(["verdict", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -432,8 +432,8 @@ class TestBumpConstruction:
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_image_matches_mpmath_oracle(self, ctx):
         # the centre at the origin, so each distance is exact; the distances
-        # close to the centre straddle 1e-3 rho, where a Taylor branch and a
-        # closed form that divides by s, s^2 and s^3 used to meet
+        # close to the centre straddle 1e-3 rho, where a form in s that
+        # divides by s, s^2 and s^3 would hand over to a Taylor branch
         rho = 0.8
         near = np.array([0.0, 1e-6, 0.99e-3, 1.01e-3, 2e-3, 5e-3, 1e-2]) * rho
         s = np.concatenate([near, np.linspace(0.02, 0.99, 40) * rho])
