@@ -123,6 +123,27 @@ MUTANTS = (
         ("tests/test_specfun.py::TestOrderZeroBessel::test_j0_y0_on_both_sides_of_the_threshold",),
     ),
     Mutant(
+        "y1-inverse-t-term-dropped",
+        "src/biharwave/specfun.py",
+        "            y -= (2.0 / np.pi) / t\n",
+        "",
+        ("tests/test_specfun.py::TestInHouseSeries::test_order_zero_and_one_match_mpmath",),
+    ),
+    Mutant(
+        "legendre-diagonal-sign-dropped",
+        "src/biharwave/specfun.py",
+        "np.multiply(-np.sqrt((2.0 * m[1:, None] + 1.0)",
+        "np.multiply(np.sqrt((2.0 * m[1:, None] + 1.0)",
+        ("tests/test_specfun.py::TestSphericalHarmonics::test_legendre_table_matches_mpmath",),
+    ),
+    Mutant(
+        "i0-miller-sum-factor-dropped",
+        "src/biharwave/specfun.py",
+        "(half / (1.0 + 2.0 * np.cumsum(",
+        "(half / (1.0 + np.cumsum(",
+        ("tests/test_specfun.py::TestRegularWaveTables::test_order_zero_anchors_up_to_their_overflow",),
+    ),
+    Mutant(
         "group-columns-not-mirrored",
         "src/biharwave/fields.py",
         "tables[:, :, :rings, lo + 1:lo + n - hi + 1][..., ::-1]\n",

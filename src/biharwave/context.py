@@ -6,7 +6,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jn_zeros
 
 
 def _check_integer(name: str, value, minimum: int):
@@ -63,7 +62,9 @@ class WaveContext:
             raise ValueError(f"R must be positive and finite, got {radius!r}")
         _check_integer("root_index", root_index, 1)
         if dimension == 2:
-            root = float(jn_zeros(0, root_index)[root_index - 1])
+            from .specfun import j0_zero  # specfun imports this module
+
+            root = j0_zero(root_index)
         else:
             root = root_index * np.pi
         return cls(dimension=dimension, kappa=root / radius, radius=radius)

@@ -28,11 +28,9 @@ read u by one helper (_squared_distance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from numbers import Number
 
 import numpy as np
-from scipy import special as _sp
 
 from . import specfun
 from .context import WaveContext, _check_integer, _is_real
@@ -111,11 +109,12 @@ class ModalCoefficients:
         return ModalCoefficients(self.dimension, truncation, self.alpha[keep], self.beta[keep], self.norm_f)
 
     def max_residual(self) -> float:
-        """max over modes of (|alpha| + |beta|) / norm_f (zero source gives 0)."""
-        peak = float(np.max(np.abs(self.alpha) + np.abs(self.beta)))
+        """max over modes of (|alpha| + |beta|) / norm_f.  A zero norm_f (the
+        zero source, or one no grid node sees) is refused: its residual
+        would be 0 / 0, and 0 would read as nonradiating."""
         if self.norm_f == 0.0:
-            return 0.0
-        return peak / self.norm_f
+            raise ValueError("the source's L2 norm is zero: its modal residual (|alpha| + |beta|) / norm_f is 0 / 0")
+        return float(np.max(np.abs(self.alpha) + np.abs(self.beta))) / self.norm_f
 
 
 class SourceField:
@@ -441,11 +440,10 @@ def make_2d_bessel_nonradiating(ctx: WaveContext) -> SourceField:
     if ctx.dimension != 2:
         raise ValueError("make_2d_bessel_nonradiating requires a 2D context")
     kr = ctx.kappa * ctx.radius
-    if abs(_sp.jv(0, kr)) > 1e-12:
-        raise ValueError(
-            f"kappa*R = {kr:.15g} is not a zero of J_0 (|J_0| = {abs(_sp.jv(0, kr)):.3e} > 1e-12)"
-        )
-    return _bessel_power_source(ctx, (3, 2), -1, partial(_sp.jv, 0))
+    j0 = abs(float(specfun.j0_y0(kr)[0]))
+    if j0 > 1e-12:
+        raise ValueError(f"kappa*R = {kr:.15g} is not a zero of J_0 (|J_0| = {j0:.3e} > 1e-12)")
+    return _bessel_power_source(ctx, (3, 2), -1)
 
 
 def make_3d_bessel_nonradiating(ctx: WaveContext, m1: int = 3, m2: int = 4) -> SourceField:
@@ -461,29 +459,28 @@ def make_3d_bessel_nonradiating(ctx: WaveContext, m1: int = 3, m2: int = 4) -> S
     if m1 == m2 or m1 < 3 or m2 < 3:
         raise ValueError(f"exponents must be distinct integers >= 3, got ({m1}, {m2})")
     kr = ctx.kappa * ctx.radius
-    if abs(_sp.spherical_jn(0, kr)) > 1e-12:
+    j0 = abs(np.sin(kr) / kr)
+    if j0 > 1e-12:
         raise ValueError(
-            f"kappa*R = {kr:.15g} is not a zero of the order-zero spherical wave "
-            f"(|j_0| = {abs(_sp.spherical_jn(0, kr)):.3e} > 1e-12)"
+            f"kappa*R = {kr:.15g} is not a zero of the order-zero spherical wave (|j_0| = {j0:.3e} > 1e-12)"
         )
-    return _bessel_power_source(ctx, (m1, m2), 1, partial(_sp.spherical_in, 0))
+    return _bessel_power_source(ctx, (m1, m2), 1)
 
 
-def _bessel_power_source(ctx, exponents, s, pair) -> SourceField:
+def _bessel_power_source(ctx, exponents, s) -> SourceField:
     """(laplacian + s kappa^2) z_0^p / <z_0^p, pair> for the first exponent p
     minus the same term for the second.
 
     z_0, z_1 are the order-zero and order-one radial waves at kappa r (J in
-    2D, spherical j in 3D) and <a, pair> is the integral of a(r) pair(kappa r)
-    r^(d-1) dr over [0, R].  Since z_0' = -kappa z_1 in both dimensions, the
-    image is kappa^2 [p(p-1) z_0^(p-2) z_1^2 - (p - s) z_0^p].
+    2D, spherical j in 3D), both from specfun.regular_wave_tables, and
+    <a, pair> is the integral of a(r) pair(kappa r) r^(d-1) dr over [0, R],
+    pair = J_0 in 2D and the modified i_0 in 3D.  Since z_0' = -kappa z_1 in
+    both dimensions, the image is kappa^2 [p(p-1) z_0^(p-2) z_1^2 - (p - s) z_0^p].
     """
     k, R = ctx.kappa, ctx.radius
-    wave = _sp.jv if ctx.dimension == 2 else _sp.spherical_jn
     rule = radial_rule(ctx, max(DEFAULT_RADIAL_ORDER, 8 * int(np.ceil(k * R))))
-    t = k * rule.nodes
-    z0 = wave(0, t)
-    paired = pair(t)
+    (z0, _), (i0, _) = specfun.regular_wave_tables(ctx.dimension, 1, k * rule.nodes)
+    paired = z0 if ctx.dimension == 2 else i0
     meas = rule.nodes ** (ctx.dimension - 1) * rule.weights
     norms = []
     for p in exponents:
@@ -494,7 +491,9 @@ def _bessel_power_source(ctx, exponents, s, pair) -> SourceField:
 
     def profile(r):
         t = k * np.asarray(r, dtype=float)
-        z0, z1 = wave(0, t), wave(1, t)
+        # 1e-300 stands in for r = 0, where z_0 = 1 and z_1 = 0 to the double
+        osc, _ = specfun.regular_wave_tables(ctx.dimension, 1, np.maximum(t, 1e-300).ravel())
+        z0, z1 = osc.reshape((2,) + t.shape)
         out = np.zeros_like(t)
         for p, c, sign in zip(exponents, norms, (1.0, -1.0)):
             out += sign * k * k * (p * (p - 1) * z0 ** (p - 2) * z1 * z1 - (p - s) * z0**p) / c

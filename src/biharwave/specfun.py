@@ -48,7 +48,6 @@ projection and synthesis, both of which live in this codebase.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
 from .context import _check_integer
 
@@ -108,21 +107,93 @@ _J0_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0, -1.955395442577
 _J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
           7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3, 2.42005740240291393179e2)
 
-# Above this argument j0_y0 sums the amplitudes; at or below it, scipy's j0 and y0.
+# Above this argument j0_y0 sums the amplitudes, and j1_y1 those of _P1_ABOVE
+# and _Q1_ABOVE; at or below it both sum the series of the _BELOW tables.
 J0_THRESHOLD = 5.0
 
-# g(u) = exp(x) sqrt(x) K_0(x) at x = 4 / (u + 1), u in (-1, 1] for x >= 2:
-# a_k = (1 / N) sum_j g(u_j) T_k(u_j) over the N = 24 Chebyshev nodes
-# u_j = cos(pi (j + 1/2) / N), fitted in mpmath at 40 digits, so that
-# g = a_0 + 2 sum_(k >= 1) a_k T_k, which is b_0 - b_2 of Clenshaw's recurrence.
+# Chebyshev coefficients a_k of a function g(u) on u in [-1, 1], fitted in
+# mpmath at 40 digits on its N Chebyshev nodes u_j = cos(pi (j + 1/2) / N),
+# a_k = (1 / N) sum_j g(u_j) T_k(u_j), so that g = a_0 + 2 sum_(k >= 1) a_k T_k
+# (_clenshaw sums it).  Each g is smooth in u, and the coefficients past
+# its N are below 2e-17 of its peak.
+#
+# At t <= 5 in u = t**2 / 12.5 - 1, the entire parts of the order-zero and
+# order-one waves: J_0, Y_0 - (2 / pi) ln(t / 2) J_0, J_1 / t and
+# (Y_1 - (2 / pi) (ln(t / 2) J_1 - 1 / t)) / t.
+_J0_BELOW = (
+    0.0023409898253245504, -0.24710254670476217, 0.19896868361603787, -0.04691572939829689, 0.005443765824340506,
+    -0.0003803133828866877, 1.7847418231784695e-05, -6.030348530684158e-07, 1.539519286017196e-08,
+    -3.0772027706034145e-10, 4.949416531179915e-12, -6.546931438613157e-14, 7.249627253750782e-16,
+    -6.8197774576930175e-18)
+_Y0_BELOW = (
+    0.20708558773104574, -0.1741268492883862, -0.05814821059024335, 0.0306388796055829, -0.004737402871403271,
+    0.00039041015024969533, -2.0512073901411496e-05, 7.542332694419261e-07, -2.058869991643795e-08,
+    4.3482223002848863e-10, -7.326809771482282e-12, 1.0088512997316788e-13, -1.1571302101855212e-15,
+    1.1230553529553367e-17)
+_J1_BELOW = (
+    0.12472176826504336, -0.13434228423995975, 0.045648953319519465, -0.007002326725695514, 0.000609853097154452,
+    -3.4306470539665655e-05, 1.3516845357515457e-06, -3.9427534639044144e-08, 8.864648782941766e-10,
+    -1.584091700392996e-11, 2.304803603931438e-13, -2.7841041419556304e-15, 2.8371889794617436e-17)
+_Y1_BELOW = (
+    0.10814356944253686, 0.011665873455015026, -0.024028075917464014, 0.005465629847927826, -0.0005837820200654316,
+    3.749030770594021e-05, -1.6260781753015688e-06, 5.1098152814890906e-08, -1.2202704631382638e-09,
+    2.2932530000855022e-11, -3.4834393807904966e-13, 4.368548276658684e-15, -4.601588918817367e-17)
+# At t > 5 in u = 50 / t**2 - 1, the amplitudes P_1 and (t / 5) Q_1 of
+# H_1(t) = sqrt(2 / (pi t)) (P_1 + i Q_1) exp(i (t - 3 pi / 4)); Q_1 itself
+# grows as sqrt(u + 1) and would not be smooth.
+_P1_ABOVE = (
+    1.00226762068534, 0.0011218676479039992, -1.1535509431274143e-05, 3.8195908662669525e-07,
+    -2.2948426161717004e-08, 2.0102577392094998e-09, -2.2933869885854675e-10, 3.186579481429202e-11,
+    -5.163672283810656e-12, 9.471637497336082e-13, -1.9248516934005686e-13, 4.2649572507864594e-14,
+    -1.0177234602314934e-14, 2.590210158095428e-15, -6.976733371736581e-16, 1.9761351947738318e-16,
+    -5.854423989746747e-17, 1.8039696033561964e-17, -5.703169286800072e-18, 1.6861985852186943e-18)
+_Q1_ABOVE = (
+    0.07461746924293727, -0.00018705189681051477, 4.00569945204603e-06, -1.914402839085632e-07,
+    1.4588165107421988e-08, -1.5183398644673144e-09, 1.97992226058947e-10, -3.065981449436666e-11,
+    5.440233592036784e-12, -1.078665219201977e-12, 2.346352830571387e-13, -5.5220468289611356e-14,
+    1.3909727831030179e-14, -3.718150116902326e-15, 1.0474025142471295e-15, -3.0916899842051187e-16,
+    9.515669255278604e-17, -3.03749657255637e-17, 9.913343139939646e-18, -3.004991771738334e-18)
+# At t <= 2 in u = t**2 / 4 - 1, the entire parts K_0 + ln(t / 2) I_0 and
+# (K_1 - 1 / t - ln(t / 2) I_1) / t, fitted up to t = 2 sqrt(2): the
+# threshold sits at u = 0, away from u = 1, where Clenshaw's rounding
+# grows (fitted up to t = 2, K_0 read 6.1e-16 at t = 1.9, scipy 4.0e-16).
+_K0_BELOW = (
+    0.29127027114446463, 0.5174869590085082, 0.08889254360804551, 0.005848588590508835, 0.0002044101764085407,
+    4.43927824486367e-06, 6.577160748849326e-08, 7.075405675859115e-10, 5.7790386325441126e-12,
+    3.706495562634943e-14, 1.916394111866089e-16, 8.157854095981919e-19)
+_K1_BELOW = (
+    -0.2109732910961774, -0.13953082190724492, -0.015474066191164376, -0.0007543881181034722,
+    -2.0954970216883474e-05, -3.7764651738183627e-07, -4.781597287762637e-09, -4.490831262034041e-11,
+    -3.254801062613584e-13, -1.876158020284375e-15, -8.808363812434176e-18)
+# At t > 2 in u = 4 / t - 1, exp(t) sqrt(t) K_0(t) and exp(t) sqrt(t) K_1(t).
 _K0_CHEBYSHEV = (1.2201515410329777, -0.01572405065598225, 0.0007849419428650267, -6.424774790813901e-05,
                  6.97490685943825e-06, -9.158777613595598e-07, 1.3834068197225074e-07, -2.330244948843974e-08,
                  4.287017008707113e-09, -8.487672546945302e-10, 1.7886986407001507e-10, -3.978744622238342e-11,
                  9.2797455747652e-12, -2.257298941662042e-12, 5.701702940355905e-13, -1.4900484597173583e-13,
                  4.016445336360864e-14, -1.1137565207764424e-14, 3.1700342187721526e-15, -9.242852228618684e-16,
                  2.75569676917544e-16, -8.381460150747912e-17, 2.5764203428073633e-17, -7.371317369630266e-18)
+_K1_CHEBYSHEV = (
+    1.3603130952422213, 0.05196186828840862, -0.0014289084298113896, 9.760775923567581e-05, -9.680989870830415e-06,
+    1.2032424739186085e-06, -1.7509803015439063e-07, 2.8705420627250247e-08, -5.172881232839048e-09,
+    1.0075248775985167e-09, -2.0951773796709485e-10, 4.6091575938022786e-11, -1.0649839192128922e-11,
+    2.569819836714314e-12, -6.445869804023069e-13, 1.674209831043299e-13, -4.488352536276787e-14,
+    1.2385770593719026e-14, -3.5099142323663527e-15, 1.0193392602442217e-15, -3.028166999676092e-16,
+    9.180008313580311e-17, -2.813623198160061e-17, 8.031322644350624e-18)
 
-# Above this argument k0 sums the Chebyshev series; at or below it, scipy's k0.
+# The power series of I_0(t) and I_1(t) / t in t**2, highest power first,
+# 1 / (4**k k!**2) and 1 / (2 4**k k! (k + 1)!) for k = 12..0, each rounded
+# once: every term is positive, so Horner's rule keeps its relative precision.
+_I0_SERIES = (
+    2.5978027721077174e-25, 1.4963343967340453e-22, 7.242258480192779e-20, 2.896903392077112e-17,
+    9.385966990329842e-15, 2.4028075495244395e-12, 4.709502797067901e-10, 6.781684027777778e-08,
+    6.781684027777777e-06, 0.00043402777777777775, 0.015625, 0.25, 1.0)
+_I1_SERIES = (
+    9.991549123491221e-27, 6.234726653058522e-24, 3.2919356728148996e-21, 1.4484516960385557e-18,
+    5.214426105738801e-16, 1.5017547184527747e-13, 3.363930569334215e-11, 5.651403356481481e-09,
+    6.781684027777778e-07, 5.425347222222222e-05, 0.0026041666666666665, 0.0625, 0.5)
+
+# Above this argument k0 and k0_k1_scaled sum the _CHEBYSHEV series; at or
+# below it, the _BELOW series and the I series.
 K0_THRESHOLD = 2.0
 
 
@@ -136,6 +207,54 @@ def _polynomial(coeffs, x, out):
     return out
 
 
+def _clenshaw(a, x):
+    """a_0 + 2 sum_(k >= 1) a_k T_k(x / 2) at every entry of x (x = 2u), as a
+    fresh array, by Clenshaw's recurrence b_k = a_k + x b_(k+1) - b_(k+2)
+    from b_n = b_(n+1) = 0: the sum is b_0 - b_2.  Each b_k is written into
+    the row of b_(k+3)."""
+    cur, prev, free = (np.empty(x.shape) for _ in range(3))  # 0-d arrays for a 0-d x
+    np.multiply(x, a[-1], out=cur)
+    cur += a[-2]
+    np.multiply(x, cur, out=prev)
+    prev -= a[-1]
+    prev += a[-3]
+    cur, prev = prev, cur
+    for c in a[-4::-1]:
+        np.multiply(x, cur, out=free)
+        free -= prev
+        free += c
+        cur, prev, free = free, cur, prev
+    return np.subtract(cur, free, out=cur)
+
+
+def _jy_below(t, order):
+    """J and Y of order 0 or 1 at 0 <= t <= J0_THRESHOLD (a 1-D array), from
+    the series A and B of their entire parts (the _BELOW tables) at
+    x = 2u = t**2 / 6.25 - 2 and one logarithm:
+
+        J_0 = A_0,    Y_0 = B_0 + (2 / pi) ln(t / 2) J_0,
+        J_1 = t A_1,  Y_1 = t B_1 + (2 / pi) (ln(t / 2) J_1 - 1 / t),
+
+    with Y_0(0) = Y_1(0) = -inf.
+    """
+    x = np.multiply(t, t)
+    x *= 0.16
+    x -= 2.0
+    j = _clenshaw(_J1_BELOW if order else _J0_BELOW, x)
+    y = _clenshaw(_Y1_BELOW if order else _Y0_BELOW, x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log = np.log(0.5 * t)
+        log *= 2.0 / np.pi
+        if order:
+            j *= t
+            y *= t
+            y -= (2.0 / np.pi) / t
+        log *= j
+        y += log
+    y[t == 0.0] = -np.inf  # ln(0) J_1(0) is -inf * 0
+    return j, y
+
+
 def j0_y0(t):
     """J_0(t) and Y_0(t) at real t >= 0, in vectorised passes.
 
@@ -147,15 +266,13 @@ def j0_y0(t):
         Y_0 = (P (s - c) + Q (c + s)) / sqrt(pi t),
 
     since cos(t - pi/4) = (c + s) / sqrt(2): t - pi/4 is never rounded.  At
-    or below the threshold, scipy's j0 and y0 on the gathered entries.
-    scipy's j0 and y0 (about 35 ns per value each on a 2-vCPU x86-64 VM)
-    spend most of their time in scalar sin and cos and lose about
-    1e-16 * t, as they round t - pi/4; against mpmath on (5, 2000] both
-    stay within 4.4e-16 of the amplitude sqrt(2 / (pi t)) here (scipy:
-    8e-14 at t = 2000), and within 4.0e-16 absolute of scipy's on (5, 150].
-    Per 16,384 values at t in (5, 40] (one BLAS thread, medians of six
-    runs on a shared host): 0.47-0.65 ms against 1.24-1.78 ms for scipy's
-    j0 and y0.
+    or below the threshold, the Chebyshev series of _J0_BELOW and _Y0_BELOW
+    on the gathered entries (_jy_below).  Against mpmath, relative to the
+    modulus |H_0| = sqrt(J_0**2 + Y_0**2): within 4.4e-16 on (5, 2000]
+    (scipy's j0 and y0, which round t - pi/4: 8e-14 at t = 2000) and
+    within 6.7e-16 on (0, 5] (scipy's: 2.6e-15).  Per 16,384 values at t
+    in (5, 40] (one BLAS thread, medians of six runs on a shared 2-vCPU
+    x86-64 VM): 0.47-0.65 ms against 1.24-1.78 ms for scipy's j0 and y0.
     """
     t = np.asarray(t, dtype=float)
     b, a, p, q, w = (np.empty(t.shape) for _ in range(5))  # 0-d arrays for a 0-d t
@@ -184,54 +301,141 @@ def j0_y0(t):
         y /= a
     low = t <= J0_THRESHOLD
     if low.any():
-        tl = t[low]
-        j[low] = _sp.j0(tl)
-        y[low] = _sp.y0(tl)
+        j[low], y[low] = _jy_below(t[low], 0)
     return j, y
+
+
+def j1_y1(t):
+    """J_1(t) and Y_1(t) at real t >= 0 (J_1(0) = 0, Y_1(0) = -inf).
+
+    For t > J0_THRESHOLD (5) from the Chebyshev amplitudes P_1 and Q_1
+    (_P1_ABOVE and _Q1_ABOVE at 2u = 100 / t**2 - 2) and cos_sin:
+
+        J_1 = (P_1 (s - c) + Q_1 (s + c)) / sqrt(pi t),
+        Y_1 = (Q_1 (s - c) - P_1 (s + c)) / sqrt(pi t),
+
+    since cos(t - 3 pi / 4) = (s - c) / sqrt(2); at or below it, the series
+    of _J1_BELOW and _Y1_BELOW (_jy_below).  Against mpmath, relative to
+    |H_1|: within 5.1e-16 on (5, 2000] and 6.8e-16 on (0, 5] (scipy's j1
+    and y1: 8e-14 and 1.3e-15).
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.divide(5.0, flat)
+        x = a * a
+        x *= 4.0
+        x -= 2.0
+        p = _clenshaw(_P1_ABOVE, x)
+        q = _clenshaw(_Q1_ABOVE, x)
+        q *= a
+        c, s = cos_sin(flat)
+        minus, plus = s - c, s + c
+        root = np.sqrt(np.pi * flat)
+        j = (p * minus + q * plus) / root
+        y = (q * minus - p * plus) / root
+    low = flat <= J0_THRESHOLD
+    if low.any():
+        j[low], y[low] = _jy_below(flat[low], 1)
+    return j.reshape(t.shape), y.reshape(t.shape)
+
+
+def _k_below(t, order):
+    """K_0 or K_1 at 0 <= t <= K0_THRESHOLD (a 1-D array), from the series
+    of their entire parts (_K0_BELOW, _K1_BELOW at 2u = t**2 / 2 - 2) and the
+    power series of I_0 or I_1:
+
+        K_0 = F - ln(t / 2) I_0,  K_1 = 1 / t + t (G + ln(t / 2) I_1 / t),
+
+    with K_0(0) = K_1(0) = inf.
+    """
+    s = np.multiply(t, t)
+    x = s * 0.5
+    x -= 2.0
+    k = _clenshaw(_K1_BELOW if order else _K0_BELOW, x)
+    i = _polynomial(_I1_SERIES if order else _I0_SERIES, s, np.empty(t.shape))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        i *= np.log(0.5 * t)
+        if not order:
+            k -= i
+            return k
+        k += i
+        k *= t
+        k += 1.0 / t
+    k[t == 0.0] = np.inf  # ln(0) 0 is NaN
+    return k
 
 
 def k0(t):
     """K_0(t) at real t >= 0, in vectorised passes.
 
     For t > K0_THRESHOLD (2), exp(-t) / sqrt(t) times the 24-term Chebyshev
-    series of _K0_CHEBYSHEV in u = 4 / t - 1, summed by Clenshaw's
-    recurrence; at or below the threshold, scipy's k0 on the gathered
-    entries.  scipy's k0 (40-55 ns per value) runs a 25-term Chebyshev loop
-    per value.  Against mpmath on (2, 700] within 4e-16 relative; beyond
-    t = 700 exp(-t) leaves the normal range and K_0 underflows to 0 near
-    t = 745.  Per 16,384 values at t in (5, 40], as for j0_y0: 0.51-0.63
-    ms against 0.67-1.59 ms for scipy's k0.
+    series of _K0_CHEBYSHEV in u = 4 / t - 1; at or below the threshold,
+    the series of _K0_BELOW and I_0 on the gathered entries (_k_below).
+    scipy's k0 (40-55 ns per value) runs a 25-term Chebyshev loop per
+    value.  Against mpmath within 4e-16 relative on (2, 700] and 8e-16 on
+    (0, 2] (scipy's k0: 1.2e-15 there); beyond t = 700 exp(-t) leaves the
+    normal range and K_0 underflows to 0 near t = 745.  Per 16,384 values
+    at t in (5, 40], as for j0_y0: 0.51-0.63 ms against 0.67-1.59 ms for
+    scipy's k0.
     """
     t = np.asarray(t, dtype=float)
-    x, f, *rows = (np.empty(t.shape) for _ in range(5))  # 0-d arrays for a 0-d t
-    a = _K0_CHEBYSHEV
+    x, f = (np.empty(t.shape) for _ in range(2))  # 0-d arrays for a 0-d t
     # entries at or below the threshold (t = 0 among them) are overwritten
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(8.0, t, out=x)
         x -= 2.0  # 2 u
         np.negative(t, out=f)
         np.exp(f, out=f)
-        f /= np.sqrt(t, out=rows[2])
-        # b_k = a_k + 2 u b_(k+1) - b_(k+2), from b_23 = a_23, b_24 = 0,
-        # each b_k into the row of b_(k+3)
-        cur, prev, free = rows
-        np.multiply(x, a[-1], out=cur)
-        cur += a[-2]
-        np.multiply(x, cur, out=prev)
-        prev -= a[-1]
-        prev += a[-3]
-        cur, prev = prev, cur
-        for c in a[-4::-1]:
-            np.multiply(x, cur, out=free)
-            free -= prev
-            free += c
-            cur, prev, free = free, cur, prev
-        k = np.subtract(cur, free, out=cur)  # b_0 - b_2
+        f /= np.sqrt(t)
+        k = _clenshaw(_K0_CHEBYSHEV, x)
         k *= f
     low = t <= K0_THRESHOLD
     if low.any():
-        k[low] = _sp.k0(t[low])
+        k[low] = _k_below(t[low], 0)
     return k
+
+
+def k0_k1_scaled(t):
+    """exp(t) K_0(t) and exp(t) K_1(t) at real t >= 0, finite for every t > 0.
+
+    For t > K0_THRESHOLD (2), the series of _K0_CHEBYSHEV and _K1_CHEBYSHEV
+    over sqrt(t); at or below it, exp(t) times _k_below.  Against mpmath
+    within 4e-16 relative on (2, 700] and 1.0e-15 on (0, 2] (scipy's kve:
+    8.1e-16 and 1.2e-15 there).
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    out = np.empty((2, flat.size))
+    high = flat > K0_THRESHOLD
+    th = flat[high]
+    x = np.divide(8.0, th)
+    x -= 2.0
+    root = np.sqrt(th)
+    out[0, high] = _clenshaw(_K0_CHEBYSHEV, x) / root
+    out[1, high] = _clenshaw(_K1_CHEBYSHEV, x) / root
+    tl = flat[~high]
+    e = np.exp(tl)
+    out[0, ~high] = _k_below(tl, 0) * e
+    out[1, ~high] = _k_below(tl, 1) * e
+    return out[0].reshape(t.shape), out[1].reshape(t.shape)
+
+
+def j0_zero(k: int) -> float:
+    """The k-th positive zero of J_0 (k >= 1): McMahon's expansion in
+    b = (k - 1/4) pi, b + 1 / (8 b) - 31 / (384 b**3) + 3779 / (15360 b**5),
+    then Newton's steps x <- x + J_0(x) / J_1(x) until a step leaves x as
+    it is.  Against mpmath.besseljzero for k = 1..100 every zero is the
+    double nearest it (scipy's jn_zeros: 6 of the 100 an ulp off).
+    """
+    b = (k - 0.25) * np.pi
+    x = b + 1.0 / (8.0 * b) - 31.0 / (384.0 * b**3) + 3779.0 / (15360.0 * b**5)
+    for _ in range(8):
+        step = float(j0_y0(x)[0] / j1_y1(x)[0])
+        if x + step == x:
+            break
+        x += step
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -346,38 +550,49 @@ def regular_wave_tables(dimension: int, truncation: int, x) -> tuple[np.ndarray,
     A non-positive or non-finite x is refused by its value.
     """
     x = _wave_arguments(dimension, truncation, x, "regular", "x")
-    # x may be empty: a source whose support ends before the first radial node
-    top = float(np.max(x, initial=0.0))
-    start = int(np.ceil(max(truncation, top + 10.0 * np.cbrt(top)))) + 16
+    # each column starts at its own order: an infinite c_n above it makes
+    # the ratio there an exact zero, so a column is the table at its
+    # argument alone, bit for bit (the sums below run sequentially down the
+    # rows); x may be empty: a source whose support ends before the first
+    # radial node
+    own = np.ceil(np.maximum(truncation, x + 10.0 * np.cbrt(x))).astype(int) + 16
+    start = int(np.max(own, initial=truncation + 16))
     n = np.arange(1, start + 1)[:, None]
-    c = (2.0 * n + (dimension - 2)) / x  # row k: c_(k+1)
+    with np.errstate(divide="ignore"):
+        c = np.where(n > own, np.inf, (2.0 * n + (dimension - 2)) / x)  # row k: c_(k+1)
     # row n: -r_n of the oscillating family, so both rows take c_n + row
     # and differ only in the sign of the numerator; the rows past the
-    # truncation serve the start and the Neumann sum
+    # truncation serve the start and the two sums
     ratios = np.zeros((start + 2, 2, x.size))
     den = np.empty((2, x.size))
     for k in range(start, 0, -1):
         np.add(c[k - 1], ratios[k + 1], out=den)
         den += _ZERO_GUARD
         np.divide(_RATIO_SIGNS, den, out=ratios[k])
-    products = np.cumprod(ratios[1:start + 1, 0], axis=0)  # row n - 1: (-1)^n z_n / z_0
+    # row n - 1: (-1)^n z_n / z_0 and the modified family's z_n / z_0
+    products = np.cumprod(ratios[1:start + 1], axis=0)
     osc = np.empty((truncation + 1, x.size))
-    if dimension == 2:
-        neumann = 1.0 + 2.0 * np.sum(products[1::2], axis=0)
-        osc[0] = 1.0 / neumann
-        np.divide(products[:truncation], neumann, out=osc[1:])
-        anchor = _sp.iv(0, x)
-    else:
-        sin, cos = np.sin(x), np.cos(x)
-        sign = np.sign(sin - ratios[1, 0] * (sin / x - cos))
-        osc[0] = sign / np.sqrt(1.0 + np.sum((2.0 * n + 1.0) * products * products, axis=0))
-        np.multiply(products[:truncation], osc[0], out=osc[1:])
-        anchor = _sp.spherical_in(0, x)
-    np.negative(osc[1::2], out=osc[1::2])
-    mod = np.empty_like(osc)
-    mod[0] = anchor
-    mod[1:] = ratios[1:truncation + 1, 1]
-    np.cumprod(mod, axis=0, out=mod)
+    with np.errstate(over="ignore"):  # the modified family's order 0 may overflow
+        if dimension == 2:
+            neumann = 1.0 + 2.0 * np.cumsum(products[1::2, 0], axis=0)[-1]
+            osc[0] = 1.0 / neumann
+            np.divide(products[:truncation, 0], neumann, out=osc[1:])
+            # e^x = I_0 + 2 sum_k I_k, with e^x as two halves
+            half = np.exp(0.5 * x)
+            anchor = half * (half / (1.0 + 2.0 * np.cumsum(products[:, 1], axis=0)[-1]))
+        else:
+            sin, cos = np.sin(x), np.cos(x)
+            sign = np.sign(sin - ratios[1, 0] * (sin / x - cos))
+            norm = np.cumsum((2.0 * n + 1.0) * products[:, 0] ** 2, axis=0)[-1]
+            osc[0] = sign / np.sqrt(1.0 + norm)
+            np.multiply(products[:truncation, 0], osc[0], out=osc[1:])
+            # i_0 = sinh(x) / x = sinh(x / 2) cosh(x / 2) (2 / x)
+            anchor = np.sinh(0.5 * x) * (np.cosh(0.5 * x) * (2.0 / x))
+        np.negative(osc[1::2], out=osc[1::2])
+        mod = np.empty_like(osc)
+        mod[0] = anchor
+        mod[1:] = ratios[1:truncation + 1, 1]
+        np.cumprod(mod, axis=0, out=mod)
     return osc, mod
 
 
@@ -414,13 +629,35 @@ def exterior_wave_tables(dimension: int, truncation: int, t, derivative: bool = 
     refused by its value.
     """
     t = _wave_arguments(dimension, truncation, t, "exterior", "t")
-    n = np.arange(truncation + 1 + derivative)[:, None]
+    top = truncation + derivative
+    regular, _ = regular_wave_tables(dimension, top, t)
+    # the second solutions Y_n (y_n) and the decaying family, scaled so
+    # that the phases below complete it, by their forward recurrences from
+    # orders 0 and 1, both stable in that direction:
+    # Z_(n+1) = c_n Z_n - Z_(n-1) and S_(n+1) = c_n S_n + S_(n-1)
+    second, scaled = np.empty((2, max(top, 1) + 1, t.size))
     if dimension == 2:
-        outgoing = _sp.hankel1(n, t)
-        decaying = (2.0 / np.pi) * _ipow(-(n + 1)) * _sp.kve(n, t)
+        second[0], second[1] = j0_y0(t)[1], j1_y1(t)[1]
+        scaled[:2] = k0_k1_scaled(t)
     else:
-        outgoing = _sp.spherical_jn(n, t) + 1j * _sp.spherical_yn(n, t)
-        decaying = -(2.0 / np.pi) * _ipow(-n) * (np.sqrt(np.pi / (2.0 * t)) * _sp.kve(n + 0.5, t))
+        sin, cos = np.sin(t), np.cos(t)
+        np.divide(-cos, t, out=second[0])
+        np.divide(second[0] - sin, t, out=second[1])
+        np.divide(1.0, t, out=scaled[0])  # (2 / pi) sqrt(pi / (2 t)) exp(t) K_(1/2)(t)
+        np.multiply(scaled[0], 1.0 + scaled[0], out=scaled[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, top):
+            c = (2.0 * k + (dimension - 2)) / t
+            np.multiply(c, second[k], out=second[k + 1])
+            second[k + 1] -= second[k - 1]
+            np.multiply(c, scaled[k], out=scaled[k + 1])
+            scaled[k + 1] += scaled[k - 1]
+    n = np.arange(top + 1)[:, None]
+    outgoing = regular + 1j * second[:top + 1]
+    if dimension == 2:
+        decaying = (2.0 / np.pi) * _ipow(-(n + 1)) * scaled[:top + 1]
+    else:
+        decaying = -_ipow(-n) * scaled[:top + 1]
     if not derivative:
         return outgoing, decaying
     ratio = n[:-1] / t
@@ -452,9 +689,41 @@ def sph_harmonic_block(truncation: int, theta, phi) -> np.ndarray:
 
 def _legendre_table(truncation: int, theta) -> np.ndarray:
     """Normalized associated Legendre values: [n, m, i] is the polar factor of
-    Y_n^m at theta[i] (Y_n^m = table[n, m] * exp(i m phi)); a negative m
-    indexes from the end, as in scipy."""
-    return _sp.sph_legendre_p_all(truncation, truncation, np.asarray(theta, dtype=float))[0]
+    Y_n^m at theta[i] (Y_n^m = table[n, m] * exp(i m phi)), zero for |m| > n;
+    a negative m indexes from the end, with P_n^-m = (-1)**m P_n^m.
+
+    The recurrences of the orthonormal functions with the Condon-Shortley
+    phase: the diagonal P_m^m = -sqrt((2m + 1) / (2m)) sin(theta) P_(m-1)^(m-1)
+    from P_0^0 = 1 / sqrt(4 pi), by one cumprod; P_(m+1)^m = sqrt(2m + 3)
+    cos(theta) P_m^m; and every other order of degree n in one vector step,
+    P_n^m = a_nm cos(theta) P_(n-1)^m - c_nm P_(n-2)^m, with
+    a_nm = sqrt((4n**2 - 1) / (n**2 - m**2)) and c_nm = a_nm / a_(n-1)m taken
+    as one square root (as a_nm (cos(theta) P_(n-1)^m - P_(n-2)^m / a_(n-1)m)
+    the table read 2.5e-14 of its peak at theta = 1e-3).
+    """
+    theta = np.ravel(np.asarray(theta, dtype=float))
+    cos, sin = np.cos(theta), np.sin(theta)
+    top = truncation
+    table = np.zeros((top + 1, 2 * top + 1, theta.size))
+    m = np.arange(top + 1)
+    diag = np.empty((top + 1, theta.size))
+    diag[0] = 0.5 / np.sqrt(np.pi)
+    np.multiply(-np.sqrt((2.0 * m[1:, None] + 1.0) / (2.0 * m[1:, None])), sin, out=diag[1:])
+    np.cumprod(diag, axis=0, out=diag)
+    table[m, m] = diag
+    table[m[1:], m[:-1]] = np.sqrt(2.0 * m[1:, None] + 1.0) * cos * diag[:-1]
+    # row n - 2: a_nm and c_nm at degrees n >= 2 (NaN where m >= n - 1, never read)
+    n = m[2:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))[:, :, None]
+        c = np.sqrt(((n - 1) ** 2 - m * m) * (2.0 * n + 1.0) / ((n * n - m * m) * (2.0 * n - 3.0)))[:, :, None]
+    for k in range(2, top + 1):
+        row = table[k, :k - 1]
+        np.multiply(a[k - 2, :k - 1], cos, out=row)
+        row *= table[k - 1, :k - 1]
+        row -= c[k - 2, :k - 1] * table[k - 2, :k - 1]
+    table[:, top + 1:] = table[:, top:0:-1] * (1.0 - 2.0 * (m[:0:-1, None] % 2))
+    return table
 
 
 def sph_analysis(truncation: int, values, theta, weights) -> np.ndarray:

@@ -221,6 +221,49 @@ def legendre_pnm(n: int, m: int, x: float) -> float:
     return pmmp1
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_terms(n: int, m: int):
+    """The factor of the normalized P_n^m before sin(theta)**m and the
+    coefficients, highest power of x**2 first, of the m-th derivative of
+    P_n(x) = 2**-n sum_k (-1)**k C(n, k) C(2n - 2k, n) x**(n - 2k) divided by
+    x**((n - m) % 2), both at 60 digits."""
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf((-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n)
+                             * math.factorial(n - 2 * k) // math.factorial(n - 2 * k - m))
+                  for k in range((n - m) // 2 + 1)]
+        norm = mpmath.sqrt((2 * n + 1) / (4 * mpmath.pi) * mpmath.factorial(n - m) / mpmath.factorial(n + m))
+        return (-1) ** m * norm / mpmath.mpf(2) ** n, coeffs
+
+
+def normalized_legendre_mp(n: int, m: int, theta: float):
+    """The orthonormal Legendre factor of Y_n^m (0 <= m <= n, Condon-Shortley
+    phase) at the double theta, as an mpmath number at 60 digits, from the
+    explicit polynomial of P_n: no recurrence, and digits enough for the
+    cancellation of its integer coefficients through degree 60."""
+    with mpmath.workdps(60):
+        th = mpmath.mpf(float(theta))
+        x, s = mpmath.cos(th), mpmath.sin(th)
+        factor, coeffs = _legendre_terms(n, m)
+        return factor * s**m * mpmath.polyval(coeffs, x * x) * x ** ((n - m) % 2)
+
+
+def sph_harmonic_block_mp(truncation: int, theta, phi) -> np.ndarray:
+    """The harmonic block of specfun.sph_harmonic_block (column n*n + n + m
+    holds Y_n^m), every entry from mpmath: normalized_legendre_mp times
+    exp(i m phi), with Y_n^-m = (-1)**m conj(Y_n^m)."""
+    theta, phi = np.ravel(theta), np.ravel(phi)
+    out = np.empty((theta.size, (truncation + 1) ** 2), dtype=complex)
+    with mpmath.workdps(60):
+        for i, (th, ph) in enumerate(zip(theta, phi)):
+            phases = [mpmath.expj(m * mpmath.mpf(float(ph))) for m in range(truncation + 1)]
+            for n in range(truncation + 1):
+                for m in range(n + 1):
+                    y = normalized_legendre_mp(n, m, th) * phases[m]
+                    out[i, n * n + n + m] = complex(y)
+                    out[i, n * n + n - m] = (-1) ** m * complex(mpmath.conj(y))
+    return out
+
+
 def sph_harmonic_oracle(n: int, m: int, theta: float, phi: float) -> complex:
     """Orthonormal Y_n^m via the Legendre recurrence (m of either sign)."""
     ma = abs(m)

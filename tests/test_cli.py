@@ -471,3 +471,35 @@ def test_import_leaves_scipy_interpolate_unloaded():
     code = "import sys, biharwave.cli; sys.exit('scipy.interpolate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+_SCIPY_FREE_RUN = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import biharwave
+after_import = scipy_modules()
+from biharwave.cli import main
+out = sys.argv[1]
+codes = [main([sub, "--config", f"scenarios/{sc}.json", "--out", f"{out}/{sub}_{sc}"])
+         for sub in ("verdict", "trace", "spectral", "field") for sc in ("gaussian_2d", "invisible_3d")]
+codes.append(main(["nonuniqueness", "--config", "scenarios/gaussian_2d.json",
+                   "--config-g", "scenarios/invisible_2d.json", "--out", f"{out}/nonuniqueness"]))
+print(json.dumps({"after_import": after_import, "at_end": scipy_modules(), "codes": codes}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the library needs numpy alone: neither `import biharwave` nor any
+    # subcommand loads scipy, whose special-function module costs a fresh
+    # process about 0.18 s and 22 MB; one child process, with the BLAS
+    # thread pins of scripts/cli_digest.py, runs every subcommand
+    root = Path(__file__).resolve().parents[1]
+    pins = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **pins)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["after_import"] == [] and seen["at_end"] == []
+    assert len(seen["codes"]) == 9 and all(code == 0 for code in seen["codes"])

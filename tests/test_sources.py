@@ -224,6 +224,14 @@ class TestModalCoefficients:
         co = modal_coefficients(CTX2, src, 4)
         assert co.norm_f > 0
 
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_zero_source_residual_is_refused(self, ctx):
+        # 0 / 0 is not a residual: 0 would read as perfectly nonradiating
+        co = modal_coefficients(ctx, SourceField.zero(ctx), 4)
+        assert co.norm_f == 0.0
+        with pytest.raises(ValueError, match="L2 norm is zero"):
+            co.max_residual()
+
     def test_non_finite_source_named(self):
         def func(pts):
             vals = np.ones(len(pts), dtype=complex)
@@ -394,18 +402,19 @@ class TestBesselPowerTemplate:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_3d_pointwise_read_evaluates_each_order_once(self, monkeypatch):
-        orders = []
-        spherical_jn = sp.spherical_jn
+        # orders 0 and 1 of the pointwise read come from one table call
+        truncations = []
+        tables = specfun.regular_wave_tables
 
-        def counting(n, z, *args, **kwargs):
-            orders.append(n)
-            return spherical_jn(n, z, *args, **kwargs)
+        def counting(dimension, truncation, x):
+            truncations.append(truncation)
+            return tables(dimension, truncation, x)
 
-        monkeypatch.setattr(sp, "spherical_jn", counting)
+        monkeypatch.setattr(specfun, "regular_wave_tables", counting)
         src = make_3d_bessel_nonradiating(CTX3, 3, 4)
-        orders.clear()
+        truncations.clear()
         src.evaluate(np.array([[0.1, 0.2, 0.3], [0.4, -0.1, 0.2]]))
-        assert orders == [0, 1]
+        assert truncations == [1]
 
 
 class TestBumpConstruction:

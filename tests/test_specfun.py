@@ -11,6 +11,8 @@ evaluates it, as beta of single-mode sources.
 import re
 import warnings
 from decimal import Decimal
+from fractions import Fraction
+from math import factorial
 
 import mpmath
 import numpy as np
@@ -176,15 +178,17 @@ class TestOrderZeroBessel:
         assert max(err) <= 5e-16
 
     def test_j0_y0_on_both_sides_of_the_threshold(self):
-        below = np.array([0.0, 1e-300, 1e-8, 0.5, 2.404825557695773, 4.9, np.nextafter(5.0, 0.0), 5.0])
+        below = np.array([1e-300, 1e-8, 0.5, 2.404825557695773, 4.9, np.nextafter(5.0, 0.0), 5.0])
         above = np.array([np.nextafter(5.0, 6.0), 5.0 + 1e-12, 5.1, 5.5])
-        j, y = specfun.j0_y0(np.concatenate([below, above]))
-        n = len(below)
-        # scipy's own values at and below t = 5, bit for bit (Y_0(0) = -inf)
-        assert np.array_equal(_bits(j[:n]), _bits(sp.j0(below)))
-        assert np.array_equal(_bits(y[:n]), _bits(sp.y0(below)))
-        for k, (J, Y, A) in enumerate(_mp_j0_y0(above)):
-            assert float(max(abs(j[n + k] - J), abs(y[n + k] - Y)) / A) <= 5e-16
+        t = np.concatenate([[0.0], below, above])
+        j, y = specfun.j0_y0(t)
+        # at t = 0, Y_0 = -inf and J_0 = 1 to within an ulp, whose error is
+        # nothing beside |H_0| = inf there
+        assert y[0] == -np.inf and abs(j[0] - 1.0) <= np.finfo(float).eps
+        # relative to |H_0|: at most 4.7e-16 here, where scipy's j0 and y0
+        # read 2.7e-15 (at t = 4.9 and next to 5)
+        for k, (J, Y, A) in enumerate(_mp_j0_y0(t[1:]), start=1):
+            assert float(max(abs(j[k] - J), abs(y[k] - Y)) / A) <= 5e-16
 
     def test_k0_matches_mpmath(self):
         rng = np.random.default_rng(47)
@@ -207,15 +211,16 @@ class TestOrderZeroBessel:
         assert max(err) <= 1e-15 * float(mpmath.besselk(0, 700)) and max(err[45:]) <= 1e-322
 
     def test_k0_on_both_sides_of_the_threshold(self):
-        below = np.array([0.0, 1e-300, 1e-8, 0.5, 1.0, 1.9, np.nextafter(2.0, 0.0), 2.0])
+        below = np.array([1e-300, 1e-8, 0.5, 1.0, 1.9, np.nextafter(2.0, 0.0), 2.0])
         above = np.array([np.nextafter(2.0, 3.0), 2.0 + 1e-12, 2.1, 2.5])
-        k = specfun.k0(np.concatenate([below, above]))
-        n = len(below)
-        assert np.array_equal(_bits(k[:n]), _bits(sp.k0(below)))  # K_0(0) = inf
+        k = specfun.k0(np.concatenate([[0.0], below, above]))
+        assert k[0] == np.inf
+        # relative: at most 3.4e-16 here (next to 2), where scipy's k0 reads
+        # 4.0e-16 (at t = 1.9)
         with mpmath.workdps(40):
-            for i, x in enumerate(above):
+            for i, x in enumerate(np.concatenate([below, above]), start=1):
                 ref = mpmath.besselk(0, mpmath.mpf(x))
-                assert float(abs(k[n + i] - ref) / ref) <= 1e-15
+                assert float(abs(k[i] - ref) / ref) <= 3.5e-16
 
     def test_k0_coefficients_refit(self):
         # the Chebyshev coefficients of g(u) = exp(x) sqrt(x) K_0(x),
@@ -265,6 +270,122 @@ class TestOrderZeroBessel:
         assert not np.shares_memory(jb, yb)
         assert np.array_equal(_bits(jb), _bits(j)) and np.array_equal(_bits(yb), _bits(y))
         assert np.array_equal(_bits(kb), _bits(k))
+
+
+def _cheb_refit(g, n):
+    """Chebyshev coefficients a_k = (1 / n) sum_j g(u_j) T_k(u_j) on the n
+    nodes u_j = cos(pi (j + 1/2) / n), at 40 digits, rounded once."""
+    with mpmath.workdps(40):
+        theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+        values = [g(mpmath.cos(th)) for th in theta]
+        return tuple(float(mpmath.fsum(v * mpmath.cos(k * th) for v, th in zip(values, theta)) / n)
+                     for k in range(n))
+
+
+def _h1_amplitudes(t):
+    """P_1 + i Q_1 = H_1(t) sqrt(pi t / 2) exp(-i (t - 3 pi / 4)), in mpmath."""
+    return mpmath.hankel1(1, t) * mpmath.sqrt(mpmath.pi * t / 2) * mpmath.exp(-1j * (t - 3 * mpmath.pi / 4))
+
+
+def _below5(g):
+    return lambda u: g(mpmath.sqrt(mpmath.mpf(25) / 2 * (u + 1)))  # t**2 = 12.5 (u + 1)
+
+
+def _below2(g):
+    return lambda u: g(mpmath.sqrt(4 * (u + 1)))  # t**2 = 4 (u + 1)
+
+
+def _above5(g):
+    return lambda u: g(5 / mpmath.sqrt((u + 1) / 2))  # 25 / t**2 = (u + 1) / 2
+
+
+def _log_term(t):
+    return 2 / mpmath.pi * mpmath.log(t / 2)
+
+
+# Each series table of specfun and the function of u it was fitted to.
+_SERIES_TABLES = {
+    "_J0_BELOW": _below5(lambda t: mpmath.besselj(0, t)),
+    "_Y0_BELOW": _below5(lambda t: mpmath.bessely(0, t) - _log_term(t) * mpmath.besselj(0, t)),
+    "_J1_BELOW": _below5(lambda t: mpmath.besselj(1, t) / t),
+    "_Y1_BELOW": _below5(lambda t: (mpmath.bessely(1, t) - _log_term(t) * mpmath.besselj(1, t)
+                                    + 2 / (mpmath.pi * t)) / t),
+    "_P1_ABOVE": _above5(lambda t: _h1_amplitudes(t).real),
+    "_Q1_ABOVE": _above5(lambda t: t / 5 * _h1_amplitudes(t).imag),
+    "_K0_BELOW": _below2(lambda t: mpmath.besselk(0, t) + mpmath.log(t / 2) * mpmath.besseli(0, t)),
+    "_K1_BELOW": _below2(lambda t: (mpmath.besselk(1, t) - 1 / t - mpmath.log(t / 2) * mpmath.besseli(1, t)) / t),
+    "_K1_CHEBYSHEV": lambda u: (lambda x: mpmath.exp(x) * mpmath.sqrt(x) * mpmath.besselk(1, x))(4 / (u + 1)),
+}
+
+
+def _mp_modulus_errors(t, order, got_j, got_y):
+    """Errors of J_order and Y_order at the doubles t relative to |H_order|, from mpmath."""
+    errors = []
+    with mpmath.workdps(40):
+        for k, x in enumerate(map(mpmath.mpf, t)):
+            J, Y = mpmath.besselj(order, x), mpmath.bessely(order, x)
+            errors.append(float(max(abs(got_j[k] - J), abs(got_y[k] - Y)) / mpmath.sqrt(J * J + Y * Y)))
+    return np.array(errors)
+
+
+class TestInHouseSeries:
+    """The series tables, J_1 and Y_1, and exp(t) K_0 and exp(t) K_1 against
+    mpmath, on both sides of their thresholds."""
+
+    @pytest.mark.parametrize("name", sorted(_SERIES_TABLES))
+    def test_series_tables_refit(self, name):
+        table = getattr(specfun, name)
+        assert _cheb_refit(_SERIES_TABLES[name], len(table)) == table
+
+    def test_power_series_are_the_exact_terms(self):
+        # 1 / (4**k k!**2) and 1 / (2 4**k k! (k + 1)!), k = 12..0, each rounded once
+        k = range(12, -1, -1)
+        assert specfun._I0_SERIES == tuple(float(Fraction(1, 4**i * factorial(i) ** 2)) for i in k)
+        assert specfun._I1_SERIES == tuple(float(Fraction(1, 2 * 4**i * factorial(i) * factorial(i + 1))) for i in k)
+
+    def test_order_zero_and_one_match_mpmath(self):
+        # relative to |H_0| and |H_1| on (0, 2000]: J_0, Y_0 below t = 5 at
+        # most 6.6e-16 here, J_1, Y_1 6.4e-16 (scipy's j1, y1: 1.3e-15 below
+        # 5 and 8e-14 at 2000)
+        rng = np.random.default_rng(59)
+        below = np.concatenate([np.geomspace(1e-8, 5.0, 100), rng.uniform(0.0, 5.0, 100), [5.0]])
+        above = np.concatenate([np.geomspace(np.nextafter(5.0, 6.0), 2000.0, 100), 5.0 + rng.exponential(2.0, 40)])
+        assert np.max(_mp_modulus_errors(below, 0, *specfun.j0_y0(below))) <= 8e-16
+        t = np.concatenate([below, above])
+        assert np.max(_mp_modulus_errors(t, 1, *specfun.j1_y1(t))) <= 8e-16
+
+    def test_scaled_k_match_mpmath(self):
+        # relative on (0, 700]: K_0 below t = 2 at most 7.1e-16 here, scaled
+        # K_0 and K_1 6.6e-16 and 7.2e-16 (scipy's k0: 1.3e-15 below 2)
+        rng = np.random.default_rng(61)
+        below = np.concatenate([np.geomspace(1e-8, 2.0, 80), rng.uniform(0.0, 2.0, 80), [2.0]])
+        above = np.concatenate([np.geomspace(np.nextafter(2.0, 3.0), 700.0, 50), 2.0 + rng.exponential(1.0, 20)])
+        t = np.concatenate([below, above])
+        k = specfun.k0(below)
+        scaled = specfun.k0_k1_scaled(t)
+        with mpmath.workdps(40):
+            ref = [mpmath.besselk(0, mpmath.mpf(x)) for x in below]
+            assert max(float(abs(k[i] - r) / r) for i, r in enumerate(ref)) <= 1e-15
+            for order, got in enumerate(scaled):
+                ref = [mpmath.exp(mpmath.mpf(x)) * mpmath.besselk(order, mpmath.mpf(x)) for x in t]
+                assert max(float(abs(got[i] - r) / r) for i, r in enumerate(ref)) <= 1e-15
+
+    def test_limits_shapes_and_empty_arguments(self):
+        j, y = specfun.j1_y1(0.0)
+        assert j.shape == y.shape == () and j == 0.0 and y == -np.inf
+        k0, k1 = specfun.k0_k1_scaled(0.0)
+        assert k0.shape == k1.shape == () and k0 == k1 == np.inf
+        t = np.random.default_rng(67).uniform(0.5, 60.0, (7, 9))
+        for fn in (specfun.j1_y1, specfun.k0_k1_scaled):
+            pair = fn(t)
+            assert all(v.shape == (7, 9) for v in pair)
+            flat = fn(t.ravel())
+            assert all(np.array_equal(_bits(v).ravel(), _bits(w)) for v, w in zip(pair, flat))
+            for x in (3.0, 7.0, t[3, 4]):
+                alone = fn(x)
+                assert all(v.shape == () and _bits(v) == _bits(w) for v, w in zip(alone, fn(np.array([x]))))
+            for empty in (np.empty(0), np.empty((3, 0))):
+                assert all(v.shape == empty.shape for v in fn(empty))
 
 
 @pytest.mark.parametrize("axis", [0, -1])
@@ -381,6 +502,30 @@ class TestRegularWaveTables:
         for dimension in (2, 3):
             with pytest.raises(ValueError, match=rf"x = {re.escape(repr(float(bad)))}$"):
                 specfun.regular_wave_tables(dimension, 4, [1.0, bad])
+
+    def test_order_zero_anchors_up_to_their_overflow(self):
+        # I_0 = e^x / (1 + 2 sum_k I_k / I_0) and i_0 = sinh(x) / x, each with
+        # e^x in two halves: within 1.6e-15 and 4.4e-16 relative here (scipy's
+        # iv reads 1.75e-13), and finite up to 713.9 and 717
+        x = np.concatenate([np.geomspace(1e-3, 713.0, 60), [1.0, 20.0, 100.0]])
+        with mpmath.workdps(40):
+            for dimension, exact, bound in ((2, lambda v: mpmath.besseli(0, v), 5e-15),
+                                            (3, lambda v: mpmath.sinh(v) / v, 2e-15)):
+                _, mod = specfun.regular_wave_tables(dimension, 2, x)
+                err = [float(abs(mod[0, k] - exact(mpmath.mpf(v))) / exact(mpmath.mpf(v))) for k, v in enumerate(x)]
+                assert max(err) <= bound
+        assert np.isfinite(specfun.regular_wave_tables(2, 0, 713.9)[1][0, 0])
+        assert np.isfinite(specfun.regular_wave_tables(3, 0, 717.0)[1][0, 0])
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_columns_stand_alone(self, dimension):
+        # each column starts its recurrence at its own order and sums its own
+        # rows: the table at one argument, bit for bit, whatever the others
+        x = np.array([1e-3, 0.7, 2.404825557695773, 9.0, 43.2, 300.0])
+        tables = specfun.regular_wave_tables(dimension, 30, x)
+        for col, xc in enumerate(x):
+            for table, alone in zip(tables, specfun.regular_wave_tables(dimension, 30, xc)):
+                assert table[:, col].tobytes() == alone[:, 0].tobytes()
 
     def test_overflowing_order_zero_stays_inf(self):
         # I_0(800) and i_0(800) leave the double range: every order is inf,
@@ -611,35 +756,44 @@ class TestSphericalHarmonics:
                     block[:, n * n + n + m], sp.sph_harm_y(n, m, theta, phi)
                 )
 
-    @staticmethod
-    def _scipy_block(truncation, theta, phi):
-        """The block from scipy's sph_harm_y_all, laid out degree by degree."""
-        every = sp.sph_harm_y_all(truncation, truncation, theta, phi)
-        out = np.empty((np.size(theta), (truncation + 1) ** 2), dtype=complex)
-        for n in range(truncation + 1):
-            m = np.arange(-n, n + 1)
-            out[:, n * n + n + m] = every[n, m].T
-        return out
-
-    @pytest.mark.parametrize("truncation", [0, 24, 60])
-    def test_block_matches_scipy_all_harmonics(self, truncation):
-        # Y_n^m is one product of scipy's normalized Legendre value and the
-        # unit phase exp(i m phi), as sph_harm_y_all forms it: measured bit
-        # for bit equal (numpy 2.4.6, scipy 1.17.1), and bounded by the two
-        # ulps a phase rounded another way would move the product
+    @pytest.mark.parametrize("truncation, bound", [(0, 0.0), (24, 5.7e-15), (60, 1.75e-14)], ids=["0", "24", "60"])
+    def test_block_matches_scipy_all_harmonics(self, truncation, bound):
+        # the block against mpmath (oracles.sph_harmonic_block_mp), relative
+        # to its peak, at the poles, the equator and five random points:
+        # 0, 5.6e-15 and 1.71e-14 at the three truncations, as scipy's
+        # sph_harm_y_all reads there (its recurrence is the library's)
         rng = np.random.default_rng(truncation)
-        theta = np.concatenate([[0.0, np.pi, 0.5 * np.pi], rng.uniform(0.0, np.pi, 200)])
-        phi = np.concatenate([[0.0, 2.0, 2.0 * np.pi - 1e-9], rng.uniform(0.0, 2.0 * np.pi, 200)])
+        theta = np.concatenate([[0.0, np.pi, 0.5 * np.pi], rng.uniform(0.0, np.pi, 200)])[:8]
+        phi = np.concatenate([[0.0, 2.0, 2.0 * np.pi - 1e-9], rng.uniform(0.0, 2.0 * np.pi, 200)])[:8]
         got = specfun.sph_harmonic_block(truncation, theta, phi)
-        ref = self._scipy_block(truncation, theta, phi)
-        assert got.shape == ref.shape == (203, (truncation + 1) ** 2)
-        assert np.all(np.abs(got - ref) <= 2.0 * np.finfo(float).eps * np.abs(ref))
+        ref = oracles.sph_harmonic_block_mp(truncation, theta, phi)
+        assert got.shape == ref.shape == (8, (truncation + 1) ** 2)
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
 
     def test_block_at_a_scalar_angle(self):
         got = specfun.sph_harmonic_block(3, 0.4, 1.1)
         assert got.shape == (1, 16)
         np.testing.assert_array_equal(got, specfun.sph_harmonic_block(3, np.array([0.4]), np.array([1.1])))
-        np.testing.assert_array_equal(got, self._scipy_block(3, 0.4, 1.1))
+        # 2.4e-16 of the peak from mpmath, where scipy's reads 3.6e-16
+        ref = oracles.sph_harmonic_block_mp(3, 0.4, 1.1)
+        assert np.max(np.abs(got - ref)) <= 3e-16 * np.max(np.abs(ref))
+
+    def test_legendre_table_matches_mpmath(self):
+        # the normalized table against the explicit polynomials of P_n
+        # (oracles.normalized_legendre_mp), relative to its peak: 8.6e-15 at
+        # degree 40 here, as scipy's sph_legendre_p_all, the worst next to
+        # the poles; a negative order mirrors its positive one exactly
+        top = 40
+        theta = np.concatenate([[0.0, np.pi, 0.5 * np.pi, 1e-3], np.random.default_rng(71).uniform(0.0, np.pi, 4)])
+        table = specfun._legendre_table(top, theta)
+        assert table.shape == (top + 1, 2 * top + 1, theta.size)
+        ref = np.zeros((top + 1, top + 1, theta.size))
+        for n in range(top + 1):
+            for m in range(n + 1):
+                ref[n, m] = [float(oracles.normalized_legendre_mp(n, m, th)) for th in theta]
+        assert np.max(np.abs(table[:, :top + 1] - ref)) <= 2e-14 * np.max(np.abs(ref))
+        m = np.arange(1, top + 1)
+        assert np.array_equal(table[:, -m], table[:, m] * np.where(m % 2, -1.0, 1.0)[:, None])
 
     def test_block_at_the_poles(self):
         # only the zonal harmonics survive there: Y_n^0 = (+-1)^n sqrt((2n + 1) / (4 pi))
