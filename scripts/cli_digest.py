@@ -38,8 +38,8 @@ text: JSON booleans are not numbers) or a signed zero differs, and 0 when
 every output is identical or moved only in its numbers; judge the printed
 sizes of those moves by eye.
 
-Byte identity only holds for the same numpy/scipy/BLAS build on the same
-CPU; compare two checkouts on one machine, never digests from two machines.
+Byte identity only holds for the same numpy/BLAS build on the same CPU;
+compare two checkouts on one machine, never digests from two machines.
 """
 
 from __future__ import annotations

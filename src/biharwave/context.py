@@ -55,6 +55,9 @@ class WaveContext:
         condition; deriving kappa from the requested root index makes the
         condition hold by construction instead of approximately.  root_index
         must be an integer >= 1 (not a bool) and radius positive and finite.
+        The 2D zero is specfun.j0_zero: for root indices 1-100 every zero is
+        within an ulp of mpmath's and 99 are the nearest double (scipy's
+        jn_zeros: 94).
         """
         if dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {dimension}")

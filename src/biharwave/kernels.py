@@ -35,19 +35,19 @@ def kernel_tables(ctx: WaveContext, r):
     real array of shape (3,) + r.shape.
 
     2D: -Y_0(kappa r)/4, J_0(kappa r)/4, K_0(kappa r)/(2 pi), from
-    specfun.j0_y0 and specfun.k0 (vectorised above t = kappa r = 5 and 2,
-    scipy's j0, y0 and k0 on the entries at or below).
+    specfun.j0_y0 and specfun.k0 (vectorised passes on both sides of their
+    thresholds t = kappa r = 5 and 2).
     3D: cos(kappa r), sin(kappa r) and exp(-kappa r), each over 4 pi r, from
     one half-angle tangent tau = tan(kappa r / 2) and two divisions per
     value: w = (1 / (4 pi)) / (r (1 + tau**2)), Re phi_h = (1 - tau**2) w,
     Im phi_h = 2 tau w, phi_m = (exp(-kappa r) / (4 pi)) / r.
     Accuracy against mpmath at t = kappa r, relative to |phi_h| (and to
     phi_m), on 800 distances with t in [1e-8, 2000]: 3D within 3.5e-16 and
-    2.5e-16; 2D within 3.6e-16 for t > 5 and 4.0e-16 for t > 2, 2.2e-15
-    (and 6.7e-16) at or below, where they are scipy's.  Per 16,384 values
-    (2-vCPU x86-64 VM shared with other work, one BLAS thread, medians of
-    six runs): 2D 1.18-1.46 ms against 2.2-3.5 ms with scipy's j0, y0 and
-    k0 on every value, 3D 138-155 us.
+    2.5e-16; 2D within 3.6e-16 for t > 5 and 4.0e-16 for t > 2, 6.8e-16
+    and 6.7e-16 at or below (scipy's j0, y0 and k0 there: 2.2e-15 and
+    6.7e-16).  Per 16,384 values (2-vCPU x86-64 VM shared with other work,
+    one BLAS thread, medians of six runs): 2D 1.18-1.46 ms against 2.2-3.5
+    ms with scipy's j0, y0 and k0 on every value, 3D 138-155 us.
     """
     r = np.asarray(r, dtype=float)
     out = np.empty((3,) + r.shape)

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately implemented from first principles (power
-series, integral representations, recurrences, finite differences, dense
-trapezoid sums) so that the quantities the library computes through
-scipy-backed fast paths are checked against a genuinely different route.
+series, integral representations, recurrences, explicit polynomials in
+mpmath, finite differences, dense trapezoid sums) so that the quantities the
+library computes through its own numpy series and recurrences are checked
+against a genuinely different route.
 The one exception, the unscaled imaginary-axis Hankel functions, uses
 scipy's unscaled K family as the reference for the library's exp-scaled one.
 Accuracy notes state the validated ranges; tests stay inside them.

@@ -108,9 +108,10 @@ class TestKernelTables:
                 err_h.append(float(max(abs(re[k] - ref[0]), abs(im[k] - ref[1])) / modulus))
                 # phi_m underflows past t ~ 700; there only its absolute error is defined
                 err_m.append(float(abs(phi_m[k] - ref[2]) / max(ref[2], mpmath.mpf(1e-290))))
-        # 2D: scipy's j0/y0 at t <= 5 read 2.6e-15; above it (and k0 above
-        # t = 2) the vectorised specfun.j0_y0 and specfun.k0, which keep
-        # their precision at large t (scipy's j0/y0 lose about 1e-16 * t)
+        # 2D: specfun.j0_y0 and specfun.k0 read 6.8e-16 and 6.7e-16 at or
+        # below t = 5 and 2 (scipy's j0/y0 there: 2.6e-15) and 3.5e-16 and
+        # 3.8e-16 above, where they keep their precision at large t (scipy's
+        # j0/y0 lose about 1e-16 * t)
         err_h, err_m = np.array(err_h), np.array(err_m)
         bound = 3e-15 if ctx.dimension == 2 else 1e-15
         assert np.all(err_h <= bound)

@@ -2,10 +2,12 @@
 
 The regular-wave tables over all orders (J_n, I_n, j_n, i_n) and the
 exterior ones (outgoing and exp-scaled decaying waves and their derivatives)
-are checked against mpmath; the outgoing Hankel family and single spherical
-harmonics also at the scipy.special routines the library calls; the
-imaginary-axis family J_n(i t) = i**n I_|n|(t) also where the library
-evaluates it, as beta of single-mode sources.
+are checked against mpmath, as are the order-zero and order-one functions
+on both sides of their thresholds, the fitted series (by refitting them)
+and the harmonic block; scipy.special serves as a second route for single
+harmonics and Hankel identities; the imaginary-axis family
+J_n(i t) = i**n I_|n|(t) is also checked where the library evaluates it, as
+beta of single-mode sources.
 """
 
 import re
@@ -166,7 +168,7 @@ def _mp_j0_y0(t):
 
 class TestOrderZeroBessel:
     """specfun.j0_y0 above t = 5 and specfun.k0 above t = 2 against mpmath
-    at the double they see; at or below the thresholds they are scipy's."""
+    at the double they see (TestInHouseSeries covers the sides below)."""
 
     def test_j0_y0_match_mpmath(self):
         rng = np.random.default_rng(43)
@@ -291,6 +293,10 @@ def _below5(g):
     return lambda u: g(mpmath.sqrt(mpmath.mpf(25) / 2 * (u + 1)))  # t**2 = 12.5 (u + 1)
 
 
+def _below50(g):
+    return lambda u: g(mpmath.sqrt(25 * (u + 1)))  # t**2 = 25 (u + 1)
+
+
 def _below2(g):
     return lambda u: g(mpmath.sqrt(4 * (u + 1)))  # t**2 = 4 (u + 1)
 
@@ -307,8 +313,8 @@ def _log_term(t):
 _SERIES_TABLES = {
     "_J0_BELOW": _below5(lambda t: mpmath.besselj(0, t)),
     "_Y0_BELOW": _below5(lambda t: mpmath.bessely(0, t) - _log_term(t) * mpmath.besselj(0, t)),
-    "_J1_BELOW": _below5(lambda t: mpmath.besselj(1, t) / t),
-    "_Y1_BELOW": _below5(lambda t: (mpmath.bessely(1, t) - _log_term(t) * mpmath.besselj(1, t)
+    "_J1_BELOW": _below50(lambda t: mpmath.besselj(1, t) / t),
+    "_Y1_BELOW": _below50(lambda t: (mpmath.bessely(1, t) - _log_term(t) * mpmath.besselj(1, t)
                                     + 2 / (mpmath.pi * t)) / t),
     "_P1_ABOVE": _above5(lambda t: _h1_amplitudes(t).real),
     "_Q1_ABOVE": _above5(lambda t: t / 5 * _h1_amplitudes(t).imag),
@@ -505,8 +511,9 @@ class TestRegularWaveTables:
 
     def test_order_zero_anchors_up_to_their_overflow(self):
         # I_0 = e^x / (1 + 2 sum_k I_k / I_0) and i_0 = sinh(x) / x, each with
-        # e^x in two halves: within 1.6e-15 and 4.4e-16 relative here (scipy's
-        # iv reads 1.75e-13), and finite up to 713.9 and 717
+        # e^x in two halves: within 9.0e-16 and 2.9e-16 relative here (scipy's
+        # iv and spherical_in: 1.2e-13 and 1.0e-13), and finite up to 713.9
+        # and 717
         x = np.concatenate([np.geomspace(1e-3, 713.0, 60), [1.0, 20.0, 100.0]])
         with mpmath.workdps(40):
             for dimension, exact, bound in ((2, lambda v: mpmath.besseli(0, v), 5e-15),
