@@ -519,6 +519,10 @@ def _wave_arguments(dimension, truncation, x, family, name) -> np.ndarray:
 # modified family's in row 1.
 _RATIO_SIGNS = np.array([[-1.0], [1.0]])
 
+# The signs of the previous order in the forward recurrences of
+# exterior_wave_tables: J_n and Y_n subtract it, the scaled K_n add it.
+_FORWARD_SIGNS = np.array([[-1.0], [-1.0], [1.0]])
+
 # Added to every denominator of the ratio recurrence: a no-op on any nonzero
 # one (a sum or difference of c_n >= 2 / x and a ratio, so at least an ulp
 # of 2 / x), but an exact zero, which the double nearest the first zero of
@@ -631,9 +635,13 @@ def exterior_wave_tables(dimension: int, truncation: int, t, derivative: bool = 
     family on the positive imaginary axis with the factor exp(-t) removed,
     exp(t) H_n(i t) and exp(t) h_n(i t), finite for every representable t.
 
-    The outgoing waves are J_n + i Y_n and j_n + i y_n, J_n and j_n from
-    regular_wave_tables and Y_n and y_n by their forward recurrence from
-    orders 0 and 1 (j0_y0 and j1_y1; -cos t / t and -(cos t / t + sin t) / t).
+    The outgoing waves are J_n + i Y_n and j_n + i y_n: Y_n and y_n by their
+    forward recurrence from orders 0 and 1 (j0_y0 and j1_y1; -cos t / t and
+    -(cos t / t + sin t) / t), and so J_n and j_n (from sin t / t and
+    (sin t / t - cos t) / t) where t exceeds every
+    order, below all their turning points; at a smaller t they come from
+    regular_wave_tables, whose ratio table would otherwise grow with t (100
+    arguments in [1e4, 2e4] would take 98 MB and 0.56 s).
     The decaying ones come from the modified functions, never by complex
     continuation: H_n(i t) = (2 / pi) i**-(n+1) K_n(t) and h_n(i t) =
     -(2 / pi) i**-n sqrt(pi / (2 t)) K_(n+1/2)(t), each K by its forward
@@ -649,7 +657,8 @@ def exterior_wave_tables(dimension: int, truncation: int, t, derivative: bool = 
     waves S.  Against mpmath (40 digits) at orders 0-40 and eight t from
     0.3 to 43, values and derivatives of both families stay within 1.3e-15
     (2D) and 1.4e-15 (3D) relative, where scipy's h1vp and spherical
-    derivatives read 1.7e-14 and 2.0e-14.
+    derivatives read 1.7e-14 and 2.0e-14; at six t from 41.5 to 2000,
+    within 1.0e-15.
 
     At a high order and a small t an entry leaves the double range and is
     returned as it comes (inf or NaN).  A non-positive or non-finite t is
@@ -657,27 +666,33 @@ def exterior_wave_tables(dimension: int, truncation: int, t, derivative: bool = 
     """
     t = _wave_arguments(dimension, truncation, t, "exterior", "t")
     top = truncation + derivative
-    regular, _ = regular_wave_tables(dimension, top, t)
-    # row n: the second solution Y_n (y_n) and the decaying family, scaled
-    # so that the phases below complete it, by their forward recurrences
-    # from orders 0 and 1, both stable in that direction and signed as
-    # _RATIO_SIGNS: Z_(n+1) = c_n Z_n - Z_(n-1) and S_(n+1) = c_n S_n + S_(n-1)
-    waves = np.empty((max(top, 1) + 1, 2, t.size))
+    # row n: J_n (j_n), the second solution Y_n (y_n) and the decaying
+    # family, scaled so that the phases below complete it, by their forward
+    # recurrences from orders 0 and 1, signed as _FORWARD_SIGNS:
+    # Z_(n+1) = c_n Z_n - Z_(n-1) and S_(n+1) = c_n S_n + S_(n-1).  The last
+    # two are stable in that direction, J_n only below its turning point
+    # n = t, so an argument t <= top takes J_n from regular_wave_tables.
+    waves = np.empty((max(top, 1) + 1, 3, t.size))
     if dimension == 2:
-        waves[0, 0], waves[1, 0] = j0_y0(t)[1], j1_y1(t)[1]
-        waves[0, 1], waves[1, 1] = k0_k1_scaled(t)
+        (waves[0, 0], waves[0, 1]), (waves[1, 0], waves[1, 1]) = j0_y0(t), j1_y1(t)
+        waves[0, 2], waves[1, 2] = k0_k1_scaled(t)
     else:
         sin, cos = np.sin(t), np.cos(t)
-        np.divide(-cos, t, out=waves[0, 0])
-        np.divide(waves[0, 0] - sin, t, out=waves[1, 0])
-        np.divide(1.0, t, out=waves[0, 1])  # (2 / pi) sqrt(pi / (2 t)) exp(t) K_(1/2)(t)
-        np.multiply(waves[0, 1], 1.0 + waves[0, 1], out=waves[1, 1])
+        np.divide(sin, t, out=waves[0, 0])
+        np.divide(waves[0, 0] - cos, t, out=waves[1, 0])
+        np.divide(-cos, t, out=waves[0, 1])
+        np.divide(waves[0, 1] - sin, t, out=waves[1, 1])
+        np.divide(1.0, t, out=waves[0, 2])  # (2 / pi) sqrt(pi / (2 t)) exp(t) K_(1/2)(t)
+        np.multiply(waves[0, 2], 1.0 + waves[0, 2], out=waves[1, 2])
     c = (2.0 * np.arange(1, top)[:, None] + (dimension - 2)) / t  # row k - 1: c_k
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, top):
             np.multiply(c[k - 1], waves[k], out=waves[k + 1])
-            waves[k + 1] += _RATIO_SIGNS * waves[k - 1]
-    second, scaled = waves[:top + 1, 0], waves[:top + 1, 1]
+            waves[k + 1] += _FORWARD_SIGNS * waves[k - 1]
+    regular, second, scaled = waves[:top + 1].transpose(1, 0, 2)
+    near = t <= top
+    if near.any():
+        regular[:, near] = regular_wave_tables(dimension, top, t[near])[0]
     n = np.arange(top + 1)[:, None]
     outgoing = regular + 1j * second
     if dimension == 2:

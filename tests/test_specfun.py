@@ -594,6 +594,20 @@ class TestExteriorWaveTables:
         assert max(worst) <= EXTERIOR_REL, worst
 
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_far_arguments_match_mpmath(self, dimension):
+        # beyond the turning point of every order (t > truncation) J_n and
+        # j_n come from the forward recurrence too, not from a ratio table
+        # started past t: within 1.1e-15 here
+        t = np.array([41.5, 300.0, 2000.0])
+        got = [table for derivative in (False, True)
+               for table in specfun.exterior_wave_tables(dimension, 40, t, derivative)]
+        refs = [_mp_exterior(dimension, 40, tc) for tc in t]
+        ref = [np.array([r[k] for r in refs]).T for k in (0, 2, 1, 3)]
+        worst = [float(np.max(np.abs(g - r) / np.abs(r))) for g, r in zip(got, ref)]
+        assert max(worst) <= 2e-15, worst
+
+
 class TestHankelFamily:
     def test_conjugate_pair(self):
         z = np.linspace(0.2, 30.0, 23)
