@@ -158,6 +158,41 @@ MUTANTS = (
         ("tests/test_fields.py::TestSymmetryGroupQuadrature::test_3d_verdict_probes_match_dense_sum",),
     ),
     Mutant(
+        "phase-sums-last-block-dropped",
+        "src/biharwave/fields.py",
+        "    for a in range(0, len(points), nodes):\n",
+        "    for a in range(0, len(points) - nodes, nodes):\n",
+        (
+            "tests/test_fields.py::TestFarField::test_phase_sums_over_node_blocks",
+            "tests/test_fields.py::TestFarField::test_phase_sums_past_the_table_budget",
+            "tests/test_spectral.py::TestTraceFunctionals::test_matches_dense_integrand_on_arbitrary_channels",
+        ),
+    ),
+    Mutant(
+        "decaying-factor-undamped",
+        "src/biharwave/fields.py",
+        "c_m * np.exp(-t) * specfun.per_mode(",
+        "c_m * specfun.per_mode(",
+        (
+            "tests/test_fields.py::TestEvalField::test_quadrature_and_modal_routes_agree",
+            "tests/test_fields.py::TestBoundaryTrace::test_normal_derivative_matches_fd",
+            "tests/test_spectral.py::TestTraceFunctionals::test_exponential_identity",
+            "tests/test_spectral.py::TestNullspaceResidual::test_matches_field_quadrature",
+        ),
+    ),
+    Mutant(
+        "squared-distance-one-coordinate",
+        "src/biharwave/sources.py",
+        "    for k in range(1, len(center)):\n        diff",
+        "    for k in range(1, 1):\n        diff",
+        (
+            "tests/test_fields.py::TestSymmetryGroupQuadrature::test_verdict_probes_match_dense_sum",
+            "tests/test_fields.py::TestSymmetryGroupQuadrature::test_3d_verdict_probes_match_dense_sum",
+            "tests/test_sources.py::TestRadialPath::test_gaussian_read_is_bitwise_pointwise",
+            "tests/test_sources.py::TestBumpConstruction::test_helmholtz_moment_vanishes_outside",
+        ),
+    ),
+    Mutant(
         "support-inside-first-node-accepted",
         "src/biharwave/sources.py",
         "        if support_radius <= first:",

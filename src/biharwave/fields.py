@@ -21,19 +21,24 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   summed against the rows permuted to each image; where that point lies on
   a mirror of the grid, its tables are evaluated on a fundamental domain of
   its stabilizer and mirrored (a 2D verdict evaluates 129 of every 256
-  azimuth columns).  The quadrature walks the grid in radial blocks of at
-  most _RADIAL_BLOCK nodes.  The far field and the volume transforms sum
-  cos and sin (or exp) of the real phase kappa dir . y against the same
-  rows, in blocks of nodes and of directions of bounded size (_phase_sums,
-  which also takes the complex channel columns of the spectral module's
-  boundary-data functionals and lays out their rows itself); cos and sin
-  come from one half-angle tangent (specfun.cos_sin, within 2.2e-16 of
-  mpmath), and
+  azimuth columns).  One budget of _TABLE_BUDGET entries sizes every
+  table of the direct sums: the quadrature walks the grid in radial blocks
+  of at most that many nodes, and the far field and the volume transforms
+  sum cos and sin (or exp) of the real phase kappa dir . y against the same
+  rows in node blocks whose table over all the directions holds at most
+  that many entries (_phase_sums, which also takes the complex channel
+  columns of the spectral module's boundary-data functionals and lays out
+  their rows itself); cos and sin come from one half-angle tangent
+  (specfun.cos_sin, within 2.2e-16 of mpmath).  Kernel distances come from
+  sources._squared_distance, the helper that also reads the Gaussian and
+  the bump, and
 * angular-mode series built from the source's modal coefficients
   (sources.modal_coefficients, which the source keeps per truncation; valid
   from the support radius outward), with the radial tables of
-  specfun.exterior_wave_tables expanded per mode (specfun.per_mode); this
-  module adds only the series prefactors.  Boundary traces are such series
+  specfun.exterior_wave_tables expanded per mode (specfun.per_mode), and
+  the series prefactors folded in by one function (_radial_tables), which
+  the traces, the modal field and spectral.nullspace_residual all read.
+  Boundary traces are such series
   on the boundary rule, synthesized by specfun.rule_synthesis, their radial
   factors at r = R, prefactors folded in, built once per (context,
   truncation, derivative) and kept read-only in a bounded cache, since
@@ -47,9 +52,10 @@ Helmholtz equation.  Two independent evaluation routes are provided:
 Outside the support, f_h and f_m solve the homogeneous equations, so the
 Laplacian trace needs no new series: lap u = -(f_h + f_m) / 2.
 
-Exponentially decaying modal terms are evaluated in scaled form (factor
-exp(kappa r) removed and reapplied at combination time) so that large-radius
-evaluation underflows cleanly to zero instead of producing NaNs.
+Exponentially decaying modal terms are tabulated in scaled form (factor
+exp(kappa r) removed) and the exp(-kappa r) is folded back into their radial
+factors (_radial_tables), so that large-radius evaluation underflows cleanly
+to zero instead of producing NaNs.
 """
 
 from __future__ import annotations
@@ -64,21 +70,18 @@ from . import specfun
 from .context import WaveContext
 from .kernels import kernel_tables
 from .quadrature import BoundaryGrid, spherical_params
-from .sources import SourceField, SupportViolationError, _check_dimension, modal_coefficients
+from .sources import SourceField, SupportViolationError, _check_dimension, _squared_distance, modal_coefficients
 
 # Slack within which two points count as images of one another under the
 # quadrature grid's symmetries: relative in the radius, absolute in the polar
 # angle and in the fraction of an azimuth step (rounding is about 1e-14 of one).
 _LATTICE_TOL = 1e-12
 
-# Table entries (directions times nodes) per block of directions in
-# _phase_sums: 1.5 MB of phase, cos and sin at a time.
-_PHASE_BLOCK = 1 << 16
-
-# Nodes per radial block of the direct quadrature (_eval_quadrature): the
-# block's distances, kernel tables and weighted and permuted rows stay in a
-# 2 MB L2 cache.
-_RADIAL_BLOCK = 1 << 14
+# Table entries per block of the direct sums: the nodes of a radial block
+# of the quadrature (_eval_quadrature), whose distances, kernel tables and
+# weighted and permuted rows stay in a 2 MB L2 cache, and directions times
+# nodes of a block of _phase_sums.
+_TABLE_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -197,20 +200,6 @@ def _node_images(rows, shape, shift, sign, reverse):
     return np.concatenate((v[..., shift:], v[..., :shift]), axis=-1).reshape(rows.shape)
 
 
-def _distances(point, nodes_t):
-    """|point - y| for every node y, summed one coordinate at a time in the
-    order np.linalg.norm sums them; nodes_t[k] holds the nodes' k-th
-    coordinates."""
-    out = np.subtract(point[0], nodes_t[0])
-    out *= out
-    scratch = np.empty_like(out)
-    for k in range(1, len(point)):
-        np.subtract(point[k], nodes_t[k], out=scratch)
-        scratch *= scratch
-        out += scratch
-    return np.sqrt(out, out=out)
-
-
 def _group_tables(ctx, q0, domain, nodes_t):
     """q0's three kernel tables over a block of the grid (nodes_t of shape
     (d, radial, polar, azimuth)), of shape (3, radial, polar, azimuth),
@@ -218,10 +207,11 @@ def _group_tables(ctx, q0, domain, nodes_t):
     mirrored into the rest of the block by slice copies."""
     rings, lo, hi = domain
     polar, n = nodes_t.shape[2:]
+    r = np.sqrt(_squared_distance(nodes_t[:, :, :rings, lo:hi], q0))
     if rings == polar and hi - lo == n:
-        return kernel_tables(ctx, _distances(q0, nodes_t))
+        return kernel_tables(ctx, r)
     tables = np.empty((3,) + nodes_t.shape[1:])
-    tables[:, :, :rings, lo:hi] = kernel_tables(ctx, _distances(q0, nodes_t[:, :, :rings, lo:hi]))
+    tables[:, :, :rings, lo:hi] = kernel_tables(ctx, r)
     if hi - lo < n:  # l -> lo - l: columns hi..n-1 from lo+n-hi..lo+1
         tables[:, :, :rings, hi:] = tables[:, :, :rings, lo + 1:lo + n - hi + 1][..., ::-1]
         tables[:, :, :rings, :lo] = tables[:, :, :rings, 1:lo + 1]
@@ -232,14 +222,15 @@ def _group_tables(ctx, q0, domain, nodes_t):
 
 def _eval_quadrature(ctx, src, pts):
     """f_h and f_m at the points by direct quadrature, in radial blocks of the
-    source's grid of at most _RADIAL_BLOCK nodes.
+    source's grid of at most _TABLE_BUDGET nodes (at least one radial node).
 
     Each symmetry group's kernel tables are those of its canonical point q0
     (_canonical_point); every member m is h(q0) for a grid symmetry h, so
     |m - h(y)| = |q0 - y| and m sums q0's tables against the weighted rows
     at h(y): the source's own values, permuted.  Where q0 lies on a mirror
     of the grid, its tables are evaluated on a fundamental domain of its
-    stabilizer and mirrored (_group_tables).
+    stabilizer and mirrored (_group_tables), from the distances
+    sources._squared_distance sums one coordinate at a time.
 
     Each block's node coordinates, weighted rows, distances, tables and row
     images are small enough to stay in a 2 MB L2 cache; each point adds its
@@ -251,7 +242,7 @@ def _eval_quadrature(ctx, src, pts):
     angular = grid.angular
     shape = (grid.shape[0], angular.polar_count, angular.azimuth_count)
     ring = shape[1] * shape[2]
-    step = max(1, _RADIAL_BLOCK // ring)  # radial nodes per block
+    step = max(1, _TABLE_BUDGET // ring)  # radial nodes per block
     group, s, eps, flip, canonical = _symmetry_groups(angular, pts)
     members = np.argsort(group, kind="stable")
     bounds = np.searchsorted(group[members], np.arange(len(canonical[0]) + 1))
@@ -298,36 +289,33 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
     unit vectors.
 
     The weighted data are one block of real rows (_real_rows).  The nodes
-    go in blocks of at most _RADIAL_BLOCK, and within each the directions
-    in blocks of at most _PHASE_BLOCK table entries: the block's phases by
-    one matrix product, c and s from them (specfun.cos_sin, or c in place
-    of the phases), then the rows times c and times s, each a
-    real product over contiguous node rows (a (nodes, parts) layout lost
-    1e-14 of the data's mass in 3D), added up over the node blocks.  A grid
-    of at most _RADIAL_BLOCK nodes is one node block, summed by one product
-    per direction block."""
+    go in one loop of blocks whose phase table over all the directions
+    holds at most _TABLE_BUDGET entries (one node per block past that many
+    directions): the block's phases by one matrix product, c and s from
+    them (specfun.cos_sin, or c in place of the phases), then the rows
+    times c and times s, each one real matrix product over the (parts,
+    nodes) rows (a (nodes, parts) product lost 1e-14 of the data's mass in
+    3D), added up over the blocks.  The first block's products are written, not added to
+    zeros, so a sum of one block keeps their bits and signed zeros."""
     rows = _real_rows(data, weights)
     # rows times c and times s, a part's real row then its imaginary row; a
     # real part's single row takes the real slot, its imaginary one sums to +0.0
     step = 1 if np.iscomplexobj(data) else 2
     sums = np.zeros((2, step * len(rows), len(directions)))
-    nodes = max(1, min(len(points), _RADIAL_BLOCK))
-    block = max(1, _PHASE_BLOCK // nodes)
+    nodes = max(1, _TABLE_BUDGET // max(1, len(directions)))
     k = ctx.kappa * directions
     for a in range(0, len(points), nodes):
-        b = min(a + nodes, len(points))
-        for i in range(0, len(directions), block):
-            j = min(i + block, len(directions))
-            phase = k[i:j] @ points[a:b].T
-            factors = specfun.cos_sin(phase) if oscillating else (np.exp(np.negative(phase, out=phase), out=phase),)
-            for total, factor in zip(sums[:, ::step, i:j], factors):
-                if a == 0:  # the first node block's products, signed zeros included
-                    np.matmul(rows[:, :b], factor.T, out=total)
-                else:
-                    total += rows[:, a:b] @ factor.T
-            # freed before the next block's phases are allocated, which then
-            # reuse the same, cache-warm memory
-            del phase, factors, factor
+        b = a + nodes
+        phase = k @ points[a:b].T
+        factors = specfun.cos_sin(phase) if oscillating else (np.exp(np.negative(phase, out=phase), out=phase),)
+        for total, factor in zip(sums[:, ::step], factors):
+            if a == 0:
+                np.matmul(rows[:, :b], factor.T, out=total)
+            else:
+                total += rows[:, a:b] @ factor.T
+        # freed before the next block's phases are allocated, which then
+        # reuse the same, cache-warm memory
+        del phase, factors, factor
     out = np.empty((len(directions), sums.shape[1] // 2), dtype=complex)
     out.real = (sums[0, 0::2] + sums[1, 1::2]).T
     out.imag = (sums[0, 1::2] - sums[1, 0::2]).T
@@ -347,10 +335,13 @@ def _volume_transform(ctx, src, directions, oscillating):
 # Modal series route
 # ---------------------------------------------------------------------------
 def _radial_tables(ctx, truncation, t, derivative):
-    """Prefactors and per-mode radial factors of the f_h and f_m series at
-    t = kappa r (shape (M, 1)): the outgoing family and the exp(t)-scaled
-    decaying family, or their r-derivatives, each of shape (M, modes)
-    (specfun.exterior_wave_tables, expanded by specfun.per_mode).
+    """Per-mode radial factors of the f_h and f_m series at t = kappa r
+    (shape (M, 1)), or of their r-derivatives, each of shape (M, modes):
+    the outgoing family times its prefactor c_h, and the exp(t)-scaled
+    decaying family times c_m exp(-t), its prefactor and the scale folded
+    back in (specfun.exterior_wave_tables, expanded by specfun.per_mode).
+    A series is these factors times the angular basis, summed against the
+    coefficients.
 
     Raises OverflowError when a factor leaves the double range (a high
     truncation at small kappa r), where the series would give inf * 0 = NaN.
@@ -368,7 +359,7 @@ def _radial_tables(ctx, truncation, t, derivative):
             f"exterior series radial factors are not finite at kappa*r = {worst:.6g}: the "
             f"radial wave families leave the double range (truncation {truncation})"
         )
-    return c_h, c_m, specfun.per_mode(ctx.dimension, h), specfun.per_mode(ctx.dimension, s)
+    return c_h * specfun.per_mode(ctx.dimension, h), c_m * np.exp(-t) * specfun.per_mode(ctx.dimension, s)
 
 
 # Exterior factors kept, one pair per (context, truncation, derivative):
@@ -379,13 +370,11 @@ _SPHERE_FACTORS = 16
 
 @functools.lru_cache(maxsize=_SPHERE_FACTORS)
 def _sphere_factors(ctx, truncation, derivative):
-    """The per-mode factors of the f_h and f_m series, or of their radial
-    derivatives, at r = R, with the prefactors and the exp(-kappa R) of the
-    scaled decaying family folded in: read-only, and built once per
+    """_radial_tables at r = R: the per-mode factors of the f_h and f_m
+    series, or of their radial derivatives, read-only, and built once per
     (context, truncation, derivative), since they depend on nothing else."""
-    t = ctx.kappa * ctx.radius
-    c_h, c_m, h, s = _radial_tables(ctx, truncation, np.array([[t]]), derivative)
-    factors = c_h * h[0], c_m * np.exp(-t) * s[0]
+    t = np.array([[ctx.kappa * ctx.radius]])
+    factors = tuple(table[0] for table in _radial_tables(ctx, truncation, t, derivative))
     for factor in factors:
         factor.flags.writeable = False
     return factors
@@ -405,22 +394,19 @@ def _sphere_series(ctx, coeffs, angular):
 
 def _eval_modal(ctx, src, pts, truncation):
     """f_h and f_m at the points from the exterior mode series, on the dense
-    angular basis at the points: one table row per distinct radius, gathered
-    back to the points."""
+    angular basis at the points: one row of _radial_tables (prefactors and
+    exp(-kappa r) folded in) per distinct radius, gathered back to the
+    points."""
     coeffs = modal_coefficients(ctx, src, truncation)
     r, theta, phi = spherical_params(pts)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, theta, phi)
-    t = ctx.kappa * r
-    damp = np.exp(-t)
-    radii, row = np.unique(t, return_inverse=True)
-    c_h, c_m, h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivative=False)
+    radii, row = np.unique(ctx.kappa * r, return_inverse=True)
+    h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivative=False)
     # Named tables: numpy may overwrite an unnamed temporary right operand in
     # place, which changes how a complex product rounds under FMA.
     H = h[row]
     S = s[row]
-    f_h = c_h * (basis * H) @ coeffs.alpha
-    f_m = c_m * damp * ((basis * S) @ coeffs.beta)
-    return f_h, f_m
+    return (basis * H) @ coeffs.alpha, (basis * S) @ coeffs.beta
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ in the squared distance u = |x - center|^2 (_mollifier_pair): the radial
 Laplacian in u, 4 u G'' + 2 d G', divides by no power of the distance, so
 one formula holds down to the centre: no Taylor branch near it, and no
 digits lost where such a branch hands over.  The bump and the Gaussian
-read u by one helper (_squared_distance).
+read u by one helper (_squared_distance), the one that also gives the field
+quadrature its kernel distances (fields._group_tables).
 """
 
 from __future__ import annotations
@@ -533,7 +534,7 @@ def make_bump_nonradiating(
         )
 
     def func(points):
-        g, bilap = _mollifier_pair(_squared_distance(points, center), rho, amplitude, d)
+        g, bilap = _mollifier_pair(_squared_distance(points.T, center), rho, amplitude, d)
         return -(bilap - k4 * g)
 
     return SourceField(ctx, func, reach, _BUMP_RADIAL_ORDER)
@@ -596,21 +597,24 @@ def gaussian_source(
         support_radius = ctx.radius
 
     def func(points):
-        q = _squared_distance(points, center)
+        q = _squared_distance(points.T, center)
         q /= 2.0 * sigma * sigma
         return amplitude * np.exp(-q)
 
     return SourceField.from_callable(ctx, func, support_radius=support_radius)
 
 
-def _squared_distance(points, center) -> np.ndarray:
-    """|x - center|^2 at (M, d) points, one coordinate at a time in real
-    arithmetic: the left-to-right order of np.sum over the coordinates,
-    without an (M, d) temporary."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    q = (pts[:, 0] - center[0]) ** 2
+def _squared_distance(coords, center) -> np.ndarray:
+    """|x - center|^2 at points whose k-th coordinates are coords[k] (arrays
+    of any one shape), one coordinate at a time in real arithmetic: the
+    left-to-right order of np.sum over the coordinates, without a
+    temporary of all the coordinates' differences."""
+    q = np.subtract(coords[0], center[0])
+    q *= q
     for k in range(1, len(center)):
-        q += (pts[:, k] - center[k]) ** 2
+        diff = np.subtract(coords[k], center[k])
+        diff *= diff
+        q += diff
     return q
 
 

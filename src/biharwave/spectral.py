@@ -237,7 +237,9 @@ def _trace_transform(ctx, trace, directions, oscillating):
 
     The channels group into the d + 1 columns [p, nu_1 q, ..., nu_d q] with
     p = d_nu lap u + c d_nu u and q = lap u + c u; fields._phase_sums sums
-    each weighted column against the phase kappa dir . x.
+    each weighted column against the phase kappa dir . x, in node blocks
+    whose table over all the directions holds at most
+    fields._TABLE_BUDGET entries.
     """
     dirs = _check_directions(ctx, directions)
     g = trace.grid
@@ -276,7 +278,9 @@ def nullspace_residual(
     source's coefficients at the truncation (default_mode_truncation when
     None).  The probes are the directions of direction_grid(ctx, 16) at each
     radius: every radius is a column of each integral in one
-    specfun.rule_synthesis on that grid's rule.
+    specfun.rule_synthesis on that grid's rule.  The decaying integral's
+    radial factors are fields._radial_tables', its prefactor and
+    exp(-kappa r) already folded in.
 
     Zero (below tolerance) exactly for sources with no exterior field.
     probe_radii is one radius or a non-empty 1-D list, each finite and
@@ -291,17 +295,16 @@ def nullspace_residual(
     coeffs = modal_coefficients(ctx, src, truncation)
     N, nr = coeffs.truncation, len(radii)
     # one regular wave per order (2D) or degree (3D) and radius, and the
-    # decaying family's per-mode table: every radius is a column of each
+    # decaying family's per-mode factors: every radius is a column of each
     # family in one synthesis on the direction rule
     regular, _ = specfun.regular_wave_tables(ctx.dimension, N, ctx.kappa * radii)
-    _, c_m, _, s = fields._radial_tables(ctx, N, ctx.kappa * radii[:, None], derivative=False)
+    _, s = fields._radial_tables(ctx, N, ctx.kappa * radii[:, None], derivative=False)
     columns = np.hstack([specfun.per_mode(ctx.dimension, regular, axis=0) * coeffs.alpha[:, None],
                          s.T * coeffs.beta[:, None]])
     sums = specfun.rule_synthesis(columns, _direction_rule(ctx, 16))
     reg = _sphere_measure(ctx) * sums[:nr]
-    # the decaying-kernel integral is minus the modified radiation part
-    f_m = c_m * np.exp(-ctx.kappa * radii)[:, None] * sums[nr:]
-    return float(np.max(np.abs(reg) + np.abs(f_m)))
+    # the decaying-kernel integral is minus the modified radiation part, sums[nr:]
+    return float(np.max(np.abs(reg) + np.abs(sums[nr:])))
 
 
 def _field_scale(ctx, norm_f, probe_radii) -> float:
@@ -313,7 +316,7 @@ def _field_scale(ctx, norm_f, probe_radii) -> float:
     x = np.column_stack([r] + [zeros] * (ctx.dimension - 1))
     y = np.zeros((1, ctx.dimension))
     gmax = float(np.max(np.abs(green_biharmonic(ctx, x, y))))
-    return norm_f * np.sqrt(ctx.ball_volume) * gmax
+    return float(norm_f * np.sqrt(ctx.ball_volume) * gmax)
 
 
 def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = None) -> NonradiatingVerdict:

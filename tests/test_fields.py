@@ -33,6 +33,8 @@ from biharwave.spectral import (
     fourier_transform_quadrature,
     laplace_transform_quadrature,
     nullspace_residual,
+    u_hat_from_trace,
+    v_check_from_trace,
     verdict,
 )
 
@@ -528,11 +530,8 @@ class TestBoundaryTrace:
 
 def _per_point_series(ctx, coeffs, r, basis, derivative=False):
     """The modal series with its radial tables evaluated at every point."""
-    t = ctx.kappa * r
-    c_h, c_m, H, S = fields._radial_tables(ctx, coeffs.truncation, t[:, None], derivative)
-    f_h = c_h * (basis * H) @ coeffs.alpha
-    f_m = c_m * np.exp(-t) * ((basis * S) @ coeffs.beta)
-    return f_h, f_m
+    H, S = fields._radial_tables(ctx, coeffs.truncation, ctx.kappa * r[:, None], derivative)
+    return (basis * H) @ coeffs.alpha, (basis * S) @ coeffs.beta
 
 
 class TestSeparableModalRoute:
@@ -585,7 +584,7 @@ class TestSeparableModalRoute:
         # A Gaussian's orders beyond 32 weigh 1e-20 of its peak at r = R, so
         # the coefficients are drawn to give every order a term of size one
         N = 100
-        _, _, h, s = fields._radial_tables(CTX2, N, np.array([[CTX2.kappa * CTX2.radius]]), False)
+        h, s = fields._radial_tables(CTX2, N, np.array([[CTX2.kappa * CTX2.radius]]), False)
         rng = np.random.default_rng(7)
         alpha, beta = rng.normal(size=(2, 2 * N + 1, 2)) @ [1.0, 1j]
         self._check_2d_trace(ModalCoefficients(2, N, alpha / np.abs(h[0]), beta / np.abs(s[0]), 1.0))
@@ -625,23 +624,50 @@ class TestFarField:
     @pytest.mark.parametrize("transform", ["far_field", "laplace"])
     @pytest.mark.parametrize("part", ["real", "complex"])
     def test_phase_sums_over_node_blocks(self, part, transform):
-        # a grid above 2**16 nodes goes in node blocks of at most
-        # _RADIAL_BLOCK, the last one partial here, each with several
-        # blocks of directions; the block sums add up to the whole sum
+        # at 12 directions the grid goes in several node blocks of the table
+        # budget, the last one partial here; the block sums add up to the
+        # whole sum
         src = _gaussian(CTX3)
         if part == "complex":
             other = gaussian_source(CTX3, center=[-0.3, 0.1, 0.1], sigma=0.2, support_radius=0.9)
             src = src + other.scaled(0.5j)
-        nodes = len(src.default_samples()[0].points)
-        assert nodes > 1 << 16 and nodes % fields._RADIAL_BLOCK
-        assert fields._PHASE_BLOCK // fields._RADIAL_BLOCK < 12
         rng = np.random.default_rng(59)
         dirs = rng.normal(size=(12, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        nodes = len(src.default_samples()[0].points)
+        block = fields._TABLE_BUDGET // len(dirs)
+        assert nodes > 2 * block and nodes % block
         func, scale = (far_field, -1j * CTX3.kappa) if transform == "far_field" else \
             (laplace_transform_quadrature, -CTX3.kappa)
         ref, mass = oracles.volume_transform(CTX3, src, dirs, scale)
         assert np.max(np.abs(func(CTX3, src, dirs) - ref)) <= 1e-14 * mass
+
+    @pytest.mark.parametrize("oscillating", [True, False], ids=["oscillating", "exponential"])
+    def test_phase_sums_past_the_table_budget(self, oscillating):
+        # more directions than the table budget holds: one node per block,
+        # and the blocks add up to the dense complex-exp sum
+        rng = np.random.default_rng(61)
+        points = 0.5 * rng.uniform(-1.0, 1.0, size=(5, 3))
+        data = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))  # two complex parts
+        weights = rng.uniform(0.5, 1.0, size=5)
+        dirs = rng.normal(size=(fields._TABLE_BUDGET + 3, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        got = fields._phase_sums(CTX3, points, data, weights, dirs, oscillating)
+        scale = (-1j if oscillating else -1.0) * CTX3.kappa
+        ref = np.exp(scale * (dirs @ points.T)) @ (data * weights).T
+        mass = float(np.sum(np.abs(data * weights)))
+        assert got.shape == ref.shape == (len(dirs), 2)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * mass
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_no_directions(self, ctx):
+        src = _gaussian(ctx)
+        trace = boundary_trace(ctx, src, boundary_grid(ctx))
+        none = np.empty((0, ctx.dimension))
+        for values in (far_field(ctx, src, none), fourier_transform_quadrature(ctx, src, none),
+                       laplace_transform_quadrature(ctx, src, none), u_hat_from_trace(ctx, trace, none),
+                       v_check_from_trace(ctx, trace, none)):
+            assert values.shape == (0,)
 
     def test_nonradiating_dark(self):
         src = make_2d_bessel_nonradiating(CTX2)

@@ -333,6 +333,13 @@ class TestVerdict:
             "N", "tolerance", "is_nonradiating",
         }
 
+    def test_numbers_are_python_scalars(self):
+        # plain Python numbers: a numpy scalar shows as np.float64(...) in
+        # to_dict(), and a numpy integer is not JSON-serializable
+        result = verdict(CTX2, _gaussian(CTX2))
+        for value in [*vars(result).values(), *result.to_dict().values()]:
+            assert type(value) in (float, int, bool)
+
     def test_config_tolerance_respected(self):
         src = make_2d_bessel_nonradiating(CTX2)
         tight = verdict(CTX2, src, VerdictConfig(tolerance=1e-10))

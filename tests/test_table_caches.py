@@ -52,10 +52,9 @@ class TestSphereFactors:
         fields._sphere_factors.cache_clear()
         rebuilt = fields._sphere_factors(ctx, 12, derivative)
         assert rebuilt is not kept
-        # the prefactors folded in as _sphere_series folded them before
-        t = ctx.kappa * ctx.radius
-        c_h, c_m, h, s = fields._radial_tables(ctx, 12, np.array([[t]]), derivative)
-        for got, again, fresh in zip(kept, rebuilt, (c_h * h[0], c_m * np.exp(-t) * s[0])):
+        # the one row of the radial tables at r = R, prefactors and exp(-kappa R) folded in
+        fresh_tables = fields._radial_tables(ctx, 12, np.array([[ctx.kappa * ctx.radius]]), derivative)
+        for got, again, fresh in zip(kept, rebuilt, (table[0] for table in fresh_tables)):
             _assert_identical(got, fresh)
             _assert_identical(again, fresh)
             with pytest.raises(ValueError, match="read-only"):
