@@ -76,17 +76,27 @@ MUTANTS = (
         "        rows = self._rows(grid)\n"
         "        if np.iscomplexobj(rows) and not np.any(rows.imag):\n"
         "            rows = rows.real\n",
+        ("tests/test_sources.py::TestSampleRead::test_zero_imaginary_part_stays_complex",),
+    ),
+    Mutant(
+        "sum-leaf-added-twice",
+        "src/biharwave/sources.py",
+        "        return reduce(operator.add, terms)\n",
+        "        return reduce(operator.add, terms + terms[1:2])\n",
         (
-            "tests/test_sources.py::TestSampleRead::test_zero_imaginary_part_stays_complex",
-            "tests/test_table_caches.py::TestSampleReuse::test_samples_that_dropped_an_imaginary_part_are_not_reused",
+            "tests/test_table_caches.py::TestLinearSums::test_summed_coefficients_are_the_weighted_leaves",
+            "tests/test_table_caches.py::TestLinearSums::test_each_linear_route_adds_its_leaves",
+            "tests/test_sources.py::TestCoefficientCache::test_derived_sources_share_their_leaves_projections",
         ),
     ),
     Mutant(
-        "cached-rows-any-angular-rule",
+        "scaled-factor-on-first-leaf-only",
         "src/biharwave/sources.py",
-        "        if (kept * grid.angular.count != self._values.size or grid.radial.order != rule.order\n",
-        "        if (grid.radial.order != rule.order\n",
-        ("tests/test_table_caches.py::TestSampleReuse::test_other_grids_evaluate_the_function",),
+        "    parts = tuple((c if factor == 1 else _times(c, factor), leaf)\n"
+        "                  for factor, src in terms for c, leaf in src._parts or ((1, src),))\n",
+        "    parts = tuple((c if factor == 1 or i else _times(c, factor), leaf)\n"
+        "                  for factor, src in terms for i, (c, leaf) in enumerate(src._parts or ((1, src),)))\n",
+        ("tests/test_table_caches.py::TestLinearSums::test_nested_sums_and_scalings_flatten",),
     ),
     Mutant(
         "dimension-unchecked",
@@ -209,8 +219,8 @@ MUTANTS = (
     Mutant(
         "zero-samples-certified",
         "src/biharwave/spectral.py",
-        "    if src.l2_norm() == 0.0:",
-        "    if False:",
+        "    if norm_f == 0.0:  # every residual",
+        "    if False:  # every residual",
         ("tests/test_cli.py::test_source_no_node_sees_is_refused",),
     ),
 )

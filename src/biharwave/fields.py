@@ -49,6 +49,12 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   from numerical differentiation, because the near-field identities
   downstream need them at the 1e-8 level.
 
+Both routes are linear in the source.  A sum or a scaled source
+(sources.SourceField, a flat tuple of (factor, leaf) parts) adds its leaves'
+direct sums (_eval_quadrature, _volume_transform), each on the leaf's own
+grid, and its modal coefficients are its leaves', added
+(sources.modal_coefficients), so no leaf is read on another leaf's grid.
+
 Outside the support, f_h and f_m solve the homogeneous equations, so the
 Laplacian trace needs no new series: lap u = -(f_h + f_m) / 2.
 
@@ -177,11 +183,14 @@ def _canonical_point(angular, r, theta, f):
 def _real_rows(data, weights):
     """data of shape (nodes,) or (parts, nodes) times the node weights, as
     one C-contiguous block of real rows: a real part is one row, a complex
-    part its (real, imaginary) row pair."""
+    part its (real, imaginary) row pair.  C order whatever the data's (the
+    trace functionals' columns are Fortran-ordered): BLAS sums the two
+    layouts in different orders, so the same data would sum to other last
+    bits."""
     data = np.atleast_2d(data)
     if np.iscomplexobj(data):
         data = np.stack([data.real, data.imag], axis=1).reshape(-1, data.shape[-1])
-    return np.multiply(data, weights)
+    return np.multiply(data, weights, order="C")
 
 
 def _node_images(rows, shape, shift, sign, reverse):
@@ -222,7 +231,9 @@ def _group_tables(ctx, q0, domain, nodes_t):
 
 def _eval_quadrature(ctx, src, pts):
     """f_h and f_m at the points by direct quadrature, in radial blocks of the
-    source's grid of at most _TABLE_BUDGET nodes (at least one radial node).
+    source's grid of at most _TABLE_BUDGET nodes (at least one radial node);
+    a sum or a scaled source adds its leaves' sums times their factors, each
+    on the leaf's own grid (SourceField._linear).
 
     Each symmetry group's kernel tables are those of its canonical point q0
     (_canonical_point); every member m is h(q0) for a grid symmetry h, so
@@ -237,6 +248,8 @@ def _eval_quadrature(ctx, src, pts):
     six real sums (three tables against the real and the imaginary row)
     across the blocks."""
     _check_dimension(ctx, src)
+    if src._parts:
+        return src._linear(lambda leaf: _eval_quadrature(ctx, leaf, pts))
     grid, values = src.default_samples()  # a real source's values stay real
     values = np.atleast_2d(values)
     angular = grid.angular
@@ -323,10 +336,14 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
 
 
 def _volume_transform(ctx, src, directions, oscillating):
-    """Sum over the ball grid of exp(-i kappa dir . y) f(y) w(y) (oscillating)
-    or exp(-kappa dir . y) f(y) w(y), one value per unit direction."""
+    """Sum over the source's grid of exp(-i kappa dir . y) f(y) w(y)
+    (oscillating) or exp(-kappa dir . y) f(y) w(y), one value per unit
+    direction; a sum or a scaled source adds its leaves' sums times their
+    factors, each on the leaf's own grid (SourceField._linear)."""
     dirs = _check_directions(ctx, directions)
     _check_dimension(ctx, src)
+    if src._parts:
+        return src._linear(lambda leaf: _volume_transform(ctx, leaf, dirs, oscillating))
     grid, values = src.default_samples()
     return _phase_sums(ctx, grid.points, values, grid.weights, dirs, oscillating)[:, 0]
 

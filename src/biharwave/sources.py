@@ -14,6 +14,14 @@ analysis on the grid's angular rule) and the radial wave tables are
 specfun's; this module only sizes the grid, reads the source on it and
 sums the products.
 
+Sources are linear: scaled and + build a source of parts, a flat tuple of
+(factor, leaf) pairs from one combiner (_combined), and every linear route
+(modal_coefficients here, the direct field quadrature and the volume
+transforms in fields) adds its leaves' results times their factors, each
+leaf on its own grid with its own kept samples and coefficients
+(SourceField._linear).  The L2 norm is not linear: it is the source's own
+(SourceField.l2_norm), not part of its coefficients.
+
 The nonradiating constructors apply their radial differential operators
 analytically (chain rule on powers of the order-zero radial waves), never by
 numerical differentiation: the certification tests chase 1e-8-level zeros
@@ -28,7 +36,9 @@ quadrature its kernel distances (fields._group_tables).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from numbers import Number
 
 import numpy as np
@@ -87,15 +97,15 @@ class ModalCoefficients:
     (spherical j_n in 3D); beta pairs it with the imaginary-argument family
     J_n(i kappa r) (spherical counterpart in 3D).  Simultaneous vanishing of
     every entry characterizes a source with no exterior field.  Layout of the
-    arrays matches ModalProfiles.values rows.  norm_f is the quadrature
-    L2 norm of the source over the ball.
+    arrays matches ModalProfiles.values rows.  The coefficients are linear
+    in the source: those of a sum or a scaled source are its leaves',
+    weighted by their factors and added (modal_coefficients).
     """
 
     dimension: int
     truncation: int
     alpha: np.ndarray
     beta: np.ndarray
-    norm_f: float
 
     def get(self, n: int, m: int | None = None) -> tuple[complex, complex]:
         idx = mode_index(self.dimension, self.truncation, n, m)
@@ -107,15 +117,17 @@ class ModalCoefficients:
         if not 0 <= truncation <= self.truncation:
             raise ValueError(f"truncation must lie in [0, {self.truncation}], got {truncation}")
         keep = np.abs(mode_degrees(self.dimension, self.truncation)) <= truncation
-        return ModalCoefficients(self.dimension, truncation, self.alpha[keep], self.beta[keep], self.norm_f)
+        return ModalCoefficients(self.dimension, truncation, self.alpha[keep], self.beta[keep])
 
-    def max_residual(self) -> float:
-        """max over modes of (|alpha| + |beta|) / norm_f.  A zero norm_f (the
-        zero source, or one no grid node sees) is refused: its residual
-        would be 0 / 0, and 0 would read as nonradiating."""
-        if self.norm_f == 0.0:
+    def max_residual(self, norm_f: float) -> float:
+        """max over modes of (|alpha| + |beta|) / norm_f, with norm_f the
+        source's L2 norm (SourceField.l2_norm), which is not linear and so
+        is not part of the coefficients.  A zero norm_f (the zero source, or
+        one no grid node sees) is refused: its residual would be 0 / 0, and
+        0 would read as nonradiating."""
+        if norm_f == 0.0:
             raise ValueError("the source's L2 norm is zero: its modal residual (|alpha| + |beta|) / norm_f is 0 / 0")
-        return float(np.max(np.abs(self.alpha) + np.abs(self.beta))) / self.norm_f
+        return float(np.max(np.abs(self.alpha) + np.abs(self.beta))) / norm_f
 
 
 class SourceField:
@@ -127,25 +139,27 @@ class SourceField:
     with a radial order; instances are immutable in use and safe to share.
     Its own grids (default_samples and the finer-angle projection grid) end
     at its support radius and have its radial_order, an int: 64 unless the
-    constructor is given another (the bump 320); a scaled source keeps its
-    parent's, a sum takes the larger of its parts'.  A support at or inside
+    constructor is given another (the bump 320).  A support at or inside
     the first node of that rule would leave its grids without a node, so
     every route would sum nothing; the constructor refuses it, naming both.
     On a product grid a source reads its values by rows, one per radial
-    node, each masked at the source's own support radius (a part of a sum
-    is read on the sum's grid, which ends at the larger support), in
+    node, each masked at the source's own support radius, in
     np.result_type(rows, float): a radial source (from_radial) evaluates its
     profile once per radial node, a pointwise one its function at the
-    grid's points, a scaled source scales its parent's rows and a sum adds
-    its parts' rows.  A
-    source keeps its default-grid samples, its norm and its modal
-    coefficients once computed; scaled and + build new sources, which keep
-    none of them.  A pointwise source whose samples are kept reads them
-    back on any grid that extends its default grid (the same radial order
-    and angular rule, at least as many radial nodes), padded with +0.0 rows
-    beyond its support, bit for bit the values its function would give
-    there: the default grid of f + g when g reaches further, or of
-    f.scaled(c), never evaluates f's function again.
+    grid's points.  A source keeps its default-grid samples, its norm and
+    its modal coefficients once computed.
+
+    scaled and + build a source of parts: a flat tuple of (factor, leaf)
+    pairs, where a leaf is a source that is no sum or scaling and its
+    factor the product of the factors above it (nested sums and scalings
+    flatten, _combined).  Its support and radial order are its leaves' largest.
+    Every route is linear in the source, so the modal coefficients, the
+    field quadrature and the volume transforms of a source of parts add
+    their leaves' results, each leaf on its own grid with its own kept
+    samples and coefficients: the coefficients of f + g, once f's are
+    kept, never read f again.  Its reads (evaluate, values_on) add its
+    leaves' reads the same way; its norm, which is not linear, is read on
+    its own default grid, which ends at the largest support.
     """
 
     def __init__(self, ctx, func, support_radius, radial_order=DEFAULT_RADIAL_ORDER, read=None):
@@ -166,10 +180,10 @@ class SourceField:
         self.support_radius = float(min(support_radius, ctx.radius))
         self._func = func
         self._read = read  # grid -> unmasked rows; None evaluates func at the grid's points
+        self._parts: tuple = ()  # ((factor, leaf), ...) of a sum or a scaled source (_combined)
         self.radial_order = radial_order
         self._norm: float | None = None
         self._values: np.ndarray | None = None
-        self._samples_rule: RadialRule | None = None  # the default grid's, once sampled (_cached_rows)
         self._coefficients: dict = {}  # (ctx, truncation) -> ModalCoefficients
 
     # -- constructors -------------------------------------------------------
@@ -203,7 +217,8 @@ class SourceField:
         values_on reads."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(pts, axis=-1)
-        return np.where(r >= self.support_radius, 0.0, _widened(self._func(pts)))
+        values = self._linear(lambda leaf: leaf.evaluate(pts)) if self._parts else self._func(pts)
+        return np.where(r >= self.support_radius, 0.0, _widened(values))
 
     def values_on(self, grid: ProductGrid) -> np.ndarray:
         """Values at the nodes of a product grid, radial-major, in the dtype
@@ -227,35 +242,16 @@ class SourceField:
         nodes by angles), zero on every radial node at or beyond the support
         radius, in np.result_type(rows, float) of the rows read: real or
         complex, never narrower than float."""
-        if self._read is not None:
+        if self._parts:
+            rows = self._linear(lambda leaf: leaf._rows(grid))
+        elif self._read is not None:
             rows = self._read(grid)
         else:
-            cached = self._cached_rows(grid)
-            if cached is not None:
-                return cached
             rows = np.asarray(self._func(grid.points)).reshape(grid.shape)
         rows = _widened(rows)
         outside = grid.radial.nodes >= self.support_radius
         if outside.any():
             rows = np.where(outside[:, None], 0.0, rows)
-        return rows
-
-    def _cached_rows(self, grid: ProductGrid) -> np.ndarray | None:
-        """The cached default samples as rows on a grid that extends the
-        default grid (the same radial order and angular rule, at least as
-        many radial nodes; an angular_rule follows from its dimension and
-        node count), padded with +0.0 rows, the values the function is
-        masked to there: bit for bit a fresh read, since values_on keeps
-        the rows' dtype.  None for any other grid."""
-        rule = self._samples_rule
-        if rule is None:
-            return None
-        kept = len(rule.nodes)
-        if (kept * grid.angular.count != self._values.size or grid.radial.order != rule.order
-                or not np.array_equal(grid.radial.nodes[:kept], rule.nodes)):
-            return None
-        rows = np.zeros(grid.shape, dtype=self._values.dtype)
-        rows[:kept] = self._values.reshape(kept, grid.angular.count)
         return rows
 
     def default_samples(self) -> tuple[ProductGrid, np.ndarray]:
@@ -265,18 +261,17 @@ class SourceField:
         weights (a Gaussian of support 0.9R keeps 51 of its 64 radial
         nodes, the rho 0.8R bump 226 of 320, a whole-ball source all).
 
-        The values are sampled once (values_on) and cached, read-only; a
-        pointwise source reads them back on every grid that extends this
-        one (_cached_rows).  The grid is rebuilt on each call from the
-        cached Gauss-Legendre rules, which costs only its points and
-        weights: a kept 3D grid would hold four times the memory of real
-        values for as long as the source lives.
+        The values are sampled once (values_on) and cached, read-only.  The
+        grid is rebuilt on each call from the cached Gauss-Legendre rules,
+        which costs only its points and weights: a kept 3D grid would hold
+        four times the memory of real values for as long as the source
+        lives.
         """
         grid = product_grid(self.ctx, self.radial_order, extent=self.support_radius)
         if self._values is None:
             values = self.values_on(grid)
             values.flags.writeable = False
-            self._values, self._samples_rule = values, grid.radial
+            self._values = values
         return grid, self._values
 
     # -- algebra ------------------------------------------------------------
@@ -285,24 +280,22 @@ class SourceField:
         imaginary part is zero is kept as its real part, so a real source
         stays real."""
         _check_finite_number("factor", factor)
-        factor = _real_if_real(factor)
-        func = self._func
-        return SourceField(self.ctx, lambda pts: factor * _widened(func(pts)),
-                           self.support_radius, self.radial_order, lambda grid: factor * self._rows(grid))
+        return _combined(((_real_if_real(factor), self),))
 
     def __add__(self, other: "SourceField") -> "SourceField":
         if not isinstance(other, SourceField):
             return NotImplemented
         if self.ctx != other.ctx:
             raise ValueError("cannot add sources over different contexts")
-        support = max(self.support_radius, other.support_radius)
-        order = max(self.radial_order, other.radial_order)
-        a, b = self, other
+        return _combined(((1, self), (1, other)))
 
-        def func(pts):
-            return a.evaluate(pts) + b.evaluate(pts)
-
-        return SourceField(self.ctx, func, support, order, lambda grid: a._rows(grid) + b._rows(grid))
+    def _linear(self, route):
+        """The sum over the parts of a sum or a scaled source of factor *
+        route(leaf), in part order, a factor of 1 multiplying nothing; a
+        route that returns a tuple of arrays gives them stacked, one row
+        each."""
+        terms = [_times(factor, np.asarray(route(leaf))) for factor, leaf in self._parts]
+        return reduce(operator.add, terms)
 
     def resolve_radial_order(self, radial_order: int | None = None) -> int:
         """The radial order of a quadrature grid over this source: the
@@ -316,6 +309,25 @@ class SourceField:
             grid, vals = self.default_samples()
             self._norm = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
         return self._norm
+
+
+def _combined(terms) -> SourceField:
+    """The sum of factor * source over the (factor, source) terms, sources of
+    one context, as a source of parts: each term's leaves (a leaf is its own
+    one part, with factor 1) with the term's factor times theirs, so nested
+    sums and scalings flatten.  A factor of 1 multiplies nothing."""
+    parts = tuple((c if factor == 1 else _times(c, factor), leaf)
+                  for factor, src in terms for c, leaf in src._parts or ((1, src),))
+    src = SourceField(parts[0][1].ctx, None, max(leaf.support_radius for _, leaf in parts),
+                      max(leaf.radial_order for _, leaf in parts))
+    src._parts = parts
+    return src
+
+
+def _times(factor, value):
+    """factor * value, or value itself when the factor is 1: a product by 1
+    can flip the sign of a zero (in complex arithmetic, 1 is 1 + 0j)."""
+    return value if factor == 1 else factor * value
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +374,10 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     imaginary-argument counterpart under r^2 dr.  In both, the
     imaginary-argument value is i**n times the modified family, I_n or i_n,
     and the tables come from specfun.regular_wave_tables, expanded per mode.
-    norm_f is the norm of the source itself, not of its truncation.
+    The coefficients of a sum or a scaled source are the sum of its
+    leaves' coefficients times their factors (SourceField._linear), each
+    leaf projected on its own grid and keeping its own: a source of parts
+    is never projected, nor its norm read.
 
     The coefficients are computed once per (context, truncation) and kept on
     the source, with alpha and beta read-only: the transforms, the boundary
@@ -370,7 +385,8 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     share one projection.  A source over a context of another dimension is
     refused.  The profiles live on the radial nodes inside the support, so
     the wave tables reach kappa times the support radius, not kappa R: a
-    non-finite coefficient is refused naming that product.
+    non-finite coefficient, a leaf's or a sum's, is refused naming that
+    product.
     """
     _check_dimension(ctx, src)
     if truncation is None:
@@ -379,22 +395,25 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     key = (ctx, truncation)
     if key in src._coefficients:
         return src._coefficients[key]
-    norm_f = src.l2_norm()
-    if not np.isfinite(norm_f):
-        raise ValueError(f"the source values, or their L2 norm, are not finite (norm {norm_f})")
-    modal = project_modes(src, truncation)
-    values, rule = modal.values, modal.rule
-    kr = ctx.kappa * rule.nodes
-    measure = rule.weights * rule.nodes ** (ctx.dimension - 1)
-    # the imaginary-argument family can leave the double range; the check
-    # after this block names that, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        # orders (2D) or degrees (3D) n >= 0 only, expanded over the modes
-        # (2D: J_-n = (-1)^n J_n, I_-n = I_n)
-        osc, mod = specfun.regular_wave_tables(ctx.dimension, truncation, kr)
-        n = mode_degrees(ctx.dimension, truncation)
-        alpha = np.sum(values * specfun.per_mode(ctx.dimension, osc, axis=0) * measure, axis=1)
-        beta = _ipow(n) * np.sum(values * mod[np.abs(n)] * measure, axis=1)
+    if src._parts:  # the leaves' own coefficients, each kept on its leaf
+        pair = operator.attrgetter("alpha", "beta")
+        alpha, beta = src._linear(lambda leaf: pair(modal_coefficients(ctx, leaf, truncation)))
+    else:
+        norm_f = src.l2_norm()
+        if not np.isfinite(norm_f):
+            raise ValueError(f"the source values, or their L2 norm, are not finite (norm {norm_f})")
+        modal = project_modes(src, truncation)
+        kr = ctx.kappa * modal.rule.nodes
+        measure = modal.rule.weights * modal.rule.nodes ** (ctx.dimension - 1)
+        # the imaginary-argument family can leave the double range; the check
+        # after this block names that, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            # orders (2D) or degrees (3D) n >= 0 only, expanded over the modes
+            # (2D: J_-n = (-1)^n J_n, I_-n = I_n)
+            osc, mod = specfun.regular_wave_tables(ctx.dimension, truncation, kr)
+            n = mode_degrees(ctx.dimension, truncation)
+            alpha = np.sum(modal.values * specfun.per_mode(ctx.dimension, osc, axis=0) * measure, axis=1)
+            beta = _ipow(n) * np.sum(modal.values * mod[np.abs(n)] * measure, axis=1)
     k_support = ctx.kappa * src.support_radius
     if not np.all(np.isfinite(beta)):
         raise OverflowError(
@@ -406,9 +425,8 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
             f"alpha coefficients are not finite at kappa*support_radius = {k_support:.6g} "
             f"(truncation {truncation}): a non-finite alpha would read as a radiating source"
         )
-    alpha.flags.writeable = False
-    beta.flags.writeable = False
-    coeffs = ModalCoefficients(ctx.dimension, truncation, alpha, beta, norm_f)
+    alpha.flags.writeable = beta.flags.writeable = False
+    coeffs = ModalCoefficients(ctx.dimension, truncation, alpha, beta)
     src._coefficients[key] = coeffs
     return coeffs
 

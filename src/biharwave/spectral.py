@@ -333,9 +333,10 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
     grid, before any route runs: its residuals would all be 0 / 0.
     """
     cfg = config or VerdictConfig()
-    N = cfg.truncation if cfg.truncation is not None else default_mode_truncation(ctx)
+    N = int(cfg.truncation) if cfg.truncation is not None else default_mode_truncation(ctx)
     top = N + STABILITY_MARGIN
-    if src.l2_norm() == 0.0:  # every residual would be 0 / 0, read as nonradiating
+    norm_f = src.l2_norm()
+    if norm_f == 0.0:  # every residual would be 0 / 0, read as nonradiating
         grid, _ = src.default_samples()
         raise InconsistencyError(
             f"the source is zero at every node of its grid ({grid.shape[0]} radial x {grid.shape[1]} "
@@ -344,9 +345,8 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
         )
 
     coeffs = modal_coefficients(ctx, src, top)
-    norm_f = coeffs.norm_f
-    res_modal = coeffs.max_residual()
-    res_modal_low = coeffs.truncated(N).max_residual()
+    res_modal = coeffs.max_residual(norm_f)
+    res_modal_low = coeffs.truncated(N).max_residual(norm_f)
     if (res_modal_low <= cfg.tolerance) != (res_modal <= cfg.tolerance):
         raise InconsistencyError(
             f"modal residual flips across the tolerance between truncations "
@@ -383,7 +383,7 @@ def verdict(ctx: WaveContext, src: SourceField, config: VerdictConfig | None = N
         residual_modal=res_modal,
         residual_spectral=res_spectral,
         residual_field=res_field,
-        tolerance=cfg.tolerance,
+        tolerance=float(cfg.tolerance),  # the config takes numpy numbers; to_dict's JSON needs plain ones
         is_nonradiating=all(flags),
         truncation=top,
         norm_f=norm_f,

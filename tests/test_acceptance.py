@@ -118,7 +118,7 @@ def test_c03_addition_theorem_convergence():
 
 def _certify(ctx, src, truncation, probe_factors=(1.05, 1.5, 3.0), angles=16):
     coeffs = modal_coefficients(ctx, src, truncation)
-    modal_resid = coeffs.max_residual()
+    modal_resid = coeffs.max_residual(src.l2_norm())
     dirs, _ = direction_grid(ctx, angles)
     pts = np.vstack([f * ctx.radius * dirs for f in probe_factors])
     u, _, _ = eval_field_batch(ctx, src, pts, method="quadrature")

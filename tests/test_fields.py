@@ -49,11 +49,20 @@ def _gaussian(ctx):
     return gaussian_source(ctx, center=center, sigma=0.1, support_radius=0.9)
 
 
+def _complex_leaf(real, imag):
+    """One pointwise source of real + 0.5j imag, sources of one context: a
+    leaf with unrelated real and imaginary parts on one grid, so that the
+    real sums take both rows of its weighted values (a sum of two real
+    sources would add two real leaves, each on its own grid)."""
+    return SourceField.from_callable(real.ctx, lambda p: real.evaluate(p) + 0.5j * imag.evaluate(p),
+                                     max(real.support_radius, imag.support_radius))
+
+
 def _complex_gaussian(ctx):
-    """A source with unrelated real and imaginary parts, so that the real
-    kernel sums take both parts of the weighted values."""
+    """A complex source whose real part is _gaussian and whose imaginary part
+    is a broader Gaussian over the whole ball."""
     other = gaussian_source(ctx, center=[-0.3] + [0.1] * (ctx.dimension - 1), sigma=0.2)
-    return _gaussian(ctx) + other.scaled(0.5j)
+    return _complex_leaf(_gaussian(ctx), other)
 
 
 class TestEvalField:
@@ -347,7 +356,8 @@ class TestSymmetryGroupQuadrature:
 
 def _cut_sources(ctx, kind):
     """A source whose support ends inside the ball: a Gaussian (support
-    0.85), the rho 0.8R bump, or a complex sum whose parts end at 0.85 and 0.7."""
+    0.85), the rho 0.8R bump, or a complex source whose real and imaginary
+    parts end at 0.85 and 0.7."""
     center = [0.2, -0.1, 0.1][: ctx.dimension]
     gauss = gaussian_source(ctx, center=center, sigma=0.15, support_radius=0.85)
     if kind == "gaussian":
@@ -355,7 +365,7 @@ def _cut_sources(ctx, kind):
     if kind == "bump":
         return make_bump_nonradiating(ctx)
     other = gaussian_source(ctx, center=[-0.1, 0.2, 0.0][: ctx.dimension], sigma=0.2, support_radius=0.7)
-    return gauss + other.scaled(0.5j)
+    return _complex_leaf(gauss, other)
 
 
 def _support_grid_routes(ctx, src):
@@ -587,7 +597,7 @@ class TestSeparableModalRoute:
         h, s = fields._radial_tables(CTX2, N, np.array([[CTX2.kappa * CTX2.radius]]), False)
         rng = np.random.default_rng(7)
         alpha, beta = rng.normal(size=(2, 2 * N + 1, 2)) @ [1.0, 1j]
-        self._check_2d_trace(ModalCoefficients(2, N, alpha / np.abs(h[0]), beta / np.abs(s[0]), 1.0))
+        self._check_2d_trace(ModalCoefficients(2, N, alpha / np.abs(h[0]), beta / np.abs(s[0])))
 
     def test_modal_field_equals_per_point_tables(self, radial_table_radii):
         # two probe rings: one table row per distinct radius, gathered back
@@ -630,7 +640,7 @@ class TestFarField:
         src = _gaussian(CTX3)
         if part == "complex":
             other = gaussian_source(CTX3, center=[-0.3, 0.1, 0.1], sigma=0.2, support_radius=0.9)
-            src = src + other.scaled(0.5j)
+            src = _complex_leaf(src, other)
         rng = np.random.default_rng(59)
         dirs = rng.normal(size=(12, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -658,6 +668,21 @@ class TestFarField:
         mass = float(np.sum(np.abs(data * weights)))
         assert got.shape == ref.shape == (len(dirs), 2)
         assert np.max(np.abs(got - ref)) <= 1e-14 * mass
+
+    @pytest.mark.parametrize("oscillating", [True, False], ids=["oscillating", "exponential"])
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_phase_sums_do_not_depend_on_the_data_layout(self, ctx, oscillating):
+        # the trace functionals' columns stack normals.T * q, which is
+        # Fortran-ordered: the same columns in either memory order give the
+        # same bits, since the weighted rows are laid out in C order
+        grid = boundary_grid(ctx)
+        trace = boundary_trace(ctx, _gaussian(ctx), grid)
+        columns = grid.normals.T * trace.lap_u
+        assert columns.flags.f_contiguous and not columns.flags.c_contiguous
+        dirs, _ = direction_grid(ctx, 32)
+        sums = [fields._phase_sums(ctx, grid.points, data, grid.weights, dirs, oscillating)
+                for data in (columns, np.ascontiguousarray(columns))]
+        assert np.array_equal(sums[0].view(np.uint64), sums[1].view(np.uint64))
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_no_directions(self, ctx):

@@ -213,7 +213,7 @@ class TestModalCoefficients:
         src = gaussian_source(CTX2, center=[0.2, -0.1], sigma=0.2)
         cut = modal_coefficients(CTX2, src, 9).truncated(5)
         low = modal_coefficients(CTX2, src, 5)
-        assert cut.truncation == 5 and cut.norm_f == low.norm_f
+        assert cut.truncation == 5
         np.testing.assert_array_equal(cut.alpha, low.alpha)
         np.testing.assert_array_equal(cut.beta, low.beta)
         with pytest.raises(ValueError, match="truncation"):
@@ -222,15 +222,16 @@ class TestModalCoefficients:
     def test_norm_positive(self):
         src = gaussian_source(CTX2, sigma=0.2)
         co = modal_coefficients(CTX2, src, 4)
-        assert co.norm_f > 0
+        assert src.l2_norm() > 0 and co.max_residual(src.l2_norm()) > 0
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_zero_source_residual_is_refused(self, ctx):
         # 0 / 0 is not a residual: 0 would read as perfectly nonradiating
-        co = modal_coefficients(ctx, SourceField.zero(ctx), 4)
-        assert co.norm_f == 0.0
+        zero = SourceField.zero(ctx)
+        co = modal_coefficients(ctx, zero, 4)
+        assert zero.l2_norm() == 0.0
         with pytest.raises(ValueError, match="L2 norm is zero"):
-            co.max_residual()
+            co.max_residual(zero.l2_norm())
 
     def test_non_finite_source_named(self):
         def func(pts):
@@ -313,7 +314,7 @@ class TestBesselPair2D:
         for n in range(-5, 6):
             if n != 0:
                 a, b = co.get(n)
-                assert abs(a) < 1e-13 * co.norm_f and abs(b) < 1e-13 * co.norm_f
+                assert abs(a) < 1e-13 * src.l2_norm() and abs(b) < 1e-13 * src.l2_norm()
 
     def test_both_projections_vanish(self):
         # the oscillatory and the exponential projections of the profile are 0
@@ -361,13 +362,13 @@ class TestBesselPair3D:
         src = make_3d_bessel_nonradiating(CTX3, 3, 4)
         co = modal_coefficients(CTX3, src, 4)
         a00, b00 = co.get(0, 0)
-        assert abs(a00) < 1e-12 * co.norm_f
-        assert abs(b00) < 1e-12 * co.norm_f
+        assert abs(a00) < 1e-12 * src.l2_norm()
+        assert abs(b00) < 1e-12 * src.l2_norm()
 
     def test_all_projections_vanish_through_twenty(self):
         src = make_3d_bessel_nonradiating(CTX3, 3, 4)
         co = modal_coefficients(CTX3, src, 20)
-        assert co.max_residual() < 1e-8
+        assert co.max_residual(src.l2_norm()) < 1e-8
 
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
@@ -480,15 +481,15 @@ class TestAlgebra:
         z = SourceField.zero(CTX2)
         assert z.l2_norm() == 0.0
 
-    def test_norm_is_cached_and_carried_by_projection(self):
+    def test_norm_is_cached_and_is_the_sources_own(self):
         src = gaussian_source(CTX2, center=[0.4, 0.0], sigma=0.2)
         norm = src.l2_norm()
         assert src.l2_norm() == norm == gaussian_source(CTX2, center=[0.4, 0.0], sigma=0.2).l2_norm()
-        # the coefficients carry the source's norm, whether or not it was
-        # asked for first, and not the norm of the projection's truncation
+        # the norm is the source's, not that of the projection's truncation,
+        # and the coefficients do not carry it: the norm is not linear, so
+        # a sum's coefficients would have to read its leaves again for it
         fresh = gaussian_source(CTX2, center=[0.4, 0.0], sigma=0.2)
-        assert modal_coefficients(CTX2, fresh, 2).norm_f == norm
-        assert modal_coefficients(CTX2, src, 2).norm_f == norm
+        assert not hasattr(modal_coefficients(CTX2, fresh, 2), "norm_f")
         modal = project_modes(fresh, 2)
         cut = np.sqrt(2.0 * np.pi * np.sum(np.abs(modal.values) ** 2 @ (modal.rule.weights * modal.rule.nodes)))
         assert abs(cut - norm) > 1e-3 * norm
@@ -556,18 +557,23 @@ class TestCoefficientCache:
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 0.0
 
-    def test_derived_sources_project_afresh(self, projections):
+    def test_derived_sources_share_their_leaves_projections(self, projections):
         f = gaussian_source(CTX2, center=[0.3, 0.0], sigma=0.2)
         g = make_2d_bessel_nonradiating(CTX2)
         co_f = modal_coefficients(CTX2, f, 6)
         co_scaled = modal_coefficients(CTX2, f.scaled(2.0), 6)
         co_sum = modal_coefficients(CTX2, f + g, 6)
-        assert projections == [6, 6, 6]
-        assert co_scaled.norm_f == pytest.approx(2.0 * co_f.norm_f, rel=1e-14)
+        # f's projection, then g's, each kept on its leaf: a scaled source
+        # or a sum projects nothing of its own
+        assert projections == [6, 6]
+        co_g = modal_coefficients(CTX2, g, 6)
+        assert projections == [6, 6]
+        np.testing.assert_array_equal(co_scaled.alpha, 2.0 * co_f.alpha)
+        np.testing.assert_array_equal(co_sum.alpha, co_f.alpha + co_g.alpha)
+        # g is invisible: the sum's alpha is f's to rounding, but its norm is not f's
         peak = np.max(np.abs(co_f.alpha))
-        assert np.max(np.abs(co_scaled.alpha - 2.0 * co_f.alpha)) <= 1e-13 * peak
-        # g is invisible: the sum's alpha is f's, but its norm is not
-        assert co_sum.norm_f > 10 * co_f.norm_f
+        assert np.max(np.abs(co_sum.alpha - co_f.alpha)) <= 1e-13 * peak
+        assert (f + g).l2_norm() > 10 * f.l2_norm()
 
 
 def _counting(profile):

@@ -1,5 +1,7 @@
 """Characterization machinery: transforms, trace functionals, verdicts."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -18,6 +20,7 @@ from biharwave.sources import (
 )
 from biharwave.spectral import (
     PROBE_FACTORS,
+    STABILITY_MARGIN,
     InconsistencyError,
     VerdictConfig,
     direction_grid,
@@ -322,7 +325,7 @@ class TestVerdict:
     def test_truncation_monotonicity(self):
         src = _gaussian(CTX2)
         resids = [
-            modal_coefficients(CTX2, src, N).max_residual() for N in (4, 8, 16, 24)
+            modal_coefficients(CTX2, src, N).max_residual(src.l2_norm()) for N in (4, 8, 16, 24)
         ]
         assert all(b >= a * (1 - 1e-12) for a, b in zip(resids, resids[1:]))
 
@@ -366,6 +369,15 @@ class TestVerdict:
     def test_config_takes_numpy_numbers(self):
         cfg = VerdictConfig(tolerance=np.float32(1e-6), truncation=np.int64(5), direction_count=np.int32(8))
         assert (cfg.truncation, cfg.direction_count) == (5, 8)
+
+    def test_verdict_of_numpy_config_numbers_is_plain_json(self):
+        # the verdict keeps the config's tolerance and truncation as float
+        # and int: a float32 or an int64 would not pass json.dumps
+        cfg = VerdictConfig(tolerance=np.float32(1e-6), truncation=np.int64(12), direction_count=np.int32(8))
+        result = verdict(CTX2, _gaussian(CTX2), cfg)
+        assert type(result.tolerance) is float and type(result.truncation) is int
+        assert result.tolerance == float(np.float32(1e-6)) and result.truncation == 12 + STABILITY_MARGIN
+        assert json.loads(json.dumps(result.to_dict()))["N"] == 12 + STABILITY_MARGIN
 
     def test_truncation_too_low_raises_inconsistency(self):
         from biharwave.spectral import InconsistencyError
