@@ -223,6 +223,51 @@ MUTANTS = (
         "    if False:  # every residual",
         ("tests/test_cli.py::test_source_no_node_sees_is_refused",),
     ),
+    Mutant(
+        "boundary-weights-unscaled",
+        "src/biharwave/spectral.py",
+        "    weights = ctx.radius ** (ctx.dimension - 1) * rule.weights\n",
+        "    weights = rule.weights\n",
+        ("tests/test_spectral.py::TestConsistencyTriangle::test_all_routes_agree",),
+    ),
+    Mutant(
+        "boundary-points-unscaled",
+        "src/biharwave/spectral.py",
+        "    nodes = ctx.radius * rule.directions\n",
+        "    nodes = rule.directions\n",
+        ("tests/test_spectral.py::TestConsistencyTriangle::test_all_routes_agree",),
+    ),
+    Mutant(
+        "lattice-tolerance-loose",
+        "src/biharwave/fields.py",
+        "_LATTICE_TOL = 1e-12\n",
+        "_LATTICE_TOL = 1e-3\n",
+        ("tests/test_fields.py::TestSymmetryGroupQuadrature::test_near_image_forms_its_own_group",),
+    ),
+    Mutant(
+        "row-mask-dropped",
+        "src/biharwave/sources.py",
+        "        if outside.any():\n",
+        "        if False:\n",
+        (
+            "tests/test_sources.py::TestRadialPath::test_support_masks_nodes_at_or_beyond_it",
+            "tests/test_sources.py::TestRadialPath::test_pointwise_support_masks_nodes_at_or_beyond_it",
+        ),
+    ),
+    Mutant(
+        "ratio-signs-flipped",
+        "src/biharwave/specfun.py",
+        "_RATIO_SIGNS = np.array([[-1.0], [1.0]])\n",
+        "_RATIO_SIGNS = np.array([[1.0], [-1.0]])\n",
+        ("tests/test_specfun.py::TestRegularWaveTables::test_matches_mpmath_on_modal_nodes",),
+    ),
+    Mutant(
+        "forward-signs-flipped",
+        "src/biharwave/specfun.py",
+        "_FORWARD_SIGNS = np.array([[-1.0], [-1.0], [1.0]])\n",
+        "_FORWARD_SIGNS = np.array([[1.0], [1.0], [-1.0]])\n",
+        ("tests/test_specfun.py::TestExteriorWaveTables::test_far_arguments_match_mpmath",),
+    ),
 )
 
 

@@ -3,10 +3,15 @@
 Runs ``spectral.verdict`` with every ``VerdictConfig`` setting at its
 default on ``WaveContext.with_root_wavenumber(d, 1.0, k)`` (R = 1) for
 
-    2D bump, rho = 0.8R   roots 1-12
-    2D Bessel             roots 1-14
-    3D Bessel             roots 1-12  (exponents 3 and 4)
-    3D bump, rho = 0.8R   roots 1-6
+    2D bump, rho = 0.8R                roots 1-12
+    2D Bessel                          roots 1-14
+    3D Bessel                          roots 1-12  (exponents 3 and 4)
+    3D bump, rho = 0.8R                roots 1-6
+    2D bump, rho = 0.3R                root 2     (ROADMAP item 1's small bumps,
+    2D bump, rho = 0.3R at (0.5, 0)    root 2      which the default grids
+    2D bump, rho = 0.2R at (0.5, 0.2)  root 2      do not resolve)
+    2D bump, rho = 0.5R                root 2
+    3D bump, rho = 0.3R                root 1
 
 and prints one line per root: the class ("nonradiating" or "radiating") or
 the refusal (the exception's class), then the modal, spectral and field
@@ -30,21 +35,27 @@ import sys
 from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# (label, dimension, family, highest root index)
+# (label, dimension, family, root indices, the bump's (rho / R, centre / R))
 SWEEP = [
-    ("2D bump, ρ = 0.8R", 2, "bump", 12),
-    ("2D Bessel", 2, "bessel", 14),
-    ("3D Bessel", 3, "bessel", 12),
-    ("3D bump, ρ = 0.8R", 3, "bump", 6),
+    ("2D bump, ρ = 0.8R", 2, "bump", range(1, 13), (0.8, None)),
+    ("2D Bessel", 2, "bessel", range(1, 15), None),
+    ("3D Bessel", 3, "bessel", range(1, 13), None),
+    ("3D bump, ρ = 0.8R", 3, "bump", range(1, 7), (0.8, None)),
+    ("2D bump, ρ = 0.3R", 2, "bump", [2], (0.3, None)),
+    ("2D bump, ρ = 0.3R at (0.5, 0)", 2, "bump", [2], (0.3, [0.5, 0.0])),
+    ("2D bump, ρ = 0.2R at (0.5, 0.2)", 2, "bump", [2], (0.2, [0.5, 0.2])),
+    ("2D bump, ρ = 0.5R", 2, "bump", [2], (0.5, None)),
+    ("3D bump, ρ = 0.3R", 3, "bump", [1], (0.3, None)),
 ]
 _NAMED = re.compile(r"modal (\S+), spectral (\S+), field (\S+?);")
 
 
-def row(bw, dimension: int, family: str, root: int) -> tuple[str, list[str]]:
+def row(bw, dimension: int, family: str, root: int, bump) -> tuple[str, list[str]]:
     """(class or refusal, the three residuals as text) of one default verdict."""
     ctx = bw.WaveContext.with_root_wavenumber(dimension, 1.0, root)
     if family == "bump":
-        src = bw.make_bump_nonradiating(ctx, rho=0.8)
+        rho, center = bump
+        src = bw.make_bump_nonradiating(ctx, rho=rho, center=center)
     elif dimension == 2:
         src = bw.make_2d_bessel_nonradiating(ctx)
     else:
@@ -80,14 +91,15 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.root.resolve() / "src"))
     import biharwave as bw
 
-    print(f"{'source':<20} {'root':>4} {'kappa*R':>8}  {'result':<34} {'modal':>10} {'spectral':>10} {'field':>10}")
+    width = max(len(entry[0]) for entry in SWEEP)
+    print(f"{'source':<{width}} {'root':>4} {'kappa*R':>8}  {'result':<34} {'modal':>10} {'spectral':>10} {'field':>10}")
     summary = []
-    for label, dimension, family, top in SWEEP:
+    for label, dimension, family, roots, bump in SWEEP:
         classes: dict[str, list[int]] = {"nonradiating": [], "radiating": [], "refuses": []}
-        for root in range(1, top + 1):
-            result, residuals = row(bw, dimension, family, root)
+        for root in roots:
+            result, residuals = row(bw, dimension, family, root, bump)
             kr = bw.WaveContext.with_root_wavenumber(dimension, 1.0, root).kappa
-            print(f"{label:<20} {root:>4} {kr:>8.4f}  {result:<34} "
+            print(f"{label:<{width}} {root:>4} {kr:>8.4f}  {result:<34} "
                   + " ".join(f"{x:>10}" for x in residuals), flush=True)
             classes[result.split()[0]].append(root)
         summary.append((label, classes))

@@ -15,7 +15,6 @@ from .fields import (
 from .kernels import green_biharmonic
 from .quadrature import (
     AngularRule,
-    BoundaryGrid,
     RadialRule,
     angular_rule,
     boundary_grid,

@@ -75,7 +75,7 @@ import numpy as np
 from . import specfun
 from .context import WaveContext
 from .kernels import kernel_tables
-from .quadrature import BoundaryGrid, spherical_params
+from .quadrature import AngularRule, spherical_params
 from .sources import SourceField, SupportViolationError, _check_dimension, _squared_distance, modal_coefficients
 
 # Slack within which two points count as images of one another under the
@@ -102,9 +102,10 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """The four measurement channels on the boundary sphere."""
+    """The four measurement channels on the context's sphere |x| = R, at
+    R times the directions of the boundary rule (quadrature.boundary_grid)."""
 
-    grid: BoundaryGrid
+    grid: AngularRule
     u: np.ndarray
     du_dnu: np.ndarray
     lap_u: np.ndarray
@@ -497,11 +498,12 @@ def eval_field(ctx: WaveContext, src: SourceField, point, **kwargs) -> FieldSamp
 def boundary_trace(
     ctx: WaveContext,
     src: SourceField,
-    grid: BoundaryGrid,
+    grid: AngularRule,
     truncation: int | None = None,
 ) -> BoundaryTrace:
     """The four boundary channels (u, normal derivative, Laplacian, its
-    normal derivative) on the measurement grid, from the exterior series of
+    normal derivative) on the context's sphere |x| = R at the directions of
+    the boundary rule (quadrature.boundary_grid), from the exterior series of
     the source's coefficients at the truncation (default_mode_truncation
     when None).
 
@@ -518,19 +520,17 @@ def boundary_trace(
     once on the grid's rule by specfun.rule_synthesis: in 2D by one inverse
     FFT over the equispaced angles, in 3D by one Legendre sum per order and
     polar ring, then an inverse FFT over the azimuths.  Neither builds a dense angular
-    basis.  The channels are synthesized at |x| = R, so a grid of another
-    dimension or radius than the context's is refused, naming both.
+    basis.  A rule of another dimension than the context's is refused,
+    naming both.
     """
-    if grid.angular.dimension != ctx.dimension:
-        raise ValueError(f"the boundary grid is {grid.angular.dimension}D but the context is {ctx.dimension}D")
-    if abs(grid.radius - ctx.radius) > 1e-12 * ctx.radius:
-        raise ValueError(f"the boundary grid has radius {grid.radius} but the context has R = {ctx.radius}")
+    if grid.dimension != ctx.dimension:
+        raise ValueError(f"the boundary grid is {grid.dimension}D but the context is {ctx.dimension}D")
     if src.support_radius > ctx.radius * (1 + 1e-12):
         raise SupportViolationError(
             f"source support {src.support_radius} exceeds the context ball R = {ctx.radius}"
         )
     coeffs = modal_coefficients(ctx, src, truncation)
-    f_h, f_m, df_h, df_m = _sphere_series(ctx, coeffs, grid.angular)
+    f_h, f_m, df_h, df_m = _sphere_series(ctx, coeffs, grid)
     scale = 1.0 / (2.0 * ctx.kappa**2)
     return BoundaryTrace(
         grid=grid,

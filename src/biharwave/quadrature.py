@@ -2,7 +2,9 @@
 
 Node/weight sets are plain data and are reused across the library: the same
 radial rule that integrates a source also carries its angular-mode profiles,
-and the boundary grid doubles as the measurement surface for traces.
+and an angular rule doubles as the measurement surface for traces, the data
+on the context's sphere |x| = R (boundary_grid), where R scales it only
+when the trace functionals sum over it.
 
 A source's grids end at its support: a radial rule keeps the Gauss-Legendre
 nodes and weights of [0, R] below an extent (the support radius) and drops
@@ -81,34 +83,6 @@ class AngularRule:
         return self.params[first, 0], self.weights[first]
 
 
-@dataclass(frozen=True)
-class BoundaryGrid:
-    """Measurement nodes on the boundary sphere of radius R: the angular rule
-    scaled to radius R.
-
-    points = R * normals; weights are surface weights summing to the sphere
-    measure; normals, params and the polar and azimuth counts are those of
-    the angular rule.
-    """
-
-    radius: float
-    angular: AngularRule
-    points: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def normals(self) -> np.ndarray:
-        return self.angular.directions
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.angular.params
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
 @functools.lru_cache(maxsize=64)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], solved once per order."""
@@ -180,21 +154,18 @@ def spherical_params(pts: np.ndarray):
     return r, theta, phi
 
 
-def boundary_grid(ctx: WaveContext, resolution: int | None = None) -> BoundaryGrid:
-    """Grid on the boundary sphere |x| = R with outward unit normals.
+def boundary_grid(ctx: WaveContext, resolution: int | None = None) -> AngularRule:
+    """The angular rule of the boundary sphere |x| = R of the context.
 
-    resolution is the angular count (2D) or polar count (3D); must be >= 8.
+    Its directions are the outward unit normals there; the boundary nodes
+    are R times them and their surface weights R**(d-1) times the rule's
+    weights, scaled where they are summed (spectral._trace_transform), so R
+    is the context's alone.  resolution is the angular count (2D) or polar
+    count (3D); must be >= 8.
     """
     if resolution is not None:
         _check_integer("resolution", resolution, 8)
-    ang = angular_rule(ctx, resolution)
-    scale = ctx.radius ** (ctx.dimension - 1)
-    return BoundaryGrid(
-        radius=ctx.radius,
-        angular=ang,
-        points=ctx.radius * ang.directions,
-        weights=scale * ang.weights,
-    )
+    return angular_rule(ctx, resolution)
 
 
 @dataclass(frozen=True)

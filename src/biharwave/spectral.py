@@ -12,6 +12,9 @@ The spectral data can also be recovered purely from boundary measurements:
 the functionals assembled in u_hat_from_trace / v_check_from_trace equal the
 two transforms on the radius-kappa sphere, which is exactly why boundary
 data at one frequency cannot determine more of the source than that sphere.
+The measurements are data on the context's sphere |x| = R: a trace keeps
+only the angular rule of its nodes, and the functionals scale the rule's
+directions and weights by the context's R.
 
 The modal route takes a source (SourceField) and nothing else: its
 coefficients come from sources.modal_coefficients at the truncation asked
@@ -233,7 +236,9 @@ def laplace_transform_quadrature(ctx: WaveContext, src: SourceField, directions)
 def _trace_transform(ctx, trace, directions, oscillating):
     """-sum_x w [(d_nu lap u + c d_nu u) + (z . nu)(lap u + c u)] exp(-z . x)
     over the boundary nodes, with z = i kappa dir (oscillating) or kappa dir,
-    and c = z . z.
+    and c = z . z.  The trace is data on the context's sphere |x| = R: its
+    nodes x are R times the directions nu of its rule (the outward normals)
+    and their surface weights w are R**(d-1) times the rule's weights.
 
     The channels group into the d + 1 columns [p, nu_1 q, ..., nu_d q] with
     p = d_nu lap u + c d_nu u and q = lap u + c u; fields._phase_sums sums
@@ -242,10 +247,12 @@ def _trace_transform(ctx, trace, directions, oscillating):
     fields._TABLE_BUDGET entries.
     """
     dirs = _check_directions(ctx, directions)
-    g = trace.grid
+    rule = trace.grid
+    nodes = ctx.radius * rule.directions
+    weights = ctx.radius ** (ctx.dimension - 1) * rule.weights
     c = -ctx.kappa**2 if oscillating else ctx.kappa**2
-    cols = np.vstack([trace.dlap_u_dnu + c * trace.du_dnu, g.normals.T * (trace.lap_u + c * trace.u)])
-    sums = fields._phase_sums(ctx, g.points, cols, g.weights, dirs, oscillating)
+    cols = np.vstack([trace.dlap_u_dnu + c * trace.du_dnu, rule.directions.T * (trace.lap_u + c * trace.u)])
+    sums = fields._phase_sums(ctx, nodes, cols, weights, dirs, oscillating)
     z = (1j if oscillating else 1.0) * ctx.kappa * dirs
     return -(sums[:, 0] + np.sum(z * sums[:, 1:], axis=1))
 

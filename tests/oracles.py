@@ -35,7 +35,6 @@ import numpy as np
 from scipy import special as _sp
 
 from biharwave import specfun
-from biharwave.quadrature import product_grid
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -138,12 +137,11 @@ def sph_hankel1_imag_dt(n: int, t):
 # ---------------------------------------------------------------------------
 # Complex direct-quadrature sums (references for the real kernel tables)
 # ---------------------------------------------------------------------------
-def _weighted_values(ctx, src):
-    # the whole [0, R] rule, not the source's grid that ends at its support:
-    # the rows beyond it read zero here, so a reference that sums them
-    # checks that dropping them is exact
-    grid = product_grid(ctx, src.resolve_radial_order())
-    return grid, src.values_on(grid) * grid.weights
+def _weighted_values(src):
+    # the grid the library's direct sums walk for a source of one leaf: its
+    # own default grid and samples, wherever that grid puts its nodes
+    grid, values = src.default_samples()
+    return grid, values * grid.weights
 
 
 def dense_kernel_sums(ctx, src, pts):
@@ -151,7 +149,7 @@ def dense_kernel_sums(ctx, src, pts):
     explicit distances, and the sums of the integrands' magnitudes, which
     bound their rounding.  2D kernels: (i/4) H^(1)_0 and K_0 / (2 pi) from
     AMOS; 3D: exp(+-i kappa r) / (4 pi r) by complex exp."""
-    grid, fw = _weighted_values(ctx, src)
+    grid, fw = _weighted_values(src)
     sums = []
     for chunk in np.array_split(pts, -(-len(pts) * len(fw) // 2**20)):  # about 2**20 pairs each
         dist = np.linalg.norm(chunk[:, None, :] - grid.points[None, :, :], axis=-1)
@@ -168,7 +166,7 @@ def volume_transform(ctx, src, dirs, scale):
     """sum over the source's grid of exp(scale * dir . y) f(y) w(y) by complex
     exp, one value per direction, and sum |f w|, which bounds the rounding of
     the oscillating transform."""
-    grid, fw = _weighted_values(ctx, src)
+    grid, fw = _weighted_values(src)
     return np.exp(scale * (dirs @ grid.points.T)) @ fw, float(np.sum(np.abs(fw)))
 
 

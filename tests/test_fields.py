@@ -177,8 +177,8 @@ def _assert_matches_dense_sum(ctx, src, pts, f_h, f_m):
 def _orbit_values(grid, f, equator=False):
     """Kernel values one symmetry group evaluates on the grid, R P' n': its
     canonical point's tables on a fundamental domain of its stabilizer over
-    the grid's R radial nodes (those inside the source's support, on the
-    source's own grid), n/2 + 1 azimuth columns at f = 0 (l -> -l), n/2 at
+    the grid's R radial nodes (the source's own grid, the one its direct
+    sums walk), n/2 + 1 azimuth columns at f = 0 (l -> -l), n/2 at
     f = 1/2 (l -> 1 - l), all n otherwise, and half the polar rings on the
     3D equator."""
     n, polar = grid.angular.azimuth_count, grid.angular.polar_count
@@ -203,10 +203,9 @@ class TestSymmetryGroupQuadrature:
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
         grid, _ = src.default_samples()
         # every probe is on the angle lattice (f = 0): 129 of 256 columns,
-        # on the radial nodes inside the support (Gaussian 51 of 64, bump
-        # 226 of 320)
+        # on each radial node of the source's grid
         assert kernel_values[0] == len(PROBE_FACTORS) * _orbit_values(grid, 0)
-        assert kernel_values[0] == {"gaussian": 19737, "bump": 87462}[kind]
+        assert kernel_values[0] == len(PROBE_FACTORS) * 129 * grid.shape[0]
         ref_h, ref_m, _, _ = _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
         if kind == "gaussian":
             assert np.max(np.abs(f_h - ref_h)) <= 1e-13 * np.max(np.abs(ref_h))
@@ -230,10 +229,9 @@ class TestSymmetryGroupQuadrature:
         # per radius: f = 0 and f = 1/3, each on the equator and off it
         per_radius = sum(_orbit_values(grid, f, eq) for f in (0, 1 / 3) for eq in (True, False))
         assert kernel_values[0] == len(PROBE_FACTORS) * per_radius
-        # 13,968 per radial node inside the support: the Gaussian keeps 51
-        # of 64, the full-ball Bessel source all 64 (893,952 of 12 * 131,072)
-        # and the bump 226 of 320
-        assert kernel_values[0] == {"gaussian": 712368, "bessel": 893952, "bump": 3156768}[kind]
+        # 13,968 per radial node of the source's grid (on the 64-node grid
+        # of the whole-ball Bessel source, 893,952 of 12 * 131,072)
+        assert kernel_values[0] == 13968 * grid.shape[0]
         _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
 
     @pytest.mark.parametrize(
@@ -257,7 +255,7 @@ class TestSymmetryGroupQuadrature:
             dirs, _ = direction_grid(CTX3, 16)
             pts = np.vstack([1.05 * dirs, 3.0 * dirs])
         _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
-        grid = product_grid(ctx, src.resolve_radial_order())
+        grid, _ = src.default_samples()
         assert kernel_values[0] == sum(_orbit_values(grid, *orbit) for orbit in orbits)
         if layout == "half-step":
             assert kernel_values[0] == 8192  # 64 x 128 columns
@@ -295,7 +293,7 @@ class TestSymmetryGroupQuadrature:
         # any point and must take tables of its own
         src = _complex_gaussian(ctx)
         dirs, params = direction_grid(ctx, 16)
-        grid = product_grid(ctx, src.resolve_radial_order())
+        grid, _ = src.default_samples()
         # of dirs[0] and dirs[1]: one on the 2D lattice, two off the 3D equator
         groups = _orbit_values(grid, 0) + (_orbit_values(grid, 1 / 3) if ctx.dimension == 3 else 0)
         nodes = grid.points.shape[0]
@@ -333,7 +331,7 @@ class TestSymmetryGroupQuadrature:
         r, theta, phi = np.array([p[:3] for p in params]).T
         pts = r[:, None] * np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
         _, f_h, f_m = eval_field_batch(CTX3, src, pts, method="quadrature")
-        grid = product_grid(CTX3, 67)
+        grid, _ = src.default_samples()
         assert kernel_values[0] == sum(_orbit_values(grid, *p[3]) for p in params if p[3])
         _, _, mag_h, mag_m = _assert_matches_dense_sum(CTX3, src, pts, f_h, f_m)
         alone = [eval_field_batch(CTX3, src, p[None, :], method="quadrature") for p in pts]
@@ -349,8 +347,8 @@ class TestSymmetryGroupQuadrature:
         pts *= (1.2 + rng.random((40, 1))) / np.linalg.norm(pts, axis=1, keepdims=True)
         _, f_h, f_m = eval_field_batch(CTX2, src, pts, method="quadrature")
         grid, _ = src.default_samples()
-        # a whole table per point on the 51 of 64 radial nodes inside the support
-        assert kernel_values[0] == len(pts) * grid.points.shape[0] == 40 * 51 * 256
+        # a whole table per point on every node of the source's grid
+        assert kernel_values[0] == len(pts) * grid.points.shape[0] == 40 * 256 * grid.shape[0]
         _assert_matches_dense_sum(CTX2, src, pts, f_h, f_m)
 
 
@@ -482,8 +480,8 @@ class TestBoundaryTrace:
         tr = boundary_trace(ctx, src, grid)
         eps = 1e-4 * ctx.radius
         node = 3
-        point = grid.points[node]
-        nu = grid.normals[node]
+        nu = grid.directions[node]
+        point = ctx.radius * nu
         up = eval_field_batch(ctx, src, (point + eps * nu)[None, :], method="modal")[0][0]
         dn = eval_field_batch(ctx, src, (point - eps * nu)[None, :], method="modal")[0][0]
         fd = (up - dn) / (2.0 * eps)
@@ -498,7 +496,7 @@ class TestBoundaryTrace:
         def u_scalar(p):
             return eval_field_batch(CTX2, src, p[None, :], method="modal")[0][0]
 
-        fd = oracles.fd_laplacian(u_scalar, grid.points[node], 2e-4)
+        fd = oracles.fd_laplacian(u_scalar, CTX2.radius * grid.directions[node], 2e-4)
         assert abs(fd - tr.lap_u[node]) < 1e-5 * max(1.0, abs(tr.lap_u[node]))
 
     def test_support_violation(self):
@@ -508,13 +506,15 @@ class TestBoundaryTrace:
         with pytest.raises(Exception):
             boundary_trace(big, src, grid)
 
-    def test_grid_of_another_radius_refused(self):
-        # the channels are synthesized at |x| = R of the context: on a grid
-        # of radius 2 under R = 1 they were labelled with the grid's points,
-        # and u_hat_from_trace missed f_hat by 2.3 times its peak, silently
-        grid = boundary_grid(WaveContext(2, CTX2.kappa, 2.0), 16)
-        with pytest.raises(ValueError, match=r"grid has radius 2\.0 but the context has R = 1\.0"):
-            boundary_trace(CTX2, _gaussian(CTX2), grid)
+    def test_rule_holds_no_radius(self):
+        # the trace is data on the context's sphere |x| = R: the boundary
+        # rule of a context of R = 2 is the rule of R = 1, and gives the
+        # same trace under R = 1, so no second radius can disagree with R
+        other = boundary_grid(WaveContext(2, CTX2.kappa, 2.0), 16)
+        grid = boundary_grid(CTX2, 16)
+        assert np.array_equal(other.directions, grid.directions) and np.array_equal(other.weights, grid.weights)
+        src = _gaussian(CTX2)
+        assert np.array_equal(boundary_trace(CTX2, src, other).stacked(), boundary_trace(CTX2, src, grid).stacked())
 
     def test_grid_of_another_dimension_refused(self):
         # a 3D grid under a 2D context gave a 2048-value trace, which failed
@@ -573,7 +573,7 @@ class TestSeparableModalRoute:
         # rounding (measured 3e-16 to 6e-16 of each one's peak)
         N, M = coeffs.truncation, 64
         grid = boundary_grid(CTX2, M)
-        series = fields._sphere_series(CTX2, coeffs, grid.angular)
+        series = fields._sphere_series(CTX2, coeffs, grid)
         r = np.full(grid.count, CTX2.radius)
         # the grid's angles are the lattice 2 pi j / M, so n theta_j reduces
         # exactly to 2 pi (n j mod M) / M: exp(i n theta_j) at |n| = 100
@@ -674,13 +674,14 @@ class TestFarField:
     def test_phase_sums_do_not_depend_on_the_data_layout(self, ctx, oscillating):
         # the trace functionals' columns stack normals.T * q, which is
         # Fortran-ordered: the same columns in either memory order give the
-        # same bits, since the weighted rows are laid out in C order
+        # same bits, since the weighted rows are laid out in C order (at
+        # R = 1 the boundary nodes and weights are the rule's own)
         grid = boundary_grid(ctx)
         trace = boundary_trace(ctx, _gaussian(ctx), grid)
-        columns = grid.normals.T * trace.lap_u
+        columns = grid.directions.T * trace.lap_u
         assert columns.flags.f_contiguous and not columns.flags.c_contiguous
         dirs, _ = direction_grid(ctx, 32)
-        sums = [fields._phase_sums(ctx, grid.points, data, grid.weights, dirs, oscillating)
+        sums = [fields._phase_sums(ctx, grid.directions, data, grid.weights, dirs, oscillating)
                 for data in (columns, np.ascontiguousarray(columns))]
         assert np.array_equal(sums[0].view(np.uint64), sums[1].view(np.uint64))
 

@@ -106,27 +106,27 @@ class TestAngularRule:
 
 
 class TestBoundaryGrid:
+    """The boundary rule is the context's angular rule: its directions are
+    the outward unit normals of the sphere |x| = R, and R scales its nodes
+    and weights only where the trace functionals sum over them."""
+
     def test_2d_measures(self):
         grid = quadrature.boundary_grid(CTX2, 64)
-        assert np.sum(grid.weights) == pytest.approx(2.0 * np.pi * CTX2.radius, abs=1e-13)
-        assert np.allclose(np.linalg.norm(grid.points, axis=1), CTX2.radius, atol=1e-13)
-        assert np.allclose(np.linalg.norm(grid.normals, axis=1), 1.0, atol=1e-13)
+        assert isinstance(grid, quadrature.AngularRule) and grid.count == 64
+        assert np.sum(grid.weights) == pytest.approx(2.0 * np.pi, abs=1e-13)
+        assert np.allclose(np.linalg.norm(grid.directions, axis=1), 1.0, atol=1e-13)
         assert np.all(grid.weights > 0)
         # weights dotted with nu.nu reproduce the measure (normals are unit)
-        assert np.sum(grid.weights * np.sum(grid.normals**2, axis=1)) == pytest.approx(
-            2.0 * np.pi * CTX2.radius, abs=1e-12
-        )
+        assert np.sum(grid.weights * np.sum(grid.directions**2, axis=1)) == pytest.approx(2.0 * np.pi, abs=1e-12)
 
     def test_3d_measures(self):
         grid = quadrature.boundary_grid(CTX3, 16)
-        assert np.sum(grid.weights) == pytest.approx(
-            4.0 * np.pi * CTX3.radius**2, rel=1e-13
-        )
+        assert np.sum(grid.weights) == pytest.approx(4.0 * np.pi, rel=1e-13)
 
     def test_first_coordinate_second_moment(self):
         # integral over the unit circle of y_1^2 ds = pi, dense-trapezoid oracle
         grid = quadrature.boundary_grid(WaveContext(2, 1.0, 1.0), 128)
-        got = np.sum(grid.points[:, 0] ** 2 * grid.weights)
+        got = np.sum(grid.directions[:, 0] ** 2 * grid.weights)
         ref = oracles.trapezoid_angular(lambda t: np.cos(t) ** 2)
         assert got == pytest.approx(np.pi, abs=1e-12)
         assert got == pytest.approx(ref.real, abs=1e-12)

@@ -9,7 +9,7 @@ from scipy import special as sp
 
 from biharwave import WaveContext, specfun
 from biharwave.fields import boundary_trace, eval_field_batch
-from biharwave.quadrature import boundary_grid, product_grid
+from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.spectral import (
     STABILITY_MARGIN,
     InconsistencyError,
@@ -152,17 +152,25 @@ class TestModalCoefficients:
                 modal_coefficients(ctx, gaussian_source(ctx), 4)
 
     def test_beta_finite_when_the_support_keeps_it_in_range(self):
-        # support 0.9 at kappa 800: I_n(kappa r) stays finite on the nodes
-        # inside the support (kappa r < 714), and the grid has no node
-        # beyond it where inf * 0 would make NaN.  max |beta| continues the
-        # trend of kappa 600 and 700 (6.0e218, 3.0e257).
-        ctx = WaveContext(dimension=2, kappa=800.0, radius=1.0)
+        # support 0.9 at kappa 780: kappa times the support, 702, stays below
+        # the 713 where I_n(kappa r) overflows, though kappa R does not, and
+        # the source's grid has no node beyond its support where inf * 0
+        # would make NaN.  beta is the reference sum
+        # i^n / (2 pi) sum_y f(y) w(y) I_|n|(kappa |y|) exp(-i n theta_y)
+        # over the source's own grid, I_n from scipy's exp-scaled ive
+        ctx = WaveContext(dimension=2, kappa=780.0, radius=1.0)
         src = gaussian_source(ctx, center=[0.25, 0.0], sigma=0.1, support_radius=0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             co = modal_coefficients(ctx, src, 4)
         assert np.all(np.isfinite(co.alpha)) and np.all(np.isfinite(co.beta))
-        assert 1e296 < np.max(np.abs(co.beta)) < 1e297
+        grid, values = src.default_samples()
+        r, theta, _ = spherical_params(grid.points)
+        n = specfun.mode_degrees(2, 4)[:, None]
+        kr = ctx.kappa * r
+        terms = values * grid.weights * sp.ive(np.abs(n), kr) * np.exp(kr) * np.exp(-1j * n * theta)
+        ref = 1j ** n[:, 0] * np.sum(terms, axis=1) / (2.0 * np.pi)
+        assert np.max(np.abs(co.beta - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_non_finite_alpha_named(self, monkeypatch):
         # a NaN alpha would make max_residual NaN, which reads as "radiating"

@@ -872,7 +872,7 @@ class TestSeparatedTransforms:
     def test_synthesis_matches_dense_block(self, truncation, resolution):
         # the folded case has degrees above azimuth/2 = 40: orders m and
         # m - 80 share a lattice column
-        ang = boundary_grid(WaveContext(3, 1.0, 1.0), resolution).angular
+        ang = boundary_grid(WaveContext(3, 1.0, 1.0), resolution)
         coeffs = _random_complex((truncation + 1) ** 2, 2, resolution)
         got = specfun.sph_synthesis(coeffs, ang.rings[0], ang.azimuth_count)
         ref = oracles.dense_sph_synthesis(coeffs, ang.params)

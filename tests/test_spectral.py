@@ -8,7 +8,7 @@ from scipy import special as sp
 
 from biharwave import WaveContext, specfun
 from biharwave.fields import BoundaryTrace, boundary_trace, eval_field_batch, far_field
-from biharwave.quadrature import boundary_grid, product_grid
+from biharwave.quadrature import boundary_grid
 from biharwave.sources import (
     SourceField,
     default_mode_truncation,
@@ -41,8 +41,10 @@ CTX3 = WaveContext.with_root_wavenumber(3, 1.0, 1)
 
 
 def _gaussian(ctx):
+    """A Gaussian whose centre, width and support scale with R."""
     center = [0.25, 0.0] if ctx.dimension == 2 else [0.2, 0.1, 0.15]
-    return gaussian_source(ctx, center=center, sigma=0.1, support_radius=0.9)
+    R = ctx.radius
+    return gaussian_source(ctx, center=np.multiply(R, center), sigma=0.1 * R, support_radius=0.9 * R)
 
 
 class TestFourierOnCircle:
@@ -168,9 +170,11 @@ class TestTraceFunctionals:
         z = (1j if oscillating else 1.0) * ctx.kappa * dirs
         c = np.sum(z * z, axis=1)[:, None]
         transform = u_hat_from_trace if oscillating else v_check_from_trace
+        # the boundary nodes R nu and their surface weights R**(d-1) w
+        nodes, weights = ctx.radius * grid.directions, ctx.radius ** (ctx.dimension - 1) * grid.weights
         for u, du, lap, dlap in (channels, channels.real):
-            integrand = (dlap + c * du) + (z @ grid.normals.T) * (lap + c * u)
-            terms = integrand * np.exp(-(z @ grid.points.T)) * grid.weights
+            integrand = (dlap + c * du) + (z @ grid.directions.T) * (lap + c * u)
+            terms = integrand * np.exp(-(z @ nodes.T)) * weights
             got = transform(ctx, BoundaryTrace(grid, u, du, lap, dlap), dirs)
             assert got.shape == (len(dirs),)
             assert np.all(np.abs(got + terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1))
@@ -409,8 +413,9 @@ class TestVerdict:
         src = _gaussian(CTX3)
         verdict(CTX3, src)
         assert len(reads) == 3
-        # the default grid: the radial nodes inside the support, all angles
-        assert reads[1] == src.default_samples()[0].points.shape == (51 * 2048, 3)
+        # the default grid: its radial nodes times all 2048 angles
+        grid = src.default_samples()[0]
+        assert reads[1] == grid.points.shape == (grid.shape[0] * 2048, 3)
 
     def test_field_route_shares_kernel_rows(self, kernel_values):
         # the probes are images of each other under the source grid's
@@ -420,14 +425,14 @@ class TestVerdict:
         # would take its own table, 16 times as many kernel values
         src = _gaussian(CTX2)
         verdict(CTX2, src)
-        grid = product_grid(CTX2, src.resolve_radial_order())
-        assert kernel_values[0] <= len(PROBE_FACTORS) * grid.radial.order * grid.angular.count
+        grid, _ = src.default_samples()
+        assert kernel_values[0] <= len(PROBE_FACTORS) * grid.points.shape[0]
         # in 3D the 18 directions fall into 2 azimuth classes times 2 polar
         # classes, 12 groups over the three radii instead of 54 probes
         kernel_values[0] = 0
         src = _gaussian(CTX3)
         verdict(CTX3, src)
-        grid = product_grid(CTX3, src.resolve_radial_order())
+        grid, _ = src.default_samples()
         assert kernel_values[0] <= 12 * grid.points.shape[0]
 
     @pytest.mark.parametrize("dimension, root", [(2, 1), (2, 4), (2, 10), (3, 1), (3, 4)],
@@ -448,23 +453,31 @@ class TestVerdict:
         assert abs(result.residual_spectral - ref) <= 1e-14 * ref
 
 
+def _unresolved(rho):
+    """A strict xfail: the bump reads radiating on the default grids."""
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"ROADMAP item 1: the rho {rho}R bump is not resolved by the default grids")
+
+
 class TestUnresolvedBumps:
     """Every bump is nonradiating by construction, so a verdict on one must
-    certify it or refuse.  These small bumps read "radiating" on the
-    default grids, with all three routes agreeing on the wrong class
+    certify it or refuse.  The small bumps marked xfail read "radiating" on
+    the default grids, with all three routes agreeing on the wrong class
     (ROADMAP item 1: grids that cover the support, and a refusal when a grid
-    does not resolve the source); strict, so they fail once they flip."""
+    does not resolve the source); strict, so they fail once they flip.  The
+    centred rho 0.5R bump is refused today, a right answer."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: the rho 0.3R bump is not resolved by the default grids")
     @pytest.mark.parametrize(
-        "dimension, root, center",
-        [(2, 2, None), (2, 2, [0.5, 0.0]), (3, 1, None)],
-        ids=["2d-centred-root2", "2d-off-centre-root2", "3d-centred-root1"],
+        "dimension, root, rho, center",
+        [pytest.param(2, 2, 0.3, None, id="2d-centred-root2", marks=_unresolved(0.3)),
+         pytest.param(2, 2, 0.3, [0.5, 0.0], id="2d-off-centre-root2", marks=_unresolved(0.3)),
+         pytest.param(3, 1, 0.3, None, id="3d-centred-root1", marks=_unresolved(0.3)),
+         pytest.param(2, 2, 0.2, [0.5, 0.2], id="2d-rho0.2-off-centre-root2", marks=_unresolved(0.2)),
+         pytest.param(2, 2, 0.5, None, id="2d-rho0.5-centred-root2")],
     )
-    def test_small_bump_never_reads_radiating(self, dimension, root, center):
+    def test_small_bump_never_reads_radiating(self, dimension, root, rho, center):
         ctx = WaveContext.with_root_wavenumber(dimension, 1.0, root)
-        src = make_bump_nonradiating(ctx, rho=0.3 * ctx.radius, center=center)
+        src = make_bump_nonradiating(ctx, rho=rho * ctx.radius, center=center)
         try:
             result = verdict(ctx, src)
         except InconsistencyError:
@@ -497,7 +510,13 @@ class TestNonuniqueness:
 
 
 class TestConsistencyTriangle:
-    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    # the trace is data on the context's sphere |x| = R: at R = 0.5 and 2
+    # (kappa R the first root, the source scaled with R) the functionals
+    # scale the rule's directions by R and its weights by R**(d-1)
+    @pytest.mark.parametrize(
+        "ctx", [CTX2, CTX3] + [WaveContext.with_root_wavenumber(d, R, 1) for d in (2, 3) for R in (0.5, 2.0)],
+        ids=["2d", "3d", "2d-R0.5", "2d-R2", "3d-R0.5", "3d-R2"],
+    )
     def test_all_routes_agree(self, ctx):
         src = _gaussian(ctx)
         norm = src.l2_norm()
@@ -510,6 +529,7 @@ class TestConsistencyTriangle:
         fcheck = laplace_on_circle(ctx, src, dirs)
         vcheck = v_check_from_trace(ctx, tr, dirs)
         assert np.max(np.abs(fhat_m - fhat_q)) < 1e-9 * norm
+        assert np.max(np.abs(fhat_m - far_field(ctx, src, dirs))) < 1e-9 * norm
         assert np.max(np.abs(fhat_m - uhat)) < 1e-6 * norm
         assert np.max(np.abs(fcheck - vcheck)) < 1e-6 * norm
 
