@@ -9,6 +9,7 @@ never edits the tree it runs from.  Usage, from any directory:
 
     python scripts/mutants.py                    # each mutant against its expected tests
     python scripts/mutants.py --all              # each mutant against the whole suite
+    python scripts/mutants.py --only A,B         # only the mutants named A and B
 
 A run of the whole suite takes 30-40 s per mutant on 2 cores; the expected
 tests alone take a few seconds.  Each table row reads
@@ -268,6 +269,34 @@ MUTANTS = (
         "_FORWARD_SIGNS = np.array([[1.0], [1.0], [-1.0]])\n",
         ("tests/test_specfun.py::TestExteriorWaveTables::test_far_arguments_match_mpmath",),
     ),
+    Mutant(
+        "radial-leaf-unnormalized",
+        "src/biharwave/sources.py",
+        "            zero_mode = zero_mode * np.sqrt(4.0 * np.pi)\n",
+        "            pass\n",
+        (
+            "tests/test_sources.py::TestRadialLeafCoefficients::test_complex_profile_and_scaling_are_linear",
+            "tests/test_sources.py::TestRadialLeafCoefficients::test_projection_is_the_profile_on_the_leafs_rule",
+            "tests/test_sources.py::TestClosedFormRadialControls::test_alpha0_and_beta0_match_closed_forms",
+        ),
+    ),
+    Mutant(
+        "radial-leaf-route-radius",
+        "src/biharwave/sources.py",
+        "        modal = project_modes(src, truncation)\n",
+        "        modal = project_modes(src, truncation)\n"
+        "        if src._profile is not None:  # the rule from the route's context\n"
+        "            rule = radial_rule(ctx, src.radial_order, extent=src.support_radius)\n"
+        "            modal = ModalProfiles(modal.dimension, modal.truncation, rule, modal.values)\n",
+        ("tests/test_sources.py::TestRadialLeafCoefficients::test_route_context_of_another_kappa_and_radius",),
+    ),
+    Mutant(
+        "trace-context-unchecked",
+        "src/biharwave/spectral.py",
+        "    if trace.ctx != ctx:\n",
+        "    if False:\n",
+        ("tests/test_spectral.py::TestTraceFunctionals::test_trace_of_another_context_is_refused",),
+    ),
 )
 
 
@@ -304,15 +333,23 @@ def run(mutant: Mutant, whole_suite: bool) -> tuple[str, int, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--all", action="store_true", help="run the whole suite on each mutant")
+    parser.add_argument("--only", metavar="NAME[,NAME]", help="run only the named mutants")
     args = parser.parse_args(argv)
-    missing = [f"{m.name}: old text found {occurrences(m)} times in {m.path}" for m in MUTANTS if occurrences(m) != 1]
+    chosen = MUTANTS
+    if args.only is not None:
+        names = args.only.split(",")
+        unknown = sorted(set(names) - {m.name for m in MUTANTS})
+        if unknown:
+            parser.error(f"unknown mutant {unknown[0]!r}")
+        chosen = tuple(m for m in MUTANTS if m.name in names)
+    missing = [f"{m.name}: old text found {occurrences(m)} times in {m.path}" for m in chosen if occurrences(m) != 1]
     if missing:
         print("\n".join(missing), file=sys.stderr)
         return 1
     uncaught = 0
-    width = max(len(m.name) for m in MUTANTS)
+    width = max(len(m.name) for m in chosen)
     print(f"{'mutant':<{width}}  expected  result    pytest")
-    for mutant in MUTANTS:
+    for mutant in chosen:
         result, hit, summary = run(mutant, args.all)
         uncaught += result != "caught"
         print(f"{mutant.name:<{width}}  {f'{hit}/{len(mutant.expected)}':>8}  {result:<8}  {summary}", flush=True)

@@ -34,12 +34,15 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   the bump, and
 * angular-mode series built from the source's modal coefficients
   (sources.modal_coefficients, which the source keeps per truncation; valid
-  from the support radius outward), with the radial tables of
+  from the support radius outward; a radial leaf's are two radial sums of
+  its profile, so this route does not read the product-grid samples the
+  quadrature sums), with the radial tables of
   specfun.exterior_wave_tables expanded per mode (specfun.per_mode), and
   the series prefactors folded in by one function (_radial_tables), which
   the traces, the modal field and spectral.nullspace_residual all read.
   Boundary traces are such series
-  on the boundary rule, synthesized by specfun.rule_synthesis, their radial
+  on the boundary rule, synthesized by specfun.rule_synthesis, and keep the
+  context they were taken in (BoundaryTrace.ctx); their radial
   factors at r = R, prefactors folded in, built once per (context,
   truncation, derivative) and kept read-only in a bounded cache, since
   they depend on no source (_sphere_factors); only the
@@ -102,9 +105,14 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """The four measurement channels on the context's sphere |x| = R, at
-    R times the directions of the boundary rule (quadrature.boundary_grid)."""
+    """The four measurement channels on the sphere |x| = R of the context
+    the trace was taken in, at R times the directions of the boundary rule
+    (quadrature.boundary_grid).  The trace keeps that context: its nodes
+    and weights are R times its rule's, and its channels hold at that
+    kappa, so the functionals that sum it (spectral.u_hat_from_trace and
+    v_check_from_trace) refuse any other."""
 
+    ctx: WaveContext
     grid: AngularRule
     u: np.ndarray
     du_dnu: np.ndarray
@@ -533,6 +541,7 @@ def boundary_trace(
     f_h, f_m, df_h, df_m = _sphere_series(ctx, coeffs, grid)
     scale = 1.0 / (2.0 * ctx.kappa**2)
     return BoundaryTrace(
+        ctx=ctx,
         grid=grid,
         u=(f_h - f_m) * scale,
         du_dnu=(df_h - df_m) * scale,

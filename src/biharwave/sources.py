@@ -12,7 +12,12 @@ modal_coefficients pairs with the two regular radial wave families, in one
 code path for 2D and 3D.  The angular work (the mode layout and the
 analysis on the grid's angular rule) and the radial wave tables are
 specfun's; this module only sizes the grid, reads the source on it and
-sums the products.
+sums the products.  A radial leaf (from_radial, about the origin: the
+Bessel sources) keeps its profile, and its projection is its zero mode
+alone, the profile on its own radial rule: its coefficients are two radial
+sums, read on no product grid and by no angular analysis, while the field
+route still reads its product-grid samples, so the two routes read it by
+different rules.
 
 Sources are linear: scaled and + build a source of parts, a flat tuple of
 (factor, leaf) pairs from one combiner (_combined), and every linear route
@@ -77,7 +82,8 @@ class ModalProfiles:
     """Angular-mode radial profiles tabulated on a radial rule.
 
     values[k, j] is profile k at radius nodes[j]; row k of a mode is its
-    mode_index.
+    mode_index.  Every mode above the truncation is zero: a radial leaf's
+    profiles are of truncation 0 (project_modes).
     """
 
     dimension: int
@@ -137,9 +143,11 @@ class SourceField:
 
     Construct through the classmethods, scaled and +, or the constructor
     with a radial order; instances are immutable in use and safe to share.
-    Its own grids (default_samples and the finer-angle projection grid) end
-    at its support radius and have its radial_order, an int: 64 unless the
-    constructor is given another (the bump 320).  A support at or inside
+    Its own grids (default_samples, and the finer-angle projection grid of
+    a source that is not radial; a radial leaf's projection reads its
+    profile on the radial rule of its default grid) end at its support
+    radius and have its radial_order, an int: 64 unless the constructor is
+    given another (the bump 320).  A support at or inside
     the first node of that rule would leave its grids without a node, so
     every route would sum nothing; the constructor refuses it, naming both.
     On a product grid a source reads its values by rows, one per radial
@@ -162,7 +170,7 @@ class SourceField:
     its own default grid, which ends at the largest support.
     """
 
-    def __init__(self, ctx, func, support_radius, radial_order=DEFAULT_RADIAL_ORDER, read=None):
+    def __init__(self, ctx, func, support_radius, radial_order=DEFAULT_RADIAL_ORDER, profile=None):
         if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
@@ -179,7 +187,7 @@ class SourceField:
         self.ctx = ctx
         self.support_radius = float(min(support_radius, ctx.radius))
         self._func = func
-        self._read = read  # grid -> unmasked rows; None evaluates func at the grid's points
+        self._profile = profile  # r -> values of a radial leaf (from_radial); None reads func pointwise
         self._parts: tuple = ()  # ((factor, leaf), ...) of a sum or a scaled source (_combined)
         self.radial_order = radial_order
         self._norm: float | None = None
@@ -196,15 +204,17 @@ class SourceField:
 
     @classmethod
     def from_radial(cls, ctx, profile, support_radius=None):
-        """Radially symmetric source from a profile r -> value (vectorized
-        over r); a product grid reads it one profile value per radial node."""
+        """Radially symmetric source about the origin from a profile
+        r -> value (vectorized over r).  The leaf keeps its profile: a
+        product grid reads it one profile value per radial node, and its
+        modal coefficients are two radial sums of the profile (project_modes)."""
 
         def func(points):
             return profile(np.linalg.norm(np.atleast_2d(points), axis=-1))
 
         if support_radius is None:
             support_radius = ctx.radius
-        return cls(ctx, func, support_radius, read=lambda grid: np.asarray(profile(grid.radial.nodes))[:, None])
+        return cls(ctx, func, support_radius, profile=profile)
 
     @classmethod
     def zero(cls, ctx):
@@ -244,8 +254,8 @@ class SourceField:
         complex, never narrower than float."""
         if self._parts:
             rows = self._linear(lambda leaf: leaf._rows(grid))
-        elif self._read is not None:
-            rows = self._read(grid)
+        elif self._profile is not None:
+            rows = np.asarray(self._profile(grid.radial.nodes))[:, None]
         else:
             rows = np.asarray(self._func(grid.points)).reshape(grid.shape)
         rows = _widened(rows)
@@ -334,20 +344,34 @@ def _times(factor, value):
 # Projection onto angular modes and onto the radial wave families
 # ---------------------------------------------------------------------------
 def project_modes(src: SourceField, truncation: int) -> ModalProfiles:
-    """Project a source onto angular-mode radial profiles up to the truncation.
+    """Project a leaf onto angular-mode radial profiles up to the truncation.
 
-    The samples of each radial node are analysed on the grid's angular rule
-    by specfun.rule_analysis: in 2D the Fourier coefficients of the angular
-    dependence by one FFT of the equispaced samples (exact for band-limited
-    data), in 3D the quadrature against the conjugate orthonormal harmonics,
-    separated into an FFT over the azimuths of each (radial, polar) ring and
-    one Legendre sum per order, never the dense harmonic block.  When the
-    default grid has enough angles for the truncation, the projection reads
-    the source's cached default samples; otherwise it reads a grid with more
-    angles, which also ends at the source's support.
+    A radial leaf (from_radial) gives its zero mode alone, as the profiles
+    of truncation 0: every other mode of a function of |x| is zero.  The
+    row is its profile on its own radial rule (that of its default grid)
+    times the zero mode's weight: 1 in 2D, where a profile is the mean over
+    the circle, and sqrt(4 pi) in 3D, the integral of Y_0^0 = 1 / sqrt(4 pi)
+    over the sphere.  No product grid is built and no angle is analysed.
+
+    The samples of any other leaf at each radial node are analysed on the
+    grid's angular rule by specfun.rule_analysis: in 2D the Fourier
+    coefficients of the angular dependence by one FFT of the equispaced
+    samples (exact for band-limited data), in 3D the quadrature against
+    the conjugate orthonormal harmonics, separated into an FFT over the
+    azimuths of each (radial, polar) ring and one Legendre sum per order,
+    never the dense harmonic block.  When the default grid has enough
+    angles for the truncation, the projection reads the source's cached
+    default samples; otherwise it reads a grid with more angles, which also
+    ends at the source's support.
     """
     ctx = src.ctx
     _check_integer("truncation", truncation, 0)
+    if src._profile is not None:
+        rule = radial_rule(ctx, src.radial_order, extent=src.support_radius)
+        zero_mode = _widened(src._profile(rule.nodes))
+        if ctx.dimension == 3:
+            zero_mode = zero_mode * np.sqrt(4.0 * np.pi)
+        return ModalProfiles(ctx.dimension, 0, rule, zero_mode[None, :])
     # auto-scale so the rule resolves the requested truncation: m equispaced
     # angles separate orders |n| < m/2; Gauss-in-cos(theta) with n_pol nodes
     # integrates harmonic products up to degree n_pol - 1 exactly (beyond
@@ -374,10 +398,15 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     imaginary-argument counterpart under r^2 dr.  In both, the
     imaginary-argument value is i**n times the modified family, I_n or i_n,
     and the tables come from specfun.regular_wave_tables, expanded per mode.
-    The coefficients of a sum or a scaled source are the sum of its
-    leaves' coefficients times their factors (SourceField._linear), each
-    leaf projected on its own grid and keeping its own: a source of parts
-    is never projected, nor its norm read.
+    A leaf's profiles are summed up to their own truncation (project_modes)
+    and every mode above it is zero: a radial leaf's coefficients are two
+    radial sums, its zero mode on its own rule against the order-0 tables
+    at this context's kappa.  Before it is projected, a leaf's L2 norm is
+    read (on its default grid, once): values or a norm that are not finite
+    are refused by name.  The coefficients of a sum or a scaled source are
+    the sum of its leaves' coefficients times their factors
+    (SourceField._linear), each leaf projected on its own grid and keeping
+    its own: a source of parts is never projected, nor its norm read.
 
     The coefficients are computed once per (context, truncation) and kept on
     the source, with alpha and beta read-only: the transforms, the boundary
@@ -409,11 +438,13 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
         # after this block names that, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             # orders (2D) or degrees (3D) n >= 0 only, expanded over the modes
-            # (2D: J_-n = (-1)^n J_n, I_-n = I_n)
-            osc, mod = specfun.regular_wave_tables(ctx.dimension, truncation, kr)
-            n = mode_degrees(ctx.dimension, truncation)
-            alpha = np.sum(modal.values * specfun.per_mode(ctx.dimension, osc, axis=0) * measure, axis=1)
-            beta = _ipow(n) * np.sum(modal.values * mod[np.abs(n)] * measure, axis=1)
+            # (2D: J_-n = (-1)^n J_n, I_-n = I_n), up to the profiles' truncation
+            osc, mod = specfun.regular_wave_tables(ctx.dimension, modal.truncation, kr)
+            n = mode_degrees(ctx.dimension, modal.truncation)
+            kept = np.abs(mode_degrees(ctx.dimension, truncation)) <= modal.truncation
+            alpha, beta = np.zeros((2, kept.size), dtype=complex)
+            alpha[kept] = np.sum(modal.values * specfun.per_mode(ctx.dimension, osc, axis=0) * measure, axis=1)
+            beta[kept] = _ipow(n) * np.sum(modal.values * mod[np.abs(n)] * measure, axis=1)
     k_support = ctx.kappa * src.support_radius
     if not np.all(np.isfinite(beta)):
         raise OverflowError(

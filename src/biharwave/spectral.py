@@ -244,8 +244,13 @@ def _trace_transform(ctx, trace, directions, oscillating):
     p = d_nu lap u + c d_nu u and q = lap u + c u; fields._phase_sums sums
     each weighted column against the phase kappa dir . x, in node blocks
     whose table over all the directions holds at most
-    fields._TABLE_BUDGET entries.
+    fields._TABLE_BUDGET entries.  A trace taken in another context than
+    ctx (another R, kappa or dimension) is refused, naming both: its nodes
+    would be scaled by the wrong R and its channels paired with the wrong
+    kappa.
     """
+    if trace.ctx != ctx:
+        raise ValueError(f"the trace was taken in {trace.ctx} but is summed in {ctx}")
     dirs = _check_directions(ctx, directions)
     rule = trace.grid
     nodes = ctx.radius * rule.directions
@@ -259,13 +264,15 @@ def _trace_transform(ctx, trace, directions, oscillating):
 
 def u_hat_from_trace(ctx: WaveContext, trace: fields.BoundaryTrace, directions) -> np.ndarray:
     """Fourier data on the kappa sphere recovered from the four boundary
-    channels alone; equals the source's Fourier data there."""
+    channels alone; equals the source's Fourier data there.  A trace taken
+    in another context is refused."""
     return _trace_transform(ctx, trace, directions, oscillating=True)
 
 
 def v_check_from_trace(ctx: WaveContext, trace: fields.BoundaryTrace, directions) -> np.ndarray:
     """Exponential-weight transform on the kappa sphere recovered from the
-    boundary channels alone; equals the source's transform there."""
+    boundary channels alone; equals the source's transform there.  A trace
+    taken in another context is refused."""
     _check_exp_weight(ctx)
     return _trace_transform(ctx, trace, directions, oscillating=False)
 

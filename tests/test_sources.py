@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from biharwave import WaveContext, specfun
+from biharwave import WaveContext, sources, specfun
 from biharwave.fields import boundary_trace, eval_field_batch
 from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.spectral import (
@@ -41,14 +41,20 @@ CTX3_ROOT3 = WaveContext.with_root_wavenumber(3, 1.0, 3)
 
 class TestProjection:
     def test_radial_source_is_single_mode(self):
-        src = SourceField.from_radial(CTX2, lambda r: np.exp(-(r**2)))
-        modal = project_modes(src, 6)
+        # read pointwise, a radial function lands in the zero mode alone; a
+        # radial leaf's projection is that mode, on the same radial nodes
+        profile = lambda r: np.exp(-(r**2))
+        modal = project_modes(SourceField.from_callable(CTX2, lambda p: profile(np.linalg.norm(p, axis=-1))), 6)
         for n in range(-6, 7):
             peak = np.max(np.abs(modal.profile(n)))
             if n == 0:
                 assert peak > 0.1
             else:
                 assert peak < 1e-15
+        radial = project_modes(SourceField.from_radial(CTX2, profile), 6)
+        assert radial.truncation == 0 and radial.values.shape == (1, len(modal.rule.nodes))
+        assert np.array_equal(radial.rule.nodes, modal.rule.nodes)
+        assert np.max(np.abs(radial.profile(0) - modal.profile(0))) <= 1e-15 * np.max(np.abs(modal.profile(0)))
 
     def test_pure_angular_mode_lands_in_its_row(self):
         g = lambda r: r**2 * (1.0 - r)
@@ -304,6 +310,90 @@ class TestClosedFormRadialControls:
         ref_alpha, _ = oracles.radial_control_coefficients(dimension, ctx.kappa, a, ctx.radius)
         terms_alpha, _ = oracles.radial_control_term_scales(dimension, ctx.kappa, a, ctx.radius)
         assert abs(co.alpha[0] - ref_alpha) <= 1e-10 * terms_alpha
+
+
+def _pointwise(leaf):
+    """The radial leaf read pointwise: its function at every node of a
+    product grid, projected on the grid's angles."""
+    return SourceField.from_callable(leaf.ctx, leaf.evaluate, leaf.support_radius)
+
+
+class TestRadialLeafCoefficients:
+    """A radial leaf's modal coefficients are two radial sums of its
+    profile on its own radial rule (times sqrt(4 pi) in 3D) against the
+    order-0 tables at the route's kappa.  They equal the product-grid
+    projection of the same profile read pointwise, and every other mode is
+    exactly zero.  A nonradiating leaf's coefficients are rounding noise, so
+    a difference is measured against the larger of the coefficients' peak
+    and the sum of the magnitudes of the terms of the zero mode (measured
+    on the Bessel sources: at most 8.0e-16, beta in 3D at root 10, and
+    6.1e-17 in 2D)."""
+
+    @staticmethod
+    def _assert_matches_pointwise(ctx, leaf, truncation=12):
+        # truncation 12 needs no more angles than the default grids have:
+        # the pointwise projection reads its default samples
+        co = modal_coefficients(ctx, leaf, truncation)
+        ref = modal_coefficients(ctx, _pointwise(leaf), truncation)
+        others = specfun.mode_degrees(ctx.dimension, truncation) != 0
+        assert np.all(co.alpha[others] == 0.0) and np.all(co.beta[others] == 0.0)
+        modal = project_modes(leaf, truncation)
+        measure = modal.rule.weights * modal.rule.nodes ** (ctx.dimension - 1)
+        tables = regular_wave_tables(ctx.dimension, 0, ctx.kappa * modal.rule.nodes)
+        for got, want, table in zip((co.alpha, co.beta), (ref.alpha, ref.beta), tables):
+            terms = np.sum(np.abs(modal.values[0] * table[0]) * measure)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), terms)
+
+    @pytest.mark.parametrize("dimension, root", [(2, 1), (2, 4), (2, 7), (3, 1), (3, 5), (3, 10)],
+                             ids=["2d-root1", "2d-root4", "2d-root7", "3d-root1", "3d-root5", "3d-root10"])
+    def test_bessel_leaf_matches_pointwise_projection(self, dimension, root):
+        ctx = WaveContext.with_root_wavenumber(dimension, 1.0, root)
+        self._assert_matches_pointwise(ctx, _bessel(ctx))
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_route_context_of_another_kappa_and_radius(self, ctx):
+        # the profile stays on the leaf's own rule; only the tables take the
+        # route's kappa, as the projection route's do
+        route = WaveContext(ctx.dimension, 1.1 * ctx.kappa, 1.25 * ctx.radius)
+        self._assert_matches_pointwise(route, _bessel(ctx))
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_complex_profile_and_scaling_are_linear(self, ctx):
+        real = oracles.radial_control_profile(ctx.dimension, 1.3 * ctx.kappa)
+        imag = oracles.radial_control_profile(ctx.dimension, 0.5 * ctx.kappa)
+        leaf = SourceField.from_radial(ctx, lambda r: real(r) + 2j * imag(r))
+        self._assert_matches_pointwise(ctx, leaf)
+        co = modal_coefficients(ctx, leaf, 6)
+        re_co, im_co = (modal_coefficients(ctx, SourceField.from_radial(ctx, p), 6) for p in (real, imag))
+        eps = np.finfo(float).eps
+        for got, re_part, im_part in ((co.alpha, re_co.alpha, im_co.alpha), (co.beta, re_co.beta, im_co.beta)):
+            assert np.max(np.abs(got - (re_part + 2j * im_part))) <= 4 * eps * np.max(np.abs(got))
+        c = 0.5 - 1.5j
+        scaled = modal_coefficients(ctx, leaf.scaled(c), 6)
+        np.testing.assert_array_equal(scaled.alpha, c * co.alpha)
+        np.testing.assert_array_equal(scaled.beta, c * co.beta)
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_projection_is_the_profile_on_the_leafs_rule(self, ctx, monkeypatch):
+        profile, sizes = _counting(lambda r: 1.0 - r**2)
+        leaf = SourceField.from_radial(ctx, profile, support_radius=0.7 * ctx.radius)
+        leaf.l2_norm()  # read on the default grid, and kept
+        grid, _ = leaf.default_samples()
+        sizes.clear()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a radial leaf's projection builds no product grid and analyses no angles")
+
+        monkeypatch.setattr(sources, "product_grid", refused)
+        monkeypatch.setattr(specfun, "rule_analysis", refused)
+        monkeypatch.setattr(specfun, "_legendre_table", refused)
+        modal = project_modes(leaf, default_mode_truncation(ctx) + 40)
+        assert sizes == [grid.shape[0]]
+        assert modal.truncation == 0 and np.array_equal(modal.rule.nodes, grid.radial.nodes)
+        weight = 1.0 if ctx.dimension == 2 else np.sqrt(4.0 * np.pi)
+        np.testing.assert_array_equal(modal.values[0], weight * (1.0 - grid.radial.nodes**2))
+        co = modal_coefficients(ctx, leaf, 6)  # with the norm kept, the sums read no grid either
+        assert co.alpha.shape == co.beta.shape == specfun.mode_degrees(ctx.dimension, 6).shape
 
 
 class TestBesselPair2D:
@@ -608,7 +698,7 @@ class TestRadialPath:
     @pytest.mark.parametrize("ctx, angular_count", [
         (CTX2, None),
         (CTX3, None),
-        # the enlarged projection grid a 3D verdict reads at root 3
+        # the enlarged grid a 3D verdict at root 3 projects a pointwise source on
         (CTX3_ROOT3, default_mode_truncation(CTX3_ROOT3) + 1),
     ], ids=["2d", "3d", "3d-projection"])
     def test_matches_pointwise_evaluation(self, ctx, angular_count):
@@ -796,11 +886,16 @@ class TestSupportGrid:
         assert make_bump_nonradiating(ctx).default_samples()[0].shape[0] == 226  # of 320
 
     def test_node_at_the_support_is_dropped(self):
+        # by the default grid, by a pointwise source's finer-angle projection
+        # grid and by a radial leaf's radial rule
         nodes = product_grid(CTX2, 64).radial.nodes
-        src = SourceField.from_radial(CTX2, lambda r: 1.0 + r, support_radius=nodes[20])
-        assert src.default_samples()[0].shape[0] == 20
-        modal = project_modes(src, default_mode_truncation(CTX2) + 200)  # the finer-angle grid
-        assert np.array_equal(modal.rule.nodes, nodes[:20])
+        radial = SourceField.from_radial(CTX2, lambda r: 1.0 + r, support_radius=nodes[20])
+        pointwise = SourceField.from_callable(CTX2, lambda p: 1.0 + np.linalg.norm(p, axis=-1),
+                                              support_radius=nodes[20])
+        for src in (radial, pointwise):
+            assert src.default_samples()[0].shape[0] == 20
+            modal = project_modes(src, default_mode_truncation(CTX2) + 200)
+            assert np.array_equal(modal.rule.nodes, nodes[:20])
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_support_inside_the_first_node_is_refused(self, ctx):

@@ -1,6 +1,7 @@
 """Characterization machinery: transforms, trace functionals, verdicts."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,25 @@ class TestTraceFunctionals:
         fcheck = laplace_on_circle(ctx, src, dirs)
         assert np.max(np.abs(vcheck - fcheck)) < 1e-6 * src.l2_norm()
 
+    def test_trace_of_another_context_is_refused(self):
+        # a trace keeps the context it was taken in.  This one, at R = 2,
+        # summed under R = 1 would scale its nodes and weights by the wrong
+        # R and miss f_hat by 0.97 of its peak; under another kappa it would
+        # pair its channels with the wrong waves.  Both are refused, naming
+        # both contexts; under its own context the identity holds
+        ctx = WaveContext.with_root_wavenumber(2, 2.0, 1)
+        src = _gaussian(ctx)
+        trace = boundary_trace(ctx, src, boundary_grid(ctx))
+        dirs, _ = direction_grid(ctx, 16)
+        assert np.max(np.abs(u_hat_from_trace(ctx, trace, dirs) - fourier_on_circle(ctx, src, dirs))) \
+            < 1e-6 * src.l2_norm()
+        assert np.max(np.abs(v_check_from_trace(ctx, trace, dirs) - laplace_on_circle(ctx, src, dirs))) \
+            < 1e-6 * src.l2_norm()
+        for other in (WaveContext(2, ctx.kappa, 1.0), WaveContext(2, 1.5 * ctx.kappa, 2.0)):
+            for transform in (u_hat_from_trace, v_check_from_trace):
+                with pytest.raises(ValueError, match=re.escape(f"the trace was taken in {ctx} but is summed in {other}")):
+                    transform(other, trace, dirs)
+
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_zero_trace_gives_zero(self, ctx):
         grid = boundary_grid(ctx, 32)
@@ -175,7 +195,7 @@ class TestTraceFunctionals:
         for u, du, lap, dlap in (channels, channels.real):
             integrand = (dlap + c * du) + (z @ grid.directions.T) * (lap + c * u)
             terms = integrand * np.exp(-(z @ nodes.T)) * weights
-            got = transform(ctx, BoundaryTrace(grid, u, du, lap, dlap), dirs)
+            got = transform(ctx, BoundaryTrace(ctx, grid, u, du, lap, dlap), dirs)
             assert got.shape == (len(dirs),)
             assert np.all(np.abs(got + terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1))
 
@@ -416,6 +436,21 @@ class TestVerdict:
         # the default grid: its radial nodes times all 2048 angles
         grid = src.default_samples()[0]
         assert reads[1] == grid.points.shape == (grid.shape[0] * 2048, 3)
+
+    def test_radial_leaf_read_once_per_verdict(self, monkeypatch):
+        # a radial leaf's projection reads its profile on its radial rule,
+        # not a grid with more polar rings: in 3D too, the default grid that
+        # the norm and the field route share is its one read
+        reads = []
+        values_on = SourceField.values_on
+
+        def counting(self, grid):
+            reads.append(grid.points.shape)
+            return values_on(self, grid)
+
+        monkeypatch.setattr(SourceField, "values_on", counting)
+        verdict(CTX3, make_3d_bessel_nonradiating(CTX3))
+        assert reads == [(64 * 2048, 3)]
 
     def test_field_route_shares_kernel_rows(self, kernel_values):
         # the probes are images of each other under the source grid's
