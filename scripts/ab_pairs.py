@@ -20,11 +20,13 @@ end-to-end metrics of the run's last line and its share of failed jobs
 jobs per second of the first pass
 (``first_pass_jobs_per_s``, the cold caches of a fresh process) and of the
 passes after it (``warm_jobs_per_s``), neither scaled to the reference
-host.  The cli workload has one pass, so no warm figure.  A last line
-gives each side's median ``host_factor``, read from the run's
-``# workload`` line: the factor perfbench scales times by, so that a scaled
-metric that moves against its unscaled rates shows host-speed scaling
-rather than a change in the code.  Each run's
+host.  The cli workload has one pass, so no warm figure.  Three last
+lines give each side's median of three notes of the run's ``# workload``
+line: ``host_factor``, the factor perfbench divides ``setup_s`` by and
+multiplies ``jobs_per_s`` by, and the two figures before that scaling,
+``unscaled_setup_s`` and ``unscaled_jobs_per_s``.  A ``setup_s`` or
+``jobs_per_s`` ratio that its unscaled ratio does not share follows the
+host factor, not a change in the code.  Each run's
 metrics go to standard error as it finishes.  The script itself writes
 nothing in the two checkouts (perfbench's cli workload keeps its scratch
 outputs under its own ``perfbench/_out`` while it runs).
@@ -40,6 +42,7 @@ import sys
 from pathlib import Path
 
 EXTRA = {"failed_frac": "lower", "first_pass_jobs_per_s": "higher", "warm_jobs_per_s": "higher"}
+NOTES = ("host_factor", "unscaled_setup_s", "unscaled_jobs_per_s")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float | None) -> dict:
@@ -56,7 +59,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float | None) -> dic
     metrics["failed_frac"] = result["failed"] / result["attempted"]
     metrics.update(pass_rates(lines))
     notes = next(line for line in lines if line.startswith("# workload "))
-    metrics["host_factor"] = json.loads(notes[notes.index("{"):])["host_factor"]
+    notes = json.loads(notes[notes.index("{"):])
+    metrics.update({name: notes[name] for name in NOTES})
     return metrics
 
 
@@ -96,8 +100,9 @@ def summary(pairs, better: dict) -> list[str]:
         (b1, b3), (h1, h3) = quartiles(base), quartiles(head)
         out.append(f"  {name:22s} base {mb:9.4g} [{b1:.4g}, {b3:.4g}]  head {mh:9.4g} [{h1:.4g}, {h3:.4g}]  "
                    f"ratio {ratio:6.3f}  head won {wins}/{len(both)}  base spread {b3 - b1:.3g}")
-    base, head = ([p[side]["host_factor"] for p in pairs] for side in (0, 1))
-    out.append(f"  {'host_factor':22s} base {statistics.median(base):9.4g}  head {statistics.median(head):9.4g}")
+    for name in NOTES:
+        mb, mh = (statistics.median(p[side][name] for p in pairs) for side in (0, 1))
+        out.append(f"  {name:22s} base {mb:9.4g}  head {mh:9.4g}  ratio {mh / mb if mb else float('nan'):6.3f}")
     return out
 
 

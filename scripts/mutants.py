@@ -297,6 +297,24 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_spectral.py::TestTraceFunctionals::test_trace_of_another_context_is_refused",),
     ),
+    Mutant(
+        "table-writer-rounds",
+        "src/biharwave/fields.py",
+        '    fh.writelines(",".join(map(repr, row)) + "\\n" for row in rows)\n',
+        '    fh.writelines(",".join(format(v, ".15g") for v in row) + "\\n" for row in rows)\n',
+        (
+            "tests/test_cli.py::TestTablesRoundTrip::test_trace",
+            "tests/test_cli.py::TestTablesRoundTrip::test_spectral_3d",
+            "tests/test_cli.py::TestTablesRoundTrip::test_field_over_two_radii",
+        ),
+    ),
+    Mutant(
+        "field-radius-tiled",
+        "src/biharwave/cli.py",
+        "    columns = [np.repeat(np.array(factors) * ctx.radius, len(dirs))]\n",
+        "    columns = [np.tile(np.array(factors) * ctx.radius, len(dirs))]\n",
+        ("tests/test_cli.py::TestTablesRoundTrip::test_field_over_two_radii",),
+    ),
 )
 
 

@@ -65,11 +65,16 @@ Exponentially decaying modal terms are tabulated in scaled form (factor
 exp(kappa r) removed) and the exp(-kappa r) is folded back into their radial
 factors (_radial_tables), so that large-radius evaluation underflows cleanly
 to zero instead of producing NaNs.
+
+Every CSV table of the package (the trace here, the CLI's spectral and
+field tables) is written by one function, _write_table: sorted '#' metadata
+lines, a header, then one row per entry of a list of 1-D float columns,
+each value the repr of a Python float.  write_trace_csv hands it the
+rule's angles and the real and imaginary parts of each channel.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -562,27 +567,32 @@ def far_field(ctx: WaveContext, src: SourceField, directions) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Trace CSV
+# CSV tables
 # ---------------------------------------------------------------------------
-def write_trace_csv(trace: BoundaryTrace, fh, meta: dict | None = None) -> None:
-    """Write a trace as CSV: parameter angles then re/im pairs per channel.
-
-    meta entries become '#'-prefixed header lines (written sorted for
-    reproducibility).
-    """
-    for key in sorted(meta or {}):
+def _write_table(fh, meta: dict, header: list[str], columns) -> None:
+    """Write a CSV table: one '# key=value' line per meta entry (sorted, for
+    reproducibility), the header, then one row per entry of the 1-D float
+    columns, each value written as the repr of a Python float (the shortest
+    text that reads back to the same double).  Every CSV output of the CLI
+    goes through here."""
+    for key in sorted(meta):
         fh.write(f"# {key}={meta[key]}\n")
-    is_3d = trace.grid.params.ndim == 2
-    header = ["theta"] + (["phi"] if is_3d else [])
+    fh.write(",".join(header) + "\n")
+    rows = np.column_stack(columns).tolist()  # Python floats: numpy 2's repr of a float64 names its type
+    fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _complex_columns(*arrays) -> list[np.ndarray]:
+    """The real and imaginary parts of each array, in turn: table columns."""
+    return [part for a in arrays for part in (a.real, a.imag)]
+
+
+def write_trace_csv(trace: BoundaryTrace, fh, meta: dict | None = None) -> None:
+    """Write a trace as a CSV table (_write_table): the rule's parameter
+    angles (theta, then phi in 3D), then the real and imaginary parts of
+    each channel of trace.stacked()."""
+    angles = trace.grid.params.reshape(trace.grid.count, -1).T
+    header = ["theta", "phi"][:len(angles)]
     for name in ("u", "dnu_u", "lap_u", "dnu_lap_u"):
         header += [f"{name}_re", f"{name}_im"]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(trace.grid.count):
-        if is_3d:
-            row = [repr(float(trace.grid.params[i, 0])), repr(float(trace.grid.params[i, 1]))]
-        else:
-            row = [repr(float(trace.grid.params[i]))]
-        for arr in (trace.u, trace.du_dnu, trace.lap_u, trace.dlap_u_dnu):
-            row += [repr(float(arr[i].real)), repr(float(arr[i].imag))]
-        writer.writerow(row)
+    _write_table(fh, meta or {}, header, [*angles, *_complex_columns(*trace.stacked())])

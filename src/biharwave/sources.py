@@ -642,8 +642,6 @@ def gaussian_source(
     sigma = 0.15 * ctx.radius if sigma is None else float(sigma)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if support_radius is None:
-        support_radius = ctx.radius
 
     def func(points):
         q = _squared_distance(points.T, center)

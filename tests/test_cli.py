@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biharwave import sources, spectral
+from biharwave import fields, sources, spectral
 from biharwave.cli import main
+from biharwave.quadrature import boundary_grid
 
 NR2D = {"dimension": 2, "R": 1.0, "root_index": 1, "kind": "bessel_nonradiating"}
 GAUSS2D = {
@@ -156,6 +157,84 @@ class TestSpectralCommand:
         _, header, rows = _data_lines(out)
         assert header[:2] == ["dir_angle", "dir_polar"]
         assert len(rows) >= 16
+
+
+GAUSS3D = {
+    "dimension": 3,
+    "R": 1.0,
+    "root_index": 1,
+    "kind": "gaussian",
+    "parameters": {"center": [0.2, 0.1, 0.15], "sigma": 0.1, "support_radius": 0.9},
+}
+
+
+def _assert_table(path, header, columns):
+    """The CSV table at path has this header, every row the header's length,
+    one row per entry of the columns, and each value reads back to its
+    column's double bit for bit (the sign of a zero included)."""
+    _, got_header, rows = _data_lines(path)
+    assert got_header == header
+    assert [len(row) for row in rows] == [len(header)] * len(columns[0])
+    for name, texts, column in zip(header, zip(*rows), columns):
+        got = np.array([float(text) for text in texts])
+        want = np.asarray(column, dtype=float)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+def _parts(*arrays):
+    return [part for a in arrays for part in (a.real, a.imag)]
+
+
+class TestTablesRoundTrip:
+    """Every CSV value reads back to the library's double, in the layout the
+    README gives."""
+
+    @pytest.mark.parametrize("cfg", [GAUSS2D, GAUSS3D], ids=["2d", "3d"])
+    def test_trace(self, tmp_path, cfg):
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", _write(tmp_path, "g.json", cfg), "--out", str(out),
+                     "--resolution", "16"]) == 0
+        ctx, src = sources.source_from_config(cfg)
+        trace = fields.boundary_trace(ctx, src, boundary_grid(ctx, 16))
+        params = trace.grid.params
+        names, angles = (["theta"], [params]) if ctx.dimension == 2 else (["theta", "phi"], list(params.T))
+        header = names + ["u_re", "u_im", "dnu_u_re", "dnu_u_im", "lap_u_re", "lap_u_im",
+                          "dnu_lap_u_re", "dnu_lap_u_im"]
+        channels = (trace.u, trace.du_dnu, trace.lap_u, trace.dlap_u_dnu)
+        _assert_table(out, header, angles + _parts(*channels))
+
+    def test_spectral_3d(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert main(["spectral", "--config", _write(tmp_path, "g.json", GAUSS3D), "--out", str(out),
+                     "--directions", "16", "--resolution", "16"]) == 0
+        ctx, src = sources.source_from_config(GAUSS3D)
+        dirs, params = spectral.direction_grid(ctx, 16)
+        fhat = spectral.fourier_on_circle(ctx, src, dirs)
+        fcheck = spectral.laplace_on_circle(ctx, src, dirs)
+        trace = fields.boundary_trace(ctx, src, boundary_grid(ctx, 16))
+        uhat = spectral.u_hat_from_trace(ctx, trace, dirs)
+        vcheck = spectral.v_check_from_trace(ctx, trace, dirs)
+        header = ["dir_angle", "dir_polar", "fhat_re", "fhat_im", "fcheck_re", "fcheck_im",
+                  "uhat_re", "uhat_im", "vcheck_re", "vcheck_im", "fhat_minus_uhat_abs"]
+        gap = [abs(f - u) for f, u in zip(fhat, uhat)]
+        _assert_table(out, header, [params[:, 1], params[:, 0]] + _parts(fhat, fcheck, uhat, vcheck) + [gap])
+
+    @pytest.mark.parametrize("cfg", [GAUSS2D, GAUSS3D], ids=["2d", "3d"])
+    def test_field_over_two_radii(self, tmp_path, cfg):
+        out = tmp_path / "field.csv"
+        assert main(["field", "--config", _write(tmp_path, "g.json", cfg), "--out", str(out),
+                     "--radii", "1.2,2.0", "--directions", "8"]) == 0
+        ctx, src = sources.source_from_config(cfg)
+        dirs, params = spectral.direction_grid(ctx, 8)
+        angles = [params] if ctx.dimension == 2 else [params[:, 1], params[:, 0]]
+        pts = np.vstack([factor * ctx.radius * dirs for factor in (1.2, 2.0)])
+        u, f_h, f_m = fields.eval_field_batch(ctx, src, pts, method="quadrature")
+        # the directions run fastest: each radius holds for a whole sweep of the angles
+        radius = [factor * ctx.radius for factor in (1.2, 2.0) for _ in dirs]
+        tiled = [[value for _ in (1.2, 2.0) for value in angle] for angle in angles]
+        header = ["radius", "dir_angle"] + (["dir_polar"] if ctx.dimension == 3 else [])
+        header += ["u_re", "u_im", "fh_re", "fh_im", "fm_re", "fm_im"]
+        _assert_table(out, header, [radius] + tiled + _parts(u, f_h, f_m))
 
 
 class TestNonuniquenessCommand:

@@ -5,6 +5,9 @@ reads eval_field_batch's method as its 4th positional argument and works
 out a field call's pair count from the product grid the source resolves to.
 It wraps modal_coefficients and project_modes in every namespace that binds
 them, so a cached coefficient lookup still shows as a call.
+It wraps the CLI's table writers by name (cli._write_rows, bound to the
+one CSV writer, and fields.write_trace_csv, which calls it), and reports
+their self times as the write time.
 A signature change that breaks any of that would only show in a traced
 benchmark run; these tests run small traced sessions in child processes,
 so the wrappers never reach the other tests.
@@ -15,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,9 +67,35 @@ print(json.dumps([s.counts for s in tracer.spans if s.name == "fields.eval_field
 """
 
 
-def _traced(code):
+CLI_WRITERS = """
+import json
+import sys
+import biharwave
+import biharwave.cli
+from tracer import WRITE_SPANS, Tracer, install, self_times
+
+config, out = sys.argv[1:]
+tracer = Tracer()
+install(tracer, biharwave)
+commands = {}
+for command in ("trace", "spectral"):
+    first = len(tracer.spans)
+    code = biharwave.cli.main([command, "--config", config, "--out", out, "--resolution", "16"])
+    spans, selfs = tracer.spans[first:], self_times(tracer.spans)[first:]
+    commands[command] = {
+        "code": code,
+        "names": [s.name for s in spans],
+        "parents": [spans[s.parent - first].name if s.parent is not None else None for s in spans],
+        "write_self_s": sum(t for s, t in zip(spans, selfs) if s.name in WRITE_SPANS),
+        "trace_write_s": sum(s.end - s.start for s in spans if s.name == "fields.write_trace_csv"),
+    }
+print(json.dumps(commands))
+"""
+
+
+def _traced(code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -93,3 +124,19 @@ def test_traced_verdict_counts_every_probe_against_the_whole_grid():
     # directions on the 64 x 256 disk grid, 3 x 18 on the 64 x 32 x 64 ball
     spans = _traced(VERDICTS)
     assert spans == [{"pairs": 3 * 16 * 64 * 256}, {"pairs": 3 * 18 * 64 * 32 * 64}]
+
+
+def test_cli_writers_are_traced(tmp_path):
+    # the tracer wraps cli._write_rows and fields.write_trace_csv by name; the
+    # trace table is written through the same writer as cli._write_rows, so
+    # its span nests one of those, and the write time (cli.write_s) sums
+    # self times: the nested span adds nothing to it
+    config = str(ROOT / "scenarios" / "gaussian_2d.json")
+    commands = _traced(CLI_WRITERS, config, str(tmp_path / "out.csv"))
+    assert [c["code"] for c in commands.values()] == [0, 0]
+    trace, spectral = commands["trace"]["names"], commands["spectral"]["names"]
+    assert trace.count("fields.write_trace_csv") == 1
+    assert spectral.count("cli._write_rows") == 1 and "fields.write_trace_csv" not in spectral
+    assert trace.count("cli._write_rows") == 1
+    assert commands["trace"]["parents"][trace.index("cli._write_rows")] == "fields.write_trace_csv"
+    assert commands["trace"]["write_self_s"] == pytest.approx(commands["trace"]["trace_write_s"], rel=1e-9)
