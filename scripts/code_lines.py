@@ -8,6 +8,10 @@ come from ``tokenize``, docstrings from ``ast``.  Usage, from any directory:
 
     python scripts/code_lines.py                  # this checkout
     python scripts/code_lines.py --root OTHER     # another checkout's src/biharwave
+    python scripts/code_lines.py --base OTHER     # OTHER's counts, this checkout's and the difference
+
+With --base, each row reads ``<base> <here> <difference> <module>``, a module
+missing from one checkout counting 0 lines there, and the totals come last.
 """
 
 from __future__ import annotations
@@ -47,17 +51,30 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def module_counts(root: Path) -> dict[str, int]:
+    """Code lines of each module of root's src/biharwave, by file name."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted((root / "src" / "biharwave").glob("*.py"))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout holding src/biharwave (default: this one)")
+    parser.add_argument("--base", type=Path, default=None,
+                        help="another checkout: print its counts, the root's and the difference")
     args = parser.parse_args(argv)
-    total = 0
-    for path in sorted((args.root / "src" / "biharwave").glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    here = module_counts(args.root)
+    if args.base is None:
+        for name, count in here.items():
+            print(f"{count:6d}  {name}")
+        print(f"{sum(here.values()):6d}  total")
+        return 0
+    base = module_counts(args.base)
+    print(f"{'base':>6}  {'here':>6}  {'diff':>6}  module")
+    rows = [(name, base.get(name, 0), here.get(name, 0)) for name in sorted(base.keys() | here.keys())]
+    for name, old, new in rows + [("total", sum(base.values()), sum(here.values()))]:
+        print(f"{old:6d}  {new:6d}  {new - old:+6d}  {name}")
     return 0
 
 

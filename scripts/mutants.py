@@ -182,13 +182,40 @@ MUTANTS = (
     Mutant(
         "decaying-factor-undamped",
         "src/biharwave/fields.py",
-        "c_m * np.exp(-t) * specfun.per_mode(",
-        "c_m * specfun.per_mode(",
+        "    damp = np.exp(-t)\n",
+        "    damp = 1.0\n",
         (
             "tests/test_fields.py::TestEvalField::test_quadrature_and_modal_routes_agree",
             "tests/test_fields.py::TestBoundaryTrace::test_normal_derivative_matches_fd",
             "tests/test_spectral.py::TestTraceFunctionals::test_exponential_identity",
             "tests/test_spectral.py::TestNullspaceResidual::test_matches_field_quadrature",
+        ),
+    ),
+    Mutant(
+        "exterior-values-one-order-up",
+        "src/biharwave/specfun.py",
+        "    return (outgoing[:-1], decaying[:-1],\n",
+        "    return (outgoing[1:], decaying[1:],\n",
+        (
+            "tests/test_specfun.py::TestExteriorWaveTables::test_matches_mpmath",
+            "tests/test_specfun.py::TestExteriorWaveTables::test_far_arguments_match_mpmath",
+        ),
+    ),
+    Mutant(
+        "derivative-prefactor-unscaled",
+        "src/biharwave/fields.py",
+        "c_h * k * dh, c_m * k * damp * ds",
+        "c_h * dh, c_m * damp * ds",
+        ("tests/test_fields.py::TestBoundaryTrace::test_normal_derivative_matches_fd",),
+    ),
+    Mutant(
+        "norm-overflow-certified",
+        "src/biharwave/sources.py",
+        "        if not np.isfinite(norm_f):\n            raise",
+        "        if False:\n            raise",
+        (
+            "tests/test_sources.py::TestModalCoefficients::test_norm_overflow_is_refused_by_the_residual",
+            "tests/test_cli.py::test_infinite_norm_is_one_config_error_line",
         ),
     ),
     Mutant(

@@ -131,7 +131,9 @@ def _write_out(path: str | None, write) -> None:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Write the payload as standard JSON: a NaN or infinite value, which
+    JSON cannot hold, is refused (ValueError, exit 1) and no file is written."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _write_out(path, lambda fh: fh.write(text))
 
 

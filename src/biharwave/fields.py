@@ -40,11 +40,13 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   specfun.exterior_wave_tables expanded per mode (specfun.per_mode), and
   the series prefactors folded in by one function (_radial_tables), which
   the traces, the modal field and spectral.nullspace_residual all read.
-  Boundary traces are such series
+  One call gives four tables, the factors of f_h and f_m and of their
+  radial derivatives, from one exterior tabulation and one finiteness
+  check.  Boundary traces are such series
   on the boundary rule, synthesized by specfun.rule_synthesis, and keep the
-  context they were taken in (BoundaryTrace.ctx); their radial
-  factors at r = R, prefactors folded in, built once per (context,
-  truncation, derivative) and kept read-only in a bounded cache, since
+  context they were taken in (BoundaryTrace.ctx); their four radial
+  factor tables at r = R, prefactors folded in, are built once per
+  (context, truncation) and kept read-only in a bounded cache, since
   they depend on no source (_sphere_factors); only the
   modal field at caller-given points sums them against the dense angular
   basis.  The trace derivatives come from the one recurrence
@@ -365,47 +367,50 @@ def _volume_transform(ctx, src, directions, oscillating):
 # ---------------------------------------------------------------------------
 # Modal series route
 # ---------------------------------------------------------------------------
-def _radial_tables(ctx, truncation, t, derivative):
+def _radial_tables(ctx, truncation, t):
     """Per-mode radial factors of the f_h and f_m series at t = kappa r
-    (shape (M, 1)), or of their r-derivatives, each of shape (M, modes):
-    the outgoing family times its prefactor c_h, and the exp(t)-scaled
-    decaying family times c_m exp(-t), its prefactor and the scale folded
-    back in (specfun.exterior_wave_tables, expanded by specfun.per_mode).
-    A series is these factors times the angular basis, summed against the
+    (shape (M, 1)) and of their r-derivatives: four tables, each of shape
+    (M, modes).  They are the outgoing family times its prefactor
+    c_h and the exp(t)-scaled decaying family times c_m exp(-t), its
+    prefactor and the scale folded back in, then the t-derivatives of the
+    two with each prefactor times kappa (d/dr = kappa d/dt), all from one
+    specfun.exterior_wave_tables call, expanded by specfun.per_mode.  A
+    series is these factors times the angular basis, summed against the
     coefficients.
 
     Raises OverflowError when a factor leaves the double range (a high
     truncation at small kappa r), where the series would give inf * 0 = NaN.
     """
-    k = ctx.kappa if derivative else 1.0  # d/dr = kappa d/dt
-    c_h, c_m = (-0.5j * np.pi * k,) * 2 if ctx.dimension == 2 else (-1j * ctx.kappa * k, ctx.kappa * k)
     # the check below names an overflow, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = specfun.exterior_wave_tables(ctx.dimension, truncation, np.ravel(t), derivative)
-    h, s = (table.T for table in tables)  # (M, orders), as t
-    finite = np.isfinite(h) & np.isfinite(s)
+        tables = np.stack(specfun.exterior_wave_tables(ctx.dimension, truncation, np.ravel(t)))
+    finite = np.all(np.isfinite(tables), axis=(0, 1))  # one flag per kappa r
     if not np.all(finite):
-        worst = float(np.min(np.broadcast_to(t, finite.shape)[~finite]))
+        worst = float(np.min(np.ravel(t)[~finite]))
         raise OverflowError(
             f"exterior series radial factors are not finite at kappa*r = {worst:.6g}: the "
             f"radial wave families leave the double range (truncation {truncation})"
         )
-    return c_h * specfun.per_mode(ctx.dimension, h), c_m * np.exp(-t) * specfun.per_mode(ctx.dimension, s)
+    h, s, dh, ds = specfun.per_mode(ctx.dimension, tables.transpose(0, 2, 1))  # (M, modes), as t
+    k = ctx.kappa  # d/dr = kappa d/dt
+    c_h, c_m = (-0.5j * np.pi,) * 2 if ctx.dimension == 2 else (-1j * k, k)
+    damp = np.exp(-t)
+    return c_h * h, c_m * damp * s, c_h * k * dh, c_m * k * damp * ds
 
 
-# Exterior factors kept, one pair per (context, truncation, derivative):
-# 2 (N+1)**2 complex values in 3D, 0.02 MB at the default truncation 24 and
-# 0.33 MB at truncation 100, where the 16 kept hold 5.2 MB.
+# Exterior factors kept, four tables per (context, truncation): the f_h and
+# f_m factors and their radial derivatives, 4 (N+1)**2 complex values in 3D,
+# 0.04 MB at the default truncation 24 and 0.65 MB at truncation 100, where
+# the 16 kept hold 10.4 MB.
 _SPHERE_FACTORS = 16
 
 
 @functools.lru_cache(maxsize=_SPHERE_FACTORS)
-def _sphere_factors(ctx, truncation, derivative):
+def _sphere_factors(ctx, truncation):
     """_radial_tables at r = R: the per-mode factors of the f_h and f_m
-    series, or of their radial derivatives, read-only, and built once per
-    (context, truncation, derivative), since they depend on nothing else."""
-    t = np.array([[ctx.kappa * ctx.radius]])
-    factors = tuple(table[0] for table in _radial_tables(ctx, truncation, t, derivative))
+    series and of their radial derivatives, read-only, and built once per
+    (context, truncation), since they depend on nothing else."""
+    factors = tuple(table[0] for table in _radial_tables(ctx, truncation, np.array([[ctx.kappa * ctx.radius]])))
     for factor in factors:
         factor.flags.writeable = False
     return factors
@@ -416,11 +421,9 @@ def _sphere_series(ctx, coeffs, angular):
     nodes of the boundary rule: the radial factors are constant there, so
     they are folded into the coefficients of one synthesis of all four
     (specfun.rule_synthesis)."""
-    columns = []
-    for derivative in (False, True):
-        h, s = _sphere_factors(ctx, coeffs.truncation, derivative)
-        columns += [h * coeffs.alpha, s * coeffs.beta]
-    return specfun.rule_synthesis(np.column_stack(columns), angular)
+    h, s, dh, ds = _sphere_factors(ctx, coeffs.truncation)
+    alpha, beta = coeffs.alpha, coeffs.beta
+    return specfun.rule_synthesis(np.column_stack([h * alpha, s * beta, dh * alpha, ds * beta]), angular)
 
 
 def _eval_modal(ctx, src, pts, truncation):
@@ -432,7 +435,7 @@ def _eval_modal(ctx, src, pts, truncation):
     r, theta, phi = spherical_params(pts)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, theta, phi)
     radii, row = np.unique(ctx.kappa * r, return_inverse=True)
-    h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivative=False)
+    h, s, _, _ = _radial_tables(ctx, coeffs.truncation, radii[:, None])
     # Named tables: numpy may overwrite an unnamed temporary right operand in
     # place, which changes how a complex product rounds under FMA.
     H = h[row]

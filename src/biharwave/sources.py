@@ -25,7 +25,9 @@ Sources are linear: scaled and + build a source of parts, a flat tuple of
 transforms in fields) adds its leaves' results times their factors, each
 leaf on its own grid with its own kept samples and coefficients
 (SourceField._linear).  The L2 norm is not linear: it is the source's own
-(SourceField.l2_norm), not part of its coefficients.
+(SourceField.l2_norm), not part of its coefficients, and modal_coefficients
+does not read it; the verdict's residuals divide by it
+(ModalCoefficients.max_residual, which refuses a zero or non-finite norm).
 
 The nonradiating constructors apply their radial differential operators
 analytically (chain rule on powers of the order-zero radial waves), never by
@@ -130,9 +132,13 @@ class ModalCoefficients:
         source's L2 norm (SourceField.l2_norm), which is not linear and so
         is not part of the coefficients.  A zero norm_f (the zero source, or
         one no grid node sees) is refused: its residual would be 0 / 0, and
-        0 would read as nonradiating."""
+        0 would read as nonradiating.  So is a norm that is not finite (finite
+        coefficients of values whose squares overflow, such as a Gaussian of
+        amplitude 1e200): its residual would read 0 or NaN."""
         if norm_f == 0.0:
             raise ValueError("the source's L2 norm is zero: its modal residual (|alpha| + |beta|) / norm_f is 0 / 0")
+        if not np.isfinite(norm_f):
+            raise ValueError(f"the source's L2 norm is not finite ({norm_f}): its modal residual would read 0 or NaN")
         return float(np.max(np.abs(self.alpha) + np.abs(self.beta))) / norm_f
 
 
@@ -314,10 +320,13 @@ class SourceField:
 
     # -- norms ---------------------------------------------------------------
     def l2_norm(self) -> float:
-        """Quadrature L2 norm over the ball (computed once, then cached)."""
+        """Quadrature L2 norm over the ball (computed once, then cached).
+        Values whose squares overflow give inf, which every reader refuses
+        by name (ModalCoefficients.max_residual, the CLI's JSON writer)."""
         if self._norm is None:
             grid, vals = self.default_samples()
-            self._norm = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
+            with np.errstate(over="ignore"):  # the readers name an inf norm
+                self._norm = float(np.sqrt(np.sum(np.abs(vals) ** 2 * grid.weights).real))
         return self._norm
 
 
@@ -401,12 +410,14 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     A leaf's profiles are summed up to their own truncation (project_modes)
     and every mode above it is zero: a radial leaf's coefficients are two
     radial sums, its zero mode on its own rule against the order-0 tables
-    at this context's kappa.  Before it is projected, a leaf's L2 norm is
-    read (on its default grid, once): values or a norm that are not finite
-    are refused by name.  The coefficients of a sum or a scaled source are
-    the sum of its leaves' coefficients times their factors
-    (SourceField._linear), each leaf projected on its own grid and keeping
-    its own: a source of parts is never projected, nor its norm read.
+    at this context's kappa.  A leaf's mode profiles are the only samples
+    summed, and profiles that are not finite (NaN or inf source values)
+    are refused by name before any table is built; no L2 norm is read, so
+    a radial leaf's coefficients build and sample no product grid.  The
+    coefficients of a sum or a scaled source are the sum of its leaves'
+    coefficients times their factors (SourceField._linear), each leaf
+    projected on its own grid and keeping its own: a source of parts is
+    never projected.
 
     The coefficients are computed once per (context, truncation) and kept on
     the source, with alpha and beta read-only: the transforms, the boundary
@@ -428,10 +439,9 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
         pair = operator.attrgetter("alpha", "beta")
         alpha, beta = src._linear(lambda leaf: pair(modal_coefficients(ctx, leaf, truncation)))
     else:
-        norm_f = src.l2_norm()
-        if not np.isfinite(norm_f):
-            raise ValueError(f"the source values, or their L2 norm, are not finite (norm {norm_f})")
         modal = project_modes(src, truncation)
+        if not np.all(np.isfinite(modal.values)):
+            raise ValueError("the source's mode profiles are not finite (its values summed over the angles)")
         kr = ctx.kappa * modal.rule.nodes
         measure = modal.rule.weights * modal.rule.nodes ** (ctx.dimension - 1)
         # the imaginary-argument family can leave the double range; the check

@@ -37,8 +37,10 @@ Hankel function on the positive imaginary axis, evaluated through the
 modified functions K_n (never by complex continuation) and returned with
 the factor exp(t) removed, so that it stays finite for every representable
 t: the regular table plus the second solutions and the decaying family by
-their forward recurrences from orders 0 and 1.  Their derivatives come from
-one recurrence in both dimensions, z_n' = (n / t) z_n - z_(n+1).
+their forward recurrences from orders 0 and 1.  One call returns both
+families and their t-derivatives, four tables from one table that reaches
+one order above the truncation: the derivatives come from one recurrence
+in both dimensions, z_n' = (n / t) z_n - z_(n+1).
 
 Conventions
 -----------
@@ -582,8 +584,7 @@ def regular_wave_tables(dimension: int, truncation: int, x) -> tuple[np.ndarray,
     # each column starts at its own order: an infinite c_n above it makes
     # the ratio there an exact zero, so a column is the table at its
     # argument alone, bit for bit (the sums below run sequentially down the
-    # rows); x may be empty: a source whose support ends before the first
-    # radial node
+    # rows)
     own = np.ceil(np.maximum(truncation, x + 10.0 * np.cbrt(x))).astype(int) + 16
     start = int(np.max(own, initial=truncation + 16))
     n = np.arange(1, start + 1)[:, None]
@@ -627,13 +628,17 @@ def regular_wave_tables(dimension: int, truncation: int, x) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 # Exterior radial waves over all orders, and their derivatives
 # ---------------------------------------------------------------------------
-def exterior_wave_tables(dimension: int, truncation: int, t, derivative: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def exterior_wave_tables(dimension: int, truncation: int, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The exterior radial waves of orders 0..truncation at arguments t > 0
-    (a 1-D array, or one number), each of shape (truncation + 1, len(t)),
-    the layout of regular_wave_tables: the outgoing waves, H_n(t) in 2D and
-    h_n(t) = j_n(t) + i y_n(t) in 3D, and the decaying waves, the outgoing
-    family on the positive imaginary axis with the factor exp(-t) removed,
-    exp(t) H_n(i t) and exp(t) h_n(i t), finite for every representable t.
+    (a 1-D array, or one number) and their t-derivatives: four tables, each
+    of shape (truncation + 1, len(t)), the layout of regular_wave_tables.
+    They are the outgoing waves, H_n(t) in 2D and h_n(t) = j_n(t) + i y_n(t)
+    in 3D, the decaying waves, the outgoing family on the positive
+    imaginary axis with the factor exp(-t) removed, exp(t) H_n(i t) and
+    exp(t) h_n(i t), finite for every representable t, then the
+    t-derivatives of the two (for the decaying family exp(t) times the
+    derivative of H_n(i t) or h_n(i t)).  All four come from one table of
+    orders 0..truncation + 1.
 
     The outgoing waves are J_n + i Y_n and j_n + i y_n: Y_n and y_n by their
     forward recurrence from orders 0 and 1 (j0_y0 and j1_y1; -cos t / t and
@@ -648,31 +653,29 @@ def exterior_wave_tables(dimension: int, truncation: int, t, derivative: bool = 
     recurrence, exp-scaled, from orders 0 and 1 (k0_k1_scaled; (pi / (2 t))
     and (pi / (2 t)) (1 + 1 / t) for the half-integer orders).
 
-    With derivative, the t-derivatives instead (for the decaying family
-    exp(t) times the derivative of H_n(i t) or h_n(i t)), from the tables one
-    order higher by the recurrence z_n' = (n / t) z_n - z_(n+1) that every
-    cylindrical and spherical Bessel family obeys (DLMF 10.6.2, 10.29.2,
-    10.51.2): (n / t) T_n - T_(n+1) for the outgoing waves T and, as
-    d/dt Z(i t) = i Z'(i t), (n / t) S_n - i S_(n+1) for the scaled decaying
-    waves S.  Against mpmath (40 digits) at orders 0-40 and eight t from
-    0.3 to 43, values and derivatives of both families stay within 1.3e-15
-    (2D) and 1.4e-15 (3D) relative, where scipy's h1vp and spherical
-    derivatives read 1.7e-14 and 2.0e-14; at six t from 41.5 to 2000,
-    within 1.0e-15.
+    The derivatives come from that table by the recurrence
+    z_n' = (n / t) z_n - z_(n+1) that every cylindrical and spherical Bessel
+    family obeys (DLMF 10.6.2, 10.29.2, 10.51.2): (n / t) T_n - T_(n+1) for
+    the outgoing waves T and, as d/dt Z(i t) = i Z'(i t),
+    (n / t) S_n - i S_(n+1) for the scaled decaying waves S.  Against
+    mpmath (40 digits) at orders 0-40 and eight t from 0.3 to 43, values
+    and derivatives of both families stay within 1.3e-15 (2D) and 1.4e-15
+    (3D) relative, where scipy's h1vp and spherical derivatives read
+    1.7e-14 and 2.0e-14; at six t from 41.5 to 2000, within 1.0e-15.
 
     At a high order and a small t an entry leaves the double range and is
     returned as it comes (inf or NaN).  A non-positive or non-finite t is
     refused by its value.
     """
     t = _wave_arguments(dimension, truncation, t, "exterior", "t")
-    top = truncation + derivative
+    top = truncation + 1
     # row n: J_n (j_n), the second solution Y_n (y_n) and the decaying
     # family, scaled so that the phases below complete it, by their forward
     # recurrences from orders 0 and 1, signed as _FORWARD_SIGNS:
     # Z_(n+1) = c_n Z_n - Z_(n-1) and S_(n+1) = c_n S_n + S_(n-1).  The last
     # two are stable in that direction, J_n only below its turning point
     # n = t, so an argument t <= top takes J_n from regular_wave_tables.
-    waves = np.empty((max(top, 1) + 1, 3, t.size))
+    waves = np.empty((top + 1, 3, t.size))
     if dimension == 2:
         (waves[0, 0], waves[0, 1]), (waves[1, 0], waves[1, 1]) = j0_y0(t), j1_y1(t)
         waves[0, 2], waves[1, 2] = k0_k1_scaled(t)
@@ -689,7 +692,7 @@ def exterior_wave_tables(dimension: int, truncation: int, t, derivative: bool = 
         for k in range(1, top):
             np.multiply(c[k - 1], waves[k], out=waves[k + 1])
             waves[k + 1] += _FORWARD_SIGNS * waves[k - 1]
-    regular, second, scaled = waves[:top + 1].transpose(1, 0, 2)
+    regular, second, scaled = waves.transpose(1, 0, 2)
     near = t <= top
     if near.any():
         regular[:, near] = regular_wave_tables(dimension, top, t[near])[0]
@@ -699,10 +702,9 @@ def exterior_wave_tables(dimension: int, truncation: int, t, derivative: bool = 
         decaying = (2.0 / np.pi) * _ipow(-(n + 1)) * scaled
     else:
         decaying = -_ipow(-n) * scaled
-    if not derivative:
-        return outgoing, decaying
     ratio = n[:-1] / t
-    return ratio * outgoing[:-1] - outgoing[1:], ratio * decaying[:-1] - 1j * decaying[1:]
+    return (outgoing[:-1], decaying[:-1],
+            ratio * outgoing[:-1] - outgoing[1:], ratio * decaying[:-1] - 1j * decaying[1:])
 
 
 # ---------------------------------------------------------------------------

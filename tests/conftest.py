@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biharwave import fields, sources, specfun
+from biharwave import fields, quadrature, sources, specfun
 
 
 @pytest.fixture
@@ -43,12 +43,28 @@ def radial_table_radii(monkeypatch):
     sizes = []
     tables = fields._radial_tables
 
-    def counting(ctx, truncation, t, derivative):
+    def counting(ctx, truncation, t):
         sizes.append(np.size(t))
-        return tables(ctx, truncation, t, derivative)
+        return tables(ctx, truncation, t)
 
     monkeypatch.setattr(fields, "_radial_tables", counting)
     return sizes
+
+
+@pytest.fixture
+def product_grids(monkeypatch):
+    """Number of quadrature.product_grid calls, as a one-entry list, counted
+    under both names it is called by (quadrature's and sources' import)."""
+    count = [0]
+    product_grid = quadrature.product_grid
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return product_grid(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "product_grid", counting)
+    monkeypatch.setattr(sources, "product_grid", counting)
+    return count
 
 
 @pytest.fixture

@@ -515,6 +515,22 @@ def test_source_no_node_sees_is_refused(tmp_path, capsys, dimension, center, sig
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["verdict", "nonuniqueness"])
+def test_infinite_norm_is_one_config_error_line(tmp_path, capsys, command):
+    # a Gaussian of amplitude 1e200 has finite coefficients and an L2 norm of
+    # inf: verdict refuses the norm, and nonuniqueness, whose verdict reads g,
+    # refuses to write "norm_f": Infinity, which is not JSON
+    scenario = dict(GAUSS2D, parameters=dict(GAUSS2D["parameters"], amplitude=1e200))
+    argv = [command, "--config", _write(tmp_path, "big.json", scenario), "--out", str(tmp_path / "out")]
+    if command == "nonuniqueness":
+        argv += ["--config-g", _write(tmp_path, "g.json", NR2D)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert ("L2 norm is not finite (inf)" if command == "verdict" else "not JSON compliant: inf") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonuniqueness_with_a_zero_perturbation_exits_2(tmp_path, capsys):
     cfg_f = _write(tmp_path, "f.json", GAUSS2D)
     cfg_g = _write(tmp_path, "g.json", {"dimension": 2, "R": 1.0, "root_index": 1, "kind": "zero"})

@@ -254,8 +254,40 @@ class TestModalCoefficients:
             return vals
 
         src = SourceField.from_callable(CTX2, func)
-        with pytest.raises(ValueError, match="source values, or their L2 norm, are not finite"):
+        with pytest.raises(ValueError, match="mode profiles are not finite"):
             modal_coefficients(CTX2, src, 4)
+
+    @pytest.mark.parametrize("make, ctx", [(make_2d_bessel_nonradiating, CTX2), (make_3d_bessel_nonradiating, CTX3)],
+                             ids=["2d", "3d"])
+    def test_radial_leaf_builds_no_product_grid(self, make, ctx, product_grids):
+        # a radial leaf's coefficients are two radial sums of its profile and
+        # read no L2 norm: its trace, transform on the circle and modal field
+        # build and sample no product grid
+        src = make(ctx)
+        trace = boundary_trace(ctx, src, boundary_grid(ctx, 16 if ctx.dimension == 3 else 64))
+        dirs, _ = direction_grid(ctx, 8)
+        fourier_on_circle(ctx, src, dirs)
+        eval_field_batch(ctx, src, 1.5 * dirs, method="modal")
+        assert product_grids[0] == 0
+        assert np.all(np.isfinite(trace.stacked()))
+        assert src._norm is None
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_norm_overflow_is_refused_by_the_residual(self, ctx):
+        # amplitude 1e200: finite profiles (peak 6.1e199 in 2D) and finite
+        # coefficients, but the squares of the values overflow, so the L2
+        # norm is inf. The trace is served; the modal residual, which would
+        # read 0.0, is refused naming the norm, and so is the verdict
+        src = gaussian_source(ctx, center=[0.25, 0.0, 0.0][: ctx.dimension], sigma=0.1,
+                              amplitude=1e200, support_radius=0.9)
+        trace = boundary_trace(ctx, src, boundary_grid(ctx, 16 if ctx.dimension == 3 else 64))
+        assert np.all(np.isfinite(trace.stacked())) and np.max(np.abs(trace.stacked())) > 1e190
+        assert src.l2_norm() == np.inf
+        coeffs = modal_coefficients(ctx, src)
+        with pytest.raises(ValueError, match=r"L2 norm is not finite \(inf\)"):
+            coeffs.max_residual(src.l2_norm())
+        with pytest.raises(ValueError, match=r"L2 norm is not finite \(inf\)"):
+            verdict(ctx, src)
 
 
 class TestClosedFormRadialControls:

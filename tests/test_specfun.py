@@ -410,15 +410,15 @@ def test_per_mode_matches_negative_orders(axis):
         assert np.array_equal(expand(2, fn(np.arange(top + 1)[:, None], t)), fn(n[:, None], t))
     # the exp(t)-scaled decaying family and its derivative against the
     # unscaled K-family oracle at the negative orders
-    for derivative, oracle in ((False, oracles.hankel1_imag), (True, oracles.hankel1_imag_dt)):
-        _, scaled = specfun.exterior_wave_tables(2, top, t, derivative)
-        np.testing.assert_allclose(expand(2, scaled) * np.exp(-t), oracle(n[:, None], t), rtol=1e-13, atol=0)
+    _, scaled, _, dscaled = specfun.exterior_wave_tables(2, top, t)
+    for table, oracle in ((scaled, oracles.hankel1_imag), (dscaled, oracles.hankel1_imag_dt)):
+        np.testing.assert_allclose(expand(2, table) * np.exp(-t), oracle(n[:, None], t), rtol=1e-13, atol=0)
     assert np.array_equal(specfun.per_mode(2, np.array([2.5])), [2.5])
     for fn in (sp.spherical_jn, sp.spherical_yn):
         got = expand(3, fn(np.arange(top + 1)[:, None], t))
         assert got.shape[0] == (top + 1) ** 2
         assert np.array_equal(got, fn(specfun.mode_degrees(3, top)[:, None], t))
-    _, scaled = specfun.exterior_wave_tables(3, top, t)
+    _, scaled, _, _ = specfun.exterior_wave_tables(3, top, t)
     ref = oracles.sph_hankel1_imag(specfun.mode_degrees(3, top)[:, None], t)
     np.testing.assert_allclose(expand(3, scaled) * np.exp(-t), ref, rtol=1e-12, atol=0)
     assert np.array_equal(specfun.per_mode(3, np.array([2.5, -1.0])), [2.5, -1.0, -1.0, -1.0])
@@ -586,8 +586,7 @@ class TestExteriorWaveTables:
         # first zeros to beyond the largest verdict argument (kappa R 43.2),
         # relative to each entry's own size (no entry vanishes on the real axis)
         t = np.array([0.3, 0.9, 2.4, 5.0, 11.0, 19.5, 30.0, 43.0])
-        got = [table for derivative in (False, True)
-               for table in specfun.exterior_wave_tables(dimension, 40, t, derivative)]
+        got = specfun.exterior_wave_tables(dimension, 40, t)
         refs = [_mp_exterior(dimension, 40, tc) for tc in t]
         ref = [np.array([r[k] for r in refs]).T for k in (0, 2, 1, 3)]
         worst = [float(np.max(np.abs(g - r) / np.abs(r))) for g, r in zip(got, ref)]
@@ -600,8 +599,7 @@ class TestExteriorWaveTables:
         # j_n come from the forward recurrence too, not from a ratio table
         # started past t: within 1.1e-15 here
         t = np.array([41.5, 300.0, 2000.0])
-        got = [table for derivative in (False, True)
-               for table in specfun.exterior_wave_tables(dimension, 40, t, derivative)]
+        got = specfun.exterior_wave_tables(dimension, 40, t)
         refs = [_mp_exterior(dimension, 40, tc) for tc in t]
         ref = [np.array([r[k] for r in refs]).T for k in (0, 2, 1, 3)]
         worst = [float(np.max(np.abs(g - r) / np.abs(r))) for g, r in zip(got, ref)]
@@ -632,11 +630,10 @@ class TestHankelFamily:
 
 def _assert_columns_stand_alone(dimension, truncation, t):
     """Every column of the exterior tables is the table at its argument alone, bit for bit."""
-    for derivative in (False, True):
-        tables = specfun.exterior_wave_tables(dimension, truncation, t, derivative)
-        for col, tc in enumerate(t):
-            for table, alone in zip(tables, specfun.exterior_wave_tables(dimension, truncation, tc, derivative)):
-                assert table[:, col].tobytes() == alone[:, 0].tobytes()
+    tables = specfun.exterior_wave_tables(dimension, truncation, t)
+    for col, tc in enumerate(t):
+        for table, alone in zip(tables, specfun.exterior_wave_tables(dimension, truncation, tc)):
+            assert table[:, col].tobytes() == alone[:, 0].tobytes()
 
 
 class TestImaginaryArgumentRouting:
@@ -671,35 +668,33 @@ class TestImaginaryArgumentRouting:
 
     def test_hankel_imag_is_k_family(self):
         t = np.array([0.7, 1.0, 4.0])
-        _, scaled = specfun.exterior_wave_tables(2, 0, t)
+        _, scaled, _, _ = specfun.exterior_wave_tables(2, 0, t)
         vals = scaled[0] * (np.pi / 2.0) * 1j
         assert np.max(np.abs(vals.imag)) < 1e-15 * np.max(vals.real)
         assert np.all(vals.real > 0.0)
 
     def test_hankel_imag_decays(self):
         t = np.array([1.0, 10.0])
-        _, scaled = specfun.exterior_wave_tables(2, 3, t)
+        _, scaled, _, _ = specfun.exterior_wave_tables(2, 3, t)
         for n in (0, 3):
             near, far = np.exp(-t) * scaled[n]
             assert abs(far) < abs(near)
 
     def test_hankel_imag_from_integral_oracle(self):
         ref = -(2j / np.pi) * K0_AT_1
-        _, scaled = specfun.exterior_wave_tables(2, 0, 1.0)
+        _, scaled, _, _ = specfun.exterior_wave_tables(2, 0, 1.0)
         assert np.exp(-1.0) * scaled[0, 0] == pytest.approx(ref, rel=1e-11)
 
     def test_hankel_imag_singular_at_zero(self):
         # both families are singular at t = 0: a non-positive or non-finite
-        # argument is refused by its value, with or without derivatives
+        # argument is refused by its value
         for bad in (0.0, -1.5, np.nan, np.inf):
-            for derivative in (False, True):
-                with pytest.raises(ValueError, match=rf"t = {re.escape(repr(bad))}$"):
-                    specfun.exterior_wave_tables(2, 3, [1.0, bad], derivative)
+            with pytest.raises(ValueError, match=rf"t = {re.escape(repr(bad))}$"):
+                specfun.exterior_wave_tables(2, 3, [1.0, bad])
 
     def test_scaled_variants_consistent(self):
         t = np.array([0.5, 3.0, 12.0])
-        _, scaled = specfun.exterior_wave_tables(2, 5, t)
-        _, dscaled = specfun.exterior_wave_tables(2, 5, t, derivative=True)
+        _, scaled, _, dscaled = specfun.exterior_wave_tables(2, 5, t)
         for n in (0, 2, 5):
             for col, tc in enumerate(t):
                 assert scaled[n, col] * np.exp(-tc) == pytest.approx(oracles.hankel1_imag(n, tc), rel=1e-13)
@@ -719,9 +714,8 @@ class TestSphericalFamily:
             assert got == pytest.approx(oracles.sph_h1_closed(n, z), rel=1e-13)
 
     def test_hankel_singular_at_zero(self):
-        for derivative in (False, True):
-            with pytest.raises(ValueError, match=r"t = 0\.0$"):
-                specfun.exterior_wave_tables(3, 1, 0.0, derivative)
+        with pytest.raises(ValueError, match=r"t = 0\.0$"):
+            specfun.exterior_wave_tables(3, 1, 0.0)
 
     def test_imaginary_routing(self):
         # 3D beta pairs degree n with j_n(i t) = sqrt(pi/(2 i t)) J_(n+1/2)(i t)
@@ -737,13 +731,12 @@ class TestSphericalFamily:
     def test_imag_hankel_order_zero(self):
         # h^(1)_0(i t) = -exp(-t)/t
         t = np.array([0.5, 2.0, 9.0])
-        _, scaled = specfun.exterior_wave_tables(3, 0, t)
+        _, scaled, _, _ = specfun.exterior_wave_tables(3, 0, t)
         assert np.max(np.abs(np.exp(-t) * scaled[0] + np.exp(-t) / t)) < 1e-14
 
     def test_scaled_spherical_consistent(self):
         t = np.array([0.8, 5.0])
-        _, scaled = specfun.exterior_wave_tables(3, 4, t)
-        _, dscaled = specfun.exterior_wave_tables(3, 4, t, derivative=True)
+        _, scaled, _, dscaled = specfun.exterior_wave_tables(3, 4, t)
         for n in (0, 1, 4):
             for col, tc in enumerate(t):
                 assert scaled[n, col] * np.exp(-tc) == pytest.approx(oracles.sph_hankel1_imag(n, tc), rel=1e-12)

@@ -47,22 +47,24 @@ def _assert_identical(a, b):
 
 
 class TestSphereFactors:
-    """fields' exterior factors at r = R, kept per (context, truncation, derivative)."""
+    """fields' exterior factors at r = R, four tables kept per (context, truncation)."""
 
     def test_bounded_cache(self):
         assert fields._sphere_factors.cache_info().maxsize == fields._SPHERE_FACTORS
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
-    @pytest.mark.parametrize("derivative", [False, True], ids=["value", "derivative"])
-    def test_kept_factors_equal_fresh_ones(self, ctx, derivative):
-        kept = fields._sphere_factors(ctx, 12, derivative)
-        assert kept is fields._sphere_factors(WaveContext(ctx.dimension, ctx.kappa, ctx.radius), 12, derivative)
+    @pytest.mark.parametrize("pair", [slice(0, 2), slice(2, 4)], ids=["value", "derivative"])
+    def test_kept_factors_equal_fresh_ones(self, ctx, pair):
+        kept = fields._sphere_factors(ctx, 12)
+        assert len(kept) == 4
+        assert kept is fields._sphere_factors(WaveContext(ctx.dimension, ctx.kappa, ctx.radius), 12)
         fields._sphere_factors.cache_clear()
-        rebuilt = fields._sphere_factors(ctx, 12, derivative)
+        rebuilt = fields._sphere_factors(ctx, 12)
         assert rebuilt is not kept
-        # the one row of the radial tables at r = R, prefactors and exp(-kappa R) folded in
-        fresh_tables = fields._radial_tables(ctx, 12, np.array([[ctx.kappa * ctx.radius]]), derivative)
-        for got, again, fresh in zip(kept, rebuilt, (table[0] for table in fresh_tables)):
+        # the one row of the radial tables at r = R, prefactors and exp(-kappa R) folded in:
+        # the f_h and f_m factors, or their radial derivatives
+        fresh_tables = fields._radial_tables(ctx, 12, np.array([[ctx.kappa * ctx.radius]]))[pair]
+        for got, again, fresh in zip(kept[pair], rebuilt[pair], (table[0] for table in fresh_tables)):
             _assert_identical(got, fresh)
             _assert_identical(again, fresh)
             with pytest.raises(ValueError, match="read-only"):
@@ -75,8 +77,8 @@ class TestSphereFactors:
         grid = boundary_grid(ctx)
         trace_f = boundary_trace(ctx, f, grid, truncation=12)
         trace_fg = boundary_trace(ctx, f + g, grid, truncation=12)
-        # one value table and one derivative table, at the one radius R
-        assert radial_table_radii == [1, 1]
+        # one tabulation of the values and derivatives, at the one radius R
+        assert radial_table_radii == [1]
         # g is invisible: the two traces agree to rounding
         base = trace_f.stacked()
         assert np.max(np.abs(base - trace_fg.stacked())) <= 1e-8 * np.max(np.abs(base))
