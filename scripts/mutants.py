@@ -157,16 +157,33 @@ MUTANTS = (
     Mutant(
         "group-columns-not-mirrored",
         "src/biharwave/fields.py",
-        "tables[:, :, :rings, lo + 1:lo + n - hi + 1][..., ::-1]\n",
-        "tables[:, :, :rings, lo + 1:lo + n - hi + 1]\n",
-        ("tests/test_fields.py::TestEvalField::test_exterior_pde_residual",),
+        "        out = out + columns(shift + sign * lo, -sign)\n",
+        "        out = out.copy()\n",
+        (
+            "tests/test_fields.py::TestEvalField::test_exterior_pde_residual",
+            "tests/test_fields.py::TestSymmetryGroupQuadrature::test_folded_sums_over_layouts",
+        ),
     ),
     Mutant(
         "node-images-rings-not-reversed",
         "src/biharwave/fields.py",
-        "    if reverse:\n        v = v[:, :, ::-1]\n",
-        "",
-        ("tests/test_fields.py::TestSymmetryGroupQuadrature::test_3d_verdict_probes_match_dense_sum",),
+        "    v = doubled[:, :, ::-1] if flip else doubled\n",
+        "    v = doubled\n",
+        (
+            "tests/test_fields.py::TestSymmetryGroupQuadrature::test_3d_verdict_probes_match_dense_sum",
+            "tests/test_fields.py::TestSymmetryGroupQuadrature::test_folded_sums_over_layouts",
+        ),
+    ),
+    Mutant(
+        "fold-fixed-column-not-halved",
+        "src/biharwave/fields.py",
+        "        out[..., [l - lo for l in (lo, hi - 1) if (2 * l - lo) % n == 0]] *= 0.5",
+        "        out[..., []] *= 0.5",
+        (
+            "tests/test_fields.py::TestEvalField::test_exterior_pde_residual",
+            "tests/test_fields.py::TestSymmetryGroupQuadrature::test_verdict_probes_match_dense_sum",
+            "tests/test_fields.py::TestSymmetryGroupQuadrature::test_folded_sums_over_layouts",
+        ),
     ),
     Mutant(
         "phase-sums-last-block-dropped",

@@ -17,21 +17,24 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   (kernels.kernel_tables: Re phi_h, Im phi_h, phi_m), so each point's sums
   are one real matrix product, never complex arithmetic.  Points that are
   images of each other under the grid's symmetries (azimuth-step rotations,
-  phi -> -phi and, in 3D, z -> -z) share the tables of one canonical point,
-  summed against the rows permuted to each image; where that point lies on
-  a mirror of the grid, its tables are evaluated on a fundamental domain of
-  its stabilizer and mirrored (a 2D verdict evaluates 129 of every 256
-  azimuth columns).  One budget of _TABLE_BUDGET entries sizes every
-  table of the direct sums: the quadrature walks the grid in radial blocks
-  of at most that many nodes, and the far field and the volume transforms
-  sum cos and sin (or exp) of the real phase kappa dir . y against the same
-  rows in node blocks whose table over all the directions holds at most
-  that many entries (_phase_sums, which also takes the complex channel
-  columns of the spectral module's boundary-data functionals and lays out
-  their rows itself); cos and sin come from one half-angle tangent
-  (specfun.cos_sin, within 2.2e-16 of mpmath).  Kernel distances come from
-  sources._squared_distance, the helper that also reads the Gaussian and
-  the bump, and
+  phi -> -phi and, in 3D, z -> -z) share the tables of one canonical point;
+  where that point lies on a mirror of the grid, its tables and every
+  member's sums stay on a fundamental domain of its stabilizer (a 2D
+  verdict evaluates and sums 129 of every 256 azimuth columns), each
+  member summing the rows at its image folded onto that domain, and a
+  direction's groups at several radii share those folded rows.  A block's
+  node coordinates are its radial nodes times the rule's directions: a
+  product grid stores no points.  One budget of _TABLE_BUDGET entries sizes
+  every table of the direct sums: the quadrature walks the grid in radial
+  blocks of at most that many nodes, and the far field and the volume
+  transforms sum cos and sin (or exp) of the real phase kappa dir . y
+  against the same rows in node blocks whose table over all the directions
+  holds at most that many entries (_phase_sums, which also takes the
+  complex channel columns of the spectral module's boundary-data
+  functionals and lays out their rows itself); cos and sin come from one
+  half-angle tangent (specfun.cos_sin, within 2.2e-16 of mpmath).  Kernel
+  distances come from sources._squared_distance, the helper that also
+  reads the Gaussian and the bump, and
 * angular-mode series built from the source's modal coefficients
   (sources.modal_coefficients, which the source keeps per truncation; valid
   from the support radius outward; a radial leaf's are two radial sums of
@@ -95,7 +98,7 @@ _LATTICE_TOL = 1e-12
 
 # Table entries per block of the direct sums: the nodes of a radial block
 # of the quadrature (_eval_quadrature), whose distances, kernel tables and
-# weighted and permuted rows stay in a 2 MB L2 cache, and directions times
+# weighted and folded rows stay in a 2 MB L2 cache, and directions times
 # nodes of a block of _phase_sums.
 _TABLE_BUDGET = 1 << 14
 
@@ -166,7 +169,8 @@ def _symmetry_groups(angular, pts):
     s = (s.astype(int) + (eps < 0)) % n
     flip = theta > 0.5 * np.pi
     theta = np.where(flip, np.pi - theta, theta)
-    ids = np.column_stack([_snap(r, relative=True), _snap(theta), _snap(f)])
+    ids = np.column_stack([_snap(theta), _snap(f), _snap(r, relative=True)])
+    # groups in the order of their (theta_c, f, r): a direction's radii in turn
     _, first, group = np.unique(ids, axis=0, return_index=True, return_inverse=True)
     f0, theta0 = f[first], theta[first]
     for key, lattice in ((f0, 0.0), (f0, 0.5), (theta0, 0.5 * np.pi)):
@@ -209,40 +213,40 @@ def _real_rows(data, weights):
     return np.multiply(data, weights, order="C")
 
 
-def _node_images(rows, shape, shift, sign, reverse):
-    """Rows over a block of the product grid (shape (radial, polar, azimuth)
-    each) taken at each node's image under a grid symmetry: azimuth index l
-    goes to shift + sign l (mod n), and the polar rings reverse when reverse.
-    The identity passes rows through."""
-    if shift == 0 and sign == 1 and not reverse:
-        return rows
-    v = rows.reshape((-1,) + shape)
-    if reverse:
-        v = v[:, :, ::-1]
-    if sign < 0:  # v[shift - l] is the reversed azimuths at l - shift - 1
-        v, shift = v[..., ::-1], -shift - 1
-    shift %= shape[-1]
-    return np.concatenate((v[..., shift:], v[..., :shift]), axis=-1).reshape(rows.shape)
+def _folded_rows(doubled, domain, shift, sign, flip):
+    """The weighted rows one member of a symmetry group sums against its
+    group's tables on the domain (rings, lo, hi) of _canonical_point, shape
+    (rows, domain nodes) in C order.  doubled is a radial block's rows
+    twice over the azimuths, shape (rows, radial, polar, 2n), so that every
+    image below is a view of it.
 
-
-def _group_tables(ctx, q0, domain, nodes_t):
-    """q0's three kernel tables over a block of the grid (nodes_t of shape
-    (d, radial, polar, azimuth)), of shape (3, radial, polar, azimuth),
-    evaluated on the domain (rings, lo, hi) of _canonical_point only and
-    mirrored into the rest of the block by slice copies."""
+    The member is h(q0) for the grid symmetry h taking azimuth index l to
+    shift + sign l (mod n) and, when flip, polar ring j to polar-1-j; it
+    reads the rows at h(y).  Where the domain is a fundamental domain of
+    q0's stabilizer, each domain node y also adds the rows at h(g y) for the
+    mirrors g of the stabilizer (l -> lo - l when the domain has fewer than
+    n columns, j -> polar-1-j when it has fewer than polar rings), and a
+    node on a mirror, its own image there, is halved once per such mirror
+    (exactly).  The domain's sum of q0's tables times these rows is then
+    the whole block's sum of q0's tables (invariant under the stabilizer)
+    times the rows at h(y)."""
     rings, lo, hi = domain
-    polar, n = nodes_t.shape[2:]
-    r = np.sqrt(_squared_distance(nodes_t[:, :, :rings, lo:hi], q0))
-    if rings == polar and hi - lo == n:
-        return kernel_tables(ctx, r)
-    tables = np.empty((3,) + nodes_t.shape[1:])
-    tables[:, :, :rings, lo:hi] = kernel_tables(ctx, r)
-    if hi - lo < n:  # l -> lo - l: columns hi..n-1 from lo+n-hi..lo+1
-        tables[:, :, :rings, hi:] = tables[:, :, :rings, lo + 1:lo + n - hi + 1][..., ::-1]
-        tables[:, :, :rings, :lo] = tables[:, :, :rings, 1:lo + 1]
-    if rings < polar:  # j -> polar-1-j
-        tables[:, :, rings:] = tables[:, :, :polar - rings][:, :, ::-1]
-    return tables
+    polar, n = doubled.shape[2], doubled.shape[3] // 2
+    v = doubled[:, :, ::-1] if flip else doubled
+
+    def columns(s, e):  # the rows at azimuths s + e l, l = lo..hi-1: in v reversed when e < 0
+        a = (e * s + lo - (e < 0)) % n
+        return (v if e > 0 else v[..., ::-1])[..., a:a + hi - lo]
+
+    out = columns(shift, sign)
+    if hi - lo < n:
+        out = out + columns(shift + sign * lo, -sign)
+        out[..., [l - lo for l in (lo, hi - 1) if (2 * l - lo) % n == 0]] *= 0.5  # l = lo - l (mod n)
+    if rings < polar:
+        out = out[:, :, :rings] + out[:, :, ::-1][:, :, :rings]
+        if 2 * rings > polar:
+            out[:, :, -1] *= 0.5
+    return np.ascontiguousarray(out).reshape(len(out), -1)
 
 
 def _eval_quadrature(ctx, src, pts):
@@ -252,15 +256,19 @@ def _eval_quadrature(ctx, src, pts):
     on the leaf's own grid (SourceField._linear).
 
     Each symmetry group's kernel tables are those of its canonical point q0
-    (_canonical_point); every member m is h(q0) for a grid symmetry h, so
-    |m - h(y)| = |q0 - y| and m sums q0's tables against the weighted rows
-    at h(y): the source's own values, permuted.  Where q0 lies on a mirror
-    of the grid, its tables are evaluated on a fundamental domain of its
-    stabilizer and mirrored (_group_tables), from the distances
-    sources._squared_distance sums one coordinate at a time.
+    (_canonical_point), evaluated only on a fundamental domain of q0's
+    stabilizer (the whole block when q0 lies on no mirror of the grid), from
+    the distances sources._squared_distance sums one coordinate at a time.
+    Every member m is h(q0) for a grid symmetry h, so |m - h(y)| = |q0 - y|:
+    m sums q0's tables against the weighted rows at h(y), folded onto the
+    domain (_folded_rows), which depend only on h and the domain.  Groups
+    are visited direction by direction, so a direction's groups at several
+    radii are consecutive and share each block's folded rows.  A block's
+    node coordinates are its radial nodes times the rule's directions (the
+    grid stores no points).
 
-    Each block's node coordinates, weighted rows, distances, tables and row
-    images are small enough to stay in a 2 MB L2 cache; each point adds its
+    Each block's coordinates, weighted rows, distances, tables and folded
+    rows are small enough to stay in a 2 MB L2 cache; each point adds its
     six real sums (three tables against the real and the imaginary row)
     across the blocks."""
     _check_dimension(ctx, src)
@@ -278,22 +286,33 @@ def _eval_quadrature(ctx, src, pts):
     groups = [(_canonical_point(angular, *c), members[bounds[g]:bounds[g + 1]])
               for g, c in enumerate(zip(*canonical))]
     k = len(values) * (2 if np.iscomplexobj(values) else 1)
+    # each group's domain of the rule's directions, shape (d, 1, rings, hi - lo)
+    directions = angular.directions.T.reshape((ctx.dimension, 1) + shape[1:])
+    domains = {domain: np.ascontiguousarray(directions[:, :, :domain[0], domain[1]:domain[2]])
+               for (_, domain), _ in groups}
+    groups = [(q0, domain, [(m, (domain, s[m], eps[m], flip[m])) for m in group_members])
+              for (q0, domain), group_members in groups]
     # each table against the real and the imaginary row; a real source's
     # absent imaginary row sums to +0.0
     sums = np.zeros((len(pts), 3, 2))
     for i in range(0, shape[0], step):
         block = (min(i + step, shape[0]) - i,) + shape[1:]
         nodes = slice(i * ring, (i + block[0]) * ring)
-        nodes_t = grid.points[nodes].T.copy().reshape((ctx.dimension,) + block)
-        rows = _real_rows(values[:, nodes], grid.weights[nodes])
-        for (q0, domain), group_members in groups:
-            tables = _group_tables(ctx, q0, domain, nodes_t).reshape(3, -1)
-            for m in group_members:
-                v = _node_images(rows, block, s[m], eps[m], flip[m])
-                sums[m, :, :k] += tables @ v.T
+        radii = grid.radial.nodes[i:i + block[0], None, None]
+        coords = {domain: domain_directions * radii for domain, domain_directions in domains.items()}
+        rows = _real_rows(values[:, nodes], grid.weights[nodes]).reshape((-1,) + block)
+        doubled = np.concatenate((rows, rows), axis=-1)
+        folded = {}
+        for q0, domain, keyed_members in groups:
+            folded = {key: folded.get(key) for _, key in keyed_members}  # kept from the group before
+            tables = kernel_tables(ctx, np.sqrt(_squared_distance(coords[domain], q0))).reshape(3, -1)
+            for m, key in keyed_members:
+                if folded[key] is None:
+                    folded[key] = _folded_rows(doubled, *key)
+                sums[m, :, :k] += tables @ folded[key].T
             # freed before the next group's tables are allocated, which then
             # reuse the same, cache-warm memory
-            del tables, v
+            del tables
     (re_a, re_b), (im_a, im_b), (m_a, m_b) = sums.transpose(1, 2, 0)
     f_h, f_m = np.empty((2, len(pts)), dtype=complex)
     f_h.real, f_h.imag = im_b - re_a, -(re_b + im_a)
@@ -466,13 +485,14 @@ def eval_field_batch(
     64 x 256 grid), and the 54 probes of a 3D verdict take 12 tables,
     893,952 kernel values of 1,572,864.  Those counts are a whole-ball
     source's: the grid ends at the support, so a Gaussian of support 0.9R
-    takes 51/64 of them (19,737 and 712,368).  Each point still sums the
-    source's own values, permuted to its image, in radial blocks of the
-    grid; scattered points take one whole table each, and a truncation is
-    refused, naming both.  'modal' sums the exterior
-    angular-mode series of the source's coefficients at the truncation
-    (default_mode_truncation when None; valid from the support radius
-    outward).  Points with a coordinate that is not finite are refused.
+    takes 51/64 of them (19,737 and 712,368).  Each point sums the source's
+    own values at its image, folded onto its group's domain, in radial
+    blocks of the grid (the first point of a group sums exactly what it
+    sums alone); scattered points take one whole table each and sum the
+    permuted values, and a truncation is refused, naming both.  'modal'
+    sums the exterior angular-mode series of the source's coefficients at
+    the truncation (default_mode_truncation when None; valid from the
+    support radius outward).  Points with a coordinate that is not finite are refused.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != ctx.dimension:

@@ -14,8 +14,9 @@ changes no node or weight, only how many of them there are.
 
 The Gauss-Legendre nodes and weights on [-1, 1] are solved once per order
 and kept read-only (solving order 320 costs a few milliseconds); every rule
-maps them into fresh arrays of its own.  Product grids are not kept: a kept
-3D grid holds four times the memory of the real values sampled on it.
+maps them into fresh arrays of its own.  Product grids are not kept, and
+store no points: a grid holds its two rules and its weights, and its points
+(the radial nodes times the directions) are built only when read.
 
 Defaults (radial 64, angular 256 in 2D, Gauss-32 x 64 in 3D) are chosen so
 the shipped radially-symmetric test sources self-converge below 1e-10; the
@@ -172,20 +173,26 @@ def boundary_grid(ctx: WaveContext, resolution: int | None = None) -> AngularRul
 class ProductGrid:
     """Tensor product of a radial rule with an angular rule over the ball.
 
-    points has shape (n_r * n_ang, d) ordered radial-major, n_r the radial
+    Nodes are ordered radial-major, n_r * n_ang of them, n_r the radial
     rule's node count (below its order when the grid ends at an extent);
     weights include the r**(d-1) volume factor, so sum(weights * g(points))
-    integrates g over the ball when g vanishes beyond the extent.
+    integrates g over the ball when g vanishes beyond the extent.  The grid
+    stores no points: points, shape (n_r * n_ang, d), is built on each read
+    as the radial nodes times the rule's directions, the products the field
+    quadrature forms block by block.
     """
 
     radial: RadialRule
     angular: AngularRule
-    points: np.ndarray
     weights: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.radial.nodes), self.angular.count)
+
+    @property
+    def points(self) -> np.ndarray:
+        return (self.radial.nodes[:, None, None] * self.angular.directions).reshape(-1, self.angular.dimension)
 
 
 def product_grid(
@@ -196,14 +203,8 @@ def product_grid(
 ) -> ProductGrid:
     """Quadrature grid over the ball B_R used for volume integrals and
     projections; with an extent, over the radial nodes below it only
-    (radial_rule)."""
+    (radial_rule).  Building one costs its rules and its weights."""
     rad = radial_rule(ctx, radial_order, extent)
     ang = angular_rule(ctx, angular_count)
-    pts = rad.nodes[:, None, None] * ang.directions[None, :, :]
     w = (rad.weights * rad.nodes ** (ctx.dimension - 1))[:, None] * ang.weights[None, :]
-    return ProductGrid(
-        radial=rad,
-        angular=ang,
-        points=pts.reshape(-1, ctx.dimension),
-        weights=w.reshape(-1),
-    )
+    return ProductGrid(radial=rad, angular=ang, weights=w.reshape(-1))

@@ -38,7 +38,7 @@ Laplacian in u, 4 u G'' + 2 d G', divides by no power of the distance, so
 one formula holds down to the centre: no Taylor branch near it, and no
 digits lost where such a branch hands over.  The bump and the Gaussian
 read u by one helper (_squared_distance), the one that also gives the field
-quadrature its kernel distances (fields._group_tables).
+quadrature its kernel distances (fields._eval_quadrature).
 """
 
 from __future__ import annotations
@@ -163,6 +163,14 @@ class SourceField:
     grid's points.  A source keeps its default-grid samples, its norm and
     its modal coefficients once computed.
 
+    A route (modal_coefficients, the field quadrature, the far field and
+    the volume transforms) may run under a context of another kappa or R
+    than the source's; one of another dimension is refused.  It reads the
+    source on the source's own grids, which its own context sizes, from its
+    kept samples or, for a radial leaf, its profile on its own radial rule,
+    and takes only kappa from the route's context: a radial and a pointwise
+    leaf alike.
+
     scaled and + build a source of parts: a flat tuple of (factor, leaf)
     pairs, where a leaf is a source that is no sum or scaling and its
     factor the product of the factors above it (nested sums and scalings
@@ -279,9 +287,8 @@ class SourceField:
 
         The values are sampled once (values_on) and cached, read-only.  The
         grid is rebuilt on each call from the cached Gauss-Legendre rules,
-        which costs only its points and weights: a kept 3D grid would hold
-        four times the memory of real values for as long as the source
-        lives.
+        which costs only its weights (a grid stores no points): a kept grid
+        would hold its weights for as long as the source lives.
         """
         grid = product_grid(self.ctx, self.radial_order, extent=self.support_radius)
         if self._values is None:

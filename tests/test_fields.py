@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharwave import WaveContext, fields, sources, specfun
 from biharwave.fields import (
@@ -188,6 +190,45 @@ def _orbit_values(grid, f, equator=False):
     return grid.shape[0] * (polar // 2 if equator else polar) * columns
 
 
+@st.composite
+def _group_layouts(draw):
+    """Images of canonical points (r, theta_c, f 2 pi / n) under any subset
+    of the grid's symmetries (shift s, reflection eps, flip): f on the angle
+    lattice, half a step off it or generic, on or off the 3D equator, at one
+    to three radii, in batch order radius by radius, so each radius is one
+    group whose first member is its first point.  Returns the dimension,
+    the points, those first members and the imaginary weight of the source."""
+    dimension = draw(st.sampled_from([2, 3]))
+    n = 256 if dimension == 2 else 64
+    f = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.05, 0.45))
+    theta = 0.5 * np.pi if dimension == 2 or draw(st.booleans()) else draw(st.floats(0.2, 1.3))
+    flips = st.booleans() if dimension == 3 else st.just(False)
+    images = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1]), flips),
+                           min_size=1, max_size=4, unique=True))
+    radii = draw(st.lists(st.sampled_from([1.05, 1.5, 2.4]), min_size=1, max_size=3, unique=True))
+    pts = []
+    for r in radii:
+        for shift, sign, flip in images:
+            phi, polar = (shift + sign * f) * 2.0 * np.pi / n, np.pi - theta if flip else theta
+            direction = [np.sin(polar) * np.cos(phi), np.sin(polar) * np.sin(phi), np.cos(polar)]
+            pts.append(r * np.array(direction[:2] if dimension == 2 else direction))
+    firsts = [i * len(images) for i in range(len(radii))]
+    return dimension, np.array(pts), firsts, draw(st.sampled_from([0.0, 0.5]))
+
+
+def _layout_source(dimension, imag):
+    """A Gaussian of support 0.9 on a short radial rule, plus imag times a
+    broad Gaussian over the whole ball: orders 80 in 2D and 20 in 3D, so
+    that the sums walk two radial blocks in 2D and three in 3D."""
+    ctx = CTX2 if dimension == 2 else CTX3
+    gauss = _gaussian(ctx)
+    if not imag:
+        return ctx, SourceField(ctx, gauss.evaluate, gauss.support_radius, 80 if dimension == 2 else 20)
+    other = gaussian_source(ctx, center=[-0.3] + [0.1] * (dimension - 1), sigma=0.2)
+    return ctx, SourceField(ctx, lambda p: gauss.evaluate(p) + imag * 1j * other.evaluate(p), ctx.radius,
+                            80 if dimension == 2 else 20)
+
+
 class TestSymmetryGroupQuadrature:
     """Points that are images of each other under the source grid's
     symmetries (azimuth step rotations, phi -> -phi, z -> -z in 3D) share
@@ -274,6 +315,21 @@ class TestSymmetryGroupQuadrature:
         assert np.max(np.abs(f_h - alone_h) / mag_h) <= 2e-15
         assert np.max(np.abs(f_m - alone_m) / mag_m) <= 2e-15
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(layout=_group_layouts())
+    def test_folded_sums_over_layouts(self, layout):
+        # every stabilizer (f = 0, 1/2 or none, on or off the equator), any
+        # subset of a group's images, real and complex sources: the folded
+        # sums match the dense sum, and the first member of each group sums
+        # exactly what the same point sums alone
+        dimension, pts, firsts, imag = layout
+        ctx, src = _layout_source(dimension, imag)
+        _, f_h, f_m = eval_field_batch(ctx, src, pts, method="quadrature")
+        _assert_matches_dense_sum(ctx, src, pts, f_h, f_m)
+        for i in firsts:
+            _, alone_h, alone_m = eval_field_batch(ctx, src, pts[i:i + 1], method="quadrature")
+            assert f_h[i] == alone_h[0] and f_m[i] == alone_m[0]
+
     def test_group_members_agree_with_own_tables(self):
         # a member's permuted sum and the sum over its own kernel tables
         # differ only in rounding; test_exterior_pde_residual's stencil
@@ -339,6 +395,9 @@ class TestSymmetryGroupQuadrature:
         alone = [eval_field_batch(CTX3, src, p[None, :], method="quadrature") for p in pts]
         alone_h = np.array([a[1][0] for a in alone])
         alone_m = np.array([a[2][0] for a in alone])
+        firsts = [i for i, p in enumerate(params) if p[3]]  # each group's first point
+        np.testing.assert_array_equal(f_h[firsts], alone_h[firsts])
+        np.testing.assert_array_equal(f_m[firsts], alone_m[firsts])
         assert np.max(np.abs(f_h - alone_h) / mag_h) <= 2e-15
         assert np.max(np.abs(f_m - alone_m) / mag_m) <= 2e-15
 

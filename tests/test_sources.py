@@ -8,7 +8,7 @@ import pytest
 from scipy import special as sp
 
 from biharwave import WaveContext, sources, specfun
-from biharwave.fields import boundary_trace, eval_field_batch
+from biharwave.fields import boundary_trace, eval_field_batch, far_field
 from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.spectral import (
     STABILITY_MARGIN,
@@ -426,6 +426,33 @@ class TestRadialLeafCoefficients:
         np.testing.assert_array_equal(modal.values[0], weight * (1.0 - grid.radial.nodes**2))
         co = modal_coefficients(ctx, leaf, 6)  # with the norm kept, the sums read no grid either
         assert co.alpha.shape == co.beta.shape == specfun.mode_degrees(ctx.dimension, 6).shape
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+def test_pointwise_leaf_route_context_of_another_kappa_and_radius(ctx, monkeypatch):
+    # a route takes kappa from its own context and nothing else: under a
+    # context of another kappa and R, a pointwise leaf (the Gaussian) is
+    # read by its kept samples on its own grid, summed at the route's kappa,
+    # as the same Gaussian over a context of the route's kappa and the
+    # leaf's own R is
+    route = WaveContext(ctx.dimension, 1.1 * ctx.kappa, 1.25 * ctx.radius)
+    twin_ctx = WaveContext(ctx.dimension, route.kappa, ctx.radius)
+    center = [0.2, -0.1, 0.1][: ctx.dimension]
+    leaf, twin = (gaussian_source(c, center=center, sigma=0.15, support_radius=0.85) for c in (ctx, twin_ctx))
+    leaf.default_samples()  # read once and kept
+
+    def refused(grid):
+        raise AssertionError("the routes read the leaf's kept samples")
+
+    monkeypatch.setattr(leaf, "values_on", refused)
+    dirs, _ = direction_grid(ctx, 8)
+    got, want = modal_coefficients(route, leaf, 12), modal_coefficients(twin_ctx, twin, 12)
+    np.testing.assert_array_equal(got.alpha, want.alpha)
+    np.testing.assert_array_equal(got.beta, want.beta)
+    np.testing.assert_array_equal(far_field(route, leaf, dirs), far_field(twin_ctx, twin, dirs))
+    # the leaf's own kappa sums the same samples to other coefficients
+    assert not np.array_equal(modal_coefficients(ctx, leaf, 12).alpha, got.alpha)
+    assert not np.array_equal(far_field(ctx, leaf, dirs), far_field(route, leaf, dirs))
 
 
 class TestBesselPair2D:
