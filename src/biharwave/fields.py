@@ -283,15 +283,15 @@ def _eval_quadrature(ctx, src, pts):
     group, s, eps, flip, canonical = _symmetry_groups(angular, pts)
     members = np.argsort(group, kind="stable")
     bounds = np.searchsorted(group[members], np.arange(len(canonical[0]) + 1))
-    groups = [(_canonical_point(angular, *c), members[bounds[g]:bounds[g + 1]])
-              for g, c in enumerate(zip(*canonical))]
+    groups = []  # (q0, domain, [(member, its folded-rows key), ...])
+    for g, c in enumerate(zip(*canonical)):
+        q0, domain = _canonical_point(angular, *c)
+        groups.append((q0, domain, [(m, (domain, s[m], eps[m], flip[m])) for m in members[bounds[g]:bounds[g + 1]]]))
     k = len(values) * (2 if np.iscomplexobj(values) else 1)
     # each group's domain of the rule's directions, shape (d, 1, rings, hi - lo)
     directions = angular.directions.T.reshape((ctx.dimension, 1) + shape[1:])
     domains = {domain: np.ascontiguousarray(directions[:, :, :domain[0], domain[1]:domain[2]])
-               for (_, domain), _ in groups}
-    groups = [(q0, domain, [(m, (domain, s[m], eps[m], flip[m])) for m in group_members])
-              for (q0, domain), group_members in groups]
+               for _, domain, _ in groups}
     # each table against the real and the imaginary row; a real source's
     # absent imaginary row sums to +0.0
     sums = np.zeros((len(pts), 3, 2))
