@@ -188,8 +188,8 @@ MUTANTS = (
     Mutant(
         "phase-sums-last-block-dropped",
         "src/biharwave/fields.py",
-        "    for a in range(0, len(points), nodes):\n",
-        "    for a in range(0, len(points) - nodes, nodes):\n",
+        "    for a in range(0, len(weights), nodes):\n",
+        "    for a in range(0, len(weights) - nodes, nodes):\n",
         (
             "tests/test_fields.py::TestFarField::test_phase_sums_over_node_blocks",
             "tests/test_fields.py::TestFarField::test_phase_sums_past_the_table_budget",

@@ -88,7 +88,7 @@ import numpy as np
 from . import specfun
 from .context import WaveContext
 from .kernels import kernel_tables
-from .quadrature import AngularRule, spherical_params
+from .quadrature import AngularRule, ProductGrid, spherical_params
 from .sources import SourceField, SupportViolationError, _check_dimension, _squared_distance, modal_coefficients
 
 # Slack within which two points count as images of one another under the
@@ -333,8 +333,9 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
     """Sums over the nodes of data w (c - i s), with c = cos(kappa dir . x)
     and s = sin(kappa dir . x) (oscillating), or c = exp(-kappa dir . x) and
     s = 0; one complex column per part of data ((nodes,) or (parts, nodes),
-    real or complex), shape (directions, parts).  directions are checked
-    unit vectors.
+    real or complex), shape (directions, parts).  points are the nodes'
+    coordinates, (nodes, d), or a ProductGrid, whose points each block
+    builds (ProductGrid.node_points).  directions are checked unit vectors.
 
     The weighted data are one block of real rows (_real_rows).  The nodes
     go in one loop of blocks whose phase table over all the directions
@@ -352,9 +353,9 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
     sums = np.zeros((2, step * len(rows), len(directions)))
     nodes = max(1, _TABLE_BUDGET // max(1, len(directions)))
     k = ctx.kappa * directions
-    for a in range(0, len(points), nodes):
+    for a in range(0, len(weights), nodes):
         b = a + nodes
-        phase = k @ points[a:b].T
+        phase = k @ (points.node_points(a, b) if isinstance(points, ProductGrid) else points[a:b]).T
         factors = specfun.cos_sin(phase) if oscillating else (np.exp(np.negative(phase, out=phase), out=phase),)
         for total, factor in zip(sums[:, ::step], factors):
             if a == 0:
@@ -380,7 +381,7 @@ def _volume_transform(ctx, src, directions, oscillating):
     if src._parts:
         return src._linear(lambda leaf: _volume_transform(ctx, leaf, dirs, oscillating))
     grid, values = src.default_samples()
-    return _phase_sums(ctx, grid.points, values, grid.weights, dirs, oscillating)[:, 0]
+    return _phase_sums(ctx, grid, values, grid.weights, dirs, oscillating)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ The Gauss-Legendre nodes and weights on [-1, 1] are solved once per order
 and kept read-only (solving order 320 costs a few milliseconds); every rule
 maps them into fresh arrays of its own.  Product grids are not kept, and
 store no points: a grid holds its two rules and its weights, and its points
-(the radial nodes times the directions) are built only when read.
+(the radial nodes times the directions) are built only when read, a run of
+nodes at a time (ProductGrid.node_points) where the library reads them.
 
 Defaults (radial 64, angular 256 in 2D, Gauss-32 x 64 in 3D) are chosen so
 the shipped radially-symmetric test sources self-converge below 1e-10; the
@@ -178,8 +179,10 @@ class ProductGrid:
     weights include the r**(d-1) volume factor, so sum(weights * g(points))
     integrates g over the ball when g vanishes beyond the extent.  The grid
     stores no points: points, shape (n_r * n_ang, d), is built on each read
-    as the radial nodes times the rule's directions, the products the field
-    quadrature forms block by block.
+    as the radial nodes times the rule's directions, and node_points builds
+    those of a run of nodes alone, the products the library's sums and
+    samplers form block by block, so none of them holds all the points at
+    once.
     """
 
     radial: RadialRule
@@ -192,7 +195,17 @@ class ProductGrid:
 
     @property
     def points(self) -> np.ndarray:
-        return (self.radial.nodes[:, None, None] * self.angular.directions).reshape(-1, self.angular.dimension)
+        return self.node_points(0, self.weights.size)
+
+    def node_points(self, start: int, stop: int) -> np.ndarray:
+        """Points of the nodes start..stop (a slice): one radial node times
+        the directions they take of its row, or the rows they span."""
+        ring = self.angular.count
+        row, col = divmod(start, ring)
+        if col + stop - start <= ring and row < len(self.radial.nodes):
+            return self.radial.nodes[row] * self.angular.directions[col:col + stop - start]
+        radii = self.radial.nodes[row:-(-stop // ring), None, None]
+        return (radii * self.angular.directions).reshape(-1, self.angular.dimension)[col:col + stop - start]
 
 
 def product_grid(

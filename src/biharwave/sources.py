@@ -63,6 +63,9 @@ from .quadrature import (
 )
 from .specfun import _ipow, mode_degrees, mode_index
 
+# Grid nodes per call of a pointwise source's function on a product grid.
+_SAMPLE_BUDGET = 1 << 14
+
 # Denominator magnitudes below this are treated as degenerate normalizations.
 DEGENERATE_DENOMINATOR = 1e-12
 
@@ -160,8 +163,9 @@ class SourceField:
     node, each masked at the source's own support radius, in
     np.result_type(rows, float): a radial source (from_radial) evaluates its
     profile once per radial node, a pointwise one its function at the
-    grid's points.  A source keeps its default-grid samples, its norm and
-    its modal coefficients once computed.
+    grid's points, called on blocks of whole radial rows of at most
+    _SAMPLE_BUDGET nodes.  A source keeps its default-grid samples, its
+    norm and its modal coefficients once computed.
 
     A route (modal_coefficients, the field quadrature, the far field and
     the volume transforms) may run under a context of another kappa or R
@@ -271,7 +275,12 @@ class SourceField:
         elif self._profile is not None:
             rows = np.asarray(self._profile(grid.radial.nodes))[:, None]
         else:
-            rows = np.asarray(self._func(grid.points)).reshape(grid.shape)
+            # blocks of whole radial rows of at most _SAMPLE_BUDGET nodes (one
+            # call, on no points, for a grid without a radial node): a 3D
+            # grid's points would be a temporary of 2-3 MB
+            step = max(1, _SAMPLE_BUDGET // grid.angular.count) * grid.angular.count
+            rows = np.concatenate([np.asarray(self._func(grid.node_points(i, i + step))).reshape(-1, grid.angular.count)
+                                   for i in range(0, max(1, grid.weights.size), step)])
         rows = _widened(rows)
         outside = grid.radial.nodes >= self.support_radius
         if outside.any():

@@ -715,6 +715,19 @@ class TestFarField:
         assert np.max(np.abs(func(CTX3, src, dirs) - ref)) <= 1e-14 * mass
 
     @pytest.mark.parametrize("oscillating", [True, False], ids=["oscillating", "exponential"])
+    def test_phase_sums_of_a_grid_build_its_points_by_block(self, oscillating):
+        # at 12 directions a block of 1365 nodes spans parts of two rows of
+        # 2048; the grid's blocks give the bits of its whole points array
+        grid, values = _gaussian(CTX3).default_samples()
+        rng = np.random.default_rng(67)
+        dirs = rng.normal(size=(12, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        assert grid.angular.count % (fields._TABLE_BUDGET // len(dirs))
+        sums = [fields._phase_sums(CTX3, points, values, grid.weights, dirs, oscillating)
+                for points in (grid, grid.points)]
+        assert np.array_equal(sums[0].view(np.uint64), sums[1].view(np.uint64))
+
+    @pytest.mark.parametrize("oscillating", [True, False], ids=["oscillating", "exponential"])
     def test_phase_sums_past_the_table_budget(self, oscillating):
         # more directions than the table budget holds: one node per block,
         # and the blocks add up to the dense complex-exp sum

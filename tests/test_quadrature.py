@@ -146,6 +146,19 @@ class TestProductGrid:
         assert grid.points.shape == (8 * 16, 2)
         assert grid.shape == (8, 16)
 
+    def test_node_points_are_slices_of_points(self):
+        # within one row, across rows, past the last node, and on a grid of no row
+        grid = quadrature.product_grid(CTX3, 8, 8)
+        ring = grid.angular.count
+        points = grid.radial.nodes[:, None, None] * grid.angular.directions
+        points = points.reshape(-1, 3)
+        for start, stop in ((0, 3), (5, ring), (ring - 2, ring + 1), (ring - 2, ring + 3), (0, 8 * ring),
+                            (3 * ring, 5 * ring + 1), (8 * ring - 5, 9 * ring), (8 * ring, 8 * ring)):
+            assert np.array_equal(grid.node_points(start, stop), points[start:stop])
+        assert np.array_equal(grid.points, points)
+        empty = quadrature.product_grid(CTX3, 8, 8, extent=1e-6)
+        assert empty.shape[0] == 0 and empty.node_points(0, 4).shape == empty.points.shape == (0, 3)
+
 
 class TestExtent:
     """A rule cut at an extent keeps the nodes below it, those of the whole

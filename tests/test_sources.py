@@ -922,6 +922,25 @@ class TestSampleRead:
             assert np.array_equal(pointwise.view(np.uint64), read.view(np.uint64))
         assert SourceField.from_radial(ctx, np.cos).evaluate(axis).dtype == float
 
+    def test_function_reads_blocks_of_whole_rows(self):
+        # the default 3D grid (51 rows of 2048 nodes) is read in blocks of
+        # at most _SAMPLE_BUDGET nodes, in order, with the bits of one call
+        # on all its points
+        gauss = gaussian_source(CTX3, center=[0.1, -0.2, 0.05], sigma=0.3, support_radius=0.9)
+        blocks = []
+
+        def func(points):
+            blocks.append(points)
+            return gauss._func(points)
+
+        grid, values = SourceField.from_callable(CTX3, func, support_radius=0.9).default_samples()
+        ring = grid.angular.count
+        assert len(blocks) > 1
+        assert all(len(b) % ring == 0 and len(b) <= sources._SAMPLE_BUDGET for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), grid.points)
+        assert np.array_equal(values.view(np.uint64), gauss.values_on(grid).view(np.uint64))
+        assert np.array_equal(values.view(np.uint64), gauss.evaluate(grid.points).view(np.uint64))
+
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_zero_source_reads_real_zeros(self, ctx):
         grid, values = SourceField.zero(ctx).default_samples()
