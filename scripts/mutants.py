@@ -134,6 +134,16 @@ MUTANTS = (
         ("tests/test_specfun.py::TestOrderZeroBessel::test_j0_y0_on_both_sides_of_the_threshold",),
     ),
     Mutant(
+        "two-sided-low-entries-not-overwritten",
+        "src/biharwave/specfun.py",
+        "                v[low] = w\n",
+        "                pass\n",
+        (
+            "tests/test_specfun.py::TestOrderZeroBessel::test_j0_y0_on_both_sides_of_the_threshold",
+            "tests/test_specfun.py::TestInHouseSeries::test_order_zero_and_one_match_mpmath",
+        ),
+    ),
+    Mutant(
         "y1-inverse-t-term-dropped",
         "src/biharwave/specfun.py",
         "            y -= (2.0 / np.pi) / t\n",

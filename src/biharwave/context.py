@@ -16,6 +16,13 @@ def _check_integer(name: str, value, minimum: int):
     return value
 
 
+def _check_dimension(dimension) -> None:
+    """Refuse a dimension that is not the integer 2 or 3 (a numpy integer
+    passes, a bool or a float does not), naming it."""
+    if isinstance(dimension, bool) or not isinstance(dimension, numbers.Integral) or dimension not in (2, 3):
+        raise ValueError(f"dimension must be the integer 2 or 3, got {dimension!r}")
+
+
 def _is_real(value) -> bool:
     """A real number (numpy's too) that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -28,7 +35,7 @@ class WaveContext:
     Attributes
     ----------
     dimension : int
-        Spatial dimension, 2 or 3.
+        Spatial dimension, the integer 2 or 3.
     kappa : float
         Wavenumber, strictly positive.
     radius : float
@@ -40,8 +47,7 @@ class WaveContext:
     radius: float
 
     def __post_init__(self):
-        if self.dimension not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
+        _check_dimension(self.dimension)
         if not (_is_real(self.kappa) and np.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
         if not (_is_real(self.radius) and np.isfinite(self.radius) and self.radius > 0):
@@ -59,8 +65,7 @@ class WaveContext:
         within an ulp of mpmath's and 99 are the nearest double (scipy's
         jn_zeros: 94).
         """
-        if dimension not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {dimension}")
+        _check_dimension(dimension)
         if not (_is_real(radius) and np.isfinite(radius) and radius > 0):
             raise ValueError(f"R must be positive and finite, got {radius!r}")
         _check_integer("root_index", root_index, 1)

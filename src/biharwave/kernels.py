@@ -45,9 +45,7 @@ def kernel_tables(ctx: WaveContext, r):
     phi_m), on 800 distances with t in [1e-8, 2000]: 3D within 3.5e-16 and
     2.5e-16; 2D within 3.6e-16 for t > 5 and 4.0e-16 for t > 2, 6.8e-16
     and 6.7e-16 at or below (scipy's j0, y0 and k0 there: 2.2e-15 and
-    6.7e-16).  Per 16,384 values (2-vCPU x86-64 VM shared with other work,
-    one BLAS thread, medians of six runs): 2D 1.18-1.46 ms against 2.2-3.5
-    ms with scipy's j0, y0 and k0 on every value, 3D 138-155 us.
+    6.7e-16).
     """
     r = np.asarray(r, dtype=float)
     out = np.empty((3,) + r.shape)

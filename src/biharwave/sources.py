@@ -189,6 +189,7 @@ class SourceField:
     """
 
     def __init__(self, ctx, func, support_radius, radial_order=DEFAULT_RADIAL_ORDER, profile=None):
+        _check_finite_number("support_radius", support_radius)
         if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
@@ -532,7 +533,9 @@ def make_3d_bessel_nonradiating(ctx: WaveContext, m1: int = 3, m2: int = 4) -> S
     """
     if ctx.dimension != 3:
         raise ValueError("make_3d_bessel_nonradiating requires a 3D context")
-    if m1 == m2 or m1 < 3 or m2 < 3:
+    _check_integer("m1", m1, 3)
+    _check_integer("m2", m2, 3)
+    if m1 == m2:
         raise ValueError(f"exponents must be distinct integers >= 3, got ({m1}, {m2})")
     kr = ctx.kappa * ctx.radius
     j0 = abs(np.sin(kr) / kr)
@@ -595,7 +598,7 @@ def make_bump_nonradiating(
     """
     d = ctx.dimension
     k4 = ctx.kappa**4
-    rho = 0.8 * ctx.radius if rho is None else float(rho)
+    rho = 0.8 * ctx.radius if rho is None else float(_check_finite_number("rho", rho))
     center = _finite_center(center, d)
     _check_finite_number("amplitude", amplitude)
     if not _is_real(amplitude):  # the mollifier pair is real arithmetic
@@ -665,7 +668,7 @@ def gaussian_source(
     center = _finite_center(center, ctx.dimension)
     _check_finite_number("amplitude", amplitude)
     amplitude = _real_if_real(amplitude)
-    sigma = 0.15 * ctx.radius if sigma is None else float(sigma)
+    sigma = 0.15 * ctx.radius if sigma is None else float(_check_finite_number("sigma", sigma))
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
 
@@ -699,10 +702,11 @@ def _finite_center(center, d: int) -> np.ndarray:
     return center
 
 
-def _check_finite_number(name: str, value) -> None:
-    """Refuse a bool, a value that is not a number, or a number that is not finite."""
+def _check_finite_number(name: str, value):
+    """value when it is a finite number (not a bool); otherwise a ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, Number) or not np.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 def _real_if_real(value):

@@ -11,6 +11,8 @@ order-zero and order-one function is a short Chebyshev series on each side
 of its threshold (t = 5 for J and Y, t = 2 for K; Cephes's rational
 amplitudes for J_0 and Y_0 above 5), fitted in mpmath and committed as
 literals, and every series is summed by one Clenshaw helper (_clenshaw).
+One split helper (_two_sided) serves j0_y0, j1_y1, k0 and k0_k1_scaled:
+each gives it only its two branches.
 
 The angular modes are the 2D Fourier orders n = -N..N and the 3D
 spherical-harmonic pairs (n, m), stored degree by degree.  Their layout
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import _check_integer
+from .context import _check_dimension, _check_integer
 
 _IPOW = np.array([1.0, 1j, -1.0, -1j])
 
@@ -239,11 +241,34 @@ def _clenshaw(a, x):
     return np.subtract(cur, free, out=cur)
 
 
+def _two_sided(t, threshold, above, below):
+    """above(t) at the entries of t above the threshold and below(t) at the
+    others, as fresh arrays of t's shape (0-d arrays for a 0-d t); each of
+    the two takes an array and returns a tuple of arrays of its shape.
+
+    below alone runs when no entry lies above the threshold.  Otherwise
+    above runs on every entry, with floating-point warnings off: the
+    entries at or below the threshold (t = 0 among them) are overwritten by
+    below on the gathered entries.
+    """
+    t = np.asarray(t, dtype=float)
+    low = t <= threshold
+    if low.all():
+        values = below(t)
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values = above(t)
+        if low.any():
+            for v, w in zip(values, below(t[low])):
+                v[low] = w
+    return tuple(map(np.asarray, values))  # numpy's arithmetic gives scalars for a 0-d t
+
+
 def _jy_below(t, order):
-    """J and Y of order 0 or 1 at 0 <= t <= J0_THRESHOLD (a 1-D array), from
-    the series A and B of their entire parts (the _BELOW tables) at
-    x = 2u = t**2 / 6.25 - 2 (order 0) or t**2 / 12.5 - 2 (order 1) and one
-    logarithm:
+    """J and Y of order 0 or 1 at 0 <= t <= J0_THRESHOLD (an array of any
+    shape), from the series A and B of their entire parts (the _BELOW
+    tables) at x = 2u = t**2 / 6.25 - 2 (order 0) or t**2 / 12.5 - 2
+    (order 1) and one logarithm:
 
         J_0 = A_0,    Y_0 = B_0 + (2 / pi) ln(t / 2) J_0,
         J_1 = t A_1,  Y_1 = t B_1 + (2 / pi) (ln(t / 2) J_1 - 1 / t),
@@ -287,10 +312,9 @@ def j0_y0(t):
     in (5, 40] (one BLAS thread, medians of six runs on a shared 2-vCPU
     x86-64 VM): 0.47-0.65 ms against 1.24-1.78 ms for scipy's j0 and y0.
     """
-    t = np.asarray(t, dtype=float)
-    b, a, p, q, w = (np.empty(t.shape) for _ in range(5))  # 0-d arrays for a 0-d t
-    # entries at or below the threshold (t = 0 among them) are overwritten
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+
+    def above(t):
+        b, a, p, q, w = (np.empty(t.shape) for _ in range(5))  # 0-d arrays for a 0-d t
         np.divide(5.0, t, out=a)
         np.multiply(a, a, out=b)  # q = 25 / t**2
         _polynomial(_J0_PP_MINUS_PQ, b, p)
@@ -312,10 +336,9 @@ def j0_y0(t):
         np.sqrt(a, out=a)
         j /= a
         y /= a
-    low = t <= J0_THRESHOLD
-    if low.any():
-        j[low], y[low] = _jy_below(t[low], 0)
-    return j, y
+        return j, y
+
+    return _two_sided(t, J0_THRESHOLD, above, lambda t: _jy_below(t, 0))
 
 
 def j1_y1(t):
@@ -332,33 +355,27 @@ def j1_y1(t):
     |H_1|: within 4.9e-16 on (5, 2000] and 7.0e-16 on (0, 5] (scipy's j1
     and y1: 2.0e-14 and 2.1e-15).
     """
-    t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
-    out = np.empty((2, flat.size))
-    high = flat > J0_THRESHOLD
-    if high.any():
-        th = flat[high]
-        a = np.divide(5.0, th)
+
+    def above(t):
+        a = np.divide(5.0, t)
         x = a * a
         x *= 4.0
         x -= 2.0
         p = _clenshaw(_P1_ABOVE, x)
         q = _clenshaw(_Q1_ABOVE, x)
         q *= a
-        c, s = cos_sin(th)
+        c, s = cos_sin(t)
         minus, plus = s - c, s + c
-        root = np.sqrt(np.pi * th)
-        out[0, high] = (p * minus + q * plus) / root
-        out[1, high] = (q * minus - p * plus) / root
-    if not high.all():
-        out[:, ~high] = _jy_below(flat[~high], 1)
-    return out[0].reshape(t.shape), out[1].reshape(t.shape)
+        root = np.sqrt(np.pi * t)
+        return (p * minus + q * plus) / root, (q * minus - p * plus) / root
+
+    return _two_sided(t, J0_THRESHOLD, above, lambda t: _jy_below(t, 1))
 
 
 def _k_below(t, order):
-    """K_0 or K_1 at 0 <= t <= K0_THRESHOLD (a 1-D array), from the series
-    of their entire parts (_K0_BELOW, _K1_BELOW at 2u = t**2 / 2 - 2) and the
-    power series of I_0 or I_1:
+    """K_0 or K_1 at 0 <= t <= K0_THRESHOLD (an array of any shape), from
+    the series of their entire parts (_K0_BELOW, _K1_BELOW at
+    2u = t**2 / 2 - 2) and the power series of I_0 or I_1:
 
         K_0 = F - ln(t / 2) I_0,  K_1 = 1 / t + t (G + ln(t / 2) I_1 / t),
 
@@ -394,10 +411,9 @@ def k0(t):
     at t in (5, 40], as for j0_y0: 0.51-0.63 ms against 0.67-1.59 ms for
     scipy's k0.
     """
-    t = np.asarray(t, dtype=float)
-    x, f = (np.empty(t.shape) for _ in range(2))  # 0-d arrays for a 0-d t
-    # entries at or below the threshold (t = 0 among them) are overwritten
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+
+    def above(t):
+        x, f = (np.empty(t.shape) for _ in range(2))  # 0-d arrays for a 0-d t
         np.divide(8.0, t, out=x)
         x -= 2.0  # 2 u
         np.negative(t, out=f)
@@ -405,10 +421,9 @@ def k0(t):
         f /= np.sqrt(t)
         k = _clenshaw(_K0_CHEBYSHEV, x)
         k *= f
-    low = t <= K0_THRESHOLD
-    if low.any():
-        k[low] = _k_below(t[low], 0)
-    return k
+        return (k,)
+
+    return _two_sided(t, K0_THRESHOLD, above, lambda t: (_k_below(t, 0),))[0]
 
 
 def k0_k1_scaled(t):
@@ -419,23 +434,18 @@ def k0_k1_scaled(t):
     within 2.8e-16 relative on (2, 700] and 8.4e-16 on (0, 2] (scipy's kve:
     4.2e-16 and 2.7e-15 there).
     """
-    t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
-    out = np.empty((2, flat.size))
-    high = flat > K0_THRESHOLD
-    if high.any():
-        th = flat[high]
-        x = np.divide(8.0, th)
+
+    def above(t):
+        x = np.divide(8.0, t)
         x -= 2.0
-        root = np.sqrt(th)
-        out[0, high] = _clenshaw(_K0_CHEBYSHEV, x) / root
-        out[1, high] = _clenshaw(_K1_CHEBYSHEV, x) / root
-    if not high.all():
-        tl = flat[~high]
-        e = np.exp(tl)
-        out[0, ~high] = _k_below(tl, 0) * e
-        out[1, ~high] = _k_below(tl, 1) * e
-    return out[0].reshape(t.shape), out[1].reshape(t.shape)
+        root = np.sqrt(t)
+        return _clenshaw(_K0_CHEBYSHEV, x) / root, _clenshaw(_K1_CHEBYSHEV, x) / root
+
+    def below(t):
+        e = np.exp(t)
+        return _k_below(t, 0) * e, _k_below(t, 1) * e
+
+    return _two_sided(t, K0_THRESHOLD, above, below)
 
 
 def j0_zero(k: int) -> float:
@@ -507,8 +517,7 @@ def per_mode(dimension: int, table, axis: int = -1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def _wave_arguments(dimension, truncation, x, family, name) -> np.ndarray:
     """x as a 1-D float array, after the checks that every wave table makes."""
-    if dimension not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dimension!r}")
+    _check_dimension(dimension)
     _check_integer("truncation", truncation, 0)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     bad = ~(np.isfinite(x) & (x > 0.0))

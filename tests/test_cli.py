@@ -397,16 +397,23 @@ def test_integer_tolerance_in_file_reports_as_float(tmp_path):
         ("bump_nonradiating", "amplitude", float("nan")),
         ("bump_nonradiating", "center", [0.0, float("nan")]),
         ("bump_nonradiating", "rho", float("nan")),
+        ("gaussian", "sigma", float("inf")),
+        ("gaussian", "sigma", True),
+        ("gaussian", "support_radius", True),
+        ("bump_nonradiating", "rho", True),
     ],
     ids=[
         "gaussian-amplitude-nan", "gaussian-amplitude-inf", "gaussian-center-nan",
         "gaussian-sigma-nan", "gaussian-support_radius-nan", "bump-amplitude-nan",
-        "bump-center-nan", "bump-rho-nan",
+        "bump-center-nan", "bump-rho-nan", "gaussian-sigma-inf", "gaussian-sigma-bool",
+        "gaussian-support_radius-bool", "bump-rho-bool",
     ],
 )
 def test_non_finite_parameter_is_named(tmp_path, capsys, kind, name, value):
-    # Python's json reads NaN and Infinity; none may reach a computation
-    cfg = _write(tmp_path, "bad.json", dict(NR2D, kind=kind, parameters={name: value}))
+    # Python's json reads NaN and Infinity; none may reach a computation, nor
+    # may true run as 1.0 (at R = 2 a bump of radius 1 fits, so a true rho is
+    # refused for its type, not for its support)
+    cfg = _write(tmp_path, "bad.json", dict(NR2D, R=2.0, kind=kind, parameters={name: value}))
     assert main(["field", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and name in err

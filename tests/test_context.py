@@ -32,9 +32,20 @@ def test_bool_kappa_or_radius_refused(field, args):
         WaveContext(*args)
 
 
+@pytest.mark.parametrize("dimension", [2.0, 3.0, True], ids=["2.0", "3.0", "True"])
+def test_non_integer_dimension_refused(dimension):
+    # 2.0 in (2, 3) holds, and such a context failed later inside numpy
+    pattern = rf"dimension must be the integer 2 or 3, got {dimension!r}"
+    with pytest.raises(ValueError, match=pattern):
+        WaveContext(dimension, 2.0, 1.0)
+    with pytest.raises(ValueError, match=pattern):
+        WaveContext.with_root_wavenumber(dimension, 1.0, 1)
+
+
 def test_numpy_numbers_accepted():
     ctx = WaveContext(np.int64(3), np.float32(2.0), np.int64(1))
     assert (ctx.kappa, ctx.radius) == (2.0, 1)
+    assert WaveContext.with_root_wavenumber(np.int64(2), 1.0, 1) == WaveContext.with_root_wavenumber(2, 1.0, 1)
 
 
 def test_2d_roots_are_the_zeros_of_j0():

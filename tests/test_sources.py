@@ -533,6 +533,17 @@ class TestBesselPair3D:
         with pytest.raises(ValueError):
             make_3d_bessel_nonradiating(CTX3, 2, 4)
 
+    @pytest.mark.parametrize("exponents, message", [
+        ((3.5, 4), "m1 must be an integer >= 3, got 3.5"),
+        ((3, 4.0), "m2 must be an integer >= 3, got 4.0"),
+        ((True, 4), "m1 must be an integer >= 3, got True"),
+    ], ids=["m1-fraction", "m2-float", "m1-bool"])
+    def test_non_integer_exponent_is_named(self, exponents, message):
+        # (3.5, 4) built a profile that was NaN wherever j_0 < 0, which the
+        # verdict refused without naming an exponent
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_3d_bessel_nonradiating(WaveContext.with_root_wavenumber(3, 1.0, 2), *exponents)
+
     def test_root_validation(self):
         bad = WaveContext(dimension=3, kappa=2.0, radius=1.0)
         with pytest.raises(ValueError, match="zero"):

@@ -255,7 +255,7 @@ class TestOrderZeroBessel:
         for x in (0.0, 3.0, 7.0, t[3, 4]):
             j0, y0 = specfun.j0_y0(x)
             k0 = specfun.k0(x)
-            assert j0.shape == y0.shape == k0.shape == ()
+            assert j0.shape == y0.shape == k0.shape == () and all(isinstance(v, np.ndarray) for v in (j0, y0, k0))
             ref_j, ref_y = specfun.j0_y0(np.array([x]))
             assert _bits(j0) == _bits(ref_j) and _bits(y0) == _bits(ref_y)
             assert _bits(k0) == _bits(specfun.k0(np.array([x])))
@@ -389,9 +389,20 @@ class TestInHouseSeries:
             assert all(np.array_equal(_bits(v).ravel(), _bits(w)) for v, w in zip(pair, flat))
             for x in (3.0, 7.0, t[3, 4]):
                 alone = fn(x)
-                assert all(v.shape == () and _bits(v) == _bits(w) for v, w in zip(alone, fn(np.array([x]))))
+                assert all(isinstance(v, np.ndarray) and v.shape == () and _bits(v) == _bits(w)
+                           for v, w in zip(alone, fn(np.array([x]))))
             for empty in (np.empty(0), np.empty((3, 0))):
                 assert all(v.shape == empty.shape for v in fn(empty))
+            # the values are fresh arrays, on both sides of the threshold and
+            # below it alone (t / 30 <= 2): t is left as it was and shares no
+            # memory with them, and a second call gives the same bits
+            for arg, first in ((t, pair), (t / 30.0, fn(t / 30.0))):
+                kept = arg.copy()
+                again = fn(arg)
+                assert np.array_equal(_bits(arg), _bits(kept))
+                assert not any(np.shares_memory(v, w) for v in again for w in (arg, *first))
+                assert not np.shares_memory(*again)
+                assert all(np.array_equal(_bits(v), _bits(w)) for v, w in zip(again, first))
 
 
 @pytest.mark.parametrize("axis", [0, -1])
