@@ -231,8 +231,8 @@ MUTANTS = (
     Mutant(
         "derivative-prefactor-unscaled",
         "src/biharwave/fields.py",
-        "c_h * k * dh, c_m * k * damp * ds",
-        "c_h * dh, c_m * damp * ds",
+        "c_h * k, c_m * k * damp)",
+        "c_h, c_m * damp)",
         ("tests/test_fields.py::TestBoundaryTrace::test_normal_derivative_matches_fd",),
     ),
     Mutant(
@@ -361,6 +361,33 @@ MUTANTS = (
             "tests/test_cli.py::TestTablesRoundTrip::test_spectral_3d",
             "tests/test_cli.py::TestTablesRoundTrip::test_field_over_two_radii",
         ),
+    ),
+    Mutant(
+        "legendre-kept-writable",
+        "src/biharwave/context.py",
+        "    kept.flags.writeable = False\n    return kept\n",
+        "    return kept\n",
+        (
+            "tests/test_table_caches.py::TestKeptLegendreTables::test_kept_table_is_read_only_and_fresh",
+            "tests/test_quadrature.py::TestRuleCache::test_kept_rule_arrays_equal_fresh_ones",
+        ),
+    ),
+    Mutant(
+        "angular-rule-arrays-shared",
+        "src/biharwave/quadrature.py",
+        "    dirs, weights, params = (array.copy() for array in kept)\n",
+        "    dirs, weights, params = kept\n",
+        (
+            "tests/test_quadrature.py::TestRuleCache::test_rules_own_their_arrays",
+            "tests/test_quadrature.py::TestRuleCache::test_rules_of_one_count_share_no_memory",
+        ),
+    ),
+    Mutant(
+        "direction-check-relative",
+        "src/biharwave/fields.py",
+        "    if not np.all(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= 1e-12):\n",
+        "    if not np.allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12):\n",
+        ("tests/test_spectral.py::TestDirectionCheck::test_scaled_directions_are_refused",),
     ),
     Mutant(
         "field-radius-tiled",

@@ -324,7 +324,8 @@ def _check_directions(ctx, directions) -> np.ndarray:
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if dirs.shape[1] != ctx.dimension:
         raise ValueError(f"directions must have {ctx.dimension} components")
-    if not np.allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12):
+    # |norm - 1| itself: np.allclose would add its default relative 1e-5
+    if not np.all(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= 1e-12):
         raise ValueError("directions must be unit vectors")
     return dirs
 
@@ -387,23 +388,27 @@ def _volume_transform(ctx, src, directions, oscillating):
 # ---------------------------------------------------------------------------
 # Modal series route
 # ---------------------------------------------------------------------------
-def _radial_tables(ctx, truncation, t):
+def _radial_tables(ctx, truncation, t, derivatives=True):
     """Per-mode radial factors of the f_h and f_m series at t = kappa r
     (shape (M, 1)) and of their r-derivatives: four tables, each of shape
-    (M, modes).  They are the outgoing family times its prefactor
-    c_h and the exp(t)-scaled decaying family times c_m exp(-t), its
-    prefactor and the scale folded back in, then the t-derivatives of the
-    two with each prefactor times kappa (d/dr = kappa d/dt), all from one
-    specfun.exterior_wave_tables call, expanded by specfun.per_mode.  A
-    series is these factors times the angular basis, summed against the
-    coefficients.
+    (M, modes), or the first two alone when derivatives is false.  They are
+    the outgoing family times its prefactor c_h and the exp(t)-scaled
+    decaying family times c_m exp(-t), its prefactor and the scale folded
+    back in, then the t-derivatives of the two with each prefactor times
+    kappa (d/dr = kappa d/dt), all from one specfun.exterior_wave_tables
+    call (values alone: its value tables, the same bits), expanded by
+    specfun.per_mode.  A series is these factors times the angular basis,
+    summed against the coefficients.
 
     Raises OverflowError when a factor leaves the double range (a high
     truncation at small kappa r), where the series would give inf * 0 = NaN.
     """
     # the check below names an overflow, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = np.stack(specfun.exterior_wave_tables(ctx.dimension, truncation, np.ravel(t)))
+        if derivatives:
+            tables = np.stack(specfun.exterior_wave_tables(ctx.dimension, truncation, np.ravel(t)))
+        else:
+            tables = np.stack(specfun._exterior_waves(ctx.dimension, truncation, np.ravel(t))[1:])[:, :-1]
     finite = np.all(np.isfinite(tables), axis=(0, 1))  # one flag per kappa r
     if not np.all(finite):
         worst = float(np.min(np.ravel(t)[~finite]))
@@ -411,11 +416,11 @@ def _radial_tables(ctx, truncation, t):
             f"exterior series radial factors are not finite at kappa*r = {worst:.6g}: the "
             f"radial wave families leave the double range (truncation {truncation})"
         )
-    h, s, dh, ds = specfun.per_mode(ctx.dimension, tables.transpose(0, 2, 1))  # (M, modes), as t
+    tables = specfun.per_mode(ctx.dimension, tables.transpose(0, 2, 1))  # (M, modes), as t
     k = ctx.kappa  # d/dr = kappa d/dt
     c_h, c_m = (-0.5j * np.pi,) * 2 if ctx.dimension == 2 else (-1j * k, k)
     damp = np.exp(-t)
-    return c_h * h, c_m * damp * s, c_h * k * dh, c_m * k * damp * ds
+    return tuple(scale * table for scale, table in zip((c_h, c_m * damp, c_h * k, c_m * k * damp), tables))
 
 
 # Exterior factors kept, four tables per (context, truncation): the f_h and
@@ -455,7 +460,7 @@ def _eval_modal(ctx, src, pts, truncation):
     r, theta, phi = spherical_params(pts)
     basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, theta, phi)
     radii, row = np.unique(ctx.kappa * r, return_inverse=True)
-    h, s, _, _ = _radial_tables(ctx, coeffs.truncation, radii[:, None])
+    h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivatives=False)
     # Named tables: numpy may overwrite an unnamed temporary right operand in
     # place, which changes how a complex product rounds under FMA.
     H = h[row]

@@ -189,7 +189,7 @@ class SourceField:
     """
 
     def __init__(self, ctx, func, support_radius, radial_order=DEFAULT_RADIAL_ORDER, profile=None):
-        _check_finite_number("support_radius", support_radius)
+        _check_finite_real("support_radius", support_radius)
         if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
@@ -598,11 +598,9 @@ def make_bump_nonradiating(
     """
     d = ctx.dimension
     k4 = ctx.kappa**4
-    rho = 0.8 * ctx.radius if rho is None else float(_check_finite_number("rho", rho))
+    rho = 0.8 * ctx.radius if rho is None else float(_check_finite_real("rho", rho))
     center = _finite_center(center, d)
-    _check_finite_number("amplitude", amplitude)
-    if not _is_real(amplitude):  # the mollifier pair is real arithmetic
-        raise ValueError(f"amplitude must be a real number, got {amplitude!r}")
+    _check_finite_real("amplitude", amplitude)  # the mollifier pair is real arithmetic
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     reach = float(np.linalg.norm(center)) + rho
@@ -668,7 +666,7 @@ def gaussian_source(
     center = _finite_center(center, ctx.dimension)
     _check_finite_number("amplitude", amplitude)
     amplitude = _real_if_real(amplitude)
-    sigma = 0.15 * ctx.radius if sigma is None else float(_check_finite_number("sigma", sigma))
+    sigma = 0.15 * ctx.radius if sigma is None else float(_check_finite_real("sigma", sigma))
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
 
@@ -706,6 +704,16 @@ def _check_finite_number(name: str, value):
     """value when it is a finite number (not a bool); otherwise a ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, Number) or not np.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _check_finite_real(name: str, value):
+    """value when it is a finite real number (numpy's too, not a bool);
+    otherwise a ValueError naming it.  A complex value is refused even with
+    a zero imaginary part: a shape parameter is compared and squared as a
+    real number."""
+    if not _is_real(_check_finite_number(name, value)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
 
 

@@ -23,7 +23,9 @@ each degree over its orders.  On the nodes of an AngularRule the modes are
 analysed and synthesized by rule_analysis and rule_synthesis: one FFT over
 the equispaced angles in 2D, and in 3D an FFT over the azimuths with one
 Legendre sum per order (sph_analysis and sph_synthesis, the separated
-transforms of Driscoll & Healy, Adv. Appl. Math. 15 (1994) 202-250).  The
+transforms of Driscoll & Healy, Adv. Appl. Math. 15 (1994) 202-250),
+whose Legendre table depends on the rule alone and is kept, one per
+(truncation, polar angles) within a byte budget (_kept_legendre_table).  The
 dense angular_basis serves only angles that are not a rule's nodes; its 3D
 block is the normalized Legendre values (_legendre_table) times
 exp(i m phi).
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import _check_dimension, _check_integer
+from .context import _check_dimension, _check_integer, _kept_arrays
 
 _IPOW = np.array([1.0, 1j, -1.0, -1j])
 
@@ -676,6 +678,17 @@ def exterior_wave_tables(dimension: int, truncation: int, t) -> tuple[np.ndarray
     returned as it comes (inf or NaN).  A non-positive or non-finite t is
     refused by its value.
     """
+    t, outgoing, decaying = _exterior_waves(dimension, truncation, t)
+    ratio = np.arange(truncation + 1)[:, None] / t
+    return (outgoing[:-1], decaying[:-1],
+            ratio * outgoing[:-1] - outgoing[1:], ratio * decaying[:-1] - 1j * decaying[1:])
+
+
+def _exterior_waves(dimension, truncation, t):
+    """t as a 1-D array, and the outgoing and decaying waves of
+    exterior_wave_tables at orders 0..truncation + 1: their rows through
+    the truncation are its value tables bit for bit, for a caller that
+    needs no derivatives."""
     t = _wave_arguments(dimension, truncation, t, "exterior", "t")
     top = truncation + 1
     # row n: J_n (j_n), the second solution Y_n (y_n) and the decaying
@@ -711,9 +724,7 @@ def exterior_wave_tables(dimension: int, truncation: int, t) -> tuple[np.ndarray
         decaying = (2.0 / np.pi) * _ipow(-(n + 1)) * scaled
     else:
         decaying = -_ipow(-n) * scaled
-    ratio = n[:-1] / t
-    return (outgoing[:-1], decaying[:-1],
-            ratio * outgoing[:-1] - outgoing[1:], ratio * decaying[:-1] - 1j * decaying[1:])
+    return t, outgoing, decaying
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +768,9 @@ def _legendre_table(truncation: int, theta) -> np.ndarray:
     and four random angles) and 1.7e-14 at degree 60.  Per table (one BLAS
     thread, medians of 30): 0.37, 0.51 and 0.81 ms at (degree, angles) =
     (24, 33), (32, 33) and (40, 41), against scipy's 0.32, 0.55 and 1.05 ms.
+    The rule transforms read it through _kept_legendre_table, which keeps
+    one read-only table per (truncation, polar angles) within an 8 MiB
+    budget (context._KEPT_BUDGET); sph_harmonic_block builds its own.
     """
     theta = np.ravel(np.asarray(theta, dtype=float))
     cos, sin = np.cos(theta), np.sin(theta)
@@ -781,6 +795,15 @@ def _legendre_table(truncation: int, theta) -> np.ndarray:
         row -= c[k - 2, :k - 1] * table[k - 2, :k - 1]
     table[:, top + 1:] = table[:, top:0:-1] * (1.0 - 2.0 * (m[:0:-1, None] % 2))
     return table
+
+
+def _kept_legendre_table(truncation: int, theta) -> np.ndarray:
+    """_legendre_table at a rule's polar angles, kept read-only for the rule
+    transforms, one per (truncation, polar angles), within the byte budget
+    of context._kept_arrays.  Rule angles repeat from call to call; the
+    scattered angles of sph_harmonic_block do not, and it builds its own."""
+    theta = np.ravel(np.asarray(theta, dtype=float))
+    return _kept_arrays(("legendre", truncation, theta.tobytes()), lambda: (_legendre_table(truncation, theta),))[0]
 
 
 def sph_analysis(truncation: int, values, theta, weights) -> np.ndarray:
@@ -809,7 +832,7 @@ def sph_analysis(truncation: int, values, theta, weights) -> np.ndarray:
     # the Legendre sums are real products.
     spectrum = np.fft.rfft(values, axis=2) if real else np.fft.fft(values, axis=2)
     columns = np.ascontiguousarray(spectrum.transpose(2, 1, 0)).view(float)
-    table = _legendre_table(truncation, theta) * np.asarray(weights, dtype=float)
+    table = _kept_legendre_table(truncation, theta) * np.asarray(weights, dtype=float)
     degrees = np.arange(truncation + 1)
     sums = np.empty(((truncation + 1) ** 2, len(values)), dtype=complex)
     for m in range(-truncation, truncation + 1):
@@ -834,7 +857,7 @@ def sph_synthesis(coeffs, theta, azimuth: int) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs)
     truncation = int(np.sqrt(coeffs.shape[0])) - 1
-    table = _legendre_table(truncation, theta)
+    table = _kept_legendre_table(truncation, theta)
     degrees = np.arange(truncation + 1)
     columns = np.zeros((azimuth, table.shape[2], coeffs.shape[1]), dtype=complex)
     for m in range(-truncation, truncation + 1):

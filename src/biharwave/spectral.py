@@ -312,7 +312,7 @@ def nullspace_residual(
     # decaying family's per-mode factors: every radius is a column of each
     # family in one synthesis on the direction rule
     regular, _ = specfun.regular_wave_tables(ctx.dimension, N, ctx.kappa * radii)
-    _, s, _, _ = fields._radial_tables(ctx, N, ctx.kappa * radii[:, None])
+    _, s = fields._radial_tables(ctx, N, ctx.kappa * radii[:, None], derivatives=False)
     columns = np.hstack([specfun.per_mode(ctx.dimension, regular, axis=0) * coeffs.alpha[:, None],
                          s.T * coeffs.beta[:, None]])
     sums = specfun.rule_synthesis(columns, _direction_rule(ctx, 16))

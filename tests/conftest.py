@@ -43,9 +43,9 @@ def radial_table_radii(monkeypatch):
     sizes = []
     tables = fields._radial_tables
 
-    def counting(ctx, truncation, t):
+    def counting(ctx, truncation, t, **kwargs):
         sizes.append(np.size(t))
-        return tables(ctx, truncation, t)
+        return tables(ctx, truncation, t, **kwargs)
 
     monkeypatch.setattr(fields, "_radial_tables", counting)
     return sizes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from biharwave import WaveContext, quadrature
+from biharwave import WaveContext, context, quadrature
 from biharwave.sources import make_2d_bessel_nonradiating
 
 import oracles
@@ -214,9 +214,37 @@ class TestRuleCache:
         first.nodes[:] = -1.0
         assert np.array_equal(quadrature.radial_rule(CTX2, 16).nodes,
                               0.5 * (np.polynomial.legendre.leggauss(16)[0] + 1.0))
-        ang = quadrature.angular_rule(CTX3, 12)
-        ang.weights[:] = -1.0
-        assert np.sum(quadrature.angular_rule(CTX3, 12).weights) == pytest.approx(4.0 * np.pi, rel=1e-13)
+        # an angular rule's arrays are kept per (dimension, count) and copied
+        # into each rule: a caller's writes reach no later rule
+        for ctx, count in ((CTX2, 12), (CTX3, 12)):
+            ref = quadrature.angular_rule(ctx, count)
+            ref = [array.copy() for array in (ref.directions, ref.weights, ref.params)]
+            ang = quadrature.angular_rule(ctx, count)
+            for array in (ang.directions, ang.weights, ang.params):
+                array[:] = -1.0
+            again = quadrature.angular_rule(ctx, count)
+            for got, want in zip((again.directions, again.weights, again.params), ref):
+                assert np.array_equal(got, want)
+            assert np.sum(again.weights) == pytest.approx((2.0 if ctx.dimension == 2 else 4.0) * np.pi, rel=1e-13)
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_rules_of_one_count_share_no_memory(self, ctx):
+        first, second = quadrature.angular_rule(ctx, 8), quadrature.angular_rule(ctx, 8)
+        arrays = [(rule.directions, rule.weights, rule.params) for rule in (first, second)]
+        for a in arrays[0]:
+            assert a.flags.writeable and a.flags.owndata
+            for b in arrays[1]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_kept_rule_arrays_equal_fresh_ones(self, ctx, monkeypatch):
+        monkeypatch.setattr(context, "_kept", {})
+        rule = quadrature.angular_rule(ctx, 10)
+        kept = context._kept[("angular rule", ctx.dimension, 10)]
+        fresh = quadrature._angular_arrays(ctx.dimension, 10)
+        for array, got, want in zip(kept, (rule.directions, rule.weights, rule.params), fresh):
+            assert not array.flags.writeable
+            assert np.array_equal(array, want) and np.array_equal(got, want)
 
 
 class TestCounts:

@@ -677,6 +677,20 @@ def test_amplitude_must_be_a_finite_number(make, amplitude):
         make(CTX2, amplitude=amplitude)
 
 
+@pytest.mark.parametrize(
+    "make, name, value",
+    [(gaussian_source, "sigma", 0.1 + 0j), (gaussian_source, "sigma", 0.1 + 0.01j),
+     (gaussian_source, "support_radius", 0.9 + 0j), (gaussian_source, "support_radius", 0.9 - 0.1j),
+     (make_bump_nonradiating, "rho", 0.5 + 0j), (make_bump_nonradiating, "rho", np.complex128(0.5 + 0.2j))],
+    ids=["sigma-0j", "sigma-complex", "support-0j", "support-complex", "rho-0j", "rho-complex"])
+def test_shape_parameters_must_be_real(make, name, value):
+    # a complex width or radius used to pass the finite-number check and
+    # fail later with a bare TypeError that named no parameter
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {value!r}")):
+        make(CTX2, **{name: value})
+    assert make(CTX2, **{name: np.float64(value.real)}).l2_norm() > 0
+
+
 def test_bump_amplitude_must_be_real():
     # the mollifier pair is real arithmetic: a complex amplitude would fail
     # at the first read with a casting error that names neither

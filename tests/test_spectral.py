@@ -127,6 +127,40 @@ class TestLaplaceOnCircle:
             laplace_on_circle(big, src, dirs)
 
 
+class TestDirectionCheck:
+    """Directions are unit vectors within 1e-12 absolute: a direction scaled
+    by 1 + 1e-9 is refused (np.allclose's default relative tolerance let
+    1 + 5e-6 through), and those of direction_grid and normalized random
+    vectors pass."""
+
+    @staticmethod
+    def _routes(ctx):
+        src = _gaussian(ctx)
+        trace = boundary_trace(ctx, src, boundary_grid(ctx, 16 if ctx.dimension == 3 else 64), truncation=8)
+        return {"far_field": lambda dirs: far_field(ctx, src, dirs),
+                "fourier_on_circle": lambda dirs: fourier_on_circle(ctx, src, dirs, truncation=8),
+                "u_hat_from_trace": lambda dirs: u_hat_from_trace(ctx, trace, dirs)}
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_scaled_directions_are_refused(self, ctx):
+        dirs, _ = direction_grid(ctx, 8)
+        for name, route in self._routes(ctx).items():
+            with pytest.raises(ValueError, match="directions must be unit vectors"):
+                route((1.0 + 1e-9) * dirs)
+            with pytest.raises(ValueError, match="directions must be unit vectors"):
+                route(np.vstack([dirs[:3], [np.nan] * ctx.dimension]))
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_unit_directions_pass(self, ctx):
+        rng = np.random.default_rng(17)
+        random = rng.normal(size=(64, ctx.dimension))
+        random /= np.linalg.norm(random, axis=1, keepdims=True)
+        grid = direction_grid(ctx, 32)[0]
+        for name, route in self._routes(ctx).items():
+            for dirs in (grid, random):
+                assert np.all(np.isfinite(route(dirs))), name
+
+
 class TestTraceFunctionals:
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     def test_fourier_identity(self, ctx):

@@ -1,5 +1,6 @@
 """The exterior factors of the boundary traces, built once per fixed
-frequency and kept read-only, and the linear sums: a sum or a scaled source
+frequency and kept read-only, the Legendre tables of the rule transforms,
+kept within a byte budget, and the linear sums: a sum or a scaled source
 adds its leaves' results, each leaf on its own grid with its own kept
 samples and coefficients.
 
@@ -13,9 +14,9 @@ same bits, signed zeros included, whether or not they were kept first.
 import numpy as np
 import pytest
 
-from biharwave import WaveContext, fields, sources
+from biharwave import WaveContext, context, fields, sources, specfun
 from biharwave.fields import boundary_trace, eval_field_batch, far_field
-from biharwave.quadrature import boundary_grid, product_grid
+from biharwave.quadrature import angular_rule, boundary_grid, product_grid
 from biharwave.sources import (
     SourceField,
     gaussian_source,
@@ -98,6 +99,95 @@ class TestSphereFactors:
         for _ in range(2):
             with pytest.raises(OverflowError, match=r"\(truncation 70\)"):
                 boundary_trace(ctx, src, boundary_grid(ctx, 16), truncation=70)
+
+
+class TestValuesOnlyRadialTables:
+    """The modal field and the null-space probes take the two value tables
+    of _radial_tables alone: the same bits as the first two of the four."""
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_values_are_the_first_two_tables(self, ctx):
+        t = ctx.kappa * np.array([[1.05], [1.7], [3.0], [40.0]])
+        values = fields._radial_tables(ctx, 24, t, derivatives=False)
+        assert len(values) == 2
+        for got, full in zip(values, fields._radial_tables(ctx, 24, t)):
+            _assert_identical(got, full)
+
+    @pytest.mark.parametrize("ctx, truncation", [(WaveContext.with_root_wavenumber(2, 1.0, 1), 200),
+                                                 (WaveContext(3, 1e-3, 1.0), 70)], ids=["2d", "3d"])
+    def test_values_overflow_names_kappa_r(self, ctx, truncation):
+        # the cases of test_fields.py's TestSeriesOverflow, on the value tables alone
+        with pytest.raises(OverflowError, match=rf"kappa\*r = {ctx.kappa:.6g}: .*\(truncation {truncation}\)"):
+            fields._radial_tables(ctx, truncation, np.array([[ctx.kappa]]), derivatives=False)
+
+
+@pytest.fixture
+def kept(monkeypatch):
+    """The arrays kept per angular rule (context._kept), emptied for the
+    test and restored after."""
+    entries = {}
+    monkeypatch.setattr(context, "_kept", entries)
+    return entries
+
+
+def _legendre_keys(kept):
+    return [key[1] for key in kept if key[0] == "legendre"]
+
+
+class TestKeptLegendreTables:
+    """The rule transforms keep one read-only Legendre table per (truncation,
+    polar angles), least recently used evicted first, within the byte budget
+    they share with the angular rules."""
+
+    @pytest.mark.parametrize("polar", [2, 3, 8, 17, 32, 33, 60])
+    def test_kept_table_is_read_only_and_fresh(self, polar, kept):
+        theta = angular_rule(CTX3, polar).rings[0]
+        for truncation in (0, 1, 2, 7, 24, 40):
+            table = specfun._kept_legendre_table(truncation, theta)
+            assert specfun._kept_legendre_table(truncation, theta.copy()) is table
+            assert table.dtype == float and np.array_equal(table, specfun._legendre_table(truncation, theta))
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 0.0
+        assert _legendre_keys(kept) == [0, 1, 2, 7, 24, 40]
+
+    def test_transforms_are_bitwise_those_of_fresh_tables(self, kept, monkeypatch):
+        rule = angular_rule(CTX3, 12)
+        values = np.random.default_rng(5).normal(size=(2, rule.count))
+        analysed = [specfun.rule_analysis(9, values, rule) for _ in range(2)]
+        synthesized = [specfun.rule_synthesis(analysed[0], rule) for _ in range(2)]
+        assert _legendre_keys(kept) == [9]
+        monkeypatch.setattr(specfun, "_kept_legendre_table", specfun._legendre_table)
+        fresh = specfun.rule_analysis(9, values, rule)
+        for got in analysed:
+            _assert_identical(got, fresh)
+        for got in synthesized:
+            _assert_identical(got, specfun.rule_synthesis(fresh, rule))
+
+    def test_kept_total_stays_within_the_budget(self, kept, monkeypatch):
+        theta = angular_rule(CTX3, 9).rings[0]
+        kept.clear()
+        budget = sum(specfun._legendre_table(n, theta).nbytes for n in (6, 5))
+        monkeypatch.setattr(context, "_KEPT_BUDGET", budget)
+        for truncation in (6, 5, 6, 4, 3, 7, 2, 6, 1, 5):
+            used = specfun._kept_legendre_table(truncation, theta)
+            assert sum(array.nbytes for entry in kept.values() for array in entry) <= budget
+            assert kept[next(reversed(kept))][0] is used  # the one in use is kept last
+        # least recently used first: 6 used again after 5, so 4 evicts 5
+        kept.clear()
+        for truncation in (6, 5, 6, 4):
+            specfun._kept_legendre_table(truncation, theta)
+        assert _legendre_keys(kept) == [6, 4]
+
+    def test_table_over_the_budget_is_built_and_not_kept(self, kept, monkeypatch):
+        theta = angular_rule(CTX3, 9).rings[0]
+        kept.clear()
+        small = specfun._kept_legendre_table(2, theta)
+        monkeypatch.setattr(context, "_KEPT_BUDGET", 2 * small.nbytes)
+        big = specfun._kept_legendre_table(8, theta)
+        assert big.nbytes > context._KEPT_BUDGET
+        assert np.array_equal(big, specfun._legendre_table(8, theta))
+        assert _legendre_keys(kept) == [2]
+        assert specfun._kept_legendre_table(8, theta) is not big
 
 
 def _counting_gaussian(ctx, **kwargs):
