@@ -373,6 +373,54 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # a cold 3D rule then waits on the keeper's lock in its own build:
+        # its expected test runs it in a daemon thread, but under --all a
+        # test that builds one in the main thread holds the run up for good
+        "keeper-builds-under-lock",
+        "src/biharwave/context.py",
+        "    with _kept_lock:\n"
+        "        arrays = _kept.pop(key, None)\n"
+        "        if arrays is not None:\n"
+        "            _kept[key] = arrays  # reinserted last: the most recently used\n"
+        "            return arrays\n"
+        "    arrays = build()\n"
+        "    size = sum(array.nbytes for array in arrays)\n"
+        "    if size > _KEPT_BUDGET:\n"
+        "        return arrays\n"
+        "    arrays = tuple(_kept_copy(array) for array in arrays)\n"
+        "    with _kept_lock:\n"
+        "        _kept.pop(key, None)\n"
+        "        while sum(array.nbytes for entry in _kept.values() for array in entry) + size > _KEPT_BUDGET:\n"
+        "            del _kept[next(iter(_kept))]\n"
+        "        _kept[key] = arrays\n"
+        "    return arrays\n",
+        "    with _kept_lock:\n"
+        "        arrays = _kept.pop(key, None)\n"
+        "        if arrays is None:\n"
+        "            arrays = build()\n"
+        "            size = sum(array.nbytes for array in arrays)\n"
+        "            if size > _KEPT_BUDGET:\n"
+        "                return arrays\n"
+        "            arrays = tuple(_kept_copy(array) for array in arrays)\n"
+        "            while sum(array.nbytes for entry in _kept.values() for array in entry) + size > _KEPT_BUDGET:\n"
+        "                del _kept[next(iter(_kept))]\n"
+        "        _kept[key] = arrays\n"
+        "        return arrays\n",
+        ("tests/test_table_caches.py::TestKeeper::test_cold_3d_rule_builds_outside_the_lock",),
+    ),
+    Mutant(
+        "sphere-factors-not-kept",
+        "src/biharwave/fields.py",
+        "    h, s, dh, ds = _sphere_factors(ctx, coeffs.truncation)\n",
+        "    h, s, dh, ds = (table[0] for table in\n"
+        "                    _radial_tables(ctx, coeffs.truncation, np.array([[ctx.kappa * ctx.radius]])))\n",
+        (
+            "tests/test_table_caches.py::TestSphereFactors::test_traces_of_f_and_f_plus_g_tabulate_once",
+            "tests/test_table_caches.py::TestSphereFactors"
+            "::test_factors_are_kept_entries_evicted_least_recently_used_first",
+        ),
+    ),
+    Mutant(
         "angular-rule-arrays-shared",
         "src/biharwave/quadrature.py",
         "    dirs, weights, params = (array.copy() for array in kept)\n",

@@ -1,5 +1,8 @@
 """Shared problem context: spatial dimension, wavenumber, support-ball radius,
-and the small checks and helpers every module shares."""
+and the small checks and helpers every module shares: the one block budget
+of the library's blocked loops (_BLOCK_BUDGET) and the one keeper of the
+arrays the process keeps for its life (_kept_arrays, within _KEPT_BUDGET
+bytes)."""
 
 from __future__ import annotations
 
@@ -41,17 +44,27 @@ def _kept_copy(array) -> np.ndarray:
     return kept
 
 
-# Arrays that depend only on an angular rule, kept for the life of the
-# process: the Legendre tables of specfun's rule transforms, one per
-# (truncation, polar angles), and quadrature's angular rules, one per
-# (dimension, count).  Together they hold at most this many bytes, least
-# recently used evicted first, and an entry larger than the budget is built
-# and not kept, so the most they add to a process is the budget.  A 3D
-# Legendre table holds (N + 1)(2N + 1) P doubles at truncation N on P polar
-# angles: 0.32 MB at (24, 33), 1.1 MB at (40, 41) and 4.4 MB at (92, 32),
-# the largest a 3D verdict and trace keep at kappa R = 12 pi; a 3D rule
-# holds 48 bytes per node: 0.10 MB at the default polar count 32, 0.96 MB
-# at 100.
+# Entries per block of the library's blocked loops: the grid nodes of one
+# call of a pointwise source's function (sources.SourceField._rows), the
+# nodes of a radial block of the field quadrature and directions times
+# nodes of a phase block (fields._eval_quadrature, fields._phase_sums), so
+# that a block's temporaries stay in a 2 MB L2 cache.
+_BLOCK_BUDGET = 1 << 14
+
+# The arrays the library keeps for the life of the process, each a pure
+# function of its key: the Gauss-Legendre rules of quadrature, one per
+# order, its angular rules, one per (dimension, count), the Legendre tables
+# of specfun's rule transforms, one per (truncation, polar angles), and the
+# exterior factors of fields' boundary traces, one set per (context,
+# truncation).  Together they hold at most this many bytes, least recently
+# used evicted first, and an entry larger than the budget is built and not
+# kept, so the most they add to a process is the budget.  A 3D Legendre
+# table holds (N + 1)(2N + 1) P doubles at truncation N on P polar angles:
+# 0.32 MB at (24, 33), 1.1 MB at (40, 41) and 4.4 MB at (92, 32), the
+# largest a 3D verdict and trace keep at kappa R = 12 pi; a 3D rule holds
+# 48 bytes per node: 0.10 MB at the default polar count 32, 0.96 MB at 100;
+# a 3D set of exterior factors 4 (N + 1)**2 complex values: 0.04 MB at the
+# default truncation 24, 0.65 MB at 100.
 _KEPT_BUDGET = 8 << 20
 _kept: dict = {}  # key -> tuple of read-only arrays, least recently used first
 _kept_lock = threading.Lock()
@@ -61,19 +74,26 @@ def _kept_arrays(key, build) -> tuple:
     """The tuple of arrays build() returns, built once per key and kept
     read-only (_kept_copy) within _KEPT_BUDGET bytes; one over the budget
     is returned as built, and not kept.  build is a pure function of the
-    key, so a kept entry is bit for bit a fresh build."""
+    key, so a kept entry is bit for bit a fresh build.  It runs with the
+    lock released, since a build may ask for another kept entry (a 3D
+    angular rule for its Gauss rule); two threads that miss one key both
+    build it, and the later keeps its own, the same bits."""
     with _kept_lock:
         arrays = _kept.pop(key, None)
-        if arrays is None:
-            arrays = build()
-            size = sum(array.nbytes for array in arrays)
-            if size > _KEPT_BUDGET:
-                return arrays
-            arrays = tuple(_kept_copy(array) for array in arrays)
-            while sum(array.nbytes for entry in _kept.values() for array in entry) + size > _KEPT_BUDGET:
-                del _kept[next(iter(_kept))]
-        _kept[key] = arrays  # (re)inserted last: the most recently used
+        if arrays is not None:
+            _kept[key] = arrays  # reinserted last: the most recently used
+            return arrays
+    arrays = build()
+    size = sum(array.nbytes for array in arrays)
+    if size > _KEPT_BUDGET:
         return arrays
+    arrays = tuple(_kept_copy(array) for array in arrays)
+    with _kept_lock:
+        _kept.pop(key, None)
+        while sum(array.nbytes for entry in _kept.values() for array in entry) + size > _KEPT_BUDGET:
+            del _kept[next(iter(_kept))]
+        _kept[key] = arrays
+    return arrays
 
 
 def _is_real(value) -> bool:

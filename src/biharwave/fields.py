@@ -24,8 +24,9 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   member summing the rows at its image folded onto that domain, and a
   direction's groups at several radii share those folded rows.  A block's
   node coordinates are its radial nodes times the rule's directions: a
-  product grid stores no points.  One budget of _TABLE_BUDGET entries sizes
-  every table of the direct sums: the quadrature walks the grid in radial
+  product grid stores no points.  One budget of context._BLOCK_BUDGET
+  entries sizes every table of the direct sums (and a pointwise source's
+  sampling calls): the quadrature walks the grid in radial
   blocks of at most that many nodes, and the far field and the volume
   transforms sum cos and sin (or exp) of the real phase kappa dir . y
   against the same rows in node blocks whose table over all the directions
@@ -49,8 +50,9 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   on the boundary rule, synthesized by specfun.rule_synthesis, and keep the
   context they were taken in (BoundaryTrace.ctx); their four radial
   factor tables at r = R, prefactors folded in, are built once per
-  (context, truncation) and kept read-only in a bounded cache, since
-  they depend on no source (_sphere_factors); only the
+  (context, truncation) and kept read-only within the byte budget of the
+  process's one keeper (context._kept_arrays), since they depend on no
+  source (_sphere_factors); only the
   modal field at caller-given points sums them against the dense angular
   basis.  The trace derivatives come from the one recurrence
   z_n' = (n / t) z_n - z_(n+1) on those tables, in both dimensions, not
@@ -80,27 +82,20 @@ rule's angles and the real and imaginary parts of each channel.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .context import WaveContext
+from .context import _BLOCK_BUDGET, WaveContext, _kept_arrays
 from .kernels import kernel_tables
 from .quadrature import AngularRule, ProductGrid, spherical_params
-from .sources import SourceField, SupportViolationError, _check_dimension, _squared_distance, modal_coefficients
+from .sources import SourceField, SupportViolationError, _check_source_dimension, _squared_distance, modal_coefficients
 
 # Slack within which two points count as images of one another under the
 # quadrature grid's symmetries: relative in the radius, absolute in the polar
 # angle and in the fraction of an azimuth step (rounding is about 1e-14 of one).
 _LATTICE_TOL = 1e-12
-
-# Table entries per block of the direct sums: the nodes of a radial block
-# of the quadrature (_eval_quadrature), whose distances, kernel tables and
-# weighted and folded rows stay in a 2 MB L2 cache, and directions times
-# nodes of a block of _phase_sums.
-_TABLE_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -251,7 +246,7 @@ def _folded_rows(doubled, domain, shift, sign, flip):
 
 def _eval_quadrature(ctx, src, pts):
     """f_h and f_m at the points by direct quadrature, in radial blocks of the
-    source's grid of at most _TABLE_BUDGET nodes (at least one radial node);
+    source's grid of at most _BLOCK_BUDGET nodes (at least one radial node);
     a sum or a scaled source adds its leaves' sums times their factors, each
     on the leaf's own grid (SourceField._linear).
 
@@ -271,7 +266,7 @@ def _eval_quadrature(ctx, src, pts):
     rows are small enough to stay in a 2 MB L2 cache; each point adds its
     six real sums (three tables against the real and the imaginary row)
     across the blocks."""
-    _check_dimension(ctx, src)
+    _check_source_dimension(ctx, src)
     if src._parts:
         return src._linear(lambda leaf: _eval_quadrature(ctx, leaf, pts))
     grid, values = src.default_samples()  # a real source's values stay real
@@ -279,7 +274,7 @@ def _eval_quadrature(ctx, src, pts):
     angular = grid.angular
     shape = (grid.shape[0], angular.polar_count, angular.azimuth_count)
     ring = shape[1] * shape[2]
-    step = max(1, _TABLE_BUDGET // ring)  # radial nodes per block
+    step = max(1, _BLOCK_BUDGET // ring)  # radial nodes per block
     group, s, eps, flip, canonical = _symmetry_groups(angular, pts)
     members = np.argsort(group, kind="stable")
     bounds = np.searchsorted(group[members], np.arange(len(canonical[0]) + 1))
@@ -340,7 +335,7 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
 
     The weighted data are one block of real rows (_real_rows).  The nodes
     go in one loop of blocks whose phase table over all the directions
-    holds at most _TABLE_BUDGET entries (one node per block past that many
+    holds at most _BLOCK_BUDGET entries (one node per block past that many
     directions): the block's phases by one matrix product, c and s from
     them (specfun.cos_sin, or c in place of the phases), then the rows
     times c and times s, each one real matrix product over the (parts,
@@ -352,7 +347,7 @@ def _phase_sums(ctx, points, data, weights, directions, oscillating):
     # real part's single row takes the real slot, its imaginary one sums to +0.0
     step = 1 if np.iscomplexobj(data) else 2
     sums = np.zeros((2, step * len(rows), len(directions)))
-    nodes = max(1, _TABLE_BUDGET // max(1, len(directions)))
+    nodes = max(1, _BLOCK_BUDGET // max(1, len(directions)))
     k = ctx.kappa * directions
     for a in range(0, len(weights), nodes):
         b = a + nodes
@@ -378,7 +373,7 @@ def _volume_transform(ctx, src, directions, oscillating):
     direction; a sum or a scaled source adds its leaves' sums times their
     factors, each on the leaf's own grid (SourceField._linear)."""
     dirs = _check_directions(ctx, directions)
-    _check_dimension(ctx, src)
+    _check_source_dimension(ctx, src)
     if src._parts:
         return src._linear(lambda leaf: _volume_transform(ctx, leaf, dirs, oscillating))
     grid, values = src.default_samples()
@@ -423,22 +418,13 @@ def _radial_tables(ctx, truncation, t, derivatives=True):
     return tuple(scale * table for scale, table in zip((c_h, c_m * damp, c_h * k, c_m * k * damp), tables))
 
 
-# Exterior factors kept, four tables per (context, truncation): the f_h and
-# f_m factors and their radial derivatives, 4 (N+1)**2 complex values in 3D,
-# 0.04 MB at the default truncation 24 and 0.65 MB at truncation 100, where
-# the 16 kept hold 10.4 MB.
-_SPHERE_FACTORS = 16
-
-
-@functools.lru_cache(maxsize=_SPHERE_FACTORS)
 def _sphere_factors(ctx, truncation):
     """_radial_tables at r = R: the per-mode factors of the f_h and f_m
-    series and of their radial derivatives, read-only, and built once per
-    (context, truncation), since they depend on nothing else."""
-    factors = tuple(table[0] for table in _radial_tables(ctx, truncation, np.array([[ctx.kappa * ctx.radius]])))
-    for factor in factors:
-        factor.flags.writeable = False
-    return factors
+    series and of their radial derivatives, built once per (context,
+    truncation) and kept read-only (context._kept_arrays), since they
+    depend on nothing else."""
+    return _kept_arrays(("sphere factors", ctx, truncation), lambda: tuple(
+        table[0] for table in _radial_tables(ctx, truncation, np.array([[ctx.kappa * ctx.radius]]))))
 
 
 def _sphere_series(ctx, coeffs, angular):

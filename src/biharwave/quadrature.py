@@ -13,16 +13,15 @@ of its 64 radial nodes and the rho 0.8R bump 226 of its 320.  The cut
 changes no node or weight, only how many of them there are.
 
 The Gauss-Legendre nodes and weights on [-1, 1] are solved once per order
-and kept read-only (solving order 320 costs a few milliseconds); every rule
-maps them into fresh arrays of its own.  An angular rule's directions,
-weights and params are computed once per (dimension, count) and kept
-read-only too, within the byte budget they share with specfun's Legendre
-tables (context._kept_arrays), and every rule holds fresh copies of them.
-Product grids
-are not kept, and store no points: a grid holds its two rules and its
-weights, and its points (the radial nodes times the directions) are built
-only when read, a run of nodes at a time (ProductGrid.node_points) where the
-library reads them.
+(solving order 320 costs a few milliseconds), and an angular rule's
+directions, weights and params are computed once per (dimension, count);
+both are kept read-only by the one keeper of the process, within the byte
+budget they share with specfun's Legendre tables and fields' exterior
+factors (context._kept_arrays).  Every rule maps them into, or copies them
+to, fresh arrays of its own.  Product grids are not kept, and store no
+points: a grid holds its two rules and its weights, and its points (the
+radial nodes times the directions) are built only when read, a run of nodes
+at a time (ProductGrid.node_points) where the library reads them.
 
 Defaults (radial 64, angular 256 in 2D, Gauss-32 x 64 in 3D) are chosen so
 the shipped radially-symmetric test sources self-converge below 1e-10; the
@@ -33,7 +32,6 @@ discrete orthogonality of Fourier modes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +88,10 @@ class AngularRule:
         return self.params[first, 0], self.weights[first]
 
 
-@functools.lru_cache(maxsize=64)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], solved once per order."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], solved once per
+    order and kept (context._kept_arrays)."""
+    return _kept_arrays(("gauss-legendre", order), lambda: np.polynomial.legendre.leggauss(order))
 
 
 def radial_rule(ctx: WaveContext, order: int = DEFAULT_RADIAL_ORDER, extent: float | None = None) -> RadialRule:

@@ -51,7 +51,7 @@ from numbers import Number
 import numpy as np
 
 from . import specfun
-from .context import WaveContext, _check_integer, _is_real
+from .context import _BLOCK_BUDGET, WaveContext, _check_integer, _is_real
 from .quadrature import (
     DEFAULT_ANGULAR_COUNT_2D,
     DEFAULT_POLAR_COUNT_3D,
@@ -62,9 +62,6 @@ from .quadrature import (
     radial_rule,
 )
 from .specfun import _ipow, mode_degrees, mode_index
-
-# Grid nodes per call of a pointwise source's function on a product grid.
-_SAMPLE_BUDGET = 1 << 14
 
 # Denominator magnitudes below this are treated as degenerate normalizations.
 DEGENERATE_DENOMINATOR = 1e-12
@@ -164,7 +161,7 @@ class SourceField:
     np.result_type(rows, float): a radial source (from_radial) evaluates its
     profile once per radial node, a pointwise one its function at the
     grid's points, called on blocks of whole radial rows of at most
-    _SAMPLE_BUDGET nodes.  A source keeps its default-grid samples, its
+    _BLOCK_BUDGET nodes.  A source keeps its default-grid samples, its
     norm and its modal coefficients once computed.
 
     A route (modal_coefficients, the field quadrature, the far field and
@@ -276,10 +273,10 @@ class SourceField:
         elif self._profile is not None:
             rows = np.asarray(self._profile(grid.radial.nodes))[:, None]
         else:
-            # blocks of whole radial rows of at most _SAMPLE_BUDGET nodes (one
+            # blocks of whole radial rows of at most _BLOCK_BUDGET nodes (one
             # call, on no points, for a grid without a radial node): a 3D
             # grid's points would be a temporary of 2-3 MB
-            step = max(1, _SAMPLE_BUDGET // grid.angular.count) * grid.angular.count
+            step = max(1, _BLOCK_BUDGET // grid.angular.count) * grid.angular.count
             rows = np.concatenate([np.asarray(self._func(grid.node_points(i, i + step))).reshape(-1, grid.angular.count)
                                    for i in range(0, max(1, grid.weights.size), step)])
         rows = _widened(rows)
@@ -445,7 +442,7 @@ def modal_coefficients(ctx: WaveContext, src: SourceField, truncation: int | Non
     non-finite coefficient, a leaf's or a sum's, is refused naming that
     product.
     """
-    _check_dimension(ctx, src)
+    _check_source_dimension(ctx, src)
     if truncation is None:
         truncation = default_mode_truncation(ctx)
     _check_integer("truncation", truncation, 0)  # before the lookup: True and 1.0 hash as 1
@@ -494,7 +491,7 @@ def default_mode_truncation(ctx: WaveContext) -> int:
     return 2 * int(np.ceil(ctx.kappa * ctx.radius)) + 16
 
 
-def _check_dimension(ctx: WaveContext, src: SourceField) -> None:
+def _check_source_dimension(ctx: WaveContext, src: SourceField) -> None:
     """Refuse a source built over a context of another dimension; one whose
     context differs only in kappa or R is accepted."""
     if src.ctx.dimension != ctx.dimension:

@@ -244,7 +244,7 @@ def _trace_transform(ctx, trace, directions, oscillating):
     p = d_nu lap u + c d_nu u and q = lap u + c u; fields._phase_sums sums
     each weighted column against the phase kappa dir . x, in node blocks
     whose table over all the directions holds at most
-    fields._TABLE_BUDGET entries.  A trace taken in another context than
+    context._BLOCK_BUDGET entries.  A trace taken in another context than
     ctx (another R, kappa or dimension) is refused, naming both: its nodes
     would be scaled by the wrong R and its channels paired with the wrong
     kappa.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biharwave import fields, quadrature, sources, specfun
+from biharwave import context, fields, quadrature, sources, specfun
 
 
 @pytest.fixture
@@ -37,9 +37,9 @@ def harmonic_blocks(monkeypatch):
 @pytest.fixture
 def radial_table_radii(monkeypatch):
     """Number of radii of each fields._radial_tables call, as a list; the
-    kept exterior factors at r = R are dropped first, so that every trace
-    tabulates its own."""
-    fields._sphere_factors.cache_clear()
+    kept arrays (context._kept), the exterior factors at r = R among them,
+    are emptied for the test first, so that every trace tabulates its own."""
+    monkeypatch.setattr(context, "_kept", {})
     sizes = []
     tables = fields._radial_tables
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biharwave import WaveContext, fields, sources, specfun
+from biharwave import WaveContext, context, fields, sources, specfun
 from biharwave.fields import (
     boundary_trace,
     eval_field,
@@ -707,7 +707,7 @@ class TestFarField:
         dirs = rng.normal(size=(12, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         nodes = len(src.default_samples()[0].points)
-        block = fields._TABLE_BUDGET // len(dirs)
+        block = context._BLOCK_BUDGET // len(dirs)
         assert nodes > 2 * block and nodes % block
         func, scale = (far_field, -1j * CTX3.kappa) if transform == "far_field" else \
             (laplace_transform_quadrature, -CTX3.kappa)
@@ -722,7 +722,7 @@ class TestFarField:
         rng = np.random.default_rng(67)
         dirs = rng.normal(size=(12, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        assert grid.angular.count % (fields._TABLE_BUDGET // len(dirs))
+        assert grid.angular.count % (context._BLOCK_BUDGET // len(dirs))
         sums = [fields._phase_sums(CTX3, points, values, grid.weights, dirs, oscillating)
                 for points in (grid, grid.points)]
         assert np.array_equal(sums[0].view(np.uint64), sums[1].view(np.uint64))
@@ -735,7 +735,7 @@ class TestFarField:
         points = 0.5 * rng.uniform(-1.0, 1.0, size=(5, 3))
         data = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))  # two complex parts
         weights = rng.uniform(0.5, 1.0, size=5)
-        dirs = rng.normal(size=(fields._TABLE_BUDGET + 3, 3))
+        dirs = rng.normal(size=(context._BLOCK_BUDGET + 3, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         got = fields._phase_sums(CTX3, points, data, weights, dirs, oscillating)
         scale = (-1j if oscillating else -1.0) * CTX3.kappa

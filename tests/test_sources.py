@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from biharwave import WaveContext, sources, specfun
+from biharwave import WaveContext, context, sources, specfun
 from biharwave.fields import boundary_trace, eval_field_batch, far_field
 from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.spectral import (
@@ -949,7 +949,7 @@ class TestSampleRead:
 
     def test_function_reads_blocks_of_whole_rows(self):
         # the default 3D grid (51 rows of 2048 nodes) is read in blocks of
-        # at most _SAMPLE_BUDGET nodes, in order, with the bits of one call
+        # at most context._BLOCK_BUDGET nodes, in order, with the bits of one call
         # on all its points
         gauss = gaussian_source(CTX3, center=[0.1, -0.2, 0.05], sigma=0.3, support_radius=0.9)
         blocks = []
@@ -961,7 +961,7 @@ class TestSampleRead:
         grid, values = SourceField.from_callable(CTX3, func, support_radius=0.9).default_samples()
         ring = grid.angular.count
         assert len(blocks) > 1
-        assert all(len(b) % ring == 0 and len(b) <= sources._SAMPLE_BUDGET for b in blocks)
+        assert all(len(b) % ring == 0 and len(b) <= context._BLOCK_BUDGET for b in blocks)
         assert np.array_equal(np.concatenate(blocks), grid.points)
         assert np.array_equal(values.view(np.uint64), gauss.values_on(grid).view(np.uint64))
         assert np.array_equal(values.view(np.uint64), gauss.evaluate(grid.points).view(np.uint64))

@@ -1,20 +1,26 @@
-"""The exterior factors of the boundary traces, built once per fixed
-frequency and kept read-only, the Legendre tables of the rule transforms,
-kept within a byte budget, and the linear sums: a sum or a scaled source
-adds its leaves' results, each leaf on its own grid with its own kept
-samples and coefficients.
+"""The process's one keeper (context._kept_arrays) and what it keeps within
+its byte budget: the exterior factors of the boundary traces, built once
+per fixed frequency, the Legendre tables of the rule transforms and the
+Gauss and angular rules; and the linear sums: a sum or a scaled source adds
+its leaves' results, each leaf on its own grid with its own kept samples
+and coefficients.
 
-The kept factors depend only on their key (the context, the truncation and
-whether they are the derivatives), never on a source, so a kept pair is bit
-for bit the one a fresh build gives.  The routes of a derived source read no
-leaf again once the leaf's samples and coefficients are kept, and give the
-same bits, signed zeros included, whether or not they were kept first.
+The kept factors depend only on their key (the context and the
+truncation), never on a source, so their four tables are bit for bit the
+ones a fresh build gives.  The keeper builds with its lock released, since
+a 3D rule's build asks it for the rule's Gauss nodes.  The routes of a
+derived source read no leaf again once the leaf's samples and coefficients
+are kept, and give the same bits, signed zeros included, whether or not
+they were kept first.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from biharwave import WaveContext, context, fields, sources, specfun
+from biharwave import WaveContext, context, fields, quadrature, sources, specfun
 from biharwave.fields import boundary_trace, eval_field_batch, far_field
 from biharwave.quadrature import angular_rule, boundary_grid, product_grid
 from biharwave.sources import (
@@ -50,16 +56,33 @@ def _assert_identical(a, b):
 class TestSphereFactors:
     """fields' exterior factors at r = R, four tables kept per (context, truncation)."""
 
-    def test_bounded_cache(self):
-        assert fields._sphere_factors.cache_info().maxsize == fields._SPHERE_FACTORS
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_factors_are_kept_entries_evicted_least_recently_used_first(self, ctx, kept, monkeypatch):
+        src = gaussian_source(ctx, center=_center(ctx), sigma=0.15)
+        grid = boundary_grid(ctx, 16 if ctx.dimension == 3 else 64)
+        first = boundary_trace(ctx, src, grid, truncation=12).stacked()
+        factors = kept[("sphere factors", ctx, 12)]
+        assert factors is fields._sphere_factors(ctx, 12)
+        # a budget of two sets of factors: truncation 12 used again after
+        # 11, so 10 evicts 11, then 13 evicts 12
+        size = sum(array.nbytes for array in factors)
+        kept.clear()
+        monkeypatch.setattr(context, "_KEPT_BUDGET", 2 * size)
+        for truncation, left in ((12, [12]), (11, [12, 11]), (12, [11, 12]), (10, [12, 10]), (13, [10, 13])):
+            fields._sphere_factors(ctx, truncation)
+            assert [key[2] for key in kept] == left
+            assert sum(array.nbytes for entry in kept.values() for array in entry) <= context._KEPT_BUDGET
+        # 12 is evicted: the next trace rebuilds its factors, with the same bits
+        _assert_identical(boundary_trace(ctx, src, grid, truncation=12).stacked(), first)
+        assert fields._sphere_factors(ctx, 12) is not factors
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
     @pytest.mark.parametrize("pair", [slice(0, 2), slice(2, 4)], ids=["value", "derivative"])
-    def test_kept_factors_equal_fresh_ones(self, ctx, pair):
+    def test_kept_factors_equal_fresh_ones(self, ctx, pair, monkeypatch):
         kept = fields._sphere_factors(ctx, 12)
         assert len(kept) == 4
         assert kept is fields._sphere_factors(WaveContext(ctx.dimension, ctx.kappa, ctx.radius), 12)
-        fields._sphere_factors.cache_clear()
+        monkeypatch.setattr(context, "_kept", {})
         rebuilt = fields._sphere_factors(ctx, 12)
         assert rebuilt is not kept
         # the one row of the radial tables at r = R, prefactors and exp(-kappa R) folded in:
@@ -85,11 +108,11 @@ class TestSphereFactors:
         assert np.max(np.abs(base - trace_fg.stacked())) <= 1e-8 * np.max(np.abs(base))
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
-    def test_trace_is_bitwise_the_same_after_cache_clear(self, ctx):
+    def test_trace_is_bitwise_the_same_after_cache_clear(self, ctx, monkeypatch):
         src = gaussian_source(ctx, center=[0.2, -0.1, 0.1][: ctx.dimension], sigma=0.15)
         grid = boundary_grid(ctx, 16 if ctx.dimension == 3 else 64)
         first = boundary_trace(ctx, src, grid, truncation=12).stacked()
-        fields._sphere_factors.cache_clear()
+        monkeypatch.setattr(context, "_kept", {})
         _assert_identical(boundary_trace(ctx, src, grid, truncation=12).stacked(), first)
 
     def test_overflow_is_refused_on_every_call(self):
@@ -123,11 +146,59 @@ class TestValuesOnlyRadialTables:
 
 @pytest.fixture
 def kept(monkeypatch):
-    """The arrays kept per angular rule (context._kept), emptied for the
-    test and restored after."""
+    """The arrays the process keeps (context._kept), emptied for the test
+    and restored after."""
     entries = {}
     monkeypatch.setattr(context, "_kept", entries)
     return entries
+
+
+class TestKeeper:
+    """context._kept_arrays builds with its lock released, and threads that
+    share it keep its budget."""
+
+    def test_cold_3d_rule_builds_outside_the_lock(self, kept, monkeypatch):
+        # a 3D rule's build asks the keeper for the rule's Gauss nodes: a
+        # keeper that built under its lock would wait on itself.  The rule
+        # is built in a daemon thread, under a lock of the test's own, so
+        # that such a keeper fails this test and holds up no other
+        monkeypatch.setattr(context, "_kept_lock", threading.Lock())
+        thread = threading.Thread(target=angular_rule, args=(CTX3, 12), daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert ("angular rule", 3, 12) in kept and ("gauss-legendre", 12) in kept
+
+    def test_threads_keep_the_budget_and_the_bits(self, kept, monkeypatch):
+        # more threads than cores, switching often, each asking for the
+        # Gauss rules of ten orders under a budget of about three of them
+        orders = range(30, 40)
+        fresh = {order: np.polynomial.legendre.leggauss(order) for order in orders}
+        monkeypatch.setattr(context, "_KEPT_BUDGET", 3 * 16 * 35)
+        errors = []
+
+        def ask(seed):
+            try:
+                for order in np.random.default_rng(seed).choice(orders, 100):
+                    got = quadrature.gauss_legendre(int(order))
+                    if not all(np.array_equal(a, b) for a, b in zip(got, fresh[order])):
+                        errors.append(order)
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=ask, args=(seed,), daemon=True) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 0 < sum(array.nbytes for entry in kept.values() for array in entry) <= context._KEPT_BUDGET
 
 
 def _legendre_keys(kept):
