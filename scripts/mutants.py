@@ -14,13 +14,16 @@ never edits the tree it runs from.  Usage, from any directory:
 A run of the whole suite takes 30-40 s per mutant on 2 cores; the expected
 tests alone take a few seconds.  Each table row reads
 
-    <mutant>  <expected tests that failed>/<expected>  caught|survived  <pytest's summary line>
+    <mutant>  <expected tests that failed>/<expected>  caught|survived|timed out  <pytest's summary line>
 
 The result is "caught" when pytest exits 1 (a test failed), "survived" when it
-exits 0 and "exit N" for any other exit (pytest could not run).  The exit
-code is 1 when a mutant is not caught, or when an edit's old text is not
-found exactly once, and 0 otherwise.  A surviving mutant is a gap in the
-tests to record, not a reason to change the mutant.
+exits 0, "timed out" when it runs longer than TIMEOUT seconds (its process
+group is killed and the copy removed; a suite that hangs does not pass, so
+this counts as caught) and "exit N" for any other exit (pytest could not
+run).  The exit code is 1 when a mutant is neither caught nor timed out, or
+when an edit's old text is not found exactly once, and 0 otherwise.  A
+surviving mutant is a gap in the tests to record, not a reason to change
+the mutant.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import argparse
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -37,6 +41,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "_out", "*.egg-info")
+# Seconds one pytest run may take, well above a whole-suite run (about 45 s
+# on 2 cores): a mutant that deadlocks the suite ends at this, "timed out".
+TIMEOUT = 300
 
 
 @dataclass(frozen=True)
@@ -384,13 +391,13 @@ MUTANTS = (
         "            _kept[key] = arrays  # reinserted last: the most recently used\n"
         "            return arrays\n"
         "    arrays = build()\n"
-        "    size = sum(array.nbytes for array in arrays)\n"
+        "    size = _mapped_bytes(arrays)\n"
         "    if size > _KEPT_BUDGET:\n"
         "        return arrays\n"
         "    arrays = tuple(_kept_copy(array) for array in arrays)\n"
         "    with _kept_lock:\n"
         "        _kept.pop(key, None)\n"
-        "        while sum(array.nbytes for entry in _kept.values() for array in entry) + size > _KEPT_BUDGET:\n"
+        "        while sum(_mapped_bytes(entry) for entry in _kept.values()) + size > _KEPT_BUDGET:\n"
         "            del _kept[next(iter(_kept))]\n"
         "        _kept[key] = arrays\n"
         "    return arrays\n",
@@ -398,11 +405,11 @@ MUTANTS = (
         "        arrays = _kept.pop(key, None)\n"
         "        if arrays is None:\n"
         "            arrays = build()\n"
-        "            size = sum(array.nbytes for array in arrays)\n"
+        "            size = _mapped_bytes(arrays)\n"
         "            if size > _KEPT_BUDGET:\n"
         "                return arrays\n"
         "            arrays = tuple(_kept_copy(array) for array in arrays)\n"
-        "            while sum(array.nbytes for entry in _kept.values() for array in entry) + size > _KEPT_BUDGET:\n"
+        "            while sum(_mapped_bytes(entry) for entry in _kept.values()) + size > _KEPT_BUDGET:\n"
         "                del _kept[next(iter(_kept))]\n"
         "        _kept[key] = arrays\n"
         "        return arrays\n",
@@ -438,6 +445,23 @@ MUTANTS = (
         ("tests/test_spectral.py::TestDirectionCheck::test_scaled_directions_are_refused",),
     ),
     Mutant(
+        "positive-check-admits-zero",
+        "src/biharwave/context.py",
+        "    if not (_is_real(value) and np.isfinite(value) and value > 0):\n",
+        "    if not (_is_real(value) and np.isfinite(value) and value >= 0):\n",
+        ("tests/test_context.py::test_positive_input_refused_by_name",),
+    ),
+    Mutant(
+        "extent-unchecked",
+        "src/biharwave/quadrature.py",
+        "        _check_positive(\"extent\", extent)\n",
+        "",
+        (
+            "tests/test_quadrature.py::TestExtent::test_extent_not_positive_and_finite_is_refused",
+            "tests/test_context.py::test_positive_input_refused_by_name",
+        ),
+    ),
+    Mutant(
         "field-radius-tiled",
         "src/biharwave/cli.py",
         "    columns = [np.repeat(np.array(factors) * ctx.radius, len(dirs))]\n",
@@ -454,7 +478,8 @@ def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
 
 def run(mutant: Mutant, whole_suite: bool) -> tuple[str, int, str]:
     """The result of pytest on a mutated copy of the tree (caught: some test
-    failed), how many expected tests failed, and pytest's summary line."""
+    failed; timed out: the run outlived TIMEOUT and its process group was
+    killed), how many expected tests failed, and pytest's summary line."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
@@ -464,16 +489,22 @@ def run(mutant: Mutant, whole_suite: bool) -> tuple[str, int, str]:
         # fails on every mutated copy: it would report every mutant as caught
         tests = ["tests", "--ignore", "tests/test_mutants.py"] if whole_suite else list(mutant.expected)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors",
              *tests],
-            cwd=copy, env=env, capture_output=True, text=True,
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
         )
-    failed_ids = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, flags=re.M)
+        try:
+            stdout, _ = proc.communicate(timeout=TIMEOUT)
+            result = {0: "survived", 1: "caught"}.get(proc.returncode, f"exit {proc.returncode}")
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # pytest and any child it started
+            stdout, _ = proc.communicate()
+            result = "timed out"
+    failed_ids = re.findall(r"^(?:FAILED|ERROR) (\S+)", stdout, flags=re.M)
     # an expected id names a test or, parametrized, all of its cases
     hit = sum(any(i == e or i.startswith(e + "[") for i in failed_ids) for e in mutant.expected)
-    lines = proc.stdout.strip().splitlines() or ["no output"]
-    result = {0: "survived", 1: "caught"}.get(proc.returncode, f"exit {proc.returncode}")
+    lines = stdout.strip().splitlines() or ["no output"]
     return result, hit, lines[-1]
 
 
@@ -495,11 +526,11 @@ def main(argv=None) -> int:
         return 1
     uncaught = 0
     width = max(len(m.name) for m in chosen)
-    print(f"{'mutant':<{width}}  expected  result    pytest")
+    print(f"{'mutant':<{width}}  expected  result     pytest")
     for mutant in chosen:
         result, hit, summary = run(mutant, args.all)
-        uncaught += result != "caught"
-        print(f"{mutant.name:<{width}}  {f'{hit}/{len(mutant.expected)}':>8}  {result:<8}  {summary}", flush=True)
+        uncaught += result not in ("caught", "timed out")  # a suite that hangs does not pass
+        print(f"{mutant.name:<{width}}  {f'{hit}/{len(mutant.expected)}':>8}  {result:<9}  {summary}", flush=True)
     return 1 if uncaught else 0
 
 

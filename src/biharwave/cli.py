@@ -21,8 +21,9 @@ import sys
 import numpy as np
 
 from . import __version__, fields, spectral
+from .context import _check_integer, _check_positive
 from .quadrature import boundary_grid
-from .sources import _SOURCE_KEYS, _is_int, source_from_config
+from .sources import _SOURCE_KEYS, source_from_config
 from .spectral import InconsistencyError, VerdictConfig
 
 # The settings each subcommand reads, beyond the source keys.  A subcommand
@@ -52,7 +53,11 @@ class _Parser(argparse.ArgumentParser):
 def _load_scenario(path: str, args, reads=None) -> dict:
     """The scenario at path with the flags in args laid over it.  Besides the
     source keys it may set the settings in reads, by default those that
-    args.command reads."""
+    args.command reads.  A setting in the file is refused by its key and
+    path through context's checkers unless it has its flag's type: an
+    integer >= 0 for a count (the command refuses a count below its own
+    least value, as it does the flag's) and a positive, finite number for
+    the tolerance (never a bool or a string)."""
     reads = _READS[args.command] if reads is None else reads
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -70,20 +75,15 @@ def _load_scenario(path: str, args, reads=None) -> dict:
         why = f"is not read by {args.command}" if reads else "is not a source key: --config-g may hold source keys only"
         raise ConfigError(f"config key {key!r} in {path!r} {why}")
     for key in reads:
-        if cfg.get(key) is not None and not _setting_ok(key, cfg[key]):
-            kind = "an integer" if _SETTING_TYPES[key] is int else "a finite number"
-            raise ConfigError(f"config key {key!r} in {path!r} must be {kind}, got {cfg[key]!r}")
+        if cfg.get(key) is not None:
+            where = f"config key {key!r} in {path!r}"
+            if _SETTING_TYPES[key] is int:
+                _check_integer(where, cfg[key], 0)
+            else:
+                _check_positive(where, cfg[key])
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     return cfg
-
-
-def _setting_ok(key: str, value) -> bool:
-    """A file setting has its flag's type: an int (not a bool) for an int
-    setting, a finite int or float (not a bool) for a float one."""
-    if _SETTING_TYPES[key] is int:
-        return _is_int(value)
-    return (_is_int(value) or isinstance(value, float)) and bool(np.isfinite(value))
 
 
 def _config_hash(cfg: dict) -> str:
@@ -245,8 +245,7 @@ def cmd_field(args) -> int:
         raise ConfigError(f"--radii factors must be numbers: {exc}") from None
     for factor in factors:
         # a negative factor would probe the antipode under the direction's angle columns
-        if not (np.isfinite(factor) and factor > 0):
-            raise ConfigError(f"--radii factors must be finite and positive, got {factor!r}")
+        _check_positive("--radii factors", factor)
     count = VerdictConfig.direction_count if cfg.get("directions") is None else cfg["directions"]
     dirs, params = spectral.direction_grid(ctx, count)
     angle_header, angles = _angle_columns(ctx, params)

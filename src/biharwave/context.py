@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _is_real(value) -> bool:
+    """A real number (numpy's too) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_integer(name: str, value, minimum: int):
     """value when it is an integer >= minimum (numpy integers too, never a
     bool); otherwise a ValueError naming it."""
@@ -22,11 +27,20 @@ def _check_integer(name: str, value, minimum: int):
     return value
 
 
-def _check_dimension(dimension) -> None:
-    """Refuse a dimension that is not the integer 2 or 3 (a numpy integer
-    passes, a bool or a float does not), naming it."""
-    if isinstance(dimension, bool) or not isinstance(dimension, numbers.Integral) or dimension not in (2, 3):
-        raise ValueError(f"dimension must be the integer 2 or 3, got {dimension!r}")
+def _check_dimension(name: str, value):
+    """value when it is the integer 2 or 3 (a numpy integer passes, a bool
+    or a float does not); otherwise a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (2, 3):
+        raise ValueError(f"{name} must be the integer 2 or 3, got {value!r}")
+    return value
+
+
+def _check_positive(name: str, value):
+    """value when it is a finite real number > 0 (numpy's too, never a
+    bool); otherwise a ValueError naming it."""
+    if not (_is_real(value) and np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def _kept_copy(array) -> np.ndarray:
@@ -44,6 +58,13 @@ def _kept_copy(array) -> np.ndarray:
     return kept
 
 
+def _mapped_bytes(arrays) -> int:
+    """The bytes the kept copies of arrays map: each array in whole pages
+    of its own (_kept_copy), so a Gauss rule of order 3 maps two pages for
+    its 48 bytes."""
+    return sum(-(-max(array.nbytes, 1) // mmap.PAGESIZE) * mmap.PAGESIZE for array in arrays)
+
+
 # Entries per block of the library's blocked loops: the grid nodes of one
 # call of a pointwise source's function (sources.SourceField._rows), the
 # nodes of a radial block of the field quadrature and directions times
@@ -56,7 +77,8 @@ _BLOCK_BUDGET = 1 << 14
 # order, its angular rules, one per (dimension, count), the Legendre tables
 # of specfun's rule transforms, one per (truncation, polar angles), and the
 # exterior factors of fields' boundary traces, one set per (context,
-# truncation).  Together they hold at most this many bytes, least recently
+# truncation).  Together their maps hold at most this many bytes, each
+# array counted in the whole pages it maps (_mapped_bytes), least recently
 # used evicted first, and an entry larger than the budget is built and not
 # kept, so the most they add to a process is the budget.  A 3D Legendre
 # table holds (N + 1)(2N + 1) P doubles at truncation N on P polar angles:
@@ -72,33 +94,29 @@ _kept_lock = threading.Lock()
 
 def _kept_arrays(key, build) -> tuple:
     """The tuple of arrays build() returns, built once per key and kept
-    read-only (_kept_copy) within _KEPT_BUDGET bytes; one over the budget
-    is returned as built, and not kept.  build is a pure function of the
-    key, so a kept entry is bit for bit a fresh build.  It runs with the
-    lock released, since a build may ask for another kept entry (a 3D
-    angular rule for its Gauss rule); two threads that miss one key both
-    build it, and the later keeps its own, the same bits."""
+    read-only (_kept_copy) within _KEPT_BUDGET bytes of maps, counted in
+    whole pages (_mapped_bytes); one over the budget is returned as built,
+    and not kept.  build is a pure function of the key, so a kept entry is
+    bit for bit a fresh build.  It runs with the lock released, since a
+    build may ask for another kept entry (a 3D angular rule for its Gauss
+    rule); two threads that miss one key both build it, and the later keeps
+    its own, the same bits."""
     with _kept_lock:
         arrays = _kept.pop(key, None)
         if arrays is not None:
             _kept[key] = arrays  # reinserted last: the most recently used
             return arrays
     arrays = build()
-    size = sum(array.nbytes for array in arrays)
+    size = _mapped_bytes(arrays)
     if size > _KEPT_BUDGET:
         return arrays
     arrays = tuple(_kept_copy(array) for array in arrays)
     with _kept_lock:
         _kept.pop(key, None)
-        while sum(array.nbytes for entry in _kept.values() for array in entry) + size > _KEPT_BUDGET:
+        while sum(_mapped_bytes(entry) for entry in _kept.values()) + size > _KEPT_BUDGET:
             del _kept[next(iter(_kept))]
         _kept[key] = arrays
     return arrays
-
-
-def _is_real(value) -> bool:
-    """A real number (numpy's too) that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -120,11 +138,9 @@ class WaveContext:
     radius: float
 
     def __post_init__(self):
-        _check_dimension(self.dimension)
-        if not (_is_real(self.kappa) and np.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
-        if not (_is_real(self.radius) and np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"R must be positive and finite, got {self.radius!r}")
+        _check_dimension("dimension", self.dimension)
+        _check_positive("kappa", self.kappa)
+        _check_positive("R", self.radius)
 
     @classmethod
     def with_root_wavenumber(cls, dimension: int, radius: float, root_index: int = 1) -> "WaveContext":
@@ -138,9 +154,8 @@ class WaveContext:
         within an ulp of mpmath's and 99 are the nearest double (scipy's
         jn_zeros: 94).
         """
-        _check_dimension(dimension)
-        if not (_is_real(radius) and np.isfinite(radius) and radius > 0):
-            raise ValueError(f"R must be positive and finite, got {radius!r}")
+        _check_dimension("dimension", dimension)
+        _check_positive("R", radius)
         _check_integer("root_index", root_index, 1)
         if dimension == 2:
             from .specfun import j0_zero  # specfun imports this module

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import WaveContext, _check_integer, _kept_arrays
+from .context import WaveContext, _check_integer, _check_positive, _kept_arrays
 
 DEFAULT_RADIAL_ORDER = 64
 DEFAULT_ANGULAR_COUNT_2D = 256
@@ -99,13 +99,15 @@ def radial_rule(ctx: WaveContext, order: int = DEFAULT_RADIAL_ORDER, extent: flo
 
     With an extent (R when None), only the nodes below it are kept, with
     their weights unchanged: a node at or beyond the extent is dropped, the
-    test SourceField uses to zero a node outside its support.
+    test SourceField uses to zero a node outside its support.  An extent
+    must be positive and finite.
     """
     _check_integer("radial order", order, 2)
     t, w = gauss_legendre(order)
     half = 0.5 * ctx.radius
     nodes, weights = half * (t + 1.0), half * w
     if extent is not None:
+        _check_positive("extent", extent)
         keep = int(np.searchsorted(nodes, extent))  # the nodes ascend: those < extent
         nodes, weights = nodes[:keep], weights[:keep]
     return RadialRule(nodes=nodes, weights=weights, order=order)

@@ -51,7 +51,7 @@ from numbers import Number
 import numpy as np
 
 from . import specfun
-from .context import _BLOCK_BUDGET, WaveContext, _check_integer, _is_real
+from .context import _BLOCK_BUDGET, WaveContext, _check_dimension, _check_integer, _check_positive, _is_real
 from .quadrature import (
     DEFAULT_ANGULAR_COUNT_2D,
     DEFAULT_POLAR_COUNT_3D,
@@ -329,8 +329,8 @@ class SourceField:
 
     def resolve_radial_order(self, radial_order: int | None = None) -> int:
         """The radial order of a quadrature grid over this source: the
-        source's own, unless an explicit order is given."""
-        return self.radial_order if radial_order is None else int(radial_order)
+        source's own, unless an explicit order is given (an integer >= 2)."""
+        return self.radial_order if radial_order is None else _check_integer("radial order", radial_order, 2)
 
     # -- norms ---------------------------------------------------------------
     def l2_norm(self) -> float:
@@ -595,11 +595,9 @@ def make_bump_nonradiating(
     """
     d = ctx.dimension
     k4 = ctx.kappa**4
-    rho = 0.8 * ctx.radius if rho is None else float(_check_finite_real("rho", rho))
+    rho = 0.8 * ctx.radius if rho is None else float(_check_positive("rho", _check_finite_real("rho", rho)))
     center = _finite_center(center, d)
     _check_finite_real("amplitude", amplitude)  # the mollifier pair is real arithmetic
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
     reach = float(np.linalg.norm(center)) + rho
     if not reach < ctx.radius:
         raise SupportViolationError(
@@ -663,9 +661,7 @@ def gaussian_source(
     center = _finite_center(center, ctx.dimension)
     _check_finite_number("amplitude", amplitude)
     amplitude = _real_if_real(amplitude)
-    sigma = 0.15 * ctx.radius if sigma is None else float(_check_finite_real("sigma", sigma))
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = 0.15 * ctx.radius if sigma is None else float(_check_positive("sigma", _check_finite_real("sigma", sigma)))
 
     def func(points):
         q = _squared_distance(points.T, center)
@@ -739,36 +735,22 @@ _PARAM_KEYS = {
 }
 
 
-def _is_int(value) -> bool:
-    """True for an int that is not a bool (JSON true would otherwise read as 1)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_positive_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and np.isfinite(value) and value > 0
-
-
 def context_from_config(cfg: dict) -> WaveContext:
-    """WaveContext from the {dimension, R, kappa | root_index} part of a config."""
-    dimension = cfg.get("dimension")
-    if not _is_int(dimension) or dimension not in (2, 3):
-        raise ValueError(f"config key 'dimension' must be the integer 2 or 3, got {dimension!r}")
-    R = cfg.get("R")
-    if not _is_positive_number(R):
-        raise ValueError(f"config key 'R' must be a positive number, got {R!r}")
+    """WaveContext from the {dimension, R, kappa | root_index} part of a
+    config.  Each key is refused by name through context's checkers
+    (_check_dimension, _check_positive, _check_integer) before a context is
+    built: a JSON true is a bool to them, never the integer 1."""
+    dimension = _check_dimension("config key 'dimension'", cfg.get("dimension"))
+    R = float(_check_positive("config key 'R'", cfg.get("R")))
     has_kappa = "kappa" in cfg
     has_root = "root_index" in cfg
     if has_kappa == has_root:
         raise ValueError("config must set exactly one of 'kappa' or 'root_index'")
     if has_root:
-        root_index = cfg["root_index"]
-        if not _is_int(root_index) or root_index < 1:
-            raise ValueError(f"config key 'root_index' must be a positive integer, got {root_index!r}")
-        return WaveContext.with_root_wavenumber(dimension, float(R), root_index)
-    kappa = cfg["kappa"]
-    if not _is_positive_number(kappa):
-        raise ValueError(f"config key 'kappa' must be a positive number, got {kappa!r}")
-    return WaveContext(dimension=dimension, kappa=float(kappa), radius=float(R))
+        root_index = _check_integer("config key 'root_index'", cfg["root_index"], 1)
+        return WaveContext.with_root_wavenumber(dimension, R, root_index)
+    kappa = float(_check_positive("config key 'kappa'", cfg["kappa"]))
+    return WaveContext(dimension=dimension, kappa=kappa, radius=R)
 
 
 def source_from_config(cfg: dict) -> tuple[WaveContext, SourceField]:
@@ -776,7 +758,9 @@ def source_from_config(cfg: dict) -> tuple[WaveContext, SourceField]:
 
     Schema: {dimension, R, kappa | root_index, kind, parameters}; unknown
     keys are rejected.  Kinds: 'zero', 'gaussian', 'bump_nonradiating',
-    'bessel_nonradiating'.
+    'bessel_nonradiating'.  The context keys and the 3D Bessel exponents
+    'm1' and 'm2' are refused by name through context's checkers
+    (context_from_config); the other parameters by the kind's constructor.
     """
     unknown = set(cfg) - _SOURCE_KEYS
     if unknown:
@@ -802,8 +786,6 @@ def source_from_config(cfg: dict) -> tuple[WaveContext, SourceField]:
         if params:
             raise ValueError("parameters 'm1'/'m2' apply to 3D bessel_nonradiating only")
         return ctx, make_2d_bessel_nonradiating(ctx)
-    exponents = {key: params.get(key, default) for key, default in (("m1", 3), ("m2", 4))}
-    for key, value in exponents.items():
-        if not _is_int(value):
-            raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
-    return ctx, make_3d_bessel_nonradiating(ctx, exponents["m1"], exponents["m2"])
+    m1, m2 = (_check_integer(f"parameter {key!r}", params.get(key, default), 3)
+              for key, default in (("m1", 3), ("m2", 4)))
+    return ctx, make_3d_bessel_nonradiating(ctx, m1, m2)

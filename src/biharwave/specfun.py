@@ -482,15 +482,20 @@ def mode_degrees(dimension: int, truncation: int) -> np.ndarray:
 
 def mode_index(dimension: int, truncation: int, n: int, m: int | None = None) -> int:
     """Flat row of an angular mode up to the truncation: 2D order n (rows
-    n = -N..N), or 3D degree/order (n, m) (rows packed degree by degree)."""
+    n = -N..N), or 3D degree/order (n, m) (rows packed degree by degree).
+    A mode out of range is refused by its range first, then a bool or a
+    fraction in range by name."""
     if dimension == 2:
         if abs(n) > truncation:
             raise ValueError(f"|n| must be <= {truncation}, got {n}")
+        _check_integer("n", n, -truncation)  # in range: only a bool or a fraction fails here
         return n + truncation
     if m is None:
         raise ValueError("3D modes need both degree n and order m")
     if n > truncation or abs(m) > n:
         raise ValueError(f"(n, m) must satisfy |m| <= n <= {truncation}, got ({n}, {m})")
+    _check_integer("n", n, 0)  # in range: only a bool or a fraction fails here
+    _check_integer("m", m, -n)
     return n * n + n + m
 
 
@@ -519,7 +524,7 @@ def per_mode(dimension: int, table, axis: int = -1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def _wave_arguments(dimension, truncation, x, family, name) -> np.ndarray:
     """x as a 1-D float array, after the checks that every wave table makes."""
-    _check_dimension(dimension)
+    _check_dimension("dimension", dimension)
     _check_integer("truncation", truncation, 0)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     bad = ~(np.isfinite(x) & (x > 0.0))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, specfun
-from .context import WaveContext, _check_integer, _is_real
+from .context import WaveContext, _check_integer, _check_positive
 from .fields import _check_directions
 from .kernels import green_biharmonic
 from .quadrature import angular_rule, spherical_params
@@ -109,8 +109,7 @@ class VerdictConfig:
     def __post_init__(self):
         # a tolerance that no residual can meet (<= 0, NaN) would report every
         # source, invisible ones included, as radiating
-        if not (_is_real(self.tolerance) and np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        _check_positive("tolerance", self.tolerance)
         if self.truncation is not None:
             _check_integer("truncation", self.truncation, 0)
         _check_integer("direction_count", self.direction_count, 1)

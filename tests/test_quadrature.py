@@ -1,5 +1,7 @@
 """Quadrature rules: polynomial exactness, classical integrals, grid shapes."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -192,6 +194,16 @@ class TestExtent:
         full = quadrature.radial_rule(CTX2, 32)
         assert len(quadrature.radial_rule(CTX2, 32, full.nodes[20]).nodes) == 20
         assert len(quadrature.radial_rule(CTX2, 32, np.nextafter(full.nodes[20], 2.0)).nodes) == 21
+
+    @pytest.mark.parametrize("extent", [float("nan"), 0.0, -1.0, float("inf"), True],
+                             ids=["nan", "zero", "negative", "inf", "bool"])
+    def test_extent_not_positive_and_finite_is_refused(self, extent):
+        # NaN kept every node without a word, and 0 and -1 gave an empty rule
+        message = re.escape(f"extent must be positive and finite, got {extent!r}")
+        with pytest.raises(ValueError, match=message):
+            quadrature.radial_rule(CTX2, 64, extent)
+        with pytest.raises(ValueError, match=message):
+            quadrature.product_grid(CTX3, 64, 8, extent=extent)
 
 
 class TestRuleCache:

@@ -140,6 +140,23 @@ class TestModalCoefficients:
             with pytest.raises(ValueError, match="must be <= 4"):
                 co.get(n)
 
+    @pytest.mark.parametrize("n", [True, 1.5, np.float64(2.0)], ids=["bool", "fraction", "numpy-float"])
+    def test_order_that_is_no_integer_refused(self, n):
+        # True read as the order-1 mode and 1.5 failed in numpy's indexing
+        src = gaussian_source(CTX2, center=[0.2, 0.1])
+        message = re.escape(f"n must be an integer >= -4, got {n!r}")
+        with pytest.raises(ValueError, match=message):
+            modal_coefficients(CTX2, src, 4).get(n)
+        with pytest.raises(ValueError, match=message):
+            project_modes(src, 4).profile(n)
+
+    @pytest.mark.parametrize("n, m, name", [(True, 0, "n"), (1.5, 1, "n"), (2, 0.5, "m"), (2, False, "m")],
+                             ids=["n-bool", "n-fraction", "m-fraction", "m-bool"])
+    def test_3d_mode_that_is_no_integer_refused(self, n, m, name):
+        co = modal_coefficients(CTX3, make_3d_bessel_nonradiating(CTX3), 3)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= -?\d, got "):
+            co.get(n, m)
+
     def test_radial_source_only_zero_mode(self):
         src = SourceField.from_radial(CTX2, lambda r: 1.0 - r**2)
         co = modal_coefficients(CTX2, src, 6)
@@ -1030,6 +1047,15 @@ class TestSupportGrid:
         beyond = grid.radial.nodes >= 0.5 * ctx.radius
         rows, bessel_rows = values.reshape(grid.shape), bessel.default_samples()[1].reshape(grid.shape)
         assert np.array_equal(rows[beyond], bessel_rows[beyond])
+
+
+@pytest.mark.parametrize("order", [2.7, True, 1], ids=["fraction", "bool", "below-2"])
+def test_explicit_radial_order_is_checked(order):
+    # int() read 2.7 as 2 and True as 1
+    src = gaussian_source(CTX2)
+    with pytest.raises(ValueError, match=re.escape(f"radial order must be an integer >= 2, got {order!r}")):
+        src.resolve_radial_order(order)
+    assert src.resolve_radial_order(np.int64(48)) == 48 and src.resolve_radial_order() == src.radial_order
 
 
 class TestConfigParsing:

@@ -14,6 +14,7 @@ are kept, and give the same bits, signed zeros included, whether or not
 they were kept first.
 """
 
+import mmap
 import sys
 import threading
 
@@ -65,13 +66,13 @@ class TestSphereFactors:
         assert factors is fields._sphere_factors(ctx, 12)
         # a budget of two sets of factors: truncation 12 used again after
         # 11, so 10 evicts 11, then 13 evicts 12
-        size = sum(array.nbytes for array in factors)
+        size = context._mapped_bytes(factors)
         kept.clear()
         monkeypatch.setattr(context, "_KEPT_BUDGET", 2 * size)
         for truncation, left in ((12, [12]), (11, [12, 11]), (12, [11, 12]), (10, [12, 10]), (13, [10, 13])):
             fields._sphere_factors(ctx, truncation)
             assert [key[2] for key in kept] == left
-            assert sum(array.nbytes for entry in kept.values() for array in entry) <= context._KEPT_BUDGET
+            assert _kept_total(kept) <= context._KEPT_BUDGET
         # 12 is evicted: the next trace rebuilds its factors, with the same bits
         _assert_identical(boundary_trace(ctx, src, grid, truncation=12).stacked(), first)
         assert fields._sphere_factors(ctx, 12) is not factors
@@ -153,6 +154,11 @@ def kept(monkeypatch):
     return entries
 
 
+def _kept_total(kept) -> int:
+    """The bytes the kept entries map, in whole pages per array."""
+    return sum(context._mapped_bytes(entry) for entry in kept.values())
+
+
 class TestKeeper:
     """context._kept_arrays builds with its lock released, and threads that
     share it keep its budget."""
@@ -172,9 +178,10 @@ class TestKeeper:
     def test_threads_keep_the_budget_and_the_bits(self, kept, monkeypatch):
         # more threads than cores, switching often, each asking for the
         # Gauss rules of ten orders under a budget of about three of them
+        # (each rule maps two arrays of one page each)
         orders = range(30, 40)
         fresh = {order: np.polynomial.legendre.leggauss(order) for order in orders}
-        monkeypatch.setattr(context, "_KEPT_BUDGET", 3 * 16 * 35)
+        monkeypatch.setattr(context, "_KEPT_BUDGET", 3 * 2 * mmap.PAGESIZE)
         errors = []
 
         def ask(seed):
@@ -198,7 +205,16 @@ class TestKeeper:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert 0 < sum(array.nbytes for entry in kept.values() for array in entry) <= context._KEPT_BUDGET
+        assert 0 < _kept_total(kept) <= context._KEPT_BUDGET
+
+    def test_small_rules_keep_their_mapped_pages_within_the_budget(self, kept, monkeypatch):
+        # a Gauss rule of order 3 holds 48 bytes and maps two pages: counted
+        # by its bytes, a budget of four pages kept all 48 rules below
+        monkeypatch.setattr(context, "_KEPT_BUDGET", 4 * mmap.PAGESIZE)
+        for order in range(2, 50):
+            quadrature.gauss_legendre(order)
+            assert _kept_total(kept) <= context._KEPT_BUDGET
+        assert [key[1] for key in kept] == [48, 49]
 
 
 def _legendre_keys(kept):
@@ -237,11 +253,11 @@ class TestKeptLegendreTables:
     def test_kept_total_stays_within_the_budget(self, kept, monkeypatch):
         theta = angular_rule(CTX3, 9).rings[0]
         kept.clear()
-        budget = sum(specfun._legendre_table(n, theta).nbytes for n in (6, 5))
+        budget = context._mapped_bytes([specfun._legendre_table(n, theta) for n in (6, 5)])
         monkeypatch.setattr(context, "_KEPT_BUDGET", budget)
         for truncation in (6, 5, 6, 4, 3, 7, 2, 6, 1, 5):
             used = specfun._kept_legendre_table(truncation, theta)
-            assert sum(array.nbytes for entry in kept.values() for array in entry) <= budget
+            assert _kept_total(kept) <= budget
             assert kept[next(reversed(kept))][0] is used  # the one in use is kept last
         # least recently used first: 6 used again after 5, so 4 evicts 5
         kept.clear()
