@@ -468,6 +468,28 @@ MUTANTS = (
         "    columns = [np.tile(np.array(factors) * ctx.radius, len(dirs))]\n",
         ("tests/test_cli.py::TestTablesRoundTrip::test_field_over_two_radii",),
     ),
+    Mutant(
+        "array-check-admits-bools",
+        "src/biharwave/context.py",
+        '    if (array.dtype.kind not in "iuf" or',
+        '    if (array.dtype.kind not in "biuf" or',
+        (
+            "tests/test_context.py::test_array_input_refused_by_name",
+            "tests/test_cli.py::test_non_finite_parameter_is_named",
+        ),
+    ),
+    Mutant(
+        "array-check-skips-shape",
+        "src/biharwave/context.py",
+        '    if (array.dtype.kind not in "iuf" or (full.ndim > len(dims) and len(dims) == len(shape))\n'
+        "            or any(n not in (None, m) for n, m in zip(dims[::-1], full.shape[::-1]))):\n",
+        '    if array.dtype.kind not in "iuf":\n',
+        (
+            "tests/test_context.py::test_array_input_refused_by_name",
+            "tests/test_cli.py::test_non_finite_parameter_is_named",
+            "tests/test_spectral.py::TestNullspaceResidual::test_meaningless_probe_radii_refused",
+        ),
+    ),
 )
 
 

@@ -240,12 +240,13 @@ def cmd_field(args) -> int:
     cfg = _load_scenario(args.config, args)
     ctx, src = _build(cfg)
     try:
-        factors = [float(v) for v in args.radii.split(",")] if args.radii else list(spectral.PROBE_FACTORS)
-    except ValueError as exc:  # "abc", or the empty item of "1.5,,2"
+        factors = list(spectral.PROBE_FACTORS) if args.radii is None else [float(v) for v in args.radii.split(",")]
+    except ValueError as exc:  # "abc", "" or the empty item of "1.5,,2"
         raise ConfigError(f"--radii factors must be numbers: {exc}") from None
-    for factor in factors:
-        # a negative factor would probe the antipode under the direction's angle columns
-        _check_positive("--radii factors", factor)
+    # a negative factor would probe the antipode under the direction's angle columns
+    factors = [_check_positive("--radii factors", factor) for factor in factors]
+    if args.radii is not None:  # the factors given are part of the configuration the files' hash covers
+        cfg["radii"] = factors
     count = VerdictConfig.direction_count if cfg.get("directions") is None else cfg["directions"]
     dirs, params = spectral.direction_grid(ctx, count)
     angle_header, angles = _angle_columns(ctx, params)

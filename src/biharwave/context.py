@@ -1,5 +1,7 @@
 """Shared problem context: spatial dimension, wavenumber, support-ball radius,
-and the small checks and helpers every module shares: the one block budget
+and the small checks and helpers every module shares: one checker per kind
+of outside input, scalar (_check_dimension, _check_integer,
+_check_positive) or array (_check_array), the one block budget
 of the library's blocked loops (_BLOCK_BUDGET) and the one keeper of the
 arrays the process keeps for its life (_kept_arrays, within _KEPT_BUDGET
 bytes)."""
@@ -41,6 +43,30 @@ def _check_positive(name: str, value):
     if not (_is_real(value) and np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
+
+
+def _check_array(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float array of shape, whose None entries take any length
+    and whose leading ... (if any) any number of leading axes; a value of
+    fewer axes gains leading axes of length 1, as np.atleast_2d adds them.
+    Its dtype must be integer or float (never bool, complex, string or
+    object) and its entries finite; a float64 array is returned without a
+    copy.  Otherwise a ValueError names it, the shape it wants and what it
+    got, or lists its non-finite entries (for two or more axes, the rows
+    along the last axis that hold them)."""
+    array = np.asarray(value)
+    dims = shape[1:] if shape[:1] == (...,) else shape
+    full = array if array.ndim >= len(dims) else array.reshape((1,) * (len(dims) - array.ndim) + array.shape)
+    if (array.dtype.kind not in "iuf" or (full.ndim > len(dims) and len(dims) == len(shape))
+            or any(n not in (None, m) for n, m in zip(dims[::-1], full.shape[::-1]))):
+        want = str(tuple(n if n in (None, ...) else int(n) for n in shape))
+        want = want.replace("None", "n").replace("Ellipsis", "...")
+        raise ValueError(f"{name} must be an integer or float array of shape {want}, "
+                         f"got {array.dtype} of shape {array.shape}")
+    bad = ~np.isfinite(full)
+    if bad.any():
+        raise ValueError(f"{name} must be finite, got {full[bad if full.ndim == 1 else bad.any(axis=-1)].tolist()}")
+    return full.astype(float, copy=False)
 
 
 def _kept_copy(array) -> np.ndarray:

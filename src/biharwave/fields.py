@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .context import _BLOCK_BUDGET, WaveContext, _kept_arrays
+from .context import _BLOCK_BUDGET, WaveContext, _check_array, _kept_arrays
 from .kernels import kernel_tables
 from .quadrature import AngularRule, ProductGrid, spherical_params
 from .sources import SourceField, SupportViolationError, _check_source_dimension, _squared_distance, modal_coefficients
@@ -316,9 +316,9 @@ def _eval_quadrature(ctx, src, pts):
 
 
 def _check_directions(ctx, directions) -> np.ndarray:
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[1] != ctx.dimension:
-        raise ValueError(f"directions must have {ctx.dimension} components")
+    """directions as a float array of shape (M, d), through
+    context._check_array, each of unit norm within 1e-12."""
+    dirs = _check_array("directions", directions, (None, ctx.dimension))
     # |norm - 1| itself: np.allclose would add its default relative 1e-5
     if not np.all(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= 1e-12):
         raise ValueError("directions must be unit vectors")
@@ -484,14 +484,10 @@ def eval_field_batch(
     permuted values, and a truncation is refused, naming both.  'modal'
     sums the exterior angular-mode series of the source's coefficients at
     the truncation (default_mode_truncation when None; valid from the
-    support radius outward).  Points with a coordinate that is not finite are refused.
+    support radius outward).  points go through context._check_array: real
+    (never bool, complex or text), finite, of shape (M, d).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != ctx.dimension:
-        raise ValueError(f"points must have {ctx.dimension} components")
-    finite = np.all(np.isfinite(pts), axis=1)
-    if not np.all(finite):
-        raise ValueError(f"field points must be finite; got {pts[~finite].tolist()}")
+    pts = _check_array("points", points, (None, ctx.dimension))
     r = np.linalg.norm(pts, axis=-1)
     if method == "quadrature":
         if truncation is not None:  # the quadrature has no modes to truncate
@@ -517,8 +513,9 @@ def eval_field_batch(
 
 
 def eval_field(ctx: WaveContext, src: SourceField, point, **kwargs) -> FieldSample:
-    """FieldSample of u and its two radiation parts at a single exterior point."""
-    pt = np.asarray(point, dtype=float).reshape(1, -1)
+    """FieldSample of u and its two radiation parts at a single exterior
+    point, d numbers read through context._check_array."""
+    pt = _check_array("point", point, (ctx.dimension,))[None]
     u, f_h, f_m = eval_field_batch(ctx, src, pt, **kwargs)
     return FieldSample(point=pt[0], u=complex(u[0]), f_h=complex(f_h[0]), f_m=complex(f_m[0]))
 

@@ -16,7 +16,8 @@ the difference loses about eps / (kappa r) of its value to cancellation.
 green_biharmonic therefore refuses pairs closer than 1e-8 R.
 
 The kernels are functions of the distance r = |x - y| > 0; green_biharmonic
-broadcasts over point arrays of shape (..., d).  All functions are pure.
+broadcasts over point arrays of shape (..., d), each read through
+context._check_array.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import specfun
-from .context import WaveContext
+from .context import WaveContext, _check_array
 
 # Fraction of R below which green_biharmonic refuses a pair as coincident.
 NEAR_COINCIDENCE_FRACTION = 1e-8
@@ -79,9 +80,11 @@ def kernel_tables(ctx: WaveContext, r):
 def green_biharmonic(ctx: WaveContext, x, y):
     """Kernel of the fourth-order wave operator, -(phi_h - phi_m) / (2 kappa**2).
 
-    Raises ValueError for pairs closer than NEAR_COINCIDENCE_FRACTION * R.
+    x and y are arrays of points, shape (..., d), broadcast against each
+    other (context._check_array).  Raises ValueError for pairs closer than
+    NEAR_COINCIDENCE_FRACTION * R.
     """
-    r = np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
+    r = np.linalg.norm(_check_array("x", x, (..., ctx.dimension)) - _check_array("y", y, (..., ctx.dimension)), axis=-1)
     closest = float(np.min(r, initial=np.inf))
     if closest < NEAR_COINCIDENCE_FRACTION * ctx.radius:
         raise ValueError(

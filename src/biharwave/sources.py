@@ -51,7 +51,8 @@ from numbers import Number
 import numpy as np
 
 from . import specfun
-from .context import _BLOCK_BUDGET, WaveContext, _check_dimension, _check_integer, _check_positive, _is_real
+from .context import _BLOCK_BUDGET, WaveContext, _check_array, _check_dimension, _check_integer, _check_positive
+from .context import _is_real
 from .quadrature import (
     DEFAULT_ANGULAR_COUNT_2D,
     DEFAULT_POLAR_COUNT_3D,
@@ -240,8 +241,9 @@ class SourceField:
     def evaluate(self, points) -> np.ndarray:
         """Pointwise values, masked to zero outside the support radius, in
         np.result_type(values, float) of the function's values, the dtype
-        values_on reads."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        values_on reads.  points are (n, d), or one point (d,), read
+        through context._check_array."""
+        pts = _check_array("points", points, (None, self.ctx.dimension))
         r = np.linalg.norm(pts, axis=-1)
         values = self._linear(lambda leaf: leaf.evaluate(pts)) if self._parts else self._func(pts)
         return np.where(r >= self.support_radius, 0.0, _widened(values))
@@ -596,7 +598,7 @@ def make_bump_nonradiating(
     d = ctx.dimension
     k4 = ctx.kappa**4
     rho = 0.8 * ctx.radius if rho is None else float(_check_positive("rho", _check_finite_real("rho", rho)))
-    center = _finite_center(center, d)
+    center = np.zeros(d) if center is None else _check_array("center", center, (d,))
     _check_finite_real("amplitude", amplitude)  # the mollifier pair is real arithmetic
     reach = float(np.linalg.norm(center)) + rho
     if not reach < ctx.radius:
@@ -658,7 +660,7 @@ def gaussian_source(
     """Gaussian blob truncated at the support radius (a generic radiating
     source); a complex amplitude whose imaginary part is zero is kept as its
     real part, so the source reads real values."""
-    center = _finite_center(center, ctx.dimension)
+    center = np.zeros(ctx.dimension) if center is None else _check_array("center", center, (ctx.dimension,))
     _check_finite_number("amplitude", amplitude)
     amplitude = _real_if_real(amplitude)
     sigma = 0.15 * ctx.radius if sigma is None else float(_check_positive("sigma", _check_finite_real("sigma", sigma)))
@@ -683,14 +685,6 @@ def _squared_distance(coords, center) -> np.ndarray:
         diff *= diff
         q += diff
     return q
-
-
-def _finite_center(center, d: int) -> np.ndarray:
-    """center as a float array of d finite components (the origin when None)."""
-    center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-    if center.shape != (d,) or not np.all(np.isfinite(center)):
-        raise ValueError(f"center must have {d} finite components, got {center.tolist()}")
-    return center
 
 
 def _check_finite_number(name: str, value):

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import _check_dimension, _check_integer, _kept_arrays
+from .context import _check_array, _check_dimension, _check_integer, _kept_arrays
 
 _IPOW = np.array([1.0, 1j, -1.0, -1j])
 
@@ -523,13 +523,13 @@ def per_mode(dimension: int, table, axis: int = -1) -> np.ndarray:
 # Regular radial waves over all orders
 # ---------------------------------------------------------------------------
 def _wave_arguments(dimension, truncation, x, family, name) -> np.ndarray:
-    """x as a 1-D float array, after the checks that every wave table makes."""
+    """x as a 1-D float array (context._check_array), after the checks that
+    every wave table makes; its first entry <= 0 is refused by its value."""
     _check_dimension("dimension", dimension)
     _check_integer("truncation", truncation, 0)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    bad = ~(np.isfinite(x) & (x > 0.0))
-    if bad.any():
-        raise ValueError(f"{family} wave arguments must be finite and > 0, got {name} = {float(x[bad][0])!r}")
+    x = _check_array(f"{family} wave arguments", x, (None,))
+    if np.any(x <= 0.0):
+        raise ValueError(f"{family} wave arguments must be > 0, got {name} = {float(x[x <= 0.0][0])!r}")
     return x
 
 
@@ -594,7 +594,8 @@ def regular_wave_tables(dimension: int, truncation: int, x) -> tuple[np.ndarray,
     (100) 0.83-1.1 against 8.7-9.3 ms; on the bump's 320 nodes at 2D root 4
     (48) 1.0-1.1 against 18-20 ms.
 
-    A non-positive or non-finite x is refused by its value.
+    x is one number or a 1-D list, read through context._check_array (a
+    non-finite entry is refused there); a non-positive x by its value.
     """
     x = _wave_arguments(dimension, truncation, x, "regular", "x")
     # each column starts at its own order: an infinite c_n above it makes
@@ -680,8 +681,9 @@ def exterior_wave_tables(dimension: int, truncation: int, t) -> tuple[np.ndarray
     1.7e-14 and 2.0e-14; at six t from 41.5 to 2000, within 1.0e-15.
 
     At a high order and a small t an entry leaves the double range and is
-    returned as it comes (inf or NaN).  A non-positive or non-finite t is
-    refused by its value.
+    returned as it comes (inf or NaN).  t is read as x is in
+    regular_wave_tables: a non-finite t is refused by context._check_array,
+    a non-positive one by its value.
     """
     t, outgoing, decaying = _exterior_waves(dimension, truncation, t)
     ratio = np.arange(truncation + 1)[:, None] / t

@@ -29,8 +29,10 @@ AngularRule behind direction_grid (an inverse FFT in 2D, the separated
 harmonic synthesis in 3D).  fourier_on_circle and laplace_on_circle take
 caller-given directions, so they sum the dense angular basis there.
 
-Callers pass unit directions only; the evaluation radius is snapped to
-exactly kappa internally, so off-sphere queries are unrepresentable.
+Callers pass unit directions only (fields._check_directions reads them
+through context._check_array and holds each to unit norm within 1e-12);
+the evaluation radius is snapped to exactly kappa internally, so
+off-sphere queries are unrepresentable.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, specfun
-from .context import WaveContext, _check_integer, _check_positive
+from .context import WaveContext, _check_array, _check_integer, _check_positive
 from .fields import _check_directions
 from .kernels import green_biharmonic
 from .quadrature import angular_rule, spherical_params
@@ -296,15 +298,12 @@ def nullspace_residual(
     exp(-kappa r) already folded in.
 
     Zero (below tolerance) exactly for sources with no exterior field.
-    probe_radii is one radius or a non-empty 1-D list, each finite and
-    beyond R.
+    probe_radii is one radius or a non-empty 1-D list (context._check_array),
+    each beyond R.
     """
-    radii = np.asarray(probe_radii, dtype=float)
-    if radii.ndim > 1 or radii.size == 0:  # the max over no probes would certify any source
-        raise ValueError(f"probe_radii must be one radius or a non-empty 1-D list, got shape {radii.shape}")
-    radii = np.atleast_1d(radii)
-    if not np.all(np.isfinite(radii)) or np.any(radii <= ctx.radius):
-        raise ValueError(f"probe_radii must be finite and exceed R = {ctx.radius}, got {radii.tolist()}")
+    radii = _check_array("probe_radii", probe_radii, (None,))
+    if radii.size == 0 or np.any(radii <= ctx.radius):  # the max over no probes would certify any source
+        raise ValueError(f"probe_radii must be non-empty and exceed R = {ctx.radius}, got {radii.tolist()}")
     coeffs = modal_coefficients(ctx, src, truncation)
     N, nr = coeffs.truncation, len(radii)
     # one regular wave per order (2D) or degree (3D) and radius, and the

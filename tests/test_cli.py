@@ -401,35 +401,54 @@ def test_integer_tolerance_in_file_reports_as_float(tmp_path):
         ("gaussian", "sigma", True),
         ("gaussian", "support_radius", True),
         ("bump_nonradiating", "rho", True),
+        ("gaussian", "center", [True, False]),
+        ("bump_nonradiating", "center", [0.1, "a"]),
+        ("gaussian", "center", [[0.1, 0.0]]),
     ],
     ids=[
         "gaussian-amplitude-nan", "gaussian-amplitude-inf", "gaussian-center-nan",
         "gaussian-sigma-nan", "gaussian-support_radius-nan", "bump-amplitude-nan",
         "bump-center-nan", "bump-rho-nan", "gaussian-sigma-inf", "gaussian-sigma-bool",
-        "gaussian-support_radius-bool", "bump-rho-bool",
+        "gaussian-support_radius-bool", "bump-rho-bool", "gaussian-center-bool", "bump-center-text",
+        "gaussian-center-extra-axis",
     ],
 )
 def test_non_finite_parameter_is_named(tmp_path, capsys, kind, name, value):
     # Python's json reads NaN and Infinity; none may reach a computation, nor
     # may true run as 1.0 (at R = 2 a bump of radius 1 fits, so a true rho is
-    # refused for its type, not for its support)
+    # refused for its type, not for its support; a centre [true, false] ran
+    # as (1, 0)), nor may a string give float()'s message, which named no key
     cfg = _write(tmp_path, "bad.json", dict(NR2D, R=2.0, kind=kind, parameters={name: value}))
     assert main(["field", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and name in err
+    assert err.startswith(f"config error: {name} must ")
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("radii", ["nan", "inf", "-2", "0", "1.5,nan", "abc", "1.5,,2"])
+@pytest.mark.parametrize("radii", ["nan", "inf", "-2", "0", "1.5,nan", "abc", "1.5,,2", ""])
 def test_radii_must_be_finite_and_positive(tmp_path, capsys, radii):
     # nan matched no probe ring and wrote an all-zero field, the look of an
     # invisible source; -2 probed the antipode under the direction's angles;
-    # a word or an empty item gave float()'s message, which named no flag
+    # a word or an empty item gave float()'s message, which named no flag;
+    # an empty value ran the default radii
     cfg = _write(tmp_path, "g.json", GAUSS2D)
     assert main(["field", f"--radii={radii}", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "--radii" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_radii_are_part_of_the_hashed_config(tmp_path):
+    # the hash was the scenario's alone, the same for every --radii
+    cfg = _write(tmp_path, "g.json", GAUSS2D)
+    hashes = []
+    for radii in ([], ["--radii", "2.0"], ["--radii", "1.2,2.0"], ["--radii", "1.2, 2"]):
+        out = tmp_path / "field.csv"
+        assert main(["field", "--config", cfg, "--out", str(out), "--directions", "8"] + radii) == 0
+        meta, _, _ = _data_lines(out)
+        hashes.append(next(line for line in meta if line.startswith("# config_sha256=")))
+    # the parsed factors are hashed, not the flag's text
+    assert len(set(hashes[:3])) == 3 and hashes[3] == hashes[2]
 
 
 @pytest.mark.parametrize("value", [3.7, "3", True, float("nan")], ids=["float", "text", "bool", "nan"])

@@ -1,7 +1,8 @@
 """WaveContext: validation of the constructor and of the root-wavenumber
-constructor; and the one positive checker (context._check_positive) that
-every positive input of the library, the scenario reader and the CLI goes
-through."""
+constructor; the one positive checker (context._check_positive) that every
+positive input of the library, the scenario reader and the CLI goes
+through; and the one array checker (context._check_array) that every array
+input of the library goes through."""
 
 import json
 import re
@@ -10,9 +11,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from biharwave import WaveContext, cli, quadrature
+from biharwave import WaveContext, cli, quadrature, specfun
+from biharwave.fields import eval_field, eval_field_batch, far_field
+from biharwave.kernels import green_biharmonic
 from biharwave.sources import gaussian_source, make_bump_nonradiating, source_from_config
-from biharwave.spectral import VerdictConfig
+from biharwave.spectral import VerdictConfig, nullspace_residual
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
@@ -106,3 +109,67 @@ def test_positive_input_refused_by_name(tmp_path, name, build, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)}( in '[^']*')? must be "):
         build(value, tmp_path)
     assert not (tmp_path / "out").exists()
+
+
+GAUSS2 = gaussian_source(CTX2, sigma=0.2)
+GAUSS3 = gaussian_source(WaveContext.with_root_wavenumber(3, 1.0, 1), sigma=0.2)
+
+# (name, a valid value of integers, the call, the bad kinds that do not
+# apply): a list of radii or wave arguments takes any length, and
+# green_biharmonic broadcasts over any leading axes
+ARRAY_INPUTS = [
+    ("points", [[2, 0]], lambda v: eval_field_batch(CTX2, GAUSS2, v, "quadrature"), ()),
+    ("point", [2, 0], lambda v: eval_field(CTX2, GAUSS2, v, method="modal"), ()),
+    ("directions", [[1, 0]], lambda v: far_field(CTX2, GAUSS2, v), ()),
+    ("probe_radii", [2, 3], lambda v: nullspace_residual(CTX2, GAUSS2, v), ("wider", "narrower")),
+    ("center", [0, 0], lambda v: gaussian_source(CTX2, center=v), ()),
+    ("center", [0, 0], lambda v: make_bump_nonradiating(CTX2, rho=0.5, center=v), ()),
+    ("regular wave arguments", [1, 2], lambda v: specfun.regular_wave_tables(2, 3, v), ("wider", "narrower")),
+    ("exterior wave arguments", [1, 2], lambda v: specfun.exterior_wave_tables(3, 3, v), ("wider", "narrower")),
+    ("points", [[0, 0]], lambda v: GAUSS2.evaluate(v), ()),
+    ("points", [[0, 0, 0]], lambda v: GAUSS3.evaluate(v), ()),
+    ("x", [[1, 0]], lambda v: green_biharmonic(CTX2, v, [0, 0]), ("extra-axis",)),
+    ("y", [[1, 0]], lambda v: green_biharmonic(CTX2, [0, 0], v), ("extra-axis",)),
+]
+ARRAY_IDS = ["field-points", "field-point", "directions", "probe_radii", "gaussian-center", "bump-center",
+             "regular-waves", "exterior-waves", "evaluate-2d", "evaluate-3d", "green-x", "green-y"]
+
+
+def _last_set(array, value):
+    array = array.copy()
+    array.flat[-1] = value
+    return array
+
+
+BAD_ARRAYS = {
+    "bool": lambda v: v.astype(bool),
+    "complex": lambda v: v + 1j,
+    "complex-real": lambda v: v + 0j,  # a zero imaginary part
+    "string": lambda v: v.astype(str),
+    "wider": lambda v: np.concatenate([v, v[..., :1]], axis=-1),
+    "narrower": lambda v: v[..., :-1],
+    "extra-axis": lambda v: v[None],
+    "nan": lambda v: _last_set(v, np.nan),
+    "inf": lambda v: _last_set(v, np.inf),
+}
+
+
+@pytest.mark.parametrize("name, valid, call", [entry[:3] for entry in ARRAY_INPUTS], ids=ARRAY_IDS)
+def test_array_input_of_integers_accepted(name, valid, call):
+    call(valid)
+
+
+@pytest.mark.parametrize(
+    "name, valid, call, kind",
+    [(name, valid, call, kind) for name, valid, call, skipped in ARRAY_INPUTS for kind in BAD_ARRAYS
+     if kind not in skipped],
+    ids=[f"{input_id}-{kind}" for input_id, (*_, skipped) in zip(ARRAY_IDS, ARRAY_INPUTS) for kind in BAD_ARRAYS
+         if kind not in skipped],
+)
+def test_array_input_refused_by_name(name, valid, call, kind):
+    # at the parent of context._check_array a bool, a complex or a string
+    # array was read as floats (complex ones as their real parts), a 2D
+    # source and green_biharmonic read 3-column points by their first two
+    # columns or broadcast them, and an extra axis failed inside numpy
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must "):
+        call(BAD_ARRAYS[kind](np.array(valid, dtype=float)))

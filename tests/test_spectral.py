@@ -147,7 +147,7 @@ class TestDirectionCheck:
         for name, route in self._routes(ctx).items():
             with pytest.raises(ValueError, match="directions must be unit vectors"):
                 route((1.0 + 1e-9) * dirs)
-            with pytest.raises(ValueError, match="directions must be unit vectors"):
+            with pytest.raises(ValueError, match="directions must be finite"):
                 route(np.vstack([dirs[:3], [np.nan] * ctx.dimension]))
 
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
@@ -323,8 +323,8 @@ class TestNullspaceResidual:
 
     @pytest.mark.parametrize(
         "radii, match",
-        [([], r"shape \(0,\)"), (np.empty((0, 1)), r"shape \(0, 1\)"), ([[1.5, 2.0]], r"shape \(1, 2\)"),
-         ([np.nan], r"finite .*\[nan\]"), ([1.5, np.inf], r"finite .*\[1.5, inf\]")],
+        [([], r"non-empty .*\[\]"), (np.empty((0, 1)), r"shape \(0, 1\)"), ([[1.5, 2.0]], r"shape \(1, 2\)"),
+         ([np.nan], r"finite, got \[nan\]"), ([1.5, np.inf], r"finite, got \[inf\]")],
         ids=["empty", "empty-2d", "2d", "nan", "inf"],
     )
     def test_meaningless_probe_radii_refused(self, radii, match):
