@@ -396,10 +396,11 @@ MUTANTS = (
         "        return arrays\n"
         "    arrays = tuple(_kept_copy(array) for array in arrays)\n"
         "    with _kept_lock:\n"
-        "        _kept.pop(key, None)\n"
-        "        while sum(_mapped_bytes(entry) for entry in _kept.values()) + size > _KEPT_BUDGET:\n"
-        "            del _kept[next(iter(_kept))]\n"
+        "        total = _kept_bytes() - _mapped_bytes(_kept.pop(key, ()))\n"
+        "        while total + size > _KEPT_BUDGET:\n"
+        "            total -= _mapped_bytes(_kept.pop(next(iter(_kept))))\n"
         "        _kept[key] = arrays\n"
+        "        _counted[:] = [_kept, len(_kept), total + size]\n"
         "    return arrays\n",
         "    with _kept_lock:\n"
         "        arrays = _kept.pop(key, None)\n"
@@ -409,8 +410,10 @@ MUTANTS = (
         "            if size > _KEPT_BUDGET:\n"
         "                return arrays\n"
         "            arrays = tuple(_kept_copy(array) for array in arrays)\n"
-        "            while sum(_mapped_bytes(entry) for entry in _kept.values()) + size > _KEPT_BUDGET:\n"
-        "                del _kept[next(iter(_kept))]\n"
+        "            total = _kept_bytes()\n"
+        "            while total + size > _KEPT_BUDGET:\n"
+        "                total -= _mapped_bytes(_kept.pop(next(iter(_kept))))\n"
+        "            _counted[:] = [_kept, len(_kept) + 1, total + size]\n"
         "        _kept[key] = arrays\n"
         "        return arrays\n",
         ("tests/test_table_caches.py::TestKeeper::test_cold_3d_rule_builds_outside_the_lock",),
@@ -489,6 +492,37 @@ MUTANTS = (
             "tests/test_cli.py::test_non_finite_parameter_is_named",
             "tests/test_spectral.py::TestNullspaceResidual::test_meaningless_probe_radii_refused",
         ),
+    ),
+    Mutant(
+        "wave-table-key-drops-truncation",
+        "src/biharwave/specfun.py",
+        '("regular waves", dimension, truncation, x.tobytes())',
+        '("regular waves", dimension, x.tobytes())',
+        ("tests/test_specfun.py::TestKeptRegularWaveTables::test_second_call_returns_the_kept_tables",),
+    ),
+    Mutant(
+        "distinct-angle-gather-sorted",
+        "src/biharwave/specfun.py",
+        "    polar, ring = np.unique(theta, return_inverse=True)\n",
+        "    polar, ring = np.unique(theta), np.argsort(theta)\n",
+        (
+            "tests/test_specfun.py::TestModeSums::test_3d_sums_match_the_block",
+            "tests/test_specfun.py::TestModeSums::test_each_point_reads_its_own_columns",
+        ),
+    ),
+    Mutant(
+        "phase-unreduced",
+        "src/biharwave/specfun.py",
+        "    phase -= turns * _TWO_PI_HIGH\n    phase -= turns * _TWO_PI_LOW\n",
+        "",
+        ("tests/test_specfun.py::TestModeSums::test_2d_phase_error_at_the_rule_level",),
+    ),
+    Mutant(
+        "center-copy-dropped",
+        "src/biharwave/sources.py",
+        '    return _read_only_copy(np.zeros(d) if center is None else _check_array("center", center, (d,)))\n',
+        '    return np.zeros(d) if center is None else _check_array("center", center, (d,))\n',
+        ("tests/test_sources.py::TestOwnedInputs::test_changing_the_center_moves_no_route",),
     ),
 )
 

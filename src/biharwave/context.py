@@ -1,7 +1,8 @@
 """Shared problem context: spatial dimension, wavenumber, support-ball radius,
 and the small checks and helpers every module shares: one checker per kind
 of outside input, scalar (_check_dimension, _check_integer,
-_check_positive) or array (_check_array), the one block budget
+_check_positive) or array (_check_array, and _read_only_copy for an array
+an object keeps), the one block budget
 of the library's blocked loops (_BLOCK_BUDGET) and the one keeper of the
 arrays the process keeps for its life (_kept_arrays, within _KEPT_BUDGET
 bytes)."""
@@ -52,21 +53,37 @@ def _check_array(name: str, value, shape: tuple) -> np.ndarray:
     Its dtype must be integer or float (never bool, complex, string or
     object) and its entries finite; a float64 array is returned without a
     copy.  Otherwise a ValueError names it, the shape it wants and what it
-    got, or lists its non-finite entries (for two or more axes, the rows
-    along the last axis that hold them)."""
-    array = np.asarray(value)
+    got (a ragged nesting such as [[1, 2], [3]] too), or lists its
+    non-finite entries (for two or more axes, the rows along the last axis
+    that hold them)."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's own words name neither the input nor the shape
+        raise _shape_refusal(name, shape, "a ragged nesting") from None
     dims = shape[1:] if shape[:1] == (...,) else shape
     full = array if array.ndim >= len(dims) else array.reshape((1,) * (len(dims) - array.ndim) + array.shape)
     if (array.dtype.kind not in "iuf" or (full.ndim > len(dims) and len(dims) == len(shape))
             or any(n not in (None, m) for n, m in zip(dims[::-1], full.shape[::-1]))):
-        want = str(tuple(n if n in (None, ...) else int(n) for n in shape))
-        want = want.replace("None", "n").replace("Ellipsis", "...")
-        raise ValueError(f"{name} must be an integer or float array of shape {want}, "
-                         f"got {array.dtype} of shape {array.shape}")
+        raise _shape_refusal(name, shape, f"{array.dtype} of shape {array.shape}")
     bad = ~np.isfinite(full)
     if bad.any():
         raise ValueError(f"{name} must be finite, got {full[bad if full.ndim == 1 else bad.any(axis=-1)].tolist()}")
     return full.astype(float, copy=False)
+
+
+def _shape_refusal(name: str, shape: tuple, got: str) -> ValueError:
+    """_check_array's refusal of a value that is no array of the shape."""
+    want = str(tuple(n if n in (None, ...) else int(n) for n in shape))
+    want = want.replace("None", "n").replace("Ellipsis", "...")
+    return ValueError(f"{name} must be an integer or float array of shape {want}, got {got}")
+
+
+def _read_only_copy(array) -> np.ndarray:
+    """A read-only copy of a checked array, for an object that keeps it: a
+    later change to the caller's array moves nothing it computes."""
+    array = np.array(array, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 def _kept_copy(array) -> np.ndarray:
@@ -101,21 +118,40 @@ _BLOCK_BUDGET = 1 << 14
 # The arrays the library keeps for the life of the process, each a pure
 # function of its key: the Gauss-Legendre rules of quadrature, one per
 # order, its angular rules, one per (dimension, count), the Legendre tables
-# of specfun's rule transforms, one per (truncation, polar angles), and the
-# exterior factors of fields' boundary traces, one set per (context,
-# truncation).  Together their maps hold at most this many bytes, each
-# array counted in the whole pages it maps (_mapped_bytes), least recently
-# used evicted first, and an entry larger than the budget is built and not
-# kept, so the most they add to a process is the budget.  A 3D Legendre
-# table holds (N + 1)(2N + 1) P doubles at truncation N on P polar angles:
-# 0.32 MB at (24, 33), 1.1 MB at (40, 41) and 4.4 MB at (92, 32), the
-# largest a 3D verdict and trace keep at kappa R = 12 pi; a 3D rule holds
-# 48 bytes per node: 0.10 MB at the default polar count 32, 0.96 MB at 100;
-# a 3D set of exterior factors 4 (N + 1)**2 complex values: 0.04 MB at the
-# default truncation 24, 0.65 MB at 100.
+# of specfun's rule transforms, one per (truncation, polar angles), the
+# regular-wave tables of specfun, one pair per (dimension, truncation,
+# arguments), and the exterior factors of fields' boundary traces, one set
+# per (context, truncation).  Together their maps hold at most this many
+# bytes, each array counted in the whole pages it maps (_mapped_bytes),
+# least recently used evicted first, and an entry larger than the budget is
+# built and not kept, so the most they add to a process is the budget.  A
+# 3D Legendre table holds (N + 1)(2N + 1) P doubles at truncation N on P
+# polar angles: 0.32 MB at (24, 33), 1.1 MB at (40, 41) and 4.4 MB at
+# (92, 32), the largest a 3D verdict and trace keep at kappa R = 12 pi; a
+# 3D rule holds 48 bytes per node: 0.10 MB at the default polar count 32,
+# 0.96 MB at 100; a 3D set of exterior factors 4 (N + 1)**2 complex values:
+# 0.04 MB at the default truncation 24, 0.65 MB at 100; a pair of
+# regular-wave tables 2 (N + 1) doubles per argument: 26 KB (32 KiB of
+# pages) on a radial rule's 64 nodes at truncation 24, 0.25 MB on the
+# bump's 320 nodes at 48.
 _KEPT_BUDGET = 8 << 20
 _kept: dict = {}  # key -> tuple of read-only arrays, least recently used first
 _kept_lock = threading.Lock()
+# The dict of kept entries last counted, its length then and the bytes its
+# maps held: a keeper that summed every entry on each miss took 2.6 ms per
+# miss once 1024 small one-off tables (a Bessel source's profile at scattered
+# points) filled the budget.
+_counted = [None, 0, 0]
+
+
+def _kept_bytes() -> int:
+    """The bytes the maps of the kept entries hold, from the running count,
+    counted afresh when _kept is not the dict counted or has another length
+    (emptied or replaced from outside the keeper, as the tests do).  Called
+    with the lock held."""
+    if _counted[0] is not _kept or _counted[1] != len(_kept):
+        _counted[:] = [_kept, len(_kept), sum(_mapped_bytes(entry) for entry in _kept.values())]
+    return _counted[2]
 
 
 def _kept_arrays(key, build) -> tuple:
@@ -138,10 +174,11 @@ def _kept_arrays(key, build) -> tuple:
         return arrays
     arrays = tuple(_kept_copy(array) for array in arrays)
     with _kept_lock:
-        _kept.pop(key, None)
-        while sum(_mapped_bytes(entry) for entry in _kept.values()) + size > _KEPT_BUDGET:
-            del _kept[next(iter(_kept))]
+        total = _kept_bytes() - _mapped_bytes(_kept.pop(key, ()))
+        while total + size > _KEPT_BUDGET:
+            total -= _mapped_bytes(_kept.pop(next(iter(_kept))))
         _kept[key] = arrays
+        _counted[:] = [_kept, len(_kept), total + size]
     return arrays
 
 

@@ -52,9 +52,9 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   factor tables at r = R, prefactors folded in, are built once per
   (context, truncation) and kept read-only within the byte budget of the
   process's one keeper (context._kept_arrays), since they depend on no
-  source (_sphere_factors); only the
-  modal field at caller-given points sums them against the dense angular
-  basis.  The trace derivatives come from the one recurrence
+  source (_sphere_factors); the modal field at caller-given points sums
+  them there (specfun.mode_sums), one column per distinct radius.  The
+  trace derivatives come from the one recurrence
   z_n' = (n / t) z_n - z_(n+1) on those tables, in both dimensions, not
   from numerical differentiation, because the near-field identities
   downstream need them at the 1e-8 level.
@@ -87,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .context import _BLOCK_BUDGET, WaveContext, _check_array, _kept_arrays
+from .context import _BLOCK_BUDGET, WaveContext, _check_array, _kept_arrays, _read_only_copy
 from .kernels import kernel_tables
 from .quadrature import AngularRule, ProductGrid, spherical_params
 from .sources import SourceField, SupportViolationError, _check_source_dimension, _squared_distance, modal_coefficients
@@ -438,20 +438,17 @@ def _sphere_series(ctx, coeffs, angular):
 
 
 def _eval_modal(ctx, src, pts, truncation):
-    """f_h and f_m at the points from the exterior mode series, on the dense
-    angular basis at the points: one row of _radial_tables (prefactors and
-    exp(-kappa r) folded in) per distinct radius, gathered back to the
-    points."""
+    """f_h and f_m at the points from the exterior mode series: one row of
+    _radial_tables (prefactors and exp(-kappa r) folded in) per distinct
+    radius, folded into the coefficients as one column of each series per
+    radius, and each point sums its radius's two columns (specfun.mode_sums)."""
     coeffs = modal_coefficients(ctx, src, truncation)
     r, theta, phi = spherical_params(pts)
-    basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, theta, phi)
     radii, row = np.unique(ctx.kappa * r, return_inverse=True)
     h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivatives=False)
-    # Named tables: numpy may overwrite an unnamed temporary right operand in
-    # place, which changes how a complex product rounds under FMA.
-    H = h[row]
-    S = s[row]
-    return (basis * H) @ coeffs.alpha, (basis * S) @ coeffs.beta
+    columns = np.vstack([h * coeffs.alpha, s * coeffs.beta]).T  # a point's column is a contiguous row of the stack
+    sums = specfun.mode_sums(ctx.dimension, columns, theta, phi, np.column_stack([row, row + len(radii)]))
+    return sums[:, 0], sums[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +511,11 @@ def eval_field_batch(
 
 def eval_field(ctx: WaveContext, src: SourceField, point, **kwargs) -> FieldSample:
     """FieldSample of u and its two radiation parts at a single exterior
-    point, d numbers read through context._check_array."""
-    pt = _check_array("point", point, (ctx.dimension,))[None]
-    u, f_h, f_m = eval_field_batch(ctx, src, pt, **kwargs)
-    return FieldSample(point=pt[0], u=complex(u[0]), f_h=complex(f_h[0]), f_m=complex(f_m[0]))
+    point, d numbers read through context._check_array; the sample keeps a
+    read-only copy of the point."""
+    pt = _read_only_copy(_check_array("point", point, (ctx.dimension,)))
+    u, f_h, f_m = eval_field_batch(ctx, src, pt[None], **kwargs)
+    return FieldSample(point=pt, u=complex(u[0]), f_h=complex(f_h[0]), f_m=complex(f_m[0]))
 
 
 def boundary_trace(
@@ -544,9 +542,9 @@ def boundary_trace(
     folded into the coefficients; all four channels are synthesized at
     once on the grid's rule by specfun.rule_synthesis: in 2D by one inverse
     FFT over the equispaced angles, in 3D by one Legendre sum per order and
-    polar ring, then an inverse FFT over the azimuths.  Neither builds a dense angular
-    basis.  A rule of another dimension than the context's is refused,
-    naming both.
+    polar ring, then an inverse FFT over the azimuths.  Neither builds a
+    harmonic per node.  A rule of another dimension than the context's is
+    refused, naming both.
     """
     if grid.dimension != ctx.dimension:
         raise ValueError(f"the boundary grid is {grid.dimension}D but the context is {ctx.dimension}D")

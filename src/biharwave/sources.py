@@ -51,7 +51,8 @@ from numbers import Number
 import numpy as np
 
 from . import specfun
-from .context import _BLOCK_BUDGET, WaveContext, _check_array, _check_dimension, _check_integer, _check_positive
+from .context import (_BLOCK_BUDGET, WaveContext, _check_array, _check_dimension, _check_integer, _check_positive,
+                      _read_only_copy)
 from .context import _is_real
 from .quadrature import (
     DEFAULT_ANGULAR_COUNT_2D,
@@ -598,7 +599,7 @@ def make_bump_nonradiating(
     d = ctx.dimension
     k4 = ctx.kappa**4
     rho = 0.8 * ctx.radius if rho is None else float(_check_positive("rho", _check_finite_real("rho", rho)))
-    center = np.zeros(d) if center is None else _check_array("center", center, (d,))
+    center = _own_center(ctx, center)
     _check_finite_real("amplitude", amplitude)  # the mollifier pair is real arithmetic
     reach = float(np.linalg.norm(center)) + rho
     if not reach < ctx.radius:
@@ -660,7 +661,7 @@ def gaussian_source(
     """Gaussian blob truncated at the support radius (a generic radiating
     source); a complex amplitude whose imaginary part is zero is kept as its
     real part, so the source reads real values."""
-    center = np.zeros(ctx.dimension) if center is None else _check_array("center", center, (ctx.dimension,))
+    center = _own_center(ctx, center)
     _check_finite_number("amplitude", amplitude)
     amplitude = _real_if_real(amplitude)
     sigma = 0.15 * ctx.radius if sigma is None else float(_check_positive("sigma", _check_finite_real("sigma", sigma)))
@@ -671,6 +672,15 @@ def gaussian_source(
         return amplitude * np.exp(-q)
 
     return SourceField.from_callable(ctx, func, support_radius=support_radius)
+
+
+def _own_center(ctx, center) -> np.ndarray:
+    """A source's centre (the origin when None), read through
+    context._check_array, as a read-only copy of the source's own: the
+    caller's array may change later, and the source's samples and
+    coefficients, kept once read, must stay those of its function."""
+    d = ctx.dimension
+    return _read_only_copy(np.zeros(d) if center is None else _check_array("center", center, (d,)))
 
 
 def _squared_distance(coords, center) -> np.ndarray:

@@ -27,7 +27,9 @@ at.  verdict's spectral residual and every probe radius of
 nullspace_residual are columns of one specfun.rule_synthesis on the
 AngularRule behind direction_grid (an inverse FFT in 2D, the separated
 harmonic synthesis in 3D).  fourier_on_circle and laplace_on_circle take
-caller-given directions, so they sum the dense angular basis there.
+caller-given directions, so they sum the modes there by specfun.mode_sums,
+which in 3D builds its Legendre table at the directions' distinct polar
+angles only.
 
 Callers pass unit directions only (fields._check_directions reads them
 through context._check_array and holds each to unit norm within 1e-12);
@@ -189,11 +191,11 @@ def _signed_modes(coeffs, sign):
 
 def _on_circle(ctx, src, directions, sign, truncation):
     """|S^(d-1)| times the mode sum of the sign**n-weighted coefficients at
-    caller-given directions, on the dense angular basis."""
+    caller-given directions: one column for specfun.mode_sums."""
     dirs = _check_directions(ctx, directions)
     coeffs = modal_coefficients(ctx, src, truncation)
-    basis = specfun.angular_basis(ctx.dimension, coeffs.truncation, *spherical_params(dirs)[1:])
-    return _sphere_measure(ctx) * basis @ _signed_modes(coeffs, sign)
+    sums = specfun.mode_sums(ctx.dimension, _signed_modes(coeffs, sign)[:, None], *spherical_params(dirs)[1:])
+    return _sphere_measure(ctx) * sums[:, 0]
 
 
 def fourier_on_circle(ctx: WaveContext, src: SourceField, directions, truncation: int | None = None) -> np.ndarray:

@@ -593,6 +593,37 @@ def radial_control_term_scales(dimension: int, kappa: float, a: float, radius: f
 # ---------------------------------------------------------------------------
 # Dense spherical-harmonic transforms on a product rule
 # ---------------------------------------------------------------------------
+def dense_angular_basis(dimension: int, truncation: int, theta, phi=None) -> np.ndarray:
+    """The angular factor of every stored mode at each point, shape (points,
+    modes) in mode_degrees' layout: exp(i n theta) for n = -N..N in 2D (each
+    phase n theta rounded as it comes), specfun.sph_harmonic_block in 3D."""
+    if dimension == 2:
+        return np.exp(1j * np.outer(theta, np.arange(-truncation, truncation + 1)))
+    return specfun.sph_harmonic_block(truncation, theta, phi)
+
+
+def exact_phases(truncation: int, angle) -> np.ndarray:
+    """exp(i n angle) for n = -N..N at each double angle, shape (angles,
+    2N + 1), from mpmath at 40 digits: the phase n angle of the double
+    angle exactly, rounded once to the double pair."""
+    with mpmath.workdps(40):
+        return np.array([[complex(mpmath.expj(n * mpmath.mpf(float(a)))) for n in range(-truncation, truncation + 1)]
+                         for a in np.ravel(angle)], dtype=complex).reshape(-1, 2 * truncation + 1)
+
+
+def harmonic_block_exact_phases(truncation: int, theta, phi) -> np.ndarray:
+    """specfun.sph_harmonic_block with its azimuthal factors exact_phases:
+    the block's normalized Legendre values (its block at phi = 0) times
+    exp(i m phi) of the double phi, so that no rounded phase m phi adds its
+    error (at truncation 100 the block's own phases read up to 1.7e-14 of a
+    sum's peak)."""
+    n = specfun.mode_degrees(3, truncation)
+    m = np.arange(n.size) - n * n - n
+    theta = np.ravel(np.asarray(theta, dtype=float))
+    legendre = specfun.sph_harmonic_block(truncation, theta, np.zeros_like(theta))
+    return legendre * exact_phases(truncation, phi)[:, m + truncation]
+
+
 def dense_sph_analysis(truncation: int, values, rule) -> np.ndarray:
     """Coefficients of values (k, nodes) on an angular rule: the rule's sum of
     weight * value * conj(Y_n^m) over every node, shape (modes, k)."""

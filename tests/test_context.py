@@ -151,6 +151,7 @@ BAD_ARRAYS = {
     "extra-axis": lambda v: v[None],
     "nan": lambda v: _last_set(v, np.nan),
     "inf": lambda v: _last_set(v, np.inf),
+    "ragged": lambda v: [v.tolist(), [1.0]],  # numpy alone refuses it as "inhomogeneous"
 }
 
 

@@ -8,17 +8,18 @@ import pytest
 from scipy import special as sp
 
 from biharwave import WaveContext, context, sources, specfun
-from biharwave.fields import boundary_trace, eval_field_batch, far_field
+from biharwave.fields import boundary_trace, eval_field, eval_field_batch, far_field
 from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.spectral import (
     STABILITY_MARGIN,
     InconsistencyError,
     direction_grid,
     fourier_on_circle,
+    fourier_transform_quadrature,
     laplace_on_circle,
     verdict,
 )
-from biharwave.specfun import angular_basis, regular_wave_tables
+from biharwave.specfun import regular_wave_tables
 from biharwave.sources import (
     SourceField,
     SupportViolationError,
@@ -94,7 +95,7 @@ class TestProjection:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=40)
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
         direct = src.evaluate((modal.rule.nodes[:, None, None] * dirs).reshape(-1, 2))
-        synth = modal.values.T @ angular_basis(2, 12, theta).T
+        synth = modal.values.T @ oracles.dense_angular_basis(2, 12, theta).T
         assert np.max(np.abs(direct - synth.reshape(-1))) < 1e-9 * np.max(np.abs(direct))
 
     def test_resynthesis_3d(self):
@@ -107,7 +108,7 @@ class TestProjection:
         phi = rng.uniform(0.0, 2.0 * np.pi, size=40)
         dirs = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
         direct = src.evaluate((modal.rule.nodes[:, None, None] * dirs).reshape(-1, 3))
-        synth = modal.values.T @ angular_basis(3, 6, theta, phi).T
+        synth = modal.values.T @ oracles.dense_angular_basis(3, 6, theta, phi).T
         assert np.max(np.abs(direct - synth.reshape(-1))) < 1e-9 * np.max(np.abs(direct))
 
     def test_masked_outside_support(self):
@@ -201,6 +202,7 @@ class TestModalCoefficients:
 
         def nan_wave(dimension, truncation, x):
             osc, mod = tables(dimension, truncation, x)
+            osc = osc.copy()  # the kept table is read-only
             osc[1, 0] = np.nan
             return osc, mod
 
@@ -1056,6 +1058,48 @@ def test_explicit_radial_order_is_checked(order):
     with pytest.raises(ValueError, match=re.escape(f"radial order must be an integer >= 2, got {order!r}")):
         src.resolve_radial_order(order)
     assert src.resolve_radial_order(np.int64(48)) == 48 and src.resolve_radial_order() == src.radial_order
+
+
+def _every_route(ctx, src):
+    """Every read of a source, as arrays, in a fixed order: pointwise
+    values, its default samples and norm, its modal coefficients, both
+    fields, the far field, both Fourier routes and a boundary trace."""
+    dirs, _ = direction_grid(ctx, 16)
+    pts = np.vstack([1.3 * dirs[:4], [[0.1, 0.0, 0.0][: ctx.dimension]]])
+    _, samples = src.default_samples()
+    coeffs = modal_coefficients(ctx, src, 8)
+    return [src.evaluate(pts[-1:]), samples, np.array(src.l2_norm()), coeffs.alpha, coeffs.beta,
+            *eval_field_batch(ctx, src, pts[:-1], method="quadrature"),
+            *eval_field_batch(ctx, src, pts[:-1], method="modal", truncation=8),
+            far_field(ctx, src, dirs), fourier_on_circle(ctx, src, dirs, 8),
+            fourier_transform_quadrature(ctx, src, dirs), boundary_trace(ctx, src, boundary_grid(ctx), 8).stacked()]
+
+
+class TestOwnedInputs:
+    """A source keeps its own read-only copy of each array it is given, and
+    so does a field sample: a later change to the caller's array moves
+    nothing.  At the parent of this check a float64 centre was kept as the
+    caller's array itself, so that moving it moved evaluate and every fresh
+    read, but not the samples and coefficients the source had kept."""
+
+    @pytest.mark.parametrize("make", [gaussian_source, make_bump_nonradiating], ids=["gaussian", "bump"])
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_changing_the_center_moves_no_route(self, ctx, make):
+        center = np.array([0.1, -0.05, 0.05][: ctx.dimension])
+        src = make(ctx, center=center)
+        fresh = make(ctx, center=center.copy())
+        center[0] += 0.15  # the caller's array stays its own, and writable
+        for got, expected in zip(_every_route(ctx, src), _every_route(ctx, fresh)):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_field_sample_keeps_its_point(self, ctx):
+        point = np.array([1.5, 0.2, -0.1][: ctx.dimension])
+        sample = eval_field(ctx, gaussian_source(ctx), point, method="modal")
+        point[0] = 3.0
+        np.testing.assert_array_equal(sample.point, [1.5, 0.2, -0.1][: ctx.dimension])
+        with pytest.raises(ValueError, match="read-only"):
+            sample.point[0] = 3.0
 
 
 class TestConfigParsing:

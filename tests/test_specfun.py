@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from biharwave import WaveContext, specfun
+from biharwave import WaveContext, context, specfun
 from biharwave.quadrature import angular_rule, boundary_grid, radial_rule
 from biharwave.sources import SourceField, default_mode_truncation, modal_coefficients, project_modes
 from biharwave.spectral import STABILITY_MARGIN
@@ -922,3 +922,120 @@ class TestSeparatedTransforms:
         back = specfun.rule_analysis(31, specfun.rule_synthesis(coeffs, rule), rule)
         assert back.shape == coeffs.shape
         assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+
+
+class TestKeptRegularWaveTables:
+    """regular_wave_tables keeps its two tables read-only, one pair per
+    (dimension, truncation, arguments), in the process's one keeper."""
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_second_call_returns_the_kept_tables(self, dimension, monkeypatch):
+        monkeypatch.setattr(context, "_kept", {})
+        x = np.array([1e-3, 0.7, 5.5, 43.2])
+        first = specfun.regular_wave_tables(dimension, 12, x)
+        again = specfun.regular_wave_tables(dimension, 12, list(x))
+        fresh = specfun._regular_waves(dimension, 12, x)
+        assert all(a is b for a, b in zip(again, first))
+        for table, built in zip(first, fresh):
+            assert table.shape == (13, x.size) and table.tobytes() == built.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+        # another truncation or other arguments are other entries
+        lower = specfun.regular_wave_tables(dimension, 11, x)
+        assert [table.shape for table in lower] == [(12, x.size)] * 2
+        assert specfun.regular_wave_tables(dimension, 12, x[:3])[0].shape == (13, 3)
+        assert [key[:3] for key in context._kept] == [("regular waves", dimension, n) for n in (12, 11, 12)]
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_evicted_tables_rebuild_with_the_same_bits(self, dimension, monkeypatch):
+        # a budget of one pair: the second argument list evicts the first,
+        # whose next call builds it again, bit for bit
+        monkeypatch.setattr(context, "_kept", {})
+        x, y = np.linspace(0.5, 9.0, 40), np.linspace(1.0, 30.0, 40)
+        first = specfun.regular_wave_tables(dimension, 30, x)
+        copies = [table.copy() for table in first]
+        monkeypatch.setattr(context, "_KEPT_BUDGET", context._mapped_bytes(first))
+        specfun.regular_wave_tables(dimension, 30, y)
+        assert len(context._kept) == 1
+        again = specfun.regular_wave_tables(dimension, 30, x)
+        assert again[0] is not first[0]
+        for table, copy in zip(again, copies):
+            assert table.tobytes() == copy.tobytes()
+
+
+class TestModeSums:
+    """specfun.mode_sums, each point reading its own columns, against the
+    dense harmonic block and the exact phases of oracles."""
+
+    @staticmethod
+    def _directions(kind, seed):
+        # a rule's directions share a few polar angles; scattered ones do not
+        if kind == "rule":
+            rule = angular_rule(WaveContext(3, 1.0, 1.0), 6)
+            return rule.params[:, 0], rule.params[:, 1]
+        rng = np.random.default_rng(seed)
+        return np.arccos(rng.uniform(-1.0, 1.0, 30)), rng.uniform(0.0, 2.0 * np.pi, 30)
+
+    @pytest.mark.parametrize("kind", ["rule", "scattered"])
+    @pytest.mark.parametrize("truncation", [0, 1, 8, 24, 60, 100])
+    def test_3d_sums_match_the_block(self, truncation, kind):
+        # every column at every point, two of three columns per point (both
+        # read most (polar angle, column) pairs), and two columns of each
+        # point's own (few pairs read, as the modal field's at scattered
+        # radii)
+        theta, phi = self._directions(kind, truncation)
+        count = theta.size
+        columns = _random_complex((truncation + 1) ** 2, 2 * count, truncation)
+        block = oracles.harmonic_block_exact_phases(truncation, theta, phi)
+        reference = block @ columns[:, :3]
+        which = np.random.default_rng(truncation).integers(0, 3, size=(count, 2))
+        own = np.column_stack([np.arange(count), np.arange(count) + count])
+        for got, ref in ((specfun.mode_sums(3, columns[:, :3], theta, phi), reference),
+                         (specfun.mode_sums(3, columns[:, :3], theta, phi, which),
+                          np.take_along_axis(reference, which, axis=1)),
+                         (specfun.mode_sums(3, columns, theta, phi, own),
+                          np.einsum("im,mic->ic", block, columns[:, own]))):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        if truncation <= 60:  # the block's own rounded phases add 1.7e-14 of the peak at 100
+            dense = specfun.sph_harmonic_block(truncation, theta, phi) @ columns[:, :3]
+            assert np.max(np.abs(specfun.mode_sums(3, columns[:, :3], theta, phi) - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    def test_3d_sums_match_mpmath(self):
+        theta, phi = self._directions("scattered", 3)
+        columns = _random_complex(625, 2, 3)
+        ref = oracles.sph_harmonic_block_mp(24, theta[:8], phi[:8]) @ columns
+        got = specfun.mode_sums(3, columns, theta[:8], phi[:8])
+        # 1.2e-15 of the peak at truncation 40; the block reads 2.7e-15
+        assert np.max(np.abs(got - ref)) <= 3e-15 * np.max(np.abs(ref))
+
+    def test_2d_phase_error_at_the_rule_level(self):
+        # 201 orders on the 64 angles of a rule, against the exact phases of
+        # those double angles: 8.6e-16 of the peak, the level of
+        # rule_synthesis against its exact lattice (5.1e-16); the dense
+        # exp(1j * n * theta) reads 1.2e-14 here
+        N, M = 100, 64
+        theta = angular_rule(WaveContext(2, 1.0, 1.0), M).params
+        columns = _random_complex(2 * N + 1, 2, 3)
+        ref = oracles.exact_phases(N, theta) @ columns
+        got = specfun.mode_sums(2, columns, theta)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+        dense = oracles.dense_angular_basis(2, N, theta) @ columns
+        assert np.max(np.abs(dense - ref)) > 5e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_each_point_reads_its_own_columns(self, dimension):
+        # several columns per point, in any order and repeated: the sums of
+        # all columns, gathered
+        theta, phi = self._directions("rule", 1)
+        modes = 2 * 9 + 1 if dimension == 2 else 100
+        columns = _random_complex(modes, 4, 2)
+        which = np.random.default_rng(4).integers(0, 4, size=(theta.size, 3))
+        every = specfun.mode_sums(dimension, columns, theta, phi if dimension == 3 else None)
+        own = specfun.mode_sums(dimension, columns, theta, phi if dimension == 3 else None, which)
+        np.testing.assert_array_equal(own, np.take_along_axis(every, which, axis=1))
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_no_points(self, dimension):
+        columns = np.ones((25, 2), dtype=complex)
+        assert specfun.mode_sums(dimension, columns, np.empty(0), np.empty(0)).shape == (0, 2)

@@ -64,14 +64,21 @@ class TestSphereFactors:
         first = boundary_trace(ctx, src, grid, truncation=12).stacked()
         factors = kept[("sphere factors", ctx, 12)]
         assert factors is fields._sphere_factors(ctx, 12)
-        # a budget of two sets of factors: truncation 12 used again after
-        # 11, so 10 evicts 11, then 13 evicts 12
+        # a set of factors keeps the regular wave tables its build reads
+        # (at orders through the truncation + 1, at kappa R), nested in the
+        # same budget: a budget of two sets of factors and one set of those
+        # tables.  Truncation 12 used again after 11, so 10 evicts 11, then
+        # 13 evicts 12
         size = context._mapped_bytes(factors)
         kept.clear()
-        monkeypatch.setattr(context, "_KEPT_BUDGET", 2 * size)
+        fields._sphere_factors(ctx, 12)
+        assert [key[:3] for key in kept] == [("regular waves", ctx.dimension, 13), ("sphere factors", ctx, 12)]
+        budget = _kept_total(kept) + size
+        kept.clear()
+        monkeypatch.setattr(context, "_KEPT_BUDGET", budget)
         for truncation, left in ((12, [12]), (11, [12, 11]), (12, [11, 12]), (10, [12, 10]), (13, [10, 13])):
             fields._sphere_factors(ctx, truncation)
-            assert [key[2] for key in kept] == left
+            assert [key[2] for key in kept if key[0] == "sphere factors"] == left
             assert _kept_total(kept) <= context._KEPT_BUDGET
         # 12 is evicted: the next trace rebuilds its factors, with the same bits
         _assert_identical(boundary_trace(ctx, src, grid, truncation=12).stacked(), first)
