@@ -396,11 +396,10 @@ MUTANTS = (
         "        return arrays\n"
         "    arrays = tuple(_kept_copy(array) for array in arrays)\n"
         "    with _kept_lock:\n"
-        "        total = _kept_bytes() - _mapped_bytes(_kept.pop(key, ()))\n"
-        "        while total + size > _KEPT_BUDGET:\n"
-        "            total -= _mapped_bytes(_kept.pop(next(iter(_kept))))\n"
+        "        _kept.pop(key, None)\n"
+        "        while sum(_mapped_bytes(entry) for entry in _kept.values()) + size > _KEPT_BUDGET:\n"
+        "            del _kept[next(iter(_kept))]\n"
         "        _kept[key] = arrays\n"
-        "        _counted[:] = [_kept, len(_kept), total + size]\n"
         "    return arrays\n",
         "    with _kept_lock:\n"
         "        arrays = _kept.pop(key, None)\n"
@@ -410,10 +409,8 @@ MUTANTS = (
         "            if size > _KEPT_BUDGET:\n"
         "                return arrays\n"
         "            arrays = tuple(_kept_copy(array) for array in arrays)\n"
-        "            total = _kept_bytes()\n"
-        "            while total + size > _KEPT_BUDGET:\n"
-        "                total -= _mapped_bytes(_kept.pop(next(iter(_kept))))\n"
-        "            _counted[:] = [_kept, len(_kept) + 1, total + size]\n"
+        "            while sum(_mapped_bytes(entry) for entry in _kept.values()) + size > _KEPT_BUDGET:\n"
+        "                del _kept[next(iter(_kept))]\n"
         "        _kept[key] = arrays\n"
         "        return arrays\n",
         ("tests/test_table_caches.py::TestKeeper::test_cold_3d_rule_builds_outside_the_lock",),
@@ -507,8 +504,15 @@ MUTANTS = (
         "    polar, ring = np.unique(theta), np.argsort(theta)\n",
         (
             "tests/test_specfun.py::TestModeSums::test_3d_sums_match_the_block",
-            "tests/test_specfun.py::TestModeSums::test_each_point_reads_its_own_columns",
+            "tests/test_specfun.py::TestModeSums::test_3d_block_gathers_each_point_its_polar_column",
         ),
+    ),
+    Mutant(
+        "profile-keeps-its-points",
+        "src/biharwave/sources.py",
+        "specfun._regular_waves(ctx.dimension, 1, np.maximum(t, 1e-300))[0]",
+        "specfun.regular_wave_tables(ctx.dimension, 1, np.maximum(t, 1e-300).ravel())[0]",
+        ("tests/test_table_caches.py::TestKeeper::test_scattered_reads_keep_nothing",),
     ),
     Mutant(
         "phase-unreduced",

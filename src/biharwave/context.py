@@ -119,12 +119,13 @@ _BLOCK_BUDGET = 1 << 14
 # function of its key: the Gauss-Legendre rules of quadrature, one per
 # order, its angular rules, one per (dimension, count), the Legendre tables
 # of specfun's rule transforms, one per (truncation, polar angles), the
-# regular-wave tables of specfun, one pair per (dimension, truncation,
-# arguments), and the exterior factors of fields' boundary traces, one set
-# per (context, truncation).  Together their maps hold at most this many
-# bytes, each array counted in the whole pages it maps (_mapped_bytes),
-# least recently used evicted first, and an entry larger than the budget is
-# built and not kept, so the most they add to a process is the budget.  A
+# regular-wave tables of specfun at arguments that repeat (a radial rule's
+# nodes times kappa), one pair per (dimension, truncation, arguments), and
+# the exterior factors of fields' boundary traces, one set per (context,
+# truncation).  Together their maps hold at most this many bytes, each
+# array counted in the whole pages it maps (_mapped_bytes), least recently
+# used evicted first, and an entry larger than the budget is built and not
+# kept, so the most they add to a process is the budget.  A
 # 3D Legendre table holds (N + 1)(2N + 1) P doubles at truncation N on P
 # polar angles: 0.32 MB at (24, 33), 1.1 MB at (40, 41) and 4.4 MB at
 # (92, 32), the largest a 3D verdict and trace keep at kappa R = 12 pi; a
@@ -137,21 +138,6 @@ _BLOCK_BUDGET = 1 << 14
 _KEPT_BUDGET = 8 << 20
 _kept: dict = {}  # key -> tuple of read-only arrays, least recently used first
 _kept_lock = threading.Lock()
-# The dict of kept entries last counted, its length then and the bytes its
-# maps held: a keeper that summed every entry on each miss took 2.6 ms per
-# miss once 1024 small one-off tables (a Bessel source's profile at scattered
-# points) filled the budget.
-_counted = [None, 0, 0]
-
-
-def _kept_bytes() -> int:
-    """The bytes the maps of the kept entries hold, from the running count,
-    counted afresh when _kept is not the dict counted or has another length
-    (emptied or replaced from outside the keeper, as the tests do).  Called
-    with the lock held."""
-    if _counted[0] is not _kept or _counted[1] != len(_kept):
-        _counted[:] = [_kept, len(_kept), sum(_mapped_bytes(entry) for entry in _kept.values())]
-    return _counted[2]
 
 
 def _kept_arrays(key, build) -> tuple:
@@ -174,11 +160,10 @@ def _kept_arrays(key, build) -> tuple:
         return arrays
     arrays = tuple(_kept_copy(array) for array in arrays)
     with _kept_lock:
-        total = _kept_bytes() - _mapped_bytes(_kept.pop(key, ()))
-        while total + size > _KEPT_BUDGET:
-            total -= _mapped_bytes(_kept.pop(next(iter(_kept))))
+        _kept.pop(key, None)
+        while sum(_mapped_bytes(entry) for entry in _kept.values()) + size > _KEPT_BUDGET:
+            del _kept[next(iter(_kept))]
         _kept[key] = arrays
-        _counted[:] = [_kept, len(_kept), total + size]
     return arrays
 
 

@@ -53,7 +53,7 @@ Helmholtz equation.  Two independent evaluation routes are provided:
   (context, truncation) and kept read-only within the byte budget of the
   process's one keeper (context._kept_arrays), since they depend on no
   source (_sphere_factors); the modal field at caller-given points sums
-  them there (specfun.mode_sums), one column per distinct radius.  The
+  the series there (specfun.mode_sums), one table row per distinct radius.  The
   trace derivatives come from the one recurrence
   z_n' = (n / t) z_n - z_(n+1) on those tables, in both dimensions, not
   from numerical differentiation, because the near-field identities
@@ -440,14 +440,13 @@ def _sphere_series(ctx, coeffs, angular):
 def _eval_modal(ctx, src, pts, truncation):
     """f_h and f_m at the points from the exterior mode series: one row of
     _radial_tables (prefactors and exp(-kappa r) folded in) per distinct
-    radius, folded into the coefficients as one column of each series per
-    radius, and each point sums its radius's two columns (specfun.mode_sums)."""
+    radius, gathered back to the points as each point's radial factors of
+    alpha and beta (specfun.mode_sums)."""
     coeffs = modal_coefficients(ctx, src, truncation)
     r, theta, phi = spherical_params(pts)
     radii, row = np.unique(ctx.kappa * r, return_inverse=True)
     h, s = _radial_tables(ctx, coeffs.truncation, radii[:, None], derivatives=False)
-    columns = np.vstack([h * coeffs.alpha, s * coeffs.beta]).T  # a point's column is a contiguous row of the stack
-    sums = specfun.mode_sums(ctx.dimension, columns, theta, phi, np.column_stack([row, row + len(radii)]))
+    sums = specfun.mode_sums(ctx.dimension, np.column_stack([coeffs.alpha, coeffs.beta]), theta, phi, (h[row], s[row]))
     return sums[:, 0], sums[:, 1]
 
 

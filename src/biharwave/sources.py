@@ -551,8 +551,11 @@ def _bessel_power_source(ctx, exponents, s) -> SourceField:
     minus the same term for the second.
 
     z_0, z_1 are the order-zero and order-one radial waves at kappa r (J in
-    2D, spherical j in 3D), both from specfun.regular_wave_tables, and
-    <a, pair> is the integral of a(r) pair(kappa r) r^(d-1) dr over [0, R],
+    2D, spherical j in 3D), both from specfun's regular-wave recurrence:
+    kept (regular_wave_tables) at the radial rules' nodes, where the norm
+    and every product grid and projection read them, and built unkept
+    (_regular_waves) at the points evaluate is given, which need not
+    repeat.  <a, pair> is the integral of a(r) pair(kappa r) r^(d-1) dr over [0, R],
     pair = J_0 in 2D and the modified i_0 in 3D.  Since z_0' = -kappa z_1 in
     both dimensions, the image is kappa^2 [p(p-1) z_0^(p-2) z_1^2 - (p - s) z_0^p].
     """
@@ -568,17 +571,23 @@ def _bessel_power_source(ctx, exponents, s) -> SourceField:
             raise DegenerateSourceError(f"normalizing integral for exponent {p} is numerically zero: {c:.3e}")
         norms.append(c)
 
-    def profile(r):
-        t = k * np.asarray(r, dtype=float)
-        # 1e-300 stands in for r = 0, where z_0 = 1 and z_1 = 0 to the double
-        osc, _ = specfun.regular_wave_tables(ctx.dimension, 1, np.maximum(t, 1e-300).ravel())
+    def image(t, osc):
         z0, z1 = osc.reshape((2,) + t.shape)
         out = np.zeros_like(t)
         for p, c, sign in zip(exponents, norms, (1.0, -1.0)):
             out += sign * k * k * (p * (p - 1) * z0 ** (p - 2) * z1 * z1 - (p - s) * z0**p) / c
         return out
 
-    return SourceField.from_radial(ctx, profile, support_radius=R)
+    # 1e-300 stands in for r = 0, where z_0 = 1 and z_1 = 0 to the double
+    def profile(r):  # a radial rule's nodes, read by every source at this kappa: kept tables
+        t = k * np.asarray(r, dtype=float)
+        return image(t, specfun.regular_wave_tables(ctx.dimension, 1, np.maximum(t, 1e-300).ravel())[0])
+
+    def pointwise(points):  # points that need not repeat: tables built and not kept
+        t = k * np.linalg.norm(np.atleast_2d(points), axis=-1)
+        return image(t, specfun._regular_waves(ctx.dimension, 1, np.maximum(t, 1e-300))[0])
+
+    return SourceField(ctx, pointwise, R, profile=profile)  # from_radial's leaf, with its own pointwise read
 
 
 def make_bump_nonradiating(

@@ -26,21 +26,22 @@ Legendre sum per order (sph_analysis and sph_synthesis, the separated
 transforms of Driscoll & Healy, Adv. Appl. Math. 15 (1994) 202-250),
 whose Legendre table depends on the rule alone and is kept, one per
 (truncation, polar angles) within a byte budget (_kept_legendre_table).  At
-any other points the modes are summed by mode_sums, each point reading its
-own columns: in 2D against exp(i n theta), in 3D against one Legendre table
-at the distinct polar angles only, then one sum over the orders with each
-point's exp(i m phi); every phase is reduced mod 2 pi exactly first
-(_mode_phases).  The dense sph_harmonic_block (Y_n^m at every point) is kept
-as the reference those sums are tested against.
+any other points the modes are summed by mode_sums against each point's row
+of angular factors, times a radial factor of the point's own when given:
+exp(i n theta) in 2D, and in 3D sph_harmonic_block, whose Legendre table is
+built at the points' distinct polar angles only; every phase is reduced mod
+2 pi exactly first (_mode_phases).
 
 Every per-order radial table of the modal route comes from this module,
 orders 0..N on axis 0 and the arguments on axis 1.  The regular families,
 J_n and I_n in 2D and the spherical j_n and i_n in 3D, come from one
 backward ratio recurrence (regular_wave_tables): the modal coefficients'
-tables, the null-space probes' and the Bessel sources' profiles.  Those
-arguments repeat (a radial rule's nodes times kappa, read by every source on
-that rule), so the two tables are kept read-only, one pair per (dimension,
-truncation, arguments), within the keeper's byte budget.  The
+tables, the null-space probes' and the Bessel sources' norms and profiles.
+The arguments of the first three repeat (a radial rule's nodes times kappa,
+read by every source on that rule), so regular_wave_tables keeps its two
+tables read-only, one pair per (dimension, truncation, arguments), within
+the keeper's byte budget; a profile at caller-given points and the near
+branch of the exterior tables build theirs unkept (_regular_waves).  The
 exterior families (exterior_wave_tables) are the outgoing Hankel functions
 and the decaying family of the modified Helmholtz equation, the outgoing
 Hankel function on the positive imaginary axis, evaluated through the
@@ -604,9 +605,12 @@ def regular_wave_tables(dimension: int, truncation: int, x) -> tuple[np.ndarray,
     non-finite entry is refused there); a non-positive x by its value.  The
     two tables depend on (dimension, truncation, x) alone and are kept
     read-only, one pair per key, within context._kept_arrays' byte budget:
-    a radial rule's nodes times kappa recur in every source's projection and
-    in a Bessel leaf's norm and profile, and a second call returns the kept
-    pair, bit for bit the first.
+    a radial rule's nodes times kappa recur in every source's projection, a
+    Bessel leaf's norm and the null-space probes, and a second call returns
+    the kept pair, bit for bit the first.  Arguments that do not repeat (a
+    Bessel profile at the points it is read at, the near branch of
+    _exterior_waves at scattered radii) go to _regular_waves, which keeps
+    nothing.
     """
     x = _wave_arguments(dimension, truncation, x, "regular", "x")
     return _kept_arrays(("regular waves", dimension, truncation, x.tobytes()),
@@ -614,8 +618,9 @@ def regular_wave_tables(dimension: int, truncation: int, x) -> tuple[np.ndarray,
 
 
 def _regular_waves(dimension, truncation, x):
-    """The two tables of regular_wave_tables at checked arguments x, by its
-    backward ratio recurrence; built afresh on every call."""
+    """The two tables of regular_wave_tables at checked arguments x (a
+    float64 1-D array, every entry finite and positive), by its backward
+    ratio recurrence, built afresh on every call and not kept."""
     # each column starts at its own order: an infinite c_n above it makes
     # the ratio there an exact zero, so a column is the table at its
     # argument alone, bit for bit (the sums below run sequentially down the
@@ -742,7 +747,7 @@ def _exterior_waves(dimension, truncation, t):
     regular, second, scaled = waves.transpose(1, 0, 2)
     near = t <= top
     if near.any():
-        regular[:, near] = regular_wave_tables(dimension, top, t[near])[0]
+        regular[:, near] = _regular_waves(dimension, top, t[near])[0]
     n = np.arange(top + 1)[:, None]
     outgoing = regular + 1j * second
     if dimension == 2:
@@ -757,24 +762,26 @@ def _exterior_waves(dimension, truncation, t):
 # ---------------------------------------------------------------------------
 def sph_harmonic_block(truncation: int, theta, phi) -> np.ndarray:
     """All orthonormal harmonics through the truncation degree at scattered
-    points: the dense block, the reference that mode_sums is tested against.
+    points: the dense block, for points that do not form a product rule
+    (mode_sums sums against it).
 
     Returns shape (npoints, (truncation+1)**2); column n*n + n + m holds
-    Y_n^m, the normalized Legendre value at theta (_legendre_table) times
-    exp(i m phi), each gathered from its table.  It costs npoints *
-    (truncation+1)**2 cells and one Legendre column per point; the library
-    sums modes through rule_synthesis on a rule's nodes and mode_sums
-    elsewhere.
+    Y_n^m, the normalized Legendre value at theta times exp(i m phi), each
+    gathered from its table: one _legendre_table at the distinct polar
+    angles only (the 32 directions of direction_grid share 4), and the
+    phases of _mode_phases.  It costs npoints * (truncation+1)**2 cells, so
+    on the nodes of an AngularRule use rule_analysis and rule_synthesis
+    instead.
     """
     theta = np.ravel(np.asarray(theta, dtype=float))
     phi = np.ravel(np.asarray(phi, dtype=float))
     n = mode_degrees(3, truncation)
     m = np.arange(n.size) - n * n - n
-    polar = _legendre_table(truncation, theta)[n, m]
-    azimuthal = np.exp(1j * np.outer(phi, np.arange(-truncation, truncation + 1)))
+    polar, ring = np.unique(theta, return_inverse=True)
+    legendre = _legendre_table(truncation, polar)[n, m]
     # row-major, as a sum against the block rounds by its layout
     out = np.empty((max(theta.size, phi.size), n.size), dtype=complex)
-    return np.multiply(polar.T, azimuthal[:, m + truncation], out=out)
+    return np.multiply(legendre[:, ring].T, _mode_phases(truncation, phi)[:, m + truncation], out=out)
 
 
 def _legendre_table(truncation: int, theta) -> np.ndarray:
@@ -797,8 +804,8 @@ def _legendre_table(truncation: int, theta) -> np.ndarray:
     (24, 33), (32, 33) and (40, 41), against scipy's 0.32, 0.55 and 1.05 ms.
     The rule transforms read it through _kept_legendre_table, which keeps
     one read-only table per (truncation, polar angles) within an 8 MiB
-    budget (context._KEPT_BUDGET); mode_sums builds its own at the distinct
-    polar angles of its points, and sph_harmonic_block one column per point.
+    budget (context._KEPT_BUDGET); sph_harmonic_block builds its own at the
+    distinct polar angles of its points.
     """
     theta = np.ravel(np.asarray(theta, dtype=float))
     cos, sin = np.cos(theta), np.sin(theta)
@@ -829,8 +836,8 @@ def _kept_legendre_table(truncation: int, theta) -> np.ndarray:
     """_legendre_table at a rule's polar angles, kept read-only for the rule
     transforms, one per (truncation, polar angles), within the byte budget
     of context._kept_arrays.  Rule angles repeat from call to call; the
-    scattered points of mode_sums need not, so it builds its own table, at
-    their distinct polar angles, and does not keep it."""
+    scattered points of sph_harmonic_block need not, so it builds its own
+    table, at their distinct polar angles, and does not keep it."""
     theta = np.ravel(np.asarray(theta, dtype=float))
     return _kept_arrays(("legendre", truncation, theta.tobytes()), lambda: (_legendre_table(truncation, theta),))[0]
 
@@ -972,63 +979,26 @@ def _mode_phases(truncation: int, angle) -> np.ndarray:
     return c + 1j * s
 
 
-def mode_sums(dimension: int, columns, theta, phi=None, which=None) -> np.ndarray:
-    """Mode sums at scattered points, each point reading its own columns:
-    columns of shape (modes, k) in mode_degrees' layout, points at the angles
-    theta (2D) or at polar angles theta and azimuths phi (3D), and which of
-    shape (points, c) naming the c columns each point reads (None: all k, in
-    order).  Returns shape (points, c), entry [i, j] the sum over the modes
-    of columns[:, which[i, j]] times the mode's angular factor at point i:
-    exp(i n theta) in 2D, Y_n^m in 3D.  Every phase comes from _mode_phases.
+def mode_sums(dimension: int, columns, theta, phi=None, radial=None) -> np.ndarray:
+    """Mode sums of k coefficient sets at scattered points: columns of shape
+    (modes, k) in mode_degrees' layout, points at the angles theta (2D) or
+    at polar angles theta and azimuths phi (3D).  Returns shape (points, k),
+    entry [i, j] the sum over the modes of columns[:, j] times the mode's
+    angular factor at point i, exp(i n theta) (_mode_phases) in 2D and Y_n^m
+    (sph_harmonic_block) in 3D, and, when radial is given (k tables of shape
+    (points, modes)), times radial[j][i]: a factor of the point's own, as
+    the modal field's radial table at each point's radius.
 
-    2D sums each point's columns against its phases.  3D builds one Legendre
-    table at the distinct polar angles only (_legendre_table, per call).
-    When there are at least half as many reads as (polar angle, column)
-    pairs, as on a rule's directions or with one column for every point, it
-    sums every pair: one real product per order of the table and the columns,
-    both laid out order by order (m = -N..N over n = |m|..N), then each
-    point one sum over its 2N + 1 orders with exp(i m phi).  Otherwise
-    (scattered points, columns of their own, as the modal field's at
-    scattered radii) each point forms its row of harmonics, as
-    sph_harmonic_block does, and sums it against its columns.  One BLAS
-    thread on a 2-vCPU x86-64 VM, one column, against sph_harmonic_block
-    times it: 72 directions of a rule at truncation 80, 1.3-1.8 ms against
-    11-17 ms; 200 scattered directions at 24 and 60, 1.2-1.4 and 5.2-5.5 ms
-    against 1.9-2.0 and 21-24 ms.  The modal field's sums at 16 scattered
-    points and truncation 24, its products with the radial rows included,
-    take 0.8-1.2 ms against 0.4-0.7 ms on the dense block.  A column that a
-    point reads is a row of columns.T, contiguous when columns is the
-    transpose of a C-ordered stack.
+    The angular factors are built once, one row per point, and every table
+    of radial factors multiplies them before its column's sum; on the nodes
+    of an AngularRule, rule_synthesis sums without a row per node.
     """
     columns = np.asarray(columns, dtype=complex)
-    theta = np.ravel(np.asarray(theta, dtype=float))
-    k = columns.shape[1]
-    which = np.broadcast_to(np.arange(k), (theta.size, k)) if which is None else np.asarray(which)
     if dimension == 2:
-        return (columns.T[which] @ _mode_phases(len(columns) // 2, theta)[:, :, None])[..., 0]
-    top = int(np.sqrt(len(columns))) - 1
-    polar, ring = np.unique(theta, return_inverse=True)
-    table = _legendre_table(top, polar)
-    phases = _mode_phases(top, phi)
-    if polar.size * k > 2 * which.size:
-        # fewer reads than half the (polar angle, column) pairs (scattered
-        # points, columns of their own): each point's harmonics, as the rows
-        # of sph_harmonic_block, against its columns
-        n = mode_degrees(3, top)
-        m = np.arange(n.size) - n * n - n
-        harmonics = table[n, m][:, ring].T * phases[:, m + top]
-        return (columns.T[which] @ harmonics[:, :, None])[..., 0]
-    # at least half as many reads as pairs: every pair, by one real product
-    # per order of the table and the columns, both laid out order by order,
-    # m = -N..N over the degrees n = |m|..N
-    counts = top + 1 - np.abs(np.arange(-top, top + 1))
-    starts = np.cumsum(counts) - counts
-    m = np.repeat(np.arange(-top, top + 1), counts)
-    n = np.abs(m) + np.arange(m.size) - np.repeat(starts, counts)
-    legendre = table[n, m]
-    parts = np.ascontiguousarray(columns[n * n + n + m]).view(float)  # (modes, 2k): real, imaginary
-    orders = np.empty((2 * top + 1, polar.size, 2 * k))
-    for j, (a, b) in enumerate(zip(starts, starts + counts)):
-        np.matmul(legendre[a:b].T, parts[a:b], out=orders[j])
-    read = orders.view(complex).reshape(2 * top + 1, -1).T[ring.reshape(-1, 1) * k + which]
-    return (read @ phases[:, :, None])[..., 0]
+        harmonics = _mode_phases(len(columns) // 2, theta)
+    else:
+        harmonics = sph_harmonic_block(int(np.sqrt(len(columns))) - 1, theta, phi)
+    if radial is None:
+        return harmonics @ columns
+    return np.column_stack([(harmonics * table) @ column
+                            for table, column in zip(radial, np.ascontiguousarray(columns.T))])

@@ -590,15 +590,16 @@ class TestBesselPowerTemplate:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_3d_pointwise_read_evaluates_each_order_once(self, monkeypatch):
-        # orders 0 and 1 of the pointwise read come from one table call
+        # orders 0 and 1 of the pointwise read come from one table call (of
+        # the unkept recurrence: the points need not repeat)
         truncations = []
-        tables = specfun.regular_wave_tables
+        tables = specfun._regular_waves
 
         def counting(dimension, truncation, x):
             truncations.append(truncation)
             return tables(dimension, truncation, x)
 
-        monkeypatch.setattr(specfun, "regular_wave_tables", counting)
+        monkeypatch.setattr(specfun, "_regular_waves", counting)
         src = make_3d_bessel_nonradiating(CTX3, 3, 4)
         truncations.clear()
         src.evaluate(np.array([[0.1, 0.2, 0.3], [0.4, -0.1, 0.2]]))
@@ -1078,9 +1079,9 @@ def _every_route(ctx, src):
 class TestOwnedInputs:
     """A source keeps its own read-only copy of each array it is given, and
     so does a field sample: a later change to the caller's array moves
-    nothing.  At the parent of this check a float64 centre was kept as the
-    caller's array itself, so that moving it moved evaluate and every fresh
-    read, but not the samples and coefficients the source had kept."""
+    nothing.  A source that kept a float64 centre as the caller's array
+    itself moved evaluate and every fresh read with it, but not the samples
+    and coefficients it had kept."""
 
     @pytest.mark.parametrize("make", [gaussian_source, make_bump_nonradiating], ids=["gaussian", "bump"])
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])

@@ -964,8 +964,8 @@ class TestKeptRegularWaveTables:
 
 
 class TestModeSums:
-    """specfun.mode_sums, each point reading its own columns, against the
-    dense harmonic block and the exact phases of oracles."""
+    """specfun.mode_sums, with and without radial factors of each point's
+    own, against the harmonic block with the exact phases of oracles."""
 
     @staticmethod
     def _directions(kind, seed):
@@ -979,27 +979,30 @@ class TestModeSums:
     @pytest.mark.parametrize("kind", ["rule", "scattered"])
     @pytest.mark.parametrize("truncation", [0, 1, 8, 24, 60, 100])
     def test_3d_sums_match_the_block(self, truncation, kind):
-        # every column at every point, two of three columns per point (both
-        # read most (polar angle, column) pairs), and two columns of each
-        # point's own (few pairs read, as the modal field's at scattered
-        # radii)
+        # three columns at every point, then the same three with a radial
+        # factor of every point's own per column (as the modal field's
+        # table rows at scattered radii)
         theta, phi = self._directions(kind, truncation)
-        count = theta.size
-        columns = _random_complex((truncation + 1) ** 2, 2 * count, truncation)
+        modes = (truncation + 1) ** 2
+        columns = _random_complex(modes, 3, truncation)
+        radial = [_random_complex(theta.size, modes, truncation + 10 + j) for j in range(3)]
         block = oracles.harmonic_block_exact_phases(truncation, theta, phi)
-        reference = block @ columns[:, :3]
-        which = np.random.default_rng(truncation).integers(0, 3, size=(count, 2))
-        own = np.column_stack([np.arange(count), np.arange(count) + count])
-        for got, ref in ((specfun.mode_sums(3, columns[:, :3], theta, phi), reference),
-                         (specfun.mode_sums(3, columns[:, :3], theta, phi, which),
-                          np.take_along_axis(reference, which, axis=1)),
-                         (specfun.mode_sums(3, columns, theta, phi, own),
-                          np.einsum("im,mic->ic", block, columns[:, own]))):
+        reference = block @ columns
+        weighted = np.column_stack([(block * table) @ column for table, column in zip(radial, columns.T)])
+        for got, ref in ((specfun.mode_sums(3, columns, theta, phi), reference),
+                         (specfun.mode_sums(3, columns, theta, phi, radial), weighted)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-        if truncation <= 60:  # the block's own rounded phases add 1.7e-14 of the peak at 100
-            dense = specfun.sph_harmonic_block(truncation, theta, phi) @ columns[:, :3]
-            assert np.max(np.abs(specfun.mode_sums(3, columns[:, :3], theta, phi) - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("kind", ["rule", "scattered"])
+    def test_3d_block_gathers_each_point_its_polar_column(self, kind):
+        # the Legendre table at the distinct polar angles, gathered back to
+        # the points, is bit for bit the table at every point
+        theta, phi = self._directions(kind, 5)
+        n = specfun.mode_degrees(3, 12)
+        m = np.arange(n.size) - n * n - n
+        per_point = specfun._legendre_table(12, theta)[n, m].T * specfun._mode_phases(12, phi)[:, m + 12]
+        np.testing.assert_array_equal(specfun.sph_harmonic_block(12, theta, phi), per_point)
 
     def test_3d_sums_match_mpmath(self):
         theta, phi = self._directions("scattered", 3)
@@ -1023,19 +1026,20 @@ class TestModeSums:
         dense = oracles.dense_angular_basis(2, N, theta) @ columns
         assert np.max(np.abs(dense - ref)) > 5e-15 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("dimension", [2, 3])
-    def test_each_point_reads_its_own_columns(self, dimension):
-        # several columns per point, in any order and repeated: the sums of
-        # all columns, gathered
-        theta, phi = self._directions("rule", 1)
-        modes = 2 * 9 + 1 if dimension == 2 else 100
-        columns = _random_complex(modes, 4, 2)
-        which = np.random.default_rng(4).integers(0, 4, size=(theta.size, 3))
-        every = specfun.mode_sums(dimension, columns, theta, phi if dimension == 3 else None)
-        own = specfun.mode_sums(dimension, columns, theta, phi if dimension == 3 else None, which)
-        np.testing.assert_array_equal(own, np.take_along_axis(every, which, axis=1))
+    def test_2d_radial_factors_per_point(self):
+        # each column's sum of its modes times each point's own factors
+        N, M = 30, 64
+        theta = np.random.default_rng(8).uniform(-np.pi, np.pi, M)
+        columns = _random_complex(2 * N + 1, 2, 5)
+        radial = [_random_complex(M, 2 * N + 1, 6 + j) for j in range(2)]
+        phases = oracles.exact_phases(N, theta)
+        ref = np.column_stack([(phases * table) @ column for table, column in zip(radial, columns.T)])
+        got = specfun.mode_sums(2, columns, theta, radial=radial)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_no_points(self, dimension):
         columns = np.ones((25, 2), dtype=complex)
         assert specfun.mode_sums(dimension, columns, np.empty(0), np.empty(0)).shape == (0, 2)
+        radial = [np.ones((0, 25), dtype=complex)] * 2
+        assert specfun.mode_sums(dimension, columns, np.empty(0), np.empty(0), radial).shape == (0, 2)

@@ -64,21 +64,14 @@ class TestSphereFactors:
         first = boundary_trace(ctx, src, grid, truncation=12).stacked()
         factors = kept[("sphere factors", ctx, 12)]
         assert factors is fields._sphere_factors(ctx, 12)
-        # a set of factors keeps the regular wave tables its build reads
-        # (at orders through the truncation + 1, at kappa R), nested in the
-        # same budget: a budget of two sets of factors and one set of those
-        # tables.  Truncation 12 used again after 11, so 10 evicts 11, then
-        # 13 evicts 12
+        # a budget of two sets of factors: truncation 12 used again after
+        # 11, so 10 evicts 11, then 13 evicts 12
         size = context._mapped_bytes(factors)
         kept.clear()
-        fields._sphere_factors(ctx, 12)
-        assert [key[:3] for key in kept] == [("regular waves", ctx.dimension, 13), ("sphere factors", ctx, 12)]
-        budget = _kept_total(kept) + size
-        kept.clear()
-        monkeypatch.setattr(context, "_KEPT_BUDGET", budget)
+        monkeypatch.setattr(context, "_KEPT_BUDGET", 2 * size)
         for truncation, left in ((12, [12]), (11, [12, 11]), (12, [11, 12]), (10, [12, 10]), (13, [10, 13])):
             fields._sphere_factors(ctx, truncation)
-            assert [key[2] for key in kept if key[0] == "sphere factors"] == left
+            assert [key[2] for key in kept] == left
             assert _kept_total(kept) <= context._KEPT_BUDGET
         # 12 is evicted: the next trace rebuilds its factors, with the same bits
         _assert_identical(boundary_trace(ctx, src, grid, truncation=12).stacked(), first)
@@ -222,6 +215,25 @@ class TestKeeper:
             quadrature.gauss_legendre(order)
             assert _kept_total(kept) <= context._KEPT_BUDGET
         assert [key[1] for key in kept] == [48, 49]
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_scattered_reads_keep_nothing(self, kept, ctx):
+        # a Bessel profile read at scattered points and the modal field at
+        # scattered radii (the exterior tables' near branch) read arguments
+        # that need not repeat: once the source's own tables are kept, they
+        # add no entry to the keeper
+        src = _bessel(ctx)
+        rng = np.random.default_rng(3)
+        directions = rng.normal(size=(16, ctx.dimension))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        eval_field_batch(ctx, src, 1.5 * ctx.radius * directions, method="modal")
+        keys = list(kept)
+        for seed in range(3):
+            points = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(16, ctx.dimension)) * ctx.radius
+            src.evaluate(points)
+            radii = ctx.radius * np.random.default_rng(seed).uniform(1.05, 1.5, size=(16, 1))
+            eval_field_batch(ctx, src, radii * directions, method="modal")
+        assert list(kept) == keys
 
 
 def _legendre_keys(kept):
