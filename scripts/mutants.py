@@ -528,6 +528,20 @@ MUTANTS = (
         '    return np.zeros(d) if center is None else _check_array("center", center, (d,))\n',
         ("tests/test_sources.py::TestOwnedInputs::test_changing_the_center_moves_no_route",),
     ),
+    Mutant(
+        "trace-rule-aliased",
+        "src/biharwave/fields.py",
+        "        grid=owned,\n",
+        "        grid=grid,\n",
+        ("tests/test_sources.py::TestOwnedInputs::test_trace_keeps_its_rule",),
+    ),
+    Mutant(
+        "number-zero-imaginary-kept",
+        "src/biharwave/context.py",
+        "    return value.real if value.imag == 0 else value\n",
+        "    return value\n",
+        ("tests/test_sources.py::TestSampleRead::test_real_valued_complex_amplitude_reads_float",),
+    ),
 )
 
 

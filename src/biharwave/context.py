@@ -1,6 +1,6 @@
 """Shared problem context: spatial dimension, wavenumber, support-ball radius,
 and the small checks and helpers every module shares: one checker per kind
-of outside input, scalar (_check_dimension, _check_integer,
+of outside input, scalar (_check_dimension, _check_integer, _check_number,
 _check_positive) or array (_check_array, and _read_only_copy for an array
 an object keeps), the one block budget
 of the library's blocked loops (_BLOCK_BUDGET) and the one keeper of the
@@ -36,6 +36,21 @@ def _check_dimension(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value not in (2, 3):
         raise ValueError(f"{name} must be the integer 2 or 3, got {value!r}")
     return value
+
+
+def _check_number(name: str, value, real: bool = True):
+    """value when it is a finite number (numpy's too, never a bool), real
+    unless real is false; otherwise a ValueError naming it.  A complex value
+    is refused as real even with a zero imaginary part (a shape parameter is
+    compared and squared as a real number); with real false, one whose
+    imaginary part is zero (of either sign) comes back as its real part."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number) or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if _is_real(value):
+        return value
+    if real:
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value.real if value.imag == 0 else value
 
 
 def _check_positive(name: str, value):

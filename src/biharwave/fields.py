@@ -82,7 +82,7 @@ rule's angles and the real and imaginary parts of each channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -543,7 +543,9 @@ def boundary_trace(
     FFT over the equispaced angles, in 3D by one Legendre sum per order and
     polar ring, then an inverse FFT over the azimuths.  Neither builds a
     harmonic per node.  A rule of another dimension than the context's is
-    refused, naming both.
+    refused, naming both.  The trace keeps a copy of the rule whose arrays
+    are read-only (context._read_only_copy): a rule's arrays are its
+    caller's to change, and the functionals and the CSV read the trace's.
     """
     if grid.dimension != ctx.dimension:
         raise ValueError(f"the boundary grid is {grid.dimension}D but the context is {ctx.dimension}D")
@@ -554,9 +556,11 @@ def boundary_trace(
     coeffs = modal_coefficients(ctx, src, truncation)
     f_h, f_m, df_h, df_m = _sphere_series(ctx, coeffs, grid)
     scale = 1.0 / (2.0 * ctx.kappa**2)
+    owned = replace(grid, directions=_read_only_copy(grid.directions), weights=_read_only_copy(grid.weights),
+                    params=_read_only_copy(grid.params))
     return BoundaryTrace(
         ctx=ctx,
-        grid=grid,
+        grid=owned,
         u=(f_h - f_m) * scale,
         du_dnu=(df_h - df_m) * scale,
         lap_u=-(f_h + f_m) / 2.0,

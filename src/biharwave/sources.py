@@ -46,14 +46,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from numbers import Number
 
 import numpy as np
 
 from . import specfun
-from .context import (_BLOCK_BUDGET, WaveContext, _check_array, _check_dimension, _check_integer, _check_positive,
-                      _read_only_copy)
-from .context import _is_real
+from .context import (_BLOCK_BUDGET, WaveContext, _check_array, _check_dimension, _check_integer, _check_number,
+                      _check_positive, _read_only_copy)
 from .quadrature import (
     DEFAULT_ANGULAR_COUNT_2D,
     DEFAULT_POLAR_COUNT_3D,
@@ -188,7 +186,7 @@ class SourceField:
     """
 
     def __init__(self, ctx, func, support_radius, radial_order=DEFAULT_RADIAL_ORDER, profile=None):
-        _check_finite_real("support_radius", support_radius)
+        _check_number("support_radius", support_radius)
         if not 0 < support_radius <= ctx.radius * (1 + 1e-12):
             raise SupportViolationError(
                 f"support_radius must lie in (0, R], got {support_radius} with R = {ctx.radius}"
@@ -312,8 +310,7 @@ class SourceField:
         """factor (a finite number) times the source; a complex factor whose
         imaginary part is zero is kept as its real part, so a real source
         stays real."""
-        _check_finite_number("factor", factor)
-        return _combined(((_real_if_real(factor), self),))
+        return _combined(((_check_number("factor", factor, real=False), self),))
 
     def __add__(self, other: "SourceField") -> "SourceField":
         if not isinstance(other, SourceField):
@@ -607,9 +604,9 @@ def make_bump_nonradiating(
     """
     d = ctx.dimension
     k4 = ctx.kappa**4
-    rho = 0.8 * ctx.radius if rho is None else float(_check_positive("rho", _check_finite_real("rho", rho)))
+    rho = 0.8 * ctx.radius if rho is None else float(_check_positive("rho", rho))
     center = _own_center(ctx, center)
-    _check_finite_real("amplitude", amplitude)  # the mollifier pair is real arithmetic
+    _check_number("amplitude", amplitude)  # the mollifier pair is real arithmetic
     reach = float(np.linalg.norm(center)) + rho
     if not reach < ctx.radius:
         raise SupportViolationError(
@@ -671,9 +668,8 @@ def gaussian_source(
     source); a complex amplitude whose imaginary part is zero is kept as its
     real part, so the source reads real values."""
     center = _own_center(ctx, center)
-    _check_finite_number("amplitude", amplitude)
-    amplitude = _real_if_real(amplitude)
-    sigma = 0.15 * ctx.radius if sigma is None else float(_check_positive("sigma", _check_finite_real("sigma", sigma)))
+    amplitude = _check_number("amplitude", amplitude, real=False)
+    sigma = 0.15 * ctx.radius if sigma is None else float(_check_positive("sigma", sigma))
 
     def func(points):
         q = _squared_distance(points.T, center)
@@ -704,29 +700,6 @@ def _squared_distance(coords, center) -> np.ndarray:
         diff *= diff
         q += diff
     return q
-
-
-def _check_finite_number(name: str, value):
-    """value when it is a finite number (not a bool); otherwise a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, Number) or not np.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return value
-
-
-def _check_finite_real(name: str, value):
-    """value when it is a finite real number (numpy's too, not a bool);
-    otherwise a ValueError naming it.  A complex value is refused even with
-    a zero imaginary part: a shape parameter is compared and squared as a
-    real number."""
-    if not _is_real(_check_finite_number(name, value)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
-
-
-def _real_if_real(value):
-    """A complex number whose imaginary part is zero (of either sign) as its
-    real part; any other number as it is."""
-    return value.real if not _is_real(value) and value.imag == 0 else value
 
 
 def _widened(values) -> np.ndarray:

@@ -22,12 +22,12 @@ per_mode: in 2D by the reflection C_-n = (-1)**n C_n, in 3D by repeating
 each degree over its orders.  On the nodes of an AngularRule the modes are
 analysed and synthesized by rule_analysis and rule_synthesis: one FFT over
 the equispaced angles in 2D, and in 3D an FFT over the azimuths with one
-Legendre sum per order (sph_analysis and sph_synthesis, the separated
-transforms of Driscoll & Healy, Adv. Appl. Math. 15 (1994) 202-250),
-whose Legendre table depends on the rule alone and is kept, one per
-(truncation, polar angles) within a byte budget (_kept_legendre_table).  At
-any other points the modes are summed by mode_sums against each point's row
-of angular factors, times a radial factor of the point's own when given:
+Legendre sum per order (the separated transforms of Driscoll & Healy,
+Adv. Appl. Math. 15 (1994) 202-250), whose Legendre table depends on the
+rule alone and is kept, one per (truncation, polar angles) within a byte
+budget (_kept_legendre_table).  At any other points the modes are summed
+by mode_sums against each point's row of angular factors, times a radial
+factor of the point's own when given:
 exp(i n theta) in 2D, and in 3D sph_harmonic_block, whose Legendre table is
 built at the points' distinct polar angles only; every phase is reduced mod
 2 pi exactly first (_mode_phases).
@@ -36,13 +36,14 @@ Every per-order radial table of the modal route comes from this module,
 orders 0..N on axis 0 and the arguments on axis 1.  The regular families,
 J_n and I_n in 2D and the spherical j_n and i_n in 3D, come from one
 backward ratio recurrence (regular_wave_tables): the modal coefficients'
-tables, the null-space probes' and the Bessel sources' norms and profiles.
-The arguments of the first three repeat (a radial rule's nodes times kappa,
+tables, the Bessel sources' norms and profiles, and the null-space probes'.
+The arguments of the first two repeat (a radial rule's nodes times kappa,
 read by every source on that rule), so regular_wave_tables keeps its two
 tables read-only, one pair per (dimension, truncation, arguments), within
-the keeper's byte budget; a profile at caller-given points and the near
-branch of the exterior tables build theirs unkept (_regular_waves).  The
-exterior families (exterior_wave_tables) are the outgoing Hankel functions
+the keeper's byte budget; a profile at caller-given points, the null-space
+probes at caller-given radii and the near branch of the exterior tables
+build theirs unkept (_regular_waves).  The exterior families
+(exterior_wave_tables) are the outgoing Hankel functions
 and the decaying family of the modified Helmholtz equation, the outgoing
 Hankel function on the positive imaginary axis, evaluated through the
 modified functions K_n (never by complex continuation) and returned with
@@ -605,12 +606,12 @@ def regular_wave_tables(dimension: int, truncation: int, x) -> tuple[np.ndarray,
     non-finite entry is refused there); a non-positive x by its value.  The
     two tables depend on (dimension, truncation, x) alone and are kept
     read-only, one pair per key, within context._kept_arrays' byte budget:
-    a radial rule's nodes times kappa recur in every source's projection, a
-    Bessel leaf's norm and the null-space probes, and a second call returns
-    the kept pair, bit for bit the first.  Arguments that do not repeat (a
-    Bessel profile at the points it is read at, the near branch of
-    _exterior_waves at scattered radii) go to _regular_waves, which keeps
-    nothing.
+    a radial rule's nodes times kappa recur in every source's projection and
+    a Bessel leaf's norm, and a second call returns the kept pair, bit for
+    bit the first.  Arguments that do not repeat (a Bessel profile at the
+    points it is read at, the null-space probes at the radii they are given,
+    the near branch of _exterior_waves at scattered radii) go to
+    _regular_waves, which keeps nothing.
     """
     x = _wave_arguments(dimension, truncation, x, "regular", "x")
     return _kept_arrays(("regular waves", dimension, truncation, x.tobytes()),
@@ -834,73 +835,13 @@ def _legendre_table(truncation: int, theta) -> np.ndarray:
 
 def _kept_legendre_table(truncation: int, theta) -> np.ndarray:
     """_legendre_table at a rule's polar angles, kept read-only for the rule
-    transforms, one per (truncation, polar angles), within the byte budget
-    of context._kept_arrays.  Rule angles repeat from call to call; the
-    scattered points of sph_harmonic_block need not, so it builds its own
-    table, at their distinct polar angles, and does not keep it."""
+    transforms (rule_analysis, rule_synthesis), one per (truncation, polar
+    angles), within the byte budget of context._kept_arrays.  Rule angles
+    repeat from call to call; the scattered points of sph_harmonic_block
+    need not, so it builds its own table, at their distinct polar angles,
+    and does not keep it."""
     theta = np.ravel(np.asarray(theta, dtype=float))
     return _kept_arrays(("legendre", truncation, theta.tobytes()), lambda: (_legendre_table(truncation, theta),))[0]
-
-
-def sph_analysis(truncation: int, values, theta, weights) -> np.ndarray:
-    """Harmonic coefficients through the truncation degree of sampled data on
-    a product rule, by an FFT over the azimuths and one Legendre sum per order.
-
-    values has shape (k, polar, azimuth): k data sets sampled at the polar
-    nodes theta (polar-major) and at azimuths 2 pi j / azimuth; weights[i] is
-    the quadrature weight of each node of polar ring i.  Returns shape
-    ((truncation+1)**2, k), row n*n + n + m holding the quadrature value of
-    sum over nodes of weight * values * conj(Y_n^m), as the dense block
-    gives it.  After the FFT each data set costs about polar * (N+1)**2
-    products, against the dense block's polar * azimuth * (N+1)**2.
-
-    A real data set takes rfft: column j holds the azimuthal frequencies
-    j = 0..azimuth/2, and a frequency above that is the conjugate of column
-    azimuth - j.  A complex data set takes one complex FFT, whose columns
-    hold every frequency.
-    """
-    values = np.asarray(values)
-    azimuth = values.shape[2]
-    real = not np.iscomplexobj(values)
-    # the FFT's exp(-2 pi i m j / azimuth) is conj(exp(i m phi_j)); order m
-    # and m mod azimuth coincide on the lattice.  Each column is a real
-    # block of (polar, data sets) real and imaginary parts, interleaved, so
-    # the Legendre sums are real products.
-    spectrum = np.fft.rfft(values, axis=2) if real else np.fft.fft(values, axis=2)
-    columns = np.ascontiguousarray(spectrum.transpose(2, 1, 0)).view(float)
-    table = _kept_legendre_table(truncation, theta) * np.asarray(weights, dtype=float)
-    degrees = np.arange(truncation + 1)
-    sums = np.empty(((truncation + 1) ** 2, len(values)), dtype=complex)
-    for m in range(-truncation, truncation + 1):
-        n = degrees[abs(m):]
-        j = m % azimuth
-        mirrored = real and 2 * j > azimuth
-        part = (table[abs(m):, m] @ columns[azimuth - j if mirrored else j]).view(complex)
-        sums[n * n + n + m] = part.conj() if mirrored else part
-    return sums
-
-
-def sph_synthesis(coeffs, theta, azimuth: int) -> np.ndarray:
-    """Harmonic sums of coefficient sets on a product rule, by one Legendre
-    sum per order and an inverse FFT over the azimuths (the transpose of
-    sph_analysis).
-
-    coeffs has shape ((N+1)**2, k), row n*n + n + m the coefficient of Y_n^m.
-    Returns shape (k, polar, azimuth): sum_(n, m) coeffs * Y_n^m at the polar
-    nodes theta and azimuths 2 pi j / azimuth.  Orders with |m| >= azimuth/2
-    fold onto the column m mod azimuth, where exp(i m phi) takes the same
-    lattice values.
-    """
-    coeffs = np.asarray(coeffs)
-    truncation = int(np.sqrt(coeffs.shape[0])) - 1
-    table = _kept_legendre_table(truncation, theta)
-    degrees = np.arange(truncation + 1)
-    columns = np.zeros((azimuth, table.shape[2], coeffs.shape[1]), dtype=complex)
-    for m in range(-truncation, truncation + 1):
-        n = degrees[abs(m):]
-        columns[m % azimuth] += table[abs(m):, m].T @ coeffs[n * n + n + m]
-    # norm="forward" leaves the inverse unscaled: a plain sum of exp(+i m phi_j)
-    return np.fft.ifft(columns, axis=0, norm="forward").transpose(2, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -914,15 +855,40 @@ def rule_analysis(truncation: int, values, angular) -> np.ndarray:
 
     2D: one FFT over the M equispaced angles divided by M (the trapezoid
     rule for 1 / (2 pi) times the integral against exp(-i n theta)), order n
-    read from column n mod M.  3D: sph_analysis on the rule's polar rings
-    (the quadrature of the data against conj(Y_n^m)).
+    read from column n mod M.  3D: the quadrature of the data against
+    conj(Y_n^m), by an FFT over each polar ring's azimuths and one Legendre
+    sum per order, weighted by the ring's node weight; row n*n + n + m holds
+    what the dense block gives.  After the FFT each data set costs about
+    polar * (N+1)**2 products, against the dense block's
+    polar * azimuth * (N+1)**2.  A real data set takes rfft: column j holds
+    the azimuthal frequencies j = 0..azimuth/2, and a frequency above that
+    is the conjugate of column azimuth - j.  A complex data set takes one
+    complex FFT, whose columns hold every frequency.
     """
     values = np.asarray(values)
-    if angular.dimension == 3:
-        rings = values.reshape(len(values), angular.polar_count, angular.azimuth_count)
-        return sph_analysis(truncation, rings, *angular.rings)
-    spectrum = np.fft.fft(values, axis=1) / angular.count
-    return spectrum[:, mode_degrees(2, truncation) % angular.count].T.copy()
+    if angular.dimension == 2:
+        spectrum = np.fft.fft(values, axis=1) / angular.count
+        return spectrum[:, mode_degrees(2, truncation) % angular.count].T.copy()
+    theta, weights = angular.rings
+    azimuth = angular.azimuth_count
+    real = not np.iscomplexobj(values)
+    # the FFT's exp(-2 pi i m j / azimuth) is conj(exp(i m phi_j)); order m
+    # and m mod azimuth coincide on the lattice.  Each column is a real
+    # block of (polar, data sets) real and imaginary parts, interleaved, so
+    # the Legendre sums are real products.
+    rings = values.reshape(len(values), angular.polar_count, azimuth)
+    spectrum = np.fft.rfft(rings, axis=2) if real else np.fft.fft(rings, axis=2)
+    columns = np.ascontiguousarray(spectrum.transpose(2, 1, 0)).view(float)
+    table = _kept_legendre_table(truncation, theta) * weights
+    degrees = np.arange(truncation + 1)
+    sums = np.empty(((truncation + 1) ** 2, len(values)), dtype=complex)
+    for m in range(-truncation, truncation + 1):
+        n = degrees[abs(m):]
+        j = m % azimuth
+        mirrored = real and 2 * j > azimuth
+        part = (table[abs(m):, m] @ columns[azimuth - j if mirrored else j]).view(complex)
+        sums[n * n + n + m] = part.conj() if mirrored else part
+    return sums
 
 
 def rule_synthesis(columns, angular) -> np.ndarray:
@@ -934,15 +900,26 @@ def rule_synthesis(columns, angular) -> np.ndarray:
     2D adds the modes of equal order mod M into one of M columns and sums
     the M equispaced angles by one inverse FFT: exp(i n theta_j) takes the
     same values for every n of a column, so no phase n theta_j is rounded.
-    3D is sph_synthesis on the rule's polar rings.
+    3D takes one Legendre sum per order at the polar rings, then one inverse
+    FFT over the azimuths (the transpose of rule_analysis); orders with
+    |m| >= azimuth/2 fold onto the column m mod azimuth, where
+    exp(i m phi) takes the same lattice values.
     """
     columns = np.asarray(columns)
-    if angular.dimension == 3:
-        return sph_synthesis(columns, angular.rings[0], angular.azimuth_count).reshape(columns.shape[1], -1)
-    folded = np.zeros((angular.count, columns.shape[1]), dtype=complex)
-    np.add.at(folded, mode_degrees(2, len(columns) // 2) % angular.count, columns)
-    # norm="forward" leaves the inverse unscaled: a plain sum of exp(+i n theta_j)
-    return np.fft.ifft(folded, axis=0, norm="forward").T
+    if angular.dimension == 2:
+        folded = np.zeros((angular.count, columns.shape[1]), dtype=complex)
+        np.add.at(folded, mode_degrees(2, len(columns) // 2) % angular.count, columns)
+        # norm="forward" leaves the inverse unscaled: a plain sum of exp(+i n theta_j)
+        return np.fft.ifft(folded, axis=0, norm="forward").T
+    truncation = int(np.sqrt(columns.shape[0])) - 1
+    table = _kept_legendre_table(truncation, angular.rings[0])
+    azimuth = angular.azimuth_count
+    degrees = np.arange(truncation + 1)
+    folded = np.zeros((azimuth, table.shape[2], columns.shape[1]), dtype=complex)
+    for m in range(-truncation, truncation + 1):
+        n = degrees[abs(m):]
+        folded[m % azimuth] += table[abs(m):, m].T @ columns[n * n + n + m]
+    return np.fft.ifft(folded, axis=0, norm="forward").transpose(2, 1, 0).reshape(columns.shape[1], -1)
 
 
 # 2 pi as _TWO_PI_HIGH + _TWO_PI_LOW (Cody & Waite's reduction): the high

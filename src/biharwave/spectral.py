@@ -51,22 +51,6 @@ from .quadrature import angular_rule, spherical_params
 from .sources import SourceField, default_mode_truncation, modal_coefficients
 from .specfun import _ipow
 
-__all__ = [
-    "InconsistencyError",
-    "NonradiatingVerdict",
-    "VerdictConfig",
-    "direction_grid",
-    "fourier_on_circle",
-    "fourier_transform_quadrature",
-    "laplace_on_circle",
-    "laplace_transform_quadrature",
-    "modal_coefficients",
-    "nullspace_residual",
-    "u_hat_from_trace",
-    "v_check_from_trace",
-    "verdict",
-]
-
 # exp(kappa * R) weights overflow doubles beyond this.
 _EXP_WEIGHT_LIMIT = 700.0
 
@@ -310,9 +294,11 @@ def nullspace_residual(
     N, nr = coeffs.truncation, len(radii)
     # one regular wave per order (2D) or degree (3D) and radius, and the
     # decaying family's per-mode factors: every radius is a column of each
-    # family in one synthesis on the direction rule
-    regular, _ = specfun.regular_wave_tables(ctx.dimension, N, ctx.kappa * radii)
+    # family in one synthesis on the direction rule.  The caller's radii
+    # need not repeat, so their regular tables are built unkept, after the
+    # exterior tables' check has refused a kappa r that overflows
     _, s = fields._radial_tables(ctx, N, ctx.kappa * radii[:, None], derivatives=False)
+    regular, _ = specfun._regular_waves(ctx.dimension, N, ctx.kappa * radii)
     columns = np.hstack([specfun.per_mode(ctx.dimension, regular, axis=0) * coeffs.alpha[:, None],
                          s.T * coeffs.beta[:, None]])
     sums = specfun.rule_synthesis(columns, _direction_rule(ctx, 16))

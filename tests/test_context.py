@@ -103,9 +103,9 @@ POSITIVE_INPUTS = [
          "file-tolerance", "radii"],
 )
 def test_positive_input_refused_by_name(tmp_path, name, build, value):
-    # sigma and rho meet _check_finite_real first, which names a NaN, an
-    # inf and a bool as "a finite number"; --radii parses "True" as no
-    # number; a file setting is named with its file's path
+    # sigma and rho, like every other input here, are read by
+    # _check_positive alone; --radii parses "True" as no number; a file
+    # setting is named with its file's path
     with pytest.raises(ValueError, match=rf"^{re.escape(name)}( in '[^']*')? must be "):
         build(value, tmp_path)
     assert not (tmp_path / "out").exists()

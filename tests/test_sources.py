@@ -1,5 +1,6 @@
 """Sources: projections, the nonradiating constructors, config parsing."""
 
+import io
 import re
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from scipy import special as sp
 
 from biharwave import WaveContext, context, sources, specfun
-from biharwave.fields import boundary_trace, eval_field, eval_field_batch, far_field
+from biharwave.fields import boundary_trace, eval_field, eval_field_batch, far_field, write_trace_csv
 from biharwave.quadrature import boundary_grid, product_grid, spherical_params
 from biharwave.spectral import (
     STABILITY_MARGIN,
@@ -17,6 +18,8 @@ from biharwave.spectral import (
     fourier_on_circle,
     fourier_transform_quadrature,
     laplace_on_circle,
+    u_hat_from_trace,
+    v_check_from_trace,
     verdict,
 )
 from biharwave.specfun import regular_wave_tables
@@ -698,15 +701,21 @@ def test_amplitude_must_be_a_finite_number(make, amplitude):
 
 
 @pytest.mark.parametrize(
-    "make, name, value",
-    [(gaussian_source, "sigma", 0.1 + 0j), (gaussian_source, "sigma", 0.1 + 0.01j),
-     (gaussian_source, "support_radius", 0.9 + 0j), (gaussian_source, "support_radius", 0.9 - 0.1j),
-     (make_bump_nonradiating, "rho", 0.5 + 0j), (make_bump_nonradiating, "rho", np.complex128(0.5 + 0.2j))],
+    "make, name, value, wanted",
+    [(gaussian_source, "sigma", 0.1 + 0j, "positive and finite"),
+     (gaussian_source, "sigma", 0.1 + 0.01j, "positive and finite"),
+     (gaussian_source, "support_radius", 0.9 + 0j, "a real number"),
+     (gaussian_source, "support_radius", 0.9 - 0.1j, "a real number"),
+     (make_bump_nonradiating, "rho", 0.5 + 0j, "positive and finite"),
+     (make_bump_nonradiating, "rho", np.complex128(0.5 + 0.2j), "positive and finite")],
     ids=["sigma-0j", "sigma-complex", "support-0j", "support-complex", "rho-0j", "rho-complex"])
-def test_shape_parameters_must_be_real(make, name, value):
+def test_shape_parameters_must_be_real(make, name, value, wanted):
     # a complex width or radius used to pass the finite-number check and
-    # fail later with a bare TypeError that named no parameter
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {value!r}")):
+    # fail later with a bare TypeError that named no parameter.  sigma and
+    # rho are read by context._check_positive alone, which names a complex
+    # value, even one with a zero imaginary part, as not positive and
+    # finite; the support radius by context._check_number
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be {wanted}, got {value!r}")):
         make(CTX2, **{name: value})
     assert make(CTX2, **{name: np.float64(value.real)}).l2_norm() > 0
 
@@ -1078,10 +1087,10 @@ def _every_route(ctx, src):
 
 class TestOwnedInputs:
     """A source keeps its own read-only copy of each array it is given, and
-    so does a field sample: a later change to the caller's array moves
-    nothing.  A source that kept a float64 centre as the caller's array
-    itself moved evaluate and every fresh read with it, but not the samples
-    and coefficients it had kept."""
+    so do a field sample and a boundary trace: a later change to the
+    caller's array moves nothing.  A source that kept a float64 centre as
+    the caller's array itself moved evaluate and every fresh read with it,
+    but not the samples and coefficients it had kept."""
 
     @pytest.mark.parametrize("make", [gaussian_source, make_bump_nonradiating], ids=["gaussian", "bump"])
     @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
@@ -1101,6 +1110,31 @@ class TestOwnedInputs:
         np.testing.assert_array_equal(sample.point, [1.5, 0.2, -0.1][: ctx.dimension])
         with pytest.raises(ValueError, match="read-only"):
             sample.point[0] = 3.0
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_trace_keeps_its_rule(self, ctx):
+        # a rule's arrays are writable and its caller's: a trace that kept
+        # the caller's rule summed the changed weights in its functionals
+        # (2D: u_hat moved from 2.4e-16 to 0.34 of |f| off the modal
+        # Fourier data) and wrote the changed angles to its table
+        src = gaussian_source(ctx, sigma=0.1, support_radius=0.9)
+        dirs, _ = direction_grid(ctx, 16)
+        rule = boundary_grid(ctx)
+        trace = boundary_trace(ctx, src, rule)
+
+        def reads():
+            table = io.StringIO()
+            write_trace_csv(trace, table)
+            return [u_hat_from_trace(ctx, trace, dirs).tobytes(), v_check_from_trace(ctx, trace, dirs).tobytes(),
+                    table.getvalue()]
+
+        before = reads()
+        for array in (rule.directions, rule.weights, rule.params):
+            array *= 2.0
+        assert reads() == before
+        for array in (trace.grid.directions, trace.grid.weights, trace.grid.params):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestConfigParsing:

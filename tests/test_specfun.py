@@ -852,8 +852,8 @@ def _random_complex(rows, sets, seed):
 
 
 class TestSeparatedTransforms:
-    """FFT over the azimuths plus one Legendre sum per order, against the
-    dense harmonic block on the same product rule."""
+    """The 3D rule transforms, an FFT over the azimuths plus one Legendre sum
+    per order, against the dense harmonic block on the same product rule."""
 
     @pytest.mark.parametrize(
         "truncation, polar, real", [(8, 16, False), (31, 32, False), (40, 16, False), (8, 16, True), (40, 16, True)],
@@ -861,14 +861,14 @@ class TestSeparatedTransforms:
     )
     def test_analysis_matches_dense_block(self, truncation, polar, real):
         # N40-folded: orders above azimuth/2 = 16 alias onto lattice columns
-        # in both routes alike.  Every data set takes the real FFT (a complex
-        # one as its real and imaginary rows): orders m < 0, and the folded
-        # orders above azimuth/2, by conjugate symmetry
+        # in both routes alike.  A real data set takes the real FFT, which
+        # gives orders m < 0, and the folded orders above azimuth/2, by
+        # conjugate symmetry; a complex one takes one complex FFT
         rule = angular_rule(WaveContext(3, 1.0, 1.0), polar)
         values = _random_complex(3, rule.count, truncation)
         if real:
             values = values.real
-        got = specfun.sph_analysis(truncation, values.reshape(3, polar, rule.azimuth_count), *rule.rings)
+        got = specfun.rule_analysis(truncation, values, rule)
         ref = oracles.dense_sph_analysis(truncation, values, rule)
         assert got.shape == ((truncation + 1) ** 2, 3)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -882,12 +882,8 @@ class TestSeparatedTransforms:
         # m - 80 share a lattice column
         ang = boundary_grid(WaveContext(3, 1.0, 1.0), resolution)
         coeffs = _random_complex((truncation + 1) ** 2, 2, resolution)
-        got = specfun.sph_synthesis(coeffs, ang.rings[0], ang.azimuth_count)
-        ref = oracles.dense_sph_synthesis(coeffs, ang.params)
-        assert got.shape == (2, ang.polar_count, ang.azimuth_count)
-        assert np.max(np.abs(got.reshape(2, -1) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # the angular-mode layer's synthesis on the same rule, node by node
         got = specfun.rule_synthesis(coeffs, ang)
+        ref = oracles.dense_sph_synthesis(coeffs, ang.params)
         assert got.shape == (2, ang.count)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -907,15 +903,14 @@ class TestSeparatedTransforms:
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_analysis_inverts_synthesis(self):
-        # below the rule's exact degree the two transforms are inverse
+        # below the rule's exact degree the two transforms are inverse: 3D
+        # on a rule of 24 polar rings, 2D with the orders |n| <= 31 apart on
+        # 64 angles
         rule = angular_rule(WaveContext(3, 1.0, 1.0), 24)
         coeffs = _random_complex(23**2, 1, 5)
-        samples = specfun.sph_synthesis(coeffs, rule.rings[0], rule.azimuth_count)
-        back = specfun.sph_analysis(22, samples, *rule.rings)
-        assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
-        # and through the angular-mode layer: 3D on the same rule, 2D with
-        # the orders |n| <= 31 apart on 64 angles
-        back = specfun.rule_analysis(22, specfun.rule_synthesis(coeffs, rule), rule)
+        samples = specfun.rule_synthesis(coeffs, rule)
+        assert samples.shape == (1, rule.count)
+        back = specfun.rule_analysis(22, samples, rule)
         assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
         rule = angular_rule(WaveContext(2, 1.0, 1.0), 64)
         coeffs = _random_complex(63, 3, 6)

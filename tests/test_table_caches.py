@@ -37,6 +37,7 @@ from biharwave.spectral import (
     fourier_on_circle,
     fourier_transform_quadrature,
     laplace_transform_quadrature,
+    nullspace_residual,
 )
 
 CTX2 = WaveContext.with_root_wavenumber(2, 1.0, 2)
@@ -234,6 +235,20 @@ class TestKeeper:
             radii = ctx.radius * np.random.default_rng(seed).uniform(1.05, 1.5, size=(16, 1))
             eval_field_batch(ctx, src, radii * directions, method="modal")
         assert list(kept) == keys
+
+    @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["2d", "3d"])
+    def test_nullspace_probes_keep_nothing(self, kept, ctx):
+        # the probes read the caller's radii, which need not repeat: once the
+        # source's own tables and the direction rule are kept, fresh radii
+        # add no entry (a kept pair per radii list evicted the rule tables
+        # that later verdicts rebuild), and the residual keeps its bits
+        src = gaussian_source(ctx, sigma=0.2)
+        first = nullspace_residual(ctx, src, [1.5, 3.0])
+        keys = set(kept)
+        for seed in range(5):
+            nullspace_residual(ctx, src, ctx.radius * np.random.default_rng(seed).uniform(1.05, 3.0, size=4))
+            assert set(kept) == keys
+        assert nullspace_residual(ctx, src, [1.5, 3.0]) == first
 
 
 def _legendre_keys(kept):
